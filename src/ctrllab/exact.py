@@ -1,9 +1,15 @@
 """Exact controllability decisions for integer symmetric systems.
 
-Everything here runs over arbitrary-precision Python integers (no tolerances,
-no rounding): Krylov/Kalman matrices, fraction-free Bareiss rank and
-determinant, Faddeev-LeVerrier characteristic polynomials, and the
-square-free test for distinct eigenvalues.
+Every verdict here is exact (no tolerances, no rounding).  Kalman ranks and
+the distinct-eigenvalue test are first tried as one-sided certificates
+modulo the word-size prime ``_P``: a rank computed mod p never exceeds the
+rank over the rationals, so a Krylov stack of full rank mod p has full rank,
+and a characteristic polynomial coprime to its derivative mod p is
+square-free.  Whatever the certificate cannot settle falls back to the
+arbitrary-precision path, which also serves as the oracle: Krylov/Kalman
+matrices over Python integers, fraction-free Bareiss rank and determinant,
+Faddeev-LeVerrier characteristic polynomials and a Euclidean remainder
+sequence over the rationals.
 
 Krylov entries grow like ``norm(A)**n``, so the exact path is capped at
 ``DEFAULT_EXACT_CAP`` dimensions by default; pass ``cap=None`` (or a larger
@@ -16,6 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .spectral import nonfinite_error
+
 __all__ = [
     "DEFAULT_EXACT_CAP",
     "DimensionCapError",
@@ -25,44 +33,51 @@ __all__ = [
     "charpoly_exact",
     "has_simple_spectrum_exact",
     "is_controllable_exact",
+    "kalman_ranks_exact",
 ]
 
 DEFAULT_EXACT_CAP = 24
+
+# Largest prime below 2**26.  Residues multiply to below 2**52, so int64
+# matrix products mod _P stay exact up to _MOD_MAX_N terms per entry, and
+# every dimension up to there is invertible mod _P.
+_P = 67108859
+_MOD_MAX_N = (2**63 - 1) // (_P - 1) ** 2
 
 
 class DimensionCapError(ValueError):
     """Exact-path dimension cap exceeded; use the float PBH path instead."""
 
 
-def _as_int_rows(m) -> list[list[int]]:
+def _checked_ints(m, ndim: int, what: str) -> np.ndarray:
     a = np.asarray(m)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {what}, got ndim={a.ndim}")
     if a.dtype.kind == "f":
+        if not np.isfinite(a).all():
+            raise nonfinite_error(a, what)
         if not np.all(a == np.round(a)):
             raise ValueError("exact path requires integer entries")
     elif a.dtype.kind not in "iubO":
         raise ValueError(f"exact path requires integer entries, got dtype {a.dtype}")
-    return [[int(x) for x in row] for row in a]
+    return a
+
+
+def _as_int_rows(m) -> list[list[int]]:
+    return [[int(x) for x in row] for row in _checked_ints(m, 2, "matrix")]
 
 
 def _as_int_vector(v) -> list[int]:
-    a = np.asarray(v)
-    if a.ndim != 1:
-        raise ValueError(f"expected a vector, got ndim={a.ndim}")
-    if a.dtype.kind == "f" and not np.all(a == np.round(a)):
-        raise ValueError("exact path requires integer entries")
-    return [int(x) for x in a]
+    return [int(x) for x in _checked_ints(v, 1, "vector")]
 
 
-def _check_symmetric(rows: list[list[int]]) -> None:
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+def _check_symmetric(m: np.ndarray) -> None:
+    if m.shape[0] != m.shape[1]:
         raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
+    differs = m != m.T
+    if differs.any():
+        i, j = np.argwhere(np.triu(differs, 1))[0]
+        raise ValueError(f"matrix is not symmetric at ({i},{j})")
 
 
 def kalman_matrix(a, b) -> np.ndarray:
@@ -184,16 +199,120 @@ def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a
 
 
+# ---------------------------------------------------------------------------
+# certificates modulo _P
+# ---------------------------------------------------------------------------
+
+def _residues(m: np.ndarray) -> np.ndarray:
+    """Entries mod _P as int64; entries int64 may not hold are reduced as
+    Python ints first, so no entry size overflows."""
+    if m.dtype.kind in "bi" or (m.dtype.kind == "u" and m.dtype.itemsize < 8):
+        return _reduce(m.astype(np.int64))
+    return np.array([int(x) % _P for x in m.flat], dtype=np.int64).reshape(m.shape)
+
+
+def _reduce(x: np.ndarray) -> np.ndarray:
+    """x mod _P in place; numpy's int64 floor division by a scalar is far
+    faster than its remainder."""
+    x -= x // _P * _P
+    return x
+
+
+def _full_rank_mod_p(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For each column b of `v`, whether [b, Ab, ..., A^(n-1)b] has full rank.
+
+    `a` and `v` hold residues mod _P, and so does the rank.  All Krylov
+    stacks are built at once and eliminated together: at each column every
+    stack swaps its first row with a nonzero entry to the top, then clears
+    the column below by cross-multiplication (no inverses needed) and drops
+    the top row and the column.
+    """
+    n, m = v.shape
+    krylov = np.empty((n, n, m), dtype=np.int64)  # [k] = A^k V mod p
+    krylov[0] = v
+    for k in range(1, n):
+        krylov[k] = _reduce(a @ krylov[k - 1])
+    s = krylov.transpose(2, 0, 1)  # s[i] rows: b_i, A b_i, ... (same rank as Kalman)
+    full = np.ones(m, dtype=bool)
+    stacks = np.arange(m)
+    for _ in range(n):
+        piv = (s[:, :, 0] != 0).argmax(axis=1)
+        if piv.any():
+            top = s[stacks, piv]
+            s[stacks, piv] = s[:, 0]
+            s[:, 0] = top
+        full &= s[:, 0, 0] != 0
+        nxt = s[:, 1:, 1:] * s[:, :1, :1]
+        nxt -= s[:, 1:, :1] * s[:, :1, 1:]
+        s = _reduce(nxt)
+    return full
+
+
+def _charpoly_mod_p(a: np.ndarray) -> list[int]:
+    """det(xI - A) mod _P, ascending, from the residues `a` of A.
+
+    Faddeev-LeVerrier as in :func:`charpoly_exact`, with each exact division
+    by the step index k replaced by multiplication with k^-1 mod _P.
+    """
+    n = a.shape[0]
+    diag = np.arange(n)
+    coeffs = [1]  # descending: x^n, x^(n-1), ...
+    m = np.eye(n, dtype=np.int64)
+    for k in range(1, n + 1):
+        am = _reduce(a @ m)
+        c = -int(np.trace(am)) * pow(k, -1, _P) % _P
+        coeffs.append(c)
+        am[diag, diag] = (am[diag, diag] + c) % _P
+        m = am
+    return coeffs[::-1]
+
+
+def _simple_spectrum_mod_p(a: np.ndarray) -> bool:
+    """True if gcd(chi, chi') = 1 over GF(_P) for chi = det(xI - A).
+
+    chi is monic and chi' has leading coefficient n, a unit mod _P, so the
+    resultant of the reductions is the discriminant of chi mod _P; a unit
+    gcd makes it nonzero, hence chi is square-free over the rationals.
+    """
+    p = _charpoly_mod_p(a)
+    q = [i * c % _P for i, c in enumerate(p)][1:]
+    while q:
+        p, q = q, _poly_mod_p(p, q)
+    return len(p) == 1
+
+
+def _poly_mod_p(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of a by b over GF(_P); b has a nonzero leading coefficient."""
+    a = a[:]
+    inv = pow(b[-1], -1, _P)
+    while a and len(a) >= len(b):
+        factor = a[-1] * inv % _P
+        shift = len(a) - len(b)
+        for i, bc in enumerate(b):
+            a[shift + i] = (a[shift + i] - factor * bc) % _P
+        a.pop()  # leading term cancels exactly
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+# ---------------------------------------------------------------------------
+# decisions
+# ---------------------------------------------------------------------------
+
 def has_simple_spectrum_exact(a) -> bool:
     """True iff all eigenvalues of the integer symmetric matrix are distinct.
 
     Decided exactly: the spectrum is simple iff gcd(p, p') is constant for
-    the characteristic polynomial p, computed by a Euclidean remainder
-    sequence over rationals.
+    the characteristic polynomial p.  A unit gcd mod ``_P`` certifies this
+    directly; otherwise the gcd is computed by a Euclidean remainder
+    sequence over the rationals.
     """
-    rows = _as_int_rows(a)
-    _check_symmetric(rows)
-    p = [Fraction(c) for c in charpoly_exact(rows)]
+    mat = _checked_ints(a, 2, "matrix")
+    _check_symmetric(mat)
+    if mat.shape[0] <= _MOD_MAX_N and _simple_spectrum_mod_p(_residues(mat)):
+        return True
+    p = [Fraction(c) for c in charpoly_exact(mat)]
     q = _poly_normalize([Fraction(i * c) for i, c in enumerate(p)][1:])
     p = _poly_normalize(p)
     while q:
@@ -201,20 +320,41 @@ def has_simple_spectrum_exact(a) -> bool:
     return len(p) == 1
 
 
+def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP) -> list[int]:
+    """Exact rank of [b, Ab, ..., A^(n-1)b] for every column b of `inputs`.
+
+    The zero vector has rank 0.  Every other column is first checked mod
+    ``_P``, all columns in one batched elimination; full rank there is full
+    rank over the rationals.  Only columns that fail the check go through
+    :func:`kalman_matrix` and Bareiss :func:`rank_exact`, so the ranks equal
+    the Bareiss ranks for every input.  Dimensions beyond `cap` raise
+    :class:`DimensionCapError`.
+    """
+    mat = _checked_ints(a, 2, "matrix")
+    _check_symmetric(mat)
+    cols = _checked_ints(inputs, 2, "input matrix")
+    n = mat.shape[0]
+    if cols.shape[0] != n:
+        raise ValueError(f"dimension mismatch: A is {n}x{n}, inputs have {cols.shape[0]} rows")
+    if cap is not None and n > cap:
+        raise DimensionCapError(f"n={n} exceeds exact cap {cap}; use the float PBH path")
+    ranks = [0] * cols.shape[1]
+    live = np.flatnonzero((cols != 0).any(axis=0))
+    if live.size == 0:
+        return ranks
+    certified = (_full_rank_mod_p(_residues(mat), _residues(cols[:, live]))
+                 if n <= _MOD_MAX_N else np.zeros(live.size, dtype=bool))
+    for j, full in zip(live.tolist(), certified.tolist()):
+        ranks[j] = n if full else rank_exact(kalman_matrix(mat, cols[:, j]))
+    return ranks
+
+
 def is_controllable_exact(a, b, cap: int | None = DEFAULT_EXACT_CAP) -> bool:
     """Kalman rank test, decided exactly: rank [b, Ab, ..., A^(n-1)b] == n.
 
-    The zero vector is never controllable and short-circuits before any
-    elimination.  Dimensions beyond `cap` raise :class:`DimensionCapError`.
+    The zero vector is never controllable.  Dimensions beyond `cap` raise
+    :class:`DimensionCapError`.  See :func:`kalman_ranks_exact`.
     """
-    rows = _as_int_rows(a)
-    _check_symmetric(rows)
-    vec = _as_int_vector(b)
-    n = len(rows)
-    if len(vec) != n:
-        raise ValueError(f"dimension mismatch: A is {n}x{n}, b has {len(vec)}")
-    if cap is not None and n > cap:
-        raise DimensionCapError(f"n={n} exceeds exact cap {cap}; use the float PBH path")
-    if all(x == 0 for x in vec):
-        return False
-    return rank_exact(kalman_matrix(rows, vec)) == n
+    vec = _checked_ints(b, 1, "vector")
+    (rank,) = kalman_ranks_exact(a, vec[:, None], cap)
+    return rank > 0 and rank == len(vec)

@@ -44,8 +44,8 @@ from .ensembles import (
     sample_ensemble,
     sample_vector,
 )
-from .exact import DEFAULT_EXACT_CAP, DimensionCapError, kalman_matrix, rank_exact
-from .minctrl import basis_scan, sparsest_input
+from .exact import DEFAULT_EXACT_CAP, kalman_ranks_exact
+from .minctrl import sparsest_input
 from .seeding import SeedPath
 from .spectral import (
     CONTROLLABLE,
@@ -288,13 +288,8 @@ def _methods_for(config: ExperimentConfig, n: int) -> list[str]:
 def _exact_pair_verdict(a, b, cap: int | None) -> tuple[str, int]:
     """Exact decision plus the Kalman rank witness."""
     bv = np.asarray(b)
-    if not np.any(bv):
-        return UNCONTROLLABLE, 0
-    n = np.asarray(a).shape[0]
-    if cap is not None and n > cap:
-        raise DimensionCapError(f"n={n} exceeds exact cap {cap}")
-    rank = rank_exact(kalman_matrix(a, bv))
-    return (CONTROLLABLE if rank == n else UNCONTROLLABLE), rank
+    (rank,) = kalman_ranks_exact(a, bv.reshape(-1, 1), cap)
+    return (CONTROLLABLE if rank == bv.size else UNCONTROLLABLE), rank
 
 
 def _float_witnesses(witnesses: dict, verdict, eigsys) -> None:
@@ -349,12 +344,7 @@ def _trial_all_basis(config: ExperimentConfig, n: int, path: SeedPath):
         witnesses["min_abs_inner"] = worst
         witnesses["norm_a"] = float(np.max(np.abs(eigsys.eigenvalues)))
     if "exact" in methods:
-        ranks = []
-        for i in range(n):
-            e = np.zeros(n, dtype=np.int64)
-            e[i] = 1
-            _, rank = _exact_pair_verdict(a, e, config.exact_cap)
-            ranks.append(rank)
+        ranks = kalman_ranks_exact(a, np.eye(n, dtype=np.int64), config.exact_cap)
         verdicts["exact"] = CONTROLLABLE if all(r == n for r in ranks) else UNCONTROLLABLE
         witnesses["rank"] = float(min(ranks))
     deciding = verdicts["exact"] if "exact" in verdicts else verdicts["float"]
@@ -435,10 +425,9 @@ def _trial_minctrl(config: ExperimentConfig, n: int, path: SeedPath):
     budget = config.params.get("budget", 10**6)
     result = sparsest_input(a, kmax=kmax, entry_mode="binary01",
                             cap=config.exact_cap, budget=budget)
-    scan = basis_scan(a, "exact", cap=config.exact_cap)
     witnesses = {
         "k_star": -1.0 if result.k_star is None else float(result.k_star),
-        "basis_count": float(len(scan.controllable)),
+        "basis_count": float(len(result.basis_controllable)),
         "supports_tested": float(result.supports_tested),
     }
     return result.k_star == 1, False, {}, witnesses

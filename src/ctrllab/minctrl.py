@@ -20,6 +20,7 @@ from .exact import (
     DimensionCapError,
     has_simple_spectrum_exact,
     is_controllable_exact,
+    kalman_ranks_exact,
 )
 from .seeding import SeedPath
 from .spectral import (
@@ -76,13 +77,9 @@ def basis_scan(a, method: str = "exact", tolerances: Tolerances | None = None,
     """
     n = np.asarray(a).shape[0]
     if method == "exact":
-        good = set()
-        for i in range(n):
-            e = np.zeros(n, dtype=np.int64)
-            e[i] = 1
-            if is_controllable_exact(a, e, cap=cap):
-                good.add(i)
-        return BasisScanResult(frozenset(good), frozenset(), "exact")
+        ranks = kalman_ranks_exact(a, np.eye(n, dtype=np.int64), cap)
+        return BasisScanResult(frozenset(i for i, r in enumerate(ranks) if r == n),
+                               frozenset(), "exact")
     if method != "float-pbh":
         raise ValueError(f"unknown method {method!r}")
     eigsys = eig_sym(np.asarray(a, dtype=np.float64))

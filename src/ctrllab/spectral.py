@@ -81,11 +81,22 @@ class EigenSystem:
         return float(np.max(np.abs(g - np.eye(self.n))))
 
 
+def nonfinite_error(a: np.ndarray, what: str) -> ValueError:
+    """ValueError naming the non-finite entries of `a` (the first three)."""
+    bad = np.argwhere(~np.isfinite(a))
+    shown = ", ".join(f"[{', '.join(str(int(k)) for k in idx)}] = {a[tuple(idx)]}"
+                      for idx in bad[:3])
+    more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+    return ValueError(f"{what} has non-finite entries: {shown}{more}")
+
+
 def _as_sym_float(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.array_equal(m, m.T):
+    if not np.isfinite(m).all():
+        raise nonfinite_error(m, "matrix")
+    if (m != m.T).any():
         raise ValueError("matrix is not exactly symmetric")
     return m
 
@@ -208,6 +219,8 @@ def pbh_controllable(a, b, tolerances: Tolerances | None = None,
     if bv.shape != (w.size,):
         raise ValueError(f"dimension mismatch: A is {w.size}x{w.size}, b has shape {bv.shape}")
     norm_b = float(np.linalg.norm(bv))
+    if not math.isfinite(norm_b) and not np.isfinite(bv).all():
+        raise nonfinite_error(bv, "input vector")
     if norm_b == 0.0:
         return ControllabilityVerdict(UNCONTROLLABLE, "float-pbh", min_gap=gap,
                                       min_abs_inner=0.0, tolerances=tol)

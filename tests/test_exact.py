@@ -13,9 +13,12 @@ from ctrllab import (
     has_simple_spectrum_exact,
     is_controllable_exact,
     kalman_matrix,
+    kalman_ranks_exact,
     rank_exact,
     sample_gnp,
 )
+from ctrllab import exact as exact_module
+from ctrllab.exact import _P
 
 P3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 K3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -217,8 +220,25 @@ def test_dimension_mismatch_raises():
 
 
 def test_asymmetric_matrix_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
         is_controllable_exact([[0, 1], [2, 0]], [1, 0])
+    with pytest.raises(ValueError, match=r"not symmetric at \(1,2\)"):
+        kalman_ranks_exact([[0, 1, 0], [1, 0, 1], [0, 2, 0]], np.eye(3, dtype=np.int64))
+
+
+def test_exact_path_names_nonfinite_entries():
+    inf, nan = float("inf"), float("nan")
+    with pytest.raises(ValueError, match=r"matrix has non-finite entries: \[1, 1\] = inf"):
+        is_controllable_exact([[0.0, 1.0], [1.0, inf]], [1, 0])
+    with pytest.raises(ValueError, match=r"vector has non-finite entries: \[1\] = -inf"):
+        is_controllable_exact(P3, [1.0, -inf, 0.0])
+    with pytest.raises(ValueError, match=r"matrix has non-finite entries: \[0, 1\] = nan, "
+                                         r"\[1, 0\] = nan"):
+        has_simple_spectrum_exact([[0.0, nan], [nan, 0.0]])
+    with pytest.raises(ValueError, match=r"input matrix has non-finite entries: \[0, 1\] = nan"):
+        kalman_ranks_exact(P3, [[1.0, nan], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        kalman_matrix(P3, [nan, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,3 +301,117 @@ def test_simple_spectrum_random_cross_check_against_floats():
             assert exact is True
         elif np.min(gaps) < 1e-12:
             assert exact is False
+
+
+# ---------------------------------------------------------------------------
+# certified ranks mod _P against the Bareiss oracle
+# ---------------------------------------------------------------------------
+
+def bareiss_ranks(a, inputs) -> list[int]:
+    return [rank_exact(kalman_matrix(a, col)) for col in np.asarray(inputs).T]
+
+
+def rank_deficient_fixtures(n: int) -> list[np.ndarray]:
+    """K_n, a diagonal matrix and the path graph P_n."""
+    complete = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
+    path = np.diag(np.ones(n - 1, dtype=np.int64), 1)
+    return [complete, np.diag(np.arange(n, dtype=np.int64)), path + path.T]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 24])
+def test_kalman_ranks_match_bareiss_oracle(n):
+    root = SeedPath(20261017, ("certified-ranks", n))
+    rng = np.random.default_rng(n)
+    graphs = [sample_gnp(n, 0.5, root.child(t)) for t in range(6 if n <= 12 else 1)]
+    inputs = np.column_stack([
+        np.eye(n, dtype=np.int64),
+        np.ones(n, dtype=np.int64),
+        np.zeros(n, dtype=np.int64),
+        rng.integers(0, 2, (n, 2)),
+        rng.integers(-5, 6, n),
+    ])
+    for a in graphs + rank_deficient_fixtures(n):
+        ranks = kalman_ranks_exact(a, inputs)
+        assert ranks == bareiss_ranks(a, inputs), a
+        assert ranks[n + 1] == 0  # the zero column
+        for col, rank in zip(inputs.T, ranks):
+            assert is_controllable_exact(a, col) == (rank == n)
+    if n > 1:
+        complete, diagonal, _ = rank_deficient_fixtures(n)
+        assert kalman_ranks_exact(complete, np.ones((n, 1), dtype=np.int64)) == [1]
+        assert kalman_ranks_exact(diagonal, np.eye(n, dtype=np.int64)) == [1] * n
+
+
+def test_full_rank_over_q_but_not_mod_p_falls_back(monkeypatch):
+    oracle_calls = []
+    real_rank = exact_module.rank_exact
+
+    def counted(m):
+        oracle_calls.append(1)
+        return real_rank(m)
+
+    monkeypatch.setattr(exact_module, "rank_exact", counted)
+    assert is_controllable_exact([[0]], [_P]) is True
+    assert len(oracle_calls) == 1
+    swap = np.array([[0, _P], [_P, 0]], dtype=np.int64)  # zero matrix mod _P
+    assert kalman_ranks_exact(swap, np.eye(2, dtype=np.int64)) == [2, 2]
+    assert len(oracle_calls) == 3
+    # the all-ones input stays rank 1 over Q too: (1, 1) is an eigenvector
+    assert kalman_ranks_exact(swap, [[1], [1]]) == [1]
+
+
+def test_kalman_ranks_object_entries_beyond_int64():
+    big = 2**64 + 13
+    a = np.array([[big, 3, 0], [3, -big, 2**70], [0, 2**70, 5]], dtype=object)
+    inputs = np.array([[2**65 + 1, 1, 0], [7, 0, 0], [0, 0, _P * 2**40]], dtype=object)
+    assert kalman_ranks_exact(a, inputs) == bareiss_ranks(a, inputs) == [3, 3, 3]
+    assert exact_module._residues(a)[1, 2] == 2**70 % _P
+    # eigenvalues 0 and _P * 2**40 coincide mod _P, so only Bareiss sees rank 2
+    a = np.array([[0, 0], [0, _P * 2**40]], dtype=object)
+    assert is_controllable_exact(a, np.array([1, 1], dtype=object)) is True
+    assert has_simple_spectrum_exact(a) is True
+
+
+def simple_spectrum_oracle(a) -> bool:
+    """gcd(p, p') over the rationals by a plain Euclidean remainder sequence."""
+    def strip(poly):
+        while poly and poly[-1] == 0:
+            poly.pop()
+        return poly
+
+    p = strip([Fraction(c) for c in charpoly_exact(a)])
+    q = strip([i * c for i, c in enumerate(p)][1:])
+    while q:
+        r = p[:]
+        while len(r) >= len(q):
+            factor = r[-1] / q[-1]
+            shift = len(r) - len(q)
+            r = strip([x - factor * q[i - shift] if i >= shift else x for i, x in enumerate(r)])
+        p, q = q, r
+    return len(p) == 1
+
+
+def test_charpoly_mod_p_reduces_exact_charpoly():
+    root = SeedPath(31250, ("charpoly-mod-p",))
+    for t in range(20):
+        a = sample_gnp(2 + t % 9, 0.5, root.child(t))
+        residues = exact_module._residues(a)
+        assert exact_module._charpoly_mod_p(residues) == [c % _P for c in charpoly_exact(a)]
+
+
+def test_simple_spectrum_certificate_against_rational_oracle():
+    root = SeedPath(15060, ("simple-certificate",))
+    mats = [sample_gnp(2 + t % 11, 0.5, root.child(t)) for t in range(60)]
+    mats += [m for n in (3, 6, 9) for m in rank_deficient_fixtures(n)]
+    mats += [np.diag([0, _P]), np.diag([1, 1 + 2 * _P, 7]), np.diag([3, 3])]
+    certified = 0
+    for a in mats:
+        oracle = simple_spectrum_oracle(a)
+        if exact_module._simple_spectrum_mod_p(exact_module._residues(np.asarray(a))):
+            certified += 1
+            assert oracle, a
+        assert has_simple_spectrum_exact(a) is oracle, a
+    assert certified > 0
+    # simple over Q, repeated mod _P: decided by the rational fallback
+    assert not exact_module._simple_spectrum_mod_p(exact_module._residues(np.diag([0, _P])))
+    assert has_simple_spectrum_exact(np.diag([0, _P])) is True

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from ctrllab import (
@@ -15,6 +16,8 @@ from ctrllab import (
     scenario_presets,
     wilson_interval,
 )
+from ctrllab import exact, harness
+from ctrllab.exact import _P
 from ctrllab.harness import CSV_COLUMNS, ExperimentReport, report_load_json
 
 
@@ -169,6 +172,38 @@ def test_both_method_records_agreement():
     assert report.agreement is not None
     assert report.agreement["compared"] > 0
     assert report.agreement["agreed"] == report.agreement["compared"]
+
+
+def test_certificate_leaves_exact_records_unchanged(monkeypatch):
+    # the same cells with the mod-_P certificates switched off, so every
+    # exact decision goes through Bareiss and the rational gcd
+    configs = [
+        make_scenario_config("conj1", n_grid=(8, 16, 24), trials=2),
+        make_scenario_config("conj2", n_grid=(8, 24), trials=3),
+        make_scenario_config("cor-gnp-rand", n_grid=(8, 16), trials=3),
+        make_scenario_config("kn-allones", n_grid=(5,), trials=2),
+        make_scenario_config("minctrl-gnp", n_grid=(8, 10), trials=4),
+    ]
+
+    def run_all():
+        return ([run_trial(c, n, t) for c in configs for n in c.n_grid for t in range(c.trials)],
+                [report_csv(run_experiment(c)) for c in configs])
+
+    certified = run_all()
+    monkeypatch.setattr(exact, "_full_rank_mod_p", lambda a, v: np.zeros(v.shape[1], dtype=bool))
+    monkeypatch.setattr(exact, "_simple_spectrum_mod_p", lambda a: False)
+    assert run_all() == certified
+
+
+def test_conj1_trial_falls_back_when_certificate_fails(monkeypatch):
+    # A vanishes mod _P, but both basis inputs are controllable over Q
+    a = np.array([[0, _P], [_P, 0]], dtype=np.int64)
+    monkeypatch.setattr(harness, "sample_ensemble", lambda spec, path, n: a)
+    config = make_scenario_config("conj1", n_grid=(2,), trials=1)
+    rec = run_trial(config, 2, 0)
+    assert rec.success
+    assert rec.verdicts == {"float": "controllable", "exact": "controllable"}
+    assert rec.witnesses["rank"] == 2.0
 
 
 def test_trend_across_wigner_scenarios():

@@ -11,12 +11,15 @@ from ctrllab import (
     eig_sym,
     has_simple_spectrum_exact,
     is_controllable_exact,
+    kalman_matrix,
     pbh_controllable,
+    rank_exact,
     sample_gnp,
     sample_goe,
     sparsest_input,
     support_feasibility,
 )
+from ctrllab.exact import _P
 
 SEED = SeedPath(20260810, ("test-minctrl",))
 P3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int64)
@@ -53,6 +56,24 @@ def test_basis_scan_float_reports_indeterminate_separately():
     scan = basis_scan(a, "float-pbh")
     assert scan.controllable == frozenset()
     assert scan.indeterminate == frozenset({0, 1})
+
+
+@pytest.mark.parametrize("n", [6, 12, 24])
+def test_basis_scan_matches_bareiss_oracle(n):
+    path = np.diag(np.ones(n - 1, dtype=np.int64), 1)
+    mats = [sample_gnp(n, 0.5, SEED.child("scan-oracle", n, t)) for t in range(2)]
+    mats += [path + path.T, np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)]
+    for a in mats:
+        oracle = {i for i in range(n)
+                  if rank_exact(kalman_matrix(a, np.eye(n, dtype=np.int64)[i])) == n}
+        assert basis_scan(a).controllable == oracle
+
+
+def test_basis_scan_falls_back_when_certificate_fails():
+    # zero mod _P, yet both basis inputs are controllable over Q
+    a = np.array([[0, _P], [_P, 0]], dtype=np.int64)
+    assert basis_scan(a).controllable == frozenset({0, 1})
+    assert basis_scan(a, "float-pbh").controllable == frozenset({0, 1})
 
 
 def test_basis_scan_methods_agree_on_random_graphs():
@@ -136,12 +157,15 @@ def test_sparsest_binary_diagonal_is_infeasible():
 
 
 def test_sparsest_consistency_kstar_one_iff_basis_nonempty():
+    # basis_controllable equals a fresh basis scan in every branch (simple
+    # or repeated spectrum, k* = 1, k* > 1, infeasible), so callers may read
+    # it instead of scanning again
     root = SEED.child("consistency")
-    for t in range(30):
-        a = sample_gnp(8, 0.5, root.child(t))
+    fixtures = [P3, K3, K4, np.diag([1, 2, 3])]
+    for a in [sample_gnp(8, 0.5, root.child(t)) for t in range(30)] + fixtures:
         r = sparsest_input(a)
         assert (r.k_star == 1) == bool(r.basis_controllable)
-        assert (r.k_star == 1) == bool(basis_scan(a).controllable)
+        assert r.basis_controllable == basis_scan(a).controllable
 
 
 def test_sparsest_infeasibility_certificate_small_n():

@@ -61,8 +61,32 @@ def test_eig_sym_invariants_on_goe():
 
 
 def test_eig_sym_rejects_asymmetric():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not exactly symmetric"):
         eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("value, shown",
+                         [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+def test_nonfinite_matrix_entries_are_named(value, shown):
+    off = np.array([[0.0, value], [value, 1.0]])
+    with pytest.raises(ValueError, match=rf"matrix has non-finite entries: \[0, 1\] = {shown}, "
+                                         rf"\[1, 0\] = {shown}"):
+        eig_sym(off)
+    diag = np.diag([1.0, 2.0, value])
+    with pytest.raises(ValueError, match=rf"matrix has non-finite entries: \[2, 2\] = {shown}$"):
+        pbh_controllable(diag, [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_norm(diag)
+    many = np.full((3, 3), value)
+    with pytest.raises(ValueError, match=r"and 6 more$"):
+        eig_sym(many)
+
+
+def test_pbh_names_nonfinite_input_entries():
+    with pytest.raises(ValueError, match=r"input vector has non-finite entries: \[1\] = inf"):
+        pbh_controllable(P3, [1.0, math.inf, 0.0])
+    with pytest.raises(ValueError, match=r"input vector has non-finite entries: \[0\] = nan"):
+        pbh_controllable(P3, [math.nan, 1.0, 0.0])
 
 
 def test_min_gap():
