@@ -1,8 +1,8 @@
 """Seed lineage: every random object is addressable and re-derivable.
 
 Streams derive from (master seed, scenario, n, trial, object tag), so any
-single trial can be re-run in isolation, grids can be extended without
-perturbing earlier cells, and thread-pool execution cannot change a report.
+single trial can be re-run in isolation and grids can be extended without
+perturbing earlier cells.
 """
 
 from ctrllab import make_scenario_config, report_csv, run_experiment, run_trial
@@ -23,7 +23,9 @@ print(f"  seed path: master={rec.master_seed}, labels={rec.seed_path().labels}")
 print(f"  verdicts:  {rec.verdicts}")
 print(f"  bit-equal witnesses on re-run: {rec.witnesses == again.witnesses}")
 
-print("\nThreaded execution gives the same aggregates:")
-threaded = make_scenario_config("cor-gnp-rand", n_grid=(8, 12), trials=30,
-                                master_seed=90210, workers=4)
-print(f"  identical: {report_csv(run_experiment(threaded)) == a}")
+print("\nExtending the grid leaves every earlier cell unchanged:")
+wider = make_scenario_config("cor-gnp-rand", n_grid=(8, 12, 16), trials=30,
+                             master_seed=90210)
+wide = report_csv(run_experiment(wider))
+print(f"  rows for n=8 and n=12 identical: {wide.splitlines()[:3] == a.splitlines()[:3]}")
+print(f"  trial (12, 17) identical:        {run_trial(wider, 12, 17) == rec}")

@@ -1,9 +1,9 @@
 """Command-line entry point for running scenario experiments.
 
-A run starts from either a scenario preset (``--scenario``) or a JSON config
-file (``--config``); individual flags override config keys.  Reports are
-written in the fixed CSV schema or as JSON; the tool version and master seed
-are echoed on stdout for every run.
+A run starts from either a scenario (``--scenario``) or a JSON config file
+(``--config``, whose unknown or missing keys are errors); individual flags
+override config keys.  Reports are written in the fixed CSV schema or as
+JSON; the tool version and master seed are echoed on stderr for every run.
 """
 
 from __future__ import annotations
@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from ._version import __version__
 from .harness import (
     SCENARIOS,
     ExperimentConfig,
+    apply_overrides,
     make_scenario_config,
     report_csv,
     report_emit,
@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ctrllab",
         description="Monte Carlo controllability experiments for random linear systems.",
     )
-    parser.add_argument("--scenario", help="scenario preset id (see --list-scenarios)")
+    parser.add_argument("--scenario", help="scenario id (see --list-scenarios)")
     parser.add_argument("--config", help="JSON config file; flags override its keys")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--n", type=_parse_grid, metavar="N1,N2,...",
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ortho-tol", type=float, dest="ortho_tol",
                         help="relative eigenvector-input acceptance threshold")
     parser.add_argument("--list-scenarios", action="store_true",
-                        help="list scenario presets and exit")
+                        help="list scenarios and exit")
     parser.add_argument("--version", action="version", version=f"ctrllab {__version__}")
     return parser
 
@@ -63,34 +63,14 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         method=args.method, gap_tol=args.gap_tol, ortho_tol=args.ortho_tol,
         out=args.out, fmt=args.fmt,
     )
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = ExperimentConfig.from_dict(json.load(fh))
-        if args.scenario and args.scenario != config.scenario:
-            raise ValueError(f"--scenario {args.scenario!r} conflicts with config file "
-                             f"scenario {config.scenario!r}")
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if key == "gap_tol":
-                config.tolerances = replace(config.tolerances, gap_tol=value)
-            elif key == "ortho_tol":
-                config.tolerances = replace(config.tolerances, ortho_tol=value)
-            elif key == "p":
-                config = _reapply_p(config, value)
-            else:
-                setattr(config, key, value)
-        config.validate()
-        return config
-    return make_scenario_config(args.scenario, **overrides)
-
-
-def _reapply_p(config: ExperimentConfig, p: float) -> ExperimentConfig:
-    fresh = make_scenario_config(config.scenario, p=p)
-    config.ensemble = fresh.ensemble
-    config.vector = fresh.vector
-    config.p = fresh.p
-    return config
+    if not args.config:
+        return make_scenario_config(args.scenario, **overrides)
+    with open(args.config, "r", encoding="utf-8") as fh:
+        config = ExperimentConfig.from_dict(json.load(fh))
+    if args.scenario and args.scenario != config.scenario:
+        raise ValueError(f"--scenario {args.scenario!r} conflicts with config file "
+                         f"scenario {config.scenario!r}")
+    return apply_overrides(config, **overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -27,10 +27,11 @@ plus a constant off-diagonal shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Spec
 from .seeding import SeedPath
 
 __all__ = [
@@ -54,7 +55,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Atom:
+class Atom(Spec):
     """Scalar distribution for matrix / vector entries.
 
     Construct via the classmethods; `kind` is one of ``gaussian``,
@@ -69,6 +70,10 @@ class Atom:
     variance: float = 1.0
     p: float = 0.5
     value: float = 0.0
+
+    _kinds = {"gaussian": "gaussian", "rademacher": "rademacher",
+              "centered-bernoulli": "centered_bernoulli", "bernoulli01": "bernoulli01",
+              "degenerate": "degenerate"}
 
     def __post_init__(self) -> None:
         if self.kind == "gaussian":
@@ -130,43 +135,20 @@ class Atom:
             return [(self.value, 1.0)]
         raise ValueError(f"atom kind {self.kind!r} has no finite support")
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "gaussian":
-            d.update(mean=self.mean, variance=self.variance)
-        elif self.kind in ("centered-bernoulli", "bernoulli01"):
-            d["p"] = self.p
-        elif self.kind == "degenerate":
-            d["value"] = self.value
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Atom":
-        kind = d["kind"]
-        if kind == "gaussian":
-            return cls.gaussian(d.get("mean", 0.0), d.get("variance", 1.0))
-        if kind == "rademacher":
-            return cls.rademacher()
-        if kind == "centered-bernoulli":
-            return cls.centered_bernoulli(d["p"])
-        if kind == "bernoulli01":
-            return cls.bernoulli01(d["p"])
-        if kind == "degenerate":
-            return cls.degenerate(d.get("value", 0.0))
-        raise ValueError(f"unknown atom kind {kind!r}")
-
 
 # ---------------------------------------------------------------------------
 # deterministic shifts
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class ShiftSpec:
+class ShiftSpec(Spec):
     """Deterministic symmetric shift added to a Wigner matrix."""
 
     kind: str  # none | constant-offdiag | explicit
     c: float = 0.0
     matrix: np.ndarray | None = None
+
+    _kinds = {"none": "none", "constant-offdiag": "constant_offdiag", "explicit": "explicit"}
 
     @classmethod
     def none(cls) -> "ShiftSpec":
@@ -184,24 +166,6 @@ class ShiftSpec:
         if not np.array_equal(m, m.T):
             raise ValueError("explicit shift matrix must be symmetric")
         return cls("explicit", matrix=m)
-
-    def to_dict(self) -> dict:
-        if self.kind == "constant-offdiag":
-            return {"kind": self.kind, "c": self.c}
-        if self.kind == "explicit":
-            return {"kind": self.kind, "matrix": self.matrix.tolist()}
-        return {"kind": "none"}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShiftSpec":
-        kind = d["kind"]
-        if kind == "none":
-            return cls.none()
-        if kind == "constant-offdiag":
-            return cls.constant_offdiag(d["c"])
-        if kind == "explicit":
-            return cls.explicit(d["matrix"])
-        raise ValueError(f"unknown shift kind {kind!r}")
 
 
 def shift_matrix(spec: ShiftSpec, n: int) -> np.ndarray:
@@ -222,11 +186,12 @@ def shift_matrix(spec: ShiftSpec, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class EnsembleSpec:
+class EnsembleSpec(Spec):
     """Declarative description of a random symmetric matrix ensemble.
 
     `n` may be left as None in templates; harness configs supply the
-    dimension per grid point at sampling time.
+    dimension per grid point at sampling time.  A shifted Wigner ensemble
+    without a shift samples like the plain one.
     """
 
     kind: str  # wigner | goe | gnp-adjacency | shifted-wigner
@@ -234,7 +199,12 @@ class EnsembleSpec:
     offdiag: Atom | None = None
     diag: Atom | None = None
     p: float | None = None
-    shift: ShiftSpec = field(default_factory=ShiftSpec.none)
+    shift: ShiftSpec | None = None
+
+    _kinds = {"wigner": "wigner", "goe": "goe", "gnp-adjacency": "gnp",
+              "shifted-wigner": "shifted_wigner"}
+    _decoders = {"offdiag": Atom.from_dict, "diag": Atom.from_dict,
+                 "shift": ShiftSpec.from_dict}
 
     def __post_init__(self) -> None:
         if self.kind in ("wigner", "shifted-wigner"):
@@ -261,7 +231,7 @@ class EnsembleSpec:
         return cls("gnp-adjacency", n=n, p=float(p))
 
     @classmethod
-    def shifted_wigner(cls, offdiag: Atom, diag: Atom, shift: ShiftSpec,
+    def shifted_wigner(cls, offdiag: Atom, diag: Atom, shift: ShiftSpec | None = None,
                        n: int | None = None) -> "EnsembleSpec":
         return cls("shifted-wigner", n=n, offdiag=offdiag, diag=diag, shift=shift)
 
@@ -269,37 +239,6 @@ class EnsembleSpec:
     def integer_valued(self) -> bool:
         """True when samples are exact integer matrices (the gnp adjacency)."""
         return self.kind == "gnp-adjacency"
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.n is not None:
-            d["n"] = self.n
-        if self.offdiag is not None:
-            d["offdiag"] = self.offdiag.to_dict()
-        if self.diag is not None:
-            d["diag"] = self.diag.to_dict()
-        if self.p is not None:
-            d["p"] = self.p
-        if self.shift.kind != "none":
-            d["shift"] = self.shift.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnsembleSpec":
-        kind = d["kind"]
-        n = d.get("n")
-        if kind == "goe":
-            return cls.goe(n)
-        if kind == "gnp-adjacency":
-            return cls.gnp(d["p"], n)
-        offdiag = Atom.from_dict(d["offdiag"])
-        diag = Atom.from_dict(d["diag"])
-        if kind == "wigner":
-            return cls.wigner(offdiag, diag, n)
-        if kind == "shifted-wigner":
-            shift = ShiftSpec.from_dict(d["shift"]) if "shift" in d else ShiftSpec.none()
-            return cls.shifted_wigner(offdiag, diag, shift, n)
-        raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
 def sample_wigner(n: int, offdiag: Atom, diag: Atom, seed: SeedPath) -> np.ndarray:
@@ -385,7 +324,7 @@ def sample_ensemble(spec: EnsembleSpec, seed: SeedPath, n: int | None = None) ->
     if spec.kind == "gnp-adjacency":
         return sample_gnp(dim, spec.p, seed)
     w = sample_wigner(dim, spec.offdiag, spec.diag, seed)
-    if spec.kind == "shifted-wigner":
+    if spec.shift is not None:
         w += shift_matrix(spec.shift, dim)
     return w
 
@@ -395,7 +334,7 @@ def sample_ensemble(spec: EnsembleSpec, seed: SeedPath, n: int | None = None) ->
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class VectorSpec:
+class VectorSpec(Spec):
     """Declarative description of the input vector b.
 
     Kinds: ``standard-basis`` (index is 0-based), ``all-ones``,
@@ -410,6 +349,11 @@ class VectorSpec:
     base: "VectorSpec | None" = None
     mu: np.ndarray | None = None
     values: np.ndarray | None = None
+
+    _kinds = {"standard-basis": "standard_basis", "all-ones": "all_ones",
+              "bernoulli01": "bernoulli01", "iid-atom": "iid_atom",
+              "uniform-sphere": "uniform_sphere", "shifted": "shifted", "explicit": "explicit"}
+    _decoders = {"atom": Atom.from_dict, "base": lambda d: VectorSpec.from_dict(d)}
 
     @classmethod
     def standard_basis(cls, index: int) -> "VectorSpec":
@@ -451,40 +395,6 @@ class VectorSpec:
         if self.kind == "explicit":
             return bool(np.all(self.values == np.round(self.values)))
         return False
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == "standard-basis":
-            d["index"] = self.index
-        elif self.kind == "bernoulli01":
-            d["p"] = self.p
-        elif self.kind == "iid-atom":
-            d["atom"] = self.atom.to_dict()
-        elif self.kind == "shifted":
-            d["base"] = self.base.to_dict()
-            d["mu"] = self.mu.tolist()
-        elif self.kind == "explicit":
-            d["values"] = self.values.tolist()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VectorSpec":
-        kind = d["kind"]
-        if kind == "standard-basis":
-            return cls.standard_basis(d["index"])
-        if kind == "all-ones":
-            return cls.all_ones()
-        if kind == "bernoulli01":
-            return cls.bernoulli01(d["p"])
-        if kind == "iid-atom":
-            return cls.iid_atom(Atom.from_dict(d["atom"]))
-        if kind == "uniform-sphere":
-            return cls.uniform_sphere()
-        if kind == "shifted":
-            return cls.shifted(cls.from_dict(d["base"]), d["mu"])
-        if kind == "explicit":
-            return cls.explicit(d["values"])
-        raise ValueError(f"unknown vector kind {kind!r}")
 
 
 def sample_vector(spec: VectorSpec, n: int, seed: SeedPath) -> np.ndarray:

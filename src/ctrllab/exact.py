@@ -53,10 +53,17 @@ def _checked_ints(m, ndim: int, what: str) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != ndim:
         raise ValueError(f"expected a {what}, got ndim={a.ndim}")
-    if a.dtype.kind == "f":
-        if not np.isfinite(a).all():
-            raise nonfinite_error(a, what)
-        if not np.all(a == np.round(a)):
+    floats = a if a.dtype.kind == "f" else None
+    if a.dtype.kind == "O" and not all(issubclass(t, (int, np.integer))
+                                       for t in set(map(type, a.flat))):
+        try:  # other objects are judged by their float value
+            floats = a.astype(np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("exact path requires integer entries") from None
+    if floats is not None:
+        if not np.isfinite(floats).all():
+            raise nonfinite_error(floats, what)
+        if not np.all(floats == np.round(floats)):
             raise ValueError("exact path requires integer entries")
     elif a.dtype.kind not in "iubO":
         raise ValueError(f"exact path requires integer entries, got dtype {a.dtype}")

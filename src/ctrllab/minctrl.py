@@ -29,8 +29,9 @@ from .spectral import (
     EigenSystem,
     INDETERMINATE,
     Tolerances,
+    basis_witnesses,
+    classify,
     eig_sym,
-    min_gap,
     pbh_controllable,
 )
 
@@ -82,17 +83,16 @@ def basis_scan(a, method: str = "exact", tolerances: Tolerances | None = None,
                                frozenset(), "exact")
     if method != "float-pbh":
         raise ValueError(f"unknown method {method!r}")
-    eigsys = eig_sym(np.asarray(a, dtype=np.float64))
-    good, undecided = set(), set()
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        verdict = pbh_controllable(None, e, tolerances, eigsys=eigsys)
-        if verdict.decision == CONTROLLABLE:
-            good.add(i)
-        elif verdict.decision == INDETERMINATE:
-            undecided.add(i)
-    return BasisScanResult(frozenset(good), frozenset(undecided), "float-pbh")
+    return _float_scan(eig_sym(np.asarray(a, dtype=np.float64)), tolerances)
+
+
+def _float_scan(eigsys: EigenSystem, tolerances: Tolerances | None) -> BasisScanResult:
+    tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
+    gap, scale, inner = basis_witnesses(eigsys)
+    decisions = [classify(gap, x, scale, 1.0, tol) for x in inner.tolist()]
+    return BasisScanResult(frozenset(i for i, d in enumerate(decisions) if d == CONTROLLABLE),
+                           frozenset(i for i, d in enumerate(decisions) if d == INDETERMINATE),
+                           "float-pbh")
 
 
 def support_feasibility(a, support, tolerances: Tolerances | None = None,
@@ -101,7 +101,9 @@ def support_feasibility(a, support, tolerances: Tolerances | None = None,
 
     A support works iff the spectrum is numerically simple and every
     eigenvector has a coordinate inside the support above the orthogonality
-    threshold (eigenvectors are unit length, so the threshold is absolute).
+    threshold: :func:`classify` calls the witness min_j max_{i in support}
+    |V[i, j]| controllable with norm_b = 1 (eigenvectors are unit length).
+    Indeterminate counts as infeasible.
     """
     idx = sorted(set(int(i) for i in support))
     if not idx:
@@ -109,12 +111,9 @@ def support_feasibility(a, support, tolerances: Tolerances | None = None,
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     if eigsys is None:
         eigsys = eig_sym(np.asarray(a, dtype=np.float64))
-    w = eigsys.eigenvalues
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if min_gap(w) <= tol.gap_tol * scale:
-        return False
-    rows = np.abs(eigsys.eigenvectors[idx, :])
-    return bool(np.all(np.max(rows, axis=0) > tol.ortho_tol))
+    gap, scale = eigsys.gap_and_scale()
+    inner = float(np.min(np.max(np.abs(eigsys.eigenvectors[idx, :]), axis=0)))
+    return classify(gap, inner, scale, 1.0, tol) == CONTROLLABLE
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
         raise ValueError("generic-random mode needs a SeedPath")
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     eigsys = eig_sym(mat.astype(np.float64))
-    scan = basis_scan(mat, "float-pbh", tol)
+    scan = _float_scan(eigsys, tol)
     tested = 0
     for k in range(1, kmax + 1):
         for supp in combinations(range(n), k):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Record
 from .ensembles import Atom
 from .seeding import SeedPath
 
@@ -38,7 +39,9 @@ __all__ = [
     "eig_sym",
     "min_gap",
     "spectral_norm",
+    "classify",
     "pbh_controllable",
+    "basis_witnesses",
     "interlacing_check",
     "eigvec_coordinate_check",
     "shared_eigenvalue_witness",
@@ -79,6 +82,11 @@ class EigenSystem:
         """max_ij |v_i . v_j - delta_ij|."""
         g = self.eigenvectors.T @ self.eigenvectors
         return float(np.max(np.abs(g - np.eye(self.n))))
+
+    def gap_and_scale(self) -> tuple[float, float]:
+        """Minimal eigenvalue gap and max(1, ||A||), the scale of its thresholds."""
+        w = self.eigenvalues
+        return min_gap(w), (max(1.0, max(abs(w[0]), abs(w[-1]))) if w.size else 1.0)
 
 
 def nonfinite_error(a: np.ndarray, what: str) -> ValueError:
@@ -135,7 +143,7 @@ def spectral_norm(a) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Tolerances:
+class Tolerances(Record):
     """Accept / reject thresholds for the float PBH decider.
 
     Gap thresholds are relative to max(1, ||A||); inner-product thresholds
@@ -154,18 +162,6 @@ class Tolerances:
         if not 0 <= self.ortho_reject <= self.ortho_tol:
             raise ValueError("need 0 <= ortho_reject <= ortho_tol")
 
-    def to_dict(self) -> dict:
-        return {
-            "gap_tol": self.gap_tol,
-            "gap_reject": self.gap_reject,
-            "ortho_tol": self.ortho_tol,
-            "ortho_reject": self.ortho_reject,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tolerances":
-        return cls(**d)
-
 
 DEFAULT_TOLERANCES = Tolerances()
 
@@ -176,19 +172,15 @@ INDETERMINATE = "indeterminate"
 
 @dataclass(frozen=True)
 class ControllabilityVerdict:
-    """Decision plus the numeric witnesses it was based on.
+    """Decision plus the float witnesses it was based on.
 
-    `min_gap` and `min_abs_inner` are float-path witnesses; `rank` is set by
-    the exact path.  Flipping the sign of any eigenvector leaves every field
-    unchanged (only |v . b| enters).
+    Flipping the sign of any eigenvector leaves every field unchanged (only
+    |v . b| enters).
     """
 
     decision: str  # controllable | uncontrollable | indeterminate
-    method: str  # float-pbh | exact-kalman
     min_gap: float | None = None
     min_abs_inner: float | None = None
-    rank: int | None = None
-    tolerances: Tolerances | None = None
 
     @property
     def controllable(self) -> bool:
@@ -199,6 +191,21 @@ class ControllabilityVerdict:
         return self.decision == INDETERMINATE
 
 
+def classify(gap: float, inner: float, scale: float, norm_b: float, tol: Tolerances) -> str:
+    """The PBH threshold test on a pair's two witnesses.
+
+    `gap` is the minimal eigenvalue gap, judged relative to `scale`
+    = max(1, ||A||); `inner` is min_j |v_j . b|, judged relative to `norm_b`.
+    Either witness below its reject level means uncontrollable, both above
+    their accept levels controllable, anything else indeterminate.
+    """
+    if inner < tol.ortho_reject * norm_b or gap < tol.gap_reject * scale:
+        return UNCONTROLLABLE
+    if gap > tol.gap_tol * scale and inner > tol.ortho_tol * norm_b:
+        return CONTROLLABLE
+    return INDETERMINATE
+
+
 def pbh_controllable(a, b, tolerances: Tolerances | None = None,
                      eigsys: EigenSystem | None = None) -> ControllabilityVerdict:
     """Three-valued PBH controllability verdict for a symmetric pair (A, b).
@@ -206,33 +213,39 @@ def pbh_controllable(a, b, tolerances: Tolerances | None = None,
     Controllable requires the spectrum to be numerically simple *and* every
     eigenvector to have a non-negligible component along b; uncontrollable
     requires a witness below the reject threshold; anything in between is
-    indeterminate.  Pass a precomputed `eigsys` to amortize one
-    factorization over many input vectors.
+    indeterminate (see :func:`classify`).  Pass a precomputed `eigsys` to
+    amortize one factorization over many input vectors.  A nonzero b whose
+    norm overflows or underflows is judged as b / max|b|, and the witnesses
+    then refer to that vector.
     """
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     if eigsys is None:
         eigsys = eig_sym(a)
-    w, v = eigsys.eigenvalues, eigsys.eigenvectors
-    scale = max(1.0, max(abs(w[0]), abs(w[-1]))) if w.size else 1.0
-    gap = min_gap(w)
+    gap, scale = eigsys.gap_and_scale()
     bv = np.asarray(b, dtype=np.float64)
-    if bv.shape != (w.size,):
-        raise ValueError(f"dimension mismatch: A is {w.size}x{w.size}, b has shape {bv.shape}")
+    if bv.shape != (eigsys.n,):
+        raise ValueError(f"dimension mismatch: A is {eigsys.n}x{eigsys.n}, b has shape {bv.shape}")
     norm_b = float(np.linalg.norm(bv))
     if not math.isfinite(norm_b) and not np.isfinite(bv).all():
         raise nonfinite_error(bv, "input vector")
+    if (norm_b == 0.0 or math.isinf(norm_b)) and bv.any():
+        bv = bv / np.max(np.abs(bv))
+        norm_b = float(np.linalg.norm(bv))
     if norm_b == 0.0:
-        return ControllabilityVerdict(UNCONTROLLABLE, "float-pbh", min_gap=gap,
-                                      min_abs_inner=0.0, tolerances=tol)
-    inner = float(np.min(np.abs(v.T @ bv)))
-    if inner < tol.ortho_reject * norm_b or gap < tol.gap_reject * scale:
-        decision = UNCONTROLLABLE
-    elif gap > tol.gap_tol * scale and inner > tol.ortho_tol * norm_b:
-        decision = CONTROLLABLE
-    else:
-        decision = INDETERMINATE
-    return ControllabilityVerdict(decision, "float-pbh", min_gap=gap,
-                                  min_abs_inner=inner, tolerances=tol)
+        return ControllabilityVerdict(UNCONTROLLABLE, min_gap=gap, min_abs_inner=0.0)
+    inner = float(np.min(np.abs(eigsys.eigenvectors.T @ bv)))
+    return ControllabilityVerdict(classify(gap, inner, scale, norm_b, tol),
+                                  min_gap=gap, min_abs_inner=inner)
+
+
+def basis_witnesses(eigsys: EigenSystem) -> tuple[float, float, np.ndarray]:
+    """PBH witnesses of (A, e_i) for every standard basis input at once.
+
+    Returns (gap, scale, inner) for :func:`classify` with norm_b = 1, where
+    inner[i] = min_j |v_j . e_i| = min_j |V[i, j]| needs no product with b.
+    """
+    gap, scale = eigsys.gap_and_scale()
+    return gap, scale, np.min(np.abs(eigsys.eigenvectors), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -92,3 +92,33 @@ def test_unwritable_output_fails_nonzero(capsys):
     code = main(["--scenario", "kn-allones", "--n", "5", "--trials", "2",
                  "--out", "/nonexistent-dir/report.csv"])
     assert code == 1
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda d: d.update(master_sed=d.pop("master_seed")), "master_sed"),
+    (lambda d: d["tolerances"].update(gap_tl=d["tolerances"].pop("gap_tol")), "gap_tl"),
+    (lambda d: d.pop("trials"), "trials"),
+    (lambda d: d.update(workers=1), "workers"),  # retired key
+    (lambda d: d["vector"].update(idx=0), "idx"),
+])
+def test_config_file_rejects_unknown_and_missing_keys(tmp_path, capsys, edit, key):
+    doc = make_scenario_config("thm-goe", n_grid=(6,), trials=2).to_dict()
+    edit(doc)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("ctrllab: error: ") and repr(key) in line
+
+
+def test_config_file_p_flag_rebuilds_the_scenario(tmp_path):
+    config = make_scenario_config("cor-gnp-rand", n_grid=(6,), trials=3)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config.to_dict()))
+    out = tmp_path / "r.csv"
+    assert main(["--config", str(cfg_path), "--p", "0.3", "--out", str(out)]) == 0
+    expected = make_scenario_config("cor-gnp-rand", n_grid=(6,), trials=3, p=0.3)
+    assert expected.vector.p == 0.3
+    assert out.read_text() == report_csv(run_experiment(expected))

@@ -322,6 +322,24 @@ def test_ensemble_spec_dict_round_trip():
         assert EnsembleSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
 
 
+@pytest.mark.parametrize("cls,d,message", [
+    (Atom, {"kind": "gaussian", "mean": 0.0, "varience": 1.0}, "unknown key 'varience'"),
+    (Atom, {"kind": "centered-bernoulli"}, "missing key 'p'"),
+    (Atom, {"kind": "bernoulli01", "p": 1.5}, "0 <= p <= 1"),
+    (Atom, {"mean": 0.0}, "'kind'"),
+    (Atom, {"kind": ["gaussian"]}, "'kind'"),
+    (EnsembleSpec, {"kind": "wigner", "offdiag": {"kind": "rademacher"}}, "missing key 'diag'"),
+    (EnsembleSpec, {"kind": "gnp-adjacency", "p": 0.5, "n": 0}, "dimension must be >= 1"),
+    (ShiftSpec, {"kind": "explicit", "matrix": [[0.0, 1.0], [2.0, 0.0]]}, "symmetric"),
+    (VectorSpec, {"kind": "standard-basis", "index": -1}, "basis index"),
+    (VectorSpec, {"kind": "iid-atom", "atom": {"kind": "laplace"}}, "'laplace'"),
+    (VectorSpec, [1.0, 2.0], "needs a .kind. key"),
+])
+def test_spec_dicts_are_validated(cls, d, message):
+    with pytest.raises(ValueError, match=message):
+        cls.from_dict(d)
+
+
 def test_explicit_shift_must_be_symmetric():
     with pytest.raises(ValueError):
         ShiftSpec.explicit([[0.0, 1.0], [2.0, 0.0]])

@@ -241,6 +241,18 @@ def test_exact_path_names_nonfinite_entries():
         kalman_matrix(P3, [nan, 0.0, 0.0])
 
 
+def test_object_entries_are_checked_like_floats():
+    with pytest.raises(ValueError, match="exact path requires integer entries"):
+        rank_exact(np.array([[0.5]], dtype=object))
+    with pytest.raises(ValueError, match=r"matrix has non-finite entries: \[0, 0\] = inf"):
+        rank_exact(np.array([[float("inf")]], dtype=object))
+    with pytest.raises(ValueError, match=r"vector has non-finite entries: \[1\] = nan"):
+        is_controllable_exact(P3, np.array([1, float("nan"), 0], dtype=object))
+    # integral objects of any type still work, beside Python ints beyond int64
+    assert rank_exact(np.array([[2.0, 1], [1, np.int8(3)]], dtype=object)) == 2
+    assert rank_exact(np.array([[2**70, 1], [1, 0]], dtype=object)) == 2
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomial and simple spectrum
 # ---------------------------------------------------------------------------

@@ -130,6 +130,18 @@ def test_pbh_zero_vector():
     assert v.min_abs_inner == 0.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy's norm
+@pytest.mark.parametrize("c", [1e200, 1e300, 1e-200, 1e-300])
+def test_pbh_decision_survives_norm_overflow_and_underflow(c):
+    # ||c b|| overflows to inf or underflows to 0 at these scales
+    b = np.array([1.0, 1.0, 0.0])
+    reference = pbh_controllable(P3, b)
+    assert reference.decision == "controllable"
+    assert pbh_controllable(P3, c * b).decision == reference.decision
+    assert pbh_controllable(P3, -c * b).decision == reference.decision
+    assert pbh_controllable(P3, [c, 0.0, -c]).decision == "uncontrollable"
+
+
 def test_pbh_indeterminate_band():
     # gap of 1e-10 sits between reject (1e-12) and accept (1e-8)
     a = np.diag([1.0, 1.0 + 1e-10])
