@@ -7,7 +7,9 @@ reading one calls the classmethod, so JSON input is validated like code.
 A :class:`Record` writes every field, under the JSON key `_keys` names.
 Nested specs and records become dicts, tuples and arrays lists;
 `_decoders` rebuilds a field from its non-null JSON value.  Reading
-rejects unknown and missing keys with a ValueError naming the key.
+rejects unknown and missing keys, and values whose JSON type does not fit
+a scalar field (``int``, ``float``, ``str``, ``dict``, ``tuple[int, ...]``,
+each optionally ``| None``), with a ValueError naming the key.
 """
 
 from __future__ import annotations
@@ -26,6 +28,30 @@ def _encode(value):
     return value.tolist() if hasattr(value, "tolist") else value  # numpy arrays and scalars
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# JSON value tests for the scalar field annotations
+_JSON_TYPES = {
+    "None": lambda x: x is None,
+    "int": _is_int,
+    "float": lambda x: _is_int(x) or isinstance(x, float),
+    "str": lambda x: isinstance(x, str),
+    "dict": lambda x: isinstance(x, dict),
+    "tuple[int, ...]": lambda x: isinstance(x, list) and all(map(_is_int, x)),
+}
+
+
+def _fits(value, annotation) -> bool:
+    """Whether a JSON value fits a field annotation; annotations naming a
+    spec or record type are left to the field's decoder."""
+    kinds = str(annotation).split(" | ")
+    if any(kind not in _JSON_TYPES for kind in kinds):
+        return True
+    return any(_JSON_TYPES[kind](value) for kind in kinds)
+
+
 def _build(where: str, make, d, decoders: dict, keys: dict):
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, got {d!r}")
@@ -40,6 +66,9 @@ def _build(where: str, make, d, decoders: dict, keys: dict):
     args = {}
     for key, value in d.items():
         name = names[key]
+        annotation = params[name].annotation
+        if annotation is not Parameter.empty and not _fits(value, annotation):
+            raise ValueError(f"key {key!r} in {where} must be {annotation}, got {value!r}")
         args[name] = value if value is None or name not in decoders else decoders[name](value)
     return make(**args)
 

@@ -1,15 +1,18 @@
 """Exact controllability decisions for integer symmetric systems.
 
 Every verdict here is exact (no tolerances, no rounding).  Kalman ranks and
-the distinct-eigenvalue test are first tried as one-sided certificates
-modulo the word-size prime ``_P``: a rank computed mod p never exceeds the
-rank over the rationals, so a Krylov stack of full rank mod p has full rank,
-and a characteristic polynomial coprime to its derivative mod p is
-square-free.  Whatever the certificate cannot settle falls back to the
-arbitrary-precision path, which also serves as the oracle: Krylov/Kalman
-matrices over Python integers, fraction-free Bareiss rank and determinant,
-Faddeev-LeVerrier characteristic polynomials and a Euclidean remainder
-sequence over the rationals.
+the distinct-eigenvalue test are first tried as certificates modulo the
+word-size prime ``_P``.  A rank computed mod p never exceeds the rank over
+the rationals, so a Krylov matrix of full rank mod p has full rank.  A rank
+r < n mod p comes with the monic relation q(A) b = 0 mod p of degree r;
+lifted to integers and verified exactly, it bounds the rank over the
+rationals by r from above, so the rank is exactly r.  A characteristic
+polynomial coprime to its derivative mod p is square-free.  Whatever the
+certificates cannot settle falls back to the arbitrary-precision path,
+which also serves as the oracle: Krylov/Kalman matrices over Python
+integers, fraction-free Bareiss rank and determinant, Faddeev-LeVerrier
+characteristic polynomials and a Euclidean remainder sequence over the
+rationals.
 
 Krylov entries grow like ``norm(A)**n``, so the exact path is capped at
 ``DEFAULT_EXACT_CAP`` dimensions by default; pass ``cap=None`` (or a larger
@@ -71,7 +74,8 @@ def _checked_ints(m, ndim: int, what: str) -> np.ndarray:
 
 
 def _as_int_rows(m) -> list[list[int]]:
-    return [[int(x) for x in row] for row in _checked_ints(m, 2, "matrix")]
+    a = _checked_ints(m, 2, "matrix")
+    return a.tolist() if a.dtype.kind in "iu" else [[int(x) for x in row] for row in a]
 
 
 def _as_int_vector(v) -> list[int]:
@@ -225,34 +229,103 @@ def _reduce(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _full_rank_mod_p(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """For each column b of `v`, whether [b, Ab, ..., A^(n-1)b] has full rank.
+def _krylov_ranks_mod_p(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank of [b, Ab, ..., A^(n-1)b] for each column b of `v`, and its echelon form.
 
-    `a` and `v` hold residues mod _P, and so does the rank.  All Krylov
-    stacks are built at once and eliminated together: at each column every
-    stack swaps its first row with a nonzero entry to the top, then clears
-    the column below by cross-multiplication (no inverses needed) and drops
-    the top row and the column.
+    `a` and `v` hold residues mod _P, and so does the echelon form.  All
+    Krylov matrices are built at once and eliminated together, one Krylov
+    column per step: every matrix swaps a row with a nonzero entry in the
+    column to the top, clears the column below by cross-multiplication (no
+    inverses needed) and drops the top row and the column.  The top row of
+    matrix i at step k becomes row k of the upper triangular
+    ``echelon[i]``.  Column k is A^k b, so the first step without a nonzero
+    entry is the rank, and from there on the matrix is zero: the rank is
+    the number of nonzero pivots on the diagonal.
     """
     n, m = v.shape
     krylov = np.empty((n, n, m), dtype=np.int64)  # [k] = A^k V mod p
     krylov[0] = v
     for k in range(1, n):
         krylov[k] = _reduce(a @ krylov[k - 1])
-    s = krylov.transpose(2, 0, 1)  # s[i] rows: b_i, A b_i, ... (same rank as Kalman)
-    full = np.ones(m, dtype=bool)
+    s = np.ascontiguousarray(krylov.transpose(2, 1, 0))  # s[i][:, k] = A^k b_i
+    echelon = np.zeros((m, n, n), dtype=np.int64)
     stacks = np.arange(m)
-    for _ in range(n):
+    for k in range(n):
         piv = (s[:, :, 0] != 0).argmax(axis=1)
         if piv.any():
             top = s[stacks, piv]
             s[stacks, piv] = s[:, 0]
             s[:, 0] = top
-        full &= s[:, 0, 0] != 0
+        echelon[:, k, k:] = s[:, 0]
         nxt = s[:, 1:, 1:] * s[:, :1, :1]
         nxt -= s[:, 1:, :1] * s[:, :1, 1:]
         s = _reduce(nxt)
-    return full
+    diag = np.arange(n)
+    return (echelon[:, diag, diag] != 0).sum(axis=1), echelon
+
+
+def _relation_mod_p(echelon: np.ndarray, r: int) -> list[int]:
+    """Ascending coefficients of the monic q of degree r with q(A) b = 0 mod _P.
+
+    `echelon` is the echelon form of b's Krylov matrix from
+    :func:`_krylov_ranks_mod_p`, of rank r < n: its first r rows are an
+    upper triangular system in the coefficients of b, Ab, ..., A^r b,
+    solved by back-substitution with the coefficient of A^r b set to 1.
+    """
+    q = [0] * r + [1]
+    for k in range(r - 1, -1, -1):
+        pivot, *row = echelon[k, k:r + 1].tolist()
+        q[k] = -sum(u * c for u, c in zip(row, q[k + 1:])) * pow(pivot, -1, _P) % _P
+    return q
+
+
+def _annihilated(mat: np.ndarray, cols: np.ndarray, polys: np.ndarray) -> np.ndarray:
+    """Whether q_i(A) b_i = 0 over the integers for each column b_i of
+    `cols` and row q_i of `polys` (ascending, zero above the degree).
+
+    One Horner scheme runs over all columns at once.  It runs in int64 only
+    when a bound on every intermediate entry, computed in Python ints,
+    stays below 2^63, and in Python ints otherwise.
+    """
+    a, v = _as_int_rows(mat), _as_int_rows(cols)
+    norm_a = max(sum(map(abs, row)) for row in a)
+    size = max(abs(x) for row in v for x in row) * int(np.abs(polys).max())
+    bound = 0
+    for _ in range(polys.shape[1]):
+        bound = norm_a * bound + size
+    dtype = np.int64 if bound < 2**63 else object
+    a, v, polys = np.array(a, dtype=dtype), np.array(v, dtype=dtype), polys.astype(dtype)
+    acc = np.zeros_like(v)
+    for k in range(polys.shape[1] - 1, -1, -1):
+        acc = a @ acc + v * polys[:, k]
+    return ~acc.any(axis=0)
+
+
+def _certified_ranks(mat: np.ndarray, cols: np.ndarray) -> list[int | None]:
+    """Kalman rank of each nonzero column b of `cols` where a certificate
+    proves it, else None.
+
+    The rank r mod _P never exceeds the rank over the rationals, so r = n
+    is proved.  For r < n, the monic relation q(A) b = 0 mod _P of degree r
+    is lifted to the integers in (-_P/2, _P/2] and checked exactly; if it
+    holds, b, Ab, ..., A^r b are dependent over the rationals too, and the
+    rank is exactly r.
+    """
+    n, m = cols.shape
+    if n > _MOD_MAX_N:
+        return [None] * m
+    rank, echelon = _krylov_ranks_mod_p(_residues(mat), _residues(cols))
+    out = [n if r == n else None for r in rank.tolist()]
+    short = np.flatnonzero(rank < n)
+    if short.size:
+        lifted = np.zeros((short.size, int(rank[short].max()) + 1), dtype=np.int64)
+        for row, i in zip(lifted, short.tolist()):
+            q = _relation_mod_p(echelon[i], int(rank[i]))
+            row[:len(q)] = [c - _P if c > _P // 2 else c for c in q]
+        for i, ok in zip(short.tolist(), _annihilated(mat, cols[:, short], lifted).tolist()):
+            if ok:
+                out[i] = int(rank[i])
+    return out
 
 
 def _charpoly_mod_p(a: np.ndarray) -> list[int]:
@@ -330,12 +403,24 @@ def has_simple_spectrum_exact(a) -> bool:
 def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP) -> list[int]:
     """Exact rank of [b, Ab, ..., A^(n-1)b] for every column b of `inputs`.
 
-    The zero vector has rank 0.  Every other column is first checked mod
-    ``_P``, all columns in one batched elimination; full rank there is full
-    rank over the rationals.  Only columns that fail the check go through
-    :func:`kalman_matrix` and Bareiss :func:`rank_exact`, so the ranks equal
-    the Bareiss ranks for every input.  Dimensions beyond `cap` raise
-    :class:`DimensionCapError`.
+    The zero vector has rank 0.  Every other column is certified mod
+    ``_P`` in two directions, all columns in one batched elimination over
+    their Krylov columns b, Ab, ...:
+
+    * rank n mod p is rank n over the rationals;
+    * at rank r < n mod p the elimination yields the monic relation
+      q(A) b = 0 mod p of degree r.  Its coefficients are lifted to
+      (-p/2, p/2] and q(A) b = 0 is checked over the integers.  If it
+      holds, rank_Q <= r = rank_p <= rank_Q.
+
+    The lift almost always holds: the minimal polynomial of b under A is a
+    monic divisor of the characteristic polynomial, which is monic with
+    integer coefficients, so by Gauss's lemma it has integer coefficients
+    too; when p keeps the rank and those coefficients lie below p/2, it is
+    the lifted q.  Only columns that no certificate settles go through
+    :func:`kalman_matrix` and Bareiss :func:`rank_exact`, so the ranks
+    equal the Bareiss ranks for every input.  Dimensions beyond `cap`
+    raise :class:`DimensionCapError`.
     """
     mat = _checked_ints(a, 2, "matrix")
     _check_symmetric(mat)
@@ -349,10 +434,8 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP) -> list[i
     live = np.flatnonzero((cols != 0).any(axis=0))
     if live.size == 0:
         return ranks
-    certified = (_full_rank_mod_p(_residues(mat), _residues(cols[:, live]))
-                 if n <= _MOD_MAX_N else np.zeros(live.size, dtype=bool))
-    for j, full in zip(live.tolist(), certified.tolist()):
-        ranks[j] = n if full else rank_exact(kalman_matrix(mat, cols[:, j]))
+    for j, rank in zip(live.tolist(), _certified_ranks(mat, cols[:, live])):
+        ranks[j] = rank if rank is not None else rank_exact(kalman_matrix(mat, cols[:, j]))
     return ranks
 
 

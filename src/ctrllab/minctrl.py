@@ -162,10 +162,6 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
     if entry_mode == "binary01":
         if cap is not None and n > cap:
             raise DimensionCapError(f"n={n} exceeds exact cap {cap}")
-        # Non-simple exact spectrum bounds the Krylov degree below n for
-        # every b, so the whole search is infeasible; skip the enumeration.
-        if not has_simple_spectrum_exact(mat):
-            return MinCtrlResult(frozenset(), None, None, "exact", supports_tested=0)
         scan = basis_scan(mat, "exact", cap=cap)
         tested = n
         if scan.controllable:
@@ -173,6 +169,11 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
             b = np.zeros(n, dtype=np.int64)
             b[first] = 1
             return MinCtrlResult(scan.controllable, 1, b, "exact", tested)
+        # A controllable e_i proves the spectrum simple, so only now is it
+        # tested.  A repeated eigenvalue bounds the Krylov degree below n for
+        # every b, so the whole search is infeasible; skip the enumeration.
+        if not has_simple_spectrum_exact(mat):
+            return MinCtrlResult(frozenset(), None, None, "exact", supports_tested=0)
         for k in range(2, kmax + 1):
             for supp in combinations(range(n), k):
                 if tested >= budget:

@@ -113,6 +113,24 @@ def test_config_file_rejects_unknown_and_missing_keys(tmp_path, capsys, edit, ke
     assert line.startswith("ctrllab: error: ") and repr(key) in line
 
 
+@pytest.mark.parametrize("key,value", [
+    ("trials", "5"), ("trials", 2.5), ("trials", True), ("n_grid", 8), ("n_grid", [6, "8"]),
+    ("master_seed", "1"), ("master_seed", None), ("exact_cap", "24"), ("params", []),
+    ("format", None), ("gap_tol", "1e-8"), ("index", 0.5),
+])
+def test_config_file_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
+    doc = make_scenario_config("thm-goe", n_grid=(6,), trials=2).to_dict()
+    target = next(d for d in (doc, doc["tolerances"], doc["vector"]) if key in d)
+    target[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("ctrllab: error: key ") and repr(key) in line
+
+
 def test_config_file_p_flag_rebuilds_the_scenario(tmp_path):
     config = make_scenario_config("cor-gnp-rand", n_grid=(6,), trials=3)
     cfg_path = tmp_path / "cfg.json"

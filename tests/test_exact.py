@@ -354,15 +354,21 @@ def test_kalman_ranks_match_bareiss_oracle(n):
         assert kalman_ranks_exact(diagonal, np.eye(n, dtype=np.int64)) == [1] * n
 
 
-def test_full_rank_over_q_but_not_mod_p_falls_back(monkeypatch):
-    oracle_calls = []
+def count_oracle_calls(monkeypatch) -> list:
+    """Record every Bareiss fallback inside ``kalman_ranks_exact``."""
+    calls = []
     real_rank = exact_module.rank_exact
 
     def counted(m):
-        oracle_calls.append(1)
+        calls.append(1)
         return real_rank(m)
 
     monkeypatch.setattr(exact_module, "rank_exact", counted)
+    return calls
+
+
+def test_full_rank_over_q_but_not_mod_p_falls_back(monkeypatch):
+    oracle_calls = count_oracle_calls(monkeypatch)
     assert is_controllable_exact([[0]], [_P]) is True
     assert len(oracle_calls) == 1
     swap = np.array([[0, _P], [_P, 0]], dtype=np.int64)  # zero matrix mod _P
@@ -370,6 +376,106 @@ def test_full_rank_over_q_but_not_mod_p_falls_back(monkeypatch):
     assert len(oracle_calls) == 3
     # the all-ones input stays rank 1 over Q too: (1, 1) is an eigenvector
     assert kalman_ranks_exact(swap, [[1], [1]]) == [1]
+
+
+def with_twins(a: np.ndarray) -> np.ndarray:
+    """`a` with vertex 1 made a false twin of vertex 0 (same neighbours, not
+    adjacent): e_0 - e_1 is then an eigenvector, orthogonal to every input
+    with equal entries at 0 and 1."""
+    a = a.copy()
+    a[1], a[:, 1] = a[0], a[0]
+    a[0, 1] = a[1, 0] = a[1, 1] = 0
+    return a
+
+
+def minimal_polynomial_oracle(a, b, r: int) -> list[Fraction]:
+    """c_0, ..., c_(r-1) with A^r b = sum c_k A^k b, for b of Kalman rank r:
+    fraction-free elimination on the exact Krylov vectors, then rational
+    back-substitution."""
+    rows = [[int(x) for x in row] for row in np.asarray(a)]
+    krylov = [[int(x) for x in b]]
+    for _ in range(r):
+        krylov.append([sum(x * y for x, y in zip(row, krylov[-1])) for row in rows])
+    m = [list(entries) for entries in zip(*krylov)]  # row i: (A^k b)_i, k = 0..r
+    prev = 1
+    for col in range(r):
+        piv = next(i for i in range(col, len(m)) if m[i][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        for i in range(col + 1, len(m)):
+            m[i] = [(x * m[col][col] - m[i][col] * y) // prev for x, y in zip(m[i], m[col])]
+        prev = m[col][col]
+    c = [Fraction(0)] * r
+    for k in range(r - 1, -1, -1):
+        c[k] = Fraction(m[k][r] - sum(m[k][j] * c[j] for j in range(k + 1, r))) / m[k][k]
+    return c
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_rank_deficient_inputs_certified_without_bareiss(monkeypatch, n):
+    root = SeedPath(20261018, ("negative-certificate", n))
+    rng = np.random.default_rng(1000 + n)
+    graph = sample_gnp(n, 0.5, root)
+    inputs = np.column_stack([
+        np.eye(n, dtype=np.int64),
+        np.ones(n, dtype=np.int64),
+        rng.integers(0, 2, (n, 2)),
+        rng.integers(-3, 4, n),
+    ])
+    mats = [graph, with_twins(graph)] + rank_deficient_fixtures(n)
+    oracle = [bareiss_ranks(a, inputs) for a in mats]
+    # b's minimal polynomial has integer coefficients (Gauss's lemma); the
+    # certificate must find it exactly when they all lie within _P / 2
+    deficient = beyond_lift = 0
+    for a, ranks in zip(mats, oracle):
+        for b, r in zip(inputs.T, ranks):
+            if 0 < r < n:
+                coeffs = minimal_polynomial_oracle(a, b, r)
+                assert all(c.denominator == 1 for c in coeffs)
+                deficient += 1
+                beyond_lift += max(abs(c) for c in coeffs) > _P // 2
+    oracle_calls = count_oracle_calls(monkeypatch)
+    for a, expected in zip(mats, oracle):
+        assert kalman_ranks_exact(a, inputs) == expected, a
+    assert len(oracle_calls) == beyond_lift
+    assert deficient >= n + 1  # for n >= 3, K_n alone: its basis and all-ones inputs
+    if n <= 12:  # the minctrl-gnp range: everything certified
+        assert beyond_lift == 0
+    for a, expected in zip(mats, oracle):  # one input at a time, as in minctrl
+        for j in (0, n):
+            assert kalman_ranks_exact(a, inputs[:, j:j + 1]) == [expected[j]]
+
+
+def test_negative_certificate_falls_back_when_lift_fails(monkeypatch):
+    oracle_calls = count_oracle_calls(monkeypatch)
+    # b misses one eigenvector, so its relation is prod (x - lam_i) over the
+    # other three eigenvalues: coefficients near 1e20, far beyond _P / 2
+    lam = [10**6 + 3, 2 * 10**6 + 11, 3 * 10**6 + 5, 5 * 10**6 + 1]
+    a = np.diag(lam)
+    inputs = np.array([[1, 1], [1, 1], [0, 1], [1, 1]], dtype=np.int64)
+    assert kalman_ranks_exact(a, inputs) == bareiss_ranks(a, inputs) == [3, 4]
+    assert len(oracle_calls) == 1
+    # entries >= 2**31: 2**31 K_3 sends the all-ones input to 2**32 times
+    # itself, and 2**32 is no lifted residue
+    a = 2**31 * (np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
+    assert kalman_ranks_exact(a, np.ones((3, 1), dtype=np.int64)) == [1]
+    assert len(oracle_calls) == 2
+
+
+def test_negative_certificate_checks_in_python_ints_beyond_int64(monkeypatch):
+    oracle_calls = count_oracle_calls(monkeypatch)
+    # A vanishes mod _P, so b = 2**32 e_0 has rank 1 there with relation
+    # q(x) = x; A b = (0, _P * 2**64) is zero in int64 arithmetic only
+    a = np.array([[0, _P * 2**32], [_P * 2**32, 0]], dtype=np.int64)
+    b = np.array([[2**32], [0]], dtype=np.int64)
+    assert kalman_ranks_exact(a, b) == bareiss_ranks(a, b) == [2]
+    assert len(oracle_calls) == 1
+    # a relation that holds is still certified when its check needs Python
+    # ints: (1, -1) is in the kernel of 2**62 [[1, 1], [1, 1]]
+    a = np.full((2, 2), 2**62, dtype=np.int64)
+    assert kalman_ranks_exact(a, [[1], [-1]]) == [1]
+    big = np.array([[2**70, 2**70], [2**70, 2**70]], dtype=object)
+    assert kalman_ranks_exact(big, np.array([[3], [-3]], dtype=object)) == [1]
+    assert len(oracle_calls) == 1
 
 
 def test_kalman_ranks_object_entries_beyond_int64():

@@ -178,7 +178,8 @@ def test_both_method_records_agreement():
 
 def test_certificate_leaves_exact_records_unchanged(monkeypatch):
     # the same cells with the mod-_P certificates switched off, so every
-    # exact decision goes through Bareiss and the rational gcd
+    # Kalman rank, full or not, goes through Bareiss and every spectrum
+    # through the rational gcd
     configs = [
         make_scenario_config("conj1", n_grid=(8, 16, 24), trials=2),
         make_scenario_config("conj2", n_grid=(8, 24), trials=3),
@@ -192,7 +193,7 @@ def test_certificate_leaves_exact_records_unchanged(monkeypatch):
                 [report_csv(run_experiment(c)) for c in configs])
 
     certified = run_all()
-    monkeypatch.setattr(exact, "_full_rank_mod_p", lambda a, v: np.zeros(v.shape[1], dtype=bool))
+    monkeypatch.setattr(exact, "_certified_ranks", lambda a, v: [None] * v.shape[1])
     monkeypatch.setattr(exact, "_simple_spectrum_mod_p", lambda a: False)
     assert run_all() == certified
 

@@ -168,6 +168,53 @@ def test_sparsest_consistency_kstar_one_iff_basis_nonempty():
         assert r.basis_controllable == basis_scan(a).controllable
 
 
+def sparsest_spectrum_first(a):
+    """The binary01 search with the simple-spectrum test before the basis
+    scan: (basis_controllable, k_star, witness, supports_tested)."""
+    n = a.shape[0]
+    if not has_simple_spectrum_exact(a):
+        return frozenset(), None, None, 0
+    basis = basis_scan(a).controllable
+    if basis:
+        return basis, 1, np.eye(n, dtype=np.int64)[min(basis)], n
+    tested = n
+    for k in range(2, n + 1):
+        for supp in itertools.combinations(range(n), k):
+            tested += 1
+            b = np.zeros(n, dtype=np.int64)
+            b[list(supp)] = 1
+            if is_controllable_exact(a, b):
+                return frozenset(), k, b, tested
+    return frozenset(), None, None, tested
+
+
+def test_sparsest_scans_basis_before_testing_the_spectrum(monkeypatch):
+    from ctrllab import minctrl
+    root = SEED.child("order")
+    graphs = [sample_gnp(6 + t % 5, 0.5, root.child(t)) for t in range(30)]
+    fixtures = [K4, P3, np.diag([1, 2, 3])]
+    spectrum_calls = []
+    real_test = minctrl.has_simple_spectrum_exact
+    monkeypatch.setattr(minctrl, "has_simple_spectrum_exact",
+                        lambda a: spectrum_calls.append(1) or real_test(a))
+    outcomes = set()
+    for a in fixtures + graphs:
+        basis, k_star, witness, tested = sparsest_spectrum_first(a)
+        spectrum_calls.clear()
+        r = sparsest_input(a)
+        assert (r.basis_controllable, r.k_star, r.supports_tested) == (basis, k_star, tested)
+        assert (r.witness is None) == (witness is None)
+        if witness is not None:
+            assert r.witness.tolist() == witness.tolist()
+        # a controllable basis input proves the spectrum simple
+        assert len(spectrum_calls) == (0 if basis else 1)
+        outcomes.add("k=1" if k_star == 1 else "none" if k_star is None else "k>1")
+    assert sparsest_input(K4).supports_tested == 0
+    assert sparsest_input(K4).basis_controllable == frozenset()
+    assert outcomes == {"k=1", "k>1", "none"}
+    assert sum(not sparsest_spectrum_first(a)[0] for a in graphs) >= 3
+
+
 def test_sparsest_infeasibility_certificate_small_n():
     # Cross-check the non-simple-spectrum shortcut against full enumeration
     # of every nonzero 0/1 input, up to n = 5.
