@@ -8,14 +8,19 @@ A :class:`Record` writes every field, under the JSON key `_keys` names.
 Nested specs and records become dicts, tuples and arrays lists;
 `_decoders` rebuilds a field from its non-null JSON value.  Reading
 rejects unknown and missing keys, and values whose JSON type does not fit
-a scalar field (``int``, ``float``, ``str``, ``dict``, ``tuple[int, ...]``,
-each optionally ``| None``), with a ValueError naming the key.
+the field's resolved annotation (``int``, ``float``, ``str``, ``dict``, a
+spec or record, ``tuple[X, ...]`` or ``list[X]`` of those, unions with
+None), with a ValueError naming the key.  Unannotated parameters are not
+checked; an annotation outside that list is a TypeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
-from inspect import Parameter, signature
+from functools import cache
+from inspect import Parameter, formatannotation, signature
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 
 def _encode(value):
@@ -32,24 +37,38 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# JSON value tests for the scalar field annotations
-_JSON_TYPES = {
-    "None": lambda x: x is None,
-    "int": _is_int,
-    "float": lambda x: _is_int(x) or isinstance(x, float),
-    "str": lambda x: isinstance(x, str),
-    "dict": lambda x: isinstance(x, dict),
-    "tuple[int, ...]": lambda x: isinstance(x, list) and all(map(_is_int, x)),
-}
+def _json_test(hint):
+    """The test a JSON value must pass for a field annotated `hint`; nested
+    specs and records are dicts, checked by their field's decoder.  An
+    annotation the codec has no test for raises TypeError."""
+    args = get_args(hint)
+    if get_origin(hint) in (Union, UnionType):
+        tests = [_json_test(arg) for arg in args]
+        return lambda x: any(test(x) for test in tests)
+    if get_origin(hint) is list or (get_origin(hint) is tuple and args[1:] == (...,)):
+        item = _json_test(args[0])
+        return lambda x: isinstance(x, list) and all(map(item, x))
+    if hint is type(None):
+        return lambda x: x is None
+    if hint is int:
+        return _is_int
+    if hint is float:
+        return lambda x: _is_int(x) or isinstance(x, float)
+    if hint is str:
+        return lambda x: isinstance(x, str)
+    if hint is dict or (isinstance(hint, type) and issubclass(hint, (Spec, Record))):
+        return lambda x: isinstance(x, dict)
+    raise TypeError(f"no JSON value test for the annotation {hint!r}")
 
 
-def _fits(value, annotation) -> bool:
-    """Whether a JSON value fits a field annotation; annotations naming a
-    spec or record type are left to the field's decoder."""
-    kinds = str(annotation).split(" | ")
-    if any(kind not in _JSON_TYPES for kind in kinds):
-        return True
-    return any(_JSON_TYPES[kind](value) for kind in kinds)
+@cache
+def _field_tests(make) -> dict:
+    """Field name -> (JSON value test, annotation text) for every annotated
+    parameter of `make`, a record class or a spec classmethod."""
+    hints = get_type_hints(make)
+    return {name: (_json_test(hints[name]), p.annotation.strip("'")
+                   if isinstance(p.annotation, str) else formatannotation(p.annotation))
+            for name, p in signature(make).parameters.items() if name in hints}
 
 
 def _build(where: str, make, d, decoders: dict, keys: dict):
@@ -63,12 +82,12 @@ def _build(where: str, make, d, decoders: dict, keys: dict):
     for key, name in names.items():
         if key not in d and params[name].default is Parameter.empty:
             raise ValueError(f"missing key {key!r} in {where}")
+    tests = _field_tests(make)
     args = {}
     for key, value in d.items():
         name = names[key]
-        annotation = params[name].annotation
-        if annotation is not Parameter.empty and not _fits(value, annotation):
-            raise ValueError(f"key {key!r} in {where} must be {annotation}, got {value!r}")
+        if name in tests and not tests[name][0](value):
+            raise ValueError(f"key {key!r} in {where} must be {tests[name][1]}, got {value!r}")
         args[name] = value if value is None or name not in decoders else decoders[name](value)
     return make(**args)
 

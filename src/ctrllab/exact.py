@@ -284,8 +284,8 @@ def _annihilated(mat: np.ndarray, cols: np.ndarray, polys: np.ndarray) -> np.nda
     `cols` and row q_i of `polys` (ascending, zero above the degree).
 
     One Horner scheme runs over all columns at once.  It runs in int64 only
-    when a bound on every intermediate entry, computed in Python ints,
-    stays below 2^63, and in Python ints otherwise.
+    when a bound on A and on every intermediate entry, computed in Python
+    ints, stays below 2^63, and in Python ints otherwise.
     """
     a, v = _as_int_rows(mat), _as_int_rows(cols)
     norm_a = max(sum(map(abs, row)) for row in a)
@@ -293,12 +293,12 @@ def _annihilated(mat: np.ndarray, cols: np.ndarray, polys: np.ndarray) -> np.nda
     bound = 0
     for _ in range(polys.shape[1]):
         bound = norm_a * bound + size
-    dtype = np.int64 if bound < 2**63 else object
+    dtype = np.int64 if max(bound, norm_a) < 2**63 else object
     a, v, polys = np.array(a, dtype=dtype), np.array(v, dtype=dtype), polys.astype(dtype)
     acc = np.zeros_like(v)
     for k in range(polys.shape[1] - 1, -1, -1):
         acc = a @ acc + v * polys[:, k]
-    return ~acc.any(axis=0)
+    return (acc == 0).all(axis=0)  # a bool per column on object arrays too
 
 
 def _certified_ranks(mat: np.ndarray, cols: np.ndarray) -> list[int | None]:

@@ -1,4 +1,6 @@
+import inspect
 import math
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,7 @@ from ctrllab import (
     sample_wigner,
     shift_matrix,
 )
+from ctrllab import codec
 
 SEED = SeedPath(20260810, ("test-ensembles",))
 
@@ -334,10 +337,36 @@ def test_ensemble_spec_dict_round_trip():
     (VectorSpec, {"kind": "standard-basis", "index": -1}, "basis index"),
     (VectorSpec, {"kind": "iid-atom", "atom": {"kind": "laplace"}}, "'laplace'"),
     (VectorSpec, [1.0, 2.0], "needs a .kind. key"),
+    (VectorSpec, {"kind": "shifted", "base": 5, "mu": 1.0}, "key 'base' .* must be VectorSpec"),
+    (EnsembleSpec, {"kind": "goe", "n": True}, r"key 'n' .* must be int \| None, got True"),
 ])
 def test_spec_dicts_are_validated(cls, d, message):
     with pytest.raises(ValueError, match=message):
         cls.from_dict(d)
+
+
+def test_every_codec_annotation_has_a_json_test():
+    # a field whose annotation the codec cannot test must fail here, not
+    # pass JSON values through unchecked
+    makes = [getattr(cls, method) for cls in codec.Spec.__subclasses__()
+             for method in cls._kinds.values()] + codec.Record.__subclasses__()
+    assert len(makes) >= 20
+    for make in makes:
+        annotated = {name for name, p in inspect.signature(make).parameters.items()
+                     if p.annotation is not inspect.Parameter.empty}
+        assert set(codec._field_tests(make)) == annotated, make
+
+
+def test_json_tests_resolve_annotations():
+    assert codec._json_test(typing.Optional[int])(None)
+    assert not codec._json_test(typing.Optional[int])(1.0)
+    assert codec._json_test(tuple[float, ...])([1, 2.5])
+    assert not codec._json_test(tuple[float, ...])([1, "2"])
+    assert codec._json_test(list[Atom])([{"kind": "rademacher"}])
+    assert not codec._json_test(float)(False)
+    for hint in (typing.Any, set, tuple[int, str], bytes):
+        with pytest.raises(TypeError, match="no JSON value test"):
+            codec._json_test(hint)
 
 
 def test_explicit_shift_must_be_symmetric():

@@ -476,6 +476,19 @@ def test_negative_certificate_checks_in_python_ints_beyond_int64(monkeypatch):
     big = np.array([[2**70, 2**70], [2**70, 2**70]], dtype=object)
     assert kalman_ranks_exact(big, np.array([[3], [-3]], dtype=object)) == [1]
     assert len(oracle_calls) == 1
+    # b = _P e_0 vanishes mod _P, so its relation is q = 1: Horner never
+    # multiplies by A, yet A does not fit in int64
+    a = np.array([[2**70, 0], [0, 1]], dtype=object)
+    b = np.array([[_P], [0]], dtype=object)
+    assert kalman_ranks_exact(a, b) == bareiss_ranks(a, b) == [1]
+    assert is_controllable_exact(a, b[:, 0]) is False
+    assert len(oracle_calls) == 3
+    # the check returns one bool per column on object arrays, whatever
+    # any/all return for object input in the installed numpy
+    swap = np.array([[0, 2**64], [2**64, 0]], dtype=object)
+    verdict = exact_module._annihilated(swap, np.array([[1], [0]], dtype=object),
+                                        np.array([[0, 1]]))
+    assert verdict.dtype == bool and verdict.tolist() == [False]
 
 
 def test_kalman_ranks_object_entries_beyond_int64():
