@@ -1,18 +1,20 @@
 """Exact controllability decisions for integer symmetric systems.
 
-Every verdict here is exact (no tolerances, no rounding).  Kalman ranks and
-the distinct-eigenvalue test are first tried as certificates modulo the
-word-size prime ``_P``.  A rank computed mod p never exceeds the rank over
-the rationals, so a Krylov matrix of full rank mod p has full rank.  A rank
-r < n mod p comes with the monic relation q(A) b = 0 mod p of degree r;
-lifted to integers and verified exactly, it bounds the rank over the
-rationals by r from above, so the rank is exactly r.  A characteristic
-polynomial coprime to its derivative mod p is square-free.  Whatever the
-certificates cannot settle falls back to the arbitrary-precision path,
-which also serves as the oracle: Krylov/Kalman matrices over Python
-integers, fraction-free Bareiss rank and determinant, Faddeev-LeVerrier
-characteristic polynomials and a Euclidean remainder sequence over the
-rationals.
+Every verdict here is exact (no tolerances, no rounding), and each is the
+rank of an integer matrix whose columns form a Krylov sequence: the Kalman
+matrix [b, Ab, ..., A^(n-1) b] for controllability, and the Hankel matrix
+H[j, k] = tr(A^(j+k)) of power sums for the distinct-eigenvalue test (by
+Hermite, rank H is the number of distinct eigenvalues, and det H is the
+discriminant of the characteristic polynomial).  Each rank is first
+certified modulo the word-size prime ``_P``.  A rank computed mod p never
+exceeds the rank over the rationals, so full rank mod p is full rank.  A
+rank r < n mod p comes with a monic relation q of degree r among the first
+r + 1 columns; lifted to integers, q(A) b = 0 (Kalman) or q(A) = 0
+(Hankel) verified exactly bounds the rank over the rationals by r from
+above, so the rank is exactly r.  Whatever the certificates cannot settle
+falls back to fraction-free Bareiss elimination of the matrix built over
+Python integers, which with the Faddeev-LeVerrier characteristic
+polynomial also serves as the oracle in the tests.
 
 Krylov entries grow like ``norm(A)**n``, so the exact path is capped at
 ``DEFAULT_EXACT_CAP`` dimensions by default; pass ``cap=None`` (or a larger
@@ -20,8 +22,6 @@ cap) to override for fixtures.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -192,24 +192,6 @@ def charpoly_exact(a) -> list[int]:
     return coeffs[::-1]
 
 
-def _poly_normalize(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    while a and len(a) >= len(b):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] -= factor * bc
-        a.pop()  # leading term cancels exactly
-        a = _poly_normalize(a)
-    return a
-
-
 # ---------------------------------------------------------------------------
 # certificates modulo _P
 # ---------------------------------------------------------------------------
@@ -232,22 +214,34 @@ def _reduce(x: np.ndarray) -> np.ndarray:
 def _krylov_ranks_mod_p(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rank of [b, Ab, ..., A^(n-1)b] for each column b of `v`, and its echelon form.
 
-    `a` and `v` hold residues mod _P, and so does the echelon form.  All
-    Krylov matrices are built at once and eliminated together, one Krylov
-    column per step: every matrix swaps a row with a nonzero entry in the
-    column to the top, clears the column below by cross-multiplication (no
-    inverses needed) and drops the top row and the column.  The top row of
-    matrix i at step k becomes row k of the upper triangular
-    ``echelon[i]``.  Column k is A^k b, so the first step without a nonzero
-    entry is the rank, and from there on the matrix is zero: the rank is
-    the number of nonzero pivots on the diagonal.
+    `a` and `v` hold residues mod _P.  All Krylov matrices are built at once
+    and eliminated together by :func:`_echelon_mod_p`.
     """
     n, m = v.shape
     krylov = np.empty((n, n, m), dtype=np.int64)  # [k] = A^k V mod p
     krylov[0] = v
     for k in range(1, n):
         krylov[k] = _reduce(a @ krylov[k - 1])
-    s = np.ascontiguousarray(krylov.transpose(2, 1, 0))  # s[i][:, k] = A^k b_i
+    return _echelon_mod_p(np.ascontiguousarray(krylov.transpose(2, 1, 0)))
+
+
+def _echelon_mod_p(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank of each n x n matrix in `stack` and its echelon form, mod _P.
+
+    `stack` holds residues and is overwritten.  Every matrix is eliminated
+    one column per step: it swaps a row with a nonzero entry in the column
+    to the top, clears the column below by cross-multiplication (no
+    inverses needed) and drops the top row and the column.  The top row of
+    matrix i at step k becomes row k of the upper triangular
+    ``echelon[i]``.  A step without a nonzero entry zeroes the rest of the
+    matrix, so the rank returned is the number of columns before the first
+    one that depends on the columns before it.  That is the rank when the
+    columns form a Krylov sequence (once a column depends on the earlier
+    ones, so does every later one); for any matrix, rank n means all n
+    pivots are nonzero, so the matrix is nonsingular mod _P.
+    """
+    s = stack
+    m, n, _ = s.shape
     echelon = np.zeros((m, n, n), dtype=np.int64)
     stacks = np.arange(m)
     for k in range(n):
@@ -265,18 +259,41 @@ def _krylov_ranks_mod_p(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _relation_mod_p(echelon: np.ndarray, r: int) -> list[int]:
-    """Ascending coefficients of the monic q of degree r with q(A) b = 0 mod _P.
+    """Ascending coefficients of the monic q of degree r with
+    q_0 c_0 + ... + q_r c_r = 0 mod _P for the columns c_k of a matrix,
+    lifted to the integers in (-_P/2, _P/2].
 
-    `echelon` is the echelon form of b's Krylov matrix from
-    :func:`_krylov_ranks_mod_p`, of rank r < n: its first r rows are an
-    upper triangular system in the coefficients of b, Ab, ..., A^r b,
-    solved by back-substitution with the coefficient of A^r b set to 1.
+    `echelon` is the matrix's echelon form from :func:`_echelon_mod_p`, of
+    rank r < n: its first r rows are an upper triangular system in the
+    coefficients of c_0, ..., c_r, solved by back-substitution with q_r = 1.
+    For a Krylov matrix, c_k = A^k b and q(A) b = 0 mod _P.
     """
     q = [0] * r + [1]
     for k in range(r - 1, -1, -1):
         pivot, *row = echelon[k, k:r + 1].tolist()
         q[k] = -sum(u * c for u, c in zip(row, q[k + 1:])) * pow(pivot, -1, _P) % _P
-    return q
+    return [c - _P if c > _P // 2 else c for c in q]
+
+
+def _power_sum_hankel(a: np.ndarray, reduce) -> np.ndarray:
+    """The Hankel matrix H[j, k] = tr(A^(j+k)) of power sums, j, k < n.
+
+    `a` holds residues mod _P with ``reduce=_reduce``, or Python ints with
+    an identity `reduce`.  The power sums satisfy the linear recurrence of
+    A's minimal polynomial mu, tr(A^t mu(A)) = 0, so H's columns form a
+    Krylov sequence.
+    """
+    n = a.shape[0]
+    powers = [np.eye(n, dtype=a.dtype)]
+    for _ in range(n - 1):
+        powers.append(reduce(a @ powers[-1]))
+    powers = np.stack(powers)
+    t = np.arange(2 * n - 1)
+    hi = np.minimum(t, n - 1)
+    # tr(A^t) sums the entrywise product of A^hi and (A^(t-hi))^T, both powers below n
+    sums = reduce(reduce(powers[hi] * powers[t - hi].transpose(0, 2, 1)).sum(axis=(1, 2)))
+    idx = np.arange(n)
+    return sums[idx[:, None] + idx]
 
 
 def _annihilated(mat: np.ndarray, cols: np.ndarray, polys: np.ndarray) -> np.ndarray:
@@ -307,9 +324,8 @@ def _certified_ranks(mat: np.ndarray, cols: np.ndarray) -> list[int | None]:
 
     The rank r mod _P never exceeds the rank over the rationals, so r = n
     is proved.  For r < n, the monic relation q(A) b = 0 mod _P of degree r
-    is lifted to the integers in (-_P/2, _P/2] and checked exactly; if it
-    holds, b, Ab, ..., A^r b are dependent over the rationals too, and the
-    rank is exactly r.
+    is lifted to the integers and checked exactly; if it holds, b, Ab, ...,
+    A^r b are dependent over the rationals too, and the rank is exactly r.
     """
     n, m = cols.shape
     if n > _MOD_MAX_N:
@@ -320,60 +336,33 @@ def _certified_ranks(mat: np.ndarray, cols: np.ndarray) -> list[int | None]:
     if short.size:
         lifted = np.zeros((short.size, int(rank[short].max()) + 1), dtype=np.int64)
         for row, i in zip(lifted, short.tolist()):
-            q = _relation_mod_p(echelon[i], int(rank[i]))
-            row[:len(q)] = [c - _P if c > _P // 2 else c for c in q]
+            row[:rank[i] + 1] = _relation_mod_p(echelon[i], int(rank[i]))
         for i, ok in zip(short.tolist(), _annihilated(mat, cols[:, short], lifted).tolist()):
             if ok:
                 out[i] = int(rank[i])
     return out
 
 
-def _charpoly_mod_p(a: np.ndarray) -> list[int]:
-    """det(xI - A) mod _P, ascending, from the residues `a` of A.
+def _certified_simple_spectrum(mat: np.ndarray) -> bool | None:
+    """Whether the spectrum of `mat` is simple, where a certificate proves
+    it, else None.
 
-    Faddeev-LeVerrier as in :func:`charpoly_exact`, with each exact division
-    by the step index k replaced by multiplication with k^-1 mod _P.
+    Rank n of the power-sum Hankel matrix H mod _P proves it simple.  At
+    rank r < n, the relation among H's first r + 1 columns is A's minimal
+    polynomial mod _P; lifted and checked as q(A) = 0 over the integers,
+    it has every eigenvalue as a root, so fewer than n are distinct.
     """
-    n = a.shape[0]
-    diag = np.arange(n)
-    coeffs = [1]  # descending: x^n, x^(n-1), ...
-    m = np.eye(n, dtype=np.int64)
-    for k in range(1, n + 1):
-        am = _reduce(a @ m)
-        c = -int(np.trace(am)) * pow(k, -1, _P) % _P
-        coeffs.append(c)
-        am[diag, diag] = (am[diag, diag] + c) % _P
-        m = am
-    return coeffs[::-1]
-
-
-def _simple_spectrum_mod_p(a: np.ndarray) -> bool:
-    """True if gcd(chi, chi') = 1 over GF(_P) for chi = det(xI - A).
-
-    chi is monic and chi' has leading coefficient n, a unit mod _P, so the
-    resultant of the reductions is the discriminant of chi mod _P; a unit
-    gcd makes it nonzero, hence chi is square-free over the rationals.
-    """
-    p = _charpoly_mod_p(a)
-    q = [i * c % _P for i, c in enumerate(p)][1:]
-    while q:
-        p, q = q, _poly_mod_p(p, q)
-    return len(p) == 1
-
-
-def _poly_mod_p(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of a by b over GF(_P); b has a nonzero leading coefficient."""
-    a = a[:]
-    inv = pow(b[-1], -1, _P)
-    while a and len(a) >= len(b):
-        factor = a[-1] * inv % _P
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bc) % _P
-        a.pop()  # leading term cancels exactly
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+    n = mat.shape[0]
+    if n > _MOD_MAX_N:
+        return None
+    rank, echelon = _echelon_mod_p(_power_sum_hankel(_residues(mat), _reduce)[None])
+    r = int(rank[0])
+    if r == n:
+        return True
+    q = _relation_mod_p(echelon[0], r)
+    if _annihilated(mat, np.eye(n, dtype=np.int64), np.tile(q, (n, 1))).all():
+        return False
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +372,18 @@ def _poly_mod_p(a: list[int], b: list[int]) -> list[int]:
 def has_simple_spectrum_exact(a) -> bool:
     """True iff all eigenvalues of the integer symmetric matrix are distinct.
 
-    Decided exactly: the spectrum is simple iff gcd(p, p') is constant for
-    the characteristic polynomial p.  A unit gcd mod ``_P`` certifies this
-    directly; otherwise the gcd is computed by a Euclidean remainder
-    sequence over the rationals.
+    Decided exactly as rank H = n for the Hankel matrix H[j, k] =
+    tr(A^(j+k)) of power sums, whose rank is the number of distinct
+    eigenvalues: certified mod ``_P`` in both directions as in
+    :func:`kalman_ranks_exact`, else by Bareiss on H over Python integers.
     """
     mat = _checked_ints(a, 2, "matrix")
     _check_symmetric(mat)
-    if mat.shape[0] <= _MOD_MAX_N and _simple_spectrum_mod_p(_residues(mat)):
-        return True
-    p = [Fraction(c) for c in charpoly_exact(mat)]
-    q = _poly_normalize([Fraction(i * c) for i, c in enumerate(p)][1:])
-    p = _poly_normalize(p)
-    while q:
-        p, q = q, _poly_mod(p, q)
-    return len(p) == 1
+    simple = _certified_simple_spectrum(mat)
+    if simple is None:
+        exact = np.array(_as_int_rows(mat), dtype=object)
+        simple = rank_exact(_power_sum_hankel(exact, lambda x: x)) == mat.shape[0]
+    return simple
 
 
 def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP) -> list[int]:

@@ -289,7 +289,9 @@ def _trial_mingap(config: ExperimentConfig, n: int, path: SeedPath):
     w = np.linalg.eigvalsh(np.asarray(a, dtype=np.float64))
     gap, norm = min_gap(w), float(np.max(np.abs(w)))
     witnesses = {"min_gap": gap, "norm_a": norm}
-    return gap > config.tolerances.gap_tol * max(1.0, norm), False, {}, witnesses
+    # the gap alone decides (inner = inf); between reject and accept is a failure
+    success = classify(gap, math.inf, max(1.0, norm), 1.0, config.tolerances) == CONTROLLABLE
+    return success, False, {}, witnesses
 
 
 _SMALLBALL_M = 2000

@@ -103,7 +103,7 @@ def support_feasibility(a, support, tolerances: Tolerances | None = None,
     eigenvector has a coordinate inside the support above the orthogonality
     threshold: :func:`classify` calls the witness min_j max_{i in support}
     |V[i, j]| controllable with norm_b = 1 (eigenvectors are unit length).
-    Indeterminate counts as infeasible.
+    Indeterminate counts as infeasible.  Indices must lie in [0, n).
     """
     idx = sorted(set(int(i) for i in support))
     if not idx:
@@ -111,6 +111,9 @@ def support_feasibility(a, support, tolerances: Tolerances | None = None,
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     if eigsys is None:
         eigsys = eig_sym(np.asarray(a, dtype=np.float64))
+    bad = [i for i in idx if not 0 <= i < eigsys.n]
+    if bad:
+        raise ValueError(f"support index {bad[0]} out of range for n={eigsys.n}")
     gap, scale = eigsys.gap_and_scale()
     inner = float(np.min(np.max(np.abs(eigsys.eigenvectors[idx, :]), axis=0)))
     return classify(gap, inner, scale, 1.0, tol) == CONTROLLABLE

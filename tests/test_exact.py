@@ -522,27 +522,57 @@ def simple_spectrum_oracle(a) -> bool:
     return len(p) == 1
 
 
-def test_charpoly_mod_p_reduces_exact_charpoly():
-    root = SeedPath(31250, ("charpoly-mod-p",))
-    for t in range(20):
-        a = sample_gnp(2 + t % 9, 0.5, root.child(t))
-        residues = exact_module._residues(a)
-        assert exact_module._charpoly_mod_p(residues) == [c % _P for c in charpoly_exact(a)]
+def exact_hankel(a) -> np.ndarray:
+    """The power-sum Hankel matrix tr(A^(j+k)) over Python ints."""
+    return exact_module._power_sum_hankel(np.array(np.asarray(a).tolist(), dtype=object),
+                                          lambda x: x)
 
 
-def test_simple_spectrum_certificate_against_rational_oracle():
+def test_hankel_rank_counts_distinct_eigenvalues():
+    # Hermite: rank H = number of distinct eigenvalues, det H = disc(chi)
+    for lam in ([4], [2, 2], [0, 1, 1, 5], [3, -1, 3, -1, 3], [7] * 6, [-2, 0, 5, 9, 11],
+                [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]):
+        h = exact_hankel(np.diag(lam))
+        assert h[-1, -1] == sum(x ** (2 * len(lam) - 2) for x in lam)
+        assert rank_exact(h) == len(set(lam)), lam
+        disc = 1
+        for i, x in enumerate(lam):
+            for y in lam[i + 1:]:
+                disc *= (x - y) ** 2
+        assert det_exact(h) == disc, lam
+    for n in range(1, 13):
+        complete, _, path = rank_deficient_fixtures(n)
+        assert rank_exact(exact_hankel(complete)) == min(n, 2)  # n - 1 and -1
+        assert rank_exact(exact_hankel(path)) == n  # 2 cos(pi k / (n + 1)), all distinct
+
+
+def repeated_diagonals(n: int) -> list[np.ndarray]:
+    """Diagonal matrices with one double eigenvalue and with many repeats."""
+    return [np.diag(np.r_[np.arange(n - 1) - (n - 1) // 2, 0]), np.diag(np.arange(n) // 3 - 2)]
+
+
+def test_simple_spectrum_certificate_against_rational_oracle(monkeypatch):
     root = SeedPath(15060, ("simple-certificate",))
-    mats = [sample_gnp(2 + t % 11, 0.5, root.child(t)) for t in range(60)]
-    mats += [m for n in (3, 6, 9) for m in rank_deficient_fixtures(n)]
-    mats += [np.diag([0, _P]), np.diag([1, 1 + 2 * _P, 7]), np.diag([3, 3])]
-    certified = 0
-    for a in mats:
-        oracle = simple_spectrum_oracle(a)
-        if exact_module._simple_spectrum_mod_p(exact_module._residues(np.asarray(a))):
-            certified += 1
-            assert oracle, a
-        assert has_simple_spectrum_exact(a) is oracle, a
-    assert certified > 0
-    # simple over Q, repeated mod _P: decided by the rational fallback
-    assert not exact_module._simple_spectrum_mod_p(exact_module._residues(np.diag([0, _P])))
-    assert has_simple_spectrum_exact(np.diag([0, _P])) is True
+    mats = [sample_gnp(n, 0.5, root.child(n, t)) for n in range(1, 25)
+            for t in range(6 if n <= 8 else 1)]
+    mats += [m for n in (2, 3, 6, 9, 16, 24) for m in rank_deficient_fixtures(n)]
+    mats += [m for n in (2, 5, 12) for m in repeated_diagonals(n)]
+    mats += [np.diag(np.arange(24) // 3 - 2), np.diag([3, 3]), np.zeros((1, 1), dtype=np.int64)]
+    # simple over Q, but the eigenvalues collide mod _P
+    fallbacks = [np.diag([0, _P]), np.diag([1, 1 + 2 * _P, 7]),
+                 np.array([[0, 2**40 * _P], [2**40 * _P, 0]], dtype=object)]
+    # a double eigenvalue whose minimal polynomial, x (x^2 - 1) ... (x^2 - 11^2),
+    # has coefficients up to 11!^2, beyond _P / 2
+    fallbacks += repeated_diagonals(24)[:1]
+    oracle = [simple_spectrum_oracle(a) for a in mats + fallbacks]
+    assert 0 < sum(oracle[:len(mats)]) < len(mats)  # both verdicts are tested
+    assert oracle[len(mats):] == [True, True, True, False]
+    oracle_calls = count_oracle_calls(monkeypatch)
+    for a, simple in zip(mats, oracle):
+        assert exact_module._certified_simple_spectrum(np.asarray(a)) is simple, a
+        assert has_simple_spectrum_exact(a) is simple, a
+    assert len(oracle_calls) == 0  # every spectrum certified, repeated ones too
+    for a, simple in zip(fallbacks, oracle[len(mats):]):
+        assert exact_module._certified_simple_spectrum(np.asarray(a)) is None, a
+        assert has_simple_spectrum_exact(a) is simple, a
+    assert len(oracle_calls) == len(fallbacks)

@@ -178,8 +178,8 @@ def test_both_method_records_agreement():
 
 def test_certificate_leaves_exact_records_unchanged(monkeypatch):
     # the same cells with the mod-_P certificates switched off, so every
-    # Kalman rank, full or not, goes through Bareiss and every spectrum
-    # through the rational gcd
+    # Kalman rank, full or not, and every spectrum's Hankel rank goes
+    # through Bareiss
     configs = [
         make_scenario_config("conj1", n_grid=(8, 16, 24), trials=2),
         make_scenario_config("conj2", n_grid=(8, 24), trials=3),
@@ -194,7 +194,7 @@ def test_certificate_leaves_exact_records_unchanged(monkeypatch):
 
     certified = run_all()
     monkeypatch.setattr(exact, "_certified_ranks", lambda a, v: [None] * v.shape[1])
-    monkeypatch.setattr(exact, "_simple_spectrum_mod_p", lambda a: False)
+    monkeypatch.setattr(exact, "_certified_simple_spectrum", lambda a: None)
     assert run_all() == certified
 
 

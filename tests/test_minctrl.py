@@ -106,6 +106,16 @@ def test_support_feasibility_rejects_empty_support():
         support_feasibility(P3.astype(float), [])
 
 
+def test_support_feasibility_rejects_indices_out_of_range():
+    # -1 must not wrap around to row 2, where P3's support [2] is feasible
+    with pytest.raises(ValueError, match=r"support index -1 out of range for n=3"):
+        support_feasibility(P3.astype(float), [-1])
+    with pytest.raises(ValueError, match=r"support index 3 out of range for n=3"):
+        support_feasibility(P3.astype(float), [0, 3])
+    with pytest.raises(ValueError, match=r"support index 3 out of range for n=3"):
+        support_feasibility(None, [3], eigsys=eig_sym(P3.astype(float)))
+
+
 def test_support_monotonicity():
     root = SEED.child("mono")
     for t in range(20):
