@@ -16,12 +16,20 @@ falls back to fraction-free Bareiss elimination of the matrix built over
 Python integers, which with the Faddeev-LeVerrier characteristic
 polynomial also serves as the oracle in the tests.
 
+Kalman ranks are decided for a whole stack of matrices at once, each with
+its own inputs or all with the same ones: every Krylov matrix of the stack
+is built with one stacked matrix product per power and eliminated in one
+batched call, so numpy's per-call overhead is paid once per stack, not once
+per matrix.  A single matrix is a stack of one.
+
 Krylov entries grow like ``norm(A)**n``, so the exact path is capped at
 ``DEFAULT_EXACT_CAP`` dimensions by default; pass ``cap=None`` (or a larger
 cap) to override for fixtures.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,15 +70,29 @@ def _checked_ints(m, ndim: int, what: str) -> np.ndarray:
         try:  # other objects are judged by their float value
             floats = a.astype(np.float64)
         except (TypeError, ValueError, OverflowError):
-            raise ValueError("exact path requires integer entries") from None
+            raise ValueError(f"exact path requires integer entries ({what})") from None
     if floats is not None:
         if not np.isfinite(floats).all():
             raise nonfinite_error(floats, what)
         if not np.all(floats == np.round(floats)):
-            raise ValueError("exact path requires integer entries")
+            raise ValueError(f"exact path requires integer entries ({what})")
     elif a.dtype.kind not in "iubO":
-        raise ValueError(f"exact path requires integer entries, got dtype {a.dtype}")
+        raise ValueError(f"exact path requires integer entries ({what}), got dtype {a.dtype}")
     return a
+
+
+def _checked_stack(m, what: str) -> tuple[np.ndarray, bool]:
+    """`m`, one integer matrix or a stack of them, as a stack, and whether
+    it was one matrix.  An error in a stack names the matrix at fault."""
+    a = np.asarray(m)
+    if a.ndim != 3:
+        return _checked_ints(a, 2, what)[None], True
+    try:
+        return _checked_ints(a, 3, f"{what} stack"), False
+    except ValueError:
+        for t, x in enumerate(a):
+            _checked_ints(x, 2, f"{what} {t} of the stack")
+        raise
 
 
 def _as_int_rows(m) -> list[list[int]]:
@@ -82,13 +104,14 @@ def _as_int_vector(v) -> list[int]:
     return [int(x) for x in _checked_ints(v, 1, "vector")]
 
 
-def _check_symmetric(m: np.ndarray) -> None:
-    if m.shape[0] != m.shape[1]:
+def _check_symmetric(stack: np.ndarray, single: bool = True) -> None:
+    if stack.shape[1] != stack.shape[2]:
         raise ValueError("matrix is not square")
-    differs = m != m.T
+    differs = stack != stack.transpose(0, 2, 1)
     if differs.any():
-        i, j = np.argwhere(np.triu(differs, 1))[0]
-        raise ValueError(f"matrix is not symmetric at ({i},{j})")
+        t, i, j = np.argwhere(np.triu(differs, 1))[0]
+        name = "matrix" if single else f"matrix {t} of the stack"
+        raise ValueError(f"{name} is not symmetric at ({i},{j})")
 
 
 def kalman_matrix(a, b) -> np.ndarray:
@@ -212,17 +235,24 @@ def _reduce(x: np.ndarray) -> np.ndarray:
 
 
 def _krylov_ranks_mod_p(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank of [b, Ab, ..., A^(n-1)b] for each column b of `v`, and its echelon form.
+    """Rank of [b, Ab, ..., A^(n-1)b] for each matrix A of the stack `a` and
+    each column b of its inputs `v`, and the echelon forms, indexed [t, j].
 
-    `a` and `v` hold residues mod _P.  All Krylov matrices are built at once
-    and eliminated together by :func:`_echelon_mod_p`.
+    `a` (T x n x n) and `v` hold residues mod _P; `v` is n x m, shared by
+    every matrix, or T x n x m.  All T * m Krylov matrices are built with
+    one stacked product per power and eliminated together by
+    :func:`_echelon_mod_p`.
     """
-    n, m = v.shape
-    krylov = np.empty((n, n, m), dtype=np.int64)  # [k] = A^k V mod p
-    krylov[0] = v
-    for k in range(1, n):
-        krylov[k] = _reduce(a @ krylov[k - 1])
-    return _echelon_mod_p(np.ascontiguousarray(krylov.transpose(2, 1, 0)))
+    t, n, _ = a.shape
+    m = v.shape[-1]
+    krylov = np.empty((t, m, n, n), dtype=np.int64)  # [t, j, :, k] = A_t^k b_tj mod p
+    power = np.broadcast_to(v, (t, n, m))
+    for k in range(n):
+        if k:
+            power = _reduce(a @ power)
+        krylov[:, :, :, k] = power.transpose(0, 2, 1)
+    rank, echelon = _echelon_mod_p(krylov.reshape(t * m, n, n))
+    return rank.reshape(t, m), echelon.reshape(t, m, n, n)
 
 
 def _echelon_mod_p(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,21 +288,33 @@ def _echelon_mod_p(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (echelon[:, diag, diag] != 0).sum(axis=1), echelon
 
 
-def _relation_mod_p(echelon: np.ndarray, r: int) -> list[int]:
-    """Ascending coefficients of the monic q of degree r with
-    q_0 c_0 + ... + q_r c_r = 0 mod _P for the columns c_k of a matrix,
-    lifted to the integers in (-_P/2, _P/2].
+def _relations_mod_p(echelon: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Row s: ascending coefficients of the monic q of degree r = ranks[s]
+    with q_0 c_0 + ... + q_r c_r = 0 mod _P for the columns c_k of matrix s,
+    lifted to the integers in (-_P/2, _P/2], zero above the degree.
 
-    `echelon` is the matrix's echelon form from :func:`_echelon_mod_p`, of
-    rank r < n: its first r rows are an upper triangular system in the
-    coefficients of c_0, ..., c_r, solved by back-substitution with q_r = 1.
-    For a Krylov matrix, c_k = A^k b and q(A) b = 0 mod _P.
+    `echelon` holds the matrices' echelon forms from :func:`_echelon_mod_p`,
+    matrix s of rank r < n: its first r rows are an upper triangular system
+    in the coefficients of c_0, ..., c_r, and its other rows are zero.  All
+    systems are solved at once by fraction-free back-substitution with
+    q_r = 1: the coefficients are kept over a common denominator, the
+    product of the pivots, so each matrix needs one modular inverse, at the
+    end.  For a Krylov matrix, c_k = A^k b and q(A) b = 0 mod _P.
     """
-    q = [0] * r + [1]
-    for k in range(r - 1, -1, -1):
-        pivot, *row = echelon[k, k:r + 1].tolist()
-        q[k] = -sum(u * c for u, c in zip(row, q[k + 1:])) * pow(pivot, -1, _P) % _P
-    return [c - _P if c > _P // 2 else c for c in q]
+    d = int(ranks.max()) + 1
+    idx = np.arange(d)
+    u = echelon[:, :d, :d]
+    diag = u[:, idx, idx]
+    pivots = np.where(diag == 0, 1, diag)  # 1 on the zero rows k >= r
+    q = (idx == ranks[:, None]).astype(np.int64)  # numerators; q_r = 1 over denominator 1
+    for k in range(d - 2, -1, -1):
+        # q_k = -(sum_j u[k, j] q_j) / u[k, k], over the new denominator times u[k, k]
+        q[:, k] -= (u[:, k, k + 1:] * q[:, k + 1:]).sum(axis=1)
+        q[:, k + 1:] *= pivots[:, k:k + 1]
+        _reduce(q[:, k:])
+    inverse = [pow(math.prod(row) % _P, -1, _P) for row in pivots.tolist()]
+    q = _reduce(q * np.array(inverse, dtype=np.int64)[:, None])
+    return np.where(q > _P // 2, q - _P, q)
 
 
 def _power_sum_hankel(a: np.ndarray, reduce) -> np.ndarray:
@@ -296,50 +338,68 @@ def _power_sum_hankel(a: np.ndarray, reduce) -> np.ndarray:
     return sums[idx[:, None] + idx]
 
 
-def _annihilated(mat: np.ndarray, cols: np.ndarray, polys: np.ndarray) -> np.ndarray:
-    """Whether q_i(A) b_i = 0 over the integers for each column b_i of
-    `cols` and row q_i of `polys` (ascending, zero above the degree).
+def _annihilated(mats: np.ndarray, which: np.ndarray, cols: np.ndarray,
+                 polys: np.ndarray) -> np.ndarray:
+    """Whether q_s(A) b_s = 0 over the integers for each column b_s of
+    `cols`, with A = mats[which[s]] and q_s row s of `polys` (ascending,
+    zero above the degree).
 
     One Horner scheme runs over all columns at once.  It runs in int64 only
     when a bound on A and on every intermediate entry, computed in Python
     ints, stays below 2^63, and in Python ints otherwise.
     """
-    a, v = _as_int_rows(mat), _as_int_rows(cols)
-    norm_a = max(sum(map(abs, row)) for row in a)
-    size = max(abs(x) for row in v for x in row) * int(np.abs(polys).max())
+    a, v = mats[which], cols.T[:, :, None]
+    norm_a = a.shape[1] * _peak(a)
+    size = _peak(v) * _peak(polys)
     bound = 0
     for _ in range(polys.shape[1]):
         bound = norm_a * bound + size
-    dtype = np.int64 if max(bound, norm_a) < 2**63 else object
-    a, v, polys = np.array(a, dtype=dtype), np.array(v, dtype=dtype), polys.astype(dtype)
+    if max(bound, norm_a) < 2**63:
+        a, v, polys = a.astype(np.int64), v.astype(np.int64), polys.astype(np.int64)
+    else:
+        a, v, polys = _python_ints(a), _python_ints(v), _python_ints(polys)
     acc = np.zeros_like(v)
     for k in range(polys.shape[1] - 1, -1, -1):
-        acc = a @ acc + v * polys[:, k]
-    return (acc == 0).all(axis=0)  # a bool per column on object arrays too
+        acc = a @ acc + v * polys[:, k, None, None]
+    return (acc == 0).all(axis=(1, 2))  # a bool per column on object arrays too
 
 
-def _certified_ranks(mat: np.ndarray, cols: np.ndarray) -> list[int | None]:
-    """Kalman rank of each nonzero column b of `cols` where a certificate
-    proves it, else None.
+def _peak(x: np.ndarray) -> int:
+    """max |x_i| as a Python int, so no entry size overflows."""
+    return max(int(x.max()), -int(x.min())) if x.size else 0
 
-    The rank r mod _P never exceeds the rank over the rationals, so r = n
-    is proved.  For r < n, the monic relation q(A) b = 0 mod _P of degree r
-    is lifted to the integers and checked exactly; if it holds, b, Ab, ...,
-    A^r b are dependent over the rationals too, and the rank is exactly r.
+
+def _python_ints(x: np.ndarray) -> np.ndarray:
+    return np.array([int(e) for e in x.flat], dtype=object).reshape(x.shape)
+
+
+def _certified_ranks(mats: np.ndarray, cols: np.ndarray) -> list[list[int | None]]:
+    """Kalman rank of each column b of the inputs of each matrix A of the
+    stack `mats`, where a certificate proves it, else None; indexed [t][j].
+
+    `cols` is n x m, shared by every matrix, or T x n x m.  The rank r mod
+    _P never exceeds the rank over the rationals, so r = n is proved.  For
+    r < n, the monic relation q(A) b = 0 mod _P of degree r is lifted to
+    the integers and checked exactly, all short columns of all matrices in
+    one check; if it holds, b, Ab, ..., A^r b are dependent over the
+    rationals too, and the rank is exactly r.  The zero column has rank 0
+    and the relation q = 1.
     """
-    n, m = cols.shape
-    if n > _MOD_MAX_N:
-        return [None] * m
-    rank, echelon = _krylov_ranks_mod_p(_residues(mat), _residues(cols))
-    out = [n if r == n else None for r in rank.tolist()]
-    short = np.flatnonzero(rank < n)
-    if short.size:
-        lifted = np.zeros((short.size, int(rank[short].max()) + 1), dtype=np.int64)
-        for row, i in zip(lifted, short.tolist()):
-            row[:rank[i] + 1] = _relation_mod_p(echelon[i], int(rank[i]))
-        for i, ok in zip(short.tolist(), _annihilated(mat, cols[:, short], lifted).tolist()):
+    t, n, _ = mats.shape
+    m = cols.shape[-1]
+    if not 0 < n <= _MOD_MAX_N:
+        return [[None] * m for _ in range(t)]
+    rank, echelon = _krylov_ranks_mod_p(_residues(mats), _residues(cols))
+    out = [[n if r == n else None for r in row] for row in rank.tolist()]
+    which, short = np.nonzero(rank < n)
+    if which.size:
+        ranks = rank[which, short]
+        b = cols[:, short] if cols.ndim == 2 else cols[which, :, short].T
+        polys = _relations_mod_p(echelon[which, short], ranks)
+        for i, j, r, ok in zip(which.tolist(), short.tolist(), ranks.tolist(),
+                               _annihilated(mats, which, b, polys).tolist()):
             if ok:
-                out[i] = int(rank[i])
+                out[i][j] = r
     return out
 
 
@@ -359,8 +419,9 @@ def _certified_simple_spectrum(mat: np.ndarray) -> bool | None:
     r = int(rank[0])
     if r == n:
         return True
-    q = _relation_mod_p(echelon[0], r)
-    if _annihilated(mat, np.eye(n, dtype=np.int64), np.tile(q, (n, 1))).all():
+    q = _relations_mod_p(echelon, rank)
+    if _annihilated(mat[None], np.zeros(n, dtype=np.intp), np.eye(n, dtype=np.int64),
+                    np.repeat(q, n, axis=0)).all():
         return False
     return None
 
@@ -378,7 +439,7 @@ def has_simple_spectrum_exact(a) -> bool:
     :func:`kalman_ranks_exact`, else by Bareiss on H over Python integers.
     """
     mat = _checked_ints(a, 2, "matrix")
-    _check_symmetric(mat)
+    _check_symmetric(mat[None])
     simple = _certified_simple_spectrum(mat)
     if simple is None:
         exact = np.array(_as_int_rows(mat), dtype=object)
@@ -386,11 +447,16 @@ def has_simple_spectrum_exact(a) -> bool:
     return simple
 
 
-def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP) -> list[int]:
+def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP) -> list:
     """Exact rank of [b, Ab, ..., A^(n-1)b] for every column b of `inputs`.
 
-    The zero vector has rank 0.  Every other column is certified mod
-    ``_P`` in two directions, all columns in one batched elimination over
+    `a` is one n x n matrix, with `inputs` n x m, and the result is a list
+    of m ranks.  Or `a` is a stack of T matrices, T x n x n, with `inputs`
+    n x m, shared by every matrix, or T x n x m, one set per matrix, and the
+    result is a list of T such lists.  A single matrix is a stack of one.
+
+    The zero vector has rank 0.  Every column is certified mod ``_P`` in two
+    directions, all columns of all matrices in one batched elimination over
     their Krylov columns b, Ab, ...:
 
     * rank n mod p is rank n over the rationals;
@@ -406,23 +472,27 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP) -> list[i
     the lifted q.  Only columns that no certificate settles go through
     :func:`kalman_matrix` and Bareiss :func:`rank_exact`, so the ranks
     equal the Bareiss ranks for every input.  Dimensions beyond `cap`
-    raise :class:`DimensionCapError`.
+    raise :class:`DimensionCapError`; an invalid matrix of a stack raises a
+    ValueError naming its index.
     """
-    mat = _checked_ints(a, 2, "matrix")
-    _check_symmetric(mat)
-    cols = _checked_ints(inputs, 2, "input matrix")
-    n = mat.shape[0]
-    if cols.shape[0] != n:
-        raise ValueError(f"dimension mismatch: A is {n}x{n}, inputs have {cols.shape[0]} rows")
+    mats, single = _checked_stack(a, "matrix")
+    _check_symmetric(mats, single)
+    cols, shared = _checked_stack(inputs, "input matrix")
+    cols = cols[0] if shared else cols
+    t, n, _ = mats.shape
+    if cols.shape[-2] != n:
+        raise ValueError(f"dimension mismatch: A is {n}x{n}, inputs have {cols.shape[-2]} rows")
+    if cols.ndim == 3 and len(cols) != t:
+        raise ValueError(f"{len(cols)} input matrices for a stack of {t} matrices")
     if cap is not None and n > cap:
         raise DimensionCapError(f"n={n} exceeds exact cap {cap}; use the float PBH path")
-    ranks = [0] * cols.shape[1]
-    live = np.flatnonzero((cols != 0).any(axis=0))
-    if live.size == 0:
-        return ranks
-    for j, rank in zip(live.tolist(), _certified_ranks(mat, cols[:, live])):
-        ranks[j] = rank if rank is not None else rank_exact(kalman_matrix(mat, cols[:, j]))
-    return ranks
+    ranks = _certified_ranks(mats, cols)
+    for i, row in enumerate(ranks):
+        b = cols if cols.ndim == 2 else cols[i]
+        for j, rank in enumerate(row):
+            if rank is None:
+                row[j] = rank_exact(kalman_matrix(mats[i], b[:, j]))
+    return ranks[0] if single else ranks
 
 
 def is_controllable_exact(a, b, cap: int | None = DEFAULT_EXACT_CAP) -> bool:

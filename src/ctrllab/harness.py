@@ -7,7 +7,10 @@ frequencies with Wilson 95% intervals over a grid of dimensions.
 
 Per-trial seeds are derived from (master seed, scenario, n, trial index), so
 grids can be extended and trials re-run in isolation, in any order, without
-perturbing any other draw.
+perturbing any other draw.  An experiment runs the trials of a grid point in
+chunks: every trial of a chunk is drawn from its own seed, and one stacked
+exact call decides all their Kalman ranks, so a record never depends on the
+chunk it was decided in.
 
 Scenario ids
 ------------
@@ -45,7 +48,7 @@ from .ensembles import (
     sample_vector,
 )
 from .exact import DEFAULT_EXACT_CAP, kalman_ranks_exact
-from .minctrl import sparsest_input
+from .minctrl import DEFAULT_SUPPORT_BUDGET, BasisScanResult, sparsest_input
 from .seeding import SeedPath
 from .spectral import (
     CONTROLLABLE,
@@ -223,10 +226,10 @@ def _methods_for(config: ExperimentConfig, n: int) -> list[str]:
     return ["float"]
 
 
-def _exact_verdict(a, inputs, cap: int | None) -> tuple[str, float]:
-    """Exact decision for every column of `inputs` at once, plus the least Kalman rank."""
-    rank = min(kalman_ranks_exact(a, inputs, cap))
-    return (CONTROLLABLE if rank == inputs.shape[0] else UNCONTROLLABLE), float(rank)
+def _exact_verdict(ranks: list[int], n: int) -> tuple[str, float]:
+    """Exact decision for every input at once, plus the least Kalman rank."""
+    rank = min(ranks)
+    return (CONTROLLABLE if rank == n else UNCONTROLLABLE), float(rank)
 
 
 def _eig(a, path: SeedPath):
@@ -237,14 +240,46 @@ def _norm(eigsys) -> float:
     return float(np.max(np.abs(eigsys.eigenvalues)))
 
 
-def _trial_pbh(config: ExperimentConfig, n: int, path: SeedPath):
-    """(A, b) for the config's input vector; without one, (A, e_i) for every i at once."""
-    a = sample_ensemble(config.ensemble, path.child("matrix"), n)
+@dataclass(frozen=True)
+class _Family:
+    """How one kind of trial runs, in two stages.
+
+    `draw(config, n, path)` samples the trial from its own SeedPath and
+    returns (A, b, ...), where b is the exact input, or None for every
+    standard basis input at once.  When `kalman` is set and the exact method
+    applies at n, the Kalman ranks of those inputs are computed for a whole
+    chunk of draws in one call.  Then, inside :func:`run_trial`,
+    `decide(config, n, path, drawn, ranks)`, with ranks None when none were
+    computed, returns (success, indeterminate, verdicts, witnesses).
+    """
+
+    draw: Callable
+    decide: Callable
+    kalman: bool = False
+
+
+def _draw_matrix(config: ExperimentConfig, n: int, path: SeedPath):
+    return sample_ensemble(config.ensemble, path.child("matrix"), n), None
+
+
+def _draw_input(config: ExperimentConfig, n: int, path: SeedPath):
+    """A and the config's input vector, None without one."""
+    a, _ = _draw_matrix(config, n, path)
     b = None if config.vector is None else sample_vector(config.vector, n, path.child("vector"))
-    methods = _methods_for(config, n)
+    return a, b
+
+
+def _draw_two_vectors(config: ExperimentConfig, n: int, path: SeedPath):
+    a, b = _draw_input(config, n, path)
+    return a, b, sample_vector(VectorSpec.uniform_sphere(), n, path.child("sphere"))
+
+
+def _trial_pbh(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
+    """(A, b) for the config's input vector; without one, (A, e_i) for every i at once."""
+    a, b = drawn
     verdicts: dict[str, str] = {}
     witnesses: dict[str, float] = {}
-    if "float" in methods:
+    if "float" in _methods_for(config, n):
         eigsys = _eig(a, path)
         if b is None:
             gap, scale, inner = basis_witnesses(eigsys)
@@ -254,17 +289,14 @@ def _trial_pbh(config: ExperimentConfig, n: int, path: SeedPath):
             fv = pbh_controllable(None, b, config.tolerances, eigsys=eigsys)
             verdicts["float"], gap, worst = fv.decision, fv.min_gap, fv.min_abs_inner
         witnesses.update(min_gap=gap, min_abs_inner=worst, norm_a=_norm(eigsys))
-    if "exact" in methods:
-        inputs = np.eye(n, dtype=np.int64) if b is None else b.reshape(-1, 1)
-        verdicts["exact"], witnesses["rank"] = _exact_verdict(a, inputs, config.exact_cap)
+    if ranks is not None:
+        verdicts["exact"], witnesses["rank"] = _exact_verdict(ranks, n)
     deciding = verdicts["exact"] if "exact" in verdicts else verdicts["float"]
     return deciding == CONTROLLABLE, deciding == INDETERMINATE, verdicts, witnesses
 
 
-def _trial_two_vectors(config: ExperimentConfig, n: int, path: SeedPath):
-    a = sample_ensemble(config.ensemble, path.child("matrix"), n)
-    b = sample_vector(config.vector, n, path.child("vector"))
-    u = sample_vector(VectorSpec.uniform_sphere(), n, path.child("sphere"))
+def _trial_two_vectors(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
+    a, b, u = drawn
     eigsys = _eig(a, path)
     fb = pbh_controllable(None, b, config.tolerances, eigsys=eigsys)
     fu = pbh_controllable(None, u, config.tolerances, eigsys=eigsys)
@@ -272,9 +304,8 @@ def _trial_two_vectors(config: ExperimentConfig, n: int, path: SeedPath):
     witnesses = {"min_gap": fb.min_gap, "min_abs_inner": min(fb.min_abs_inner, fu.min_abs_inner),
                  "norm_a": _norm(eigsys)}
     decided_b = fb.decision
-    if "exact" in _methods_for(config, n):
-        verdicts["exact:b"], witnesses["rank"] = _exact_verdict(a, b.reshape(-1, 1),
-                                                                config.exact_cap)
+    if ranks is not None:
+        verdicts["exact:b"], witnesses["rank"] = _exact_verdict(ranks, n)
         decided_b = verdicts["exact:b"]
     pair = (decided_b, fu.decision)
     if UNCONTROLLABLE in pair:
@@ -284,8 +315,8 @@ def _trial_two_vectors(config: ExperimentConfig, n: int, path: SeedPath):
     return True, False, verdicts, witnesses
 
 
-def _trial_mingap(config: ExperimentConfig, n: int, path: SeedPath):
-    a = sample_ensemble(config.ensemble, path.child("matrix"), n)
+def _trial_mingap(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
+    a, _ = drawn
     w = np.linalg.eigvalsh(np.asarray(a, dtype=np.float64))
     gap, norm = min_gap(w), float(np.max(np.abs(w)))
     witnesses = {"min_gap": gap, "norm_a": norm}
@@ -297,8 +328,8 @@ def _trial_mingap(config: ExperimentConfig, n: int, path: SeedPath):
 _SMALLBALL_M = 2000
 
 
-def _trial_smallball(config: ExperimentConfig, n: int, path: SeedPath):
-    a = sample_ensemble(config.ensemble, path.child("matrix"), n)
+def _trial_smallball(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
+    a, _ = drawn
     eigsys = _eig(a, path)
     idx = config.params.get("eig_index")
     idx = n // 2 if idx is None else int(idx)
@@ -313,8 +344,8 @@ def _trial_smallball(config: ExperimentConfig, n: int, path: SeedPath):
     return est.rho_hat <= bound, False, {}, witnesses
 
 
-def _trial_norm(config: ExperimentConfig, n: int, path: SeedPath):
-    a = sample_ensemble(config.ensemble, path.child("matrix"), n)
+def _trial_norm(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
+    a, _ = drawn
     w = np.linalg.eigvalsh(np.asarray(a, dtype=np.float64))
     norm = float(max(abs(w[0]), abs(w[-1])))
     ratio = norm / math.sqrt(n)
@@ -323,12 +354,13 @@ def _trial_norm(config: ExperimentConfig, n: int, path: SeedPath):
     return lo <= ratio <= hi, False, {}, witnesses
 
 
-def _trial_minctrl(config: ExperimentConfig, n: int, path: SeedPath):
-    a = sample_ensemble(config.ensemble, path.child("matrix"), n)
+def _trial_minctrl(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
+    a, _ = drawn
     kmax = config.params.get("kmax")
-    budget = config.params.get("budget", 10**6)
+    budget = config.params.get("budget", DEFAULT_SUPPORT_BUDGET)
+    scan = None if ranks is None else BasisScanResult.from_ranks(ranks)
     result = sparsest_input(a, kmax=kmax, entry_mode="binary01",
-                            cap=config.exact_cap, budget=budget)
+                            cap=config.exact_cap, budget=budget, scan=scan)
     witnesses = {
         "k_star": -1.0 if result.k_star is None else float(result.k_star),
         "basis_count": float(len(result.basis_controllable)),
@@ -337,10 +369,63 @@ def _trial_minctrl(config: ExperimentConfig, n: int, path: SeedPath):
     return result.k_star == 1, False, {}, witnesses
 
 
-def run_trial(config: ExperimentConfig, n: int, trial: int) -> TrialRecord:
-    """Run one trial in isolation; fully determined by (config, n, trial)."""
-    path = SeedPath(config.master_seed).child(config.scenario, n, trial)
-    success, indeterminate, verdicts, witnesses = SCENARIOS[config.scenario].trial(config, n, path)
+_PBH = _Family(_draw_input, _trial_pbh, kalman=True)
+_TWO_VECTORS = _Family(_draw_two_vectors, _trial_two_vectors, kalman=True)
+_MINCTRL = _Family(_draw_matrix, _trial_minctrl, kalman=True)
+_MINGAP = _Family(_draw_matrix, _trial_mingap)
+_SMALLBALL = _Family(_draw_matrix, _trial_smallball)
+_NORM = _Family(_draw_matrix, _trial_norm)
+
+# Bound on T * m * n^2, the int64 entries of one chunk's Krylov stack (T
+# trials, m exact inputs each).  Measured on the exact-kalman and
+# minctrl-search benchmark workloads against one trial per call: peak RSS
+# grows 0.3-1.3% at 2**13, 0.7-1.8% at 2**14, 2.3-3.5% at 2**15 and up to
+# 6.5% unbounded, while trials/s stops growing beyond 2**14.
+_KRYLOV_ENTRIES = 2**14
+
+
+def _chunks(config: ExperimentConfig, n: int) -> list[range]:
+    """The trial indices of grid point n, in chunks within _KRYLOV_ENTRIES."""
+    m = n if config.vector is None else 1
+    size = max(1, _KRYLOV_ENTRIES // (m * n * n))
+    return [range(start, min(start + size, config.trials))
+            for start in range(0, config.trials, size)]
+
+
+def _draw_chunk(config: ExperimentConfig, n: int, trials) -> list[tuple]:
+    """(path, draw, ranks) for each trial index in `trials` at grid point n.
+
+    Each trial is drawn from its own SeedPath, so a draw never depends on
+    the chunk it is in, and the Kalman ranks of every draw in the chunk come
+    from one :func:`kalman_ranks_exact` call over the stack of matrices.
+    """
+    family = SCENARIOS[config.scenario].trial
+    paths = [SeedPath(config.master_seed).child(config.scenario, n, t) for t in trials]
+    draws = [family.draw(config, n, path) for path in paths]
+    if not (family.kalman and "exact" in _methods_for(config, n)):
+        return [(path, drawn, None) for path, drawn in zip(paths, draws)]
+    mats = np.stack([drawn[0] for drawn in draws])
+    if draws[0][1] is None:
+        inputs = np.eye(n, dtype=np.int64)
+    else:
+        inputs = np.stack([drawn[1] for drawn in draws])[:, :, None]
+    ranks = kalman_ranks_exact(mats, inputs, config.exact_cap)
+    return list(zip(paths, draws, ranks))
+
+
+def run_trial(config: ExperimentConfig, n: int, trial: int, *, prepared=None) -> TrialRecord:
+    """Run one trial in isolation; fully determined by (config, n, trial).
+
+    `prepared` is the trial's (path, draw, ranks) entry of a
+    :func:`_draw_chunk` over a chunk that holds it; :func:`run_experiment`
+    passes it in.  Without it, the trial is drawn as a chunk of one, with
+    the same result.
+    """
+    if prepared is None:
+        (prepared,) = _draw_chunk(config, n, [trial])
+    path, drawn, ranks = prepared
+    success, indeterminate, verdicts, witnesses = SCENARIOS[config.scenario].trial.decide(
+        config, n, path, drawn, ranks)
     return TrialRecord(
         scenario=config.scenario, n=n, trial=trial, master_seed=config.master_seed,
         success=success, indeterminate=indeterminate, verdicts=verdicts, witnesses=witnesses,
@@ -353,14 +438,14 @@ def run_trial(config: ExperimentConfig, n: int, trial: int) -> TrialRecord:
 
 @dataclass(frozen=True)
 class _Scenario:
-    """One row of the scenario table: trial function, description, defaults.
+    """One row of the scenario table: trial family, description, defaults.
 
     `ensemble` and `vector` are specs, or, for the G(n, p) experiments,
     constructors taking the edge density; only those scenarios take a `p`
     override, and they need 0 < p < 1.  `p` is the default density.
     """
 
-    trial: Callable
+    trial: _Family
     describe: str
     ensemble: Any
     n_grid: tuple[int, ...]
@@ -383,34 +468,34 @@ _GNP = EnsembleSpec.gnp
 _WIGNER = EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0))
 
 SCENARIOS: dict[str, _Scenario] = {
-    "conj1": _Scenario(_trial_pbh, "G(n,p): every basis input controllable",
+    "conj1": _Scenario(_PBH, "G(n,p): every basis input controllable",
                        _GNP, (8, 16, 24), 200, "both", p=0.5),
-    "conj2": _Scenario(_trial_pbh, "G(n,p) with the all-ones input",
+    "conj2": _Scenario(_PBH, "G(n,p) with the all-ones input",
                        _GNP, (8, 16, 24), 200, "both", VectorSpec.all_ones(), p=0.5),
-    "thm-wigner-basis": _Scenario(_trial_pbh, "Wigner: every basis input controllable",
+    "thm-wigner-basis": _Scenario(_PBH, "Wigner: every basis input controllable",
                                   _WIGNER, (8, 16, 32), 200),
-    "thm-wigner-rand": _Scenario(_trial_pbh, "Wigner with an iid random input",
+    "thm-wigner-rand": _Scenario(_PBH, "Wigner with an iid random input",
                                  _WIGNER, (8, 16, 32), 200,
                                  vector=VectorSpec.iid_atom(Atom.rademacher())),
-    "thm-wigner-sphere": _Scenario(_trial_pbh, "Wigner with a uniform sphere input",
+    "thm-wigner-sphere": _Scenario(_PBH, "Wigner with a uniform sphere input",
                                    _WIGNER, (8, 16, 32), 200, vector=VectorSpec.uniform_sphere()),
-    "cor-gnp-rand": _Scenario(_trial_two_vectors, "G(n,p) with Bernoulli and sphere inputs",
+    "cor-gnp-rand": _Scenario(_TWO_VECTORS, "G(n,p) with Bernoulli and sphere inputs",
                               _GNP, (8, 16, 24), 200, "both", VectorSpec.bernoulli01, p=0.5),
-    "thm-goe": _Scenario(_trial_pbh, "GOE with a fixed basis input",
+    "thm-goe": _Scenario(_PBH, "GOE with a fixed basis input",
                          EnsembleSpec.goe(), (10, 30), 500, vector=VectorSpec.standard_basis(0)),
-    "kn-allones": _Scenario(_trial_pbh, "complete graph with all-ones input (fixture)",
+    "kn-allones": _Scenario(_PBH, "complete graph with all-ones input (fixture)",
                             EnsembleSpec.gnp(1.0), (5, 10), 10, "both", VectorSpec.all_ones(),
                             p=1.0),
-    "diag-mingap": _Scenario(_trial_mingap, "minimal eigenvalue gap probe",
+    "diag-mingap": _Scenario(_MINGAP, "minimal eigenvalue gap probe",
                              _WIGNER, (50, 100, 200), 200),
-    "diag-smallball": _Scenario(_trial_smallball, "eigenvector small-ball probability probe",
+    "diag-smallball": _Scenario(_SMALLBALL, "eigenvector small-ball probability probe",
                                 _WIGNER, (16, 32, 64), 100,
                                 params={"beta": 0.25, "m": _SMALLBALL_M, "rho_bound": 0.5}),
-    "diag-norm": _Scenario(_trial_norm, "spectral norm over sqrt(n) probe",
+    "diag-norm": _Scenario(_NORM, "spectral norm over sqrt(n) probe",
                            _WIGNER, (100, 400), 200, params={"band": (1.8, 2.3)}),
-    "minctrl-gnp": _Scenario(_trial_minctrl, "exact sparsest input on G(n,p)",
+    "minctrl-gnp": _Scenario(_MINCTRL, "exact sparsest input on G(n,p)",
                              _GNP, (10,), 100, "exact", p=0.5,
-                             params={"kmax": None, "budget": 10**6}),
+                             params={"kmax": None, "budget": DEFAULT_SUPPORT_BUDGET}),
 }
 
 
@@ -446,7 +531,7 @@ def apply_overrides(config: ExperimentConfig, *, n_grid=None, trials=None, p=Non
         config.ensemble, config.vector = s.at(p)
         config.p = p
     if vector is not None:
-        if s.trial is not _trial_pbh or s.vector is None:
+        if s.trial is not _PBH or s.vector is None:
             raise ValueError(f"scenario {config.scenario!r} does not take a vector override")
         config.vector = vector
     if n_grid is not None:
@@ -494,11 +579,20 @@ def _agreement_meta(records: list[TrialRecord]) -> dict | None:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run all (n, trial) cells in order and aggregate; deterministic for a fixed config."""
+    """Run all (n, trial) cells in order and aggregate; deterministic for a fixed config.
+
+    The trials of each grid point run in chunks (see :func:`_draw_chunk`):
+    each chunk is drawn, and its exact Kalman ranks decided, in one batch,
+    and then every record is built by one :func:`run_trial` call with its
+    trial's draw passed in.  The records equal standalone run_trial ones.
+    """
     config.validate()
     records, rows = [], []
     for n in config.n_grid:
-        per_n = [run_trial(config, n, t) for t in range(config.trials)]
+        per_n = []
+        for chunk in _chunks(config, n):
+            per_n += [run_trial(config, n, t, prepared=prepared)
+                      for t, prepared in zip(chunk, _draw_chunk(config, n, chunk))]
         records += per_n
         successes = sum(r.success for r in per_n)
         indet = sum(r.indeterminate for r in per_n)

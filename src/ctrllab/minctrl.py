@@ -68,6 +68,12 @@ class BasisScanResult:
     indeterminate: frozenset[int]
     method: str
 
+    @classmethod
+    def from_ranks(cls, ranks) -> BasisScanResult:
+        """The exact scan given the Kalman ranks of e_0, ..., e_(n-1)."""
+        return cls(frozenset(i for i, r in enumerate(ranks) if r == len(ranks)),
+                   frozenset(), "exact")
+
 
 def basis_scan(a, method: str = "exact", tolerances: Tolerances | None = None,
                cap: int | None = DEFAULT_EXACT_CAP) -> BasisScanResult:
@@ -78,9 +84,7 @@ def basis_scan(a, method: str = "exact", tolerances: Tolerances | None = None,
     """
     n = np.asarray(a).shape[0]
     if method == "exact":
-        ranks = kalman_ranks_exact(a, np.eye(n, dtype=np.int64), cap)
-        return BasisScanResult(frozenset(i for i, r in enumerate(ranks) if r == n),
-                               frozenset(), "exact")
+        return BasisScanResult.from_ranks(kalman_ranks_exact(a, np.eye(n, dtype=np.int64), cap))
     if method != "float-pbh":
         raise ValueError(f"unknown method {method!r}")
     return _float_scan(eig_sym(np.asarray(a, dtype=np.float64)), tolerances)
@@ -144,7 +148,8 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
                    seed: SeedPath | None = None, tolerances: Tolerances | None = None,
                    cap: int | None = DEFAULT_EXACT_CAP,
                    budget: int = DEFAULT_SUPPORT_BUDGET,
-                   witness_trials: int = 8) -> MinCtrlResult:
+                   witness_trials: int = 8,
+                   scan: BasisScanResult | None = None) -> MinCtrlResult:
     """Search supports of size 1..kmax for a controllable input vector.
 
     ``binary01`` enumerates indicator vectors under the exact decider (the
@@ -154,18 +159,28 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
     on [1, 2]) with the float decider, requiring a controllable, not merely
     non-rejected, verdict.  Supports are enumerated lexicographically and
     the first success is returned; enumeration beyond `budget` supports
-    raises :class:`BudgetExceededError` with progress attached.
+    raises :class:`BudgetExceededError` with progress attached.  In
+    ``binary01`` mode the n singletons are decided together by one exact
+    basis scan, so a budget below n raises before any support is tested.
+    `scan`, in ``binary01`` mode only, is the exact :func:`basis_scan` of
+    `a` when the caller has it already (say, from one batched call over
+    many matrices).
     """
     mat = np.asarray(a)
     n = mat.shape[0]
     kmax = n if kmax is None else kmax
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must lie in [1, {n}], got {kmax}")
+    if scan is not None and (entry_mode != "binary01" or scan.method != "exact"):
+        raise ValueError("a precomputed scan must be an exact basis scan, in binary01 mode")
 
     if entry_mode == "binary01":
         if cap is not None and n > cap:
             raise DimensionCapError(f"n={n} exceeds exact cap {cap}")
-        scan = basis_scan(mat, "exact", cap=cap)
+        if budget < n:
+            raise BudgetExceededError(0, 1, budget)
+        if scan is None:
+            scan = basis_scan(mat, "exact", cap=cap)
         tested = n
         if scan.controllable:
             first = min(scan.controllable)

@@ -486,9 +486,117 @@ def test_negative_certificate_checks_in_python_ints_beyond_int64(monkeypatch):
     # the check returns one bool per column on object arrays, whatever
     # any/all return for object input in the installed numpy
     swap = np.array([[0, 2**64], [2**64, 0]], dtype=object)
-    verdict = exact_module._annihilated(swap, np.array([[1], [0]], dtype=object),
-                                        np.array([[0, 1]]))
+    verdict = exact_module._annihilated(swap[None], np.zeros(1, dtype=np.intp),
+                                        np.array([[1], [0]], dtype=object), np.array([[0, 1]]))
     assert verdict.dtype == bool and verdict.tolist() == [False]
+
+
+# ---------------------------------------------------------------------------
+# stacks of matrices
+# ---------------------------------------------------------------------------
+
+def stack_fixtures(n: int, count: int, seed: int) -> np.ndarray:
+    """G(n, 1/2) graphs, one with a twin vertex, and K_n, diag(0..n-1), P_n."""
+    root = SeedPath(seed, ("stack", n))
+    graphs = [sample_gnp(n, 0.5, root.child(t)) for t in range(count)]
+    return np.stack(graphs[:1] + [with_twins(graphs[1])] + graphs[2:] + rank_deficient_fixtures(n))
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 12])
+def test_kalman_ranks_on_a_stack_equal_per_matrix_calls(monkeypatch, n):
+    rng = np.random.default_rng(300 + n)
+    mats = stack_fixtures(n, 5, 20261019)
+    shared = np.column_stack([
+        np.eye(n, dtype=np.int64),
+        np.ones(n, dtype=np.int64),
+        np.zeros(n, dtype=np.int64),
+        rng.integers(-3, 4, (n, 2)),
+    ])
+    own = rng.integers(-2, 3, (len(mats), n, 3))
+    own[1, :, 0] = 0  # a zero column of one matrix only
+    own[2, :, 1] = 1  # all-ones, deficient on K_n
+    oracle_shared = [bareiss_ranks(a, shared) for a in mats]
+    oracle_own = [bareiss_ranks(a, b) for a, b in zip(mats, own)]
+    assert any(0 < r < n for ranks in oracle_shared + oracle_own for r in ranks)
+    oracle_calls = count_oracle_calls(monkeypatch)
+    assert [kalman_ranks_exact(a, shared) for a in mats] == oracle_shared
+    assert [kalman_ranks_exact(a, b) for a, b in zip(mats, own)] == oracle_own
+    alone = len(oracle_calls)
+    oracle_calls.clear()
+    assert kalman_ranks_exact(mats, shared) == oracle_shared
+    assert kalman_ranks_exact(mats, own) == oracle_own
+    # each relation is checked against its own matrix: the stack certifies
+    # exactly what the matrices certify one at a time
+    assert len(oracle_calls) == alone
+    if n <= 8:
+        assert alone == 0
+    assert [row[n + 1] for row in oracle_shared] == [0] * len(mats)
+    assert oracle_own[1][0] == 0
+    # a stack of one is a stack; a single matrix is not
+    assert kalman_ranks_exact(mats[:1], shared) == oracle_shared[:1]
+    assert kalman_ranks_exact(mats[:1], own[:1]) == oracle_own[:1]
+    assert kalman_ranks_exact(mats[:0], shared) == []
+
+
+def test_stack_sends_only_the_failing_matrix_to_bareiss(monkeypatch):
+    # [[0, _P], [_P, 0]] vanishes mod _P; its neighbours are certified
+    swap = np.array([[0, _P], [_P, 0]], dtype=np.int64)
+    small = np.stack([np.array([[1, 1], [1, 0]]), swap, np.array([[0, 1], [1, 0]]),
+                      np.array([[2, 0], [0, 2]])])
+    oracle_calls = count_oracle_calls(monkeypatch)
+    assert kalman_ranks_exact(small, np.eye(2, dtype=np.int64)) == [[2, 2], [2, 2], [2, 2],
+                                                                     [1, 1]]
+    assert len(oracle_calls) == 2  # the two basis inputs of the middle matrix
+    # the twin-vertex G(24, 1/2) of the negative-certificate test: its
+    # deficient inputs have minimal polynomials beyond the lift
+    graph = sample_gnp(24, 0.5, SeedPath(20261018, ("negative-certificate", 24)))
+    twin = with_twins(graph)
+    inputs = np.column_stack([np.eye(24, dtype=np.int64), np.ones(24, dtype=np.int64)])
+    oracle_calls.clear()
+    alone = kalman_ranks_exact(twin, inputs)
+    fallbacks = len(oracle_calls)
+    assert fallbacks > 0
+    root = SeedPath(20261019, ("stack-fallback",))
+    others = [sample_gnp(24, 0.5, root.child(t)) for t in range(4)]
+    mats = np.stack(others[:2] + [twin] + others[2:])
+    one_by_one = [kalman_ranks_exact(a, inputs) for a in mats]
+    assert len(oracle_calls) == 2 * fallbacks  # the other graphs are certified
+    seen = []
+    real_rank = exact_module.rank_exact
+    monkeypatch.setattr(exact_module, "rank_exact", lambda m: seen.append(m) or real_rank(m))
+    ranks = kalman_ranks_exact(mats, inputs)
+    assert ranks == one_by_one
+    assert ranks[2] == alone == bareiss_ranks(twin, inputs)
+    assert len(seen) == fallbacks
+    for kalman in seen:  # each a Kalman matrix of the twin graph
+        b, ab = kalman[:, 0].astype(np.int64), kalman[:, 1].astype(np.int64)
+        assert np.array_equal(twin @ b, ab)
+
+
+def test_stack_errors_name_the_matrix():
+    mats = np.stack([P3, P3, P3]).astype(np.int64)
+    bent = mats.copy()
+    bent[2, 0, 1] = 5
+    eye = np.eye(3, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"matrix 2 of the stack is not symmetric at \(0,1\)"):
+        kalman_ranks_exact(bent, eye)
+    halves = mats.astype(np.float64)
+    halves[1, 1, 1] = 0.5
+    with pytest.raises(ValueError, match=r"exact path requires integer entries "
+                                         r"\(matrix 1 of the stack\)"):
+        kalman_ranks_exact(halves, eye)
+    halves[1, 1, 1] = float("nan")
+    with pytest.raises(ValueError, match=r"matrix 1 of the stack has non-finite entries: "
+                                         r"\[1, 1\] = nan"):
+        kalman_ranks_exact(halves, eye)
+    own = np.stack([eye, eye, eye]).astype(np.float64)
+    own[2, 0, 2] = 1.5
+    with pytest.raises(ValueError, match=r"input matrix 2 of the stack"):
+        kalman_ranks_exact(mats, own)
+    with pytest.raises(ValueError, match=r"2 input matrices for a stack of 3"):
+        kalman_ranks_exact(mats, own[:2])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kalman_ranks_exact(mats, np.eye(2, dtype=np.int64))
 
 
 def test_kalman_ranks_object_entries_beyond_int64():

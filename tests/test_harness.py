@@ -176,6 +176,45 @@ def test_both_method_records_agreement():
     assert report.agreement["agreed"] == report.agreement["compared"]
 
 
+def chunk_size(config, n: int) -> int:
+    """Trials per chunk at grid point n."""
+    return len(harness._chunks(make_scenario_config(config.scenario, trials=10**4), n)[0])
+
+
+@pytest.mark.parametrize("name, n_grid", [
+    ("conj1", (8, 16)), ("conj2", (8,)), ("cor-gnp-rand", (8,)), ("kn-allones", (5,)),
+    ("minctrl-gnp", (8,)), ("thm-goe", (10,)),
+])
+def test_chunked_records_equal_standalone_trials(monkeypatch, name, n_grid):
+    # run_experiment decides each chunk of trials in one batch, then builds
+    # every record with exactly one run_trial call (the benchmark tracer
+    # times trials at run_trial); the records are those of standalone trials
+    boundary = chunk_size(make_scenario_config(name), n_grid[0])
+    assert boundary > 1
+    real_run_trial = harness.run_trial
+    for trials in (boundary - 1, boundary, boundary + 1):
+        config = make_scenario_config(name, n_grid=n_grid, trials=trials)
+        calls, built = [], []
+
+        def counted(config, n, trial, **kwargs):
+            calls.append((n, trial))
+            built.append(real_run_trial(config, n, trial, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "run_trial", counted)
+        report = run_experiment(config)
+        monkeypatch.setattr(harness, "run_trial", real_run_trial)
+        cells = [(n, t) for n in n_grid for t in range(trials)]
+        assert calls == cells
+        standalone = [run_trial(config, n, t) for n, t in cells]
+        assert built == standalone
+        assert [(rec.verdicts, rec.witnesses) for rec in built] == \
+            [(rec.verdicts, rec.witnesses) for rec in standalone]
+        assert [row.trials for row in report.rows] == [trials] * len(n_grid)
+        assert [row.successes for row in report.rows] == \
+            [sum(rec.success for rec in standalone if rec.n == n) for n in n_grid]
+
+
 def test_certificate_leaves_exact_records_unchanged(monkeypatch):
     # the same cells with the mod-_P certificates switched off, so every
     # Kalman rank, full or not, and every spectrum's Hankel rank goes
@@ -193,9 +232,18 @@ def test_certificate_leaves_exact_records_unchanged(monkeypatch):
                 [report_csv(run_experiment(c)) for c in configs])
 
     certified = run_all()
-    monkeypatch.setattr(exact, "_certified_ranks", lambda a, v: [None] * v.shape[1])
+    bareiss = []
+    real_rank = exact.rank_exact
+    monkeypatch.setattr(exact, "rank_exact", lambda m: bareiss.append(1) or real_rank(m))
+    monkeypatch.setattr(exact, "_certified_ranks",
+                        lambda mats, cols: [[None] * cols.shape[-1] for _ in mats])
     monkeypatch.setattr(exact, "_certified_simple_spectrum", lambda a: None)
     assert run_all() == certified
+    # the switch reaches the batched chunks: conj1 sends every basis input
+    # of every trial to Bareiss
+    bareiss.clear()
+    run_experiment(configs[0])
+    assert len(bareiss) == configs[0].trials * sum(configs[0].n_grid)
 
 
 def test_conj1_trial_falls_back_when_certificate_fails(monkeypatch):

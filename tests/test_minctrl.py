@@ -262,6 +262,37 @@ def test_sparsest_budget_error_carries_progress():
     assert info.value.budget == 6
 
 
+def test_sparsest_budget_below_n_raises_before_the_basis_scan():
+    # the n singletons are decided by one scan, so a budget below n cannot
+    # be honoured partway; no error or result reports more than the budget
+    for a, budget in ((P3, 0), (np.diag([1, 2, 3, 4, 5]), 3)):
+        with pytest.raises(BudgetExceededError) as info:
+            sparsest_input(a, budget=budget)
+        assert (info.value.supports_tested, info.value.k_reached, info.value.budget) == \
+            (0, 1, budget)
+    r = sparsest_input(P3, budget=3)
+    assert (r.k_star, r.supports_tested) == (1, 3)
+    # generic-random mode counts supports one at a time
+    with pytest.raises(BudgetExceededError) as info:
+        sparsest_input(np.diag([1.0, 2.0, 3.0, 4.0]), entry_mode="generic-random",
+                       seed=SEED.child("budget"), budget=2)
+    assert (info.value.supports_tested, info.value.k_reached) == (2, 1)
+
+
+def test_sparsest_accepts_a_precomputed_exact_scan():
+    root = SEED.child("precomputed")
+    for a in [sample_gnp(8, 0.5, root.child(t)) for t in range(12)] + [P3, K4]:
+        given, own = sparsest_input(a, scan=basis_scan(a)), sparsest_input(a)
+        assert (given.basis_controllable, given.k_star, given.supports_tested) == \
+            (own.basis_controllable, own.k_star, own.supports_tested)
+        assert (given.witness is None and own.witness is None) or \
+            given.witness.tolist() == own.witness.tolist()
+    with pytest.raises(ValueError, match="exact basis scan"):
+        sparsest_input(P3, scan=basis_scan(P3, "float-pbh"))
+    with pytest.raises(ValueError, match="exact basis scan"):
+        sparsest_input(P3, entry_mode="generic-random", seed=SEED, scan=basis_scan(P3))
+
+
 def test_sparsest_validates_arguments():
     with pytest.raises(ValueError):
         sparsest_input(P3, kmax=0)
