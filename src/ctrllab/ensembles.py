@@ -26,6 +26,7 @@ plus a constant off-diagonal shift.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -241,6 +242,15 @@ class EnsembleSpec(Spec):
         return self.kind == "gnp-adjacency"
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, computed once per n and read-only."""
+    iu = np.triu_indices(n, k=1)
+    for idx in iu:
+        idx.flags.writeable = False
+    return iu
+
+
 def sample_wigner(n: int, offdiag: Atom, diag: Atom, seed: SeedPath) -> np.ndarray:
     """Sample an n x n Wigner matrix.
 
@@ -251,7 +261,7 @@ def sample_wigner(n: int, offdiag: Atom, diag: Atom, seed: SeedPath) -> np.ndarr
         raise ValueError(f"dimension must be >= 1, got {n}")
     rng = seed.generator()
     m = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
+    iu = _upper_indices(n)
     m[iu] = offdiag.sample(rng, iu[0].size)
     m += m.T
     m[np.diag_indices(n)] = diag.sample(rng, n)
@@ -280,7 +290,7 @@ def sample_gnp(n: int, p: float, seed: SeedPath) -> np.ndarray:
         raise ValueError(f"edge density must lie in [0, 1], got {p}")
     rng = seed.generator()
     m = np.zeros((n, n), dtype=np.int64)
-    iu = np.triu_indices(n, k=1)
+    iu = _upper_indices(n)
     m[iu] = rng.random(iu[0].size) < p
     m += m.T
     return m

@@ -8,9 +8,10 @@ frequencies with Wilson 95% intervals over a grid of dimensions.
 Per-trial seeds are derived from (master seed, scenario, n, trial index), so
 grids can be extended and trials re-run in isolation, in any order, without
 perturbing any other draw.  An experiment runs the trials of a grid point in
-chunks: every trial of a chunk is drawn from its own seed, and one stacked
-exact call decides all their Kalman ranks, so a record never depends on the
-chunk it was decided in.
+chunks: every trial of a chunk is drawn from its own seed, one stacked exact
+call decides all their Kalman ranks, and one stacked eigendecomposition
+gives all their float eigensystems, so a record never depends on the chunk
+it was decided in.
 
 Scenario ids
 ------------
@@ -34,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .spectral import (
     CONTROLLABLE,
     INDETERMINATE,
     UNCONTROLLABLE,
+    EigenSystem,
     Tolerances,
     basis_witnesses,
     classify,
@@ -232,12 +234,16 @@ def _exact_verdict(ranks: list[int], n: int) -> tuple[str, float]:
     return (CONTROLLABLE if rank == n else UNCONTROLLABLE), float(rank)
 
 
-def _eig(a, path: SeedPath):
-    return eig_sym(np.asarray(a, dtype=np.float64), label=str(path.labels))
+def _uses_float(config: ExperimentConfig, n: int) -> bool:
+    return "float" in _methods_for(config, n)
 
 
-def _norm(eigsys) -> float:
-    return float(np.max(np.abs(eigsys.eigenvalues)))
+def _always(config: ExperimentConfig, n: int) -> bool:
+    return True
+
+
+def _never(config: ExperimentConfig, n: int) -> bool:
+    return False
 
 
 @dataclass(frozen=True)
@@ -246,16 +252,29 @@ class _Family:
 
     `draw(config, n, path)` samples the trial from its own SeedPath and
     returns (A, b, ...), where b is the exact input, or None for every
-    standard basis input at once.  When `kalman` is set and the exact method
-    applies at n, the Kalman ranks of those inputs are computed for a whole
-    chunk of draws in one call.  Then, inside :func:`run_trial`,
-    `decide(config, n, path, drawn, ranks)`, with ranks None when none were
-    computed, returns (success, indeterminate, verdicts, witnesses).
+    standard basis input at once.  A chunk of draws is then prepared in
+    bulk (see :func:`_draw_chunk`): when `kalman` is set and the exact
+    method applies at n, the Kalman ranks of those inputs come from one
+    call, and when `eig(config, n)` holds, the eigensystems of the matrices
+    from one stacked :func:`eig_sym`.  Then, inside :func:`run_trial`,
+    `decide(config, n, prepared)` returns (success, indeterminate,
+    verdicts, witnesses).
     """
 
     draw: Callable
     decide: Callable
     kalman: bool = False
+    eig: Callable[[ExperimentConfig, int], bool] = _never
+
+
+class _Prepared(NamedTuple):
+    """One trial's chunk-stage output: its seed path, its draw, and the
+    Kalman ranks and eigensystem of the draw, each None when not computed."""
+
+    path: SeedPath
+    drawn: tuple
+    ranks: list[int] | None
+    eigsys: EigenSystem | None
 
 
 def _draw_matrix(config: ExperimentConfig, n: int, path: SeedPath):
@@ -274,13 +293,12 @@ def _draw_two_vectors(config: ExperimentConfig, n: int, path: SeedPath):
     return a, b, sample_vector(VectorSpec.uniform_sphere(), n, path.child("sphere"))
 
 
-def _trial_pbh(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
+def _trial_pbh(config: ExperimentConfig, n: int, prepared: _Prepared):
     """(A, b) for the config's input vector; without one, (A, e_i) for every i at once."""
-    a, b = drawn
+    _, (_, b), ranks, eigsys = prepared
     verdicts: dict[str, str] = {}
     witnesses: dict[str, float] = {}
-    if "float" in _methods_for(config, n):
-        eigsys = _eig(a, path)
+    if eigsys is not None:
         if b is None:
             gap, scale, inner = basis_witnesses(eigsys)
             worst = float(np.min(inner))
@@ -288,21 +306,20 @@ def _trial_pbh(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
         else:
             fv = pbh_controllable(None, b, config.tolerances, eigsys=eigsys)
             verdicts["float"], gap, worst = fv.decision, fv.min_gap, fv.min_abs_inner
-        witnesses.update(min_gap=gap, min_abs_inner=worst, norm_a=_norm(eigsys))
+        witnesses.update(min_gap=gap, min_abs_inner=worst, norm_a=eigsys.norm)
     if ranks is not None:
         verdicts["exact"], witnesses["rank"] = _exact_verdict(ranks, n)
     deciding = verdicts["exact"] if "exact" in verdicts else verdicts["float"]
     return deciding == CONTROLLABLE, deciding == INDETERMINATE, verdicts, witnesses
 
 
-def _trial_two_vectors(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
-    a, b, u = drawn
-    eigsys = _eig(a, path)
+def _trial_two_vectors(config: ExperimentConfig, n: int, prepared: _Prepared):
+    _, (_, b, u), ranks, eigsys = prepared
     fb = pbh_controllable(None, b, config.tolerances, eigsys=eigsys)
     fu = pbh_controllable(None, u, config.tolerances, eigsys=eigsys)
     verdicts = {"float:b": fb.decision, "float:u": fu.decision}
     witnesses = {"min_gap": fb.min_gap, "min_abs_inner": min(fb.min_abs_inner, fu.min_abs_inner),
-                 "norm_a": _norm(eigsys)}
+                 "norm_a": eigsys.norm}
     decided_b = fb.decision
     if ranks is not None:
         verdicts["exact:b"], witnesses["rank"] = _exact_verdict(ranks, n)
@@ -315,8 +332,8 @@ def _trial_two_vectors(config: ExperimentConfig, n: int, path: SeedPath, drawn, 
     return True, False, verdicts, witnesses
 
 
-def _trial_mingap(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
-    a, _ = drawn
+def _trial_mingap(config: ExperimentConfig, n: int, prepared: _Prepared):
+    a, _ = prepared.drawn
     w = np.linalg.eigvalsh(np.asarray(a, dtype=np.float64))
     gap, norm = min_gap(w), float(np.max(np.abs(w)))
     witnesses = {"min_gap": gap, "norm_a": norm}
@@ -328,9 +345,8 @@ def _trial_mingap(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks
 _SMALLBALL_M = 2000
 
 
-def _trial_smallball(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
-    a, _ = drawn
-    eigsys = _eig(a, path)
+def _trial_smallball(config: ExperimentConfig, n: int, prepared: _Prepared):
+    path, eigsys = prepared.path, prepared.eigsys
     idx = config.params.get("eig_index")
     idx = n // 2 if idx is None else int(idx)
     beta = config.params.get("beta", 0.25)
@@ -340,12 +356,12 @@ def _trial_smallball(config: ExperimentConfig, n: int, path: SeedPath, drawn, ra
                               path.child("smallball"))
     bound = config.params.get("rho_bound", 0.5)
     witnesses = {"rho_hat": est.rho_hat, "rho_std_err": est.std_err, "delta": est.delta,
-                 "min_gap": min_gap(eigsys.eigenvalues)}
+                 "min_gap": eigsys.gap}
     return est.rho_hat <= bound, False, {}, witnesses
 
 
-def _trial_norm(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
-    a, _ = drawn
+def _trial_norm(config: ExperimentConfig, n: int, prepared: _Prepared):
+    a, _ = prepared.drawn
     w = np.linalg.eigvalsh(np.asarray(a, dtype=np.float64))
     norm = float(max(abs(w[0]), abs(w[-1])))
     ratio = norm / math.sqrt(n)
@@ -354,8 +370,8 @@ def _trial_norm(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
     return lo <= ratio <= hi, False, {}, witnesses
 
 
-def _trial_minctrl(config: ExperimentConfig, n: int, path: SeedPath, drawn, ranks):
-    a, _ = drawn
+def _trial_minctrl(config: ExperimentConfig, n: int, prepared: _Prepared):
+    (a, _), ranks = prepared.drawn, prepared.ranks
     kmax = config.params.get("kmax")
     budget = config.params.get("budget", DEFAULT_SUPPORT_BUDGET)
     scan = None if ranks is None else BasisScanResult.from_ranks(ranks)
@@ -369,63 +385,76 @@ def _trial_minctrl(config: ExperimentConfig, n: int, path: SeedPath, drawn, rank
     return result.k_star == 1, False, {}, witnesses
 
 
-_PBH = _Family(_draw_input, _trial_pbh, kalman=True)
-_TWO_VECTORS = _Family(_draw_two_vectors, _trial_two_vectors, kalman=True)
+_PBH = _Family(_draw_input, _trial_pbh, kalman=True, eig=_uses_float)
+_TWO_VECTORS = _Family(_draw_two_vectors, _trial_two_vectors, kalman=True, eig=_always)
 _MINCTRL = _Family(_draw_matrix, _trial_minctrl, kalman=True)
 _MINGAP = _Family(_draw_matrix, _trial_mingap)
-_SMALLBALL = _Family(_draw_matrix, _trial_smallball)
+_SMALLBALL = _Family(_draw_matrix, _trial_smallball, eig=_always)
 _NORM = _Family(_draw_matrix, _trial_norm)
 
-# Bound on T * m * n^2, the int64 entries of one chunk's Krylov stack (T
-# trials, m exact inputs each).  Measured on the exact-kalman and
+# Bound on the entries of one chunk's stacked work: T * m * n^2 int64
+# entries of the Krylov stack when the chunk's exact Kalman ranks are
+# computed (T trials, m exact inputs each), T * n^2 float64 entries (128 KiB)
+# of the eigendecomposition stack otherwise.  Measured on the exact-kalman and
 # minctrl-search benchmark workloads against one trial per call: peak RSS
 # grows 0.3-1.3% at 2**13, 0.7-1.8% at 2**14, 2.3-3.5% at 2**15 and up to
 # 6.5% unbounded, while trials/s stops growing beyond 2**14.
 _KRYLOV_ENTRIES = 2**14
 
 
+def _kalman_applies(config: ExperimentConfig, n: int) -> bool:
+    return SCENARIOS[config.scenario].trial.kalman and "exact" in _methods_for(config, n)
+
+
 def _chunks(config: ExperimentConfig, n: int) -> list[range]:
-    """The trial indices of grid point n, in chunks within _KRYLOV_ENTRIES."""
-    m = n if config.vector is None else 1
+    """The trial indices of grid point n, in chunks within _KRYLOV_ENTRIES.
+
+    A trial counts m * n^2 entries when the chunk decides the Kalman ranks
+    of its m = n basis inputs, and n^2 otherwise (one exact input, or only
+    the float work).
+    """
+    m = n if config.vector is None and _kalman_applies(config, n) else 1
     size = max(1, _KRYLOV_ENTRIES // (m * n * n))
     return [range(start, min(start + size, config.trials))
             for start in range(0, config.trials, size)]
 
 
-def _draw_chunk(config: ExperimentConfig, n: int, trials) -> list[tuple]:
-    """(path, draw, ranks) for each trial index in `trials` at grid point n.
+def _draw_chunk(config: ExperimentConfig, n: int, trials) -> list[_Prepared]:
+    """The :class:`_Prepared` stage of each trial index in `trials` at grid point n.
 
     Each trial is drawn from its own SeedPath, so a draw never depends on
-    the chunk it is in, and the Kalman ranks of every draw in the chunk come
-    from one :func:`kalman_ranks_exact` call over the stack of matrices.
+    the chunk it is in.  The Kalman ranks of every draw in the chunk come
+    from one :func:`kalman_ranks_exact` call over the stack of matrices,
+    and their eigensystems from one :func:`eig_sym` call over the same
+    stack as float64; each equals what the trial alone would compute.
     """
     family = SCENARIOS[config.scenario].trial
     paths = [SeedPath(config.master_seed).child(config.scenario, n, t) for t in trials]
     draws = [family.draw(config, n, path) for path in paths]
-    if not (family.kalman and "exact" in _methods_for(config, n)):
-        return [(path, drawn, None) for path, drawn in zip(paths, draws)]
     mats = np.stack([drawn[0] for drawn in draws])
-    if draws[0][1] is None:
-        inputs = np.eye(n, dtype=np.int64)
-    else:
-        inputs = np.stack([drawn[1] for drawn in draws])[:, :, None]
-    ranks = kalman_ranks_exact(mats, inputs, config.exact_cap)
-    return list(zip(paths, draws, ranks))
+    ranks = eigs = [None] * len(draws)
+    if _kalman_applies(config, n):
+        if draws[0][1] is None:
+            inputs = np.eye(n, dtype=np.int64)
+        else:
+            inputs = np.stack([drawn[1] for drawn in draws])[:, :, None]
+        ranks = kalman_ranks_exact(mats, inputs, config.exact_cap)
+    if family.eig(config, n):
+        eigs = eig_sym(mats, label=[path.labels for path in paths])
+    return [_Prepared(*stage) for stage in zip(paths, draws, ranks, eigs)]
 
 
 def run_trial(config: ExperimentConfig, n: int, trial: int, *, prepared=None) -> TrialRecord:
     """Run one trial in isolation; fully determined by (config, n, trial).
 
-    `prepared` is the trial's (path, draw, ranks) entry of a
-    :func:`_draw_chunk` over a chunk that holds it; :func:`run_experiment`
-    passes it in.  Without it, the trial is drawn as a chunk of one, with
-    the same result.
+    `prepared` is the trial's entry of a :func:`_draw_chunk` over a chunk
+    that holds it; :func:`run_experiment` passes it in.  Without it, the
+    trial is drawn as a chunk of one, with the same result.
     """
     if prepared is None:
         (prepared,) = _draw_chunk(config, n, [trial])
-    path, drawn, ranks = prepared
     success, indeterminate, verdicts, witnesses = SCENARIOS[config.scenario].trial.decide(
-        config, n, path, drawn, ranks)
+        config, n, prepared)
     return TrialRecord(
         scenario=config.scenario, n=n, trial=trial, master_seed=config.master_seed,
         success=success, indeterminate=indeterminate, verdicts=verdicts, witnesses=witnesses,
@@ -582,9 +611,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all (n, trial) cells in order and aggregate; deterministic for a fixed config.
 
     The trials of each grid point run in chunks (see :func:`_draw_chunk`):
-    each chunk is drawn, and its exact Kalman ranks decided, in one batch,
-    and then every record is built by one :func:`run_trial` call with its
-    trial's draw passed in.  The records equal standalone run_trial ones.
+    each chunk is drawn, its exact Kalman ranks decided and its matrices
+    decomposed in one batch, and then every record is built by one
+    :func:`run_trial` call with its trial's stage passed in.  The records
+    equal standalone run_trial ones.
     """
     config.validate()
     records, rows = [], []

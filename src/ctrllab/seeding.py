@@ -15,6 +15,7 @@ builtin ``hash``), and integers are tagged separately so that ``5`` and
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -27,6 +28,8 @@ _STR_TAG = 1
 Label = int | str
 
 
+# typed, so that a bool is never served from the entry of an equal int label
+@functools.lru_cache(maxsize=4096, typed=True)
 def _label_words(label: Label) -> tuple[int, int]:
     if isinstance(label, bool):
         raise TypeError("bool labels are ambiguous; use int or str")
@@ -59,7 +62,12 @@ class SeedPath:
 
     def child(self, *labels: Label) -> "SeedPath":
         """Return a sub-path with `labels` appended."""
-        return SeedPath(self.master, self.labels + labels)
+        for label in labels:
+            _label_words(label)  # this path's own labels are already valid
+        path = object.__new__(SeedPath)
+        object.__setattr__(path, "master", self.master)
+        object.__setattr__(path, "labels", self.labels + labels)
+        return path
 
     def entropy(self) -> list[int]:
         words = [self.master & _MASK64]

@@ -63,15 +63,31 @@ class EigenSystem:
 
     Ordering is the ascending order returned by LAPACK; for degenerate
     fixtures the tie order is whatever the solver produced, which is
-    deterministic for a fixed input matrix.
+    deterministic for a fixed input matrix.  `gap` (the minimal eigenvalue
+    gap) and `norm` (max |lambda|) are computed on construction unless
+    given; :func:`eig_sym` computes them for a whole stack at once.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    gap: float | None = None
+    norm: float | None = None
+
+    def __post_init__(self) -> None:
+        w = self.eigenvalues
+        if self.gap is None:
+            object.__setattr__(self, "gap", min_gap(w))
+        if self.norm is None:
+            object.__setattr__(self, "norm", float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0)
 
     @property
     def n(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def scale(self) -> float:
+        """max(1, ||A||), the scale of the gap thresholds."""
+        return max(1.0, self.norm)
 
     def residual(self, a: np.ndarray) -> float:
         """max_i ||A v_i - lambda_i v_i||, for invariant checks."""
@@ -85,8 +101,7 @@ class EigenSystem:
 
     def gap_and_scale(self) -> tuple[float, float]:
         """Minimal eigenvalue gap and max(1, ||A||), the scale of its thresholds."""
-        w = self.eigenvalues
-        return min_gap(w), (max(1.0, max(abs(w[0]), abs(w[-1]))) if w.size else 1.0)
+        return self.gap, self.scale
 
 
 def nonfinite_error(a: np.ndarray, what: str) -> ValueError:
@@ -98,30 +113,66 @@ def nonfinite_error(a: np.ndarray, what: str) -> ValueError:
     return ValueError(f"{what} has non-finite entries: {shown}{more}")
 
 
-def _as_sym_float(a) -> np.ndarray:
+def _as_sym_float(a, what: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise nonfinite_error(m, "matrix")
+        raise nonfinite_error(m, what)
     if (m != m.T).any():
-        raise ValueError("matrix is not exactly symmetric")
+        raise ValueError(f"{what} is not exactly symmetric")
     return m
 
 
-def eig_sym(a, label: str | None = None) -> EigenSystem:
+def _as_sym_float_stack(a) -> np.ndarray:
+    """`a`, a (T, n, n) stack, as float64; an error names the first matrix at fault."""
+    m = np.asarray(a, dtype=np.float64)
+    if m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+    if not np.isfinite(m).all() or (m != m.transpose(0, 2, 1)).any():
+        for t, x in enumerate(m):
+            _as_sym_float(x, f"matrix {t} of the stack")
+    return m
+
+
+def eig_sym(a, label=None) -> EigenSystem | list[EigenSystem]:
     """Full symmetric eigendecomposition (eigenvalues ascending).
 
     `label` is carried into the error message on non-convergence so the
     failing matrix can be re-derived from its seed path.
+
+    A (T, n, n) stack gives a list of T :class:`EigenSystem`, each
+    bit-identical to its matrix's own decomposition: one stacked LAPACK
+    call decomposes them all, and their gaps and norms are computed for the
+    whole stack at once.  A non-finite or asymmetric matrix of the stack is
+    named by its index.  `label` then holds one label per matrix; if the
+    stack fails to converge, each matrix is retried alone, so the error
+    carries the label of the first one that fails.
     """
-    m = _as_sym_float(a)
+    if np.ndim(a) != 3:
+        return _eig_stack(_as_sym_float(a)[None], [label])[0]
+    m = _as_sym_float_stack(a)
+    labels = [None] * len(m) if label is None else list(label)
+    if len(labels) != len(m):
+        raise ValueError(f"{len(labels)} labels for a stack of {len(m)} matrices")
+    return _eig_stack(m, labels)
+
+
+def _eig_stack(m: np.ndarray, labels: list) -> list[EigenSystem]:
     try:
         w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        where = f" ({label})" if label else ""
-        raise EigenDecompositionError(f"eigh failed to converge{where}: {exc}") from exc
-    return EigenSystem(eigenvalues=w, eigenvectors=v)
+    except np.linalg.LinAlgError as stacked:
+        for x, label in zip(m, labels):
+            try:
+                np.linalg.eigh(x)
+            except np.linalg.LinAlgError as exc:
+                where = f" ({label})" if label is not None else ""
+                raise EigenDecompositionError(f"eigh failed to converge{where}: {exc}") from exc
+        raise EigenDecompositionError(f"eigh failed to converge: {stacked}") from stacked
+    t, n = w.shape
+    gaps = np.min(np.diff(w, axis=1), axis=1).tolist() if n > 1 else [math.inf] * t
+    norms = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])).tolist() if n else [0.0] * t
+    return [EigenSystem(w[i], v[i], gaps[i], norms[i]) for i in range(t)]
 
 
 def min_gap(eigenvalues) -> float:
@@ -225,7 +276,8 @@ def pbh_controllable(a, b, tolerances: Tolerances | None = None,
     bv = np.asarray(b, dtype=np.float64)
     if bv.shape != (eigsys.n,):
         raise ValueError(f"dimension mismatch: A is {eigsys.n}x{eigsys.n}, b has shape {bv.shape}")
-    norm_b = float(np.linalg.norm(bv))
+    with np.errstate(over="ignore"):  # a huge finite b is rescaled below
+        norm_b = float(np.linalg.norm(bv))
     if not math.isfinite(norm_b) and not np.isfinite(bv).all():
         raise nonfinite_error(bv, "input vector")
     if (norm_b == 0.0 or math.isinf(norm_b)) and bv.any():

@@ -20,7 +20,7 @@ from ctrllab import (
     sample_wigner,
     shift_matrix,
 )
-from ctrllab import codec
+from ctrllab import codec, ensembles
 
 SEED = SeedPath(20260810, ("test-ensembles",))
 
@@ -114,6 +114,20 @@ def test_goe_scalar_variance_is_two():
     root = SEED.child("goe1")
     vals = np.array([sample_goe(1, root.child(i))[0, 0] for i in range(100_000)])
     assert abs(vals.var() - 2.0) <= 0.05 * 2.0
+
+
+def test_cached_upper_indices_are_read_only():
+    for n in (1, 2, 7):
+        iu = ensembles._upper_indices(n)
+        assert ensembles._upper_indices(n) is iu
+        assert all(np.array_equal(x, y) for x, y in zip(iu, np.triu_indices(n, k=1)))
+        for idx in iu:
+            assert not idx.flags.writeable
+            if idx.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    idx[0] = 1
+    a = sample_gnp(7, 0.5, SEED.child("cache"))
+    assert np.array_equal(sample_gnp(7, 0.5, SEED.child("cache")), a)
 
 
 def test_goe_reproducible():

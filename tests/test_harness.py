@@ -17,6 +17,7 @@ from ctrllab import (
 )
 from ctrllab import exact, harness
 from ctrllab.exact import _P
+from ctrllab.spectral import EigenDecompositionError
 from ctrllab.harness import CSV_COLUMNS, ExperimentReport, report_load_json
 
 
@@ -183,7 +184,8 @@ def chunk_size(config, n: int) -> int:
 
 @pytest.mark.parametrize("name, n_grid", [
     ("conj1", (8, 16)), ("conj2", (8,)), ("cor-gnp-rand", (8,)), ("kn-allones", (5,)),
-    ("minctrl-gnp", (8,)), ("thm-goe", (10,)),
+    ("minctrl-gnp", (8,)), ("thm-goe", (10,)), ("thm-wigner-basis", (32,)),
+    ("thm-wigner-rand", (16,)), ("thm-wigner-sphere", (32,)), ("diag-smallball", (32,)),
 ])
 def test_chunked_records_equal_standalone_trials(monkeypatch, name, n_grid):
     # run_experiment decides each chunk of trials in one batch, then builds
@@ -213,6 +215,42 @@ def test_chunked_records_equal_standalone_trials(monkeypatch, name, n_grid):
         assert [row.trials for row in report.rows] == [trials] * len(n_grid)
         assert [row.successes for row in report.rows] == \
             [sum(rec.success for rec in standalone if rec.n == n) for n in n_grid]
+
+
+def test_float_only_chunks_are_bounded_by_matrix_entries():
+    # a chunk holds T * m * n^2 <= 2**14 Krylov entries when its Kalman ranks
+    # of m basis inputs are decided, T * n^2 float entries otherwise
+    assert chunk_size(make_scenario_config("conj1"), 16) == 4
+    assert chunk_size(make_scenario_config("thm-wigner-basis"), 32) == 16
+    assert len(harness._chunks(make_scenario_config("conj1", method="float-pbh", trials=10**4),
+                               16)[0]) == 64
+    assert chunk_size(make_scenario_config("diag-norm"), 400) == 1
+
+
+def test_eigh_failure_names_the_failing_trial(monkeypatch):
+    # the stacked eigh fails when one matrix of the chunk does; each matrix
+    # is then retried alone, and the error carries that trial's seed path
+    config = make_scenario_config("thm-goe", n_grid=(10,), trials=20)
+    (bad_path, (bad, _), _, _), = harness._draw_chunk(config, 10, [7])
+    real_eigh = np.linalg.eigh
+    shapes = []
+
+    def failing(a):
+        shapes.append(np.shape(a))
+        if (np.asarray(a) == bad).all(axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    label = str(bad_path.labels).replace("(", r"\(").replace(")", r"\)")
+    assert bad_path.labels == ("thm-goe", 10, 7)
+    with pytest.raises(EigenDecompositionError, match=rf"eigh failed to converge \({label}\)"):
+        run_experiment(config)
+    assert shapes[0] == (20, 10, 10)  # the whole chunk, then matrices 0..7 alone
+    assert shapes[1:] == [(10, 10)] * 8
+    with pytest.raises(EigenDecompositionError, match=label):
+        run_trial(config, 10, 7)
+    assert run_trial(config, 10, 6).verdicts == {"float": "controllable"}
 
 
 def test_certificate_leaves_exact_records_unchanged(monkeypatch):

@@ -9,7 +9,6 @@ the same 90 pairs.
 """
 
 import numpy as np
-import pytest
 
 from ctrllab import (
     SeedPath,
@@ -59,7 +58,6 @@ def test_exact_verdict_is_invariant():
     assert seen == {True, False}  # both outcomes occur, so the checks bite
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # ||1e200 b|| = inf
 def test_float_verdict_never_flips_and_matches_exact():
     decided = 0
     for label, a, b, perm in _pairs():

@@ -52,3 +52,37 @@ def test_rejects_unhashable_label_types():
         SeedPath(0, (1.5,))
     with pytest.raises(TypeError):
         SeedPath(0).child(True)
+
+
+class _Int(int):
+    """An int subclass: cached under the same untyped key as True."""
+
+
+def test_label_cache_keeps_types_apart():
+    # the memoised label hash is typed: 1 and True hash equal in Python
+    base = SeedPath(5)
+    base.child(1).generator()
+    base.child(_Int(1)).generator()
+    with pytest.raises(TypeError, match="bool"):
+        base.child(True)
+    with pytest.raises(TypeError, match="bool"):
+        SeedPath(5, (1, True))
+    base.child(5).generator()
+    base.child("5").generator()
+    assert not np.array_equal(base.child(5).generator().random(8),
+                              base.child("5").generator().random(8))
+    assert base.child(5).entropy() != base.child("5").entropy()
+
+
+def test_child_validates_only_what_it_appends(monkeypatch):
+    from ctrllab import seeding
+
+    seen = []
+    real = seeding._label_words
+    monkeypatch.setattr(seeding, "_label_words", lambda label: seen.append(label) or real(label))
+    path = SeedPath(0, ("x", 1)).child(2, "y")
+    assert seen == ["x", 1, 2, "y"]  # two by the constructor, two by child
+    assert path == SeedPath(0, ("x", 1, 2, "y"))
+    assert hash(path) == hash(SeedPath(0, ("x", 1, 2, "y")))
+    with pytest.raises(TypeError, match="float"):
+        path.child(3, 0.5)

@@ -82,6 +82,45 @@ def test_nonfinite_matrix_entries_are_named(value, shown):
         eig_sym(many)
 
 
+def test_eig_sym_on_a_stack_equals_per_matrix_calls():
+    root = SEED.child("stack")
+    for n in (1, 2, 8, 10, 16, 30, 32):
+        mats = np.stack([sample_goe(n, root.child(n, t)) for t in range(5)])
+        mats[1] = sample_gnp(n, 0.5, root.child(n, "gnp"))  # repeated eigenvalues
+        stacked = eig_sym(mats)
+        assert len(stacked) == 5
+        for a, es in zip(mats, stacked):
+            alone = eig_sym(a)
+            assert np.array_equal(es.eigenvalues, alone.eigenvalues)
+            assert np.array_equal(es.eigenvectors, alone.eigenvectors)
+            plain = EigenSystem(alone.eigenvalues, alone.eigenvectors)
+            assert (es.gap, es.norm) == (alone.gap, alone.norm) == (plain.gap, plain.norm)
+            assert es.gap == min_gap(alone.eigenvalues)
+            assert es.norm == float(np.max(np.abs(alone.eigenvalues)))
+            assert es.gap_and_scale() == (es.gap, max(1.0, es.norm))
+
+
+def test_eig_sym_stack_names_the_matrix_at_fault():
+    mats = np.stack([P3, K3, P3, K3])
+    bad = mats.copy()
+    bad[2, 0, 1] = bad[2, 1, 0] = math.nan
+    with pytest.raises(ValueError, match=r"^matrix 2 of the stack has non-finite entries: "
+                                         r"\[0, 1\] = nan, \[1, 0\] = nan$"):
+        eig_sym(bad)
+    bad = mats.copy()
+    bad[3, 2, 2] = math.inf
+    with pytest.raises(ValueError, match=r"^matrix 3 of the stack has non-finite entries: "
+                                         r"\[2, 2\] = inf$"):
+        eig_sym(bad)
+    bad[1, 0, 2] = 5.0  # the first matrix at fault is named
+    with pytest.raises(ValueError, match=r"^matrix 1 of the stack is not exactly symmetric$"):
+        eig_sym(bad)
+    with pytest.raises(ValueError, match="square"):
+        eig_sym(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="3 labels for a stack of 4 matrices"):
+        eig_sym(mats, label=["a", "b", "c"])
+
+
 def test_pbh_names_nonfinite_input_entries():
     with pytest.raises(ValueError, match=r"input vector has non-finite entries: \[1\] = inf"):
         pbh_controllable(P3, [1.0, math.inf, 0.0])
@@ -130,7 +169,6 @@ def test_pbh_zero_vector():
     assert v.min_abs_inner == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy's norm
 @pytest.mark.parametrize("c", [1e200, 1e300, 1e-200, 1e-300])
 def test_pbh_decision_survives_norm_overflow_and_underflow(c):
     # ||c b|| overflows to inf or underflows to 0 at these scales
