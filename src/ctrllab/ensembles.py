@@ -17,7 +17,10 @@ shifted-wigner  wigner plus a deterministic symmetric shift matrix
 All samplers are pure functions of ``(spec, seed)``: equal
 :class:`~ctrllab.seeding.SeedPath` inputs give byte-identical outputs under
 any execution order, and every sampled matrix is exactly symmetric (the upper
-triangle is mirrored, never re-sampled).
+triangle is mirrored, never re-sampled).  A sampler also takes, in place of
+the path, the generator already derived from it (as
+:meth:`~ctrllab.seeding.SeedPath.generators` derives a batch of them), and
+then draws exactly what the path would.
 
 :func:`gnp_reduction` returns the exact distributional identity that rewrites
 a scaled G(n, p) adjacency matrix as a mean-zero unit-variance Wigner matrix
@@ -251,7 +254,12 @@ def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def sample_wigner(n: int, offdiag: Atom, diag: Atom, seed: SeedPath) -> np.ndarray:
+def _rng(seed: SeedPath | np.random.Generator) -> np.random.Generator:
+    return seed if isinstance(seed, np.random.Generator) else seed.generator()
+
+
+def sample_wigner(n: int, offdiag: Atom, diag: Atom,
+                  seed: SeedPath | np.random.Generator) -> np.ndarray:
     """Sample an n x n Wigner matrix.
 
     Upper-triangular entries are iid copies of `offdiag`, diagonal entries
@@ -259,7 +267,7 @@ def sample_wigner(n: int, offdiag: Atom, diag: Atom, seed: SeedPath) -> np.ndarr
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    rng = seed.generator()
+    rng = _rng(seed)
     m = np.zeros((n, n))
     iu = _upper_indices(n)
     m[iu] = offdiag.sample(rng, iu[0].size)
@@ -268,7 +276,7 @@ def sample_wigner(n: int, offdiag: Atom, diag: Atom, seed: SeedPath) -> np.ndarr
     return m
 
 
-def sample_goe(n: int, seed: SeedPath) -> np.ndarray:
+def sample_goe(n: int, seed: SeedPath | np.random.Generator) -> np.ndarray:
     """Sample from the Gaussian orthogonal ensemble.
 
     Entries are independent mean-zero Gaussians, variance 1 off the diagonal
@@ -277,7 +285,7 @@ def sample_goe(n: int, seed: SeedPath) -> np.ndarray:
     return sample_wigner(n, Atom.gaussian(0.0, 1.0), Atom.gaussian(0.0, 2.0), seed)
 
 
-def sample_gnp(n: int, p: float, seed: SeedPath) -> np.ndarray:
+def sample_gnp(n: int, p: float, seed: SeedPath | np.random.Generator) -> np.ndarray:
     """Sample the 0/1 adjacency matrix of G(n, p) as an exact int64 matrix.
 
     Each upper off-diagonal entry is Bernoulli(p) independently; the diagonal
@@ -288,7 +296,7 @@ def sample_gnp(n: int, p: float, seed: SeedPath) -> np.ndarray:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge density must lie in [0, 1], got {p}")
-    rng = seed.generator()
+    rng = _rng(seed)
     m = np.zeros((n, n), dtype=np.int64)
     iu = _upper_indices(n)
     m[iu] = rng.random(iu[0].size) < p
@@ -324,7 +332,8 @@ def gnp_reduction(n: int, p: float) -> GnpReduction:
     )
 
 
-def sample_ensemble(spec: EnsembleSpec, seed: SeedPath, n: int | None = None) -> np.ndarray:
+def sample_ensemble(spec: EnsembleSpec, seed: SeedPath | np.random.Generator,
+                    n: int | None = None) -> np.ndarray:
     """Sample a matrix from `spec`; gnp yields int64, everything else float64."""
     dim = n if n is not None else spec.n
     if dim is None:
@@ -406,13 +415,21 @@ class VectorSpec(Spec):
             return bool(np.all(self.values == np.round(self.values)))
         return False
 
+    @property
+    def seeded(self) -> bool:
+        """True when sampling draws from the seed's stream; the other kinds never read it."""
+        if self.kind == "shifted":
+            return self.base.seeded
+        return self.kind in ("bernoulli01", "iid-atom", "uniform-sphere")
 
-def sample_vector(spec: VectorSpec, n: int, seed: SeedPath) -> np.ndarray:
+
+def sample_vector(spec: VectorSpec, n: int, seed: SeedPath | np.random.Generator) -> np.ndarray:
     """Sample an input vector of length n from `spec`.
 
     ``standard-basis`` and ``all-ones`` are exact; ``uniform-sphere``
     normalizes an iid Gaussian vector (resampling the probability-zero
     all-zeros draw), so the result has unit Euclidean norm to rounding.
+    Kinds that are not :attr:`VectorSpec.seeded` never read `seed`.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -425,12 +442,11 @@ def sample_vector(spec: VectorSpec, n: int, seed: SeedPath) -> np.ndarray:
     if spec.kind == "all-ones":
         return np.ones(n)
     if spec.kind == "bernoulli01":
-        rng = seed.generator()
-        return (rng.random(n) < spec.p).astype(np.float64)
+        return (_rng(seed).random(n) < spec.p).astype(np.float64)
     if spec.kind == "iid-atom":
-        return spec.atom.sample(seed.generator(), n)
+        return spec.atom.sample(_rng(seed), n)
     if spec.kind == "uniform-sphere":
-        rng = seed.generator()
+        rng = _rng(seed)
         g = rng.normal(size=n)
         while not np.any(g):
             g = rng.normal(size=n)

@@ -8,10 +8,11 @@ frequencies with Wilson 95% intervals over a grid of dimensions.
 Per-trial seeds are derived from (master seed, scenario, n, trial index), so
 grids can be extended and trials re-run in isolation, in any order, without
 perturbing any other draw.  An experiment runs the trials of a grid point in
-chunks: every trial of a chunk is drawn from its own seed, one stacked exact
-call decides all their Kalman ranks, and one stacked eigendecomposition
-gives all their float eigensystems, so a record never depends on the chunk
-it was decided in.
+chunks: the random streams of all trials of a chunk are derived in one
+batch, every trial is drawn from its own streams, one stacked exact call
+decides all their Kalman ranks, and one stacked eigendecomposition gives all
+their float eigensystems, so a record never depends on the chunk it was
+decided in.
 
 Scenario ids
 ------------
@@ -153,8 +154,15 @@ class ExperimentConfig(Record):
                 raise ValueError(f"method=exact but n-grid {over} exceeds exact cap {self.exact_cap}")
         if scenario.density and not 0.0 < (self.p or 0.0) < 1.0:
             raise ValueError(f"scenario {self.scenario!r} requires 0 < p < 1, got {self.p}")
-        if self.scenario == "diag-smallball" and self.params.get("m", _SMALLBALL_M) < 1000:
-            raise ValueError("diag-smallball needs params.m >= 1000")
+        for key, value in self.params.items():
+            if key not in scenario.accepts:
+                raise ValueError(f"unknown params key {key!r} for scenario {self.scenario!r}; "
+                                 f"known: {sorted(scenario.accepts)}")
+            param = scenario.accepts[key]
+            unfit = [n for n in self.n_grid if not param.fits(value, n)]
+            if not param.ok(value) or unfit:
+                at = f" at n={unfit[0]}" if param.ok(value) else ""
+                raise ValueError(f"params key {key!r} must be {param.must}, got {value!r}{at}")
 
 
 @dataclass
@@ -246,15 +254,30 @@ def _never(config: ExperimentConfig, n: int) -> bool:
     return False
 
 
+def _matrix_stream(config: ExperimentConfig) -> tuple[str, ...]:
+    return ("matrix",)
+
+
+def _input_streams(config: ExperimentConfig) -> tuple[str, ...]:
+    """The matrix stream, and the vector stream when the input vector is random."""
+    seeded = config.vector is not None and config.vector.seeded
+    return ("matrix", "vector") if seeded else ("matrix",)
+
+
+def _two_vector_streams(config: ExperimentConfig) -> tuple[str, ...]:
+    return _input_streams(config) + ("sphere",)
+
+
 @dataclass(frozen=True)
 class _Family:
     """How one kind of trial runs, in two stages.
 
-    `draw(config, n, path)` samples the trial from its own SeedPath and
-    returns (A, b, ...), where b is the exact input, or None for every
-    standard basis input at once.  A chunk of draws is then prepared in
-    bulk (see :func:`_draw_chunk`): when `kalman` is set and the exact
-    method applies at n, the Kalman ranks of those inputs come from one
+    `draw(config, n, rngs)` samples the trial and returns (A, b, ...),
+    where b is the exact input, or None for every standard basis input at
+    once; `rngs` maps each label of `streams(config)` to the generator of
+    the trial's SeedPath child of that label.  A chunk of draws is then
+    prepared in bulk (see :func:`_draw_chunk`): when `kalman` is set and
+    the exact method applies at n, the Kalman ranks of those inputs come from one
     call, and when `eig(config, n)` holds, the eigensystems of the matrices
     from one stacked :func:`eig_sym`.  Then, inside :func:`run_trial`,
     `decide(config, n, prepared)` returns (success, indeterminate,
@@ -263,6 +286,7 @@ class _Family:
 
     draw: Callable
     decide: Callable
+    streams: Callable[[ExperimentConfig], tuple[str, ...]] = _matrix_stream
     kalman: bool = False
     eig: Callable[[ExperimentConfig, int], bool] = _never
 
@@ -277,20 +301,20 @@ class _Prepared(NamedTuple):
     eigsys: EigenSystem | None
 
 
-def _draw_matrix(config: ExperimentConfig, n: int, path: SeedPath):
-    return sample_ensemble(config.ensemble, path.child("matrix"), n), None
+def _draw_matrix(config: ExperimentConfig, n: int, rngs: dict):
+    return sample_ensemble(config.ensemble, rngs["matrix"], n), None
 
 
-def _draw_input(config: ExperimentConfig, n: int, path: SeedPath):
+def _draw_input(config: ExperimentConfig, n: int, rngs: dict):
     """A and the config's input vector, None without one."""
-    a, _ = _draw_matrix(config, n, path)
-    b = None if config.vector is None else sample_vector(config.vector, n, path.child("vector"))
+    a, _ = _draw_matrix(config, n, rngs)
+    b = None if config.vector is None else sample_vector(config.vector, n, rngs.get("vector"))
     return a, b
 
 
-def _draw_two_vectors(config: ExperimentConfig, n: int, path: SeedPath):
-    a, b = _draw_input(config, n, path)
-    return a, b, sample_vector(VectorSpec.uniform_sphere(), n, path.child("sphere"))
+def _draw_two_vectors(config: ExperimentConfig, n: int, rngs: dict):
+    a, b = _draw_input(config, n, rngs)
+    return a, b, sample_vector(VectorSpec.uniform_sphere(), n, rngs["sphere"])
 
 
 def _trial_pbh(config: ExperimentConfig, n: int, prepared: _Prepared):
@@ -348,9 +372,9 @@ _SMALLBALL_M = 2000
 def _trial_smallball(config: ExperimentConfig, n: int, prepared: _Prepared):
     path, eigsys = prepared.path, prepared.eigsys
     idx = config.params.get("eig_index")
-    idx = n // 2 if idx is None else int(idx)
+    idx = n // 2 if idx is None else idx
     beta = config.params.get("beta", 0.25)
-    m = int(config.params.get("m", _SMALLBALL_M))
+    m = config.params.get("m", _SMALLBALL_M)
     atom = config.ensemble.offdiag if config.ensemble.offdiag is not None else Atom.gaussian()
     est = small_ball_estimate(eigsys.eigenvectors[:, idx], atom, n ** (-beta), m,
                               path.child("smallball"))
@@ -385,8 +409,9 @@ def _trial_minctrl(config: ExperimentConfig, n: int, prepared: _Prepared):
     return result.k_star == 1, False, {}, witnesses
 
 
-_PBH = _Family(_draw_input, _trial_pbh, kalman=True, eig=_uses_float)
-_TWO_VECTORS = _Family(_draw_two_vectors, _trial_two_vectors, kalman=True, eig=_always)
+_PBH = _Family(_draw_input, _trial_pbh, _input_streams, kalman=True, eig=_uses_float)
+_TWO_VECTORS = _Family(_draw_two_vectors, _trial_two_vectors, _two_vector_streams, kalman=True,
+                       eig=_always)
 _MINCTRL = _Family(_draw_matrix, _trial_minctrl, kalman=True)
 _MINGAP = _Family(_draw_matrix, _trial_mingap)
 _SMALLBALL = _Family(_draw_matrix, _trial_smallball, eig=_always)
@@ -422,15 +447,20 @@ def _chunks(config: ExperimentConfig, n: int) -> list[range]:
 def _draw_chunk(config: ExperimentConfig, n: int, trials) -> list[_Prepared]:
     """The :class:`_Prepared` stage of each trial index in `trials` at grid point n.
 
-    Each trial is drawn from its own SeedPath, so a draw never depends on
-    the chunk it is in.  The Kalman ranks of every draw in the chunk come
+    Each trial is drawn from the streams of its own SeedPath, so a draw
+    never depends on the chunk it is in; the generators of all streams of
+    the chunk come from one :meth:`SeedPath.generators` batch below the
+    grid point's path.  The Kalman ranks of every draw in the chunk come
     from one :func:`kalman_ranks_exact` call over the stack of matrices,
     and their eigensystems from one :func:`eig_sym` call over the same
     stack as float64; each equals what the trial alone would compute.
     """
     family = SCENARIOS[config.scenario].trial
-    paths = [SeedPath(config.master_seed).child(config.scenario, n, t) for t in trials]
-    draws = [family.draw(config, n, path) for path in paths]
+    grid = SeedPath(config.master_seed).child(config.scenario, n)
+    paths = [grid.child(t) for t in trials]
+    streams = family.streams(config)
+    rngs = grid.generators([(t, stream) for t in trials for stream in streams])
+    draws = [family.draw(config, n, {stream: next(rngs) for stream in streams}) for _ in paths]
     mats = np.stack([drawn[0] for drawn in draws])
     ranks = eigs = [None] * len(draws)
     if _kalman_applies(config, n):
@@ -465,6 +495,39 @@ def run_trial(config: ExperimentConfig, n: int, trial: int, *, prepared=None) ->
 # scenario table
 # ---------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _any_n(value, n: int) -> bool:
+    return True
+
+
+class _Param(NamedTuple):
+    """A scenario parameter: what its value `must` be, as a test of the value
+    alone (`ok`) and, for a value that passes it, at each grid dimension n (`fits`)."""
+
+    must: str
+    ok: Callable[[Any], bool]
+    fits: Callable[[Any, int], bool] = _any_n
+
+
+_REAL = _Param("a finite real number", _is_real)
+_BAND = _Param("a pair [lo, hi] of finite reals with lo <= hi",
+               lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+               and all(map(_is_real, v)) and v[0] <= v[1])
+_SAMPLES = _Param("an int >= 1000", lambda v: _is_int(v) and v >= 1000)
+_EIG_INDEX = _Param("null or an int in [0, n)", lambda v: v is None or (_is_int(v) and v >= 0),
+                    lambda v, n: v is None or v < n)
+_KMAX = _Param("null or an int in [1, n]", lambda v: v is None or (_is_int(v) and v >= 1),
+               lambda v, n: v is None or v <= n)
+_BUDGET = _Param("an int >= n", _is_int, lambda v, n: v >= n)  # the basis scan alone tests n
+
+
 @dataclass(frozen=True)
 class _Scenario:
     """One row of the scenario table: trial family, description, defaults.
@@ -472,6 +535,8 @@ class _Scenario:
     `ensemble` and `vector` are specs, or, for the G(n, p) experiments,
     constructors taking the edge density; only those scenarios take a `p`
     override, and they need 0 < p < 1.  `p` is the default density.
+    `params` holds the defaults of the scenario's parameters, and `accepts`
+    declares every parameter the scenario reads.
     """
 
     trial: _Family
@@ -483,6 +548,7 @@ class _Scenario:
     vector: Any = None
     p: float | None = None
     params: dict = field(default_factory=dict)
+    accepts: dict[str, _Param] = field(default_factory=dict)
 
     @property
     def density(self) -> bool:
@@ -519,12 +585,16 @@ SCENARIOS: dict[str, _Scenario] = {
                              _WIGNER, (50, 100, 200), 200),
     "diag-smallball": _Scenario(_SMALLBALL, "eigenvector small-ball probability probe",
                                 _WIGNER, (16, 32, 64), 100,
-                                params={"beta": 0.25, "m": _SMALLBALL_M, "rho_bound": 0.5}),
+                                params={"beta": 0.25, "m": _SMALLBALL_M, "rho_bound": 0.5},
+                                accepts={"beta": _REAL, "m": _SAMPLES, "rho_bound": _REAL,
+                                         "eig_index": _EIG_INDEX}),
     "diag-norm": _Scenario(_NORM, "spectral norm over sqrt(n) probe",
-                           _WIGNER, (100, 400), 200, params={"band": (1.8, 2.3)}),
+                           _WIGNER, (100, 400), 200, params={"band": (1.8, 2.3)},
+                           accepts={"band": _BAND}),
     "minctrl-gnp": _Scenario(_MINCTRL, "exact sparsest input on G(n,p)",
                              _GNP, (10,), 100, "exact", p=0.5,
-                             params={"kmax": None, "budget": DEFAULT_SUPPORT_BUDGET}),
+                             params={"kmax": None, "budget": DEFAULT_SUPPORT_BUDGET},
+                             accepts={"kmax": _KMAX, "budget": _BUDGET}),
 }
 
 

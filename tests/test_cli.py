@@ -140,3 +140,33 @@ def test_config_file_p_flag_rebuilds_the_scenario(tmp_path):
     expected = make_scenario_config("cor-gnp-rand", n_grid=(6,), trials=3, p=0.3)
     assert expected.vector.p == 0.3
     assert out.read_text() == report_csv(run_experiment(expected))
+
+
+@pytest.mark.parametrize("scenario,params,key", [
+    ("minctrl-gnp", {"budjet": 5}, "budjet"),
+    ("diag-smallball", {"m": "2000"}, "m"),
+    ("diag-norm", {"band": 3}, "band"),
+    ("minctrl-gnp", {"kmax": 11}, "kmax"),
+    ("diag-smallball", {"eig_index": 40}, "eig_index"),
+    ("diag-smallball", {"eig_index": -1}, "eig_index"),
+])
+def test_config_file_rejects_bad_params(tmp_path, capsys, scenario, params, key):
+    doc = make_scenario_config(scenario, n_grid=(10,), trials=2).to_dict()
+    doc["params"].update(params)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("ctrllab: error: ") and f"params key {key!r}" in line
+
+
+def test_config_file_params_round_trip(tmp_path):
+    # a JSON band is a list, a preset's a tuple; both validate and run alike
+    config = make_scenario_config("diag-norm", n_grid=(100,), trials=2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config.to_dict()))
+    out = tmp_path / "r.csv"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 0
+    assert out.read_text() == report_csv(run_experiment(config))

@@ -386,3 +386,30 @@ def test_json_tests_resolve_annotations():
 def test_explicit_shift_must_be_symmetric():
     with pytest.raises(ValueError):
         ShiftSpec.explicit([[0.0, 1.0], [2.0, 0.0]])
+
+
+def test_seeded_kinds_are_exactly_those_that_read_the_seed():
+    unseeded = [VectorSpec.standard_basis(1), VectorSpec.all_ones(),
+                VectorSpec.explicit([1.0, 2.0, 3.0]),
+                VectorSpec.shifted(VectorSpec.all_ones(), [0.5, 0.5, 0.5])]
+    seeded = [VectorSpec.bernoulli01(0.5), VectorSpec.iid_atom(Atom.rademacher()),
+              VectorSpec.uniform_sphere(),
+              VectorSpec.shifted(VectorSpec.uniform_sphere(), [0.5, 0.5, 0.5])]
+    for spec in unseeded:
+        assert not spec.seeded
+        assert np.array_equal(sample_vector(spec, 3, None), sample_vector(spec, 3, SEED))
+    for spec in seeded:
+        assert spec.seeded
+        with pytest.raises(AttributeError):
+            sample_vector(spec, 3, None)
+        # a generator derived from the path draws what the path draws
+        assert np.array_equal(sample_vector(spec, 3, SEED.generator()),
+                              sample_vector(spec, 3, SEED))
+
+
+def test_samplers_take_the_generator_of_their_path():
+    path = SEED.child("m")
+    for spec in (EnsembleSpec.goe(), EnsembleSpec.gnp(0.3),
+                 EnsembleSpec.wigner(Atom.rademacher(), Atom.gaussian())):
+        assert np.array_equal(sample_ensemble(spec, path.generator(), 7),
+                              sample_ensemble(spec, path, 7))

@@ -6,6 +6,7 @@ import pytest
 from ctrllab import (
     ExperimentConfig,
     SCENARIOS,
+    SeedPath,
     make_scenario_config,
     report_csv,
     report_emit,
@@ -79,6 +80,45 @@ def test_config_validation_rejects_bad_values():
         make_scenario_config("conj1", p=1.0)  # fixtures only, not experiments
     with pytest.raises(ValueError):
         make_scenario_config("thm-goe", p=0.4)  # no density parameter
+
+
+BAD_PARAMS = [
+    ("minctrl-gnp", {"budjet": 5}, None, "unknown params key 'budjet'"),
+    ("thm-goe", {"m": 2000}, None, "unknown params key 'm'"),
+    ("diag-smallball", {"m": "2000"}, None, "'m' must be an int >= 1000, got '2000'"),
+    ("diag-smallball", {"m": 999}, None, "'m' must be an int >= 1000"),
+    ("diag-smallball", {"beta": True}, None, "'beta' must be a finite real"),
+    ("diag-smallball", {"rho_bound": float("nan")}, None, "'rho_bound' must be a finite real"),
+    ("diag-norm", {"band": 3}, None, "'band' must be a pair"),
+    ("diag-norm", {"band": [2.3, 1.8]}, None, "'band' must be a pair"),
+    ("diag-norm", {"band": ["1.8", 2.3]}, None, "'band' must be a pair"),
+    ("minctrl-gnp", {"kmax": 11}, (8, 12), "'kmax' must be null or an int in [1, n], got 11 at n=8"),
+    ("minctrl-gnp", {"kmax": 0}, None, "'kmax' must be null or an int in [1, n], got 0"),
+    ("minctrl-gnp", {"budget": 5}, None, "'budget' must be an int >= n, got 5 at n=10"),
+    ("diag-smallball", {"eig_index": 40}, (16,), "'eig_index' must be null or an int in [0, n), "
+                                                 "got 40 at n=16"),
+    ("diag-smallball", {"eig_index": -1}, (16,), "'eig_index' must be null or an int in [0, n), "
+                                                 "got -1"),
+    ("diag-smallball", {"eig_index": 2.0}, (16,), "'eig_index' must be null or an int"),
+]
+
+
+@pytest.mark.parametrize("name,params,n_grid,message", BAD_PARAMS,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(BAD_PARAMS)])
+def test_config_validation_rejects_bad_params(name, params, n_grid, message):
+    with pytest.raises(ValueError) as info:
+        make_scenario_config(name, params=params, n_grid=n_grid)
+    assert message in str(info.value)
+
+
+def test_config_validation_accepts_declared_params():
+    make_scenario_config("diag-smallball", n_grid=(16,),
+                         params={"eig_index": 15, "m": 1000, "beta": 1, "rho_bound": 0.25})
+    make_scenario_config("diag-smallball", params={"eig_index": None})
+    make_scenario_config("diag-norm", params={"band": [1.0, 1.0]})
+    make_scenario_config("minctrl-gnp", n_grid=(8, 12), params={"kmax": 8, "budget": 12})
+    for name, scenario in SCENARIOS.items():  # every default is a declared, valid value
+        assert set(scenario.params) <= set(scenario.accepts), name
 
 
 def test_config_overrides():
@@ -186,6 +226,8 @@ def chunk_size(config, n: int) -> int:
     ("conj1", (8, 16)), ("conj2", (8,)), ("cor-gnp-rand", (8,)), ("kn-allones", (5,)),
     ("minctrl-gnp", (8,)), ("thm-goe", (10,)), ("thm-wigner-basis", (32,)),
     ("thm-wigner-rand", (16,)), ("thm-wigner-sphere", (32,)), ("diag-smallball", (32,)),
+    # three streams per trial (matrix, vector, sphere), and a seeded vector stream
+    ("cor-gnp-rand", (24,)), ("thm-wigner-rand", (32,)),
 ])
 def test_chunked_records_equal_standalone_trials(monkeypatch, name, n_grid):
     # run_experiment decides each chunk of trials in one batch, then builds
@@ -215,6 +257,42 @@ def test_chunked_records_equal_standalone_trials(monkeypatch, name, n_grid):
         assert [row.trials for row in report.rows] == [trials] * len(n_grid)
         assert [row.successes for row in report.rows] == \
             [sum(rec.success for rec in standalone if rec.n == n) for n in n_grid]
+
+
+@pytest.mark.parametrize("name, streams", [
+    ("conj1", ("matrix",)), ("conj2", ("matrix",)), ("thm-goe", ("matrix",)),
+    ("thm-wigner-rand", ("matrix", "vector")), ("thm-wigner-sphere", ("matrix", "vector")),
+    ("cor-gnp-rand", ("matrix", "vector", "sphere")), ("minctrl-gnp", ("matrix",)),
+])
+def test_chunk_draws_equal_per_path_samples(name, streams):
+    # the chunk derives every stream of its trials in one batch; each draw
+    # equals sampling from the trial's own SeedPath children one at a time
+    from ctrllab.ensembles import VectorSpec, sample_ensemble, sample_vector
+
+    config = make_scenario_config(name, n_grid=(8,), trials=6)
+    assert harness.SCENARIOS[name].trial.streams(config) == streams
+    trials = [0, 3, 2**32 + 3, 5]  # one- and two-word trial indices in one batch
+    for t, prepared in zip(trials, harness._draw_chunk(config, 8, trials)):
+        path = SeedPath(config.master_seed).child(name, 8, t)
+        assert prepared.path == path
+        drawn = prepared.drawn
+        assert np.array_equal(drawn[0], sample_ensemble(config.ensemble, path.child("matrix"), 8))
+        if config.vector is not None:
+            assert np.array_equal(drawn[1], sample_vector(config.vector, 8, path.child("vector")))
+        if "sphere" in streams:
+            assert np.array_equal(drawn[2], sample_vector(VectorSpec.uniform_sphere(), 8,
+                                                          path.child("sphere")))
+
+
+def test_wide_trial_index_is_reproducible_alone():
+    for name in ("thm-goe", "cor-gnp-rand", "conj1"):
+        config = make_scenario_config(name, n_grid=(8,), trials=4)
+        alone = run_trial(config, 8, 2**32 + 3)
+        assert alone == run_trial(config, 8, 2**32 + 3)
+        assert alone.seed_path().labels == (name, 8, 2**32 + 3)
+        chunk = harness._draw_chunk(config, 8, [1, 2**32 + 3])
+        assert run_trial(config, 8, 2**32 + 3, prepared=chunk[1]) == alone
+        assert run_trial(config, 8, 1, prepared=chunk[0]) == run_trial(config, 8, 1)
 
 
 def test_float_only_chunks_are_bounded_by_matrix_entries():
