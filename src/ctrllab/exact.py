@@ -20,7 +20,13 @@ Kalman ranks are decided for a whole stack of matrices at once, each with
 its own inputs or all with the same ones: every Krylov matrix of the stack
 is built with one stacked matrix product per power and eliminated in one
 batched call, so numpy's per-call overhead is paid once per stack, not once
-per matrix.  A single matrix is a stack of one.
+per matrix.  A single matrix is a stack of one.  A caller that already
+holds float eigensystems of the stack passes them in, and a Kalman rank is
+then decided in up to three tiers: a rigorous perturbation bound on the
+eigensystem proves rank n for most controllable pairs (the PBH test:
+simple spectrum, no eigenvector orthogonal to b); only matrices with a
+column it leaves unproved go on to the mod-p certificate, and only columns
+that one leaves unsettled go on to Bareiss.
 
 Krylov entries grow like ``norm(A)**n``, so the exact path is capped at
 ``DEFAULT_EXACT_CAP`` dimensions by default; pass ``cap=None`` (or a larger
@@ -33,7 +39,7 @@ import math
 
 import numpy as np
 
-from .spectral import nonfinite_error
+from .spectral import EigenSystem, nonfinite_error
 
 __all__ = [
     "DEFAULT_EXACT_CAP",
@@ -427,6 +433,138 @@ def _certified_simple_spectrum(mat: np.ndarray) -> bool | None:
 
 
 # ---------------------------------------------------------------------------
+# certificate from a float eigensystem
+# ---------------------------------------------------------------------------
+
+_U = 2.0**-53  # unit roundoff of float64
+_SLACK = 1.01  # an upper bound computed in float times _SLACK bounds its exact value
+_FLOOR = 2.0**-1000  # above every absolute error that underflow adds to a bound
+_MAX_DEFECT = 0.01  # largest accepted bound on ||X^T X - I||
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u): |fl(x . y) - x . y| <= gamma_k |x| . |y| for
+    vectors of length k, in any summation order, with or without FMA."""
+    return k * _U / (1 - k * _U)
+
+
+def _upper(x):
+    """A float expression in nonnegative bounds, made an upper bound on its exact value."""
+    return x * _SLACK + _FLOOR
+
+
+def _peak_norm(m: np.ndarray) -> np.ndarray:
+    """n * max |m_ij| >= ||m||_F >= ||m||_2 for each n x n matrix of a stack,
+    computed without rounding."""
+    return m.shape[-1] * np.abs(m).max(axis=(-2, -1))
+
+
+def _exact_floats(x: np.ndarray) -> np.ndarray | None:
+    """x as float64 when every entry is an integer of a fixed-width dtype
+    with |x| <= 2^53, so the float64 copy is exact; else None."""
+    if x.dtype.kind not in "biuf" or (x.size and max(int(x.max()), -int(x.min())) > 2**53):
+        return None
+    return x.astype(np.float64)
+
+
+def _eigvec_bounds(a: np.ndarray, w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(simple, dist) for each matrix A of the float64 stack `a`, given the
+    computed eigenvalues `w` (T x n) and eigenvectors `x` (T x n x n, as
+    columns) of the stack: simple[t] proves that A_t has n distinct
+    eigenvalues, and then A_t has a unit eigenvector u_i with
+    ||u_i - x_i|| <= dist[t, i] for every column x_i.
+
+    Write W = diag(w) and u = 2^-53.  The bounds, in exact arithmetic:
+
+    * rho >= ||A X - X W||_2.  The residual R is computed in float; each
+      entry is an inner product of length n + 1, so it is off by at most
+      gamma_(n+2) (|A| |X| + |X| |W|) (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, sec. 3.5), for any BLAS summation order.
+    * eta >= ||X^T X - I||_2, the same way with gamma_(n+2) (|X|^T |X| + I).
+      It must be at most 0.01.
+    * delta >= ||Q^T A Q - W||_2, where X = Q H is the polar decomposition.
+      The singular values of X lie in [sqrt(1 - eta), sqrt(1 + eta)], so
+      ||H - I|| <= eta and ||H^-1|| <= 1 / sqrt(1 - eta).  From
+      A Q H = Q H W + R, Q^T A Q - W = (H W - W H + Q^T R) H^-1, and
+      H W - W H = (H - I) W - W (H - I); so
+      delta = (rho + 2 eta max|w|) / sqrt(1 - eta).
+    * Q^T A Q is symmetric with A's eigenvalues, so by Weyl each eigenvalue
+      of A lies within delta of its w_i, in order: the spectrum is simple
+      when every gap w_(i+1) - w_i exceeds 2 delta.
+    * Let g_i be w_i's own gap (to its nearer neighbour) and y a unit
+      eigenvector of Q^T A Q with eigenvalue l, |l - w_i| <= delta.  From
+      (W - l) y = -(Q^T A Q - W) y, the components of y off i are at most
+      delta / (g_i - delta) in norm (Davis-Kahan sin theta), so with the
+      sign that makes y_i >= 0, ||y - e_i|| <= sqrt(2) delta / (g_i - delta).
+      u_i = Q y is a unit eigenvector of A, and ||Q e_i - x_i|| =
+      ||(I - H) e_i|| <= eta, so
+      dist_i = eta + sqrt(2) delta / (g_i - delta).
+
+    Every bound is computed in float from nonnegative terms, so a relative
+    error of a few u and, on underflow, an absolute error far below 2^-1000
+    make it off; :func:`_upper` covers both.  2-norms are bounded by
+    n max|m_ij|, which takes no rounding.  Gaps are lower bounds after
+    division by 1.01.  A non-finite value anywhere proves nothing: every
+    test is a strict comparison, false on NaN.  The residual is computed
+    from A itself, so an eigensystem of another matrix can only fail to
+    prove anything.
+    """
+    t, n, _ = a.shape
+    diag = np.arange(n)
+    absx = np.abs(x)
+    resid = a @ x - x * w[:, None, :]
+    size = np.abs(a) @ absx + absx * np.abs(w)[:, None, :]
+    rho = _upper(_peak_norm(resid) + _gamma(n + 2) * _peak_norm(size))
+    defect = x.transpose(0, 2, 1) @ x
+    defect[:, diag, diag] -= 1
+    size = absx.transpose(0, 2, 1) @ absx
+    size[:, diag, diag] += 1
+    eta = _upper(_peak_norm(defect) + _gamma(n + 2) * _peak_norm(size))
+    delta = _upper((rho + 2 * eta * np.abs(w).max(axis=1)) / np.sqrt(1 - eta))[:, None]
+    gaps = np.diff(w, axis=1) / _SLACK
+    simple = (eta <= _MAX_DEFECT) & (gaps > 2 * delta).all(axis=1)
+    edge = np.full((t, 1), np.inf)
+    own = np.minimum(np.hstack([edge, gaps]), np.hstack([gaps, edge]))
+    return simple, _upper(eta[:, None] + math.sqrt(2) * delta / (own - delta))
+
+
+def _inner_products(x: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x_i . b for every column x_i of each matrix of the stack `x` and
+    every column b of its inputs `cols`, indexed [t, i, j], computed in
+    float, and a bound on each one's error: gamma_n |x_i| . |b|, which
+    :func:`_upper` makes an upper bound when computed in float."""
+    xt = x.transpose(0, 2, 1)
+    return xt @ cols, _upper(_gamma(x.shape[1]) * (np.abs(xt) @ np.abs(cols)))
+
+
+def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: list[EigenSystem]) -> np.ndarray:
+    """bool [t, j]: whether the eigensystem eigsys[t] proves (A, b) controllable,
+    for each matrix A of the stack `mats` and each column b of its inputs.
+
+    For unit eigenvectors u_i of A and the bound dist_i >= ||u_i - x_i||
+    of :func:`_eigvec_bounds`, |u_i . b| >= |fl(x_i . b)| - gamma_n
+    |x_i| . |b| - dist_i ||b||, so when that is positive for every i and
+    the spectrum is simple, no eigenvector of A is orthogonal to b and
+    (A, b) is controllable (PBH): its Kalman rank is n.  The test applies
+    only where float64 holds A and b exactly (:func:`_exact_floats`).
+    """
+    t, n, _ = mats.shape
+    a, b = _exact_floats(mats), _exact_floats(cols)
+    if a is None or b is None or n == 0:
+        return np.zeros((t, cols.shape[-1]), dtype=bool)
+    w = np.stack([e.eigenvalues for e in eigsys])
+    x = np.stack([e.eigenvectors for e in eigsys])
+    if w.shape != (t, n) or x.shape != (t, n, n):
+        raise ValueError(f"eigensystems of shape {x.shape} for a stack of {t} {n}x{n} matrices")
+    with np.errstate(all="ignore"):
+        simple, dist = _eigvec_bounds(a, w, x)
+        inner, err = _inner_products(x, b)
+        norm_b = np.sqrt((b * b).sum(axis=-2))[..., None, :]
+        clear = np.abs(inner) > err + _upper(dist[:, :, None] * norm_b)
+    return simple[:, None] & clear.all(axis=1)
+
+
+# ---------------------------------------------------------------------------
 # decisions
 # ---------------------------------------------------------------------------
 
@@ -447,7 +585,8 @@ def has_simple_spectrum_exact(a) -> bool:
     return simple
 
 
-def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP) -> list:
+def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
+                       eigsys: EigenSystem | list[EigenSystem] | None = None) -> list:
     """Exact rank of [b, Ab, ..., A^(n-1)b] for every column b of `inputs`.
 
     `a` is one n x n matrix, with `inputs` n x m, and the result is a list
@@ -455,9 +594,22 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP) -> list:
     n x m, shared by every matrix, or T x n x m, one set per matrix, and the
     result is a list of T such lists.  A single matrix is a stack of one.
 
-    The zero vector has rank 0.  Every column is certified mod ``_P`` in two
-    directions, all columns of all matrices in one batched elimination over
-    their Krylov columns b, Ab, ...:
+    Each rank is decided in up to three tiers, and each tier sees only what
+    the one before it left unproved:
+
+    1. With `eigsys`, the float eigensystem of `a` (one per matrix of a
+       stack, as :func:`~ctrllab.spectral.eig_sym` returns them), a
+       rigorous bound on it proves rank n for a column b where A has a
+       simple spectrum and no eigenvector of A is orthogonal to b (see
+       :func:`_eigvec_bounds`).  It applies where A and b are integers of
+       magnitude at most 2^53 held in fixed-width dtypes, and only proves
+       full rank; a wrong eigensystem can make it prove less, never wrong.
+    2. The matrices with a column left unproved are certified mod ``_P``.
+    3. Columns no certificate settles go through Bareiss.
+
+    The zero vector has rank 0.  Every column that reaches tier 2 is
+    certified mod ``_P`` in two directions, all columns of all those
+    matrices in one batched elimination over their Krylov columns b, Ab, ...:
 
     * rank n mod p is rank n over the rationals;
     * at rank r < n mod p the elimination yields the monic relation
@@ -486,7 +638,16 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP) -> list:
         raise ValueError(f"{len(cols)} input matrices for a stack of {t} matrices")
     if cap is not None and n > cap:
         raise DimensionCapError(f"n={n} exceeds exact cap {cap}; use the float PBH path")
-    ranks = _certified_ranks(mats, cols)
+    if eigsys is None:
+        ranks = _certified_ranks(mats, cols)
+    else:
+        proved = _float_certified(mats, cols, [eigsys] if single else list(eigsys))
+        ranks = [[n] * cols.shape[-1] for _ in range(t)]
+        rest = np.flatnonzero(~proved.all(axis=1))
+        if rest.size:
+            rows = _certified_ranks(mats[rest], cols if cols.ndim == 2 else cols[rest])
+            for i, row in zip(rest.tolist(), rows):
+                ranks[i] = [n if ok else r for ok, r in zip(proved[i].tolist(), row)]
     for i, row in enumerate(ranks):
         b = cols if cols.ndim == 2 else cols[i]
         for j, rank in enumerate(row):

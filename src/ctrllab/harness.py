@@ -61,7 +61,6 @@ from .spectral import (
     basis_witnesses,
     classify,
     eig_sym,
-    min_gap,
     pbh_controllable,
     small_ball_estimate,
 )
@@ -268,6 +267,10 @@ def _two_vector_streams(config: ExperimentConfig) -> tuple[str, ...]:
     return _input_streams(config) + ("sphere",)
 
 
+def _smallball_streams(config: ExperimentConfig) -> tuple[str, ...]:
+    return ("matrix", "smallball")
+
+
 @dataclass(frozen=True)
 class _Family:
     """How one kind of trial runs, in two stages.
@@ -279,9 +282,9 @@ class _Family:
     prepared in bulk (see :func:`_draw_chunk`): when `kalman` is set and
     the exact method applies at n, the Kalman ranks of those inputs come from one
     call, and when `eig(config, n)` holds, the eigensystems of the matrices
-    from one stacked :func:`eig_sym`.  Then, inside :func:`run_trial`,
-    `decide(config, n, prepared)` returns (success, indeterminate,
-    verdicts, witnesses).
+    from one stacked :func:`eig_sym`, with eigenvectors only when `vectors`
+    is set.  Then, inside :func:`run_trial`, `decide(config, n, prepared)`
+    returns (success, indeterminate, verdicts, witnesses).
     """
 
     draw: Callable
@@ -289,13 +292,13 @@ class _Family:
     streams: Callable[[ExperimentConfig], tuple[str, ...]] = _matrix_stream
     kalman: bool = False
     eig: Callable[[ExperimentConfig, int], bool] = _never
+    vectors: bool = True
 
 
 class _Prepared(NamedTuple):
-    """One trial's chunk-stage output: its seed path, its draw, and the
-    Kalman ranks and eigensystem of the draw, each None when not computed."""
+    """One trial's chunk-stage output: its draw, and the Kalman ranks and
+    eigensystem of the draw, each None when not computed."""
 
-    path: SeedPath
     drawn: tuple
     ranks: list[int] | None
     eigsys: EigenSystem | None
@@ -317,9 +320,15 @@ def _draw_two_vectors(config: ExperimentConfig, n: int, rngs: dict):
     return a, b, sample_vector(VectorSpec.uniform_sphere(), n, rngs["sphere"])
 
 
+def _draw_smallball(config: ExperimentConfig, n: int, rngs: dict):
+    """A, no input, and the generator the small-ball samples come from."""
+    a, _ = _draw_matrix(config, n, rngs)
+    return a, None, rngs["smallball"]
+
+
 def _trial_pbh(config: ExperimentConfig, n: int, prepared: _Prepared):
     """(A, b) for the config's input vector; without one, (A, e_i) for every i at once."""
-    _, (_, b), ranks, eigsys = prepared
+    (_, b), ranks, eigsys = prepared
     verdicts: dict[str, str] = {}
     witnesses: dict[str, float] = {}
     if eigsys is not None:
@@ -338,7 +347,7 @@ def _trial_pbh(config: ExperimentConfig, n: int, prepared: _Prepared):
 
 
 def _trial_two_vectors(config: ExperimentConfig, n: int, prepared: _Prepared):
-    _, (_, b, u), ranks, eigsys = prepared
+    (_, b, u), ranks, eigsys = prepared
     fb = pbh_controllable(None, b, config.tolerances, eigsys=eigsys)
     fu = pbh_controllable(None, u, config.tolerances, eigsys=eigsys)
     verdicts = {"float:b": fb.decision, "float:u": fu.decision}
@@ -357,9 +366,7 @@ def _trial_two_vectors(config: ExperimentConfig, n: int, prepared: _Prepared):
 
 
 def _trial_mingap(config: ExperimentConfig, n: int, prepared: _Prepared):
-    a, _ = prepared.drawn
-    w = np.linalg.eigvalsh(np.asarray(a, dtype=np.float64))
-    gap, norm = min_gap(w), float(np.max(np.abs(w)))
+    gap, norm = prepared.eigsys.gap, prepared.eigsys.norm
     witnesses = {"min_gap": gap, "norm_a": norm}
     # the gap alone decides (inner = inf); between reject and accept is a failure
     success = classify(gap, math.inf, max(1.0, norm), 1.0, config.tolerances) == CONTROLLABLE
@@ -370,14 +377,13 @@ _SMALLBALL_M = 2000
 
 
 def _trial_smallball(config: ExperimentConfig, n: int, prepared: _Prepared):
-    path, eigsys = prepared.path, prepared.eigsys
+    (_, _, rng), eigsys = prepared.drawn, prepared.eigsys
     idx = config.params.get("eig_index")
     idx = n // 2 if idx is None else idx
     beta = config.params.get("beta", 0.25)
     m = config.params.get("m", _SMALLBALL_M)
     atom = config.ensemble.offdiag if config.ensemble.offdiag is not None else Atom.gaussian()
-    est = small_ball_estimate(eigsys.eigenvectors[:, idx], atom, n ** (-beta), m,
-                              path.child("smallball"))
+    est = small_ball_estimate(eigsys.eigenvectors[:, idx], atom, n ** (-beta), m, rng)
     bound = config.params.get("rho_bound", 0.5)
     witnesses = {"rho_hat": est.rho_hat, "rho_std_err": est.std_err, "delta": est.delta,
                  "min_gap": eigsys.gap}
@@ -385,9 +391,7 @@ def _trial_smallball(config: ExperimentConfig, n: int, prepared: _Prepared):
 
 
 def _trial_norm(config: ExperimentConfig, n: int, prepared: _Prepared):
-    a, _ = prepared.drawn
-    w = np.linalg.eigvalsh(np.asarray(a, dtype=np.float64))
-    norm = float(max(abs(w[0]), abs(w[-1])))
+    norm = prepared.eigsys.norm
     ratio = norm / math.sqrt(n)
     lo, hi = config.params.get("band", (1.8, 2.3))
     witnesses = {"norm_a": norm, "norm_ratio": ratio}
@@ -413,9 +417,9 @@ _PBH = _Family(_draw_input, _trial_pbh, _input_streams, kalman=True, eig=_uses_f
 _TWO_VECTORS = _Family(_draw_two_vectors, _trial_two_vectors, _two_vector_streams, kalman=True,
                        eig=_always)
 _MINCTRL = _Family(_draw_matrix, _trial_minctrl, kalman=True)
-_MINGAP = _Family(_draw_matrix, _trial_mingap)
-_SMALLBALL = _Family(_draw_matrix, _trial_smallball, eig=_always)
-_NORM = _Family(_draw_matrix, _trial_norm)
+_MINGAP = _Family(_draw_matrix, _trial_mingap, eig=_always, vectors=False)
+_SMALLBALL = _Family(_draw_smallball, _trial_smallball, _smallball_streams, eig=_always)
+_NORM = _Family(_draw_matrix, _trial_norm, eig=_always, vectors=False)
 
 # Bound on the entries of one chunk's stacked work: T * m * n^2 int64
 # entries of the Krylov stack when the chunk's exact Kalman ranks are
@@ -450,28 +454,30 @@ def _draw_chunk(config: ExperimentConfig, n: int, trials) -> list[_Prepared]:
     Each trial is drawn from the streams of its own SeedPath, so a draw
     never depends on the chunk it is in; the generators of all streams of
     the chunk come from one :meth:`SeedPath.generators` batch below the
-    grid point's path.  The Kalman ranks of every draw in the chunk come
-    from one :func:`kalman_ranks_exact` call over the stack of matrices,
-    and their eigensystems from one :func:`eig_sym` call over the same
-    stack as float64; each equals what the trial alone would compute.
+    grid point's path.  The eigensystems of every draw in the chunk come
+    from one :func:`eig_sym` call over the stack of matrices as float64,
+    and their Kalman ranks from one :func:`kalman_ranks_exact` call over
+    the same stack, which is handed the eigensystems and proves most full
+    ranks from them; each equals what the trial alone would compute.
     """
     family = SCENARIOS[config.scenario].trial
     grid = SeedPath(config.master_seed).child(config.scenario, n)
-    paths = [grid.child(t) for t in trials]
     streams = family.streams(config)
     rngs = grid.generators([(t, stream) for t in trials for stream in streams])
-    draws = [family.draw(config, n, {stream: next(rngs) for stream in streams}) for _ in paths]
+    draws = [family.draw(config, n, {stream: next(rngs) for stream in streams}) for _ in trials]
     mats = np.stack([drawn[0] for drawn in draws])
-    ranks = eigs = [None] * len(draws)
+    ranks = eigsys = None
+    if family.eig(config, n):
+        eigsys = eig_sym(mats, label=[grid.child(t).labels for t in trials],
+                         vectors=family.vectors)
     if _kalman_applies(config, n):
         if draws[0][1] is None:
             inputs = np.eye(n, dtype=np.int64)
         else:
             inputs = np.stack([drawn[1] for drawn in draws])[:, :, None]
-        ranks = kalman_ranks_exact(mats, inputs, config.exact_cap)
-    if family.eig(config, n):
-        eigs = eig_sym(mats, label=[path.labels for path in paths])
-    return [_Prepared(*stage) for stage in zip(paths, draws, ranks, eigs)]
+        ranks = kalman_ranks_exact(mats, inputs, config.exact_cap, eigsys=eigsys)
+    none = [None] * len(draws)
+    return [_Prepared(*stage) for stage in zip(draws, ranks or none, eigsys or none)]
 
 
 def run_trial(config: ExperimentConfig, n: int, trial: int, *, prepared=None) -> TrialRecord:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Record
-from .ensembles import Atom
+from .ensembles import Atom, _rng
 from .seeding import SeedPath
 
 __all__ = [
@@ -59,7 +59,8 @@ class SharedEigenvalueError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Ascending eigenvalues and orthonormal eigenvectors (as columns).
+    """Ascending eigenvalues and orthonormal eigenvectors (as columns), or
+    None for the eigenvectors when only the eigenvalues were computed.
 
     Ordering is the ascending order returned by LAPACK; for degenerate
     fixtures the tie order is whatever the solver produced, which is
@@ -69,7 +70,7 @@ class EigenSystem:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     gap: float | None = None
     norm: float | None = None
 
@@ -135,11 +136,13 @@ def _as_sym_float_stack(a) -> np.ndarray:
     return m
 
 
-def eig_sym(a, label=None) -> EigenSystem | list[EigenSystem]:
+def eig_sym(a, label=None, vectors: bool = True) -> EigenSystem | list[EigenSystem]:
     """Full symmetric eigendecomposition (eigenvalues ascending).
 
     `label` is carried into the error message on non-convergence so the
-    failing matrix can be re-derived from its seed path.
+    failing matrix can be re-derived from its seed path.  With `vectors`
+    false, only the eigenvalues are computed (``eigvalsh``), and each
+    system's `eigenvectors` is None.
 
     A (T, n, n) stack gives a list of T :class:`EigenSystem`, each
     bit-identical to its matrix's own decomposition: one stacked LAPACK
@@ -150,21 +153,25 @@ def eig_sym(a, label=None) -> EigenSystem | list[EigenSystem]:
     carries the label of the first one that fails.
     """
     if np.ndim(a) != 3:
-        return _eig_stack(_as_sym_float(a)[None], [label])[0]
+        return _eig_stack(_as_sym_float(a)[None], [label], vectors)[0]
     m = _as_sym_float_stack(a)
     labels = [None] * len(m) if label is None else list(label)
     if len(labels) != len(m):
         raise ValueError(f"{len(labels)} labels for a stack of {len(m)} matrices")
-    return _eig_stack(m, labels)
+    return _eig_stack(m, labels, vectors)
 
 
-def _eig_stack(m: np.ndarray, labels: list) -> list[EigenSystem]:
+def _eigh_or_values(m: np.ndarray, vectors: bool):
+    return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), [None] * len(m))
+
+
+def _eig_stack(m: np.ndarray, labels: list, vectors: bool) -> list[EigenSystem]:
     try:
-        w, v = np.linalg.eigh(m)
+        w, v = _eigh_or_values(m, vectors)
     except np.linalg.LinAlgError as stacked:
         for x, label in zip(m, labels):
             try:
-                np.linalg.eigh(x)
+                _eigh_or_values(x, vectors)
             except np.linalg.LinAlgError as exc:
                 where = f" ({label})" if label is not None else ""
                 raise EigenDecompositionError(f"eigh failed to converge{where}: {exc}") from exc
@@ -429,12 +436,14 @@ class SmallBallEstimate:
     std_err: float
 
 
-def small_ball_estimate(x, atom: Atom, delta: float, m: int, seed: SeedPath) -> SmallBallEstimate:
+def small_ball_estimate(x, atom: Atom, delta: float, m: int,
+                        seed: SeedPath | np.random.Generator) -> SmallBallEstimate:
     """Estimate sup_a P(|sum_k xi_k x_k - a| <= delta) from m Monte Carlo sums.
 
     The supremum over window centers is taken exactly on the empirical
     measure by sliding a closed window of width 2*delta over the sorted
     samples, so the estimate is a plug-in upper realization of the sup.
+    The samples are drawn from `seed`, a generator or the seed path of one.
     """
     xv = np.asarray(x, dtype=np.float64)
     if xv.ndim != 1:
@@ -443,7 +452,7 @@ def small_ball_estimate(x, atom: Atom, delta: float, m: int, seed: SeedPath) -> 
         raise ValueError(f"need m >= 1000 samples, got {m}")
     if delta <= 0:
         raise ValueError(f"window half-width must be positive, got {delta}")
-    rng = seed.generator()
+    rng = _rng(seed)
     n = xv.size
     sums = np.empty(m)
     block = max(1, 2_000_000 // max(1, n))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ import pytest
 from ctrllab import (
     DEFAULT_EXACT_CAP,
     DimensionCapError,
+    EigenSystem,
     SeedPath,
     charpoly_exact,
     det_exact,
+    eig_sym,
     has_simple_spectrum_exact,
     is_controllable_exact,
     kalman_matrix,
@@ -684,3 +687,210 @@ def test_simple_spectrum_certificate_against_rational_oracle(monkeypatch):
         assert exact_module._certified_simple_spectrum(np.asarray(a)) is None, a
         assert has_simple_spectrum_exact(a) is simple, a
     assert len(oracle_calls) == len(fallbacks)
+
+
+# ---------------------------------------------------------------------------
+# certificate from a float eigensystem
+# ---------------------------------------------------------------------------
+
+def float_tier(mats, cols, eigsys=None) -> np.ndarray:
+    """The float tier's verdicts [t, j] on a stack, from its own eigensystems
+    unless others are given."""
+    mats = np.asarray(mats)
+    if eigsys is None:
+        eigsys = eig_sym(mats.astype(np.float64))
+    return exact_module._float_certified(mats, np.asarray(cols), eigsys)
+
+
+def wilkinson_plus(m: int) -> np.ndarray:
+    """W_(2m+1)^+: diagonal m, ..., 1, 0, 1, ..., m and ones beside it.  Its
+    eigenvalues come in pairs that agree to about m! digits, and the centre
+    vertex is orthogonal to every antisymmetric eigenvector."""
+    n = 2 * m + 1
+    off = np.diag(np.ones(n - 1, dtype=np.int64), 1)
+    return np.diag(np.abs(np.arange(n) - m)) + off + off.T
+
+
+@functools.lru_cache(maxsize=1)
+def adversarial_cases() -> tuple:
+    """(stack, inputs, oracle ranks) of each of :func:`adversarial_stacks`;
+    the oracle is the mod-_P and Bareiss tiers, which equal Bareiss ranks
+    (tested above)."""
+    return tuple((mats, inputs, np.array(kalman_ranks_exact(mats, inputs, cap=None)))
+                 for mats, inputs in adversarial_stacks())
+
+
+def adversarial_stacks():
+    """(stack, inputs) pairs with many rank-deficient columns: G(n, p) with
+    and without a twin vertex, K_n, C_n, P_n, entries up to 2^52, diagonals
+    with repeated eigenvalues and clustered spectra."""
+    rng = np.random.default_rng(20261018)
+    root = SeedPath(20261018, ("float-tier",))
+    for n in range(2, 33):
+        graphs = [sample_gnp(n, p / 10, root.child(n, p, t)) for p in (2, 5, 8) for t in range(2)]
+        twins = [with_twins(g) for g in graphs[::2 if n <= 24 else 6]]  # slow to decide beyond
+        cycle = np.roll(np.eye(n, dtype=np.int64), 1, axis=1)
+        mats = graphs + twins + rank_deficient_fixtures(n) + [cycle + cycle.T]
+        if n >= 3:  # C_2 is a double edge
+            mats.append(2**52 // (2 * n) * graphs[3])
+        mats += [np.diag(np.arange(n) // 2), np.diag(np.arange(n) % 3)]
+        inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64),
+                                  np.r_[1, 1, np.zeros(n - 2, dtype=np.int64)],
+                                  rng.integers(-3, 4, (n, 2)),
+                                  rng.integers(-2**52, 2**52, n)])
+        yield np.stack(mats), inputs
+    for m in range(1, 13):
+        n = 2 * m + 1
+        w = wilkinson_plus(m)
+        shifted = w + (2**40 * np.eye(n, dtype=np.int64))  # the same spectrum, 2^40 away
+        inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+        yield np.stack([w, shifted, 2**12 * w]), inputs
+
+
+def test_float_tier_never_certifies_a_deficient_column():
+    deficient = certified = full = 0
+    for mats, inputs, oracle in adversarial_cases():
+        n = mats.shape[1]
+        proved = float_tier(mats, inputs)
+        assert not (proved & (oracle < n)).any(), mats[np.nonzero(proved & (oracle < n))[0]]
+        deficient += int((oracle < n).sum())
+        full += int((oracle == n).sum())
+        certified += int(proved.sum())
+    assert deficient > 5000
+    assert certified > 0.8 * full
+
+
+def test_float_tier_certified_columns_have_full_bareiss_rank():
+    # the certified columns on a few small fixtures, against Bareiss itself
+    for n in (3, 5, 7):
+        w = wilkinson_plus(n // 2)
+        twin = with_twins(sample_gnp(n, 0.5, SeedPath(3, ("twin", n))))
+        for a in (w, twin, np.diag(np.arange(n) // 2)):
+            inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+            proved = float_tier(a[None], inputs)[0]
+            assert all(rank == n for rank, ok in zip(bareiss_ranks(a, inputs), proved) if ok)
+
+
+def test_float_tier_covers_full_rank_gnp_columns():
+    root = SeedPath(1506, ("float-tier-coverage",))
+    for n in (16, 24):
+        mats = np.stack([sample_gnp(n, 0.5, root.child(n, t)) for t in range(20)])
+        eye = np.eye(n, dtype=np.int64)
+        full = np.array(kalman_ranks_exact(mats, eye)) == n
+        assert (float_tier(mats, eye) == full).all()
+
+
+def test_float_tier_leaves_ranks_unchanged_and_skips_proved_matrices(monkeypatch):
+    seen = []
+    real = exact_module._certified_ranks
+    monkeypatch.setattr(exact_module, "_certified_ranks",
+                        lambda mats, cols: seen.append(len(mats)) or real(mats, cols))
+    for mats, inputs, oracle in adversarial_cases()[::3]:
+        eigsys = eig_sym(mats.astype(np.float64))
+        seen.clear()
+        assert kalman_ranks_exact(mats, inputs, cap=None, eigsys=eigsys) == oracle.tolist()
+        unproved = int((~float_tier(mats, inputs, eigsys).all(axis=1)).sum())
+        assert seen == ([unproved] if unproved else [])
+    seen.clear()
+    a = sample_gnp(24, 0.5, SeedPath(1506, ("one",)))
+    assert kalman_ranks_exact(a, np.eye(24, dtype=np.int64), eigsys=eig_sym(a)) == [24] * 24
+    assert seen == []
+
+
+def test_float_tier_skips_entries_beyond_2_53_and_object_arrays(monkeypatch):
+    a = sample_gnp(8, 0.5, SeedPath(11, ("big",)))
+    eye = np.eye(8, dtype=np.int64)
+    assert float_tier(a[None], eye).all()
+    big = a * (2**53 + 1)  # float64 rounds every nonzero entry to 2^53
+    skipped = [(big, eye), (a, eye * (2**53 + 1)), (a.astype(object), eye),
+               (a, eye.astype(object)), (a.astype(np.uint64) * np.uint64(2**53 + 1), eye)]
+    for m, cols in skipped:
+        # even with the eigensystem of A's float64 copy, which is exact for big
+        assert not exact_module._float_certified(m[None], cols, [eig_sym(a)]).any()
+    seen = []
+    real = exact_module._certified_ranks
+    monkeypatch.setattr(exact_module, "_certified_ranks",
+                        lambda mats, cols: seen.append(len(mats)) or real(mats, cols))
+    for m, cols in skipped:
+        ranks = kalman_ranks_exact(m, cols, eigsys=eig_sym(np.asarray(m, dtype=np.float64)))
+        assert ranks == kalman_ranks_exact(m, cols)
+    assert seen == [1, 1] * len(skipped)
+
+
+def test_float_tier_with_a_wrong_eigensystem_certifies_nothing_wrong():
+    root = SeedPath(7, ("stale",))
+    n = 12
+    good = [sample_gnp(n, 0.5, root.child(t)) for t in range(4)]
+    bad = [with_twins(good[0]), np.diag(np.arange(n) // 2), rank_deficient_fixtures(n)[0]]
+    inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+    oracle = np.array(kalman_ranks_exact(np.stack(bad), inputs))
+    assert (oracle < n).any()
+    for other in good:
+        es = eig_sym(other)
+        stale = [es] * len(bad)
+        assert not (float_tier(bad, inputs, stale) & (oracle < n)).any()
+        assert kalman_ranks_exact(np.stack(bad), inputs, eigsys=stale) == oracle.tolist()
+    # the matrix's own eigenvectors, scaled far from orthonormal, prove nothing
+    es = eig_sym(good[1])
+    scaled = EigenSystem(es.eigenvalues, 2 * es.eigenvectors)
+    assert float_tier(good[1][None], inputs)[0].any()
+    assert not float_tier(good[1][None], inputs, [scaled]).any()
+    # nor do eigenvalues out of order
+    swapped = EigenSystem(es.eigenvalues[::-1].copy(), es.eigenvectors[:, ::-1].copy())
+    assert not float_tier(good[1][None], inputs, [swapped]).any()
+
+
+def hadamard_system(q):
+    """A = U diag(16 q + 1) U^T for U = H_16 / 4, with H_16 the Sylvester
+    Hadamard matrix: an integer matrix whose unit eigenvectors, the columns
+    of U, are exact in float64."""
+    h = np.array([[1]])
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    u = h / 4.0
+    d = 16 * np.asarray(q) + 1
+    a = (h * d) @ h.T // 16
+    assert np.array_equal(a, a.T) and np.array_equal(u @ np.diag(d) @ u.T, a)
+    return a, u, d.astype(np.float64)
+
+
+def exact_distance_sq(x: np.ndarray, u: np.ndarray) -> Fraction:
+    """min over the sign of ||x -+ u||^2, in exact rational arithmetic."""
+    return min(sum((Fraction(p) - s * Fraction(r)) ** 2 for p, r in zip(x, u)) for s in (1, -1))
+
+
+@pytest.mark.parametrize("kind", ["scaled", "rotated", "exact"])
+def test_eigenvector_distance_bound_dominates_exact_distance(kind):
+    # the true unit eigenvectors of A are +-u_i exactly, so each computed
+    # dist_i is checked against the exact distance to the eigensystem given
+    a, u, w = hadamard_system([0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18, 19, 21, 22])
+    x = u.copy()
+    if kind == "scaled":  # not orthonormal; only eta covers ||Q e_i - x_i||
+        x = u * (1 + np.linspace(-2e-4, 2e-4, 16))
+    elif kind == "rotated":  # orthonormal; only the gap term covers the tilt
+        c, s = np.cos(1e-4), np.sin(1e-4)
+        x[:, 3], x[:, 4] = c * u[:, 3] + s * u[:, 4], c * u[:, 4] - s * u[:, 3]
+    simple, dist = exact_module._eigvec_bounds(a[None].astype(np.float64), w[None], x[None])
+    assert simple[0]
+    for i in range(16):
+        assert Fraction(float(dist[0, i])) ** 2 >= exact_distance_sq(x[:, i], u[:, i]), i
+    if kind == "exact":
+        assert dist.max() < 1e-11
+
+
+def test_inner_product_error_bound_dominates_rounding():
+    # integer inputs up to 2^52 against unit vectors: heavy cancellation
+    rng = np.random.default_rng(5)
+    n = 24
+    x = eig_sym(sample_gnp(n, 0.5, SeedPath(5, ("inner",)))).eigenvectors
+    cols = np.column_stack([rng.integers(-2**52, 2**52, (n, 6)), rng.integers(-3, 4, (n, 2))])
+    cols[:, 0] = np.round(x[:, 0] * 2**52)  # nearly parallel to x_0, so x_1 . b cancels
+    inner, err = exact_module._inner_products(x[None], cols.astype(np.float64))
+    rounded = 0
+    for i in range(n):
+        for j in range(cols.shape[1]):
+            exact = sum(Fraction(p) * int(q) for p, q in zip(x[:, i], cols[:, j]))
+            off = abs(Fraction(float(inner[0, i, j])) - exact)
+            assert off <= Fraction(float(err[0, i, j])), (i, j)
+            rounded += off > 0
+    assert rounded > n  # the bound is tested where rounding happened

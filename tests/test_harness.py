@@ -228,6 +228,8 @@ def chunk_size(config, n: int) -> int:
     ("thm-wigner-rand", (16,)), ("thm-wigner-sphere", (32,)), ("diag-smallball", (32,)),
     # three streams per trial (matrix, vector, sphere), and a seeded vector stream
     ("cor-gnp-rand", (24,)), ("thm-wigner-rand", (32,)),
+    # eigenvalues only, from one stacked eigvalsh per chunk
+    ("diag-mingap", (50,)), ("diag-norm", (32,)),
 ])
 def test_chunked_records_equal_standalone_trials(monkeypatch, name, n_grid):
     # run_experiment decides each chunk of trials in one batch, then builds
@@ -263,6 +265,7 @@ def test_chunked_records_equal_standalone_trials(monkeypatch, name, n_grid):
     ("conj1", ("matrix",)), ("conj2", ("matrix",)), ("thm-goe", ("matrix",)),
     ("thm-wigner-rand", ("matrix", "vector")), ("thm-wigner-sphere", ("matrix", "vector")),
     ("cor-gnp-rand", ("matrix", "vector", "sphere")), ("minctrl-gnp", ("matrix",)),
+    ("diag-smallball", ("matrix", "smallball")),
 ])
 def test_chunk_draws_equal_per_path_samples(name, streams):
     # the chunk derives every stream of its trials in one batch; each draw
@@ -274,7 +277,6 @@ def test_chunk_draws_equal_per_path_samples(name, streams):
     trials = [0, 3, 2**32 + 3, 5]  # one- and two-word trial indices in one batch
     for t, prepared in zip(trials, harness._draw_chunk(config, 8, trials)):
         path = SeedPath(config.master_seed).child(name, 8, t)
-        assert prepared.path == path
         drawn = prepared.drawn
         assert np.array_equal(drawn[0], sample_ensemble(config.ensemble, path.child("matrix"), 8))
         if config.vector is not None:
@@ -282,6 +284,9 @@ def test_chunk_draws_equal_per_path_samples(name, streams):
         if "sphere" in streams:
             assert np.array_equal(drawn[2], sample_vector(VectorSpec.uniform_sphere(), 8,
                                                           path.child("sphere")))
+        if "smallball" in streams:
+            assert drawn[2].bit_generator.state == \
+                path.child("smallball").generator().bit_generator.state
 
 
 def test_wide_trial_index_is_reproducible_alone():
@@ -309,7 +314,8 @@ def test_eigh_failure_names_the_failing_trial(monkeypatch):
     # the stacked eigh fails when one matrix of the chunk does; each matrix
     # is then retried alone, and the error carries that trial's seed path
     config = make_scenario_config("thm-goe", n_grid=(10,), trials=20)
-    (bad_path, (bad, _), _, _), = harness._draw_chunk(config, 10, [7])
+    ((bad, _), _, _), = harness._draw_chunk(config, 10, [7])
+    bad_path = SeedPath(config.master_seed).child("thm-goe", 10, 7)
     real_eigh = np.linalg.eigh
     shapes = []
 
@@ -321,7 +327,6 @@ def test_eigh_failure_names_the_failing_trial(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
     label = str(bad_path.labels).replace("(", r"\(").replace(")", r"\)")
-    assert bad_path.labels == ("thm-goe", 10, 7)
     with pytest.raises(EigenDecompositionError, match=rf"eigh failed to converge \({label}\)"):
         run_experiment(config)
     assert shapes[0] == (20, 10, 10)  # the whole chunk, then matrices 0..7 alone
@@ -332,9 +337,9 @@ def test_eigh_failure_names_the_failing_trial(monkeypatch):
 
 
 def test_certificate_leaves_exact_records_unchanged(monkeypatch):
-    # the same cells with the mod-_P certificates switched off, so every
-    # Kalman rank, full or not, and every spectrum's Hankel rank goes
-    # through Bareiss
+    # the same cells with the float tier and the mod-_P certificates
+    # switched off, so every Kalman rank, full or not, and every spectrum's
+    # Hankel rank goes through Bareiss
     configs = [
         make_scenario_config("conj1", n_grid=(8, 16, 24), trials=2),
         make_scenario_config("conj2", n_grid=(8, 24), trials=3),
@@ -354,6 +359,8 @@ def test_certificate_leaves_exact_records_unchanged(monkeypatch):
     monkeypatch.setattr(exact, "_certified_ranks",
                         lambda mats, cols: [[None] * cols.shape[-1] for _ in mats])
     monkeypatch.setattr(exact, "_certified_simple_spectrum", lambda a: None)
+    monkeypatch.setattr(exact, "_float_certified",
+                        lambda mats, cols, eigsys: np.zeros((len(mats), cols.shape[-1]), bool))
     assert run_all() == certified
     # the switch reaches the batched chunks: conj1 sends every basis input
     # of every trial to Bareiss

@@ -391,6 +391,13 @@ def test_small_ball_doubling_m_stays_consistent():
             assert abs(est.rho_hat - rho) <= 3.0 * est.std_err
 
 
+def test_small_ball_takes_a_generator_or_its_seed_path():
+    x = np.array([0.6, 0.8])
+    path = SEED.child("sb-gen")
+    by_path = small_ball_estimate(x, Atom.rademacher(), 0.1, 2000, path)
+    assert small_ball_estimate(x, Atom.rademacher(), 0.1, 2000, path.generator()) == by_path
+
+
 def test_small_ball_window_is_closed_and_counts_atoms():
     # degenerate atom: every sample equals 3.0, any window catches them all
     est = small_ball_estimate([3.0], Atom.degenerate(1.0), 0.01, 1000, SEED.child("sb-deg"))
