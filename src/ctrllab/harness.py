@@ -153,6 +153,11 @@ class ExperimentConfig(Record):
                 raise ValueError(f"method=exact but n-grid {over} exceeds exact cap {self.exact_cap}")
         if scenario.density and not 0.0 < (self.p or 0.0) < 1.0:
             raise ValueError(f"scenario {self.scenario!r} requires 0 < p < 1, got {self.p}")
+        sampled = self.ensemble.p if scenario.density else scenario.p
+        if self.p != sampled:
+            raise ValueError(f"scenario {self.scenario!r} samples p={sampled}, got p={self.p}")
+        if scenario.vector is None and self.vector is not None:
+            raise ValueError(f"scenario {self.scenario!r} takes no input vector")
         for key, value in self.params.items():
             if key not in scenario.accepts:
                 raise ValueError(f"unknown params key {key!r} for scenario {self.scenario!r}; "
@@ -225,14 +230,12 @@ def _exact_applicable(config: ExperimentConfig) -> bool:
     return config.ensemble.integer_valued and vector_ok
 
 
-def _methods_for(config: ExperimentConfig, n: int) -> list[str]:
-    if config.method == "exact":
-        return ["exact"]
-    if config.method == "float-pbh":
-        return ["float"]
-    if _exact_applicable(config) and n <= config.exact_cap:
-        return ["exact", "float"]
-    return ["float"]
+def _exact_runs(config: ExperimentConfig, n: int) -> bool:
+    """Whether the exact method decides grid point n; the float method runs
+    exactly when `config.method` is not "exact"."""
+    if config.method == "both":
+        return _exact_applicable(config) and n <= config.exact_cap
+    return config.method == "exact"
 
 
 def _exact_verdict(ranks: list[int], n: int) -> tuple[str, float]:
@@ -241,58 +244,27 @@ def _exact_verdict(ranks: list[int], n: int) -> tuple[str, float]:
     return (CONTROLLABLE if rank == n else UNCONTROLLABLE), float(rank)
 
 
-def _uses_float(config: ExperimentConfig, n: int) -> bool:
-    return "float" in _methods_for(config, n)
-
-
-def _always(config: ExperimentConfig, n: int) -> bool:
-    return True
-
-
-def _never(config: ExperimentConfig, n: int) -> bool:
-    return False
-
-
-def _matrix_stream(config: ExperimentConfig) -> tuple[str, ...]:
-    return ("matrix",)
-
-
-def _input_streams(config: ExperimentConfig) -> tuple[str, ...]:
-    """The matrix stream, and the vector stream when the input vector is random."""
-    seeded = config.vector is not None and config.vector.seeded
-    return ("matrix", "vector") if seeded else ("matrix",)
-
-
-def _two_vector_streams(config: ExperimentConfig) -> tuple[str, ...]:
-    return _input_streams(config) + ("sphere",)
-
-
-def _smallball_streams(config: ExperimentConfig) -> tuple[str, ...]:
-    return ("matrix", "smallball")
-
-
 @dataclass(frozen=True)
 class _Family:
-    """How one kind of trial runs, in two stages.
+    """How one kind of trial runs, declared as data.
 
-    `draw(config, n, rngs)` samples the trial and returns (A, b, ...),
-    where b is the exact input, or None for every standard basis input at
-    once; `rngs` maps each label of `streams(config)` to the generator of
-    the trial's SeedPath child of that label.  A chunk of draws is then
-    prepared in bulk (see :func:`_draw_chunk`): when `kalman` is set and
-    the exact method applies at n, the Kalman ranks of those inputs come from one
-    call, and when `eig(config, n)` holds, the eigensystems of the matrices
-    from one stacked :func:`eig_sym`, with eigenvectors only when `vectors`
-    is set.  Then, inside :func:`run_trial`, `decide(config, n, prepared)`
-    returns (success, indeterminate, verdicts, witnesses).
+    Every trial draws (A, b, *extra) with :func:`_draw`: b is the config's
+    input vector, or None for every standard basis input at once, and
+    `extra` names the further streams whose generators the trial reads.  A
+    chunk of draws is then prepared in bulk (see :func:`_draw_chunk`): when
+    `kalman` is set and the exact method runs at n, the Kalman ranks of
+    those inputs come from one call, and the eigensystems of the matrices
+    come from one stacked :func:`eig_sym` as `eig` says: "vectors" or
+    "values" always, with or without eigenvectors; "float" with eigenvectors
+    whenever the float method runs; None never.  Then, inside
+    :func:`run_trial`, `decide(config, n, prepared)` returns (success,
+    indeterminate, verdicts, witnesses).
     """
 
-    draw: Callable
     decide: Callable
-    streams: Callable[[ExperimentConfig], tuple[str, ...]] = _matrix_stream
+    extra: tuple[str, ...] = ()
     kalman: bool = False
-    eig: Callable[[ExperimentConfig, int], bool] = _never
-    vectors: bool = True
+    eig: str | None = "vectors"
 
 
 class _Prepared(NamedTuple):
@@ -304,26 +276,17 @@ class _Prepared(NamedTuple):
     eigsys: EigenSystem | None
 
 
-def _draw_matrix(config: ExperimentConfig, n: int, rngs: dict):
-    return sample_ensemble(config.ensemble, rngs["matrix"], n), None
+def _streams(config: ExperimentConfig, family: _Family) -> tuple[str, ...]:
+    """The stream labels a trial of `family` draws from, in order."""
+    seeded = config.vector is not None and config.vector.seeded
+    return (("matrix", "vector") if seeded else ("matrix",)) + family.extra
 
 
-def _draw_input(config: ExperimentConfig, n: int, rngs: dict):
-    """A and the config's input vector, None without one."""
-    a, _ = _draw_matrix(config, n, rngs)
+def _draw(config: ExperimentConfig, n: int, rngs: dict, extra: tuple[str, ...]) -> tuple:
+    """(A, b, *generators of `extra`); b is None without an input vector."""
     b = None if config.vector is None else sample_vector(config.vector, n, rngs.get("vector"))
-    return a, b
-
-
-def _draw_two_vectors(config: ExperimentConfig, n: int, rngs: dict):
-    a, b = _draw_input(config, n, rngs)
-    return a, b, sample_vector(VectorSpec.uniform_sphere(), n, rngs["sphere"])
-
-
-def _draw_smallball(config: ExperimentConfig, n: int, rngs: dict):
-    """A, no input, and the generator the small-ball samples come from."""
-    a, _ = _draw_matrix(config, n, rngs)
-    return a, None, rngs["smallball"]
+    return (sample_ensemble(config.ensemble, rngs["matrix"], n), b,
+            *(rngs[stream] for stream in extra))
 
 
 def _trial_pbh(config: ExperimentConfig, n: int, prepared: _Prepared):
@@ -347,7 +310,8 @@ def _trial_pbh(config: ExperimentConfig, n: int, prepared: _Prepared):
 
 
 def _trial_two_vectors(config: ExperimentConfig, n: int, prepared: _Prepared):
-    (_, b, u), ranks, eigsys = prepared
+    (_, b, sphere), ranks, eigsys = prepared
+    u = sample_vector(VectorSpec.uniform_sphere(), n, sphere)
     fb = pbh_controllable(None, b, config.tolerances, eigsys=eigsys)
     fu = pbh_controllable(None, u, config.tolerances, eigsys=eigsys)
     verdicts = {"float:b": fb.decision, "float:u": fu.decision}
@@ -413,13 +377,12 @@ def _trial_minctrl(config: ExperimentConfig, n: int, prepared: _Prepared):
     return result.k_star == 1, False, {}, witnesses
 
 
-_PBH = _Family(_draw_input, _trial_pbh, _input_streams, kalman=True, eig=_uses_float)
-_TWO_VECTORS = _Family(_draw_two_vectors, _trial_two_vectors, _two_vector_streams, kalman=True,
-                       eig=_always)
-_MINCTRL = _Family(_draw_matrix, _trial_minctrl, kalman=True)
-_MINGAP = _Family(_draw_matrix, _trial_mingap, eig=_always, vectors=False)
-_SMALLBALL = _Family(_draw_smallball, _trial_smallball, _smallball_streams, eig=_always)
-_NORM = _Family(_draw_matrix, _trial_norm, eig=_always, vectors=False)
+_PBH = _Family(_trial_pbh, kalman=True, eig="float")
+_TWO_VECTORS = _Family(_trial_two_vectors, ("sphere",), kalman=True)
+_MINCTRL = _Family(_trial_minctrl, kalman=True, eig=None)
+_MINGAP = _Family(_trial_mingap, eig="values")
+_SMALLBALL = _Family(_trial_smallball, ("smallball",))
+_NORM = _Family(_trial_norm, eig="values")
 
 # Bound on the entries of one chunk's stacked work: T * m * n^2 int64
 # entries of the Krylov stack when the chunk's exact Kalman ranks are
@@ -431,10 +394,6 @@ _NORM = _Family(_draw_matrix, _trial_norm, eig=_always, vectors=False)
 _KRYLOV_ENTRIES = 2**14
 
 
-def _kalman_applies(config: ExperimentConfig, n: int) -> bool:
-    return SCENARIOS[config.scenario].trial.kalman and "exact" in _methods_for(config, n)
-
-
 def _chunks(config: ExperimentConfig, n: int) -> list[range]:
     """The trial indices of grid point n, in chunks within _KRYLOV_ENTRIES.
 
@@ -442,7 +401,8 @@ def _chunks(config: ExperimentConfig, n: int) -> list[range]:
     of its m = n basis inputs, and n^2 otherwise (one exact input, or only
     the float work).
     """
-    m = n if config.vector is None and _kalman_applies(config, n) else 1
+    kalman = SCENARIOS[config.scenario].trial.kalman and _exact_runs(config, n)
+    m = n if config.vector is None and kalman else 1
     size = max(1, _KRYLOV_ENTRIES // (m * n * n))
     return [range(start, min(start + size, config.trials))
             for start in range(0, config.trials, size)]
@@ -462,15 +422,16 @@ def _draw_chunk(config: ExperimentConfig, n: int, trials) -> list[_Prepared]:
     """
     family = SCENARIOS[config.scenario].trial
     grid = SeedPath(config.master_seed).child(config.scenario, n)
-    streams = family.streams(config)
+    streams = _streams(config, family)
     rngs = grid.generators([(t, stream) for t in trials for stream in streams])
-    draws = [family.draw(config, n, {stream: next(rngs) for stream in streams}) for _ in trials]
+    draws = [_draw(config, n, {stream: next(rngs) for stream in streams}, family.extra)
+             for _ in trials]
     mats = np.stack([drawn[0] for drawn in draws])
     ranks = eigsys = None
-    if family.eig(config, n):
+    if family.eig in ("vectors", "values") or (family.eig == "float" and config.method != "exact"):
         eigsys = eig_sym(mats, label=[grid.child(t).labels for t in trials],
-                         vectors=family.vectors)
-    if _kalman_applies(config, n):
+                         vectors=family.eig != "values")
+    if family.kalman and _exact_runs(config, n):
         if draws[0][1] is None:
             inputs = np.eye(n, dtype=np.int64)
         else:

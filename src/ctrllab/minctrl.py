@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 DEFAULT_SUPPORT_BUDGET = 10**6
+# random vectors tried per feasible support in generic-random mode
+_WITNESS_TRIALS = 8
 
 
 class BudgetExceededError(RuntimeError):
@@ -118,9 +120,8 @@ def support_feasibility(a, support, tolerances: Tolerances | None = None,
     bad = [i for i in idx if not 0 <= i < eigsys.n]
     if bad:
         raise ValueError(f"support index {bad[0]} out of range for n={eigsys.n}")
-    gap, scale = eigsys.gap_and_scale()
     inner = float(np.min(np.max(np.abs(eigsys.eigenvectors[idx, :]), axis=0)))
-    return classify(gap, inner, scale, 1.0, tol) == CONTROLLABLE
+    return classify(eigsys.gap, inner, eigsys.scale, 1.0, tol) == CONTROLLABLE
 
 
 @dataclass(frozen=True)
@@ -148,14 +149,13 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
                    seed: SeedPath | None = None, tolerances: Tolerances | None = None,
                    cap: int | None = DEFAULT_EXACT_CAP,
                    budget: int = DEFAULT_SUPPORT_BUDGET,
-                   witness_trials: int = 8,
                    scan: BasisScanResult | None = None) -> MinCtrlResult:
     """Search supports of size 1..kmax for a controllable input vector.
 
     ``binary01`` enumerates indicator vectors under the exact decider (the
     matrix must be integer and within the exact cap); ``generic-random``
     tests each support for feasibility against one shared eigendecomposition
-    and then verifies up to `witness_trials` random vectors (entries uniform
+    and then verifies up to `_WITNESS_TRIALS` random vectors (entries uniform
     on [1, 2]) with the float decider, requiring a controllable, not merely
     non-rejected, verdict.  Supports are enumerated lexicographically and
     the first success is returned; enumeration beyond `budget` supports
@@ -219,7 +219,7 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
             if not support_feasibility(None, supp, tol, eigsys=eigsys):
                 continue
             rng = seed.child("support", *supp).generator()
-            for _ in range(witness_trials):
+            for _ in range(_WITNESS_TRIALS):
                 b = np.zeros(n)
                 b[list(supp)] = rng.uniform(1.0, 2.0, size=k)
                 if pbh_controllable(None, b, tol, eigsys=eigsys).controllable:

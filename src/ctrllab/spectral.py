@@ -100,10 +100,6 @@ class EigenSystem:
         g = self.eigenvectors.T @ self.eigenvectors
         return float(np.max(np.abs(g - np.eye(self.n))))
 
-    def gap_and_scale(self) -> tuple[float, float]:
-        """Minimal eigenvalue gap and max(1, ||A||), the scale of its thresholds."""
-        return self.gap, self.scale
-
 
 def nonfinite_error(a: np.ndarray, what: str) -> ValueError:
     """ValueError naming the non-finite entries of `a` (the first three)."""
@@ -279,7 +275,6 @@ def pbh_controllable(a, b, tolerances: Tolerances | None = None,
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     if eigsys is None:
         eigsys = eig_sym(a)
-    gap, scale = eigsys.gap_and_scale()
     bv = np.asarray(b, dtype=np.float64)
     if bv.shape != (eigsys.n,):
         raise ValueError(f"dimension mismatch: A is {eigsys.n}x{eigsys.n}, b has shape {bv.shape}")
@@ -291,10 +286,10 @@ def pbh_controllable(a, b, tolerances: Tolerances | None = None,
         bv = bv / np.max(np.abs(bv))
         norm_b = float(np.linalg.norm(bv))
     if norm_b == 0.0:
-        return ControllabilityVerdict(UNCONTROLLABLE, min_gap=gap, min_abs_inner=0.0)
+        return ControllabilityVerdict(UNCONTROLLABLE, min_gap=eigsys.gap, min_abs_inner=0.0)
     inner = float(np.min(np.abs(eigsys.eigenvectors.T @ bv)))
-    return ControllabilityVerdict(classify(gap, inner, scale, norm_b, tol),
-                                  min_gap=gap, min_abs_inner=inner)
+    return ControllabilityVerdict(classify(eigsys.gap, inner, eigsys.scale, norm_b, tol),
+                                  min_gap=eigsys.gap, min_abs_inner=inner)
 
 
 def basis_witnesses(eigsys: EigenSystem) -> tuple[float, float, np.ndarray]:
@@ -303,8 +298,7 @@ def basis_witnesses(eigsys: EigenSystem) -> tuple[float, float, np.ndarray]:
     Returns (gap, scale, inner) for :func:`classify` with norm_b = 1, where
     inner[i] = min_j |v_j . e_i| = min_j |V[i, j]| needs no product with b.
     """
-    gap, scale = eigsys.gap_and_scale()
-    return gap, scale, np.min(np.abs(eigsys.eigenvectors), axis=1)
+    return eigsys.gap, eigsys.scale, np.min(np.abs(eigsys.eigenvectors), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from ctrllab import (
     wilson_interval,
 )
 from ctrllab import exact, harness
+from ctrllab.ensembles import VectorSpec
 from ctrllab.exact import _P
 from ctrllab.spectral import EigenDecompositionError
 from ctrllab.harness import CSV_COLUMNS, ExperimentReport, report_load_json
@@ -80,6 +81,19 @@ def test_config_validation_rejects_bad_values():
         make_scenario_config("conj1", p=1.0)  # fixtures only, not experiments
     with pytest.raises(ValueError):
         make_scenario_config("thm-goe", p=0.4)  # no density parameter
+    # a config's p must be the density its matrices are drawn at
+    conj2 = make_scenario_config("conj2")
+    conj2.p = 0.1
+    with pytest.raises(ValueError, match=r"'conj2' samples p=0.5, got p=0.1"):
+        conj2.validate()
+    goe = make_scenario_config("thm-goe")
+    goe.p = 0.3
+    with pytest.raises(ValueError, match=r"'thm-goe' samples p=None, got p=0.3"):
+        goe.validate()
+    minctrl = make_scenario_config("minctrl-gnp")
+    minctrl.vector = VectorSpec.all_ones()
+    with pytest.raises(ValueError, match="'minctrl-gnp' takes no input vector"):
+        minctrl.validate()
 
 
 BAD_PARAMS = [
@@ -270,10 +284,10 @@ def test_chunked_records_equal_standalone_trials(monkeypatch, name, n_grid):
 def test_chunk_draws_equal_per_path_samples(name, streams):
     # the chunk derives every stream of its trials in one batch; each draw
     # equals sampling from the trial's own SeedPath children one at a time
-    from ctrllab.ensembles import VectorSpec, sample_ensemble, sample_vector
+    from ctrllab.ensembles import sample_ensemble, sample_vector
 
     config = make_scenario_config(name, n_grid=(8,), trials=6)
-    assert harness.SCENARIOS[name].trial.streams(config) == streams
+    assert harness._streams(config, harness.SCENARIOS[name].trial) == streams
     trials = [0, 3, 2**32 + 3, 5]  # one- and two-word trial indices in one batch
     for t, prepared in zip(trials, harness._draw_chunk(config, 8, trials)):
         path = SeedPath(config.master_seed).child(name, 8, t)
@@ -281,12 +295,37 @@ def test_chunk_draws_equal_per_path_samples(name, streams):
         assert np.array_equal(drawn[0], sample_ensemble(config.ensemble, path.child("matrix"), 8))
         if config.vector is not None:
             assert np.array_equal(drawn[1], sample_vector(config.vector, 8, path.child("vector")))
-        if "sphere" in streams:
-            assert np.array_equal(drawn[2], sample_vector(VectorSpec.uniform_sphere(), 8,
-                                                          path.child("sphere")))
-        if "smallball" in streams:
-            assert drawn[2].bit_generator.state == \
-                path.child("smallball").generator().bit_generator.state
+        if streams[-1] in ("sphere", "smallball"):  # the generator decide reads
+            extra = path.child(streams[-1]).generator()
+            assert drawn[2].bit_generator.state == extra.bit_generator.state
+
+
+@pytest.mark.parametrize("name, method, cap, verdicts, ranks, eig", [
+    ("conj1", "exact", None, ["exact"], True, None),
+    ("conj1", "float-pbh", None, ["float"], False, "vectors"),
+    ("conj1", "both", None, ["exact", "float"], True, "vectors"),
+    ("conj1", "both", 6, ["float"], False, "vectors"),  # n = 8 above the exact cap
+    ("cor-gnp-rand", "exact", None, ["exact:b", "float:b", "float:u"], True, "vectors"),
+    ("cor-gnp-rand", "float-pbh", None, ["float:b", "float:u"], False, "vectors"),
+    ("minctrl-gnp", "float-pbh", None, [], False, None),
+    ("diag-mingap", "float-pbh", None, [], False, "values"),
+])
+def test_family_work_under_each_method(name, method, cap, verdicts, ranks, eig):
+    # what the chunk stage computes for a family, and the verdicts it yields
+    config = make_scenario_config(name, n_grid=(8,), trials=3, method=method)
+    if cap is not None:
+        config.exact_cap = cap
+        config.validate()
+    for t, prepared in enumerate(harness._draw_chunk(config, 8, range(3))):
+        assert (prepared.ranks is not None) == ranks
+        computed = prepared.eigsys and ("values" if prepared.eigsys.eigenvectors is None
+                                        else "vectors")
+        assert computed == eig
+        record = run_trial(config, 8, t, prepared=prepared)
+        assert sorted(record.verdicts) == verdicts
+        if name == "minctrl-gnp":  # the search decides exactly under any method
+            exact_config = make_scenario_config(name, n_grid=(8,), trials=3, method="exact")
+            assert record == run_trial(exact_config, 8, t)
 
 
 def test_wide_trial_index_is_reproducible_alone():

@@ -97,7 +97,7 @@ def test_eig_sym_on_a_stack_equals_per_matrix_calls():
             assert (es.gap, es.norm) == (alone.gap, alone.norm) == (plain.gap, plain.norm)
             assert es.gap == min_gap(alone.eigenvalues)
             assert es.norm == float(np.max(np.abs(alone.eigenvalues)))
-            assert es.gap_and_scale() == (es.gap, max(1.0, es.norm))
+            assert es.scale == max(1.0, es.norm)
 
 
 def test_eig_sym_stack_names_the_matrix_at_fault():
