@@ -92,6 +92,13 @@ def _build(where: str, make, d, decoders: dict, keys: dict):
     return make(**args)
 
 
+@cache
+def _kind_fields(cls, kind: str) -> tuple[str, ...]:
+    """The fields of spec class `cls` that its classmethod for `kind` takes, in field order."""
+    params = signature(getattr(cls, cls._kinds[kind])).parameters
+    return tuple(f.name for f in fields(cls) if f.name in params)
+
+
 class Spec:
     """Codec mixin for dataclasses with a ``kind`` and one classmethod per kind."""
 
@@ -99,12 +106,11 @@ class Spec:
     _decoders: dict = {}
 
     def to_dict(self) -> dict:
-        params = signature(getattr(self, self._kinds[self.kind])).parameters
         d = {"kind": self.kind}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in params and value is not None:
-                d[f.name] = _encode(value)
+        for name in _kind_fields(type(self), self.kind):
+            value = getattr(self, name)
+            if value is not None:
+                d[name] = _encode(value)
         return d
 
     @classmethod

@@ -258,6 +258,19 @@ def _rng(seed: SeedPath | np.random.Generator) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else seed.generator()
 
 
+def _wigner_draws(rng: np.random.Generator, n: int, offdiag: Atom,
+                  diag: Atom) -> tuple[np.ndarray, np.ndarray]:
+    """One Wigner matrix's raw entries: the upper triangle, then the diagonal."""
+    return offdiag.sample(rng, _upper_indices(n)[0].size), diag.sample(rng, n)
+
+
+def _gnp_draws(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """One G(n, p) matrix's upper-triangle edges."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge density must lie in [0, 1], got {p}")
+    return rng.random(_upper_indices(n)[0].size) < p
+
+
 def sample_wigner(n: int, offdiag: Atom, diag: Atom,
                   seed: SeedPath | np.random.Generator) -> np.ndarray:
     """Sample an n x n Wigner matrix.
@@ -267,13 +280,17 @@ def sample_wigner(n: int, offdiag: Atom, diag: Atom,
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    rng = _rng(seed)
+    upper, diagonal = _wigner_draws(_rng(seed), n, offdiag, diag)
     m = np.zeros((n, n))
-    iu = _upper_indices(n)
-    m[iu] = offdiag.sample(rng, iu[0].size)
+    m[_upper_indices(n)] = upper
     m += m.T
-    m[np.diag_indices(n)] = diag.sample(rng, n)
+    m[np.diag_indices(n)] = diagonal
     return m
+
+
+# The GOE as a Wigner ensemble: Gaussian entries of variance 1 off the
+# diagonal and 2 on it.
+_GOE_ATOMS = (Atom.gaussian(0.0, 1.0), Atom.gaussian(0.0, 2.0))
 
 
 def sample_goe(n: int, seed: SeedPath | np.random.Generator) -> np.ndarray:
@@ -282,7 +299,7 @@ def sample_goe(n: int, seed: SeedPath | np.random.Generator) -> np.ndarray:
     Entries are independent mean-zero Gaussians, variance 1 off the diagonal
     and 2 on it.
     """
-    return sample_wigner(n, Atom.gaussian(0.0, 1.0), Atom.gaussian(0.0, 2.0), seed)
+    return sample_wigner(n, *_GOE_ATOMS, seed)
 
 
 def sample_gnp(n: int, p: float, seed: SeedPath | np.random.Generator) -> np.ndarray:
@@ -294,12 +311,8 @@ def sample_gnp(n: int, p: float, seed: SeedPath | np.random.Generator) -> np.nda
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge density must lie in [0, 1], got {p}")
-    rng = _rng(seed)
     m = np.zeros((n, n), dtype=np.int64)
-    iu = _upper_indices(n)
-    m[iu] = rng.random(iu[0].size) < p
+    m[_upper_indices(n)] = _gnp_draws(_rng(seed), n, p)
     m += m.T
     return m
 
@@ -346,6 +359,36 @@ def sample_ensemble(spec: EnsembleSpec, seed: SeedPath | np.random.Generator,
     if spec.shift is not None:
         w += shift_matrix(spec.shift, dim)
     return w
+
+
+def _sample_stack(spec: EnsembleSpec, rngs, n: int) -> np.ndarray:
+    """The (T, n, n) stack of ``sample_ensemble(spec, rng, n)`` for each of
+    the T generators `rngs`, bit for bit and in the same dtype.
+
+    Each matrix takes its raw entries from its own generator through the
+    single samplers' draw functions; the draws are scattered into the stack
+    at once and mirrored by one transpose-add, which adds exact zeros.
+    """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    iu = _upper_indices(n)
+    if spec.kind == "gnp-adjacency":
+        m = np.zeros((len(rngs), n, n), dtype=np.int64)
+        m[:, iu[0], iu[1]] = [_gnp_draws(rng, n, spec.p) for rng in rngs]
+        m += m.transpose(0, 2, 1)
+        return m
+    if spec.kind == "goe":
+        (offdiag, diag), shift = _GOE_ATOMS, None
+    else:
+        offdiag, diag, shift = spec.offdiag, spec.diag, spec.shift
+    draws = [_wigner_draws(rng, n, offdiag, diag) for rng in rngs]
+    m = np.zeros((len(rngs), n, n))
+    m[:, iu[0], iu[1]] = [upper for upper, _ in draws]
+    m += m.transpose(0, 2, 1)
+    m[:, np.arange(n), np.arange(n)] = [d for _, d in draws]
+    if shift is not None:
+        m += shift_matrix(shift, n)
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ grids can be extended and trials re-run in isolation, in any order, without
 perturbing any other draw.  An experiment runs the trials of a grid point in
 chunks: the random streams of all trials of a chunk are derived in one
 batch, every trial is drawn from its own streams, one stacked exact call
-decides all their Kalman ranks, and one stacked eigendecomposition gives all
-their float eigensystems, so a record never depends on the chunk it was
-decided in.
+decides all their Kalman ranks, one stacked eigendecomposition gives all
+their float eigensystems, and the trial family decides the whole chunk at
+once, so a record never depends on the chunk it was decided in.
 
 Scenario ids
 ------------
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, NamedTuple
 
@@ -42,13 +43,7 @@ import numpy as np
 
 from ._version import __version__
 from .codec import Record
-from .ensembles import (
-    Atom,
-    EnsembleSpec,
-    VectorSpec,
-    sample_ensemble,
-    sample_vector,
-)
+from .ensembles import Atom, EnsembleSpec, VectorSpec, _sample_stack, sample_vector
 from .exact import DEFAULT_EXACT_CAP, kalman_ranks_exact
 from .minctrl import DEFAULT_SUPPORT_BUDGET, BasisScanResult, sparsest_input
 from .seeding import SeedPath
@@ -58,10 +53,9 @@ from .spectral import (
     UNCONTROLLABLE,
     EigenSystem,
     Tolerances,
-    basis_witnesses,
+    _pbh_stack,
     classify,
     eig_sym,
-    pbh_controllable,
     small_ball_estimate,
 )
 
@@ -153,11 +147,20 @@ class ExperimentConfig(Record):
                 raise ValueError(f"method=exact but n-grid {over} exceeds exact cap {self.exact_cap}")
         if scenario.density and not 0.0 < (self.p or 0.0) < 1.0:
             raise ValueError(f"scenario {self.scenario!r} requires 0 < p < 1, got {self.p}")
-        sampled = self.ensemble.p if scenario.density else scenario.p
-        if self.p != sampled:
-            raise ValueError(f"scenario {self.scenario!r} samples p={sampled}, got p={self.p}")
-        if scenario.vector is None and self.vector is not None:
-            raise ValueError(f"scenario {self.scenario!r} takes no input vector")
+        # the config runs the scenario's own experiment: its row at p, with
+        # any input vector where the scenario declares the vector override
+        p = self.p if scenario.density else scenario.p
+        ensemble, vector = scenario.at(p)
+        if scenario.vector_override and self.vector is not None:
+            vector = self.vector
+        if scenario.density and self.ensemble.kind == ensemble.kind:
+            p = self.ensemble.p  # a G(n, p) ensemble samples its own density
+        if self.p != p:
+            raise ValueError(f"scenario {self.scenario!r} samples p={p}, got p={self.p}")
+        for key, sampled in (("ensemble", ensemble), ("vector", vector)):
+            want, got = (_plain(v) for v in (sampled, getattr(self, key)))
+            if got != want:
+                raise ValueError(f"scenario {self.scenario!r} samples {key}={want}, got {key}={got}")
         for key, value in self.params.items():
             if key not in scenario.accepts:
                 raise ValueError(f"unknown params key {key!r} for scenario {self.scenario!r}; "
@@ -225,6 +228,11 @@ class ExperimentReport(Record):
 # trial execution
 # ---------------------------------------------------------------------------
 
+def _plain(value):
+    """A spec as its dict, any other value as it is."""
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
 def _exact_applicable(config: ExperimentConfig) -> bool:
     vector_ok = config.vector is None or config.vector.integer_valued
     return config.ensemble.integer_valued and vector_ok
@@ -248,17 +256,18 @@ def _exact_verdict(ranks: list[int], n: int) -> tuple[str, float]:
 class _Family:
     """How one kind of trial runs, declared as data.
 
-    Every trial draws (A, b, *extra) with :func:`_draw`: b is the config's
-    input vector, or None for every standard basis input at once, and
-    `extra` names the further streams whose generators the trial reads.  A
-    chunk of draws is then prepared in bulk (see :func:`_draw_chunk`): when
-    `kalman` is set and the exact method runs at n, the Kalman ranks of
-    those inputs come from one call, and the eigensystems of the matrices
-    come from one stacked :func:`eig_sym` as `eig` says: "vectors" or
-    "values" always, with or without eigenvectors; "float" with eigenvectors
-    whenever the float method runs; None never.  Then, inside
-    :func:`run_trial`, `decide(config, n, prepared)` returns (success,
-    indeterminate, verdicts, witnesses).
+    A chunk of trials is drawn and prepared in bulk by :func:`_draw_chunk`:
+    each trial draws a matrix A, the config's input vector b (None for
+    every standard basis input at once) and the generators of the streams
+    `extra` names.  When `kalman` is set and the exact method runs at n,
+    the Kalman ranks of those inputs come from one call, and the
+    eigensystems of the matrices come from one stacked :func:`eig_sym` as
+    `eig` says: "vectors" or "values" always, with or without eigenvectors;
+    "float" with eigenvectors whenever the float method runs; None never.
+    Then `decide(config, n, chunk)` gives the outcome of each trial of the
+    :class:`_Chunk` in order: (success, indeterminate, verdicts, witnesses).
+    A family whose work is per trial yields them one at a time, so that a
+    trial's own work runs inside its :func:`run_trial` call.
     """
 
     decide: Callable
@@ -267,13 +276,21 @@ class _Family:
     eig: str | None = "vectors"
 
 
-class _Prepared(NamedTuple):
-    """One trial's chunk-stage output: its draw, and the Kalman ranks and
-    eigensystem of the draw, each None when not computed."""
+class _Chunk(NamedTuple):
+    """The draws of a chunk of T trials and the stacked work on them.
 
-    drawn: tuple
-    ranks: list[int] | None
-    eigsys: EigenSystem | None
+    `mats` is the (T, n, n) stack of matrices; `b` the (T, n) inputs, or
+    one (n,) input shared by the chunk when the vector draws nothing, or
+    None; `extra` maps each extra stream to its T generators; `ranks` holds
+    each trial's Kalman ranks and `eig` the :func:`eig_sym` stack, each
+    None when not computed.
+    """
+
+    mats: np.ndarray
+    b: np.ndarray | None
+    extra: dict[str, list]
+    ranks: list[list[int]] | None
+    eig: list[EigenSystem] | None
 
 
 def _streams(config: ExperimentConfig, family: _Family) -> tuple[str, ...]:
@@ -282,107 +299,97 @@ def _streams(config: ExperimentConfig, family: _Family) -> tuple[str, ...]:
     return (("matrix", "vector") if seeded else ("matrix",)) + family.extra
 
 
-def _draw(config: ExperimentConfig, n: int, rngs: dict, extra: tuple[str, ...]) -> tuple:
-    """(A, b, *generators of `extra`); b is None without an input vector."""
-    b = None if config.vector is None else sample_vector(config.vector, n, rngs.get("vector"))
-    return (sample_ensemble(config.ensemble, rngs["matrix"], n), b,
-            *(rngs[stream] for stream in extra))
-
-
-def _trial_pbh(config: ExperimentConfig, n: int, prepared: _Prepared):
-    """(A, b) for the config's input vector; without one, (A, e_i) for every i at once."""
-    (_, b), ranks, eigsys = prepared
-    verdicts: dict[str, str] = {}
-    witnesses: dict[str, float] = {}
-    if eigsys is not None:
-        if b is None:
-            gap, scale, inner = basis_witnesses(eigsys)
-            worst = float(np.min(inner))
-            verdicts["float"] = classify(gap, worst, scale, 1.0, config.tolerances)
-        else:
-            fv = pbh_controllable(None, b, config.tolerances, eigsys=eigsys)
-            verdicts["float"], gap, worst = fv.decision, fv.min_gap, fv.min_abs_inner
-        witnesses.update(min_gap=gap, min_abs_inner=worst, norm_a=eigsys.norm)
-    if ranks is not None:
-        verdicts["exact"], witnesses["rank"] = _exact_verdict(ranks, n)
-    deciding = verdicts["exact"] if "exact" in verdicts else verdicts["float"]
+def _outcome(deciding: str, verdicts: dict, witnesses: dict):
     return deciding == CONTROLLABLE, deciding == INDETERMINATE, verdicts, witnesses
 
 
-def _trial_two_vectors(config: ExperimentConfig, n: int, prepared: _Prepared):
-    (_, b, sphere), ranks, eigsys = prepared
-    u = sample_vector(VectorSpec.uniform_sphere(), n, sphere)
-    fb = pbh_controllable(None, b, config.tolerances, eigsys=eigsys)
-    fu = pbh_controllable(None, u, config.tolerances, eigsys=eigsys)
-    verdicts = {"float:b": fb.decision, "float:u": fu.decision}
-    witnesses = {"min_gap": fb.min_gap, "min_abs_inner": min(fb.min_abs_inner, fu.min_abs_inner),
-                 "norm_a": eigsys.norm}
-    decided_b = fb.decision
-    if ranks is not None:
-        verdicts["exact:b"], witnesses["rank"] = _exact_verdict(ranks, n)
-        decided_b = verdicts["exact:b"]
-    pair = (decided_b, fu.decision)
-    if UNCONTROLLABLE in pair:
-        return False, False, verdicts, witnesses
-    if INDETERMINATE in pair:
-        return False, True, verdicts, witnesses
-    return True, False, verdicts, witnesses
+def _trials_pbh(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
+    """(A, b) for the config's input vector; without one, (A, e_i) for every i at once."""
+    verdicts, witnesses = [{} for _ in chunk.mats], [{} for _ in chunk.mats]
+    if chunk.eig is not None:
+        decisions, inner = _pbh_stack(chunk.eig, chunk.b, config.tolerances)
+        for v, w, decision, gap, worst, norm in zip(verdicts, witnesses, decisions,
+                                                    chunk.eig.gaps.tolist(), inner,
+                                                    chunk.eig.norms.tolist()):
+            v["float"] = decision
+            w.update(min_gap=gap, min_abs_inner=worst, norm_a=norm)
+    if chunk.ranks is not None:
+        for v, w, ranks in zip(verdicts, witnesses, chunk.ranks):
+            v["exact"], w["rank"] = _exact_verdict(ranks, n)
+    return [_outcome(v.get("exact", v.get("float")), v, w) for v, w in zip(verdicts, witnesses)]
 
 
-def _trial_mingap(config: ExperimentConfig, n: int, prepared: _Prepared):
-    gap, norm = prepared.eigsys.gap, prepared.eigsys.norm
-    witnesses = {"min_gap": gap, "norm_a": norm}
+def _trials_two_vectors(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
+    sphere = VectorSpec.uniform_sphere()
+    u = np.array([sample_vector(sphere, n, rng) for rng in chunk.extra["sphere"]])
+    fb, inner_b = _pbh_stack(chunk.eig, chunk.b, config.tolerances)
+    fu, inner_u = _pbh_stack(chunk.eig, u, config.tolerances)
+    outcomes = []
+    for t, (gap, norm) in enumerate(zip(chunk.eig.gaps.tolist(), chunk.eig.norms.tolist())):
+        verdicts = {"float:b": fb[t], "float:u": fu[t]}
+        witnesses = {"min_gap": gap, "min_abs_inner": min(inner_b[t], inner_u[t]), "norm_a": norm}
+        if chunk.ranks is not None:
+            verdicts["exact:b"], witnesses["rank"] = _exact_verdict(chunk.ranks[t], n)
+        pair = (verdicts.get("exact:b", fb[t]), fu[t])
+        outcomes.append(_outcome(UNCONTROLLABLE if UNCONTROLLABLE in pair else
+                                 INDETERMINATE if INDETERMINATE in pair else CONTROLLABLE,
+                                 verdicts, witnesses))
+    return outcomes
+
+
+def _trials_mingap(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
+    eig = chunk.eig
     # the gap alone decides (inner = inf); between reject and accept is a failure
-    success = classify(gap, math.inf, max(1.0, norm), 1.0, config.tolerances) == CONTROLLABLE
-    return success, False, {}, witnesses
+    decisions = classify(eig.gaps, math.inf, eig.scales, 1.0, config.tolerances).tolist()
+    return [(decision == CONTROLLABLE, False, {}, {"min_gap": gap, "norm_a": norm})
+            for decision, gap, norm in zip(decisions, eig.gaps.tolist(), eig.norms.tolist())]
 
 
 _SMALLBALL_M = 2000
 
 
-def _trial_smallball(config: ExperimentConfig, n: int, prepared: _Prepared):
-    (_, _, rng), eigsys = prepared.drawn, prepared.eigsys
+def _trials_smallball(config: ExperimentConfig, n: int, chunk: _Chunk):
     idx = config.params.get("eig_index")
     idx = n // 2 if idx is None else idx
     beta = config.params.get("beta", 0.25)
     m = config.params.get("m", _SMALLBALL_M)
     atom = config.ensemble.offdiag if config.ensemble.offdiag is not None else Atom.gaussian()
-    est = small_ball_estimate(eigsys.eigenvectors[:, idx], atom, n ** (-beta), m, rng)
     bound = config.params.get("rho_bound", 0.5)
-    witnesses = {"rho_hat": est.rho_hat, "rho_std_err": est.std_err, "delta": est.delta,
-                 "min_gap": eigsys.gap}
-    return est.rho_hat <= bound, False, {}, witnesses
+    for v, gap, rng in zip(chunk.eig.vectors, chunk.eig.gaps.tolist(), chunk.extra["smallball"]):
+        est = small_ball_estimate(v[:, idx], atom, n ** (-beta), m, rng)
+        witnesses = {"rho_hat": est.rho_hat, "rho_std_err": est.std_err, "delta": est.delta,
+                     "min_gap": gap}
+        yield est.rho_hat <= bound, False, {}, witnesses
 
 
-def _trial_norm(config: ExperimentConfig, n: int, prepared: _Prepared):
-    norm = prepared.eigsys.norm
-    ratio = norm / math.sqrt(n)
+def _trials_norm(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
     lo, hi = config.params.get("band", (1.8, 2.3))
-    witnesses = {"norm_a": norm, "norm_ratio": ratio}
-    return lo <= ratio <= hi, False, {}, witnesses
+    ratios = chunk.eig.norms / math.sqrt(n)
+    return [(lo <= ratio <= hi, False, {}, {"norm_a": norm, "norm_ratio": ratio})
+            for norm, ratio in zip(chunk.eig.norms.tolist(), ratios.tolist())]
 
 
-def _trial_minctrl(config: ExperimentConfig, n: int, prepared: _Prepared):
-    (a, _), ranks = prepared.drawn, prepared.ranks
+def _trials_minctrl(config: ExperimentConfig, n: int, chunk: _Chunk):
     kmax = config.params.get("kmax")
     budget = config.params.get("budget", DEFAULT_SUPPORT_BUDGET)
-    scan = None if ranks is None else BasisScanResult.from_ranks(ranks)
-    result = sparsest_input(a, kmax=kmax, entry_mode="binary01",
-                            cap=config.exact_cap, budget=budget, scan=scan)
-    witnesses = {
-        "k_star": -1.0 if result.k_star is None else float(result.k_star),
-        "basis_count": float(len(result.basis_controllable)),
-        "supports_tested": float(result.supports_tested),
-    }
-    return result.k_star == 1, False, {}, witnesses
+    for t, a in enumerate(chunk.mats):
+        scan = None if chunk.ranks is None else BasisScanResult.from_ranks(chunk.ranks[t])
+        result = sparsest_input(a, kmax=kmax, entry_mode="binary01",
+                                cap=config.exact_cap, budget=budget, scan=scan)
+        witnesses = {
+            "k_star": -1.0 if result.k_star is None else float(result.k_star),
+            "basis_count": float(len(result.basis_controllable)),
+            "supports_tested": float(result.supports_tested),
+        }
+        yield result.k_star == 1, False, {}, witnesses
 
 
-_PBH = _Family(_trial_pbh, kalman=True, eig="float")
-_TWO_VECTORS = _Family(_trial_two_vectors, ("sphere",), kalman=True)
-_MINCTRL = _Family(_trial_minctrl, kalman=True, eig=None)
-_MINGAP = _Family(_trial_mingap, eig="values")
-_SMALLBALL = _Family(_trial_smallball, ("smallball",))
-_NORM = _Family(_trial_norm, eig="values")
+_PBH = _Family(_trials_pbh, kalman=True, eig="float")
+_TWO_VECTORS = _Family(_trials_two_vectors, ("sphere",), kalman=True)
+_MINCTRL = _Family(_trials_minctrl, kalman=True, eig=None)
+_MINGAP = _Family(_trials_mingap, eig="values")
+_SMALLBALL = _Family(_trials_smallball, ("smallball",))
+_NORM = _Family(_trials_norm, eig="values")
 
 # Bound on the entries of one chunk's stacked work: T * m * n^2 int64
 # entries of the Krylov stack when the chunk's exact Kalman ranks are
@@ -408,50 +415,58 @@ def _chunks(config: ExperimentConfig, n: int) -> list[range]:
             for start in range(0, config.trials, size)]
 
 
-def _draw_chunk(config: ExperimentConfig, n: int, trials) -> list[_Prepared]:
-    """The :class:`_Prepared` stage of each trial index in `trials` at grid point n.
+def _draw_chunk(config: ExperimentConfig, n: int, trials) -> _Chunk:
+    """The :class:`_Chunk` of the trial indices `trials` at grid point n.
 
     Each trial is drawn from the streams of its own SeedPath, so a draw
     never depends on the chunk it is in; the generators of all streams of
     the chunk come from one :meth:`SeedPath.generators` batch below the
-    grid point's path.  The eigensystems of every draw in the chunk come
-    from one :func:`eig_sym` call over the stack of matrices as float64,
-    and their Kalman ranks from one :func:`kalman_ranks_exact` call over
-    the same stack, which is handed the eigensystems and proves most full
-    ranks from them; each equals what the trial alone would compute.
+    grid point's path, and one stacked sampler builds every matrix.  An
+    input vector that draws nothing is built once for the chunk.  The
+    eigensystems of every matrix come from one :func:`eig_sym` call over
+    the stack as float64, and their Kalman ranks from one
+    :func:`kalman_ranks_exact` call over the same stack, which is handed
+    the eigensystems and proves most full ranks from them; each equals
+    what the trial alone would compute.
     """
     family = SCENARIOS[config.scenario].trial
     grid = SeedPath(config.master_seed).child(config.scenario, n)
     streams = _streams(config, family)
-    rngs = grid.generators([(t, stream) for t in trials for stream in streams])
-    draws = [_draw(config, n, {stream: next(rngs) for stream in streams}, family.extra)
-             for _ in trials]
-    mats = np.stack([drawn[0] for drawn in draws])
-    ranks = eigsys = None
+    rngs = grid.generators([(t, stream) for stream in streams for t in trials])
+    drawn = {stream: list(islice(rngs, len(trials))) for stream in streams}
+    mats = _sample_stack(config.ensemble, drawn["matrix"], n)
+    b = None
+    if "vector" in drawn:
+        b = np.array([sample_vector(config.vector, n, rng) for rng in drawn["vector"]])
+    elif config.vector is not None:
+        b = sample_vector(config.vector, n, None)
+    ranks = eig = None
     if family.eig in ("vectors", "values") or (family.eig == "float" and config.method != "exact"):
-        eigsys = eig_sym(mats, label=[grid.child(t).labels for t in trials],
-                         vectors=family.eig != "values")
+        eig = eig_sym(mats, label=[grid.child(t).labels for t in trials],
+                      vectors=family.eig != "values")
     if family.kalman and _exact_runs(config, n):
-        if draws[0][1] is None:
-            inputs = np.eye(n, dtype=np.int64)
-        else:
-            inputs = np.stack([drawn[1] for drawn in draws])[:, :, None]
-        ranks = kalman_ranks_exact(mats, inputs, config.exact_cap, eigsys=eigsys)
-    none = [None] * len(draws)
-    return [_Prepared(*stage) for stage in zip(draws, ranks or none, eigsys or none)]
+        inputs = (np.eye(n, dtype=np.int64) if b is None else
+                  b[:, None] if b.ndim == 1 else b[:, :, None])
+        ranks = kalman_ranks_exact(mats, inputs, config.exact_cap, eigsys=eig)
+    return _Chunk(mats, b, {stream: drawn[stream] for stream in family.extra}, ranks, eig)
 
 
-def run_trial(config: ExperimentConfig, n: int, trial: int, *, prepared=None) -> TrialRecord:
+def _decide_chunk(config: ExperimentConfig, n: int, trials):
+    """An iterator over the outcomes of the trial indices `trials` at grid point n."""
+    return iter(SCENARIOS[config.scenario].trial.decide(config, n, _draw_chunk(config, n, trials)))
+
+
+def run_trial(config: ExperimentConfig, n: int, trial: int, *, outcomes=None) -> TrialRecord:
     """Run one trial in isolation; fully determined by (config, n, trial).
 
-    `prepared` is the trial's entry of a :func:`_draw_chunk` over a chunk
-    that holds it; :func:`run_experiment` passes it in.  Without it, the
-    trial is drawn as a chunk of one, with the same result.
+    `outcomes` is the :func:`_decide_chunk` iterator of a chunk that holds
+    the trial, advanced up to it; :func:`run_experiment` passes it in, and
+    the trial takes its own outcome from it.  Without it, the trial is
+    decided as a chunk of one, with the same result.
     """
-    if prepared is None:
-        (prepared,) = _draw_chunk(config, n, [trial])
-    success, indeterminate, verdicts, witnesses = SCENARIOS[config.scenario].trial.decide(
-        config, n, prepared)
+    if outcomes is None:
+        outcomes = _decide_chunk(config, n, [trial])
+    success, indeterminate, verdicts, witnesses = next(outcomes)
     return TrialRecord(
         scenario=config.scenario, n=n, trial=trial, master_seed=config.master_seed,
         success=success, indeterminate=indeterminate, verdicts=verdicts, witnesses=witnesses,
@@ -520,6 +535,12 @@ class _Scenario:
     @property
     def density(self) -> bool:
         return callable(self.ensemble)
+
+    @property
+    def vector_override(self) -> bool:
+        """Whether any input vector may replace the row's: single-vector PBH
+        scenarios, where the statement holds for every choice."""
+        return self.trial is _PBH and self.vector is not None
 
     def at(self, p: float | None) -> tuple[EnsembleSpec, VectorSpec | None]:
         """Ensemble and input vector at edge density `p`."""
@@ -597,7 +618,7 @@ def apply_overrides(config: ExperimentConfig, *, n_grid=None, trials=None, p=Non
         config.ensemble, config.vector = s.at(p)
         config.p = p
     if vector is not None:
-        if s.trial is not _PBH or s.vector is None:
+        if not s.vector_override:
             raise ValueError(f"scenario {config.scenario!r} does not take a vector override")
         config.vector = vector
     if n_grid is not None:
@@ -649,17 +670,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     The trials of each grid point run in chunks (see :func:`_draw_chunk`):
     each chunk is drawn, its exact Kalman ranks decided and its matrices
-    decomposed in one batch, and then every record is built by one
-    :func:`run_trial` call with its trial's stage passed in.  The records
-    equal standalone run_trial ones.
+    decomposed in one batch, its family decides every trial of it, and
+    then every record is built by one :func:`run_trial` call that takes its
+    trial's outcome from the chunk's.  The records equal standalone
+    run_trial ones.
     """
     config.validate()
     records, rows = [], []
     for n in config.n_grid:
         per_n = []
         for chunk in _chunks(config, n):
-            per_n += [run_trial(config, n, t, prepared=prepared)
-                      for t, prepared in zip(chunk, _draw_chunk(config, n, chunk))]
+            outcomes = _decide_chunk(config, n, chunk)
+            per_n += [run_trial(config, n, t, outcomes=outcomes) for t in chunk]
         records += per_n
         successes = sum(r.success for r in per_n)
         indet = sum(r.indeterminate for r in per_n)

@@ -95,9 +95,9 @@ def basis_scan(a, method: str = "exact", tolerances: Tolerances | None = None,
 def _float_scan(eigsys: EigenSystem, tolerances: Tolerances | None) -> BasisScanResult:
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     gap, scale, inner = basis_witnesses(eigsys)
-    decisions = [classify(gap, x, scale, 1.0, tol) for x in inner.tolist()]
-    return BasisScanResult(frozenset(i for i, d in enumerate(decisions) if d == CONTROLLABLE),
-                           frozenset(i for i, d in enumerate(decisions) if d == INDETERMINATE),
+    decisions = classify(gap, inner, scale, 1.0, tol)
+    return BasisScanResult(frozenset(np.flatnonzero(decisions == CONTROLLABLE).tolist()),
+                           frozenset(np.flatnonzero(decisions == INDETERMINATE).tolist()),
                            "float-pbh")
 
 

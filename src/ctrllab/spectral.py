@@ -143,10 +143,11 @@ def eig_sym(a, label=None, vectors: bool = True) -> EigenSystem | list[EigenSyst
     A (T, n, n) stack gives a list of T :class:`EigenSystem`, each
     bit-identical to its matrix's own decomposition: one stacked LAPACK
     call decomposes them all, and their gaps and norms are computed for the
-    whole stack at once.  A non-finite or asymmetric matrix of the stack is
-    named by its index.  `label` then holds one label per matrix; if the
-    stack fails to converge, each matrix is retried alone, so the error
-    carries the label of the first one that fails.
+    whole stack at once; the list also holds the stacked arrays its systems
+    view (see :class:`_EigenStack`).  A non-finite or asymmetric matrix of
+    the stack is named by its index.  `label` then holds one label per
+    matrix; if the stack fails to converge, each matrix is retried alone,
+    so the error carries the label of the first one that fails.
     """
     if np.ndim(a) != 3:
         return _eig_stack(_as_sym_float(a)[None], [label], vectors)[0]
@@ -158,10 +159,27 @@ def eig_sym(a, label=None, vectors: bool = True) -> EigenSystem | list[EigenSyst
 
 
 def _eigh_or_values(m: np.ndarray, vectors: bool):
-    return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), [None] * len(m))
+    return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
 
 
-def _eig_stack(m: np.ndarray, labels: list, vectors: bool) -> list[EigenSystem]:
+class _EigenStack(list):
+    """The :class:`EigenSystem` of each matrix of a stack, together with the
+    stacked arrays they view: `values` (T, n), `vectors` (T, n, n) or None,
+    and the systems' `gaps`, `norms` and `scales` as (T,) arrays."""
+
+    def __init__(self, values: np.ndarray, vectors: np.ndarray | None,
+                 gaps: np.ndarray, norms: np.ndarray) -> None:
+        columns = vectors if vectors is not None else [None] * len(values)
+        super().__init__(EigenSystem(*system) for system in
+                         zip(values, columns, gaps.tolist(), norms.tolist()))
+        self.values, self.vectors, self.gaps, self.norms = values, vectors, gaps, norms
+
+    @property
+    def scales(self) -> np.ndarray:
+        return np.maximum(1.0, self.norms)
+
+
+def _eig_stack(m: np.ndarray, labels: list, vectors: bool) -> _EigenStack:
     try:
         w, v = _eigh_or_values(m, vectors)
     except np.linalg.LinAlgError as stacked:
@@ -173,9 +191,9 @@ def _eig_stack(m: np.ndarray, labels: list, vectors: bool) -> list[EigenSystem]:
                 raise EigenDecompositionError(f"eigh failed to converge{where}: {exc}") from exc
         raise EigenDecompositionError(f"eigh failed to converge: {stacked}") from stacked
     t, n = w.shape
-    gaps = np.min(np.diff(w, axis=1), axis=1).tolist() if n > 1 else [math.inf] * t
-    norms = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])).tolist() if n else [0.0] * t
-    return [EigenSystem(w[i], v[i], gaps[i], norms[i]) for i in range(t)]
+    gaps = np.min(np.diff(w, axis=1), axis=1) if n > 1 else np.full(t, math.inf)
+    norms = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])) if n else np.zeros(t)
+    return _EigenStack(w, v, gaps, norms)
 
 
 def min_gap(eigenvalues) -> float:
@@ -245,19 +263,24 @@ class ControllabilityVerdict:
         return self.decision == INDETERMINATE
 
 
-def classify(gap: float, inner: float, scale: float, norm_b: float, tol: Tolerances) -> str:
+_VERDICTS = np.array([CONTROLLABLE, INDETERMINATE, UNCONTROLLABLE])
+
+
+def classify(gap, inner, scale, norm_b, tol: Tolerances):
     """The PBH threshold test on a pair's two witnesses.
 
     `gap` is the minimal eigenvalue gap, judged relative to `scale`
     = max(1, ||A||); `inner` is min_j |v_j . b|, judged relative to `norm_b`.
     Either witness below its reject level means uncontrollable, both above
-    their accept levels controllable, anything else indeterminate.
+    their accept levels controllable, anything else indeterminate.  Given
+    arrays, the test runs elementwise (the arguments broadcast together)
+    and gives an array of verdicts.
     """
-    if inner < tol.ortho_reject * norm_b or gap < tol.gap_reject * scale:
-        return UNCONTROLLABLE
-    if gap > tol.gap_tol * scale and inner > tol.ortho_tol * norm_b:
-        return CONTROLLABLE
-    return INDETERMINATE
+    reject = (inner < tol.ortho_reject * norm_b) | (gap < tol.gap_reject * scale)
+    accept = (gap > tol.gap_tol * scale) & (inner > tol.ortho_tol * norm_b)
+    if not isinstance(reject, np.ndarray):
+        return UNCONTROLLABLE if reject else CONTROLLABLE if accept else INDETERMINATE
+    return _VERDICTS[np.where(reject, 2, np.where(accept, 0, 1))]
 
 
 def pbh_controllable(a, b, tolerances: Tolerances | None = None,
@@ -290,6 +313,41 @@ def pbh_controllable(a, b, tolerances: Tolerances | None = None,
     inner = float(np.min(np.abs(eigsys.eigenvectors.T @ bv)))
     return ControllabilityVerdict(classify(eigsys.gap, inner, eigsys.scale, norm_b, tol),
                                   min_gap=eigsys.gap, min_abs_inner=inner)
+
+
+def _row_norms(b: np.ndarray) -> np.ndarray:
+    """||b_t|| for each row b_t of `b`, as np.linalg.norm(b_t) rounds it: each
+    row's dot product runs the BLAS dot that the norm of one vector runs."""
+    return np.sqrt(np.matmul(b[:, None, :], b[:, :, None])[:, 0, 0])
+
+
+def _pbh_stack(stack: _EigenStack, b, tol: Tolerances) -> tuple[list[str], list[float]]:
+    """`decision` and `min_abs_inner` of :func:`pbh_controllable` for (A_t, b_t)
+    and the eigensystem of each A_t in `stack`, equal to those of one call per pair.
+
+    `b` is (T, n), one input per system, or (n,), one input for all of
+    them, or None for every standard basis input at once: each system is
+    then judged, as by :func:`basis_witnesses`, on its least witness over
+    all e_i.  The inner products and norms of the whole stack come from
+    one matmul each, whose every item runs the same BLAS kernel as a single
+    pair's; an input whose norm is 0 or not finite goes to
+    :func:`pbh_controllable`, which rescales or rejects it.
+    """
+    v = stack.vectors
+    if b is None:
+        inner, norm_b = np.min(np.abs(v), axis=(1, 2)), 1.0
+    else:
+        b = np.broadcast_to(b, stack.values.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows are redone below
+            norm_b = _row_norms(b)
+            inner = np.min(np.abs(np.matmul(v.transpose(0, 2, 1), b[:, :, None])), axis=(1, 2))
+    decisions = classify(stack.gaps, inner, stack.scales, norm_b, tol).tolist()
+    inner = inner.tolist()
+    if b is not None:
+        for t in np.flatnonzero((norm_b == 0.0) | ~np.isfinite(norm_b)).tolist():
+            verdict = pbh_controllable(None, b[t], tol, eigsys=stack[t])
+            decisions[t], inner[t] = verdict.decision, verdict.min_abs_inner
+    return decisions, inner
 
 
 def basis_witnesses(eigsys: EigenSystem) -> tuple[float, float, np.ndarray]:

@@ -131,6 +131,24 @@ def test_config_file_rejects_values_of_the_wrong_type(tmp_path, capsys, key, val
     assert line.startswith("ctrllab: error: key ") and repr(key) in line
 
 
+@pytest.mark.parametrize("scenario,ensemble", [
+    ("thm-goe", {"kind": "gnp-adjacency", "p": 0.5}),
+    ("thm-wigner-basis", {"kind": "wigner", "offdiag": {"kind": "gaussian"},
+                          "diag": {"kind": "degenerate", "value": 0.0}}),
+])
+def test_config_file_must_sample_its_scenario(tmp_path, capsys, scenario, ensemble):
+    # a config names its scenario's experiment; it cannot swap the matrices
+    doc = make_scenario_config(scenario, n_grid=(6,), trials=2).to_dict()
+    doc["ensemble"] = ensemble
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"ctrllab: error: scenario {scenario!r} samples ensemble=")
+
+
 def test_config_file_p_flag_rebuilds_the_scenario(tmp_path):
     config = make_scenario_config("cor-gnp-rand", n_grid=(6,), trials=3)
     cfg_path = tmp_path / "cfg.json"

@@ -315,6 +315,34 @@ def test_shifted_wigner_adds_shift():
     assert np.array_equal(sample_ensemble(spec, path, 4), w + shift_matrix(shift, 4))
 
 
+ATOMS = [Atom.gaussian(0.5, 2.0), Atom.rademacher(), Atom.centered_bernoulli(0.3),
+         Atom.bernoulli01(0.4), Atom.degenerate(1.5)]
+STACKED_SPECS = [
+    *(EnsembleSpec.gnp(p) for p in (0.0, 0.5, 1.0)),
+    *(EnsembleSpec.wigner(atom, atom) for atom in ATOMS),
+    EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0)),
+    EnsembleSpec.goe(),
+    EnsembleSpec.shifted_wigner(Atom.gaussian(), Atom.rademacher(),
+                                ShiftSpec.constant_offdiag(0.7)),
+    EnsembleSpec.shifted_wigner(Atom.rademacher(), Atom.gaussian()),
+]
+
+
+@pytest.mark.parametrize("spec", STACKED_SPECS, ids=lambda spec: str(spec.to_dict()))
+def test_stacked_sampler_equals_per_matrix_sampler(spec):
+    # the chunk's sampler: each matrix of the stack from its own generator,
+    # bit for bit and in the dtype that sample_ensemble gives it alone
+    root = SEED.child("stacked", str(spec.to_dict()))
+    for n in (1, 2, 8):
+        for trials in ([2**32 + 3], [0, 3, 2**32 + 3, 5, 2**40 + 1]):
+            stack = ensembles._sample_stack(spec, list(root.generators([(n, t) for t in trials])), n)
+            assert stack.shape == (len(trials), n, n)
+            for a, t in zip(stack, trials):
+                alone = sample_ensemble(spec, root.child(n, t), n)
+                assert a.dtype == alone.dtype
+                assert a.tobytes() == alone.tobytes()
+
+
 def test_every_ensemble_is_exactly_symmetric():
     for i, spec in enumerate([
         EnsembleSpec.wigner(Atom.gaussian(), Atom.gaussian()),

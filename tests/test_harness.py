@@ -17,7 +17,7 @@ from ctrllab import (
     wilson_interval,
 )
 from ctrllab import exact, harness
-from ctrllab.ensembles import VectorSpec
+from ctrllab.ensembles import Atom, EnsembleSpec, VectorSpec
 from ctrllab.exact import _P
 from ctrllab.spectral import EigenDecompositionError
 from ctrllab.harness import CSV_COLUMNS, ExperimentReport, report_load_json
@@ -86,14 +86,35 @@ def test_config_validation_rejects_bad_values():
     conj2.p = 0.1
     with pytest.raises(ValueError, match=r"'conj2' samples p=0.5, got p=0.1"):
         conj2.validate()
+    conj2.ensemble = EnsembleSpec.goe()  # another family: the ensembles differ, not p
+    with pytest.raises(ValueError, match=r"'conj2' samples ensemble=\{'kind': 'gnp-adjacency', "
+                                         r"'p': 0.1\}, got ensemble=\{'kind': 'goe'\}"):
+        conj2.validate()
     goe = make_scenario_config("thm-goe")
     goe.p = 0.3
     with pytest.raises(ValueError, match=r"'thm-goe' samples p=None, got p=0.3"):
         goe.validate()
     minctrl = make_scenario_config("minctrl-gnp")
     minctrl.vector = VectorSpec.all_ones()
-    with pytest.raises(ValueError, match="'minctrl-gnp' takes no input vector"):
+    with pytest.raises(ValueError, match="'minctrl-gnp' samples vector=None, got vector="):
         minctrl.validate()
+    # nor may a config sample another experiment's matrices or input
+    goe = make_scenario_config("thm-goe")
+    goe.ensemble = EnsembleSpec.gnp(0.5)
+    with pytest.raises(ValueError, match=r"'thm-goe' samples ensemble=\{'kind': 'goe'\}, got"):
+        goe.validate()
+    wigner = make_scenario_config("thm-wigner-basis")
+    wigner.ensemble = EnsembleSpec.wigner(Atom.gaussian(), Atom.degenerate(0.0))
+    with pytest.raises(ValueError, match="'thm-wigner-basis' samples ensemble=.*'rademacher'.*, "
+                                         "got ensemble=.*'gaussian'"):
+        wigner.validate()
+    goe = make_scenario_config("thm-goe")
+    goe.vector = None  # the vector override replaces the input, never drops it
+    with pytest.raises(ValueError, match="'thm-goe' samples vector=.*'standard-basis'.*, "
+                                         "got vector=None"):
+        goe.validate()
+    goe.vector = VectorSpec.all_ones()
+    goe.validate()
 
 
 BAD_PARAMS = [
@@ -289,15 +310,17 @@ def test_chunk_draws_equal_per_path_samples(name, streams):
     config = make_scenario_config(name, n_grid=(8,), trials=6)
     assert harness._streams(config, harness.SCENARIOS[name].trial) == streams
     trials = [0, 3, 2**32 + 3, 5]  # one- and two-word trial indices in one batch
-    for t, prepared in zip(trials, harness._draw_chunk(config, 8, trials)):
+    chunk = harness._draw_chunk(config, 8, trials)
+    for i, t in enumerate(trials):
         path = SeedPath(config.master_seed).child(name, 8, t)
-        drawn = prepared.drawn
-        assert np.array_equal(drawn[0], sample_ensemble(config.ensemble, path.child("matrix"), 8))
-        if config.vector is not None:
-            assert np.array_equal(drawn[1], sample_vector(config.vector, 8, path.child("vector")))
+        alone = sample_ensemble(config.ensemble, path.child("matrix"), 8)
+        assert np.array_equal(chunk.mats[i], alone) and chunk.mats.dtype == alone.dtype
+        if config.vector is not None:  # a vector that draws nothing is shared by the chunk
+            b = chunk.b[i] if "vector" in streams else chunk.b
+            assert np.array_equal(b, sample_vector(config.vector, 8, path.child("vector")))
         if streams[-1] in ("sphere", "smallball"):  # the generator decide reads
             extra = path.child(streams[-1]).generator()
-            assert drawn[2].bit_generator.state == extra.bit_generator.state
+            assert chunk.extra[streams[-1]][i].bit_generator.state == extra.bit_generator.state
 
 
 @pytest.mark.parametrize("name, method, cap, verdicts, ranks, eig", [
@@ -316,12 +339,13 @@ def test_family_work_under_each_method(name, method, cap, verdicts, ranks, eig):
     if cap is not None:
         config.exact_cap = cap
         config.validate()
-    for t, prepared in enumerate(harness._draw_chunk(config, 8, range(3))):
-        assert (prepared.ranks is not None) == ranks
-        computed = prepared.eigsys and ("values" if prepared.eigsys.eigenvectors is None
-                                        else "vectors")
-        assert computed == eig
-        record = run_trial(config, 8, t, prepared=prepared)
+    chunk = harness._draw_chunk(config, 8, range(3))
+    assert (chunk.ranks is not None) == ranks
+    computed = chunk.eig and ("values" if chunk.eig.vectors is None else "vectors")
+    assert computed == eig
+    outcomes = harness._decide_chunk(config, 8, range(3))
+    for t in range(3):
+        record = run_trial(config, 8, t, outcomes=outcomes)
         assert sorted(record.verdicts) == verdicts
         if name == "minctrl-gnp":  # the search decides exactly under any method
             exact_config = make_scenario_config(name, n_grid=(8,), trials=3, method="exact")
@@ -334,9 +358,9 @@ def test_wide_trial_index_is_reproducible_alone():
         alone = run_trial(config, 8, 2**32 + 3)
         assert alone == run_trial(config, 8, 2**32 + 3)
         assert alone.seed_path().labels == (name, 8, 2**32 + 3)
-        chunk = harness._draw_chunk(config, 8, [1, 2**32 + 3])
-        assert run_trial(config, 8, 2**32 + 3, prepared=chunk[1]) == alone
-        assert run_trial(config, 8, 1, prepared=chunk[0]) == run_trial(config, 8, 1)
+        outcomes = harness._decide_chunk(config, 8, [1, 2**32 + 3])
+        assert run_trial(config, 8, 1, outcomes=outcomes) == run_trial(config, 8, 1)
+        assert run_trial(config, 8, 2**32 + 3, outcomes=outcomes) == alone
 
 
 def test_float_only_chunks_are_bounded_by_matrix_entries():
@@ -353,7 +377,7 @@ def test_eigh_failure_names_the_failing_trial(monkeypatch):
     # the stacked eigh fails when one matrix of the chunk does; each matrix
     # is then retried alone, and the error carries that trial's seed path
     config = make_scenario_config("thm-goe", n_grid=(10,), trials=20)
-    ((bad, _), _, _), = harness._draw_chunk(config, 10, [7])
+    (bad,) = harness._draw_chunk(config, 10, [7]).mats
     bad_path = SeedPath(config.master_seed).child("thm-goe", 10, 7)
     real_eigh = np.linalg.eigh
     shapes = []
@@ -411,7 +435,7 @@ def test_certificate_leaves_exact_records_unchanged(monkeypatch):
 def test_conj1_trial_falls_back_when_certificate_fails(monkeypatch):
     # A vanishes mod _P, but both basis inputs are controllable over Q
     a = np.array([[0, _P], [_P, 0]], dtype=np.int64)
-    monkeypatch.setattr(harness, "sample_ensemble", lambda spec, path, n: a)
+    monkeypatch.setattr(harness, "_sample_stack", lambda spec, rngs, n: np.stack([a] * len(rngs)))
     config = make_scenario_config("conj1", n_grid=(2,), trials=1)
     rec = run_trial(config, 2, 0)
     assert rec.success

@@ -42,8 +42,11 @@ def test_basis_scan_complete_graph_empty():
 
 
 def test_basis_scan_diagonal_matrix_empty():
-    # Kalman columns for e_i stay multiples of e_i, rank 1
+    # Kalman columns for e_i stay multiples of e_i, rank 1; every e_i is
+    # orthogonal to all eigenvectors but one
     assert basis_scan(np.diag([1, 2, 3])).controllable == frozenset()
+    scan = basis_scan(np.diag([1, 2, 3]), "float-pbh")
+    assert scan.controllable == scan.indeterminate == frozenset()
 
 
 def test_basis_scan_float_reports_indeterminate_separately():

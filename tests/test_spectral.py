@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ctrllab import (
     small_ball_estimate,
     spectral_norm,
 )
+from ctrllab.spectral import _pbh_stack, _row_norms, basis_witnesses, classify
 
 SEED = SeedPath(20260810, ("test-spectral",))
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -220,6 +222,83 @@ def test_pbh_agrees_with_exact_on_small_graphs():
             agreed += verdict.controllable == is_controllable_exact(a, e.astype(np.int64))
     assert compared > 150
     assert agreed == compared
+
+
+def _stacked_inputs(n: int, t: int, root: SeedPath) -> list:
+    """Inputs for a stack of t systems: one per system or one for all, with
+    the edge cases pbh_controllable rescales or rejects mixed in."""
+    sphere = np.stack([sample_vector(VectorSpec.uniform_sphere(), n, root.child(n, "b", k))
+                       for k in range(t)])
+    edges = sphere.copy()
+    edges[0] = 0.0
+    edges[1] *= 1e300  # ||b|| overflows
+    edges[2 % t] = np.where(np.arange(n) == 0, 5e-324, 0.0)  # subnormal, ||b|| underflows
+    edges[3 % t] = np.eye(n)[n - 1]
+    edges[4 % t] *= 1e-160
+    return [sphere, edges, sphere[0], np.zeros(n), np.eye(n)[0], 1e300 * sphere[1],
+            np.full(n, 1e-320)]
+
+
+def test_stacked_pbh_witnesses_equal_per_pair_calls():
+    # the chunk's PBH test over one stacked matmul: every decision and
+    # witness equals pbh_controllable's for that pair, bit for bit
+    root = SEED.child("pbh-stack")
+    tol = Tolerances()
+    for n in (1, 2, 5, 8, 13, 32):
+        t = 6
+        mats = np.stack([sample_goe(n, root.child(n, k)) for k in range(t)])
+        mats[1] = sample_gnp(n, 0.5, root.child(n, "gnp"))  # repeated eigenvalues
+        mats[2] = np.diag(np.arange(n, dtype=float))  # eigenvectors e_i
+        stack = eig_sym(mats)
+        for b in _stacked_inputs(n, t, root):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # not even an overflow warning
+                decisions, inner = _pbh_stack(stack, b, tol)
+            rows = b if b.ndim == 2 else [b] * t
+            for es, row, decision, witness in zip(stack, rows, decisions, inner):
+                alone = pbh_controllable(None, row, tol, eigsys=es)
+                assert (decision, witness.hex()) == (alone.decision, alone.min_abs_inner.hex())
+        decisions, inner = _pbh_stack(stack, None, tol)
+        for es, decision, witness in zip(stack, decisions, inner):
+            gap, scale, per_input = basis_witnesses(es)
+            worst = float(np.min(per_input))
+            assert (decision, witness) == (classify(gap, worst, scale, 1.0, tol), worst)
+
+
+def test_stacked_norms_round_like_one_vector_norms():
+    # the threshold ortho_tol * ||b|| of every pair of a stack is the one
+    # pbh_controllable sets for that pair alone
+    root = SEED.child("row-norms")
+    for n in (1, 2, 3, 8, 13, 17, 32, 64):
+        for t in (1, 5, 64):
+            rng = root.child(n, t).generator()
+            b = rng.normal(size=(t, n)) * 10.0 ** rng.integers(-150, 150, size=(t, 1))
+            for row, norm in zip(b, _row_norms(b)):
+                assert norm.hex() == np.linalg.norm(row).hex()
+
+
+def test_classify_on_arrays_equals_scalar_calls():
+    # values on, just below and just above every threshold, elementwise and broadcast
+    tol = Tolerances()
+    scale, norm_b = 3.0, 0.5
+
+    def around(levels):
+        out = [0.0, math.inf]
+        for level in levels:
+            out += [level, np.nextafter(level, 0.0), np.nextafter(level, math.inf)]
+        return np.array(out)
+
+    gaps = around([tol.gap_reject * scale, tol.gap_tol * scale])
+    inners = around([tol.ortho_reject * norm_b, tol.ortho_tol * norm_b])
+    g, i = np.meshgrid(gaps, inners)
+    verdicts = classify(g, i, scale, norm_b, tol)
+    assert verdicts.shape == g.shape
+    assert {"controllable", "uncontrollable", "indeterminate"} == set(verdicts.flat)
+    for gap, inner, verdict in zip(g.flat, i.flat, verdicts.flat):
+        assert verdict == classify(float(gap), float(inner), scale, norm_b, tol)
+    scales = np.full(len(gaps), scale)
+    assert (classify(gaps, inners[3], scales, np.full(len(gaps), norm_b), tol)
+            == classify(gaps, inners[3], scale, norm_b, tol)).all()
 
 
 # ---------------------------------------------------------------------------
