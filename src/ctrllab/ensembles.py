@@ -81,15 +81,20 @@ class Atom(Spec):
 
     def __post_init__(self) -> None:
         if self.kind == "gaussian":
-            if self.variance < 0:
-                raise ValueError(f"gaussian variance must be >= 0, got {self.variance}")
+            if not math.isfinite(self.mean):
+                raise ValueError(f"gaussian mean must be finite, got {self.mean}")
+            if not 0 <= self.variance < math.inf:
+                raise ValueError(f"gaussian variance must be finite and >= 0, got {self.variance}")
         elif self.kind == "centered-bernoulli":
             if not 0.0 < self.p < 1.0:
                 raise ValueError(f"centered-bernoulli requires 0 < p < 1, got {self.p}")
         elif self.kind == "bernoulli01":
             if not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"bernoulli01 requires 0 <= p <= 1, got {self.p}")
-        elif self.kind not in ("rademacher", "degenerate"):
+        elif self.kind == "degenerate":
+            if not math.isfinite(self.value):
+                raise ValueError(f"degenerate value must be finite, got {self.value}")
+        elif self.kind != "rademacher":
             raise ValueError(f"unknown atom kind {self.kind!r}")
 
     @classmethod

@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .spectral import EigenSystem, nonfinite_error
+from .spectral import EigenSystem, _eigenvectors, _stack_of_one, nonfinite_error
 
 __all__ = [
     "DEFAULT_EXACT_CAP",
@@ -537,9 +537,9 @@ def _inner_products(x: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.nda
     return xt @ cols, _upper(_gamma(x.shape[1]) * (np.abs(xt) @ np.abs(cols)))
 
 
-def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: list[EigenSystem]) -> np.ndarray:
-    """bool [t, j]: whether the eigensystem eigsys[t] proves (A, b) controllable,
-    for each matrix A of the stack `mats` and each column b of its inputs.
+def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem) -> np.ndarray:
+    """bool [t, j]: whether eigsys[t], of the stack `eigsys`, proves (A, b)
+    controllable, for each matrix A of the stack `mats` and each column b of its inputs.
 
     For unit eigenvectors u_i of A and the bound dist_i >= ||u_i - x_i||
     of :func:`_eigvec_bounds`, |u_i . b| >= |fl(x_i . b)| - gamma_n
@@ -549,13 +549,12 @@ def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: list[EigenSyste
     only where float64 holds A and b exactly (:func:`_exact_floats`).
     """
     t, n, _ = mats.shape
+    w, x = eigsys.eigenvalues, _eigenvectors(eigsys)
+    if w.shape != (t, n) or x.shape != (t, n, n):
+        raise ValueError(f"an eigensystem of shape {x.shape} for a stack of {t} {n}x{n} matrices")
     a, b = _exact_floats(mats), _exact_floats(cols)
     if a is None or b is None or n == 0:
         return np.zeros((t, cols.shape[-1]), dtype=bool)
-    w = np.stack([e.eigenvalues for e in eigsys])
-    x = np.stack([e.eigenvectors for e in eigsys])
-    if w.shape != (t, n) or x.shape != (t, n, n):
-        raise ValueError(f"eigensystems of shape {x.shape} for a stack of {t} {n}x{n} matrices")
     with np.errstate(all="ignore"):
         simple, dist = _eigvec_bounds(a, w, x)
         inner, err = _inner_products(x, b)
@@ -586,7 +585,7 @@ def has_simple_spectrum_exact(a) -> bool:
 
 
 def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
-                       eigsys: EigenSystem | list[EigenSystem] | None = None) -> list:
+                       eigsys: EigenSystem | None = None) -> list:
     """Exact rank of [b, Ab, ..., A^(n-1)b] for every column b of `inputs`.
 
     `a` is one n x n matrix, with `inputs` n x m, and the result is a list
@@ -597,8 +596,8 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
     Each rank is decided in up to three tiers, and each tier sees only what
     the one before it left unproved:
 
-    1. With `eigsys`, the float eigensystem of `a` (one per matrix of a
-       stack, as :func:`~ctrllab.spectral.eig_sym` returns them), a
+    1. With `eigsys`, the float eigensystem of `a`, shaped like `a` (a
+       stack's as :func:`~ctrllab.spectral.eig_sym` returns it), a
        rigorous bound on it proves rank n for a column b where A has a
        simple spectrum and no eigenvector of A is orthogonal to b (see
        :func:`_eigvec_bounds`).  It applies where A and b are integers of
@@ -641,7 +640,7 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
     if eigsys is None:
         ranks = _certified_ranks(mats, cols)
     else:
-        proved = _float_certified(mats, cols, [eigsys] if single else list(eigsys))
+        proved = _float_certified(mats, cols, _stack_of_one(eigsys) if single else eigsys)
         ranks = [[n] * cols.shape[-1] for _ in range(t)]
         rest = np.flatnonzero(~proved.all(axis=1))
         if rest.size:

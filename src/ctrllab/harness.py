@@ -79,6 +79,8 @@ _Z95 = 1.959963984540054
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (default 95%)."""
+    if not 0 <= successes <= trials:
+        raise ValueError(f"need 0 <= successes <= trials: successes={successes}, trials={trials}")
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials
@@ -282,15 +284,15 @@ class _Chunk(NamedTuple):
     `mats` is the (T, n, n) stack of matrices; `b` the (T, n) inputs, or
     one (n,) input shared by the chunk when the vector draws nothing, or
     None; `extra` maps each extra stream to its T generators; `ranks` holds
-    each trial's Kalman ranks and `eig` the :func:`eig_sym` stack, each
-    None when not computed.
+    each trial's Kalman ranks and `eig` the stack's :class:`EigenSystem`,
+    each None when not computed.
     """
 
     mats: np.ndarray
     b: np.ndarray | None
     extra: dict[str, list]
     ranks: list[list[int]] | None
-    eig: list[EigenSystem] | None
+    eig: EigenSystem | None
 
 
 def _streams(config: ExperimentConfig, family: _Family) -> tuple[str, ...]:
@@ -309,8 +311,8 @@ def _trials_pbh(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
     if chunk.eig is not None:
         decisions, inner = _pbh_stack(chunk.eig, chunk.b, config.tolerances)
         for v, w, decision, gap, worst, norm in zip(verdicts, witnesses, decisions,
-                                                    chunk.eig.gaps.tolist(), inner,
-                                                    chunk.eig.norms.tolist()):
+                                                    chunk.eig.gap.tolist(), inner,
+                                                    chunk.eig.norm.tolist()):
             v["float"] = decision
             w.update(min_gap=gap, min_abs_inner=worst, norm_a=norm)
     if chunk.ranks is not None:
@@ -325,7 +327,7 @@ def _trials_two_vectors(config: ExperimentConfig, n: int, chunk: _Chunk) -> list
     fb, inner_b = _pbh_stack(chunk.eig, chunk.b, config.tolerances)
     fu, inner_u = _pbh_stack(chunk.eig, u, config.tolerances)
     outcomes = []
-    for t, (gap, norm) in enumerate(zip(chunk.eig.gaps.tolist(), chunk.eig.norms.tolist())):
+    for t, (gap, norm) in enumerate(zip(chunk.eig.gap.tolist(), chunk.eig.norm.tolist())):
         verdicts = {"float:b": fb[t], "float:u": fu[t]}
         witnesses = {"min_gap": gap, "min_abs_inner": min(inner_b[t], inner_u[t]), "norm_a": norm}
         if chunk.ranks is not None:
@@ -340,9 +342,9 @@ def _trials_two_vectors(config: ExperimentConfig, n: int, chunk: _Chunk) -> list
 def _trials_mingap(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
     eig = chunk.eig
     # the gap alone decides (inner = inf); between reject and accept is a failure
-    decisions = classify(eig.gaps, math.inf, eig.scales, 1.0, config.tolerances).tolist()
+    decisions = classify(eig.gap, math.inf, eig.scale, 1.0, config.tolerances).tolist()
     return [(decision == CONTROLLABLE, False, {}, {"min_gap": gap, "norm_a": norm})
-            for decision, gap, norm in zip(decisions, eig.gaps.tolist(), eig.norms.tolist())]
+            for decision, gap, norm in zip(decisions, eig.gap.tolist(), eig.norm.tolist())]
 
 
 _SMALLBALL_M = 2000
@@ -355,7 +357,8 @@ def _trials_smallball(config: ExperimentConfig, n: int, chunk: _Chunk):
     m = config.params.get("m", _SMALLBALL_M)
     atom = config.ensemble.offdiag if config.ensemble.offdiag is not None else Atom.gaussian()
     bound = config.params.get("rho_bound", 0.5)
-    for v, gap, rng in zip(chunk.eig.vectors, chunk.eig.gaps.tolist(), chunk.extra["smallball"]):
+    for v, gap, rng in zip(chunk.eig.eigenvectors, chunk.eig.gap.tolist(),
+                           chunk.extra["smallball"]):
         est = small_ball_estimate(v[:, idx], atom, n ** (-beta), m, rng)
         witnesses = {"rho_hat": est.rho_hat, "rho_std_err": est.std_err, "delta": est.delta,
                      "min_gap": gap}
@@ -364,9 +367,9 @@ def _trials_smallball(config: ExperimentConfig, n: int, chunk: _Chunk):
 
 def _trials_norm(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
     lo, hi = config.params.get("band", (1.8, 2.3))
-    ratios = chunk.eig.norms / math.sqrt(n)
+    ratios = chunk.eig.norm / math.sqrt(n)
     return [(lo <= ratio <= hi, False, {}, {"norm_a": norm, "norm_ratio": ratio})
-            for norm, ratio in zip(chunk.eig.norms.tolist(), ratios.tolist())]
+            for norm, ratio in zip(chunk.eig.norm.tolist(), ratios.tolist())]
 
 
 def _trials_minctrl(config: ExperimentConfig, n: int, chunk: _Chunk):

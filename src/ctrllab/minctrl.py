@@ -29,6 +29,7 @@ from .spectral import (
     EigenSystem,
     INDETERMINATE,
     Tolerances,
+    _stack_of_one,
     basis_witnesses,
     classify,
     eig_sym,
@@ -120,7 +121,7 @@ def support_feasibility(a, support, tolerances: Tolerances | None = None,
     bad = [i for i in idx if not 0 <= i < eigsys.n]
     if bad:
         raise ValueError(f"support index {bad[0]} out of range for n={eigsys.n}")
-    inner = float(np.min(np.max(np.abs(eigsys.eigenvectors[idx, :]), axis=0)))
+    inner = float(np.min(np.max(np.abs(_stack_of_one(eigsys).eigenvectors[0, idx]), axis=0)))
     return classify(eigsys.gap, inner, eigsys.scale, 1.0, tol) == CONTROLLABLE
 
 

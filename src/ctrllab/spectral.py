@@ -59,46 +59,76 @@ class SharedEigenvalueError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Ascending eigenvalues and orthonormal eigenvectors (as columns), or
-    None for the eigenvectors when only the eigenvalues were computed.
-
-    Ordering is the ascending order returned by LAPACK; for degenerate
-    fixtures the tie order is whatever the solver produced, which is
-    deterministic for a fixed input matrix.  `gap` (the minimal eigenvalue
-    gap) and `norm` (max |lambda|) are computed on construction unless
-    given; :func:`eig_sym` computes them for a whole stack at once.
+    """Ascending eigenvalues and orthonormal eigenvectors (as columns, None
+    when only the eigenvalues were computed) of one symmetric matrix: (n,),
+    (n, n), with float `gap` (minimal eigenvalue gap), `norm` (max |lambda|)
+    and `scale`; or of a stack of T: (T, n), (T, n, n) and (T,) arrays, with
+    `len(es)` = T and `es[t]` the system of matrix t.  Ties are ordered as
+    LAPACK returns them, deterministically for a fixed matrix.  `gap` and
+    `norm` are computed on construction unless given.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    gap: float | None = None
-    norm: float | None = None
+    gap: float | np.ndarray | None = None
+    norm: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
         w = self.eigenvalues
+        n, rows = w.shape[-1], w.shape[:-1]
         if self.gap is None:
-            object.__setattr__(self, "gap", min_gap(w))
+            gap = np.min(np.diff(w), axis=-1) if n > 1 else np.full(rows, math.inf)
+            object.__setattr__(self, "gap", gap if rows else float(gap))
         if self.norm is None:
-            object.__setattr__(self, "norm", float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0)
+            norm = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])) if n else np.zeros(rows)
+            object.__setattr__(self, "norm", norm if rows else float(norm))
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.size
+        return self.eigenvalues.shape[-1]
 
     @property
-    def scale(self) -> float:
+    def scale(self) -> float | np.ndarray:
         """max(1, ||A||), the scale of the gap thresholds."""
-        return max(1.0, self.norm)
+        scale = np.maximum(1.0, self.norm)
+        return scale if scale.ndim else float(scale)
+
+    def __len__(self) -> int:
+        return len(self._stacked().eigenvalues)
+
+    def __getitem__(self, t) -> EigenSystem:
+        """The system of matrix t of a stack (a stack again for a slice)."""
+        vectors = self._stacked().eigenvectors
+        return EigenSystem(self.eigenvalues[t], None if vectors is None else vectors[t])
+
+    def _stacked(self) -> EigenSystem:
+        if self.eigenvalues.ndim != 2:
+            raise TypeError("a single eigensystem is not a stack")
+        return self
 
     def residual(self, a: np.ndarray) -> float:
-        """max_i ||A v_i - lambda_i v_i||, for invariant checks."""
-        r = a @ self.eigenvectors - self.eigenvectors * self.eigenvalues
-        return float(np.max(np.linalg.norm(r, axis=0)))
+        """max_i ||A v_i - lambda_i v_i||, for invariant checks (the worst of a stack)."""
+        r = a @ self.eigenvectors - self.eigenvectors * self.eigenvalues[..., None, :]
+        return float(np.max(np.linalg.norm(r, axis=-2)))
 
     def orthonormality_defect(self) -> float:
-        """max_ij |v_i . v_j - delta_ij|."""
-        g = self.eigenvectors.T @ self.eigenvectors
+        """max_ij |v_i . v_j - delta_ij| (the worst of a stack)."""
+        g = np.swapaxes(self.eigenvectors, -1, -2) @ self.eigenvectors
         return float(np.max(np.abs(g - np.eye(self.n))))
+
+
+def _eigenvectors(eigsys: EigenSystem) -> np.ndarray:
+    """The eigenvectors of `eigsys`; a ValueError if only its eigenvalues were computed."""
+    if eigsys.eigenvectors is None:
+        raise ValueError("the eigensystem has no eigenvectors (computed with vectors=False)")
+    return eigsys.eigenvectors
+
+
+def _stack_of_one(eigsys: EigenSystem) -> EigenSystem:
+    """The system of one matrix, with eigenvectors, as a stack of one."""
+    if eigsys.eigenvalues.ndim != 1:
+        raise ValueError(f"expected the eigensystem of one matrix, got a stack of {len(eigsys)}")
+    return EigenSystem(eigsys.eigenvalues[None], _eigenvectors(eigsys)[None])
 
 
 def nonfinite_error(a: np.ndarray, what: str) -> ValueError:
@@ -121,93 +151,60 @@ def _as_sym_float(a, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def _as_sym_float_stack(a) -> np.ndarray:
-    """`a`, a (T, n, n) stack, as float64; an error names the first matrix at fault."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.shape[1] != m.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
-    if not np.isfinite(m).all() or (m != m.transpose(0, 2, 1)).any():
-        for t, x in enumerate(m):
-            _as_sym_float(x, f"matrix {t} of the stack")
-    return m
-
-
-def eig_sym(a, label=None, vectors: bool = True) -> EigenSystem | list[EigenSystem]:
+def eig_sym(a, label=None, vectors: bool = True) -> EigenSystem:
     """Full symmetric eigendecomposition (eigenvalues ascending).
 
     `label` is carried into the error message on non-convergence so the
     failing matrix can be re-derived from its seed path.  With `vectors`
-    false, only the eigenvalues are computed (``eigvalsh``), and each
+    false, only the eigenvalues are computed (``eigvalsh``), and the
     system's `eigenvectors` is None.
 
-    A (T, n, n) stack gives a list of T :class:`EigenSystem`, each
-    bit-identical to its matrix's own decomposition: one stacked LAPACK
-    call decomposes them all, and their gaps and norms are computed for the
-    whole stack at once; the list also holds the stacked arrays its systems
-    view (see :class:`_EigenStack`).  A non-finite or asymmetric matrix of
-    the stack is named by its index.  `label` then holds one label per
-    matrix; if the stack fails to converge, each matrix is retried alone,
-    so the error carries the label of the first one that fails.
+    A (T, n, n) stack gives one :class:`EigenSystem` of the stack, from one
+    stacked LAPACK call; each `es[t]` is bit-identical to the decomposition
+    of matrix t alone, and ``eig_sym(a)`` is ``eig_sym(a[None])[0]``.  A
+    non-finite or asymmetric matrix of the stack is named by its index.
+    `label` then holds one label per matrix; if the stack fails to
+    converge, each matrix is retried alone, so the error carries the label
+    of the first one that fails.
     """
-    if np.ndim(a) != 3:
-        return _eig_stack(_as_sym_float(a)[None], [label], vectors)[0]
-    m = _as_sym_float_stack(a)
-    labels = [None] * len(m) if label is None else list(label)
-    if len(labels) != len(m):
-        raise ValueError(f"{len(labels)} labels for a stack of {len(m)} matrices")
-    return _eig_stack(m, labels, vectors)
+    single = np.ndim(a) != 3
+    if single:
+        m, labels = _as_sym_float(a)[None], [label]
+    else:
+        m = np.asarray(a, dtype=np.float64)
+        if m.shape[1] != m.shape[2]:
+            raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+        if not np.isfinite(m).all() or (m != m.transpose(0, 2, 1)).any():
+            for t, x in enumerate(m):
+                _as_sym_float(x, f"matrix {t} of the stack")
+        labels = [None] * len(m) if label is None else list(label)
+        if len(labels) != len(m):
+            raise ValueError(f"{len(labels)} labels for a stack of {len(m)} matrices")
+    try:
+        es = EigenSystem(*_eigh_or_values(m, vectors))
+    except np.linalg.LinAlgError as stacked:
+        for x, name in zip(m, labels):
+            try:
+                _eigh_or_values(x, vectors)
+            except np.linalg.LinAlgError as exc:
+                where = f" ({name})" if name is not None else ""
+                raise EigenDecompositionError(f"eigh failed to converge{where}: {exc}") from exc
+        raise EigenDecompositionError(f"eigh failed to converge: {stacked}") from stacked
+    return es[0] if single else es
 
 
 def _eigh_or_values(m: np.ndarray, vectors: bool):
     return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
 
 
-class _EigenStack(list):
-    """The :class:`EigenSystem` of each matrix of a stack, together with the
-    stacked arrays they view: `values` (T, n), `vectors` (T, n, n) or None,
-    and the systems' `gaps`, `norms` and `scales` as (T,) arrays."""
-
-    def __init__(self, values: np.ndarray, vectors: np.ndarray | None,
-                 gaps: np.ndarray, norms: np.ndarray) -> None:
-        columns = vectors if vectors is not None else [None] * len(values)
-        super().__init__(EigenSystem(*system) for system in
-                         zip(values, columns, gaps.tolist(), norms.tolist()))
-        self.values, self.vectors, self.gaps, self.norms = values, vectors, gaps, norms
-
-    @property
-    def scales(self) -> np.ndarray:
-        return np.maximum(1.0, self.norms)
-
-
-def _eig_stack(m: np.ndarray, labels: list, vectors: bool) -> _EigenStack:
-    try:
-        w, v = _eigh_or_values(m, vectors)
-    except np.linalg.LinAlgError as stacked:
-        for x, label in zip(m, labels):
-            try:
-                _eigh_or_values(x, vectors)
-            except np.linalg.LinAlgError as exc:
-                where = f" ({label})" if label is not None else ""
-                raise EigenDecompositionError(f"eigh failed to converge{where}: {exc}") from exc
-        raise EigenDecompositionError(f"eigh failed to converge: {stacked}") from stacked
-    t, n = w.shape
-    gaps = np.min(np.diff(w, axis=1), axis=1) if n > 1 else np.full(t, math.inf)
-    norms = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])) if n else np.zeros(t)
-    return _EigenStack(w, v, gaps, norms)
-
-
 def min_gap(eigenvalues) -> float:
     """Minimal spacing of an ascending eigenvalue list; +inf for n = 1."""
-    w = np.asarray(eigenvalues, dtype=np.float64)
-    if w.size <= 1:
-        return math.inf
-    return float(np.min(np.diff(w)))
+    return EigenSystem(np.asarray(eigenvalues, dtype=np.float64), None).gap
 
 
 def spectral_norm(a) -> float:
-    """max_i |lambda_i| of a symmetric matrix."""
-    w = np.linalg.eigvalsh(_as_sym_float(a))
-    return float(max(abs(w[0]), abs(w[-1])))
+    """max_i |lambda_i| of a symmetric matrix; 0.0 for n = 0."""
+    return eig_sym(a, vectors=False).norm
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +290,7 @@ def pbh_controllable(a, b, tolerances: Tolerances | None = None,
     indeterminate (see :func:`classify`).  Pass a precomputed `eigsys` to
     amortize one factorization over many input vectors.  A nonzero b whose
     norm overflows or underflows is judged as b / max|b|, and the witnesses
-    then refer to that vector.
+    then refer to that vector.  The pair is a stack of one to :func:`_pbh_stack`.
     """
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     if eigsys is None:
@@ -301,18 +298,8 @@ def pbh_controllable(a, b, tolerances: Tolerances | None = None,
     bv = np.asarray(b, dtype=np.float64)
     if bv.shape != (eigsys.n,):
         raise ValueError(f"dimension mismatch: A is {eigsys.n}x{eigsys.n}, b has shape {bv.shape}")
-    with np.errstate(over="ignore"):  # a huge finite b is rescaled below
-        norm_b = float(np.linalg.norm(bv))
-    if not math.isfinite(norm_b) and not np.isfinite(bv).all():
-        raise nonfinite_error(bv, "input vector")
-    if (norm_b == 0.0 or math.isinf(norm_b)) and bv.any():
-        bv = bv / np.max(np.abs(bv))
-        norm_b = float(np.linalg.norm(bv))
-    if norm_b == 0.0:
-        return ControllabilityVerdict(UNCONTROLLABLE, min_gap=eigsys.gap, min_abs_inner=0.0)
-    inner = float(np.min(np.abs(eigsys.eigenvectors.T @ bv)))
-    return ControllabilityVerdict(classify(eigsys.gap, inner, eigsys.scale, norm_b, tol),
-                                  min_gap=eigsys.gap, min_abs_inner=inner)
+    (decision,), (inner,) = _pbh_stack(_stack_of_one(eigsys), bv, tol)
+    return ControllabilityVerdict(decision, min_gap=eigsys.gap, min_abs_inner=inner)
 
 
 def _row_norms(b: np.ndarray) -> np.ndarray:
@@ -321,42 +308,47 @@ def _row_norms(b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(b[:, None, :], b[:, :, None])[:, 0, 0])
 
 
-def _pbh_stack(stack: _EigenStack, b, tol: Tolerances) -> tuple[list[str], list[float]]:
-    """`decision` and `min_abs_inner` of :func:`pbh_controllable` for (A_t, b_t)
-    and the eigensystem of each A_t in `stack`, equal to those of one call per pair.
+def _pbh_stack(eigsys: EigenSystem, b, tol: Tolerances) -> tuple[list[str], list[float]]:
+    """`decision` and `min_abs_inner` of the PBH test of (A_t, b_t) for each
+    system of the stack `eigsys`, as lists.
 
-    `b` is (T, n), one input per system, or (n,), one input for all of
-    them, or None for every standard basis input at once: each system is
-    then judged, as by :func:`basis_witnesses`, on its least witness over
-    all e_i.  The inner products and norms of the whole stack come from
-    one matmul each, whose every item runs the same BLAS kernel as a single
-    pair's; an input whose norm is 0 or not finite goes to
-    :func:`pbh_controllable`, which rescales or rejects it.
+    `b` is (T, n), one input per system, or (n,), one input for all, or
+    None for every standard basis input at once, judged on the least
+    witness over all e_i (see :func:`basis_witnesses`).  The inner products
+    and norms of the stack come from one matmul each, whose every item runs
+    the same BLAS kernel as a single pair's.  A nonzero b_t whose norm
+    overflows or underflows is judged as b_t / max|b_t|; the zero input is
+    uncontrollable with witness 0; a non-finite input raises a ValueError.
     """
-    v = stack.vectors
     if b is None:
-        inner, norm_b = np.min(np.abs(v), axis=(1, 2)), 1.0
+        inner, norm_b = np.min(basis_witnesses(eigsys)[2], axis=-1), 1.0
     else:
-        b = np.broadcast_to(b, stack.values.shape)
-        with np.errstate(over="ignore", invalid="ignore"):  # such rows are redone below
+        b = np.broadcast_to(np.asarray(b, dtype=np.float64), eigsys.eigenvalues.shape)
+        with np.errstate(over="ignore"):  # a huge finite b is rescaled below
             norm_b = _row_norms(b)
-            inner = np.min(np.abs(np.matmul(v.transpose(0, 2, 1), b[:, :, None])), axis=(1, 2))
-    decisions = classify(stack.gaps, inner, stack.scales, norm_b, tol).tolist()
-    inner = inner.tolist()
-    if b is not None:
-        for t in np.flatnonzero((norm_b == 0.0) | ~np.isfinite(norm_b)).tolist():
-            verdict = pbh_controllable(None, b[t], tol, eigsys=stack[t])
-            decisions[t], inner[t] = verdict.decision, verdict.min_abs_inner
-    return decisions, inner
+        off = (norm_b == 0.0) | ~np.isfinite(norm_b)
+        if off.any():
+            if not np.isfinite(b).all():
+                raise nonfinite_error(b[~np.isfinite(b).all(axis=1)][0], "input vector")
+            peak = np.abs(b).max(axis=1, initial=0.0)
+            b = b / np.where(off & (peak > 0.0), peak, 1.0)[:, None]
+            norm_b = _row_norms(b)
+        products = np.matmul(_eigenvectors(eigsys).transpose(0, 2, 1), b[:, :, None])
+        inner = np.min(np.abs(products), axis=(1, 2), initial=math.inf)
+        inner[norm_b == 0.0] = 0.0  # the zero vector, also for n = 0
+    decisions = classify(eigsys.gap, inner, eigsys.scale, norm_b, tol)
+    decisions = np.where(norm_b == 0.0, UNCONTROLLABLE, decisions)
+    return decisions.tolist(), inner.tolist()
 
 
-def basis_witnesses(eigsys: EigenSystem) -> tuple[float, float, np.ndarray]:
+def basis_witnesses(eigsys: EigenSystem) -> tuple:
     """PBH witnesses of (A, e_i) for every standard basis input at once.
 
     Returns (gap, scale, inner) for :func:`classify` with norm_b = 1, where
-    inner[i] = min_j |v_j . e_i| = min_j |V[i, j]| needs no product with b.
+    inner[i] = min_j |v_j . e_i| = min_j |V[i, j]| needs no product with b;
+    for a stack, each is indexed by the matrix first.
     """
-    return eigsys.gap, eigsys.scale, np.min(np.abs(eigsys.eigenvectors), axis=1)
+    return eigsys.gap, eigsys.scale, np.min(np.abs(_eigenvectors(eigsys)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +399,11 @@ def eigvec_coordinate_check(a, i: int, separation_tol: float = 1e-6) -> float:
     m = _as_sym_float(a)
     minor, x = _minor_split(m, i)
     full = eig_sym(m)
-    scale = max(1.0, float(np.max(np.abs(full.eigenvalues))))
     if minor.shape[0] == 0:
         return 0.0  # 1x1 matrix: coordinate is 1, formula gives 1
     sub = eig_sym(minor)
     sep = np.min(np.abs(sub.eigenvalues[:, None] - full.eigenvalues[None, :]), axis=0)
-    eligible = sep >= separation_tol * scale
+    eligible = sep >= separation_tol * full.scale
     if not np.any(eligible):
         k = int(np.argmin(sep))
         j = int(np.argmin(np.abs(sub.eigenvalues - full.eigenvalues[k])))
@@ -502,7 +493,7 @@ def small_ball_estimate(x, atom: Atom, delta: float, m: int,
         raise ValueError("x must be a vector")
     if m < 1000:
         raise ValueError(f"need m >= 1000 samples, got {m}")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"window half-width must be positive, got {delta}")
     rng = _rng(seed)
     n = xv.size

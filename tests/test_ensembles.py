@@ -75,6 +75,14 @@ def test_atom_parameter_validation():
         Atom.bernoulli01(1.5)
     with pytest.raises(ValueError):
         Atom.gaussian(0.0, -1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"gaussian mean must be finite, got {bad}"):
+            Atom.gaussian(bad, 1.0)
+        with pytest.raises(ValueError, match=f"degenerate value must be finite, got {bad}"):
+            Atom.degenerate(bad)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"variance must be finite and >= 0, got {bad}"):
+            Atom.gaussian(0.0, bad)
 
 
 def test_atom_dict_round_trip():
@@ -371,6 +379,9 @@ def test_ensemble_spec_dict_round_trip():
     (Atom, {"kind": "gaussian", "mean": 0.0, "varience": 1.0}, "unknown key 'varience'"),
     (Atom, {"kind": "centered-bernoulli"}, "missing key 'p'"),
     (Atom, {"kind": "bernoulli01", "p": 1.5}, "0 <= p <= 1"),
+    (Atom, {"kind": "gaussian", "mean": math.nan}, "gaussian mean must be finite, got nan"),
+    (Atom, {"kind": "gaussian", "variance": math.inf}, "variance must be finite and >= 0, got inf"),
+    (Atom, {"kind": "degenerate", "value": -math.inf}, "degenerate value must be finite, got -inf"),
     (Atom, {"mean": 0.0}, "'kind'"),
     (Atom, {"kind": ["gaussian"]}, "'kind'"),
     (EnsembleSpec, {"kind": "wigner", "offdiag": {"kind": "rademacher"}}, "missing key 'diag'"),

@@ -806,7 +806,7 @@ def test_float_tier_skips_entries_beyond_2_53_and_object_arrays(monkeypatch):
                (a, eye.astype(object)), (a.astype(np.uint64) * np.uint64(2**53 + 1), eye)]
     for m, cols in skipped:
         # even with the eigensystem of A's float64 copy, which is exact for big
-        assert not exact_module._float_certified(m[None], cols, [eig_sym(a)]).any()
+        assert not exact_module._float_certified(m[None], cols, eig_sym(a[None])).any()
     seen = []
     real = exact_module._certified_ranks
     monkeypatch.setattr(exact_module, "_certified_ranks",
@@ -826,18 +826,17 @@ def test_float_tier_with_a_wrong_eigensystem_certifies_nothing_wrong():
     oracle = np.array(kalman_ranks_exact(np.stack(bad), inputs))
     assert (oracle < n).any()
     for other in good:
-        es = eig_sym(other)
-        stale = [es] * len(bad)
+        stale = eig_sym(np.stack([other] * len(bad)))
         assert not (float_tier(bad, inputs, stale) & (oracle < n)).any()
         assert kalman_ranks_exact(np.stack(bad), inputs, eigsys=stale) == oracle.tolist()
     # the matrix's own eigenvectors, scaled far from orthonormal, prove nothing
     es = eig_sym(good[1])
-    scaled = EigenSystem(es.eigenvalues, 2 * es.eigenvectors)
+    scaled = EigenSystem(es.eigenvalues[None], 2 * es.eigenvectors[None])
     assert float_tier(good[1][None], inputs)[0].any()
-    assert not float_tier(good[1][None], inputs, [scaled]).any()
+    assert not float_tier(good[1][None], inputs, scaled).any()
     # nor do eigenvalues out of order
-    swapped = EigenSystem(es.eigenvalues[::-1].copy(), es.eigenvectors[:, ::-1].copy())
-    assert not float_tier(good[1][None], inputs, [swapped]).any()
+    swapped = EigenSystem(es.eigenvalues[None, ::-1].copy(), es.eigenvectors[None, :, ::-1].copy())
+    assert not float_tier(good[1][None], inputs, swapped).any()
 
 
 def hadamard_system(q):

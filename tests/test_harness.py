@@ -38,6 +38,13 @@ def test_wilson_interval_bounds_and_coverage():
     assert wilson_interval(0, 0) == (0.0, 1.0)
 
 
+def test_wilson_interval_rejects_impossible_counts():
+    for successes, trials in [(5, 3), (-1, 3), (0, -1), (1, 0)]:
+        with pytest.raises(ValueError, match=rf"need 0 <= successes <= trials: "
+                                             rf"successes={successes}, trials={trials}$"):
+            wilson_interval(successes, trials)
+
+
 def test_wilson_interval_narrows_with_trials():
     lo1, hi1 = wilson_interval(90, 100)
     lo2, hi2 = wilson_interval(900, 1000)
@@ -341,7 +348,7 @@ def test_family_work_under_each_method(name, method, cap, verdicts, ranks, eig):
         config.validate()
     chunk = harness._draw_chunk(config, 8, range(3))
     assert (chunk.ranks is not None) == ranks
-    computed = chunk.eig and ("values" if chunk.eig.vectors is None else "vectors")
+    computed = chunk.eig and ("values" if chunk.eig.eigenvectors is None else "vectors")
     assert computed == eig
     outcomes = harness._decide_chunk(config, 8, range(3))
     for t in range(3):

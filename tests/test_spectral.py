@@ -6,6 +6,7 @@ import pytest
 
 from ctrllab import (
     Atom,
+    ControllabilityVerdict,
     EigenSystem,
     SeedPath,
     SharedEigenvalueError,
@@ -15,6 +16,7 @@ from ctrllab import (
     eigvec_coordinate_check,
     interlacing_check,
     is_controllable_exact,
+    kalman_ranks_exact,
     min_gap,
     pbh_controllable,
     sample_gnp,
@@ -24,6 +26,7 @@ from ctrllab import (
     shared_eigenvalue_witness,
     small_ball_estimate,
     spectral_norm,
+    support_feasibility,
 )
 from ctrllab.spectral import _pbh_stack, _row_norms, basis_witnesses, classify
 
@@ -60,6 +63,10 @@ def test_eig_sym_invariants_on_goe():
     norm = max(1.0, float(np.max(np.abs(es.eigenvalues))))
     assert es.residual(a) <= 1e-10 * norm
     assert es.orthonormality_defect() <= 1e-10
+    pair = np.stack([a, sample_goe(50, SEED.child("goe50", 2))])
+    stacked = eig_sym(pair)
+    assert stacked.residual(pair) == max(stacked[t].residual(pair[t]) for t in range(2))
+    assert stacked.orthonormality_defect() == max(e.orthonormality_defect() for e in stacked)
 
 
 def test_eig_sym_rejects_asymmetric():
@@ -90,8 +97,11 @@ def test_eig_sym_on_a_stack_equals_per_matrix_calls():
         mats = np.stack([sample_goe(n, root.child(n, t)) for t in range(5)])
         mats[1] = sample_gnp(n, 0.5, root.child(n, "gnp"))  # repeated eigenvalues
         stacked = eig_sym(mats)
-        assert len(stacked) == 5
-        for a, es in zip(mats, stacked):
+        values = eig_sym(mats, vectors=False)
+        assert len(stacked) == len(values) == 5
+        assert stacked.eigenvalues.shape == (5, n) and stacked.eigenvectors.shape == (5, n, n)
+        assert stacked.gap.shape == stacked.norm.shape == stacked.scale.shape == (5,)
+        for t, (a, es) in enumerate(zip(mats, stacked)):
             alone = eig_sym(a)
             assert np.array_equal(es.eigenvalues, alone.eigenvalues)
             assert np.array_equal(es.eigenvectors, alone.eigenvectors)
@@ -100,6 +110,16 @@ def test_eig_sym_on_a_stack_equals_per_matrix_calls():
             assert es.gap == min_gap(alone.eigenvalues)
             assert es.norm == float(np.max(np.abs(alone.eigenvalues)))
             assert es.scale == max(1.0, es.norm)
+            assert (stacked.gap[t], stacked.norm[t]) == (es.gap, es.norm)
+            assert stacked.scale[t] == es.scale
+            assert type(es.gap) is type(es.norm) is type(es.scale) is float
+            only = eig_sym(a, vectors=False)
+            assert np.array_equal(values[t].eigenvalues, only.eigenvalues)
+            assert (values[t].gap, values[t].eigenvectors) == (only.gap, None)
+    with pytest.raises(TypeError, match="not a stack"):
+        eig_sym(P3)[0]
+    with pytest.raises(TypeError, match="not a stack"):
+        len(eig_sym(P3))
 
 
 def test_eig_sym_stack_names_the_matrix_at_fault():
@@ -128,6 +148,10 @@ def test_pbh_names_nonfinite_input_entries():
         pbh_controllable(P3, [1.0, math.inf, 0.0])
     with pytest.raises(ValueError, match=r"input vector has non-finite entries: \[0\] = nan"):
         pbh_controllable(P3, [math.nan, 1.0, 0.0])
+    b = np.ones((3, 3))
+    b[1, 2] = math.nan  # in a stack, the first input at fault is named
+    with pytest.raises(ValueError, match=r"^input vector has non-finite entries: \[2\] = nan$"):
+        _pbh_stack(eig_sym(np.stack([P3, K3, P3])), b, Tolerances())
 
 
 def test_min_gap():
@@ -239,9 +263,53 @@ def _stacked_inputs(n: int, t: int, root: SeedPath) -> list:
             np.full(n, 1e-320)]
 
 
+def test_eigensystems_of_the_wrong_kind_are_refused_by_name():
+    # where eigenvectors are needed, an eigenvalues-only system is one clear
+    # error, and so is a stack where one matrix's system is needed
+    message = r"^the eigensystem has no eigenvectors \(computed with vectors=False\)$"
+    es = eig_sym(P3, vectors=False)
+    with pytest.raises(ValueError, match=message):
+        pbh_controllable(None, [1.0, 0.0, 0.0], eigsys=es)
+    with pytest.raises(ValueError, match=message):
+        support_feasibility(None, [0], eigsys=es)
+    eye = np.eye(3, dtype=np.int64)
+    with pytest.raises(ValueError, match=message):
+        kalman_ranks_exact(P3.astype(np.int64), eye, eigsys=es)
+    stack = np.stack([P3, K3]).astype(np.int64)
+    with pytest.raises(ValueError, match=message):
+        kalman_ranks_exact(stack, eye, eigsys=eig_sym(stack, vectors=False))
+    with pytest.raises(ValueError, match=message):
+        _pbh_stack(eig_sym(stack, vectors=False), None, Tolerances())
+    one = r"^expected the eigensystem of one matrix, got a stack of 2$"
+    with pytest.raises(ValueError, match=one):
+        pbh_controllable(None, [1.0, 0.0, 0.0], eigsys=eig_sym(stack))
+    with pytest.raises(ValueError, match=one):
+        support_feasibility(None, [0], eigsys=eig_sym(stack))
+    with pytest.raises(ValueError, match=one):
+        kalman_ranks_exact(P3.astype(np.int64), eye, eigsys=eig_sym(stack))
+    # the empty matrix has norm 0, however it is asked for
+    assert spectral_norm(np.zeros((0, 0))) == eig_sym(np.zeros((0, 0))).norm == 0.0
+
+
+def pbh_oracle(es: EigenSystem, b, tol: Tolerances) -> tuple[str, float]:
+    """The PBH test of one pair written out: a nonzero b whose norm
+    overflows or underflows rescaled by max|b|, np.linalg.norm, V.T @ b."""
+    bv = np.asarray(b, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norm_b = float(np.linalg.norm(bv))
+    if (norm_b == 0.0 or math.isinf(norm_b)) and bv.any():
+        bv = bv / np.max(np.abs(bv))
+        norm_b = float(np.linalg.norm(bv))
+    if norm_b == 0.0:
+        return "uncontrollable", 0.0
+    inner = float(np.min(np.abs(es.eigenvectors.T @ bv)))
+    return classify(es.gap, inner, es.scale, norm_b, tol), inner
+
+
 def test_stacked_pbh_witnesses_equal_per_pair_calls():
     # the chunk's PBH test over one stacked matmul: every decision and
-    # witness equals pbh_controllable's for that pair, bit for bit
+    # witness equals the written-out test of that pair alone, bit for bit,
+    # and so does pbh_controllable, the stack of one
     root = SEED.child("pbh-stack")
     tol = Tolerances()
     for n in (1, 2, 5, 8, 13, 32):
@@ -256,13 +324,20 @@ def test_stacked_pbh_witnesses_equal_per_pair_calls():
                 decisions, inner = _pbh_stack(stack, b, tol)
             rows = b if b.ndim == 2 else [b] * t
             for es, row, decision, witness in zip(stack, rows, decisions, inner):
-                alone = pbh_controllable(None, row, tol, eigsys=es)
-                assert (decision, witness.hex()) == (alone.decision, alone.min_abs_inner.hex())
+                oracle, worst = pbh_oracle(es, row, tol)
+                assert (decision, witness.hex()) == (oracle, worst.hex())
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    alone = pbh_controllable(None, row, tol, eigsys=es)
+                assert (alone.decision, alone.min_abs_inner.hex()) == (oracle, worst.hex())
+                assert alone.min_gap == es.gap
         decisions, inner = _pbh_stack(stack, None, tol)
         for es, decision, witness in zip(stack, decisions, inner):
             gap, scale, per_input = basis_witnesses(es)
             worst = float(np.min(per_input))
             assert (decision, witness) == (classify(gap, worst, scale, 1.0, tol), worst)
+    empty = ControllabilityVerdict("uncontrollable", min_gap=math.inf, min_abs_inner=0.0)
+    assert pbh_controllable(np.zeros((0, 0)), []) == empty
 
 
 def test_stacked_norms_round_like_one_vector_norms():
@@ -489,3 +564,5 @@ def test_small_ball_validates_inputs():
         small_ball_estimate([1.0], Atom.rademacher(), 0.1, 999, SEED)
     with pytest.raises(ValueError):
         small_ball_estimate([1.0], Atom.rademacher(), 0.0, 2000, SEED)
+    with pytest.raises(ValueError, match="window half-width must be positive, got nan"):
+        small_ball_estimate([1.0], Atom.rademacher(), math.nan, 2000, SEED)
