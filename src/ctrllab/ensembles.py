@@ -54,6 +54,15 @@ __all__ = [
 ]
 
 
+def nonfinite_error(a: np.ndarray, what: str) -> ValueError:
+    """ValueError naming the non-finite entries of `a` (the first three)."""
+    bad = np.argwhere(~np.isfinite(a))
+    shown = ", ".join(f"[{', '.join(str(int(k)) for k in idx)}] = {a[tuple(idx)]}"
+                      for idx in bad[:3])
+    more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+    return ValueError(f"{what} has non-finite entries: {shown}{more}")
+
+
 # ---------------------------------------------------------------------------
 # atom distributions
 # ---------------------------------------------------------------------------
@@ -165,13 +174,18 @@ class ShiftSpec(Spec):
 
     @classmethod
     def constant_offdiag(cls, c: float) -> "ShiftSpec":
-        return cls("constant-offdiag", c=float(c))
+        c = float(c)
+        if not math.isfinite(c):
+            raise ValueError(f"constant-offdiag shift c must be finite, got {c}")
+        return cls("constant-offdiag", c=c)
 
     @classmethod
     def explicit(cls, matrix) -> "ShiftSpec":
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"explicit shift must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise nonfinite_error(m, "explicit shift matrix")
         if not np.array_equal(m, m.T):
             raise ValueError("explicit shift matrix must be symmetric")
         return cls("explicit", matrix=m)
@@ -448,11 +462,11 @@ class VectorSpec(Spec):
 
     @classmethod
     def shifted(cls, base: "VectorSpec", mu) -> "VectorSpec":
-        return cls("shifted", base=base, mu=np.asarray(mu, dtype=np.float64))
+        return cls("shifted", base=base, mu=_finite_vector(mu, "shifted vector mu"))
 
     @classmethod
     def explicit(cls, values) -> "VectorSpec":
-        return cls("explicit", values=np.asarray(values, dtype=np.float64))
+        return cls("explicit", values=_finite_vector(values, "explicit vector values"))
 
     @property
     def integer_valued(self) -> bool:
@@ -469,6 +483,15 @@ class VectorSpec(Spec):
         if self.kind == "shifted":
             return self.base.seeded
         return self.kind in ("bernoulli01", "iid-atom", "uniform-sphere")
+
+
+def _finite_vector(v, what: str) -> np.ndarray:
+    a = np.asarray(v, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise nonfinite_error(a, what)
+    return a
 
 
 def sample_vector(spec: VectorSpec, n: int, seed: SeedPath | np.random.Generator) -> np.ndarray:

@@ -17,16 +17,18 @@ Python integers, which with the Faddeev-LeVerrier characteristic
 polynomial also serves as the oracle in the tests.
 
 Kalman ranks are decided for a whole stack of matrices at once, each with
-its own inputs or all with the same ones: every Krylov matrix of the stack
-is built with one stacked matrix product per power and eliminated in one
-batched call, so numpy's per-call overhead is paid once per stack, not once
-per matrix.  A single matrix is a stack of one.  A caller that already
-holds float eigensystems of the stack passes them in, and a Kalman rank is
-then decided in up to three tiers: a rigorous perturbation bound on the
-eigensystem proves rank n for most controllable pairs (the PBH test:
-simple spectrum, no eigenvector orthogonal to b); only matrices with a
-column it leaves unproved go on to the mod-p certificate, and only columns
-that one leaves unsettled go on to Bareiss.
+its own inputs: inputs shared by the stack are repeated once per matrix on
+entry.  Every Krylov matrix of the stack is built with one stacked matrix
+product per power and eliminated in one batched call, so numpy's per-call
+overhead is paid once per stack, not once per matrix.  A single matrix is
+a stack of one.  The ranks pass from tier to tier as one (T, m) array in
+which -1 marks a rank not yet settled, and each tier fills only -1
+entries.  A caller that already holds float eigensystems of the stack
+passes them in: a rigorous perturbation bound on the eigensystem proves
+rank n for most controllable pairs (the PBH test: simple spectrum, no
+eigenvector orthogonal to b); only matrices with a column it leaves
+unproved go on to the mod-p certificate, and only columns that one leaves
+unsettled go on to Bareiss.
 
 Krylov entries grow like ``norm(A)**n``, so the exact path is capped at
 ``DEFAULT_EXACT_CAP`` dimensions by default; pass ``cap=None`` (or a larger
@@ -39,7 +41,8 @@ import math
 
 import numpy as np
 
-from .spectral import EigenSystem, _eigenvectors, _stack_of_one, nonfinite_error
+from .ensembles import nonfinite_error
+from .spectral import EigenSystem, _check_symmetric, _eigenvectors, _stack_of_one
 
 __all__ = [
     "DEFAULT_EXACT_CAP",
@@ -108,16 +111,6 @@ def _as_int_rows(m) -> list[list[int]]:
 
 def _as_int_vector(v) -> list[int]:
     return [int(x) for x in _checked_ints(v, 1, "vector")]
-
-
-def _check_symmetric(stack: np.ndarray, single: bool = True) -> None:
-    if stack.shape[1] != stack.shape[2]:
-        raise ValueError("matrix is not square")
-    differs = stack != stack.transpose(0, 2, 1)
-    if differs.any():
-        t, i, j = np.argwhere(np.triu(differs, 1))[0]
-        name = "matrix" if single else f"matrix {t} of the stack"
-        raise ValueError(f"{name} is not symmetric at ({i},{j})")
 
 
 def kalman_matrix(a, b) -> np.ndarray:
@@ -226,9 +219,11 @@ def charpoly_exact(a) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _residues(m: np.ndarray) -> np.ndarray:
-    """Entries mod _P as int64; entries int64 may not hold are reduced as
-    Python ints first, so no entry size overflows."""
-    if m.dtype.kind in "bi" or (m.dtype.kind == "u" and m.dtype.itemsize < 8):
+    """Entries mod _P as int64, of a matrix of integers (integer-valued
+    floats too); entries int64 may not hold are reduced as Python ints
+    first, so no entry size overflows."""
+    if (m.dtype.kind in "bi" or (m.dtype.kind == "u" and m.dtype.itemsize < 8)
+            or (m.dtype.kind == "f" and np.abs(m).max(initial=0.0) < 2.0**63)):
         return _reduce(m.astype(np.int64))
     return np.array([int(x) % _P for x in m.flat], dtype=np.int64).reshape(m.shape)
 
@@ -244,15 +239,13 @@ def _krylov_ranks_mod_p(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nd
     """Rank of [b, Ab, ..., A^(n-1)b] for each matrix A of the stack `a` and
     each column b of its inputs `v`, and the echelon forms, indexed [t, j].
 
-    `a` (T x n x n) and `v` hold residues mod _P; `v` is n x m, shared by
-    every matrix, or T x n x m.  All T * m Krylov matrices are built with
-    one stacked product per power and eliminated together by
-    :func:`_echelon_mod_p`.
+    `a` (T x n x n) and `v` (T x n x m, the inputs of each matrix) hold
+    residues mod _P.  All T * m Krylov matrices are built with one stacked
+    product per power and eliminated together by :func:`_echelon_mod_p`.
     """
-    t, n, _ = a.shape
-    m = v.shape[-1]
+    t, n, m = v.shape
     krylov = np.empty((t, m, n, n), dtype=np.int64)  # [t, j, :, k] = A_t^k b_tj mod p
-    power = np.broadcast_to(v, (t, n, m))
+    power = v
     for k in range(n):
         if k:
             power = _reduce(a @ power)
@@ -379,34 +372,29 @@ def _python_ints(x: np.ndarray) -> np.ndarray:
     return np.array([int(e) for e in x.flat], dtype=object).reshape(x.shape)
 
 
-def _certified_ranks(mats: np.ndarray, cols: np.ndarray) -> list[list[int | None]]:
+def _certified_ranks(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Kalman rank of each column b of the inputs of each matrix A of the
-    stack `mats`, where a certificate proves it, else None; indexed [t][j].
+    stack `mats`, where a certificate proves it, else -1; indexed [t, j].
 
-    `cols` is n x m, shared by every matrix, or T x n x m.  The rank r mod
-    _P never exceeds the rank over the rationals, so r = n is proved.  For
+    `cols` (T x n x m) holds the inputs of each matrix.  The rank r mod _P
+    never exceeds the rank over the rationals, so r = n is proved.  For
     r < n, the monic relation q(A) b = 0 mod _P of degree r is lifted to
     the integers and checked exactly, all short columns of all matrices in
     one check; if it holds, b, Ab, ..., A^r b are dependent over the
     rationals too, and the rank is exactly r.  The zero column has rank 0
     and the relation q = 1.
     """
-    t, n, _ = mats.shape
-    m = cols.shape[-1]
+    t, n, m = cols.shape
     if not 0 < n <= _MOD_MAX_N:
-        return [[None] * m for _ in range(t)]
+        return np.full((t, m), -1)
     rank, echelon = _krylov_ranks_mod_p(_residues(mats), _residues(cols))
-    out = [[n if r == n else None for r in row] for row in rank.tolist()]
-    which, short = np.nonzero(rank < n)
+    which, short = (rank < n).nonzero()
     if which.size:
-        ranks = rank[which, short]
-        b = cols[:, short] if cols.ndim == 2 else cols[which, :, short].T
-        polys = _relations_mod_p(echelon[which, short], ranks)
-        for i, j, r, ok in zip(which.tolist(), short.tolist(), ranks.tolist(),
-                               _annihilated(mats, which, b, polys).tolist()):
-            if ok:
-                out[i][j] = r
-    return out
+        low = rank[which, short]
+        polys = _relations_mod_p(echelon[which, short], low)
+        ok = _annihilated(mats, which, cols[which, :, short].T, polys)
+        rank[which, short] = np.where(ok, low, -1)
+    return rank
 
 
 def _certified_simple_spectrum(mat: np.ndarray) -> bool | None:
@@ -593,8 +581,9 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
     n x m, shared by every matrix, or T x n x m, one set per matrix, and the
     result is a list of T such lists.  A single matrix is a stack of one.
 
-    Each rank is decided in up to three tiers, and each tier sees only what
-    the one before it left unproved:
+    Shared inputs are repeated into a T x n x m stack on entry, and the
+    ranks pass through up to three tiers as one T x m array, -1 where not
+    yet settled; each tier sees only what the one before it left:
 
     1. With `eigsys`, the float eigensystem of `a`, shaped like `a` (a
        stack's as :func:`~ctrllab.spectral.eig_sym` returns it), a
@@ -603,8 +592,9 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
        :func:`_eigvec_bounds`).  It applies where A and b are integers of
        magnitude at most 2^53 held in fixed-width dtypes, and only proves
        full rank; a wrong eigensystem can make it prove less, never wrong.
-    2. The matrices with a column left unproved are certified mod ``_P``.
-    3. Columns no certificate settles go through Bareiss.
+    2. The matrices with a -1 left are certified mod ``_P``
+       (:func:`_certified_ranks`), and its ranks fill their -1 entries.
+    3. The entries still -1 go through Bareiss.
 
     The zero vector has rank 0.  Every column that reaches tier 2 is
     certified mod ``_P`` in two directions, all columns of all those
@@ -629,29 +619,27 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
     mats, single = _checked_stack(a, "matrix")
     _check_symmetric(mats, single)
     cols, shared = _checked_stack(inputs, "input matrix")
-    cols = cols[0] if shared else cols
     t, n, _ = mats.shape
-    if cols.shape[-2] != n:
-        raise ValueError(f"dimension mismatch: A is {n}x{n}, inputs have {cols.shape[-2]} rows")
-    if cols.ndim == 3 and len(cols) != t:
+    if cols.shape[1] != n:
+        raise ValueError(f"dimension mismatch: A is {n}x{n}, inputs have {cols.shape[1]} rows")
+    if not shared and len(cols) != t:
         raise ValueError(f"{len(cols)} input matrices for a stack of {t} matrices")
     if cap is not None and n > cap:
         raise DimensionCapError(f"n={n} exceeds exact cap {cap}; use the float PBH path")
-    if eigsys is None:
-        ranks = _certified_ranks(mats, cols)
-    else:
-        proved = _float_certified(mats, cols, _stack_of_one(eigsys) if single else eigsys)
-        ranks = [[n] * cols.shape[-1] for _ in range(t)]
-        rest = np.flatnonzero(~proved.all(axis=1))
-        if rest.size:
-            rows = _certified_ranks(mats[rest], cols if cols.ndim == 2 else cols[rest])
-            for i, row in zip(rest.tolist(), rows):
-                ranks[i] = [n if ok else r for ok, r in zip(proved[i].tolist(), row)]
-    for i, row in enumerate(ranks):
-        b = cols if cols.ndim == 2 else cols[i]
-        for j, rank in enumerate(row):
-            if rank is None:
-                row[j] = rank_exact(kalman_matrix(mats[i], b[:, j]))
+    if single and eigsys is not None:
+        eigsys = _stack_of_one(eigsys)
+    if shared:  # a copy, cheaper than np.broadcast_to's view for small stacks
+        cols = cols.repeat(t, axis=0)
+    ranks = np.full((t, cols.shape[2]), -1)
+    if eigsys is not None:
+        ranks[_float_certified(mats, cols, eigsys)] = n
+    rest = (ranks < 0).any(axis=1).nonzero()[0]
+    if rest.size:
+        left = ranks[rest]
+        ranks[rest] = np.where(left < 0, _certified_ranks(mats[rest], cols[rest]), left)
+        for i, j in zip(*(ranks < 0).nonzero()):
+            ranks[i, j] = rank_exact(kalman_matrix(mats[i], cols[i, :, j]))
+    ranks = ranks.tolist()
     return ranks[0] if single else ranks
 
 

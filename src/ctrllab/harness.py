@@ -132,6 +132,8 @@ class ExperimentConfig(Record):
         scenario = _scenario(self.scenario)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not self.n_grid:
+            raise ValueError("n-grid must hold at least one dimension")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError(f"n-grid must be strictly increasing, got {self.n_grid}")
         if any(n < 1 for n in self.n_grid):
@@ -282,10 +284,9 @@ class _Chunk(NamedTuple):
     """The draws of a chunk of T trials and the stacked work on them.
 
     `mats` is the (T, n, n) stack of matrices; `b` the (T, n) inputs, or
-    one (n,) input shared by the chunk when the vector draws nothing, or
-    None; `extra` maps each extra stream to its T generators; `ranks` holds
-    each trial's Kalman ranks and `eig` the stack's :class:`EigenSystem`,
-    each None when not computed.
+    None for every standard basis input at once; `extra` maps each extra
+    stream to its T generators; `ranks` holds each trial's Kalman ranks and
+    `eig` the stack's :class:`EigenSystem`, each None when not computed.
     """
 
     mats: np.ndarray
@@ -425,7 +426,7 @@ def _draw_chunk(config: ExperimentConfig, n: int, trials) -> _Chunk:
     never depends on the chunk it is in; the generators of all streams of
     the chunk come from one :meth:`SeedPath.generators` batch below the
     grid point's path, and one stacked sampler builds every matrix.  An
-    input vector that draws nothing is built once for the chunk.  The
+    input vector that draws nothing is built once and broadcast.  The
     eigensystems of every matrix come from one :func:`eig_sym` call over
     the stack as float64, and their Kalman ranks from one
     :func:`kalman_ranks_exact` call over the same stack, which is handed
@@ -442,14 +443,13 @@ def _draw_chunk(config: ExperimentConfig, n: int, trials) -> _Chunk:
     if "vector" in drawn:
         b = np.array([sample_vector(config.vector, n, rng) for rng in drawn["vector"]])
     elif config.vector is not None:
-        b = sample_vector(config.vector, n, None)
+        b = np.broadcast_to(sample_vector(config.vector, n, None), (len(trials), n))
     ranks = eig = None
     if family.eig in ("vectors", "values") or (family.eig == "float" and config.method != "exact"):
         eig = eig_sym(mats, label=[grid.child(t).labels for t in trials],
                       vectors=family.eig != "values")
     if family.kalman and _exact_runs(config, n):
-        inputs = (np.eye(n, dtype=np.int64) if b is None else
-                  b[:, None] if b.ndim == 1 else b[:, :, None])
+        inputs = np.eye(n, dtype=np.int64) if b is None else b[:, :, None]
         ranks = kalman_ranks_exact(mats, inputs, config.exact_cap, eigsys=eig)
     return _Chunk(mats, b, {stream: drawn[stream] for stream in family.extra}, ranks, eig)
 

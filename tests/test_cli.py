@@ -188,3 +188,35 @@ def test_config_file_params_round_trip(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["--config", str(cfg_path), "--out", str(out)]) == 0
     assert out.read_text() == report_csv(run_experiment(config))
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", ","], "n-grid must hold at least one dimension"),
+    (["--gap-tol", "inf"], "gap_tol must be finite, got inf"),
+    (["--ortho-tol", "inf"], "ortho_tol must be finite, got inf"),
+    (["--gap-tol", "nan"], "gap_tol must be finite, got nan"),
+])
+def test_flags_reject_empty_grid_and_nonfinite_tolerances(capsys, flags, message):
+    assert main(["--scenario", "thm-goe", "--trials", "2", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == f"ctrllab: error: {message}"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(n_grid=[]), "n-grid must hold at least one dimension"),
+    (lambda d: d["tolerances"].update(gap_tol=float("inf")), "gap_tol must be finite, got inf"),
+    (lambda d: d["tolerances"].update(ortho_reject=float("nan")),
+     "ortho_reject must be finite, got nan"),
+])
+def test_config_file_rejects_empty_grid_and_nonfinite_tolerances(tmp_path, capsys, edit, message):
+    doc = make_scenario_config("thm-goe", n_grid=(6,), trials=2).to_dict()
+    edit(doc)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))  # non-finite floats as Infinity / NaN
+    assert main(["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == f"ctrllab: error: {message}"

@@ -387,6 +387,20 @@ def test_ensemble_spec_dict_round_trip():
     (EnsembleSpec, {"kind": "wigner", "offdiag": {"kind": "rademacher"}}, "missing key 'diag'"),
     (EnsembleSpec, {"kind": "gnp-adjacency", "p": 0.5, "n": 0}, "dimension must be >= 1"),
     (ShiftSpec, {"kind": "explicit", "matrix": [[0.0, 1.0], [2.0, 0.0]]}, "symmetric"),
+    (ShiftSpec, {"kind": "constant-offdiag", "c": math.nan},
+     "constant-offdiag shift c must be finite, got nan"),
+    (ShiftSpec, {"kind": "explicit", "matrix": [[0.0, math.nan], [math.nan, 0.0]]},
+     r"^explicit shift matrix has non-finite entries: \[0, 1\] = nan, \[1, 0\] = nan$"),
+    (ShiftSpec, {"kind": "explicit", "matrix": [[0.0, 1.0], [1.0, math.inf]]},
+     r"^explicit shift matrix has non-finite entries: \[1, 1\] = inf$"),
+    (VectorSpec, {"kind": "explicit", "values": [math.nan, 1.0]},
+     r"^explicit vector values has non-finite entries: \[0\] = nan$"),
+    (VectorSpec, {"kind": "explicit", "values": [[1.0, 2.0]]},
+     r"^explicit vector values must be one-dimensional, got shape \(1, 2\)$"),
+    (VectorSpec, {"kind": "shifted", "base": {"kind": "all-ones"}, "mu": [math.inf, 0.0]},
+     r"^shifted vector mu has non-finite entries: \[0\] = inf$"),
+    (VectorSpec, {"kind": "shifted", "base": {"kind": "all-ones"}, "mu": 0.5},
+     r"^shifted vector mu must be one-dimensional, got shape \(\)$"),
     (VectorSpec, {"kind": "standard-basis", "index": -1}, "basis index"),
     (VectorSpec, {"kind": "iid-atom", "atom": {"kind": "laplace"}}, "'laplace'"),
     (VectorSpec, [1.0, 2.0], "needs a .kind. key"),
@@ -425,6 +439,28 @@ def test_json_tests_resolve_annotations():
 def test_explicit_shift_must_be_symmetric():
     with pytest.raises(ValueError):
         ShiftSpec.explicit([[0.0, 1.0], [2.0, 0.0]])
+
+
+def test_shift_and_vector_specs_reject_nonfinite_and_misshapen_values():
+    # at construction, naming the parameter, not later at sampling time
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^constant-offdiag shift c must be finite, got {bad}$"):
+            ShiftSpec.constant_offdiag(bad)
+        with pytest.raises(ValueError, match=rf"^explicit shift matrix has non-finite entries: "
+                                             rf"\[0, 1\] = {bad}, \[1, 0\] = {bad}$"):
+            ShiftSpec.explicit([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match=rf"^explicit vector values has non-finite "
+                                             rf"entries: \[1\] = {bad}$"):
+            VectorSpec.explicit([1.0, bad])
+        with pytest.raises(ValueError, match=rf"^shifted vector mu has non-finite entries: "
+                                             rf"\[0\] = {bad}$"):
+            VectorSpec.shifted(VectorSpec.uniform_sphere(), [bad, 0.0])
+    with pytest.raises(ValueError, match=r"^explicit vector values must be one-dimensional, "
+                                         r"got shape \(1, 2\)$"):
+        VectorSpec.explicit([[1, 2]])
+    with pytest.raises(ValueError, match=r"^shifted vector mu must be one-dimensional, "
+                                         r"got shape \(2, 1\)$"):
+        VectorSpec.shifted(VectorSpec.all_ones(), [[0.5], [0.5]])
 
 
 def test_seeded_kinds_are_exactly_those_that_read_the_seed():

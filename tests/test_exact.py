@@ -229,6 +229,21 @@ def test_asymmetric_matrix_rejected():
         kalman_ranks_exact([[0, 1, 0], [1, 0, 1], [0, 2, 0]], np.eye(3, dtype=np.int64))
 
 
+@pytest.mark.parametrize("a, message", [
+    ([[0, 1], [2, 0]], r"^matrix is not symmetric at \(0,1\)$"),
+    ([[0, 1, 0], [1, 0, 1]], r"^expected a square matrix, got shape \(2, 3\)$"),
+    (np.stack([P3, P3 + np.triu(P3), P3]), r"^matrix 1 of the stack is not symmetric at \(0,1\)$"),
+    (np.zeros((2, 2, 3), dtype=np.int64),
+     r"^expected a stack of square matrices, got shape \(2, 2, 3\)$"),
+])
+def test_exact_and_float_deciders_reject_a_matrix_alike(a, message):
+    # one check for both deciders: the same input gets the same message
+    inputs = np.eye(np.shape(a)[-2], dtype=np.int64)
+    for decide in (lambda: kalman_ranks_exact(a, inputs), lambda: eig_sym(np.asarray(a, float))):
+        with pytest.raises(ValueError, match=message):
+            decide()
+
+
 def test_exact_path_names_nonfinite_entries():
     inf, nan = float("inf"), float("nan")
     with pytest.raises(ValueError, match=r"matrix has non-finite entries: \[1, 1\] = inf"):
@@ -795,6 +810,24 @@ def test_float_tier_leaves_ranks_unchanged_and_skips_proved_matrices(monkeypatch
     a = sample_gnp(24, 0.5, SeedPath(1506, ("one",)))
     assert kalman_ranks_exact(a, np.eye(24, dtype=np.int64), eigsys=eig_sym(a)) == [24] * 24
     assert seen == []
+
+
+def test_unsettled_certificates_leave_float_proofs_standing(monkeypatch):
+    # with no mod-_P certificate at all, Bareiss runs on exactly the
+    # columns the float tier left: a -1 never overwrites a float-proved n
+    cases = [case for case in adversarial_cases() if case[0].shape[1] <= 8]
+    monkeypatch.setattr(exact_module, "_certified_ranks",
+                        lambda mats, cols: np.full((len(mats), cols.shape[2]), -1))
+    oracle_calls = count_oracle_calls(monkeypatch)
+    mixed = 0
+    for mats, inputs, oracle in cases:
+        eigsys = eig_sym(mats.astype(np.float64))
+        proved = float_tier(mats, inputs, eigsys)
+        mixed += int((proved.any(axis=1) & ~proved.all(axis=1)).sum())
+        oracle_calls.clear()
+        assert kalman_ranks_exact(mats, inputs, cap=None, eigsys=eigsys) == oracle.tolist()
+        assert len(oracle_calls) == int((~proved).sum())
+    assert mixed > 20  # matrices with proved and unproved columns both
 
 
 def test_float_tier_skips_entries_beyond_2_53_and_object_arrays(monkeypatch):

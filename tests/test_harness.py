@@ -80,6 +80,8 @@ def test_config_validation_rejects_bad_values():
         make_scenario_config("conj1", n_grid=(8, 8))
     with pytest.raises(ValueError):
         make_scenario_config("conj1", n_grid=(16, 8))
+    with pytest.raises(ValueError, match="n-grid must hold at least one dimension"):
+        make_scenario_config("conj1", n_grid=())
     with pytest.raises(ValueError):
         make_scenario_config("conj1", method="quantum")
     with pytest.raises(ValueError):
@@ -322,9 +324,8 @@ def test_chunk_draws_equal_per_path_samples(name, streams):
         path = SeedPath(config.master_seed).child(name, 8, t)
         alone = sample_ensemble(config.ensemble, path.child("matrix"), 8)
         assert np.array_equal(chunk.mats[i], alone) and chunk.mats.dtype == alone.dtype
-        if config.vector is not None:  # a vector that draws nothing is shared by the chunk
-            b = chunk.b[i] if "vector" in streams else chunk.b
-            assert np.array_equal(b, sample_vector(config.vector, 8, path.child("vector")))
+        if config.vector is not None:
+            assert np.array_equal(chunk.b[i], sample_vector(config.vector, 8, path.child("vector")))
         if streams[-1] in ("sphere", "smallball"):  # the generator decide reads
             extra = path.child(streams[-1]).generator()
             assert chunk.extra[streams[-1]][i].bit_generator.state == extra.bit_generator.state
@@ -427,7 +428,7 @@ def test_certificate_leaves_exact_records_unchanged(monkeypatch):
     real_rank = exact.rank_exact
     monkeypatch.setattr(exact, "rank_exact", lambda m: bareiss.append(1) or real_rank(m))
     monkeypatch.setattr(exact, "_certified_ranks",
-                        lambda mats, cols: [[None] * cols.shape[-1] for _ in mats])
+                        lambda mats, cols: np.full((len(mats), cols.shape[-1]), -1))
     monkeypatch.setattr(exact, "_certified_simple_spectrum", lambda a: None)
     monkeypatch.setattr(exact, "_float_certified",
                         lambda mats, cols, eigsys: np.zeros((len(mats), cols.shape[-1]), bool))
@@ -437,6 +438,34 @@ def test_certificate_leaves_exact_records_unchanged(monkeypatch):
     bareiss.clear()
     run_experiment(configs[0])
     assert len(bareiss) == configs[0].trials * sum(configs[0].n_grid)
+
+
+def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
+    # Ranks are exact whichever tier settles them, so no record shows when
+    # a change sends more columns to a slower tier.  These are the exact
+    # experiments of the benchmark at its seed, 1506: calls and matrices
+    # of the mod-_P certificate, and Bareiss calls.  The float tier settles
+    # every column of conj1 and conj2.
+    configs = {
+        "conj1": make_scenario_config("conj1", method="both", n_grid=(16, 24), trials=4,
+                                      p=0.5, master_seed=1506),
+        "conj2": make_scenario_config("conj2", method="both", n_grid=(24,), trials=16,
+                                      p=0.5, master_seed=1506),
+        "minctrl-gnp": make_scenario_config("minctrl-gnp", n_grid=(10, 12), trials=20,
+                                            p=0.5, master_seed=1506),
+    }
+    certified, bareiss = [], []
+    real_certified, real_rank = exact._certified_ranks, exact.rank_exact
+    monkeypatch.setattr(exact, "_certified_ranks",
+                        lambda mats, cols: certified.append(len(mats)) or real_certified(mats, cols))
+    monkeypatch.setattr(exact, "rank_exact", lambda m: bareiss.append(1) or real_rank(m))
+    counts = {}
+    for name, config in configs.items():
+        certified.clear()
+        bareiss.clear()
+        run_experiment(config)
+        counts[name] = (len(certified), sum(certified), len(bareiss))
+    assert counts == {"conj1": (0, 0, 0), "conj2": (0, 0, 0), "minctrl-gnp": (25, 60, 0)}
 
 
 def test_conj1_trial_falls_back_when_certificate_fails(monkeypatch):
@@ -488,12 +517,6 @@ def test_csv_columns_pinned():
         "ci_lo,ci_hi,method,seed,gap_tol,ortho_tol")
 
 
-def test_empty_grid_gives_header_only_csv():
-    config = make_scenario_config("thm-goe", n_grid=())
-    report = run_experiment(config)
-    assert report_csv(report) == ",".join(CSV_COLUMNS) + "\n"
-
-
 def test_csv_floats_have_17_significant_digits():
     config = make_scenario_config("thm-goe", n_grid=(6,), trials=3)
     report = run_experiment(config)
@@ -523,14 +546,14 @@ def test_json_round_trip_equality():
 
 
 def test_report_emit_rejects_unknown_format(tmp_path):
-    config = make_scenario_config("thm-goe", n_grid=())
+    config = make_scenario_config("thm-goe", n_grid=(2,), trials=1)
     report = run_experiment(config)
     with pytest.raises(ValueError):
         report_emit(report, str(tmp_path / "x"), "yaml")
 
 
 def test_report_emit_unwritable_path():
-    config = make_scenario_config("thm-goe", n_grid=())
+    config = make_scenario_config("thm-goe", n_grid=(2,), trials=1)
     report = run_experiment(config)
     with pytest.raises(OSError):
         report_emit(report, "/nonexistent-dir/report.csv", "csv")

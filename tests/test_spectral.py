@@ -70,7 +70,7 @@ def test_eig_sym_invariants_on_goe():
 
 
 def test_eig_sym_rejects_asymmetric():
-    with pytest.raises(ValueError, match="not exactly symmetric"):
+    with pytest.raises(ValueError, match=r"^matrix is not symmetric at \(0,1\)$"):
         eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
@@ -135,7 +135,7 @@ def test_eig_sym_stack_names_the_matrix_at_fault():
                                          r"\[2, 2\] = inf$"):
         eig_sym(bad)
     bad[1, 0, 2] = 5.0  # the first matrix at fault is named
-    with pytest.raises(ValueError, match=r"^matrix 1 of the stack is not exactly symmetric$"):
+    with pytest.raises(ValueError, match=r"^matrix 1 of the stack is not symmetric at \(0,2\)$"):
         eig_sym(bad)
     with pytest.raises(ValueError, match="square"):
         eig_sym(np.zeros((2, 3, 4)))
@@ -229,6 +229,13 @@ def test_pbh_respects_custom_tolerances():
     # huge accept threshold forces indeterminate on a healthy instance
     v = pbh_controllable(P3, [1.0, 0.0, 0.0], Tolerances(gap_tol=10.0))
     assert v.decision == "indeterminate"
+
+
+@pytest.mark.parametrize("field", ["gap_tol", "gap_reject", "ortho_tol", "ortho_reject"])
+def test_tolerances_must_be_finite(field):
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+            Tolerances(**{field: bad})
 
 
 def test_pbh_agrees_with_exact_on_small_graphs():
