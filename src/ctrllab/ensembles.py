@@ -168,27 +168,35 @@ class ShiftSpec(Spec):
 
     _kinds = {"none": "none", "constant-offdiag": "constant_offdiag", "explicit": "explicit"}
 
+    def __post_init__(self) -> None:
+        if self.kind == "constant-offdiag":
+            c = float(self.c)
+            if not math.isfinite(c):
+                raise ValueError(f"constant-offdiag shift c must be finite, got {c}")
+            object.__setattr__(self, "c", c)
+        elif self.kind == "explicit":
+            m = np.asarray(self.matrix, dtype=np.float64)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"explicit shift must be square, got shape {m.shape}")
+            if not np.isfinite(m).all():
+                raise nonfinite_error(m, "explicit shift matrix")
+            if not np.array_equal(m, m.T):
+                raise ValueError("explicit shift matrix must be symmetric")
+            object.__setattr__(self, "matrix", m)
+        elif self.kind != "none":
+            raise ValueError(f"unknown shift kind {self.kind!r}")
+
     @classmethod
     def none(cls) -> "ShiftSpec":
         return cls("none")
 
     @classmethod
     def constant_offdiag(cls, c: float) -> "ShiftSpec":
-        c = float(c)
-        if not math.isfinite(c):
-            raise ValueError(f"constant-offdiag shift c must be finite, got {c}")
         return cls("constant-offdiag", c=c)
 
     @classmethod
     def explicit(cls, matrix) -> "ShiftSpec":
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"explicit shift must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise nonfinite_error(m, "explicit shift matrix")
-        if not np.array_equal(m, m.T):
-            raise ValueError("explicit shift matrix must be symmetric")
-        return cls("explicit", matrix=m)
+        return cls("explicit", matrix=matrix)
 
 
 def shift_matrix(spec: ShiftSpec, n: int) -> np.ndarray:
@@ -436,10 +444,28 @@ class VectorSpec(Spec):
               "uniform-sphere": "uniform_sphere", "shifted": "shifted", "explicit": "explicit"}
     _decoders = {"atom": Atom.from_dict, "base": lambda d: VectorSpec.from_dict(d)}
 
+    def __post_init__(self) -> None:
+        if self.kind == "standard-basis":
+            if self.index is None or self.index < 0:
+                raise ValueError(f"basis index must be >= 0, got {self.index}")
+        elif self.kind == "bernoulli01":
+            if self.p is None or not 0.0 <= self.p <= 1.0:
+                raise ValueError(f"bernoulli01 requires p in [0, 1], got {self.p}")
+            object.__setattr__(self, "p", float(self.p))
+        elif self.kind == "iid-atom":
+            if not isinstance(self.atom, Atom):
+                raise ValueError(f"iid-atom vector needs an Atom, got {self.atom!r}")
+        elif self.kind == "shifted":
+            if not isinstance(self.base, VectorSpec):
+                raise ValueError(f"shifted vector needs a base VectorSpec, got {self.base!r}")
+            object.__setattr__(self, "mu", _finite_vector(self.mu, "shifted vector mu"))
+        elif self.kind == "explicit":
+            object.__setattr__(self, "values", _finite_vector(self.values, "explicit vector values"))
+        elif self.kind not in ("all-ones", "uniform-sphere"):
+            raise ValueError(f"unknown vector kind {self.kind!r}")
+
     @classmethod
     def standard_basis(cls, index: int) -> "VectorSpec":
-        if index < 0:
-            raise ValueError(f"basis index must be >= 0, got {index}")
         return cls("standard-basis", index=index)
 
     @classmethod
@@ -448,9 +474,7 @@ class VectorSpec(Spec):
 
     @classmethod
     def bernoulli01(cls, p: float) -> "VectorSpec":
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"bernoulli01 requires p in [0, 1], got {p}")
-        return cls("bernoulli01", p=float(p))
+        return cls("bernoulli01", p=p)
 
     @classmethod
     def iid_atom(cls, atom: Atom) -> "VectorSpec":
@@ -462,11 +486,11 @@ class VectorSpec(Spec):
 
     @classmethod
     def shifted(cls, base: "VectorSpec", mu) -> "VectorSpec":
-        return cls("shifted", base=base, mu=_finite_vector(mu, "shifted vector mu"))
+        return cls("shifted", base=base, mu=mu)
 
     @classmethod
     def explicit(cls, values) -> "VectorSpec":
-        return cls("explicit", values=_finite_vector(values, "explicit vector values"))
+        return cls("explicit", values=values)
 
     @property
     def integer_valued(self) -> bool:

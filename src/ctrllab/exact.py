@@ -18,17 +18,18 @@ polynomial also serves as the oracle in the tests.
 
 Kalman ranks are decided for a whole stack of matrices at once, each with
 its own inputs: inputs shared by the stack are repeated once per matrix on
-entry.  Every Krylov matrix of the stack is built with one stacked matrix
-product per power and eliminated in one batched call, so numpy's per-call
-overhead is paid once per stack, not once per matrix.  A single matrix is
-a stack of one.  The ranks pass from tier to tier as one (T, m) array in
-which -1 marks a rank not yet settled, and each tier fills only -1
-entries.  A caller that already holds float eigensystems of the stack
-passes them in: a rigorous perturbation bound on the eigensystem proves
-rank n for most controllable pairs (the PBH test: simple spectrum, no
-eigenvector orthogonal to b); only matrices with a column it leaves
-unproved go on to the mod-p certificate, and only columns that one leaves
-unsettled go on to Bareiss.
+entry.  The Krylov matrices of a stack are built with one stacked matrix
+product per power and eliminated in one batched call per sub-stack of at
+most ``_KRYLOV_ENTRIES`` entries, so numpy's per-call overhead is paid
+once per sub-stack, not once per matrix, and memory stays bounded for any
+batch.  A single matrix is a stack of one.  The ranks pass from tier to
+tier as one (T, m) array in which -1 marks a rank not yet settled, and
+each tier fills only -1 entries.  A caller that already holds float
+eigensystems of the stack passes them in: a rigorous perturbation bound on
+the eigensystem proves rank n for most controllable pairs (the PBH test:
+simple spectrum, no eigenvector orthogonal to b); only matrices with a
+column it leaves unproved go on to the mod-p certificate, and only columns
+that one leaves unsettled go on to Bareiss.
 
 Krylov entries grow like ``norm(A)**n``, so the exact path is capped at
 ``DEFAULT_EXACT_CAP`` dimensions by default; pass ``cap=None`` (or a larger
@@ -63,6 +64,16 @@ DEFAULT_EXACT_CAP = 24
 # every dimension up to there is invertible mod _P.
 _P = 67108859
 _MOD_MAX_N = (2**63 - 1) // (_P - 1) ** 2
+
+# Bound on the int64 entries of one Krylov stack, T * m * n^2 for T matrices
+# with m inputs each: :func:`kalman_ranks_exact` certifies its matrices mod
+# _P in sub-stacks within it (or of one matrix), whatever batch a caller
+# hands in.  Measured when this bound sized the harness's chunks, on the
+# exact-kalman and minctrl-search benchmark workloads against one trial
+# per chunk: peak RSS grows 0.3-1.3% at 2**13, 0.7-1.8% at 2**14, 2.3-3.5%
+# at 2**15 and up to 6.5% unbounded, while trials/s stops growing beyond
+# 2**14.
+_KRYLOV_ENTRIES = 2**14
 
 
 class DimensionCapError(ValueError):
@@ -594,10 +605,13 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
        full rank; a wrong eigensystem can make it prove less, never wrong.
     2. The matrices with a -1 left are certified mod ``_P``
        (:func:`_certified_ranks`), and its ranks fill their -1 entries.
+       They go in sub-stacks of at most max(1, 2^14 // (m n^2)) matrices,
+       so one Krylov stack holds at most ``_KRYLOV_ENTRIES`` int64 entries
+       (or one matrix's) however many matrices or inputs a call has.
     3. The entries still -1 go through Bareiss.
 
     The zero vector has rank 0.  Every column that reaches tier 2 is
-    certified mod ``_P`` in two directions, all columns of all those
+    certified mod ``_P`` in two directions, all columns of a sub-stack's
     matrices in one batched elimination over their Krylov columns b, Ab, ...:
 
     * rank n mod p is rank n over the rationals;
@@ -634,11 +648,13 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
     if eigsys is not None:
         ranks[_float_certified(mats, cols, eigsys)] = n
     rest = (ranks < 0).any(axis=1).nonzero()[0]
-    if rest.size:
-        left = ranks[rest]
-        ranks[rest] = np.where(left < 0, _certified_ranks(mats[rest], cols[rest]), left)
-        for i, j in zip(*(ranks < 0).nonzero()):
-            ranks[i, j] = rank_exact(kalman_matrix(mats[i], cols[i, :, j]))
+    step = max(1, _KRYLOV_ENTRIES // max(1, cols.shape[2] * n * n))
+    for start in range(0, rest.size, step):
+        sub = rest[start:start + step]
+        left = ranks[sub]
+        ranks[sub] = np.where(left < 0, _certified_ranks(mats[sub], cols[sub]), left)
+    for i, j in zip(*(ranks < 0).nonzero()):
+        ranks[i, j] = rank_exact(kalman_matrix(mats[i], cols[i, :, j]))
     ranks = ranks.tolist()
     return ranks[0] if single else ranks
 

@@ -142,6 +142,8 @@ class ExperimentConfig(Record):
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.fmt not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
+        if self.exact_cap < 1:
+            raise ValueError(f"exact_cap must be >= 1, got {self.exact_cap}")
         if self.method == "exact":
             if not _exact_applicable(self):
                 raise ValueError(f"scenario {self.scenario!r} cannot run on the exact path "
@@ -395,26 +397,16 @@ _MINGAP = _Family(_trials_mingap, eig="values")
 _SMALLBALL = _Family(_trials_smallball, ("smallball",))
 _NORM = _Family(_trials_norm, eig="values")
 
-# Bound on the entries of one chunk's stacked work: T * m * n^2 int64
-# entries of the Krylov stack when the chunk's exact Kalman ranks are
-# computed (T trials, m exact inputs each), T * n^2 float64 entries (128 KiB)
-# of the eigendecomposition stack otherwise.  Measured on the exact-kalman and
-# minctrl-search benchmark workloads against one trial per call: peak RSS
-# grows 0.3-1.3% at 2**13, 0.7-1.8% at 2**14, 2.3-3.5% at 2**15 and up to
-# 6.5% unbounded, while trials/s stops growing beyond 2**14.
-_KRYLOV_ENTRIES = 2**14
+# Bound on the float64 entries of one chunk's eigendecomposition stack,
+# T * n^2 for T trials at dimension n (128 KiB).  The chunk's exact Kalman
+# ranks need no bound here: kalman_ranks_exact bounds its own Krylov stacks.
+_STACK_ENTRIES = 2**14
 
 
 def _chunks(config: ExperimentConfig, n: int) -> list[range]:
-    """The trial indices of grid point n, in chunks within _KRYLOV_ENTRIES.
-
-    A trial counts m * n^2 entries when the chunk decides the Kalman ranks
-    of its m = n basis inputs, and n^2 otherwise (one exact input, or only
-    the float work).
-    """
-    kalman = SCENARIOS[config.scenario].trial.kalman and _exact_runs(config, n)
-    m = n if config.vector is None and kalman else 1
-    size = max(1, _KRYLOV_ENTRIES // (m * n * n))
+    """The trial indices of grid point n, in chunks of T trials with
+    T * n^2 <= _STACK_ENTRIES (at least one trial)."""
+    size = max(1, _STACK_ENTRIES // (n * n))
     return [range(start, min(start + size, config.trials))
             for start in range(0, config.trials, size)]
 
@@ -430,8 +422,9 @@ def _draw_chunk(config: ExperimentConfig, n: int, trials) -> _Chunk:
     eigensystems of every matrix come from one :func:`eig_sym` call over
     the stack as float64, and their Kalman ranks from one
     :func:`kalman_ranks_exact` call over the same stack, which is handed
-    the eigensystems and proves most full ranks from them; each equals
-    what the trial alone would compute.
+    the eigensystems, proves most full ranks from them and certifies the
+    rest in sub-stacks it bounds itself; each equals what the trial alone
+    would compute.
     """
     family = SCENARIOS[config.scenario].trial
     grid = SeedPath(config.master_seed).child(config.scenario, n)

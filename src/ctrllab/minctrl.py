@@ -11,15 +11,15 @@ from zero) verified by the float PBH decider.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .exact import (
+    _KRYLOV_ENTRIES,
     DEFAULT_EXACT_CAP,
     DimensionCapError,
     has_simple_spectrum_exact,
-    is_controllable_exact,
     kalman_ranks_exact,
 )
 from .seeding import SeedPath
@@ -162,7 +162,13 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
     the first success is returned; enumeration beyond `budget` supports
     raises :class:`BudgetExceededError` with progress attached.  In
     ``binary01`` mode the n singletons are decided together by one exact
-    basis scan, so a budget below n raises before any support is tested.
+    basis scan, so a budget below n raises before any support is tested,
+    and each larger layer in lexicographic slices of at most
+    max(1, 2^14 // n^2) indicator vectors, one :func:`kalman_ranks_exact`
+    call per slice (so its Krylov stack stays within 2^14 entries); a slice
+    never reaches past the budget, and its first column of rank n is the
+    witness, so the result and the count of supports tested are those of
+    testing one support at a time.
     `scan`, in ``binary01`` mode only, is the exact :func:`basis_scan` of
     `a` when the caller has it already (say, from one batched call over
     many matrices).
@@ -193,15 +199,21 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
         # every b, so the whole search is infeasible; skip the enumeration.
         if not has_simple_spectrum_exact(mat):
             return MinCtrlResult(frozenset(), None, None, "exact", supports_tested=0)
+        size = max(1, _KRYLOV_ENTRIES // (n * n))
         for k in range(2, kmax + 1):
-            for supp in combinations(range(n), k):
+            layer = combinations(range(n), k)
+            for first in layer:
                 if tested >= budget:
                     raise BudgetExceededError(tested, k, budget)
-                tested += 1
-                b = np.zeros(n, dtype=np.int64)
-                b[list(supp)] = 1
-                if is_controllable_exact(mat, b, cap=cap):
-                    return MinCtrlResult(frozenset(), k, b, "exact", tested)
+                supports = [first, *islice(layer, min(size, budget - tested) - 1)]
+                cols = np.zeros((n, len(supports)), dtype=np.int64)
+                cols[np.array(supports), np.arange(len(supports))[:, None]] = 1
+                ranks = kalman_ranks_exact(mat, cols, cap)
+                if n in ranks:
+                    hit = ranks.index(n)
+                    return MinCtrlResult(frozenset(), k, cols[:, hit].copy(), "exact",
+                                         tested + hit + 1)
+                tested += len(supports)
         return MinCtrlResult(frozenset(), None, None, "exact", tested)
 
     if entry_mode != "generic-random":

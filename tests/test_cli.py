@@ -209,6 +209,9 @@ def test_flags_reject_empty_grid_and_nonfinite_tolerances(capsys, flags, message
     (lambda d: d["tolerances"].update(gap_tol=float("inf")), "gap_tol must be finite, got inf"),
     (lambda d: d["tolerances"].update(ortho_reject=float("nan")),
      "ortho_reject must be finite, got nan"),
+    # a cap below 1 would send every `both` grid point past the exact decider
+    (lambda d: d.update(exact_cap=-1), "exact_cap must be >= 1, got -1"),
+    (lambda d: d.update(exact_cap=0), "exact_cap must be >= 1, got 0"),
 ])
 def test_config_file_rejects_empty_grid_and_nonfinite_tolerances(tmp_path, capsys, edit, message):
     doc = make_scenario_config("thm-goe", n_grid=(6,), trials=2).to_dict()

@@ -463,6 +463,45 @@ def test_shift_and_vector_specs_reject_nonfinite_and_misshapen_values():
         VectorSpec.shifted(VectorSpec.all_ones(), [[0.5], [0.5]])
 
 
+def test_shift_and_vector_constructors_validate_like_the_classmethods():
+    # the dataclass constructor checks what the classmethods and JSON check,
+    # with the same messages, like Atom's
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^constant-offdiag shift c must be finite, got {bad}$"):
+            ShiftSpec("constant-offdiag", c=bad)
+        with pytest.raises(ValueError, match=rf"^explicit vector values has non-finite "
+                                             rf"entries: \[0\] = {bad}$"):
+            VectorSpec("explicit", values=np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match=rf"^shifted vector mu has non-finite entries: "
+                                             rf"\[1\] = {bad}$"):
+            VectorSpec("shifted", base=VectorSpec.all_ones(), mu=[0.0, bad])
+    with pytest.raises(ValueError, match=r"^explicit shift matrix has non-finite entries: "
+                                         r"\[0, 0\] = nan$"):
+        ShiftSpec("explicit", matrix=np.array([[math.nan]]))
+    with pytest.raises(ValueError, match="^explicit shift matrix must be symmetric$"):
+        ShiftSpec("explicit", matrix=[[0.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^explicit shift must be square, got shape \(2,\)$"):
+        ShiftSpec("explicit", matrix=[0.0, 1.0])
+    with pytest.raises(ValueError, match="^unknown shift kind 'bogus'$"):
+        ShiftSpec("bogus")
+    with pytest.raises(ValueError, match="^unknown vector kind 'bogus'$"):
+        VectorSpec("bogus")
+    with pytest.raises(ValueError, match="^basis index must be >= 0, got -1$"):
+        VectorSpec("standard-basis", index=-1)
+    with pytest.raises(ValueError, match=r"^bernoulli01 requires p in \[0, 1\], got 1.5$"):
+        VectorSpec("bernoulli01", p=1.5)
+    with pytest.raises(ValueError, match="^iid-atom vector needs an Atom, got None$"):
+        VectorSpec("iid-atom")
+    with pytest.raises(ValueError, match="^shifted vector needs a base VectorSpec, got None$"):
+        VectorSpec("shifted", mu=[1.0])
+    # valid values are stored as the classmethods store them
+    assert np.array_equal(shift_matrix(ShiftSpec("explicit", matrix=[[0, 2], [2, 1]]), 2),
+                          shift_matrix(ShiftSpec.explicit([[0.0, 2.0], [2.0, 1.0]]), 2))
+    assert ShiftSpec("constant-offdiag", c=1).to_dict() == ShiftSpec.constant_offdiag(1.0).to_dict()
+    assert VectorSpec("explicit", values=[1, 2]).values.dtype == np.float64
+    assert VectorSpec("bernoulli01", p=1).to_dict() == VectorSpec.bernoulli01(1.0).to_dict()
+
+
 def test_seeded_kinds_are_exactly_those_that_read_the_seed():
     unseeded = [VectorSpec.standard_basis(1), VectorSpec.all_ones(),
                 VectorSpec.explicit([1.0, 2.0, 3.0]),

@@ -591,6 +591,56 @@ def test_stack_sends_only_the_failing_matrix_to_bareiss(monkeypatch):
         assert np.array_equal(twin @ b, ab)
 
 
+@pytest.mark.parametrize("n", [6, 8, 24])
+def test_certificate_runs_on_sub_stacks_of_bounded_krylov_entries(monkeypatch, n):
+    # step - 1, step and step + 1 matrices left unsettled by the float tier,
+    # between matrices it proves: each mod-_P call builds at most 2^14
+    # Krylov entries (or holds one matrix), and the ranks are those of
+    # one-matrix calls
+    inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+    m = inputs.shape[1]
+    step = max(1, exact_module._KRYLOV_ENTRIES // (m * n * n))
+    root = SeedPath(20261020, ("sub-stacks", n))
+    graphs = [sample_gnp(n, 0.5, root.child(t)) for t in range(8)]
+    proved = [g for g in graphs if float_tier(g[None], inputs).all()]
+    deficient = rank_deficient_fixtures(n) + [with_twins(graphs[0])]
+    assert proved and not float_tier(np.stack(deficient), inputs).all(axis=1).any()
+    calls = []
+    real = exact_module._certified_ranks
+    monkeypatch.setattr(exact_module, "_certified_ranks",
+                        lambda mats, cols: calls.append(mats.shape[0]) or real(mats, cols))
+    for unsettled in (step - 1, step, step + 1):
+        mats = [proved[0]]
+        for i in range(unsettled):
+            mats += [deficient[i % len(deficient)], proved[i % len(proved)]]
+        mats = np.stack(mats)
+        one_by_one = [kalman_ranks_exact(a, inputs) for a in mats]
+        for eigsys, left in ((eig_sym(mats.astype(np.float64)), unsettled), (None, len(mats))):
+            calls.clear()
+            assert kalman_ranks_exact(mats, inputs, eigsys=eigsys) == one_by_one
+            assert calls == [min(step, left - start) for start in range(0, left, step)]
+            assert all(t * m * n * n <= 2**14 or t == 1 for t in calls)
+        calls.clear()
+        assert kalman_ranks_exact(mats, inputs[None].repeat(len(mats), axis=0)) == one_by_one
+        assert calls == [min(step, len(mats) - start) for start in range(0, len(mats), step)]
+
+
+def test_empty_dimensions_and_inputs_keep_their_ranks():
+    # n = 0: every input is the empty vector, of rank 0; m = 0: no ranks
+    empty = np.zeros((0, 0), dtype=np.int64)
+    assert kalman_ranks_exact(empty, np.zeros((0, 3), dtype=np.int64)) == [0, 0, 0]
+    assert kalman_ranks_exact(np.zeros((2, 0, 0), dtype=np.int64),
+                              np.zeros((0, 3), dtype=np.int64)) == [[0, 0, 0]] * 2
+    assert kalman_ranks_exact(np.zeros((2, 0, 0), dtype=np.int64),
+                              np.zeros((2, 0, 1), dtype=np.int64)) == [[0]] * 2
+    mats = np.stack([np.array(P3), np.array(K3)])
+    assert kalman_ranks_exact(mats[0], np.zeros((3, 0), dtype=np.int64)) == []
+    assert kalman_ranks_exact(mats, np.zeros((3, 0), dtype=np.int64)) == [[], []]
+    assert kalman_ranks_exact(mats, np.zeros((2, 3, 0), dtype=np.int64)) == [[], []]
+    assert kalman_ranks_exact(mats, np.zeros((2, 3, 0), dtype=np.int64),
+                              eigsys=eig_sym(mats.astype(np.float64))) == [[], []]
+
+
 def test_stack_errors_name_the_matrix():
     mats = np.stack([P3, P3, P3]).astype(np.int64)
     bent = mats.copy()
@@ -805,7 +855,10 @@ def test_float_tier_leaves_ranks_unchanged_and_skips_proved_matrices(monkeypatch
         seen.clear()
         assert kalman_ranks_exact(mats, inputs, cap=None, eigsys=eigsys) == oracle.tolist()
         unproved = int((~float_tier(mats, inputs, eigsys).all(axis=1)).sum())
-        assert seen == ([unproved] if unproved else [])
+        # in sub-stacks of at most 2^14 Krylov entries, or of one matrix
+        n, m = inputs.shape
+        step = max(1, exact_module._KRYLOV_ENTRIES // (m * n * n))
+        assert seen == [min(step, unproved - start) for start in range(0, unproved, step)]
     seen.clear()
     a = sample_gnp(24, 0.5, SeedPath(1506, ("one",)))
     assert kalman_ranks_exact(a, np.eye(24, dtype=np.int64), eigsys=eig_sym(a)) == [24] * 24

@@ -86,6 +86,10 @@ def test_config_validation_rejects_bad_values():
         make_scenario_config("conj1", method="quantum")
     with pytest.raises(ValueError):
         make_scenario_config("minctrl-gnp", n_grid=(40,))  # exact beyond cap
+    conj1 = make_scenario_config("conj1")
+    conj1.exact_cap = 0  # under `both`, no grid point would reach the exact decider
+    with pytest.raises(ValueError, match=r"^exact_cap must be >= 1, got 0$"):
+        conj1.validate()
     with pytest.raises(ValueError):
         make_scenario_config("conj1", p=1.0)  # fixtures only, not experiments
     with pytest.raises(ValueError):
@@ -372,9 +376,9 @@ def test_wide_trial_index_is_reproducible_alone():
 
 
 def test_float_only_chunks_are_bounded_by_matrix_entries():
-    # a chunk holds T * m * n^2 <= 2**14 Krylov entries when its Kalman ranks
-    # of m basis inputs are decided, T * n^2 float entries otherwise
-    assert chunk_size(make_scenario_config("conj1"), 16) == 4
+    # a chunk holds T * n^2 <= 2**14 float entries whatever its exact work:
+    # kalman_ranks_exact bounds the Krylov stacks of its Kalman ranks itself
+    assert chunk_size(make_scenario_config("conj1"), 16) == 64
     assert chunk_size(make_scenario_config("thm-wigner-basis"), 32) == 16
     assert len(harness._chunks(make_scenario_config("conj1", method="float-pbh", trials=10**4),
                                16)[0]) == 64
@@ -445,7 +449,10 @@ def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
     # a change sends more columns to a slower tier.  These are the exact
     # experiments of the benchmark at its seed, 1506: calls and matrices
     # of the mod-_P certificate, and Bareiss calls.  The float tier settles
-    # every column of conj1 and conj2.
+    # every column of conj1 and conj2.  minctrl-gnp's basis scans take five
+    # sub-stacks of at most 2^14 Krylov entries (16 + 4 matrices at n = 10,
+    # 9 + 9 + 2 at n = 12), and its one trial without a controllable basis
+    # input decides its layer of 2-supports in one more call.
     configs = {
         "conj1": make_scenario_config("conj1", method="both", n_grid=(16, 24), trials=4,
                                       p=0.5, master_seed=1506),
@@ -465,7 +472,7 @@ def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
         bareiss.clear()
         run_experiment(config)
         counts[name] = (len(certified), sum(certified), len(bareiss))
-    assert counts == {"conj1": (0, 0, 0), "conj2": (0, 0, 0), "minctrl-gnp": (25, 60, 0)}
+    assert counts == {"conj1": (0, 0, 0), "conj2": (0, 0, 0), "minctrl-gnp": (6, 41, 0)}
 
 
 def test_conj1_trial_falls_back_when_certificate_fails(monkeypatch):

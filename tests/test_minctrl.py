@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ctrllab import (
     support_feasibility,
 )
 from ctrllab.exact import _P
+from ctrllab.minctrl import DEFAULT_SUPPORT_BUDGET
 
 SEED = SeedPath(20260810, ("test-minctrl",))
 P3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int64)
@@ -199,6 +201,98 @@ def sparsest_spectrum_first(a):
             if is_controllable_exact(a, b):
                 return frozenset(), k, b, tested
     return frozenset(), None, None, tested
+
+
+def sequential_search(a, kmax=None, budget=DEFAULT_SUPPORT_BUDGET):
+    """The binary01 search one support at a time, one is_controllable_exact
+    call each: (basis_controllable, k_star, witness, supports_tested), or
+    the BudgetExceededError it raises."""
+    n = a.shape[0]
+    kmax = n if kmax is None else kmax
+    if budget < n:
+        return BudgetExceededError(0, 1, budget)
+    basis = basis_scan(a).controllable
+    if basis:
+        return basis, 1, np.eye(n, dtype=np.int64)[min(basis)], n
+    if not has_simple_spectrum_exact(a):
+        return frozenset(), None, None, 0
+    tested = n
+    for k in range(2, kmax + 1):
+        for supp in itertools.combinations(range(n), k):
+            if tested >= budget:
+                return BudgetExceededError(tested, k, budget)
+            tested += 1
+            b = np.zeros(n, dtype=np.int64)
+            b[list(supp)] = 1
+            if is_controllable_exact(a, b):
+                return frozenset(), k, b, tested
+    return frozenset(), None, None, tested
+
+
+def layer_search(a, kmax=None, budget=DEFAULT_SUPPORT_BUDGET):
+    """:func:`sparsest_input` in binary01 mode, in the form of :func:`sequential_search`."""
+    try:
+        r = sparsest_input(a, kmax=kmax, budget=budget)
+    except BudgetExceededError as error:
+        return error
+    return r.basis_controllable, r.k_star, r.witness, r.supports_tested
+
+
+def same_outcome(got, want) -> bool:
+    """Equal search outcomes: the same budget error, or the same result
+    with a witness of equal entries and dtype."""
+    if isinstance(got, BudgetExceededError) or isinstance(want, BudgetExceededError):
+        return type(got) is type(want) and (got.supports_tested, got.k_reached, got.budget) == \
+            (want.supports_tested, want.k_reached, want.budget)
+    (basis, k_star, witness, tested), (basis_w, k_star_w, witness_w, tested_w) = got, want
+    if witness is None or witness_w is None:
+        same_witness = witness is witness_w
+    else:
+        same_witness = witness.dtype == witness_w.dtype and witness.tolist() == witness_w.tolist()
+    return (basis, k_star, tested) == (basis_w, k_star_w, tested_w) and same_witness
+
+
+def test_layer_search_equals_the_sequential_search(monkeypatch):
+    # each layer k >= 2 is decided in lexicographic slices of at most
+    # 2^14 // n^2 supports, one kalman_ranks_exact call per slice; k*, the
+    # witness, the supports tested and every budget error are those of
+    # deciding one support at a time
+    from ctrllab import minctrl
+    root = SEED.child("layers")
+    graphs = [sample_gnp(n, 0.5, root.child(n, t)) for n in (6, 7, 8) for t in range(12)]
+    c4 = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=np.int64)
+    diagonals = [np.diag(np.arange(1, n + 1)) for n in (3, 5)]  # k* = n
+    fixtures = [a for a in graphs if not basis_scan(a).controllable] + diagonals + [K4, c4]
+    widths = []
+    real = minctrl.kalman_ranks_exact
+    monkeypatch.setattr(minctrl, "kalman_ranks_exact",
+                        lambda a, cols, cap: widths.append(cols.shape[1]) or real(a, cols, cap))
+    k_stars = set()
+    for a in fixtures:
+        n = a.shape[0]
+        want = sequential_search(a)
+        assert same_outcome(layer_search(a), want)
+        k_star, hit = want[1], want[3]
+        k_stars.add(k_star)
+        layer_ends = list(itertools.accumulate(math.comb(n, k) for k in range(1, n + 1)))
+        budgets = {hit - 1, hit, hit + 1} | set(layer_ends) | {end + 1 for end in layer_ends}
+        for kmax in {1, 2, 3, n} & set(range(1, n + 1)):
+            for budget in sorted(b for b in budgets if b >= 0):
+                want = sequential_search(a, kmax, budget)
+                widths.clear()
+                assert same_outcome(layer_search(a, kmax, budget), want), (a, kmax, budget)
+                assert all(width <= max(1, 2**14 // n**2) for width in widths)
+    assert {2, 3, 5, None} <= k_stars
+    # layers wider than a slice at n = 10 (C(10, 5) = 252 supports, slices
+    # of 163), with k* = 10: the basis scan, then the slices of k = 2..10
+    diagonal = np.diag(np.arange(1, 11))
+    want = sequential_search(diagonal)
+    widths.clear()
+    assert same_outcome(layer_search(diagonal), want)
+    assert widths == [10, 45, 120, 163, 47, 163, 89, 163, 47, 120, 45, 10, 1]
+    for budget in (10 + 45 + 120 + 163 + 20, 10 + 45 + 120 + 210 + 163):  # inside layers 4 and 5
+        assert same_outcome(layer_search(diagonal, budget=budget),
+                            sequential_search(diagonal, budget=budget))
 
 
 def test_sparsest_scans_basis_before_testing_the_spectrum(monkeypatch):
