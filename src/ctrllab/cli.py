@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from ._version import __version__
 from .harness import (
@@ -23,6 +24,8 @@ from .harness import (
     report_json,
     run_experiment,
 )
+from .minctrl import BudgetExceededError
+from .spectral import EigenDecompositionError
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -57,6 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built on its first call and reused: parse_args returns a
+    # fresh namespace and never changes the parser, and error, --help and
+    # --version look up sys.stdout and sys.stderr when they print
+    return build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     overrides = dict(
         n_grid=args.n, trials=args.trials, p=args.p, master_seed=args.seed,
@@ -74,7 +85,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.list_scenarios:
         width = max(len(name) for name in SCENARIOS)
@@ -95,7 +106,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ctrllab {__version__} scenario={config.scenario} seed={config.master_seed} "
               f"rows={len(report.rows)} -> {destination}", file=sys.stderr)
         return 0
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError,
+            BudgetExceededError, EigenDecompositionError) as exc:
         print(f"ctrllab: error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,11 @@
+import argparse
 import json
 
+import numpy as np
 import pytest
 
-from ctrllab import make_scenario_config, report_csv, run_experiment
-from ctrllab.cli import main
+from ctrllab import __version__, cli, make_scenario_config, report_csv, run_experiment
+from ctrllab.cli import build_parser, main
 
 
 def test_list_scenarios(capsys):
@@ -223,3 +225,102 @@ def test_config_file_rejects_empty_grid_and_nonfinite_tolerances(tmp_path, capsy
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line == f"ctrllab: error: {message}"
+
+
+# main builds its parser on the first call of the process and reuses it
+
+
+def test_consecutive_calls_do_not_carry_flags_over(capsys):
+    first = ["--scenario", "conj1", "--n", "6", "--trials", "3",
+             "--p", "0.3", "--method", "exact", "--gap-tol", "1e-7"]
+    second = ["--scenario", "conj1", "--n", "6", "--trials", "3"]
+    assert main(first) == 0
+    assert capsys.readouterr().out == report_csv(run_experiment(make_scenario_config(
+        "conj1", n_grid=(6,), trials=3, p=0.3, method="exact", gap_tol=1e-7)))
+    assert main(second) == 0
+    assert capsys.readouterr().out == report_csv(run_experiment(make_scenario_config(
+        "conj1", n_grid=(6,), trials=3)))
+
+
+def test_rejected_argv_between_good_calls(capsys):
+    good = ["--scenario", "kn-allones", "--n", "5", "--trials", "2"]
+    assert main(good) == 0
+    report = capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main([*good, "--method", "bogus"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ctrllab ")
+    assert "argument --method: invalid choice: 'bogus'" in captured.err
+    assert main(good) == 0
+    assert capsys.readouterr().out == report
+
+
+def test_version_list_and_help_match_a_fresh_parser(capsys):
+    listings = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["--version"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == f"ctrllab {__version__}\n"
+        assert main(["--list-scenarios"]) == 0
+        listings.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == build_parser().format_help()
+    assert listings[0] == listings[1] and listings[0].startswith("conj1  ")
+
+
+@pytest.fixture
+def fresh_main_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys, fresh_main_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["--list-scenarios"],
+                 ["--scenario", "kn-allones", "--n", "5", "--trials", "2"],
+                 ["--scenario", "thm-goe", "--n", "6", "--trials", "2", "--format", "json"]):
+        assert main(argv) == 0
+    assert len(built) == 1
+    # build_parser still gives every caller a parser of its own
+    assert build_parser() is not build_parser()
+    build_parser().add_argument("--extra")
+    with pytest.raises(SystemExit):
+        main(["--scenario", "kn-allones", "--extra", "1"])
+
+
+def test_search_budget_failure_is_one_error_line(tmp_path, capsys):
+    config = make_scenario_config("minctrl-gnp", n_grid=(10,), trials=20, params={"budget": 10})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config.to_dict()))
+    assert main(["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("ctrllab: error: enumeration budget 10 exhausted after ")
+
+
+def test_eigensolver_failure_is_one_error_line(monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    assert main(["--scenario", "thm-goe", "--n", "6", "--trials", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    # the label is the seed lineage of the first matrix that fails
+    assert line == ("ctrllab: error: eigh failed to converge (('thm-goe', 6, 0)): "
+                    "Eigenvalues did not converge")
