@@ -20,11 +20,8 @@ any execution order, and every sampled matrix is exactly symmetric (the upper
 triangle is mirrored, never re-sampled).  A sampler also takes, in place of
 the path, the generator already derived from it (as
 :meth:`~ctrllab.seeding.SeedPath.generators` derives a batch of them), and
-then draws exactly what the path would.
-
-:func:`gnp_reduction` returns the exact distributional identity that rewrites
-a scaled G(n, p) adjacency matrix as a mean-zero unit-variance Wigner matrix
-plus a constant off-diagonal shift.
+then draws exactly what the path would.  Every matrix sampler is the one
+stacked sampler that builds a chunk of matrices, run on one generator.
 """
 
 from __future__ import annotations
@@ -43,14 +40,12 @@ __all__ = [
     "ShiftSpec",
     "EnsembleSpec",
     "VectorSpec",
-    "GnpReduction",
     "shift_matrix",
     "sample_wigner",
     "sample_goe",
     "sample_gnp",
     "sample_vector",
     "sample_ensemble",
-    "gnp_reduction",
 ]
 
 
@@ -285,19 +280,6 @@ def _rng(seed: SeedPath | np.random.Generator) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else seed.generator()
 
 
-def _wigner_draws(rng: np.random.Generator, n: int, offdiag: Atom,
-                  diag: Atom) -> tuple[np.ndarray, np.ndarray]:
-    """One Wigner matrix's raw entries: the upper triangle, then the diagonal."""
-    return offdiag.sample(rng, _upper_indices(n)[0].size), diag.sample(rng, n)
-
-
-def _gnp_draws(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
-    """One G(n, p) matrix's upper-triangle edges."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge density must lie in [0, 1], got {p}")
-    return rng.random(_upper_indices(n)[0].size) < p
-
-
 def sample_wigner(n: int, offdiag: Atom, diag: Atom,
                   seed: SeedPath | np.random.Generator) -> np.ndarray:
     """Sample an n x n Wigner matrix.
@@ -305,14 +287,7 @@ def sample_wigner(n: int, offdiag: Atom, diag: Atom,
     Upper-triangular entries are iid copies of `offdiag`, diagonal entries
     iid copies of `diag`; the lower triangle mirrors the upper exactly.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    upper, diagonal = _wigner_draws(_rng(seed), n, offdiag, diag)
-    m = np.zeros((n, n))
-    m[_upper_indices(n)] = upper
-    m += m.T
-    m[np.diag_indices(n)] = diagonal
-    return m
+    return _sample_stack(EnsembleSpec.wigner(offdiag, diag), [_rng(seed)], n)[0]
 
 
 # The GOE as a Wigner ensemble: Gaussian entries of variance 1 off the
@@ -326,7 +301,7 @@ def sample_goe(n: int, seed: SeedPath | np.random.Generator) -> np.ndarray:
     Entries are independent mean-zero Gaussians, variance 1 off the diagonal
     and 2 on it.
     """
-    return sample_wigner(n, *_GOE_ATOMS, seed)
+    return _sample_stack(EnsembleSpec.goe(), [_rng(seed)], n)[0]
 
 
 def sample_gnp(n: int, p: float, seed: SeedPath | np.random.Generator) -> np.ndarray:
@@ -336,40 +311,7 @@ def sample_gnp(n: int, p: float, seed: SeedPath | np.random.Generator) -> np.nda
     is zero.  p = 0 and p = 1 are accepted as deterministic degenerate cases
     (the empty and the complete graph) for test fixtures.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    m = np.zeros((n, n), dtype=np.int64)
-    m[_upper_indices(n)] = _gnp_draws(_rng(seed), n, p)
-    m += m.T
-    return m
-
-
-@dataclass(frozen=True, eq=False)
-class GnpReduction:
-    """Exact rewrite of a scaled G(n, p) adjacency matrix.
-
-    With ``sigma = sqrt(p(1-p))``, ``A/sigma`` for A ~ G(n, p) has the same
-    distribution as ``W + F`` where W is a Wigner matrix with the
-    `offdiag` / `diag` atoms below and F is the constant off-diagonal shift.
-    """
-
-    offdiag: Atom
-    diag: Atom
-    shift: np.ndarray
-    sigma: float
-
-
-def gnp_reduction(n: int, p: float) -> GnpReduction:
-    """Return the Wigner-plus-shift decomposition of G(n, p) / sigma."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"reduction requires 0 < p < 1, got {p}")
-    sigma = math.sqrt(p * (1.0 - p))
-    return GnpReduction(
-        offdiag=Atom.centered_bernoulli(p),
-        diag=Atom.degenerate(0.0),
-        shift=shift_matrix(ShiftSpec.constant_offdiag(p / sigma), n),
-        sigma=sigma,
-    )
+    return _sample_stack(EnsembleSpec.gnp(p), [_rng(seed)], n)[0]
 
 
 def sample_ensemble(spec: EnsembleSpec, seed: SeedPath | np.random.Generator,
@@ -378,37 +320,30 @@ def sample_ensemble(spec: EnsembleSpec, seed: SeedPath | np.random.Generator,
     dim = n if n is not None else spec.n
     if dim is None:
         raise ValueError("ensemble spec has no dimension; pass n explicitly")
-    if spec.kind == "goe":
-        return sample_goe(dim, seed)
-    if spec.kind == "gnp-adjacency":
-        return sample_gnp(dim, spec.p, seed)
-    w = sample_wigner(dim, spec.offdiag, spec.diag, seed)
-    if spec.shift is not None:
-        w += shift_matrix(spec.shift, dim)
-    return w
+    return _sample_stack(spec, [_rng(seed)], dim)[0]
 
 
 def _sample_stack(spec: EnsembleSpec, rngs, n: int) -> np.ndarray:
-    """The (T, n, n) stack of ``sample_ensemble(spec, rng, n)`` for each of
-    the T generators `rngs`, bit for bit and in the same dtype.
+    """The (T, n, n) stack of matrices of `spec`, one from each of the T
+    generators `rngs`; gnp yields int64, everything else float64.
 
-    Each matrix takes its raw entries from its own generator through the
-    single samplers' draw functions; the draws are scattered into the stack
-    at once and mirrored by one transpose-add, which adds exact zeros.
+    Each matrix draws its upper triangle, then (Wigner and GOE) its
+    diagonal, from its own generator; the draws are scattered into the
+    stack at once and mirrored by one transpose-add, which adds exact zeros.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     iu = _upper_indices(n)
     if spec.kind == "gnp-adjacency":
         m = np.zeros((len(rngs), n, n), dtype=np.int64)
-        m[:, iu[0], iu[1]] = [_gnp_draws(rng, n, spec.p) for rng in rngs]
+        m[:, iu[0], iu[1]] = [rng.random(iu[0].size) < spec.p for rng in rngs]
         m += m.transpose(0, 2, 1)
         return m
     if spec.kind == "goe":
         (offdiag, diag), shift = _GOE_ATOMS, None
     else:
         offdiag, diag, shift = spec.offdiag, spec.diag, spec.shift
-    draws = [_wigner_draws(rng, n, offdiag, diag) for rng in rngs]
+    draws = [(offdiag.sample(rng, iu[0].size), diag.sample(rng, n)) for rng in rngs]
     m = np.zeros((len(rngs), n, n))
     m[:, iu[0], iu[1]] = [upper for upper, _ in draws]
     m += m.transpose(0, 2, 1)
@@ -528,9 +463,10 @@ def sample_vector(spec: VectorSpec, n: int, seed: SeedPath | np.random.Generator
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    misfit = _vector_misfit(spec, n)
+    if misfit is not None:
+        raise ValueError(f"{misfit} at n={n}")
     if spec.kind == "standard-basis":
-        if spec.index >= n:
-            raise ValueError(f"basis index {spec.index} out of range for n={n}")
         v = np.zeros(n)
         v[spec.index] = 1.0
         return v
@@ -547,9 +483,19 @@ def sample_vector(spec: VectorSpec, n: int, seed: SeedPath | np.random.Generator
             g = rng.normal(size=n)
         return g / np.linalg.norm(g)
     if spec.kind == "shifted":
-        if spec.mu.shape != (n,):
-            raise ValueError(f"shift vector has length {spec.mu.size}, need {n}")
         return sample_vector(spec.base, n, seed) + spec.mu
-    if spec.values.shape != (n,):
-        raise ValueError(f"explicit vector has length {spec.values.size}, need {n}")
     return spec.values.copy()
+
+
+def _vector_misfit(spec: VectorSpec, n: int) -> str | None:
+    """Why `spec` gives no vector of length n (its basis index, or the
+    length of its values or offset), or None when it does."""
+    if spec.kind == "standard-basis" and spec.index >= n:
+        return f"standard-basis index must be < n, got {spec.index}"
+    if spec.kind == "explicit" and spec.values.shape != (n,):
+        return f"explicit values must have length n, got length {spec.values.size}"
+    if spec.kind == "shifted":
+        if spec.mu.shape != (n,):
+            return f"shifted mu must have length n, got length {spec.mu.size}"
+        return _vector_misfit(spec.base, n)
+    return None

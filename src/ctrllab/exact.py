@@ -50,7 +50,6 @@ __all__ = [
     "DimensionCapError",
     "kalman_matrix",
     "rank_exact",
-    "det_exact",
     "charpoly_exact",
     "has_simple_spectrum_exact",
     "is_controllable_exact",
@@ -145,61 +144,36 @@ def kalman_matrix(a, b) -> np.ndarray:
     return out
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
-    """Fraction-free elimination; returns (rank, det_sign, last_pivot).
+def rank_exact(m) -> int:
+    """Exact rank over the rationals of an integer matrix, by fraction-free
+    (Bareiss) elimination.
 
     Pivots are searched per column among the remaining rows; columns with no
     nonzero entry are skipped.  Each update divides by the previous pivot,
     which is exact by Sylvester's determinant identity.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    rank = 0
-    sign = 1
+    rows = _as_int_rows(m)
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
     prev = 1
-    pivot = 1
     row = 0
-    for col in range(n):
-        if row == m:
+    for col in range(ncols):
+        if row == nrows:
             break
-        piv = next((r for r in range(row, m) if rows[r][col] != 0), None)
+        piv = next((r for r in range(row, nrows) if rows[r][col] != 0), None)
         if piv is None:
             continue
-        if piv != row:
-            rows[row], rows[piv] = rows[piv], rows[row]
-            sign = -sign
+        rows[row], rows[piv] = rows[piv], rows[row]
         pivot = rows[row][col]
-        for r in range(row + 1, m):
+        for r in range(row + 1, nrows):
             factor = rows[r][col]
             rr, pr = rows[r], rows[row]
-            for c in range(col + 1, n):
+            for c in range(col + 1, ncols):
                 rr[c] = (rr[c] * pivot - factor * pr[c]) // prev
             rr[col] = 0
         prev = pivot
-        rank += 1
         row += 1
-    return rank, sign, pivot
-
-
-def rank_exact(m) -> int:
-    """Exact rank over the rationals of an integer matrix."""
-    rows = _as_int_rows(m)
-    if not rows:
-        return 0
-    rank, _, _ = _bareiss(rows)
-    return rank
-
-
-def det_exact(m) -> int:
-    """Exact determinant of a square integer matrix (Bareiss final pivot)."""
-    rows = _as_int_rows(m)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    rank, sign, pivot = _bareiss(rows)
-    return sign * pivot if rank == n else 0
+    return row
 
 
 def charpoly_exact(a) -> list[int]:
@@ -348,17 +322,17 @@ def _power_sum_hankel(a: np.ndarray, reduce) -> np.ndarray:
     return sums[idx[:, None] + idx]
 
 
-def _annihilated(mats: np.ndarray, which: np.ndarray, cols: np.ndarray,
+def _annihilated(mats: np.ndarray, which: np.ndarray, vecs: np.ndarray,
                  polys: np.ndarray) -> np.ndarray:
-    """Whether q_s(A) b_s = 0 over the integers for each column b_s of
-    `cols`, with A = mats[which[s]] and q_s row s of `polys` (ascending,
-    zero above the degree).
+    """Whether q_s(A) b_s = 0 over the integers for each row b_s of the
+    (S, n) `vecs`, with A = mats[which[s]] and q_s row s of `polys`
+    (ascending, zero above the degree).
 
-    One Horner scheme runs over all columns at once.  It runs in int64 only
+    One Horner scheme runs over all rows at once.  It runs in int64 only
     when a bound on A and on every intermediate entry, computed in Python
     ints, stays below 2^63, and in Python ints otherwise.
     """
-    a, v = mats[which], cols.T[:, :, None]
+    a, v = mats[which], vecs[:, :, None]
     norm_a = a.shape[1] * _peak(a)
     size = _peak(v) * _peak(polys)
     bound = 0
@@ -403,7 +377,7 @@ def _certified_ranks(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
     if which.size:
         low = rank[which, short]
         polys = _relations_mod_p(echelon[which, short], low)
-        ok = _annihilated(mats, which, cols[which, :, short].T, polys)
+        ok = _annihilated(mats, which, cols[which, :, short], polys)
         rank[which, short] = np.where(ok, low, -1)
     return rank
 

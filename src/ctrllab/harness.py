@@ -43,9 +43,9 @@ import numpy as np
 
 from ._version import __version__
 from .codec import Record
-from .ensembles import Atom, EnsembleSpec, VectorSpec, _sample_stack, sample_vector
+from .ensembles import Atom, EnsembleSpec, VectorSpec, _sample_stack, _vector_misfit, sample_vector
 from .exact import DEFAULT_EXACT_CAP, kalman_ranks_exact
-from .minctrl import DEFAULT_SUPPORT_BUDGET, BasisScanResult, sparsest_input
+from .minctrl import DEFAULT_SUPPORT_BUDGET, BasisScanResult, BudgetExceededError, sparsest_input
 from .seeding import SeedPath
 from .spectral import (
     CONTROLLABLE,
@@ -65,7 +65,6 @@ __all__ = [
     "ReportRow",
     "ExperimentReport",
     "SCENARIOS",
-    "scenario_presets",
     "make_scenario_config",
     "apply_overrides",
     "run_trial",
@@ -167,6 +166,10 @@ class ExperimentConfig(Record):
             want, got = (_plain(v) for v in (sampled, getattr(self, key)))
             if got != want:
                 raise ValueError(f"scenario {self.scenario!r} samples {key}={want}, got {key}={got}")
+        for n in self.n_grid if self.vector is not None else ():
+            misfit = _vector_misfit(self.vector, n)
+            if misfit is not None:
+                raise ValueError(f"vector {misfit} at n={n}")
         for key, value in self.params.items():
             if key not in scenario.accepts:
                 raise ValueError(f"unknown params key {key!r} for scenario {self.scenario!r}; "
@@ -458,11 +461,16 @@ def run_trial(config: ExperimentConfig, n: int, trial: int, *, outcomes=None) ->
     `outcomes` is the :func:`_decide_chunk` iterator of a chunk that holds
     the trial, advanced up to it; :func:`run_experiment` passes it in, and
     the trial takes its own outcome from it.  Without it, the trial is
-    decided as a chunk of one, with the same result.
+    decided as a chunk of one, with the same result.  A search budget
+    overrun is raised again with the trial's seed labels.
     """
     if outcomes is None:
         outcomes = _decide_chunk(config, n, [trial])
-    success, indeterminate, verdicts, witnesses = next(outcomes)
+    try:
+        success, indeterminate, verdicts, witnesses = next(outcomes)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(exc.supports_tested, exc.k_reached, exc.budget,
+                                  (config.scenario, n, trial)) from exc
     return TrialRecord(
         scenario=config.scenario, n=n, trial=trial, master_seed=config.master_seed,
         success=success, indeterminate=indeterminate, verdicts=verdicts, witnesses=witnesses,
@@ -636,11 +644,6 @@ def apply_overrides(config: ExperimentConfig, *, n_grid=None, trials=None, p=Non
         config.fmt = fmt
     config.validate()
     return config
-
-
-def scenario_presets() -> dict[str, ExperimentConfig]:
-    """All scenarios with their documented defaults, keyed by scenario id."""
-    return {name: make_scenario_config(name) for name in SCENARIOS}
 
 
 # ---------------------------------------------------------------------------

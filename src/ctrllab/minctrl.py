@@ -52,14 +52,16 @@ _WITNESS_TRIALS = 8
 
 
 class BudgetExceededError(RuntimeError):
-    """Support enumeration budget exhausted before a decision."""
+    """Support enumeration budget exhausted before a decision; `label`, when
+    given, names the run that overran (a trial's seed labels)."""
 
-    def __init__(self, supports_tested: int, k_reached: int, budget: int):
+    def __init__(self, supports_tested: int, k_reached: int, budget: int, label=None):
         self.supports_tested = supports_tested
         self.k_reached = k_reached
         self.budget = budget
+        where = f" ({label})" if label is not None else ""
         super().__init__(
-            f"enumeration budget {budget} exhausted after {supports_tested} supports "
+            f"enumeration budget {budget} exhausted{where} after {supports_tested} supports "
             f"(reached support size {k_reached})")
 
 

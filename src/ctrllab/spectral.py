@@ -316,7 +316,7 @@ def pbh_controllable(a, b, tolerances: Tolerances | None = None,
     bv = np.asarray(b, dtype=np.float64)
     if bv.shape != (eigsys.n,):
         raise ValueError(f"dimension mismatch: A is {eigsys.n}x{eigsys.n}, b has shape {bv.shape}")
-    (decision,), (inner,) = _pbh_stack(_stack_of_one(eigsys), bv, tol)
+    (decision,), (inner,) = _pbh_stack(_stack_of_one(eigsys), bv[None], tol)
     return ControllabilityVerdict(decision, min_gap=eigsys.gap, min_abs_inner=inner)
 
 
@@ -330,10 +330,10 @@ def _pbh_stack(eigsys: EigenSystem, b, tol: Tolerances) -> tuple[list[str], list
     """`decision` and `min_abs_inner` of the PBH test of (A_t, b_t) for each
     system of the stack `eigsys`, as lists.
 
-    `b` is (T, n), one input per system, or (n,), one input for all, or
-    None for every standard basis input at once, judged on the least
-    witness over all e_i (see :func:`basis_witnesses`).  The inner products
-    and norms of the stack come from one matmul each, whose every item runs
+    `b` is (T, n), one input per system, or None for every standard basis
+    input at once, judged on the least witness over all e_i (see
+    :func:`basis_witnesses`).  The inner products and norms of the stack
+    come from one matmul each, whose every item runs
     the same BLAS kernel as a single pair's.  A nonzero b_t whose norm
     overflows or underflows is judged as b_t / max|b_t|; the zero input is
     uncontrollable with witness 0; a non-finite input raises a ValueError.
@@ -341,7 +341,7 @@ def _pbh_stack(eigsys: EigenSystem, b, tol: Tolerances) -> tuple[list[str], list
     if b is None:
         inner, norm_b = np.min(basis_witnesses(eigsys)[2], axis=-1), 1.0
     else:
-        b = np.broadcast_to(np.asarray(b, dtype=np.float64), eigsys.eigenvalues.shape)
+        b = np.asarray(b, dtype=np.float64)
         with np.errstate(over="ignore"):  # a huge finite b is rescaled below
             norm_b = _row_norms(b)
         off = (norm_b == 0.0) | ~np.isfinite(norm_b)

@@ -4,7 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from ctrllab import __version__, cli, make_scenario_config, report_csv, run_experiment
+from ctrllab import (
+    BudgetExceededError,
+    __version__,
+    cli,
+    harness,
+    make_scenario_config,
+    report_csv,
+    run_experiment,
+    run_trial,
+)
 from ctrllab.cli import build_parser, main
 
 
@@ -309,7 +318,35 @@ def test_search_budget_failure_is_one_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith("ctrllab: error: enumeration budget 10 exhausted after ")
+    # the line names the seed lineage of the first trial that overran
+    assert line == ("ctrllab: error: enumeration budget 10 exhausted (('minctrl-gnp', 10, 14)) "
+                    "after 10 supports (reached support size 2)")
+    for trial in range(14):
+        run_trial(config, 10, trial)
+    with pytest.raises(BudgetExceededError) as info:
+        run_trial(config, 10, 14)
+    error = info.value
+    assert (error.supports_tested, error.k_reached, error.budget) == (10, 2, 10)
+    assert str(error) == line.removeprefix("ctrllab: error: ")
+
+
+@pytest.mark.parametrize("vector,message", [
+    ({"kind": "explicit", "values": [1, 2, 3]},
+     "vector explicit values must have length n, got length 3 at n=5"),
+    ({"kind": "standard-basis", "index": 4},
+     "vector standard-basis index must be < n, got 4 at n=3"),
+])
+def test_config_file_vector_that_misses_a_grid_point_is_one_error_line(
+        tmp_path, capsys, monkeypatch, vector, message):
+    monkeypatch.setattr(harness, "_draw_chunk", lambda *args: pytest.fail("a trial ran"))
+    doc = make_scenario_config("thm-goe", n_grid=(3, 5), trials=50).to_dict()
+    doc["vector"] = vector
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"ctrllab: error: {message}"]
 
 
 def test_eigensolver_failure_is_one_error_line(monkeypatch, capsys):

@@ -12,7 +12,6 @@ from ctrllab import (
     SeedPath,
     ShiftSpec,
     VectorSpec,
-    gnp_reduction,
     sample_ensemble,
     sample_gnp,
     sample_goe,
@@ -195,15 +194,23 @@ def test_gnp_rejects_bad_density():
 # gnp -> shifted wigner reduction
 # ---------------------------------------------------------------------------
 
+def gnp_as_shifted_wigner(p: float) -> tuple[EnsembleSpec, float]:
+    """G(n, p) / sigma with sigma = sqrt(p(1-p)), as a mean-zero unit-variance
+    Wigner ensemble plus a constant off-diagonal shift; and sigma."""
+    sigma = math.sqrt(p * (1 - p))
+    return EnsembleSpec.shifted_wigner(Atom.centered_bernoulli(p), Atom.degenerate(0.0),
+                                       ShiftSpec.constant_offdiag(p / sigma)), sigma
+
+
 def test_reduction_at_half_is_rademacher_plus_ones():
-    red = gnp_reduction(4, 0.5)
-    assert red.sigma == pytest.approx(0.5)
+    spec, sigma = gnp_as_shifted_wigner(0.5)
+    assert sigma == pytest.approx(0.5)
     off = shift_matrix(ShiftSpec.constant_offdiag(1.0), 4)
-    assert np.array_equal(red.shift, off)
-    support = sorted(red.offdiag.support())
+    assert np.array_equal(shift_matrix(spec.shift, 4), off)
+    support = sorted(spec.offdiag.support())
     assert support[0] == (pytest.approx(-1.0), pytest.approx(0.5))
     assert support[1] == (pytest.approx(1.0), pytest.approx(0.5))
-    assert red.diag.support() == [(0.0, 1.0)]
+    assert spec.diag.support() == [(0.0, 1.0)]
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5])
@@ -211,21 +218,26 @@ def test_reduction_two_point_distributions_match(p):
     # Exhaustive n=2 check: the law of (1/sigma) * (gnp entry) equals the law
     # of (wigner atom + shift entry).  Probabilities are compared exactly
     # (both sides are the literal floats p and 1-p); values to one ulp.
-    red = gnp_reduction(2, p)
-    f = red.shift[0, 1]
-    atom_plus_shift = sorted((v + f, q) for v, q in red.offdiag.support())
-    scaled_gnp = sorted([(0.0 / red.sigma, 1.0 - p), (1.0 / red.sigma, p)])
+    spec, sigma = gnp_as_shifted_wigner(p)
+    f = shift_matrix(spec.shift, 2)[0, 1]
+    atom_plus_shift = sorted((v + f, q) for v, q in spec.offdiag.support())
+    scaled_gnp = sorted([(0.0 / sigma, 1.0 - p), (1.0 / sigma, p)])
     assert len(atom_plus_shift) == len(scaled_gnp) == 2
     for (va, qa), (ve, qe) in zip(atom_plus_shift, scaled_gnp):
         assert Fraction(qa) == Fraction(qe)
         assert math.isclose(va, ve, rel_tol=0.0, abs_tol=1e-15)
 
 
-def test_reduction_rejects_degenerate_density():
-    with pytest.raises(ValueError):
-        gnp_reduction(3, 0.0)
-    with pytest.raises(ValueError):
-        gnp_reduction(3, 1.0)
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+def test_reduction_matches_gnp_draw_for_draw(p):
+    # both ensembles read one uniform per upper entry and compare it with p,
+    # so on one seed the shifted Wigner matrix is the G(n, p) matrix / sigma
+    spec, sigma = gnp_as_shifted_wigner(p)
+    for n in (1, 2, 9):
+        path = SEED.child("reduction", str(p), n)
+        w = sample_ensemble(spec, path, n)
+        assert np.array_equal(np.diag(w), np.zeros(n))
+        assert np.allclose(w, sample_gnp(n, p, path) / sigma, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +348,40 @@ STACKED_SPECS = [
 ]
 
 
+def per_matrix_oracle(spec: EnsembleSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """One matrix of `spec` written out: its upper triangle in row-major
+    order, then its diagonal, drawn from `rng`; mirrored; then shifted."""
+    iu = np.triu_indices(n, k=1)
+    if spec.kind == "gnp-adjacency":
+        m = np.zeros((n, n), dtype=np.int64)
+        m[iu] = rng.random(iu[0].size) < spec.p
+        return m + m.T
+    if spec.kind == "goe":
+        offdiag, diag = Atom.gaussian(0.0, 1.0), Atom.gaussian(0.0, 2.0)
+    else:
+        offdiag, diag = spec.offdiag, spec.diag
+    m = np.zeros((n, n))
+    m[iu] = offdiag.sample(rng, iu[0].size)
+    m = m + m.T
+    m[np.diag_indices(n)] = diag.sample(rng, n)
+    return m if spec.shift is None else m + shift_matrix(spec.shift, n)
+
+
 @pytest.mark.parametrize("spec", STACKED_SPECS, ids=lambda spec: str(spec.to_dict()))
 def test_stacked_sampler_equals_per_matrix_sampler(spec):
     # the chunk's sampler: each matrix of the stack from its own generator,
-    # bit for bit and in the dtype that sample_ensemble gives it alone
+    # bit for bit and in the dtype of the written-out per-matrix draw, which
+    # sample_ensemble, the stack of one, also gives
     root = SEED.child("stacked", str(spec.to_dict()))
     for n in (1, 2, 8):
         for trials in ([2**32 + 3], [0, 3, 2**32 + 3, 5, 2**40 + 1]):
             stack = ensembles._sample_stack(spec, list(root.generators([(n, t) for t in trials])), n)
             assert stack.shape == (len(trials), n, n)
             for a, t in zip(stack, trials):
-                alone = sample_ensemble(spec, root.child(n, t), n)
-                assert a.dtype == alone.dtype
-                assert a.tobytes() == alone.tobytes()
+                want = per_matrix_oracle(spec, root.child(n, t).generator(), n)
+                for got in (a, sample_ensemble(spec, root.child(n, t), n)):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
 
 
 def test_every_ensemble_is_exactly_symmetric():

@@ -13,7 +13,6 @@ from ctrllab import (
     report_json,
     run_experiment,
     run_trial,
-    scenario_presets,
     wilson_interval,
 )
 from ctrllab import exact, harness
@@ -56,7 +55,7 @@ def test_wilson_interval_narrows_with_trials():
 # ---------------------------------------------------------------------------
 
 def test_all_presets_are_complete_and_valid():
-    presets = scenario_presets()
+    presets = {name: make_scenario_config(name) for name in SCENARIOS}
     assert set(presets) == set(SCENARIOS)
     for config in presets.values():
         config.validate()
@@ -128,6 +127,31 @@ def test_config_validation_rejects_bad_values():
         goe.validate()
     goe.vector = VectorSpec.all_ones()
     goe.validate()
+
+
+BAD_VECTORS = [
+    (VectorSpec.explicit([1, 2, 3]), "vector explicit values must have length n, "
+                                     "got length 3 at n=5"),
+    (VectorSpec.standard_basis(4), "vector standard-basis index must be < n, got 4 at n=3"),
+    (VectorSpec.shifted(VectorSpec.all_ones(), [0.5] * 5), "vector shifted mu must have "
+                                                           "length n, got length 5 at n=3"),
+    (VectorSpec.shifted(VectorSpec.standard_basis(3), [0.5] * 3), "vector standard-basis index "
+                                                                  "must be < n, got 3 at n=3"),
+]
+
+
+@pytest.mark.parametrize("vector,message", BAD_VECTORS,
+                         ids=["explicit", "standard-basis", "shifted-mu", "shifted-base"])
+def test_config_validation_rejects_vectors_that_miss_a_grid_point(monkeypatch, vector, message):
+    # the first grid point the input vector cannot be sampled at is named
+    # before any trial runs, not when the run reaches it
+    monkeypatch.setattr(harness, "_draw_chunk", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_scenario_config("thm-goe", n_grid=(3, 5), trials=50, vector=vector)
+    config = make_scenario_config("thm-goe", n_grid=(3, 5), trials=50)
+    config.vector = vector
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_experiment(config)
 
 
 BAD_PARAMS = [

@@ -256,8 +256,9 @@ def test_pbh_agrees_with_exact_on_small_graphs():
 
 
 def _stacked_inputs(n: int, t: int, root: SeedPath) -> list:
-    """Inputs for a stack of t systems: one per system or one for all, with
-    the edge cases pbh_controllable rescales or rejects mixed in."""
+    """(t, n) inputs for a stack of t systems: one per system or one
+    repeated for all, with the edge cases pbh_controllable rescales or
+    rejects mixed in."""
     sphere = np.stack([sample_vector(VectorSpec.uniform_sphere(), n, root.child(n, "b", k))
                        for k in range(t)])
     edges = sphere.copy()
@@ -266,8 +267,8 @@ def _stacked_inputs(n: int, t: int, root: SeedPath) -> list:
     edges[2 % t] = np.where(np.arange(n) == 0, 5e-324, 0.0)  # subnormal, ||b|| underflows
     edges[3 % t] = np.eye(n)[n - 1]
     edges[4 % t] *= 1e-160
-    return [sphere, edges, sphere[0], np.zeros(n), np.eye(n)[0], 1e300 * sphere[1],
-            np.full(n, 1e-320)]
+    shared = [sphere[0], np.zeros(n), np.eye(n)[0], 1e300 * sphere[1], np.full(n, 1e-320)]
+    return [sphere, edges] + [np.tile(b, (t, 1)) for b in shared]
 
 
 def test_eigensystems_of_the_wrong_kind_are_refused_by_name():
@@ -329,8 +330,7 @@ def test_stacked_pbh_witnesses_equal_per_pair_calls():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # not even an overflow warning
                 decisions, inner = _pbh_stack(stack, b, tol)
-            rows = b if b.ndim == 2 else [b] * t
-            for es, row, decision, witness in zip(stack, rows, decisions, inner):
+            for es, row, decision, witness in zip(stack, b, decisions, inner):
                 oracle, worst = pbh_oracle(es, row, tol)
                 assert (decision, witness.hex()) == (oracle, worst.hex())
                 with warnings.catch_warnings():
