@@ -5,126 +5,19 @@ matrices, samplers for the standard random matrix and vector ensembles,
 numerical verifiers for the spectral facts behind high-probability
 controllability, an exhaustive sparsest-input solver, and a reproducible
 Monte Carlo harness.
+
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports every one of them.
 """
 
+from . import ensembles, exact, harness, minctrl, seeding, spectral
 from ._version import __version__
-from .ensembles import (
-    Atom,
-    EnsembleSpec,
-    ShiftSpec,
-    VectorSpec,
-    sample_ensemble,
-    sample_gnp,
-    sample_goe,
-    sample_vector,
-    sample_wigner,
-    shift_matrix,
-)
-from .exact import (
-    DEFAULT_EXACT_CAP,
-    DimensionCapError,
-    charpoly_exact,
-    has_simple_spectrum_exact,
-    is_controllable_exact,
-    kalman_matrix,
-    kalman_ranks_exact,
-    rank_exact,
-)
-from .harness import (
-    SCENARIOS,
-    ExperimentConfig,
-    ExperimentReport,
-    ReportRow,
-    TrialRecord,
-    make_scenario_config,
-    report_csv,
-    report_emit,
-    report_json,
-    run_experiment,
-    run_trial,
-    wilson_interval,
-)
-from .minctrl import (
-    BasisScanResult,
-    BudgetExceededError,
-    MinCtrlResult,
-    basis_scan,
-    sparsest_input,
-    support_feasibility,
-)
-from .seeding import SeedPath
-from .spectral import (
-    DEFAULT_TOLERANCES,
-    ControllabilityVerdict,
-    EigenDecompositionError,
-    EigenSystem,
-    SharedEigenvalueError,
-    SharedEigenvalueWitness,
-    SmallBallEstimate,
-    Tolerances,
-    eig_sym,
-    eigvec_coordinate_check,
-    interlacing_check,
-    min_gap,
-    pbh_controllable,
-    shared_eigenvalue_witness,
-    small_ball_estimate,
-    spectral_norm,
-)
+from .ensembles import *  # noqa: F403
+from .exact import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .minctrl import *  # noqa: F403
+from .seeding import *  # noqa: F403
+from .spectral import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "Atom",
-    "BasisScanResult",
-    "BudgetExceededError",
-    "ControllabilityVerdict",
-    "DEFAULT_EXACT_CAP",
-    "DEFAULT_TOLERANCES",
-    "DimensionCapError",
-    "EigenDecompositionError",
-    "EigenSystem",
-    "EnsembleSpec",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "MinCtrlResult",
-    "ReportRow",
-    "SCENARIOS",
-    "SeedPath",
-    "SharedEigenvalueError",
-    "SharedEigenvalueWitness",
-    "ShiftSpec",
-    "SmallBallEstimate",
-    "Tolerances",
-    "TrialRecord",
-    "VectorSpec",
-    "basis_scan",
-    "charpoly_exact",
-    "eig_sym",
-    "eigvec_coordinate_check",
-    "has_simple_spectrum_exact",
-    "interlacing_check",
-    "is_controllable_exact",
-    "kalman_matrix",
-    "kalman_ranks_exact",
-    "make_scenario_config",
-    "min_gap",
-    "pbh_controllable",
-    "rank_exact",
-    "report_csv",
-    "report_emit",
-    "report_json",
-    "run_experiment",
-    "run_trial",
-    "sample_ensemble",
-    "sample_gnp",
-    "sample_goe",
-    "sample_vector",
-    "sample_wigner",
-    "shared_eigenvalue_witness",
-    "shift_matrix",
-    "small_ball_estimate",
-    "sparsest_input",
-    "spectral_norm",
-    "support_feasibility",
-    "wilson_interval",
-]
+__all__ = ["__version__", *ensembles.__all__, *exact.__all__, *harness.__all__,
+           *minctrl.__all__, *seeding.__all__, *spectral.__all__]

@@ -42,8 +42,7 @@ import math
 
 import numpy as np
 
-from .ensembles import nonfinite_error
-from .spectral import EigenSystem, _check_symmetric, _eigenvectors, _stack_of_one
+from .spectral import EigenSystem, _checked, _eigenvectors, _matrix, _stack_of_one, _vector
 
 __all__ = [
     "DEFAULT_EXACT_CAP",
@@ -79,98 +78,50 @@ class DimensionCapError(ValueError):
     """Exact-path dimension cap exceeded; use the float PBH path instead."""
 
 
-def _checked_ints(m, ndim: int, what: str) -> np.ndarray:
-    a = np.asarray(m)
-    if a.ndim != ndim:
-        raise ValueError(f"expected a {what}, got ndim={a.ndim}")
-    floats = a if a.dtype.kind == "f" else None
-    if a.dtype.kind == "O" and not all(issubclass(t, (int, np.integer))
-                                       for t in set(map(type, a.flat))):
-        try:  # other objects are judged by their float value
-            floats = a.astype(np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"exact path requires integer entries ({what})") from None
-    if floats is not None:
-        if not np.isfinite(floats).all():
-            raise nonfinite_error(floats, what)
-        if not np.all(floats == np.round(floats)):
-            raise ValueError(f"exact path requires integer entries ({what})")
-    elif a.dtype.kind not in "iubO":
-        raise ValueError(f"exact path requires integer entries ({what}), got dtype {a.dtype}")
-    return a
-
-
-def _checked_stack(m, what: str) -> tuple[np.ndarray, bool]:
-    """`m`, one integer matrix or a stack of them, as a stack, and whether
-    it was one matrix.  An error in a stack names the matrix at fault."""
-    a = np.asarray(m)
-    if a.ndim != 3:
-        return _checked_ints(a, 2, what)[None], True
-    try:
-        return _checked_ints(a, 3, f"{what} stack"), False
-    except ValueError:
-        for t, x in enumerate(a):
-            _checked_ints(x, 2, f"{what} {t} of the stack")
-        raise
-
-
-def _as_int_rows(m) -> list[list[int]]:
-    a = _checked_ints(m, 2, "matrix")
-    return a.tolist() if a.dtype.kind in "iu" else [[int(x) for x in row] for row in a]
-
-
-def _as_int_vector(v) -> list[int]:
-    return [int(x) for x in _checked_ints(v, 1, "vector")]
+def _ints(a: np.ndarray) -> np.ndarray:
+    """The integer entries of `a`, held as int64 when `a` has a fixed-width
+    or float dtype and every entry fits, else (always for object input) as
+    Python ints in an object array."""
+    if a.dtype.kind in "bi" or a.dtype.kind in "uf" and _peak(a) < 2**63:
+        return a.astype(np.int64, copy=False)
+    return np.array([int(x) for x in a.flat], dtype=object).reshape(a.shape)
 
 
 def kalman_matrix(a, b) -> np.ndarray:
     """Exact Kalman matrix with columns b, Ab, ..., A^(n-1) b.
 
     Returns an object-dtype array of Python ints, so entries never overflow.
+    A need not be symmetric.
     """
-    rows = _as_int_rows(a)
-    vec = _as_int_vector(b)
-    n = len(rows)
-    if any(len(r) != n for r in rows) or len(vec) != n:
-        raise ValueError(f"dimension mismatch: A is {len(rows)}x{len(rows[0]) if rows else 0}, b has {len(vec)}")
-    cols = [vec]
-    for _ in range(n - 1):
-        prev = cols[-1]
-        cols.append([sum(rows[i][j] * prev[j] for j in range(n)) for i in range(n)])
-    out = np.empty((n, n), dtype=object)
-    for k, col in enumerate(cols):
-        for i in range(n):
-            out[i, k] = col[i]
-    return out
+    mat = _matrix(a, _ints, system=False)
+    vec = _vector(b, len(mat), _ints)
+    return _krylov(mat.astype(object)[None], vec.astype(object)[None, :, None], lambda x: x)[0, 0]
 
 
 def rank_exact(m) -> int:
     """Exact rank over the rationals of an integer matrix, by fraction-free
-    (Bareiss) elimination.
+    (Bareiss) elimination on Python ints, one pivot row at a time.
 
     Pivots are searched per column among the remaining rows; columns with no
     nonzero entry are skipped.  Each update divides by the previous pivot,
     which is exact by Sylvester's determinant identity.
     """
-    rows = _as_int_rows(m)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    prev = 1
-    row = 0
+    if np.ndim(m) != 2:
+        raise ValueError(f"expected a matrix, got shape {np.shape(m)}")
+    rows = _checked(m, _ints).astype(object)
+    nrows, ncols = rows.shape
+    prev, row = 1, 0
     for col in range(ncols):
         if row == nrows:
             break
-        piv = next((r for r in range(row, nrows) if rows[r][col] != 0), None)
-        if piv is None:
+        nonzero = (rows[row:, col] != 0).nonzero()[0]
+        if not nonzero.size:
             continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        pivot = rows[row][col]
-        for r in range(row + 1, nrows):
-            factor = rows[r][col]
-            rr, pr = rows[r], rows[row]
-            for c in range(col + 1, ncols):
-                rr[c] = (rr[c] * pivot - factor * pr[c]) // prev
-            rr[col] = 0
+        piv = row + nonzero[0]
+        rows[[row, piv]] = rows[[piv, row]]
+        pivot = rows[row, col]
+        rest = rows[row + 1:, col + 1:]
+        rest[...] = (rest * pivot - rows[row + 1:, col, None] * rows[row, col + 1:]) // prev
         prev = pivot
         row += 1
     return row
@@ -179,23 +130,20 @@ def rank_exact(m) -> int:
 def charpoly_exact(a) -> list[int]:
     """Characteristic polynomial det(xI - A), ascending coefficients.
 
-    Faddeev-LeVerrier recursion; every division by the step index is exact
-    for integer input.  The leading coefficient is always 1.
+    Faddeev-LeVerrier recursion on Python-int matrices; every division by
+    the step index is exact for integer input.  The leading coefficient is
+    always 1.  A need not be symmetric.
     """
-    rows = _as_int_rows(a)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("characteristic polynomial needs a square matrix")
+    mat = _matrix(a, _ints, system=False).astype(object)
+    m = eye = np.eye(len(mat), dtype=object)  # M_0 = I
     coeffs = [1]  # descending: x^n, x^(n-1), ...
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # M_0 = I
-    for k in range(1, n + 1):
-        am = [[sum(rows[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        trace = sum(am[i][i] for i in range(n))
-        q, r = divmod(-trace, k)
+    for k in range(1, len(mat) + 1):
+        am = mat @ m
+        q, r = divmod(-am.trace(), k)
         if r:
             raise ArithmeticError("Faddeev-LeVerrier trace not divisible; non-integer input?")
         coeffs.append(q)
-        m = [[am[i][j] + (q if i == j else 0) for j in range(n)] for i in range(n)]
+        m = am + q * eye
     return coeffs[::-1]
 
 
@@ -204,13 +152,8 @@ def charpoly_exact(a) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _residues(m: np.ndarray) -> np.ndarray:
-    """Entries mod _P as int64, of a matrix of integers (integer-valued
-    floats too); entries int64 may not hold are reduced as Python ints
-    first, so no entry size overflows."""
-    if (m.dtype.kind in "bi" or (m.dtype.kind == "u" and m.dtype.itemsize < 8)
-            or (m.dtype.kind == "f" and np.abs(m).max(initial=0.0) < 2.0**63)):
-        return _reduce(m.astype(np.int64))
-    return np.array([int(x) % _P for x in m.flat], dtype=np.int64).reshape(m.shape)
+    """Entries mod _P as int64, of an array of int64 or Python ints."""
+    return (m % _P).astype(np.int64) if m.dtype == object else _reduce(m.astype(np.int64))
 
 
 def _reduce(x: np.ndarray) -> np.ndarray:
@@ -225,18 +168,28 @@ def _krylov_ranks_mod_p(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nd
     each column b of its inputs `v`, and the echelon forms, indexed [t, j].
 
     `a` (T x n x n) and `v` (T x n x m, the inputs of each matrix) hold
-    residues mod _P.  All T * m Krylov matrices are built with one stacked
-    product per power and eliminated together by :func:`_echelon_mod_p`.
+    residues mod _P.  All T * m Krylov matrices (:func:`_krylov`) are
+    eliminated together by :func:`_echelon_mod_p`.
     """
     t, n, m = v.shape
-    krylov = np.empty((t, m, n, n), dtype=np.int64)  # [t, j, :, k] = A_t^k b_tj mod p
+    rank, echelon = _echelon_mod_p(_krylov(a, v, _reduce).reshape(t * m, n, n))
+    return rank.reshape(t, m), echelon.reshape(t, m, n, n)
+
+
+def _krylov(a: np.ndarray, v: np.ndarray, reduce) -> np.ndarray:
+    """The Krylov matrices [b, Ab, ..., A^(n-1)b] of each matrix A of the
+    stack `a` (T x n x n) and each column b of its inputs `v` (T x n x m),
+    indexed [t, j, :, k], built with one stacked product per power: residues
+    mod _P with ``reduce=_reduce``, Python ints with an identity `reduce`,
+    as in :func:`_power_sum_hankel`."""
+    t, n, m = v.shape
+    krylov = np.empty((t, m, n, n), dtype=v.dtype)
     power = v
     for k in range(n):
         if k:
-            power = _reduce(a @ power)
+            power = reduce(a @ power)
         krylov[:, :, :, k] = power.transpose(0, 2, 1)
-    rank, echelon = _echelon_mod_p(krylov.reshape(t * m, n, n))
-    return rank.reshape(t, m), echelon.reshape(t, m, n, n)
+    return krylov
 
 
 def _echelon_mod_p(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +249,7 @@ def _relations_mod_p(echelon: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         q[:, k] -= (u[:, k, k + 1:] * q[:, k + 1:]).sum(axis=1)
         q[:, k + 1:] *= pivots[:, k:k + 1]
         _reduce(q[:, k:])
-    inverse = [pow(math.prod(row) % _P, -1, _P) for row in pivots.tolist()]
+    inverse = [pow(x, -1, _P) for x in math.prod(pivots.T.astype(object))]  # each row's product
     q = _reduce(q * np.array(inverse, dtype=np.int64)[:, None])
     return np.where(q > _P // 2, q - _P, q)
 
@@ -341,7 +294,7 @@ def _annihilated(mats: np.ndarray, which: np.ndarray, vecs: np.ndarray,
     if max(bound, norm_a) < 2**63:
         a, v, polys = a.astype(np.int64), v.astype(np.int64), polys.astype(np.int64)
     else:
-        a, v, polys = _python_ints(a), _python_ints(v), _python_ints(polys)
+        a, v, polys = a.astype(object), v.astype(object), polys.astype(object)
     acc = np.zeros_like(v)
     for k in range(polys.shape[1] - 1, -1, -1):
         acc = a @ acc + v * polys[:, k, None, None]
@@ -351,10 +304,6 @@ def _annihilated(mats: np.ndarray, which: np.ndarray, vecs: np.ndarray,
 def _peak(x: np.ndarray) -> int:
     """max |x_i| as a Python int, so no entry size overflows."""
     return max(int(x.max()), -int(x.min())) if x.size else 0
-
-
-def _python_ints(x: np.ndarray) -> np.ndarray:
-    return np.array([int(e) for e in x.flat], dtype=object).reshape(x.shape)
 
 
 def _certified_ranks(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -433,11 +382,9 @@ def _peak_norm(m: np.ndarray) -> np.ndarray:
 
 
 def _exact_floats(x: np.ndarray) -> np.ndarray | None:
-    """x as float64 when every entry is an integer of a fixed-width dtype
-    with |x| <= 2^53, so the float64 copy is exact; else None."""
-    if x.dtype.kind not in "biuf" or (x.size and max(int(x.max()), -int(x.min())) > 2**53):
-        return None
-    return x.astype(np.float64)
+    """x as float64 when it holds fixed-width integers with |x| <= 2^53,
+    so the float64 copy is exact; else None."""
+    return None if x.dtype == object or _peak(x) > 2**53 else x.astype(np.float64)
 
 
 def _eigvec_bounds(a: np.ndarray, w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -548,12 +495,10 @@ def has_simple_spectrum_exact(a) -> bool:
     eigenvalues: certified mod ``_P`` in both directions as in
     :func:`kalman_ranks_exact`, else by Bareiss on H over Python integers.
     """
-    mat = _checked_ints(a, 2, "matrix")
-    _check_symmetric(mat[None])
+    mat = _matrix(a, _ints)
     simple = _certified_simple_spectrum(mat)
     if simple is None:
-        exact = np.array(_as_int_rows(mat), dtype=object)
-        simple = rank_exact(_power_sum_hankel(exact, lambda x: x)) == mat.shape[0]
+        simple = rank_exact(_power_sum_hankel(mat.astype(object), lambda x: x)) == len(mat)
     return simple
 
 
@@ -604,12 +549,12 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
     raise :class:`DimensionCapError`; an invalid matrix of a stack raises a
     ValueError naming its index.
     """
-    mats, single = _checked_stack(a, "matrix")
-    _check_symmetric(mats, single)
-    cols, shared = _checked_stack(inputs, "input matrix")
+    mats, cols = _checked(a, _ints, system=True), _checked(inputs, _ints)
+    single, shared = mats.ndim == 2, cols.ndim == 2
+    mats = mats[None] if single else mats
     t, n, _ = mats.shape
-    if cols.shape[1] != n:
-        raise ValueError(f"dimension mismatch: A is {n}x{n}, inputs have {cols.shape[1]} rows")
+    if cols.ndim == 1 or cols.shape[-2] != n:
+        raise ValueError(f"dimension mismatch: A is {n}x{n}, inputs have shape {cols.shape}")
     if not shared and len(cols) != t:
         raise ValueError(f"{len(cols)} input matrices for a stack of {t} matrices")
     if cap is not None and n > cap:
@@ -617,7 +562,7 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
     if single and eigsys is not None:
         eigsys = _stack_of_one(eigsys)
     if shared:  # a copy, cheaper than np.broadcast_to's view for small stacks
-        cols = cols.repeat(t, axis=0)
+        cols = cols[None].repeat(t, axis=0)
     ranks = np.full((t, cols.shape[2]), -1)
     if eigsys is not None:
         ranks[_float_certified(mats, cols, eigsys)] = n
@@ -629,8 +574,7 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
         ranks[sub] = np.where(left < 0, _certified_ranks(mats[sub], cols[sub]), left)
     for i, j in zip(*(ranks < 0).nonzero()):
         ranks[i, j] = rank_exact(kalman_matrix(mats[i], cols[i, :, j]))
-    ranks = ranks.tolist()
-    return ranks[0] if single else ranks
+    return (ranks[0] if single else ranks).tolist()
 
 
 def is_controllable_exact(a, b, cap: int | None = DEFAULT_EXACT_CAP) -> bool:
@@ -639,6 +583,7 @@ def is_controllable_exact(a, b, cap: int | None = DEFAULT_EXACT_CAP) -> bool:
     The zero vector is never controllable.  Dimensions beyond `cap` raise
     :class:`DimensionCapError`.  See :func:`kalman_ranks_exact`.
     """
-    vec = _checked_ints(b, 1, "vector")
-    (rank,) = kalman_ranks_exact(a, vec[:, None], cap)
+    mat = _matrix(a, _ints)
+    vec = _vector(b, len(mat), _ints)
+    (rank,) = kalman_ranks_exact(mat, vec[:, None], cap)
     return rank > 0 and rank == len(vec)

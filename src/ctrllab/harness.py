@@ -69,6 +69,8 @@ __all__ = [
     "apply_overrides",
     "run_trial",
     "run_experiment",
+    "report_csv",
+    "report_json",
     "report_emit",
     "wilson_interval",
 ]
@@ -353,38 +355,36 @@ def _trials_mingap(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
             for decision, gap, norm in zip(decisions, eig.gap.tolist(), eig.norm.tolist())]
 
 
-_SMALLBALL_M = 2000
+def _params(config: ExperimentConfig) -> dict:
+    """The config's params over its scenario's defaults."""
+    return {**SCENARIOS[config.scenario].params, **config.params}
 
 
 def _trials_smallball(config: ExperimentConfig, n: int, chunk: _Chunk):
-    idx = config.params.get("eig_index")
-    idx = n // 2 if idx is None else idx
-    beta = config.params.get("beta", 0.25)
-    m = config.params.get("m", _SMALLBALL_M)
+    params = _params(config)
+    idx = n // 2 if params.get("eig_index") is None else params["eig_index"]
     atom = config.ensemble.offdiag if config.ensemble.offdiag is not None else Atom.gaussian()
-    bound = config.params.get("rho_bound", 0.5)
     for v, gap, rng in zip(chunk.eig.eigenvectors, chunk.eig.gap.tolist(),
                            chunk.extra["smallball"]):
-        est = small_ball_estimate(v[:, idx], atom, n ** (-beta), m, rng)
+        est = small_ball_estimate(v[:, idx], atom, n ** (-params["beta"]), params["m"], rng)
         witnesses = {"rho_hat": est.rho_hat, "rho_std_err": est.std_err, "delta": est.delta,
                      "min_gap": gap}
-        yield est.rho_hat <= bound, False, {}, witnesses
+        yield est.rho_hat <= params["rho_bound"], False, {}, witnesses
 
 
 def _trials_norm(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
-    lo, hi = config.params.get("band", (1.8, 2.3))
+    lo, hi = _params(config)["band"]
     ratios = chunk.eig.norm / math.sqrt(n)
     return [(lo <= ratio <= hi, False, {}, {"norm_a": norm, "norm_ratio": ratio})
             for norm, ratio in zip(chunk.eig.norm.tolist(), ratios.tolist())]
 
 
 def _trials_minctrl(config: ExperimentConfig, n: int, chunk: _Chunk):
-    kmax = config.params.get("kmax")
-    budget = config.params.get("budget", DEFAULT_SUPPORT_BUDGET)
+    params = _params(config)
     for t, a in enumerate(chunk.mats):
         scan = None if chunk.ranks is None else BasisScanResult.from_ranks(chunk.ranks[t])
-        result = sparsest_input(a, kmax=kmax, entry_mode="binary01",
-                                cap=config.exact_cap, budget=budget, scan=scan)
+        result = sparsest_input(a, kmax=params["kmax"], entry_mode="binary01",
+                                cap=config.exact_cap, budget=params["budget"], scan=scan)
         witnesses = {
             "k_star": -1.0 if result.k_star is None else float(result.k_star),
             "basis_count": float(len(result.basis_controllable)),
@@ -577,7 +577,7 @@ SCENARIOS: dict[str, _Scenario] = {
                              _WIGNER, (50, 100, 200), 200),
     "diag-smallball": _Scenario(_SMALLBALL, "eigenvector small-ball probability probe",
                                 _WIGNER, (16, 32, 64), 100,
-                                params={"beta": 0.25, "m": _SMALLBALL_M, "rho_bound": 0.5},
+                                params={"beta": 0.25, "m": 2000, "rho_bound": 0.5},
                                 accepts={"beta": _REAL, "m": _SAMPLES, "rho_bound": _REAL,
                                          "eig_index": _EIG_INDEX}),
     "diag-norm": _Scenario(_NORM, "spectral norm over sqrt(n) probe",

@@ -19,6 +19,7 @@ from .exact import (
     _KRYLOV_ENTRIES,
     DEFAULT_EXACT_CAP,
     DimensionCapError,
+    _ints,
     has_simple_spectrum_exact,
     kalman_ranks_exact,
 )
@@ -29,6 +30,7 @@ from .spectral import (
     EigenSystem,
     INDETERMINATE,
     Tolerances,
+    _matrix,
     _stack_of_one,
     basis_witnesses,
     classify,
@@ -87,12 +89,12 @@ def basis_scan(a, method: str = "exact", tolerances: Tolerances | None = None,
     With the float method, indices whose verdict is indeterminate are
     reported separately and never counted as controllable.
     """
-    n = np.asarray(a).shape[0]
-    if method == "exact":
-        return BasisScanResult.from_ranks(kalman_ranks_exact(a, np.eye(n, dtype=np.int64), cap))
-    if method != "float-pbh":
+    if method == "float-pbh":
+        return _float_scan(eig_sym(_matrix(a)), tolerances)
+    if method != "exact":
         raise ValueError(f"unknown method {method!r}")
-    return _float_scan(eig_sym(np.asarray(a, dtype=np.float64)), tolerances)
+    mat = _matrix(a, _ints)
+    return BasisScanResult.from_ranks(kalman_ranks_exact(mat, np.eye(len(mat), dtype=np.int64), cap))
 
 
 def _float_scan(eigsys: EigenSystem, tolerances: Tolerances | None) -> BasisScanResult:
@@ -119,7 +121,7 @@ def support_feasibility(a, support, tolerances: Tolerances | None = None,
         raise ValueError("support must be nonempty")
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     if eigsys is None:
-        eigsys = eig_sym(np.asarray(a, dtype=np.float64))
+        eigsys = eig_sym(_matrix(a))
     bad = [i for i in idx if not 0 <= i < eigsys.n]
     if bad:
         raise ValueError(f"support index {bad[0]} out of range for n={eigsys.n}")
@@ -175,8 +177,8 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
     `a` when the caller has it already (say, from one batched call over
     many matrices).
     """
-    mat = np.asarray(a)
-    n = mat.shape[0]
+    mat = _matrix(a, _ints if entry_mode == "binary01" else None)
+    n = len(mat)
     kmax = n if kmax is None else kmax
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must lie in [1, {n}], got {kmax}")
@@ -223,7 +225,7 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
     if seed is None:
         raise ValueError("generic-random mode needs a SeedPath")
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
-    eigsys = eig_sym(mat.astype(np.float64))
+    eigsys = eig_sym(mat)
     scan = _float_scan(eigsys, tol)
     tested = 0
     for k in range(1, kmax + 1):

@@ -38,6 +38,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+__all__ = ["SeedPath"]
+
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _INT_TAG = 0

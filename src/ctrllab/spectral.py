@@ -131,30 +131,66 @@ def _stack_of_one(eigsys: EigenSystem) -> EigenSystem:
     return EigenSystem(eigsys.eigenvalues[None], _eigenvectors(eigsys)[None])
 
 
-def _check_symmetric(stack: np.ndarray, single: bool = True) -> None:
-    """A ValueError unless each matrix of the (T, n, k) `stack` is square
-    and exactly symmetric.  It names the shape of a non-square input, and
-    otherwise the first matrix at fault and its first entry (i, j), i < j,
-    that differs from (j, i); `single` says the stack holds one matrix
-    given alone, whose shape and name omit the stack."""
-    if stack.shape[1] != stack.shape[2]:
-        what = "a square matrix" if single else "a stack of square matrices"
-        raise ValueError(f"expected {what}, got shape {stack.shape[1:] if single else stack.shape}")
-    differs = stack != stack.transpose(0, 2, 1)
-    if differs.any():
-        t, i, j = np.argwhere(np.triu(differs, 1))[0]
-        name = "matrix" if single else f"matrix {t} of the stack"
+def _checked(x, ints=None, system: bool = False) -> np.ndarray:
+    """`x`, one matrix, a (T, n, k) stack of them or one vector, with its
+    entries read as float64, or, given the exact path's `ints`
+    (:func:`ctrllab.exact._ints`), required to be integers and held as
+    `ints` holds them.  A system matrix is square and exactly symmetric.
+
+    A bad shape is named by its shape.  Otherwise the error names the first
+    matrix at fault ("matrix", "input matrix" or "input vector", with its
+    index in a stack), then its non-finite entries, its non-integer entries
+    or its first entry (i, j), i < j, that differs from (j, i)."""
+    a = np.asarray(x) if ints else np.asarray(x, dtype=np.float64)
+    if a.ndim not in ((2, 3) if system else (1, 2, 3)) or system and a.shape[-1] != a.shape[-2]:
+        what = "a stack of square matrices" if a.ndim == 3 else "a square matrix" if system else "a matrix"
+        raise ValueError(f"expected {what}, got shape {a.shape}")
+    stack = a if a.ndim == 3 else a[None]
+    floats = stack if stack.dtype.kind == "f" else None
+    faults = []  # (the entries at fault, the fault), in the order faults are named
+    if ints and stack.dtype.kind not in "biuf" and not all(
+            issubclass(t, (int, np.integer)) for t in set(map(type, stack.flat))):
+        try:  # other objects are judged by their float value
+            floats = stack.astype(np.float64) if stack.dtype == object else None
+        except (TypeError, ValueError, OverflowError):
+            pass
+        if floats is None:
+            faults.append((np.ones(stack.shape, dtype=bool), "integer"))
+    if floats is not None:
+        faults.append((~np.isfinite(floats), "finite"))
+        if ints:
+            faults.append((floats != np.round(floats), "integer"))
+    if system and stack.tobytes() != stack.transpose(0, 2, 1).tobytes():  # else equal entries
+        faults.append((stack != stack.transpose(0, 2, 1), "symmetric"))
+    faults = [(entries, fault) for entries, fault in faults if entries.any()]
+    if faults:
+        t = min(int(entries.reshape(len(stack), -1).any(axis=1).argmax()) for entries, _ in faults)
+        entries, fault = next((entries, fault) for entries, fault in faults if entries[t].any())
+        name = "matrix" if system else "input matrix" if a.ndim > 1 else "input vector"
+        name += f" {t} of the stack" if a.ndim == 3 else ""
+        if fault == "finite":
+            raise nonfinite_error(floats[t], name)
+        if fault == "integer":
+            raise ValueError(f"exact path requires integer entries ({name})")
+        i, j = np.argwhere(np.triu(entries[t], 1))[0]
         raise ValueError(f"{name} is not symmetric at ({i},{j})")
+    return ints(a) if ints else a
 
 
-def _as_sym_float(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise nonfinite_error(m, "matrix")
-    _check_symmetric(m[None])
-    return m
+def _matrix(a, ints=None, system: bool = True) -> np.ndarray:
+    """One square matrix, checked by :func:`_checked`: a system matrix
+    unless `system` is false."""
+    shape = np.shape(a)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    return _checked(a, ints, system)
+
+
+def _vector(b, n: int, ints=None) -> np.ndarray:
+    """An input vector of an n x n matrix, checked by :func:`_checked`."""
+    if np.shape(b) != (n,):
+        raise ValueError(f"dimension mismatch: A is {n}x{n}, b has shape {np.shape(b)}")
+    return _checked(b, ints)
 
 
 def eig_sym(a, label=None, vectors: bool = True) -> EigenSystem:
@@ -177,19 +213,11 @@ def eig_sym(a, label=None, vectors: bool = True) -> EigenSystem:
     converge, each matrix is retried alone, so the error carries the label
     of the first one that fails.
     """
-    single = np.ndim(a) != 3
-    if single:
-        m, labels = _as_sym_float(a)[None], [label]
-    else:
-        m = np.asarray(a, dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
-        # the matrices before the first non-finite one, so the first at fault is named
-        _check_symmetric(m[:bad[0]] if bad.size else m, single=False)
-        if bad.size:
-            raise nonfinite_error(m[bad[0]], f"matrix {bad[0]} of the stack")
-        labels = [None] * len(m) if label is None else list(label)
-        if len(labels) != len(m):
-            raise ValueError(f"{len(labels)} labels for a stack of {len(m)} matrices")
+    m = _checked(a, system=True)
+    single = m.ndim == 2
+    m, labels = (m[None], [label]) if single else (m, [None] * len(m) if label is None else list(label))
+    if len(labels) != len(m):
+        raise ValueError(f"{len(labels)} labels for a stack of {len(m)} matrices")
     try:
         es = EigenSystem(*_eigh_or_values(m, vectors))
     except np.linalg.LinAlgError as stacked:
@@ -312,11 +340,8 @@ def pbh_controllable(a, b, tolerances: Tolerances | None = None,
     """
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     if eigsys is None:
-        eigsys = eig_sym(a)
-    bv = np.asarray(b, dtype=np.float64)
-    if bv.shape != (eigsys.n,):
-        raise ValueError(f"dimension mismatch: A is {eigsys.n}x{eigsys.n}, b has shape {bv.shape}")
-    (decision,), (inner,) = _pbh_stack(_stack_of_one(eigsys), bv[None], tol)
+        eigsys = eig_sym(_matrix(a))
+    (decision,), (inner,) = _pbh_stack(_stack_of_one(eigsys), _vector(b, eigsys.n)[None], tol)
     return ControllabilityVerdict(decision, min_gap=eigsys.gap, min_abs_inner=inner)
 
 
@@ -366,7 +391,8 @@ def basis_witnesses(eigsys: EigenSystem) -> tuple:
     inner[i] = min_j |v_j . e_i| = min_j |V[i, j]| needs no product with b;
     for a stack, each is indexed by the matrix first.
     """
-    return eigsys.gap, eigsys.scale, np.min(np.abs(_eigenvectors(eigsys)), axis=-1)
+    return eigsys.gap, eigsys.scale, np.min(np.abs(_eigenvectors(eigsys)), axis=-1,
+                                            initial=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +405,7 @@ def _minor_split(a: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     if not 0 <= i < n:
         raise ValueError(f"minor index {i} out of range for n={n}")
     keep = [k for k in range(n) if k != i]
-    minor = a[np.ix_(keep, keep)]
-    x = a[keep, i]
-    return minor, x
+    return a[np.ix_(keep, keep)], a[keep, i]
 
 
 def interlacing_check(a, i: int) -> float:
@@ -391,7 +415,7 @@ def interlacing_check(a, i: int) -> float:
     interlacing theorem makes this nonnegative up to rounding, so a margin
     >= -tol certifies the instance.
     """
-    m = _as_sym_float(a)
+    m = _matrix(a)
     minor, _ = _minor_split(m, i)
     if minor.shape[0] == 0:
         return math.inf
@@ -414,7 +438,7 @@ def eigvec_coordinate_check(a, i: int, separation_tol: float = 1e-6) -> float:
     identity degenerates there); if none is eligible, raises
     :class:`SharedEigenvalueError` naming the closest pair.
     """
-    m = _as_sym_float(a)
+    m = _matrix(a)
     minor, x = _minor_split(m, i)
     full = eig_sym(m)
     if minor.shape[0] == 0:
@@ -455,7 +479,7 @@ def shared_eigenvalue_witness(a, i: int, collision_tol: float) -> SharedEigenval
     magnitude; on exactly degenerate constructions the magnitude vanishes to
     rounding.  Returns None when no eigenvalue collides.
     """
-    m = _as_sym_float(a)
+    m = _matrix(a)
     minor, x = _minor_split(m, i)
     if minor.shape[0] == 0:
         return None

@@ -10,14 +10,17 @@ from ctrllab import (
     DimensionCapError,
     EigenSystem,
     SeedPath,
+    basis_scan,
     charpoly_exact,
     eig_sym,
     has_simple_spectrum_exact,
     is_controllable_exact,
     kalman_matrix,
     kalman_ranks_exact,
+    pbh_controllable,
     rank_exact,
     sample_gnp,
+    sparsest_input,
 )
 from ctrllab import exact as exact_module
 from ctrllab.exact import _P
@@ -212,19 +215,64 @@ def test_asymmetric_matrix_rejected():
         kalman_ranks_exact([[0, 1, 0], [1, 0, 1], [0, 2, 0]], np.eye(3, dtype=np.int64))
 
 
+def mixed_faults(value) -> np.ndarray:
+    """P3 three times: matrix 0 asymmetric, matrix 2 with `value` on its diagonal."""
+    mats = np.stack([P3] * 3).astype(np.float64)
+    mats[0, 0, 1] = 5.0
+    mats[2, 1, 1] = value
+    return mats
+
+
+def halved(t: int) -> np.ndarray:
+    """P3 three times, matrix t with a non-integer (but symmetric) entry."""
+    mats = np.stack([P3] * 3).astype(np.float64)
+    mats[t, 1, 1] = 0.5
+    return mats
+
+
 @pytest.mark.parametrize("a, message", [
     ([[0, 1], [2, 0]], r"^matrix is not symmetric at \(0,1\)$"),
     ([[0, 1, 0], [1, 0, 1]], r"^expected a square matrix, got shape \(2, 3\)$"),
     (np.stack([P3, P3 + np.triu(P3), P3]), r"^matrix 1 of the stack is not symmetric at \(0,1\)$"),
     (np.zeros((2, 2, 3), dtype=np.int64),
      r"^expected a stack of square matrices, got shape \(2, 2, 3\)$"),
+    (np.array(5), r"^expected a square matrix, got shape \(\)$"),
+    (np.array([1, 2]), r"^expected a square matrix, got shape \(2,\)$"),
+    (np.zeros((1, 2, 2, 2), dtype=np.int64),
+     r"^expected a square matrix, got shape \(1, 2, 2, 2\)$"),
+    # the first matrix at fault is named, whatever its fault
+    (mixed_faults(float("nan")), r"^matrix 0 of the stack is not symmetric at \(0,1\)$"),
+    (mixed_faults(0.5), r"^matrix 0 of the stack is not symmetric at \(0,1\)$"),
+    (halved(2), r"^exact path requires integer entries \(matrix 2 of the stack\)$"),
+    (halved(2)[2], r"^exact path requires integer entries \(matrix\)$"),
 ])
 def test_exact_and_float_deciders_reject_a_matrix_alike(a, message):
-    # one check for both deciders: the same input gets the same message
-    inputs = np.eye(np.shape(a)[-2], dtype=np.int64)
-    for decide in (lambda: kalman_ranks_exact(a, inputs), lambda: eig_sym(np.asarray(a, float))):
+    # one check for both deciders: the same input gets the same message from
+    # every entry point that takes its shape (a non-integer matrix is fine
+    # for the float decider)
+    exact = [lambda: kalman_ranks_exact(a, np.eye(3, dtype=np.int64))]
+    floats = [lambda: eig_sym(np.asarray(a, float))]
+    if np.ndim(a) != 3:
+        b = np.array([1, 0, 0])
+        exact += [lambda: is_controllable_exact(a, b), lambda: has_simple_spectrum_exact(a),
+                  lambda: basis_scan(a), lambda: sparsest_input(a)]
+        floats += [lambda: pbh_controllable(a, b), lambda: basis_scan(a, "float-pbh"),
+                   lambda: sparsest_input(a, entry_mode="generic-random", seed=SeedPath(1))]
+    for decide in exact if "integer" in message else exact + floats:
         with pytest.raises(ValueError, match=message):
             decide()
+
+
+@pytest.mark.parametrize("b, message", [
+    ([1, 0], r"^dimension mismatch: A is 3x3, b has shape \(2,\)$"),
+    ([[1], [0], [0]], r"^dimension mismatch: A is 3x3, b has shape \(3, 1\)$"),
+    ([1.0, float("nan"), 0.0], r"^input vector has non-finite entries: \[1\] = nan$"),
+    ([1.0, 0.0, -float("inf")], r"^input vector has non-finite entries: \[2\] = -inf$"),
+])
+def test_exact_and_float_deciders_reject_a_vector_alike(b, message):
+    for decide in (is_controllable_exact, kalman_matrix, pbh_controllable):
+        with pytest.raises(ValueError, match=message):
+            decide(P3, b)
 
 
 def test_exact_path_names_nonfinite_entries():

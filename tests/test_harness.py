@@ -193,6 +193,18 @@ def test_config_validation_accepts_declared_params():
         assert set(scenario.params) <= set(scenario.accepts), name
 
 
+def test_a_missing_param_is_the_scenario_default(monkeypatch):
+    # a config without params (a --config with "params": {}) runs on the
+    # table's defaults, the one copy of them
+    config = make_scenario_config("diag-norm", n_grid=(30,), trials=4)
+    records = [run_trial(config, 30, t) for t in range(4)]
+    assert not all(record.success for record in records)
+    config.params = {}
+    assert [run_trial(config, 30, t) for t in range(4)] == records
+    monkeypatch.setitem(SCENARIOS["diag-norm"].params, "band", (0.0, 100.0))
+    assert all(run_trial(config, 30, t).success for t in range(4))
+
+
 def test_config_overrides():
     config = make_scenario_config("conj1", n_grid=(4, 6), trials=7, p=0.25,
                                   master_seed=9, method="float-pbh",
@@ -588,3 +600,16 @@ def test_report_emit_unwritable_path():
     report = run_experiment(config)
     with pytest.raises(OSError):
         report_emit(report, "/nonexistent-dir/report.csv", "csv")
+
+
+def test_package_exports_exactly_the_module_lists():
+    import ctrllab
+    from ctrllab import ensembles, minctrl, seeding, spectral
+
+    modules = (ensembles, exact, harness, minctrl, seeding, spectral)
+    listed = ["__version__", *(name for module in modules for name in module.__all__)]
+    assert sorted(ctrllab.__all__) == sorted(listed)
+    assert len(set(listed)) == len(listed)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(ctrllab, name) is getattr(module, name), f"{module.__name__}.{name}"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ctrllab import (
+    BasisScanResult,
     BudgetExceededError,
     SeedPath,
     Tolerances,
@@ -41,6 +42,12 @@ def test_basis_scan_path_graph_endpoints():
 def test_basis_scan_complete_graph_empty():
     assert basis_scan(K3).controllable == frozenset()
     assert basis_scan(K3, "float-pbh").controllable == frozenset()
+    # n = 0: no basis input, on both paths; a stack of matrices is no matrix
+    for method in ("exact", "float-pbh"):
+        empty = basis_scan(np.zeros((0, 0), dtype=np.int64), method)
+        assert empty == BasisScanResult(frozenset(), frozenset(), method)
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(3, 3, 3\)$"):
+            basis_scan(np.stack([K3] * 3), method)
 
 
 def test_basis_scan_diagonal_matrix_empty():
