@@ -1,37 +1,38 @@
 """Exact controllability decisions for integer symmetric systems.
 
-Every verdict here is exact (no tolerances, no rounding), and each is the
-rank of an integer matrix whose columns form a Krylov sequence: the Kalman
-matrix [b, Ab, ..., A^(n-1) b] for controllability, and the Hankel matrix
-H[j, k] = tr(A^(j+k)) of power sums for the distinct-eigenvalue test (by
-Hermite, rank H is the number of distinct eigenvalues, and det H is the
-discriminant of the characteristic polynomial).  Each rank is first
-certified modulo the word-size prime ``_P``.  A rank computed mod p never
-exceeds the rank over the rationals, so full rank mod p is full rank.  A
-rank r < n mod p comes with a monic relation q of degree r among the first
-r + 1 columns; lifted to integers, q(A) b = 0 (Kalman) or q(A) = 0
-(Hankel) verified exactly bounds the rank over the rationals by r from
-above, so the rank is exactly r.  Whatever the certificates cannot settle
-falls back to fraction-free Bareiss elimination of the matrix built over
-Python integers, which with the Faddeev-LeVerrier characteristic
-polynomial also serves as the oracle in the tests.
+Every verdict here is exact (no tolerances, no rounding), and each is one
+number: the Krylov degree of a block B of k inputs under A, the rank of
+the (k n) x n integer matrix whose column j is vec(A^j B), j < n.  For
+B = b it is the Kalman rank, and (A, b) is controllable iff it is n.  For
+B = I it is the degree of A's minimal polynomial, which for symmetric A is
+the number of distinct eigenvalues, so the spectrum is simple iff it is n.
+Each degree is first certified modulo the word-size prime ``_P``.  A rank
+mod p never exceeds the rank over the rationals, so full rank mod p is
+full rank.  A rank r < n mod p comes with a monic relation q of degree r
+among the first r + 1 columns; lifted to integers, q(A) B = 0 verified
+exactly bounds the rank over the rationals by r from above, so the rank
+is exactly r.  What the certificate cannot settle falls back to
+fraction-free Bareiss elimination of the same matrix over Python
+integers, which with the Faddeev-LeVerrier characteristic polynomial also
+serves as the oracle in the tests.
 
-Kalman ranks are decided for a whole stack of matrices at once, each with
-its own inputs: inputs shared by the stack are repeated once per matrix on
-entry.  The Krylov matrices of a stack are built with one stacked matrix
-product per power and eliminated in one batched call per sub-stack of at
-most ``_KRYLOV_ENTRIES`` entries, so numpy's per-call overhead is paid
-once per sub-stack, not once per matrix, and memory stays bounded for any
-batch.  A single matrix is a stack of one.  The ranks pass from tier to
-tier as one (T, m) array in which -1 marks a rank not yet settled, and
-each tier fills only -1 entries.  A caller that already holds float
-eigensystems of the stack passes them in: a rigorous perturbation bound on
-the eigensystem proves rank n for most controllable pairs (the PBH test:
+Degrees are decided for a whole stack of matrices at once, each with its
+own inputs (:func:`_krylov_degrees`): inputs shared by the stack are
+repeated once per matrix on entry.  The Krylov matrices of a stack are
+built with one stacked matrix product per power and eliminated in one
+batched call per sub-stack of at most ``_KRYLOV_ENTRIES`` entries, so
+numpy's per-call overhead is paid once per sub-stack, not once per matrix,
+and memory stays bounded for any batch.  A single matrix is a stack of one.
+The degrees pass from tier to tier as one (T, blocks) array in which -1
+marks a degree not yet settled, and each tier fills only -1 entries.  A
+caller that already holds float eigensystems of the stack passes them to
+:func:`kalman_ranks_exact`: a rigorous perturbation bound on the
+eigensystem proves rank n for most controllable pairs (the PBH test:
 simple spectrum, no eigenvector orthogonal to b); only matrices with a
 column it leaves unproved go on to the mod-p certificate, and only columns
 that one leaves unsettled go on to Bareiss.
 
-Krylov entries grow like ``norm(A)**n``, so the exact path is capped at
+Krylov entries grow like ``norm(A)**n``, so the Kalman path is capped at
 ``DEFAULT_EXACT_CAP`` dimensions by default; pass ``cap=None`` (or a larger
 cap) to override for fixtures.
 """
@@ -64,9 +65,9 @@ _P = 67108859
 _MOD_MAX_N = (2**63 - 1) // (_P - 1) ** 2
 
 # Bound on the int64 entries of one Krylov stack, T * m * n^2 for T matrices
-# with m inputs each: :func:`kalman_ranks_exact` certifies its matrices mod
-# _P in sub-stacks within it (or of one matrix), whatever batch a caller
-# hands in.  Measured when this bound sized the harness's chunks, on the
+# with m inputs each: :func:`_krylov_degrees` certifies its matrices mod _P
+# in sub-stacks within it (or of one matrix), whatever batch a caller hands
+# in.  Measured when this bound sized the harness's chunks, on the
 # exact-kalman and minctrl-search benchmark workloads against one trial
 # per chunk: peak RSS grows 0.3-1.3% at 2**13, 0.7-1.8% at 2**14, 2.3-3.5%
 # at 2**15 and up to 6.5% unbounded, while trials/s stops growing beyond
@@ -94,8 +95,7 @@ def kalman_matrix(a, b) -> np.ndarray:
     A need not be symmetric.
     """
     mat = _matrix(a, _ints, system=False)
-    vec = _vector(b, len(mat), _ints)
-    return _krylov(mat.astype(object)[None], vec.astype(object)[None, :, None], lambda x: x)[0, 0]
+    return _krylov_exact(mat, _vector(b, len(mat), _ints)[:, None])
 
 
 def rank_exact(m) -> int:
@@ -108,7 +108,7 @@ def rank_exact(m) -> int:
     """
     if np.ndim(m) != 2:
         raise ValueError(f"expected a matrix, got shape {np.shape(m)}")
-    rows = _checked(m, _ints).astype(object)
+    rows = _checked(m, _ints, name="matrix").astype(object)
     nrows, ncols = rows.shape
     prev, row = 1, 0
     for col in range(ncols):
@@ -163,25 +163,13 @@ def _reduce(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _krylov_ranks_mod_p(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank of [b, Ab, ..., A^(n-1)b] for each matrix A of the stack `a` and
-    each column b of its inputs `v`, and the echelon forms, indexed [t, j].
-
-    `a` (T x n x n) and `v` (T x n x m, the inputs of each matrix) hold
-    residues mod _P.  All T * m Krylov matrices (:func:`_krylov`) are
-    eliminated together by :func:`_echelon_mod_p`.
-    """
-    t, n, m = v.shape
-    rank, echelon = _echelon_mod_p(_krylov(a, v, _reduce).reshape(t * m, n, n))
-    return rank.reshape(t, m), echelon.reshape(t, m, n, n)
-
-
 def _krylov(a: np.ndarray, v: np.ndarray, reduce) -> np.ndarray:
     """The Krylov matrices [b, Ab, ..., A^(n-1)b] of each matrix A of the
     stack `a` (T x n x n) and each column b of its inputs `v` (T x n x m),
     indexed [t, j, :, k], built with one stacked product per power: residues
-    mod _P with ``reduce=_reduce``, Python ints with an identity `reduce`,
-    as in :func:`_power_sum_hankel`."""
+    mod _P with ``reduce=_reduce``, Python ints with an identity `reduce`.
+    The k consecutive matrices of a block of k columns B, read as one
+    (k n) x n matrix, have the columns vec(B), vec(AB), ...."""
     t, n, m = v.shape
     krylov = np.empty((t, m, n, n), dtype=v.dtype)
     power = v
@@ -192,8 +180,17 @@ def _krylov(a: np.ndarray, v: np.ndarray, reduce) -> np.ndarray:
     return krylov
 
 
+def _krylov_exact(mat: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The (k n) x n Krylov matrix of one matrix and its n x k block of
+    inputs, over Python ints."""
+    n, k = block.shape
+    return _krylov(mat.astype(object)[None], block.astype(object)[None],
+                   lambda x: x).reshape(k * n, n)
+
+
 def _echelon_mod_p(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank of each n x n matrix in `stack` and its echelon form, mod _P.
+    """Rank of each N x n matrix (N >= n) in `stack` and its n x n echelon
+    form, mod _P.
 
     `stack` holds residues and is overwritten.  Every matrix is eliminated
     one column per step: it swaps a row with a nonzero entry in the column
@@ -204,11 +201,11 @@ def _echelon_mod_p(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix, so the rank returned is the number of columns before the first
     one that depends on the columns before it.  That is the rank when the
     columns form a Krylov sequence (once a column depends on the earlier
-    ones, so does every later one); for any matrix, rank n means all n
-    pivots are nonzero, so the matrix is nonsingular mod _P.
+    ones, so does every later one); for any square matrix, rank n means
+    all n pivots are nonzero, so the matrix is nonsingular mod _P.
     """
     s = stack
-    m, n, _ = s.shape
+    m, _, n = s.shape
     echelon = np.zeros((m, n, n), dtype=np.int64)
     stacks = np.arange(m)
     for k in range(n):
@@ -254,38 +251,17 @@ def _relations_mod_p(echelon: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return np.where(q > _P // 2, q - _P, q)
 
 
-def _power_sum_hankel(a: np.ndarray, reduce) -> np.ndarray:
-    """The Hankel matrix H[j, k] = tr(A^(j+k)) of power sums, j, k < n.
-
-    `a` holds residues mod _P with ``reduce=_reduce``, or Python ints with
-    an identity `reduce`.  The power sums satisfy the linear recurrence of
-    A's minimal polynomial mu, tr(A^t mu(A)) = 0, so H's columns form a
-    Krylov sequence.
-    """
-    n = a.shape[0]
-    powers = [np.eye(n, dtype=a.dtype)]
-    for _ in range(n - 1):
-        powers.append(reduce(a @ powers[-1]))
-    powers = np.stack(powers)
-    t = np.arange(2 * n - 1)
-    hi = np.minimum(t, n - 1)
-    # tr(A^t) sums the entrywise product of A^hi and (A^(t-hi))^T, both powers below n
-    sums = reduce(reduce(powers[hi] * powers[t - hi].transpose(0, 2, 1)).sum(axis=(1, 2)))
-    idx = np.arange(n)
-    return sums[idx[:, None] + idx]
-
-
-def _annihilated(mats: np.ndarray, which: np.ndarray, vecs: np.ndarray,
+def _annihilated(mats: np.ndarray, which: np.ndarray, blocks: np.ndarray,
                  polys: np.ndarray) -> np.ndarray:
-    """Whether q_s(A) b_s = 0 over the integers for each row b_s of the
-    (S, n) `vecs`, with A = mats[which[s]] and q_s row s of `polys`
+    """Whether q_s(A) B_s = 0 over the integers for each block B_s of the
+    (S, n, k) `blocks`, with A = mats[which[s]] and q_s row s of `polys`
     (ascending, zero above the degree).
 
-    One Horner scheme runs over all rows at once.  It runs in int64 only
+    One Horner scheme runs over all blocks at once.  It runs in int64 only
     when a bound on A and on every intermediate entry, computed in Python
     ints, stays below 2^63, and in Python ints otherwise.
     """
-    a, v = mats[which], vecs[:, :, None]
+    a, v = mats[which], blocks
     norm_a = a.shape[1] * _peak(a)
     size = _peak(v) * _peak(polys)
     bound = 0
@@ -298,7 +274,7 @@ def _annihilated(mats: np.ndarray, which: np.ndarray, vecs: np.ndarray,
     acc = np.zeros_like(v)
     for k in range(polys.shape[1] - 1, -1, -1):
         acc = a @ acc + v * polys[:, k, None, None]
-    return (acc == 0).all(axis=(1, 2))  # a bool per column on object arrays too
+    return (acc == 0).all(axis=(1, 2))  # a bool per block on object arrays too
 
 
 def _peak(x: np.ndarray) -> int:
@@ -306,52 +282,59 @@ def _peak(x: np.ndarray) -> int:
     return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
-def _certified_ranks(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Kalman rank of each column b of the inputs of each matrix A of the
-    stack `mats`, where a certificate proves it, else -1; indexed [t, j].
+def _certified_ranks(mats: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+    """Krylov degree of each block of k consecutive columns B of the inputs
+    of each matrix A of the stack `mats`, where a certificate proves it,
+    else -1; indexed [t, j] for block j.
 
-    `cols` (T x n x m) holds the inputs of each matrix.  The rank r mod _P
-    never exceeds the rank over the rationals, so r = n is proved.  For
-    r < n, the monic relation q(A) b = 0 mod _P of degree r is lifted to
-    the integers and checked exactly, all short columns of all matrices in
-    one check; if it holds, b, Ab, ..., A^r b are dependent over the
-    rationals too, and the rank is exactly r.  The zero column has rank 0
-    and the relation q = 1.
+    `cols` (T x n x m, m a multiple of k) holds the inputs of each matrix,
+    and the Krylov matrices of all blocks (:func:`_krylov`) are eliminated
+    together by :func:`_echelon_mod_p`.  The rank r mod _P never exceeds
+    the rank over the rationals, so r = n is proved.  For r < n, the monic
+    relation q(A) B = 0 mod _P of degree r is lifted to the integers and
+    checked exactly, all short blocks of all matrices in one check; if it
+    holds, B, AB, ..., A^r B are dependent over the rationals too, and the
+    rank is exactly r.  A zero block has rank 0 and the relation q = 1.
     """
     t, n, m = cols.shape
-    if not 0 < n <= _MOD_MAX_N:
-        return np.full((t, m), -1)
-    rank, echelon = _krylov_ranks_mod_p(_residues(mats), _residues(cols))
+    blocks = m // k
+    if n > _MOD_MAX_N:
+        return np.full((t, blocks), -1)
+    krylov = _krylov(_residues(mats), _residues(cols), _reduce)
+    rank, echelon = _echelon_mod_p(krylov.reshape(t * blocks, k * n, n))
+    rank, echelon = rank.reshape(t, blocks), echelon.reshape(t, blocks, n, n)
     which, short = (rank < n).nonzero()
     if which.size:
         low = rank[which, short]
         polys = _relations_mod_p(echelon[which, short], low)
-        ok = _annihilated(mats, which, cols[which, :, short], polys)
+        ok = _annihilated(mats, which, cols.reshape(t, n, blocks, k)[which, :, short], polys)
         rank[which, short] = np.where(ok, low, -1)
     return rank
 
 
-def _certified_simple_spectrum(mat: np.ndarray) -> bool | None:
-    """Whether the spectrum of `mat` is simple, where a certificate proves
-    it, else None.
+def _krylov_degrees(mats: np.ndarray, cols: np.ndarray, k: int, ranks: np.ndarray) -> np.ndarray:
+    """`ranks` (T x m / k) with every -1 entry filled with the Krylov degree
+    of its block of k columns of `cols` (T x n x m) under its matrix of
+    `mats`.
 
-    Rank n of the power-sum Hankel matrix H mod _P proves it simple.  At
-    rank r < n, the relation among H's first r + 1 columns is A's minimal
-    polynomial mod _P; lifted and checked as q(A) = 0 over the integers,
-    it has every eigenvalue as a root, so fewer than n are distinct.
+    The matrices with a -1 left are certified mod ``_P``
+    (:func:`_certified_ranks`) in sub-stacks of at most max(1, 2^14 //
+    (m n^2)) matrices, so one Krylov stack holds at most
+    ``_KRYLOV_ENTRIES`` int64 entries (or one matrix's) however many
+    matrices or inputs a call has.  The blocks still -1 go through Bareiss
+    :func:`rank_exact` on their Krylov matrix over Python ints, so the
+    degrees equal the Bareiss ranks for every input.
     """
-    n = mat.shape[0]
-    if n > _MOD_MAX_N:
-        return None
-    rank, echelon = _echelon_mod_p(_power_sum_hankel(_residues(mat), _reduce)[None])
-    r = int(rank[0])
-    if r == n:
-        return True
-    q = _relations_mod_p(echelon, rank)
-    if _annihilated(mat[None], np.zeros(n, dtype=np.intp), np.eye(n, dtype=np.int64),
-                    np.repeat(q, n, axis=0)).all():
-        return False
-    return None
+    _, n, m = cols.shape
+    rest = (ranks < 0).any(axis=1).nonzero()[0]
+    step = max(1, _KRYLOV_ENTRIES // max(1, m * n * n))
+    for start in range(0, rest.size, step):
+        sub = rest[start:start + step]
+        left = ranks[sub]
+        ranks[sub] = np.where(left < 0, _certified_ranks(mats[sub], cols[sub], k), left)
+    for i, j in zip(*(ranks < 0).nonzero()):
+        ranks[i, j] = rank_exact(_krylov_exact(mats[i], cols[i, :, j * k:(j + 1) * k]))
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +473,15 @@ def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem) ->
 def has_simple_spectrum_exact(a) -> bool:
     """True iff all eigenvalues of the integer symmetric matrix are distinct.
 
-    Decided exactly as rank H = n for the Hankel matrix H[j, k] =
-    tr(A^(j+k)) of power sums, whose rank is the number of distinct
-    eigenvalues: certified mod ``_P`` in both directions as in
-    :func:`kalman_ranks_exact`, else by Bareiss on H over Python integers.
+    Decided exactly as the Krylov degree of I under A, the degree of A's
+    minimal polynomial, being n: certified mod ``_P`` in both directions
+    as in :func:`kalman_ranks_exact`, else by Bareiss on the n^2 x n
+    matrix of the powers vec(A^j) over Python integers.
     """
     mat = _matrix(a, _ints)
-    simple = _certified_simple_spectrum(mat)
-    if simple is None:
-        simple = rank_exact(_power_sum_hankel(mat.astype(object), lambda x: x)) == len(mat)
-    return simple
+    n = len(mat)
+    eye = np.eye(n, dtype=mat.dtype)[None]
+    return n == 0 or _krylov_degrees(mat[None], eye, n, np.full((1, 1), -1)).item() == n
 
 
 def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
@@ -522,39 +504,29 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
        :func:`_eigvec_bounds`).  It applies where A and b are integers of
        magnitude at most 2^53 held in fixed-width dtypes, and only proves
        full rank; a wrong eigensystem can make it prove less, never wrong.
-    2. The matrices with a -1 left are certified mod ``_P``
-       (:func:`_certified_ranks`), and its ranks fill their -1 entries.
-       They go in sub-stacks of at most max(1, 2^14 // (m n^2)) matrices,
-       so one Krylov stack holds at most ``_KRYLOV_ENTRIES`` int64 entries
-       (or one matrix's) however many matrices or inputs a call has.
-    3. The entries still -1 go through Bareiss.
+    2. The entries still -1 are certified mod ``_P`` in bounded sub-stacks,
+       else decided by Bareiss (:func:`_krylov_degrees`).
 
-    The zero vector has rank 0.  Every column that reaches tier 2 is
-    certified mod ``_P`` in two directions, all columns of a sub-stack's
-    matrices in one batched elimination over their Krylov columns b, Ab, ...:
-
-    * rank n mod p is rank n over the rationals;
-    * at rank r < n mod p the elimination yields the monic relation
-      q(A) b = 0 mod p of degree r.  Its coefficients are lifted to
-      (-p/2, p/2] and q(A) b = 0 is checked over the integers.  If it
-      holds, rank_Q <= r = rank_p <= rank_Q.
-
-    The lift almost always holds: the minimal polynomial of b under A is a
-    monic divisor of the characteristic polynomial, which is monic with
-    integer coefficients, so by Gauss's lemma it has integer coefficients
-    too; when p keeps the rank and those coefficients lie below p/2, it is
-    the lifted q.  Only columns that no certificate settles go through
-    :func:`kalman_matrix` and Bareiss :func:`rank_exact`, so the ranks
-    equal the Bareiss ranks for every input.  Dimensions beyond `cap`
-    raise :class:`DimensionCapError`; an invalid matrix of a stack raises a
-    ValueError naming its index.
+    The zero vector has rank 0.  At rank r < n mod p the certificate lifts
+    the monic relation q(A) b = 0 mod p of degree r to (-p/2, p/2] and
+    checks it over the integers, and the lift almost always holds: the
+    minimal polynomial of b under A is a monic divisor of the
+    characteristic polynomial, which is monic with integer coefficients,
+    so by Gauss's lemma it has integer coefficients too; when p keeps the
+    rank and those coefficients lie below p/2, it is the lifted q.
+    Dimensions beyond `cap` raise :class:`DimensionCapError`; an invalid
+    matrix of a stack raises a ValueError naming its index, and inputs of
+    the wrong shape are named by their shape before their entries are read.
     """
-    mats, cols = _checked(a, _ints, system=True), _checked(inputs, _ints)
-    single, shared = mats.ndim == 2, cols.ndim == 2
+    mats = _checked(a, _ints, system=True)
+    single = mats.ndim == 2
     mats = mats[None] if single else mats
     t, n, _ = mats.shape
-    if cols.ndim == 1 or cols.shape[-2] != n:
-        raise ValueError(f"dimension mismatch: A is {n}x{n}, inputs have shape {cols.shape}")
+    shape = np.shape(inputs)
+    if len(shape) == 1 or len(shape) in (2, 3) and shape[-2] != n:
+        raise ValueError(f"dimension mismatch: A is {n}x{n}, inputs have shape {shape}")
+    cols = _checked(inputs, _ints)
+    shared = cols.ndim == 2
     if not shared and len(cols) != t:
         raise ValueError(f"{len(cols)} input matrices for a stack of {t} matrices")
     if cap is not None and n > cap:
@@ -566,14 +538,7 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
     ranks = np.full((t, cols.shape[2]), -1)
     if eigsys is not None:
         ranks[_float_certified(mats, cols, eigsys)] = n
-    rest = (ranks < 0).any(axis=1).nonzero()[0]
-    step = max(1, _KRYLOV_ENTRIES // max(1, cols.shape[2] * n * n))
-    for start in range(0, rest.size, step):
-        sub = rest[start:start + step]
-        left = ranks[sub]
-        ranks[sub] = np.where(left < 0, _certified_ranks(mats[sub], cols[sub]), left)
-    for i, j in zip(*(ranks < 0).nonzero()):
-        ranks[i, j] = rank_exact(kalman_matrix(mats[i], cols[i, :, j]))
+    ranks = _krylov_degrees(mats, cols, 1, ranks)
     return (ranks[0] if single else ranks).tolist()
 
 

@@ -42,7 +42,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .codec import Record
+from .codec import Record, _is_int
 from .ensembles import Atom, EnsembleSpec, VectorSpec, _sample_stack, _vector_misfit, sample_vector
 from .exact import DEFAULT_EXACT_CAP, kalman_ranks_exact
 from .minctrl import DEFAULT_SUPPORT_BUDGET, BasisScanResult, BudgetExceededError, sparsest_input
@@ -480,10 +480,6 @@ def run_trial(config: ExperimentConfig, n: int, trial: int, *, outcomes=None) ->
 # ---------------------------------------------------------------------------
 # scenario table
 # ---------------------------------------------------------------------------
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 def _is_real(value) -> bool:
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))

@@ -131,16 +131,17 @@ def _stack_of_one(eigsys: EigenSystem) -> EigenSystem:
     return EigenSystem(eigsys.eigenvalues[None], _eigenvectors(eigsys)[None])
 
 
-def _checked(x, ints=None, system: bool = False) -> np.ndarray:
+def _checked(x, ints=None, system: bool = False, name: str | None = None) -> np.ndarray:
     """`x`, one matrix, a (T, n, k) stack of them or one vector, with its
     entries read as float64, or, given the exact path's `ints`
     (:func:`ctrllab.exact._ints`), required to be integers and held as
     `ints` holds them.  A system matrix is square and exactly symmetric.
 
     A bad shape is named by its shape.  Otherwise the error names the first
-    matrix at fault ("matrix", "input matrix" or "input vector", with its
-    index in a stack), then its non-finite entries, its non-integer entries
-    or its first entry (i, j), i < j, that differs from (j, i)."""
+    matrix at fault (`name`, by default "matrix" for a system matrix, else
+    "input matrix" or "input vector", with its index in a stack), then its
+    non-finite entries, its non-integer entries or its first entry (i, j),
+    i < j, that differs from (j, i)."""
     a = np.asarray(x) if ints else np.asarray(x, dtype=np.float64)
     if a.ndim not in ((2, 3) if system else (1, 2, 3)) or system and a.shape[-1] != a.shape[-2]:
         what = "a stack of square matrices" if a.ndim == 3 else "a square matrix" if system else "a matrix"
@@ -166,7 +167,7 @@ def _checked(x, ints=None, system: bool = False) -> np.ndarray:
     if faults:
         t = min(int(entries.reshape(len(stack), -1).any(axis=1).argmax()) for entries, _ in faults)
         entries, fault = next((entries, fault) for entries, fault in faults if entries[t].any())
-        name = "matrix" if system else "input matrix" if a.ndim > 1 else "input vector"
+        name = name or ("matrix" if system else "input matrix" if a.ndim > 1 else "input vector")
         name += f" {t} of the stack" if a.ndim == 3 else ""
         if fault == "finite":
             raise nonfinite_error(floats[t], name)
@@ -178,12 +179,12 @@ def _checked(x, ints=None, system: bool = False) -> np.ndarray:
 
 
 def _matrix(a, ints=None, system: bool = True) -> np.ndarray:
-    """One square matrix, checked by :func:`_checked`: a system matrix
-    unless `system` is false."""
+    """One square matrix, checked by :func:`_checked` and named "matrix": a
+    system matrix unless `system` is false."""
     shape = np.shape(a)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"expected a square matrix, got shape {shape}")
-    return _checked(a, ints, system)
+    return _checked(a, ints, system, "matrix")
 
 
 def _vector(b, n: int, ints=None) -> np.ndarray:

@@ -268,11 +268,18 @@ def test_exact_and_float_deciders_reject_a_matrix_alike(a, message):
     ([[1], [0], [0]], r"^dimension mismatch: A is 3x3, b has shape \(3, 1\)$"),
     ([1.0, float("nan"), 0.0], r"^input vector has non-finite entries: \[1\] = nan$"),
     ([1.0, 0.0, -float("inf")], r"^input vector has non-finite entries: \[2\] = -inf$"),
+    ([1, 0.5, 0], r"^exact path requires integer entries \(input vector\)$"),
 ])
 def test_exact_and_float_deciders_reject_a_vector_alike(b, message):
-    for decide in (is_controllable_exact, kalman_matrix, pbh_controllable):
+    floats = () if "integer" in message else (pbh_controllable,)
+    for decide in (is_controllable_exact, kalman_matrix) + floats:
         with pytest.raises(ValueError, match=message):
             decide(P3, b)
+    # kalman_ranks_exact takes columns: a vector's shape is at fault before its entries
+    if np.ndim(b) == 1:
+        with pytest.raises(ValueError, match=rf"^dimension mismatch: A is 3x3, inputs have "
+                                             rf"shape \({len(b)},\)$"):
+            kalman_ranks_exact(P3, b)
 
 
 def test_exact_path_names_nonfinite_entries():
@@ -293,6 +300,13 @@ def test_exact_path_names_nonfinite_entries():
 def test_object_entries_are_checked_like_floats():
     with pytest.raises(ValueError, match="exact path requires integer entries"):
         rank_exact(np.array([[0.5]], dtype=object))
+    # the oracles name their matrix as the deciders do, square or not, symmetric or not
+    with pytest.raises(ValueError, match=r"^exact path requires integer entries \(matrix\)$"):
+        kalman_matrix([[0.5]], [1])
+    with pytest.raises(ValueError, match=r"^exact path requires integer entries \(matrix\)$"):
+        charpoly_exact([[0.5]])
+    with pytest.raises(ValueError, match=r"^exact path requires integer entries \(matrix\)$"):
+        rank_exact([[0.5]])
     with pytest.raises(ValueError, match=r"matrix has non-finite entries: \[0, 0\] = inf"):
         rank_exact(np.array([[float("inf")]], dtype=object))
     with pytest.raises(ValueError, match=r"vector has non-finite entries: \[1\] = nan"):
@@ -536,7 +550,7 @@ def test_negative_certificate_checks_in_python_ints_beyond_int64(monkeypatch):
     # any/all return for object input in the installed numpy
     swap = np.array([[0, 2**64], [2**64, 0]], dtype=object)
     verdict = exact_module._annihilated(swap[None], np.zeros(1, dtype=np.intp),
-                                        np.array([[1, 0]], dtype=object), np.array([[0, 1]]))
+                                        np.array([[[1], [0]]], dtype=object), np.array([[0, 1]]))
     assert verdict.dtype == bool and verdict.tolist() == [False]
 
 
@@ -639,7 +653,7 @@ def test_certificate_runs_on_sub_stacks_of_bounded_krylov_entries(monkeypatch, n
     calls = []
     real = exact_module._certified_ranks
     monkeypatch.setattr(exact_module, "_certified_ranks",
-                        lambda mats, cols: calls.append(mats.shape[0]) or real(mats, cols))
+                        lambda mats, cols, k: calls.append(mats.shape[0]) or real(mats, cols, k))
     for unsettled in (step - 1, step, step + 1):
         mats = [proved[0]]
         for i in range(unsettled):
@@ -729,19 +743,30 @@ def simple_spectrum_oracle(a) -> bool:
     return len(p) == 1
 
 
-def exact_hankel(a) -> np.ndarray:
-    """The power-sum Hankel matrix tr(A^(j+k)) over Python ints."""
-    return exact_module._power_sum_hankel(np.array(np.asarray(a).tolist(), dtype=object),
-                                          lambda x: x)
+def exact_powers(a) -> np.ndarray:
+    """The n^2 x n Krylov matrix of I under A, column j vec(A^j), over Python ints."""
+    a = np.array(np.asarray(a).tolist(), dtype=object)
+    return exact_module._krylov_exact(a, np.eye(len(a), dtype=object))
+
+
+def certified_degree(a) -> int:
+    """The mod-_P certificate's Krylov degree of I under A, or -1."""
+    a = np.asarray(a)
+    n = len(a)
+    return exact_module._certified_ranks(a[None], np.eye(n, dtype=a.dtype)[None], n).item()
 
 
 def test_hankel_rank_counts_distinct_eigenvalues():
-    # Hermite: rank H = number of distinct eigenvalues, det H = disc(chi)
+    # the Krylov degree of I is the degree of the minimal polynomial, the
+    # number of distinct eigenvalues; for symmetric A the Gram matrix K^T K
+    # of the powers is the power-sum Hankel matrix H[j, k] = tr(A^(j+k)),
+    # and Hermite: det H = disc(chi)
     for lam in ([4], [2, 2], [0, 1, 1, 5], [3, -1, 3, -1, 3], [7] * 6, [-2, 0, 5, 9, 11],
                 [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]):
-        h = exact_hankel(np.diag(lam))
+        k = exact_powers(np.diag(lam))
+        h = k.T @ k
         assert h[-1, -1] == sum(x ** (2 * len(lam) - 2) for x in lam)
-        assert rank_exact(h) == len(set(lam)), lam
+        assert rank_exact(k) == certified_degree(np.diag(lam)) == len(set(lam)), lam
         disc = 1
         for i, x in enumerate(lam):
             for y in lam[i + 1:]:
@@ -749,8 +774,8 @@ def test_hankel_rank_counts_distinct_eigenvalues():
         assert det_oracle(h) == disc, lam
     for n in range(1, 13):
         complete, _, path = rank_deficient_fixtures(n)
-        assert rank_exact(exact_hankel(complete)) == min(n, 2)  # n - 1 and -1
-        assert rank_exact(exact_hankel(path)) == n  # 2 cos(pi k / (n + 1)), all distinct
+        assert rank_exact(exact_powers(complete)) == min(n, 2)  # n - 1 and -1
+        assert rank_exact(exact_powers(path)) == n  # 2 cos(pi k / (n + 1)), all distinct
 
 
 def repeated_diagonals(n: int) -> list[np.ndarray]:
@@ -776,13 +801,30 @@ def test_simple_spectrum_certificate_against_rational_oracle(monkeypatch):
     assert oracle[len(mats):] == [True, True, True, False]
     oracle_calls = count_oracle_calls(monkeypatch)
     for a, simple in zip(mats, oracle):
-        assert exact_module._certified_simple_spectrum(np.asarray(a)) is simple, a
+        assert (certified_degree(a) == len(a)) is simple, a
         assert has_simple_spectrum_exact(a) is simple, a
     assert len(oracle_calls) == 0  # every spectrum certified, repeated ones too
     for a, simple in zip(fallbacks, oracle[len(mats):]):
-        assert exact_module._certified_simple_spectrum(np.asarray(a)) is None, a
+        assert certified_degree(a) == -1, a
         assert has_simple_spectrum_exact(a) is simple, a
     assert len(oracle_calls) == len(fallbacks)
+
+
+def test_large_spectra_certified_without_bareiss(monkeypatch):
+    # beyond the Kalman cap: K_n has two eigenvalues and P_n n distinct
+    # ones; 23 copies of one 2 x 2 block have two, each of multiplicity 23,
+    # and a minimal polynomial with coefficients near 2e6, within the lift
+    oracle_calls = count_oracle_calls(monkeypatch)
+    for n in (46, 64):
+        complete, _, path = rank_deficient_fixtures(n)
+        assert has_simple_spectrum_exact(complete) is False
+        assert has_simple_spectrum_exact(path) is True
+    blocks = np.kron(np.eye(23, dtype=np.int64), [[997, 1009], [1009, -983]])
+    assert certified_degree(blocks) == 2
+    assert has_simple_spectrum_exact(blocks) is False
+    assert has_simple_spectrum_exact(np.zeros((0, 0), dtype=np.int64)) is True
+    assert has_simple_spectrum_exact([[5]]) is True
+    assert len(oracle_calls) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +922,7 @@ def test_float_tier_leaves_ranks_unchanged_and_skips_proved_matrices(monkeypatch
     seen = []
     real = exact_module._certified_ranks
     monkeypatch.setattr(exact_module, "_certified_ranks",
-                        lambda mats, cols: seen.append(len(mats)) or real(mats, cols))
+                        lambda mats, cols, k: seen.append(len(mats)) or real(mats, cols, k))
     for mats, inputs, oracle in adversarial_cases()[::3]:
         eigsys = eig_sym(mats.astype(np.float64))
         seen.clear()
@@ -901,7 +943,7 @@ def test_unsettled_certificates_leave_float_proofs_standing(monkeypatch):
     # columns the float tier left: a -1 never overwrites a float-proved n
     cases = [case for case in adversarial_cases() if case[0].shape[1] <= 8]
     monkeypatch.setattr(exact_module, "_certified_ranks",
-                        lambda mats, cols: np.full((len(mats), cols.shape[2]), -1))
+                        lambda mats, cols, k: np.full((len(mats), cols.shape[2] // k), -1))
     oracle_calls = count_oracle_calls(monkeypatch)
     mixed = 0
     for mats, inputs, oracle in cases:
@@ -927,7 +969,7 @@ def test_float_tier_skips_entries_beyond_2_53_and_object_arrays(monkeypatch):
     seen = []
     real = exact_module._certified_ranks
     monkeypatch.setattr(exact_module, "_certified_ranks",
-                        lambda mats, cols: seen.append(len(mats)) or real(mats, cols))
+                        lambda mats, cols, k: seen.append(len(mats)) or real(mats, cols, k))
     for m, cols in skipped:
         ranks = kalman_ranks_exact(m, cols, eigsys=eig_sym(np.asarray(m, dtype=np.float64)))
         assert ranks == kalman_ranks_exact(m, cols)

@@ -450,7 +450,7 @@ def test_eigh_failure_names_the_failing_trial(monkeypatch):
 def test_certificate_leaves_exact_records_unchanged(monkeypatch):
     # the same cells with the float tier and the mod-_P certificates
     # switched off, so every Kalman rank, full or not, and every spectrum's
-    # Hankel rank goes through Bareiss
+    # Krylov degree goes through Bareiss
     configs = [
         make_scenario_config("conj1", n_grid=(8, 16, 24), trials=2),
         make_scenario_config("conj2", n_grid=(8, 24), trials=3),
@@ -468,8 +468,7 @@ def test_certificate_leaves_exact_records_unchanged(monkeypatch):
     real_rank = exact.rank_exact
     monkeypatch.setattr(exact, "rank_exact", lambda m: bareiss.append(1) or real_rank(m))
     monkeypatch.setattr(exact, "_certified_ranks",
-                        lambda mats, cols: np.full((len(mats), cols.shape[-1]), -1))
-    monkeypatch.setattr(exact, "_certified_simple_spectrum", lambda a: None)
+                        lambda mats, cols, k: np.full((len(mats), cols.shape[-1] // k), -1))
     monkeypatch.setattr(exact, "_float_certified",
                         lambda mats, cols, eigsys: np.zeros((len(mats), cols.shape[-1]), bool))
     assert run_all() == certified
@@ -487,8 +486,10 @@ def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
     # of the mod-_P certificate, and Bareiss calls.  The float tier settles
     # every column of conj1 and conj2.  minctrl-gnp's basis scans take five
     # sub-stacks of at most 2^14 Krylov entries (16 + 4 matrices at n = 10,
-    # 9 + 9 + 2 at n = 12), and its one trial without a controllable basis
-    # input decides its layer of 2-supports in one more call.
+    # 9 + 9 + 2 at n = 12).  Its three trials at n = 10 without a
+    # controllable basis input each test their spectrum in a one-matrix
+    # call, and the one with a simple spectrum decides its layer of
+    # 2-supports in one more call.
     configs = {
         "conj1": make_scenario_config("conj1", method="both", n_grid=(16, 24), trials=4,
                                       p=0.5, master_seed=1506),
@@ -500,7 +501,8 @@ def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
     certified, bareiss = [], []
     real_certified, real_rank = exact._certified_ranks, exact.rank_exact
     monkeypatch.setattr(exact, "_certified_ranks",
-                        lambda mats, cols: certified.append(len(mats)) or real_certified(mats, cols))
+                        lambda mats, cols, k: certified.append(len(mats))
+                        or real_certified(mats, cols, k))
     monkeypatch.setattr(exact, "rank_exact", lambda m: bareiss.append(1) or real_rank(m))
     counts = {}
     for name, config in configs.items():
@@ -508,7 +510,7 @@ def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
         bareiss.clear()
         run_experiment(config)
         counts[name] = (len(certified), sum(certified), len(bareiss))
-    assert counts == {"conj1": (0, 0, 0), "conj2": (0, 0, 0), "minctrl-gnp": (6, 41, 0)}
+    assert counts == {"conj1": (0, 0, 0), "conj2": (0, 0, 0), "minctrl-gnp": (9, 44, 0)}
 
 
 def test_conj1_trial_falls_back_when_certificate_fails(monkeypatch):
