@@ -322,8 +322,8 @@ def _krylov_degrees(mats: np.ndarray, cols: np.ndarray, k: int, ranks: np.ndarra
     (m n^2)) matrices, so one Krylov stack holds at most
     ``_KRYLOV_ENTRIES`` int64 entries (or one matrix's) however many
     matrices or inputs a call has.  The blocks still -1 go through Bareiss
-    :func:`rank_exact` on their Krylov matrix over Python ints, so the
-    degrees equal the Bareiss ranks for every input.
+    :func:`rank_exact` on the nonzero rows of their Krylov matrix over
+    Python ints, so the degrees equal the Bareiss ranks for every input.
     """
     _, n, m = cols.shape
     rest = (ranks < 0).any(axis=1).nonzero()[0]
@@ -333,7 +333,8 @@ def _krylov_degrees(mats: np.ndarray, cols: np.ndarray, k: int, ranks: np.ndarra
         left = ranks[sub]
         ranks[sub] = np.where(left < 0, _certified_ranks(mats[sub], cols[sub], k), left)
     for i, j in zip(*(ranks < 0).nonzero()):
-        ranks[i, j] = rank_exact(_krylov_exact(mats[i], cols[i, :, j * k:(j + 1) * k]))
+        krylov = _krylov_exact(mats[i], cols[i, :, j * k:(j + 1) * k])
+        ranks[i, j] = rank_exact(krylov[(krylov != 0).any(axis=1)])
     return ranks
 
 
@@ -377,15 +378,18 @@ def _eigvec_bounds(a: np.ndarray, w: np.ndarray, x: np.ndarray) -> tuple[np.ndar
     eigenvalues, and then A_t has a unit eigenvector u_i with
     ||u_i - x_i|| <= dist[t, i] for every column x_i.
 
-    Write W = diag(w) and u = 2^-53.  The bounds, in exact arithmetic:
+    Write W = diag(w) and ||.|| for the 2-norm, which ||.||_F and
+    n max|m_ij| bound.  The bounds, in exact arithmetic:
 
-    * rho >= ||A X - X W||_2.  The residual R is computed in float; each
-      entry is an inner product of length n + 1, so it is off by at most
+    * rho >= ||A X - X W||.  The residual R is computed in float; each entry
+      is an inner product of length n + 1, so it is off by at most
       gamma_(n+2) (|A| |X| + |X| |W|) (Higham, *Accuracy and Stability of
-      Numerical Algorithms*, sec. 3.5), for any BLAS summation order.
-    * eta >= ||X^T X - I||_2, the same way with gamma_(n+2) (|X|^T |X| + I).
-      It must be at most 0.01.
-    * delta >= ||Q^T A Q - W||_2, where X = Q H is the polar decomposition.
+      Numerical Algorithms*, sec. 3.5), for any BLAS summation order, and
+      R by at most gamma_(n+2) ||X||_F (||A||_F + max|w|) in norm.
+    * eta >= ||X^T X - I||, the same way: the error is at most gamma_(n+2)
+      (|X|^T |X| + I) entrywise, so gamma_(n+2) (||X||_F^2 + 1) in norm
+      (split off a diagonal part within gamma_(n+2) I).  It must be <= 0.01.
+    * delta >= ||Q^T A Q - W||, where X = Q H is the polar decomposition.
       The singular values of X lie in [sqrt(1 - eta), sqrt(1 + eta)], so
       ||H - I|| <= eta and ||H^-1|| <= 1 / sqrt(1 - eta).  From
       A Q H = Q H W + R, Q^T A Q - W = (H W - W H + Q^T R) H^-1, and
@@ -399,31 +403,29 @@ def _eigvec_bounds(a: np.ndarray, w: np.ndarray, x: np.ndarray) -> tuple[np.ndar
       (W - l) y = -(Q^T A Q - W) y, the components of y off i are at most
       delta / (g_i - delta) in norm (Davis-Kahan sin theta), so with the
       sign that makes y_i >= 0, ||y - e_i|| <= sqrt(2) delta / (g_i - delta).
-      u_i = Q y is a unit eigenvector of A, and ||Q e_i - x_i|| =
-      ||(I - H) e_i|| <= eta, so
-      dist_i = eta + sqrt(2) delta / (g_i - delta).
+      u_i = Q y is a unit eigenvector of A, and ||Q e_i - x_i|| = ||(I - H)
+      e_i|| <= eta, so dist_i = eta + sqrt(2) delta / (g_i - delta).
 
-    Every bound is computed in float from nonnegative terms, so a relative
-    error of a few u and, on underflow, an absolute error far below 2^-1000
-    make it off; :func:`_upper` covers both.  2-norms are bounded by
-    n max|m_ij|, which takes no rounding.  Gaps are lower bounds after
-    division by 1.01.  A non-finite value anywhere proves nothing: every
-    test is a strict comparison, false on NaN.  The residual is computed
-    from A itself, so an eigensystem of another matrix can only fail to
-    prove anything.
+    Every bound is computed in float from nonnegative terms, off by a
+    relative error far below 1% (at most about n^2 2^-53) and, on
+    underflow, an absolute one far below 2^-1000; :func:`_upper` covers
+    both.  ||X||_F^2 loses at most 2^-1075 per squared entry that
+    underflows: an absolute error in eta, and a relative one below
+    n 2^-1074 in rho, which counts only where eta <= 0.01, so
+    ||X||_F^2 >= 0.99 n.  A is integer, so ||A||_F^2 does not underflow.
+    Gaps are lower bounds after division by 1.01.  A non-finite value
+    anywhere proves nothing: every test is a strict comparison, false on
+    NaN.  The residual is computed from A itself, so an eigensystem of
+    another matrix can only fail to prove anything.
     """
     t, n, _ = a.shape
-    diag = np.arange(n)
-    absx = np.abs(x)
-    resid = a @ x - x * w[:, None, :]
-    size = np.abs(a) @ absx + absx * np.abs(w)[:, None, :]
-    rho = _upper(_peak_norm(resid) + _gamma(n + 2) * _peak_norm(size))
-    defect = x.transpose(0, 2, 1) @ x
-    defect[:, diag, diag] -= 1
-    size = absx.transpose(0, 2, 1) @ absx
-    size[:, diag, diag] += 1
-    eta = _upper(_peak_norm(defect) + _gamma(n + 2) * _peak_norm(size))
-    delta = _upper((rho + 2 * eta * np.abs(w).max(axis=1)) / np.sqrt(1 - eta))[:, None]
+    gamma, top = _gamma(n + 2), np.abs(w).max(axis=1)
+    frob_x = (x * x).sum(axis=(1, 2))  # ||X||_F^2
+    frob_a = np.sqrt((a * a).sum(axis=(1, 2)))
+    rho = _upper(_peak_norm(a @ x - x * w[:, None, :]) + gamma * np.sqrt(frob_x) * (frob_a + top))
+    defect = x.transpose(0, 2, 1) @ x - np.eye(n)
+    eta = _upper(_peak_norm(defect) + gamma * (frob_x + 1))
+    delta = _upper((rho + 2 * eta * top) / np.sqrt(1 - eta))[:, None]
     gaps = np.diff(w, axis=1) / _SLACK
     simple = (eta <= _MAX_DEFECT) & (gaps > 2 * delta).all(axis=1)
     edge = np.full((t, 1), np.inf)
@@ -431,25 +433,22 @@ def _eigvec_bounds(a: np.ndarray, w: np.ndarray, x: np.ndarray) -> tuple[np.ndar
     return simple, _upper(eta[:, None] + math.sqrt(2) * delta / (own - delta))
 
 
-def _inner_products(x: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x_i . b for every column x_i of each matrix of the stack `x` and
-    every column b of its inputs `cols`, indexed [t, i, j], computed in
-    float, and a bound on each one's error: gamma_n |x_i| . |b|, which
-    :func:`_upper` makes an upper bound when computed in float."""
-    xt = x.transpose(0, 2, 1)
-    return xt @ cols, _upper(_gamma(x.shape[1]) * (np.abs(xt) @ np.abs(cols)))
+def _inner_error(n: int) -> float:
+    """gamma_n sqrt(1.01) >= gamma_n |x| . |b| / ||b|| for ||x||^2 <= 1.01 (Cauchy-Schwarz)."""
+    return _gamma(n) * math.sqrt(1 + _MAX_DEFECT)
 
 
 def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem) -> np.ndarray:
     """bool [t, j]: whether eigsys[t], of the stack `eigsys`, proves (A, b)
     controllable, for each matrix A of the stack `mats` and each column b of its inputs.
 
-    For unit eigenvectors u_i of A and the bound dist_i >= ||u_i - x_i||
-    of :func:`_eigvec_bounds`, |u_i . b| >= |fl(x_i . b)| - gamma_n
-    |x_i| . |b| - dist_i ||b||, so when that is positive for every i and
-    the spectrum is simple, no eigenvector of A is orthogonal to b and
-    (A, b) is controllable (PBH): its Kalman rank is n.  The test applies
-    only where float64 holds A and b exactly (:func:`_exact_floats`).
+    Where the spectrum is proved simple, ||x_i||^2 <= 1 + eta <= 1.01, so
+    for unit eigenvectors u_i of A and the bound dist_i >= ||u_i - x_i||
+    of :func:`_eigvec_bounds`, |u_i . b| >= |fl(x_i . b)| - (e + dist_i)
+    ||b|| with e = :func:`_inner_error`.  When that is positive for every
+    i, no eigenvector of A is orthogonal to b and (A, b) is controllable
+    (PBH): its Kalman rank is n.  The test applies only where float64 holds
+    A and b exactly (:func:`_exact_floats`).
     """
     t, n, _ = mats.shape
     w, x = eigsys.eigenvalues, _eigenvectors(eigsys)
@@ -460,9 +459,9 @@ def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem) ->
         return np.zeros((t, cols.shape[-1]), dtype=bool)
     with np.errstate(all="ignore"):
         simple, dist = _eigvec_bounds(a, w, x)
-        inner, err = _inner_products(x, b)
         norm_b = np.sqrt((b * b).sum(axis=-2))[..., None, :]
-        clear = np.abs(inner) > err + _upper(dist[:, :, None] * norm_b)
+        err = _upper((dist[:, :, None] + _inner_error(n)) * norm_b)
+        clear = np.abs(x.transpose(0, 2, 1) @ b) > err
     return simple[:, None] & clear.all(axis=1)
 
 
@@ -475,8 +474,8 @@ def has_simple_spectrum_exact(a) -> bool:
 
     Decided exactly as the Krylov degree of I under A, the degree of A's
     minimal polynomial, being n: certified mod ``_P`` in both directions
-    as in :func:`kalman_ranks_exact`, else by Bareiss on the n^2 x n
-    matrix of the powers vec(A^j) over Python integers.
+    as in :func:`kalman_ranks_exact`, else by Bareiss on the nonzero rows
+    of the n^2 x n matrix of the powers vec(A^j) over Python integers.
     """
     mat = _matrix(a, _ints)
     n = len(mat)

@@ -30,6 +30,7 @@ from .spectral import (
     EigenSystem,
     INDETERMINATE,
     Tolerances,
+    _integer,
     _matrix,
     _stack_of_one,
     basis_witnesses,
@@ -114,9 +115,9 @@ def support_feasibility(a, support, tolerances: Tolerances | None = None,
     eigenvector has a coordinate inside the support above the orthogonality
     threshold: :func:`classify` calls the witness min_j max_{i in support}
     |V[i, j]| controllable with norm_b = 1 (eigenvectors are unit length).
-    Indeterminate counts as infeasible.  Indices must lie in [0, n).
+    Indeterminate counts as infeasible.  Indices must be integers in [0, n).
     """
-    idx = sorted(set(int(i) for i in support))
+    idx = sorted(set(_integer(i, "support index") for i in support))
     if not idx:
         raise ValueError("support must be nonempty")
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
@@ -179,7 +180,8 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
     """
     mat = _matrix(a, _ints if entry_mode == "binary01" else None)
     n = len(mat)
-    kmax = n if kmax is None else kmax
+    kmax = n if kmax is None else _integer(kmax, "kmax")
+    budget = _integer(budget, "budget")
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must lie in [1, {n}], got {kmax}")
     if scan is not None and (entry_mode != "binary01" or scan.method != "exact"):

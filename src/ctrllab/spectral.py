@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .codec import Record
-from .ensembles import Atom, _rng, nonfinite_error
+from .ensembles import Atom, _finite_vector, _rng, nonfinite_error
 from .seeding import SeedPath
 
 __all__ = [
@@ -185,6 +185,14 @@ def _matrix(a, ints=None, system: bool = True) -> np.ndarray:
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"expected a square matrix, got shape {shape}")
     return _checked(a, ints, system, "matrix")
+
+
+def _integer(value, name: str) -> int:
+    """`value`, a Python or numpy integer but not a bool, as an int; else a
+    ValueError naming it `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _vector(b, n: int, ints=None) -> np.ndarray:
@@ -402,7 +410,7 @@ def basis_witnesses(eigsys: EigenSystem) -> tuple:
 
 def _minor_split(a: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Conjugate index i to the last slot; return (minor, off-column X)."""
-    n = a.shape[0]
+    n, i = a.shape[0], _integer(i, "minor index")
     if not 0 <= i < n:
         raise ValueError(f"minor index {i} out of range for n={n}")
     keep = [k for k in range(n) if k != i]
@@ -531,10 +539,8 @@ def small_ball_estimate(x, atom: Atom, delta: float, m: int,
     samples, so the estimate is a plug-in upper realization of the sup.
     The samples are drawn from `seed`, a generator or the seed path of one.
     """
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.ndim != 1:
-        raise ValueError("x must be a vector")
-    if m < 1000:
+    xv = _finite_vector(x, "x")
+    if _integer(m, "m") < 1000:
         raise ValueError(f"need m >= 1000 samples, got {m}")
     if not delta > 0:
         raise ValueError(f"window half-width must be positive, got {delta}")

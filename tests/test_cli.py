@@ -1,5 +1,7 @@
 import argparse
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,3 +363,14 @@ def test_eigensolver_failure_is_one_error_line(monkeypatch, capsys):
     # the label is the seed lineage of the first matrix that fails
     assert line == ("ctrllab: error: eigh failed to converge (('thm-goe', 6, 0)): "
                     "Eigenvalues did not converge")
+
+
+def test_pyproject_reads_the_package_version():
+    # one version string: pyproject takes it from ctrllab._version
+    pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is "beta" in some releases
+        project = pyproject.read_configuration(path)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == __version__

@@ -810,6 +810,26 @@ def test_simple_spectrum_certificate_against_rational_oracle(monkeypatch):
     assert len(oracle_calls) == len(fallbacks)
 
 
+def test_bareiss_sees_no_zero_rows(monkeypatch):
+    # the diagonal's Krylov matrix of I has n^2 - n rows that are zero for
+    # every power, and a disconnected graph's Kalman matrix of e_0 is zero
+    # off its component; only the nonzero rows reach Bareiss, with the
+    # same ranks
+    seen = []
+    real_rank = exact_module.rank_exact
+    monkeypatch.setattr(exact_module, "rank_exact", lambda m: seen.append(m) or real_rank(m))
+    diag = repeated_diagonals(24)[0]  # beyond the lift, so Bareiss decides
+    assert has_simple_spectrum_exact(diag) is False
+    assert [m.shape for m in seen] == [(24, 24)]
+    monkeypatch.setattr(exact_module, "_certified_ranks",
+                        lambda mats, cols, k: np.full((len(mats), cols.shape[2] // k), -1))
+    two = np.kron(np.eye(2, dtype=np.int64), np.array(P3))  # two copies of P_3
+    seen.clear()
+    assert kalman_ranks_exact(two, np.eye(6, dtype=np.int64)) == [3, 2, 3] * 2
+    assert [m.shape for m in seen] == [(3, 6)] * 6
+    assert all((m != 0).any(axis=1).all() for m in seen)
+
+
 def test_large_spectra_certified_without_bareiss(monkeypatch):
     # beyond the Kalman cap: K_n has two eigenvalues and P_n n distinct
     # ones; 23 copies of one 2 x 2 block have two, each of multiplicity 23,
@@ -896,6 +916,7 @@ def test_float_tier_never_certifies_a_deficient_column():
         certified += int(proved.sum())
     assert deficient > 5000
     assert certified > 0.8 * full
+    assert (certified, full) == (4423, 4753)
 
 
 def test_float_tier_certified_columns_have_full_bareiss_rank():
@@ -1037,18 +1058,51 @@ def test_eigenvector_distance_bound_dominates_exact_distance(kind):
 
 
 def test_inner_product_error_bound_dominates_rounding():
-    # integer inputs up to 2^52 against unit vectors: heavy cancellation
+    # integer inputs up to 2^52 against unit vectors: heavy cancellation;
+    # the float tier charges the rounding of x_i . b as _inner_error(n) ||b||
     rng = np.random.default_rng(5)
     n = 24
     x = eig_sym(sample_gnp(n, 0.5, SeedPath(5, ("inner",)))).eigenvectors
     cols = np.column_stack([rng.integers(-2**52, 2**52, (n, 6)), rng.integers(-3, 4, (n, 2))])
     cols[:, 0] = np.round(x[:, 0] * 2**52)  # nearly parallel to x_0, so x_1 . b cancels
-    inner, err = exact_module._inner_products(x[None], cols.astype(np.float64))
+    b = cols.astype(np.float64)
+    inner = x[None].transpose(0, 2, 1) @ b[None]
+    err = exact_module._upper(exact_module._inner_error(n) * np.sqrt((b * b).sum(axis=0)))
     rounded = 0
     for i in range(n):
         for j in range(cols.shape[1]):
             exact = sum(Fraction(p) * int(q) for p, q in zip(x[:, i], cols[:, j]))
             off = abs(Fraction(float(inner[0, i, j])) - exact)
-            assert off <= Fraction(float(err[0, i, j])), (i, j)
+            assert off <= Fraction(float(err[j])), (i, j)
             rounded += off > 0
     assert rounded > n  # the bound is tested where rounding happened
+
+
+def test_float_tier_proves_nothing_false_from_scaled_eigensystems():
+    # eigenvectors scaled by 2^-600 (their squares underflow) or 2^600
+    # (their squares overflow) prove nothing at all; A scaled by 2^40, with
+    # the same Kalman ranks, proves only full-rank columns, with its own
+    # eigensystem or a scaled one
+    n = 12
+    root = SeedPath(2040, ("scaled",))
+    good = [sample_gnp(n, 0.5, root.child(t)) for t in range(3)]
+    mats = np.stack(good + [with_twins(good[0]), np.diag(np.arange(n) // 2),
+                            rank_deficient_fixtures(n)[0]])
+    inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64),
+                              np.random.default_rng(2040).integers(-2**52, 2**52, n)])
+    oracle = np.array(kalman_ranks_exact(mats, inputs))
+    assert (oracle < n).any() and (oracle == n).any()
+    for a in (mats, 2**40 * mats):
+        es = eig_sym(a.astype(np.float64))
+        proved = float_tier(a, inputs, es)
+        assert proved.any() and not (proved & (oracle < n)).any()
+        for scale in (2.0**-600, 2.0**600):
+            scaled = EigenSystem(es.eigenvalues, es.eigenvectors * scale)
+            assert not float_tier(a, inputs, scaled).any()
+    # on P_2 the Weyl and Davis-Kahan bounds alone hold up to a defect near
+    # 0.4, but no proof is accepted beyond a defect bound of 0.01
+    p2, eye = np.array([[0, 1], [1, 0]]), np.eye(2, dtype=np.int64)
+    es = eig_sym(p2[None].astype(np.float64))
+    for scale, proved in ((1 + 2.0**-9, True), (1 + 2.0**-5, False)):  # defect 0.008, 0.13
+        scaled = EigenSystem(es.eigenvalues, es.eigenvectors * scale)
+        assert (float_tier(p2[None], eye, scaled) == proved).all()

@@ -128,6 +128,43 @@ def test_support_feasibility_rejects_indices_out_of_range():
         support_feasibility(None, [3], eigsys=eig_sym(P3.astype(float)))
 
 
+def test_support_feasibility_rejects_non_integer_indices():
+    # 0.7 must not be read as index 0
+    with pytest.raises(ValueError, match=r"support index must be an integer, got 0\.7"):
+        support_feasibility(P3.astype(float), [0.7])
+    with pytest.raises(ValueError, match=r"support index must be an integer, got 2\.0"):
+        support_feasibility(P3.astype(float), [0, 2.0])
+
+
+def test_sparsest_input_names_a_non_integer_kmax():
+    with pytest.raises(ValueError, match=r"kmax must be an integer, got 2\.5"):
+        sparsest_input(P3, kmax=2.5)
+    with pytest.raises(ValueError, match=r"kmax must be an integer, got 2\.5"):
+        sparsest_input(P3.astype(float), kmax=2.5, entry_mode="generic-random", seed=SEED)
+
+
+def test_sparsest_input_names_a_non_integer_budget():
+    with pytest.raises(ValueError, match=r"budget must be an integer, got 20\.5"):
+        sparsest_input(np.diag([1, 2, 3, 4, 5]), budget=20.5)
+    with pytest.raises(ValueError, match=r"budget must be an integer, got 20\.5"):
+        sparsest_input(np.diag([1.0, 2.0, 3.0]), entry_mode="generic-random", seed=SEED,
+                       budget=20.5)
+
+
+def test_bools_are_not_indices_or_counts_but_numpy_integers_are():
+    with pytest.raises(ValueError, match=r"support index must be an integer, got True"):
+        support_feasibility(P3.astype(float), [True])
+    with pytest.raises(ValueError, match=r"kmax must be an integer, got True"):
+        sparsest_input(P3, kmax=True)
+    with pytest.raises(ValueError, match=r"budget must be an integer, got True"):
+        sparsest_input(P3, budget=True)
+    assert support_feasibility(P3.astype(float), [np.int64(0)]) is True
+    assert support_feasibility(P3.astype(float), np.array([1])) is False
+    five = np.diag([1, 2, 3, 4, 5])
+    assert sparsest_input(five, kmax=np.int32(2), budget=np.int64(20)) == \
+        sparsest_input(five, kmax=2, budget=20)
+
+
 def test_support_monotonicity():
     root = SEED.child("mono")
     for t in range(20):

@@ -424,6 +424,18 @@ def test_coordinate_identity_identity_matrix_raises():
         eigvec_coordinate_check(np.eye(2), 1)
 
 
+def test_minor_index_must_be_an_integer():
+    # 1.5 once raised a bare IndexError, and True ran on index 1
+    for check in (interlacing_check, eigvec_coordinate_check):
+        with pytest.raises(ValueError, match=r"minor index must be an integer, got 1\.5"):
+            check(P3, 1.5)
+        with pytest.raises(ValueError, match=r"minor index must be an integer, got True"):
+            check(P3, True)
+        assert check(P3, np.int64(1)) == check(P3, 1)
+    with pytest.raises(ValueError, match=r"minor index must be an integer, got 1\.5"):
+        shared_eigenvalue_witness(P3, 1.5, 1e-7)
+
+
 def test_coordinate_identity_goe_all_minors():
     root = SEED.child("coord")
     for t in range(10):
@@ -573,3 +585,13 @@ def test_small_ball_validates_inputs():
         small_ball_estimate([1.0], Atom.rademacher(), 0.0, 2000, SEED)
     with pytest.raises(ValueError, match="window half-width must be positive, got nan"):
         small_ball_estimate([1.0], Atom.rademacher(), math.nan, 2000, SEED)
+
+
+def test_small_ball_names_a_non_finite_entry_and_a_non_integer_m():
+    # [1, nan] once gave rho_hat = 1.0
+    with pytest.raises(ValueError, match=r"x has non-finite entries: \[1\] = nan"):
+        small_ball_estimate([1.0, math.nan], Atom.rademacher(), 0.1, 2000, SEED)
+    with pytest.raises(ValueError, match=r"m must be an integer, got 1000\.5"):
+        small_ball_estimate([1.0], Atom.rademacher(), 0.1, 1000.5, SEED)
+    assert small_ball_estimate([1.0], Atom.rademacher(), 0.1, np.int64(2000), SEED) == \
+        small_ball_estimate([1.0], Atom.rademacher(), 0.1, 2000, SEED)
