@@ -276,6 +276,14 @@ def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
+def _integer(value, name: str) -> int:
+    """`value`, a Python or numpy integer but not a bool, as an int; else a
+    ValueError naming it `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _rng(seed: SeedPath | np.random.Generator) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else seed.generator()
 
@@ -331,6 +339,7 @@ def _sample_stack(spec: EnsembleSpec, rngs, n: int) -> np.ndarray:
     diagonal, from its own generator; the draws are scattered into the
     stack at once and mirrored by one transpose-add, which adds exact zeros.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     iu = _upper_indices(n)
@@ -461,6 +470,7 @@ def sample_vector(spec: VectorSpec, n: int, seed: SeedPath | np.random.Generator
     all-zeros draw), so the result has unit Euclidean norm to rounding.
     Kinds that are not :attr:`VectorSpec.seeded` never read `seed`.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     misfit = _vector_misfit(spec, n)

@@ -18,19 +18,20 @@ serves as the oracle in the tests.
 
 Degrees are decided for a whole stack of matrices at once, each with its
 own inputs (:func:`_krylov_degrees`): inputs shared by the stack are
-repeated once per matrix on entry.  The Krylov matrices of a stack are
-built with one stacked matrix product per power and eliminated in one
-batched call per sub-stack of at most ``_KRYLOV_ENTRIES`` entries, so
-numpy's per-call overhead is paid once per sub-stack, not once per matrix,
-and memory stays bounded for any batch.  A single matrix is a stack of one.
-The degrees pass from tier to tier as one (T, blocks) array in which -1
-marks a degree not yet settled, and each tier fills only -1 entries.  A
-caller that already holds float eigensystems of the stack passes them to
-:func:`kalman_ranks_exact`: a rigorous perturbation bound on the
-eigensystem proves rank n for most controllable pairs (the PBH test:
-simple spectrum, no eigenvector orthogonal to b); only matrices with a
-column it leaves unproved go on to the mod-p certificate, and only columns
-that one leaves unsettled go on to Bareiss.
+repeated once per matrix on entry.  The degrees pass from tier to tier as
+one (T, blocks) array in which -1 marks a degree not yet settled, and each
+tier sees only the -1 entries.  A caller that already holds float
+eigensystems of the stack passes them to :func:`kalman_ranks_exact`: a
+rigorous perturbation bound on the eigensystem proves rank n for most
+controllable pairs (the PBH test: simple spectrum, no eigenvector
+orthogonal to b).  The matrices with a column left go on to the mod-p
+certificate in sub-stacks of at most ``_KRYLOV_ENTRIES`` Krylov entries,
+so numpy's per-call overhead is paid once per sub-stack, not once per
+matrix, and memory stays bounded for any batch: the Krylov powers of each
+sub-stack are built with one stacked matrix product per power, and the
+Krylov matrices of its unsettled columns alone are eliminated, in one
+batched call.  Only the columns that the certificate leaves unsettled go
+on to Bareiss.  A single matrix is a stack of one.
 
 Krylov entries grow like ``norm(A)**n``, so the Kalman path is capped at
 ``DEFAULT_EXACT_CAP`` dimensions by default; pass ``cap=None`` (or a larger
@@ -282,34 +283,38 @@ def _peak(x: np.ndarray) -> int:
     return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
-def _certified_ranks(mats: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    """Krylov degree of each block of k consecutive columns B of the inputs
-    of each matrix A of the stack `mats`, where a certificate proves it,
-    else -1; indexed [t, j] for block j.
+def _certified_ranks(mats: np.ndarray, cols: np.ndarray, k: int, ranks: np.ndarray) -> np.ndarray:
+    """`ranks` (T x m / k) with each -1 entry replaced by the Krylov degree
+    of its block of k consecutive columns B of the inputs `cols` (T x n x m)
+    of its matrix A of the stack `mats`, where a certificate proves it; the
+    other entries are returned as they are.
 
-    `cols` (T x n x m, m a multiple of k) holds the inputs of each matrix,
-    and the Krylov matrices of all blocks (:func:`_krylov`) are eliminated
-    together by :func:`_echelon_mod_p`.  The rank r mod _P never exceeds
-    the rank over the rationals, so r = n is proved.  For r < n, the monic
-    relation q(A) B = 0 mod _P of degree r is lifted to the integers and
-    checked exactly, all short blocks of all matrices in one check; if it
-    holds, B, AB, ..., A^r B are dependent over the rationals too, and the
-    rank is exactly r.  A zero block has rank 0 and the relation q = 1.
+    The Krylov powers of all inputs of each matrix are built together
+    (:func:`_krylov`, one stacked product per power), and only the Krylov
+    matrices of the -1 blocks are gathered and eliminated together by
+    :func:`_echelon_mod_p`.  The rank r mod _P never exceeds the rank over
+    the rationals, so r = n is proved.  For r < n, the monic relation
+    q(A) B = 0 mod _P of degree r is lifted to the integers and checked
+    exactly, all short blocks in one check; if it holds, B, AB, ..., A^r B
+    are dependent over the rationals too, and the rank is exactly r.  A
+    zero block has rank 0 and the relation q = 1.
     """
     t, n, m = cols.shape
     blocks = m // k
     if n > _MOD_MAX_N:
-        return np.full((t, blocks), -1)
-    krylov = _krylov(_residues(mats), _residues(cols), _reduce)
-    rank, echelon = _echelon_mod_p(krylov.reshape(t * blocks, k * n, n))
-    rank, echelon = rank.reshape(t, blocks), echelon.reshape(t, blocks, n, n)
-    which, short = (rank < n).nonzero()
-    if which.size:
-        low = rank[which, short]
-        polys = _relations_mod_p(echelon[which, short], low)
-        ok = _annihilated(mats, which, cols.reshape(t, n, blocks, k)[which, :, short], polys)
-        rank[which, short] = np.where(ok, low, -1)
-    return rank
+        return ranks
+    which, block = (ranks < 0).nonzero()
+    krylov = _krylov(_residues(mats), _residues(cols), _reduce).reshape(t, blocks, k * n, n)
+    rank, echelon = _echelon_mod_p(krylov[which, block])
+    short = (rank < n).nonzero()[0]
+    if short.size:
+        low = rank[short]
+        polys = _relations_mod_p(echelon[short], low)
+        inputs = cols.reshape(t, n, blocks, k)[which[short], :, block[short]]
+        rank[short] = np.where(_annihilated(mats, which[short], inputs, polys), low, -1)
+    ranks = ranks.copy()
+    ranks[which, block] = rank
+    return ranks
 
 
 def _krylov_degrees(mats: np.ndarray, cols: np.ndarray, k: int, ranks: np.ndarray) -> np.ndarray:
@@ -319,9 +324,10 @@ def _krylov_degrees(mats: np.ndarray, cols: np.ndarray, k: int, ranks: np.ndarra
 
     The matrices with a -1 left are certified mod ``_P``
     (:func:`_certified_ranks`) in sub-stacks of at most max(1, 2^14 //
-    (m n^2)) matrices, so one Krylov stack holds at most
-    ``_KRYLOV_ENTRIES`` int64 entries (or one matrix's) however many
-    matrices or inputs a call has.  The blocks still -1 go through Bareiss
+    (m n^2)) matrices, so one Krylov stack, and so one elimination, holds
+    at most ``_KRYLOV_ENTRIES`` int64 entries (or one matrix's) however
+    many matrices or inputs a call has; only the -1 blocks of a sub-stack
+    are eliminated.  The blocks still -1 go through Bareiss
     :func:`rank_exact` on the nonzero rows of their Krylov matrix over
     Python ints, so the degrees equal the Bareiss ranks for every input.
     """
@@ -330,8 +336,7 @@ def _krylov_degrees(mats: np.ndarray, cols: np.ndarray, k: int, ranks: np.ndarra
     step = max(1, _KRYLOV_ENTRIES // max(1, m * n * n))
     for start in range(0, rest.size, step):
         sub = rest[start:start + step]
-        left = ranks[sub]
-        ranks[sub] = np.where(left < 0, _certified_ranks(mats[sub], cols[sub], k), left)
+        ranks[sub] = _certified_ranks(mats[sub], cols[sub], k, ranks[sub])
     for i, j in zip(*(ranks < 0).nonzero()):
         krylov = _krylov_exact(mats[i], cols[i, :, j * k:(j + 1) * k])
         ranks[i, j] = rank_exact(krylov[(krylov != 0).any(axis=1)])
@@ -504,7 +509,8 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
        magnitude at most 2^53 held in fixed-width dtypes, and only proves
        full rank; a wrong eigensystem can make it prove less, never wrong.
     2. The entries still -1 are certified mod ``_P`` in bounded sub-stacks,
-       else decided by Bareiss (:func:`_krylov_degrees`).
+       which eliminate only those columns, else decided by Bareiss
+       (:func:`_krylov_degrees`).
 
     The zero vector has rank 0.  At rank r < n mod p the certificate lifts
     the monic relation q(A) b = 0 mod p of degree r to (-p/2, p/2] and

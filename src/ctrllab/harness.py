@@ -51,6 +51,7 @@ from .spectral import (
     CONTROLLABLE,
     INDETERMINATE,
     UNCONTROLLABLE,
+    EigenDecompositionError,
     EigenSystem,
     Tolerances,
     _pbh_stack,
@@ -271,12 +272,13 @@ class _Family:
     each trial draws a matrix A, the config's input vector b (None for
     every standard basis input at once) and the generators of the streams
     `extra` names.  When `kalman` is set and the exact method runs at n,
-    the Kalman ranks of those inputs come from one call, and the
-    eigensystems of the matrices come from one stacked :func:`eig_sym` as
-    `eig` says: "vectors" or "values" always, with or without eigenvectors;
-    "float" with eigenvectors whenever the float method runs; None never.
-    Then `decide(config, n, chunk)` gives the outcome of each trial of the
-    :class:`_Chunk` in order: (success, indeterminate, verdicts, witnesses).
+    the Kalman ranks of those inputs come from one call.  The eigensystems
+    of the matrices come from one stacked :func:`eig_sym` whenever `eig` is
+    "vectors" or "values" (with or without eigenvectors), and with
+    eigenvectors whenever the Kalman ranks are computed, which they help
+    certify.  Then `decide(config, n, chunk)` gives the outcome of each
+    trial of the :class:`_Chunk` in order: (success, indeterminate,
+    verdicts, witnesses).
     A family whose work is per trial yields them one at a time, so that a
     trial's own work runs inside its :func:`run_trial` call.
     """
@@ -292,15 +294,26 @@ class _Chunk(NamedTuple):
 
     `mats` is the (T, n, n) stack of matrices; `b` the (T, n) inputs, or
     None for every standard basis input at once; `extra` maps each extra
-    stream to its T generators; `ranks` holds each trial's Kalman ranks and
-    `eig` the stack's :class:`EigenSystem`, each None when not computed.
+    stream to its T generators; `ranks` holds each trial's Kalman ranks,
+    None when not computed, and `eigsys` the stack's :class:`EigenSystem`,
+    None when not computed, or the :class:`EigenDecompositionError` its
+    decomposition raised.
     """
 
     mats: np.ndarray
     b: np.ndarray | None
     extra: dict[str, list]
     ranks: list[list[int]] | None
-    eig: EigenSystem | None
+    eigsys: EigenSystem | EigenDecompositionError | None
+
+    @property
+    def eig(self) -> EigenSystem | None:
+        """The stack's eigensystem; a failed decomposition is raised here,
+        where a trial family reads it, and not where it only served the
+        certificate of the Kalman ranks."""
+        if isinstance(self.eigsys, EigenDecompositionError):
+            raise self.eigsys
+        return self.eigsys
 
 
 def _streams(config: ExperimentConfig, family: _Family) -> tuple[str, ...]:
@@ -316,7 +329,7 @@ def _outcome(deciding: str, verdicts: dict, witnesses: dict):
 def _trials_pbh(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
     """(A, b) for the config's input vector; without one, (A, e_i) for every i at once."""
     verdicts, witnesses = [{} for _ in chunk.mats], [{} for _ in chunk.mats]
-    if chunk.eig is not None:
+    if config.method != "exact":
         decisions, inner = _pbh_stack(chunk.eig, chunk.b, config.tolerances)
         for v, w, decision, gap, worst, norm in zip(verdicts, witnesses, decisions,
                                                     chunk.eig.gap.tolist(), inner,
@@ -393,7 +406,7 @@ def _trials_minctrl(config: ExperimentConfig, n: int, chunk: _Chunk):
         yield result.k_star == 1, False, {}, witnesses
 
 
-_PBH = _Family(_trials_pbh, kalman=True, eig="float")
+_PBH = _Family(_trials_pbh, kalman=True)
 _TWO_VECTORS = _Family(_trials_two_vectors, ("sphere",), kalman=True)
 _MINCTRL = _Family(_trials_minctrl, kalman=True, eig=None)
 _MINGAP = _Family(_trials_mingap, eig="values")
@@ -427,7 +440,9 @@ def _draw_chunk(config: ExperimentConfig, n: int, trials) -> _Chunk:
     :func:`kalman_ranks_exact` call over the same stack, which is handed
     the eigensystems, proves most full ranks from them and certifies the
     rest in sub-stacks it bounds itself; each equals what the trial alone
-    would compute.
+    would compute.  When the decomposition fails, the Kalman ranks are
+    certified without it, and the failure, which names the first failing
+    trial, is raised only if the trial family reads the eigensystem.
     """
     family = SCENARIOS[config.scenario].trial
     grid = SeedPath(config.master_seed).child(config.scenario, n)
@@ -440,13 +455,18 @@ def _draw_chunk(config: ExperimentConfig, n: int, trials) -> _Chunk:
         b = np.array([sample_vector(config.vector, n, rng) for rng in drawn["vector"]])
     elif config.vector is not None:
         b = np.broadcast_to(sample_vector(config.vector, n, None), (len(trials), n))
+    exact = family.kalman and _exact_runs(config, n)
     ranks = eig = None
-    if family.eig in ("vectors", "values") or (family.eig == "float" and config.method != "exact"):
-        eig = eig_sym(mats, label=[grid.child(t).labels for t in trials],
-                      vectors=family.eig != "values")
-    if family.kalman and _exact_runs(config, n):
+    if family.eig is not None or exact:
+        try:
+            eig = eig_sym(mats, label=[grid.child(t).labels for t in trials],
+                          vectors=family.eig != "values")
+        except EigenDecompositionError as exc:
+            eig = exc
+    if exact:
         inputs = np.eye(n, dtype=np.int64) if b is None else b[:, :, None]
-        ranks = kalman_ranks_exact(mats, inputs, config.exact_cap, eigsys=eig)
+        ranks = kalman_ranks_exact(mats, inputs, config.exact_cap,
+                                   eigsys=None if isinstance(eig, Exception) else eig)
     return _Chunk(mats, b, {stream: drawn[stream] for stream in family.extra}, ranks, eig)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .codec import Record
-from .ensembles import Atom, _finite_vector, _rng, nonfinite_error
+from .ensembles import Atom, _finite_vector, _integer, _rng, nonfinite_error
 from .seeding import SeedPath
 
 __all__ = [
@@ -187,12 +187,13 @@ def _matrix(a, ints=None, system: bool = True) -> np.ndarray:
     return _checked(a, ints, system, "matrix")
 
 
-def _integer(value, name: str) -> int:
-    """`value`, a Python or numpy integer but not a bool, as an int; else a
+def _tolerance(value, name: str) -> float:
+    """`value`, a finite real number >= 0 but not a bool, as a float; else a
     ValueError naming it `name`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def _vector(b, n: int, ints=None) -> np.ndarray:
@@ -445,9 +446,11 @@ def eigvec_coordinate_check(a, i: int, separation_tol: float = 1e-6) -> float:
 
     Eigenvalues colliding with the minor's spectrum are skipped (the
     identity degenerates there); if none is eligible, raises
-    :class:`SharedEigenvalueError` naming the closest pair.
+    :class:`SharedEigenvalueError` naming the closest pair.  A tolerance
+    that is not a finite number >= 0 raises a ValueError.
     """
     m = _matrix(a)
+    separation_tol = _tolerance(separation_tol, "separation_tol")
     minor, x = _minor_split(m, i)
     full = eig_sym(m)
     if minor.shape[0] == 0:
@@ -486,9 +489,11 @@ def shared_eigenvalue_witness(a, i: int, collision_tol: float) -> SharedEigenval
     Among minor eigenvalues within `collision_tol` of some eigenvalue of A,
     returns the minor eigenvector w minimizing |X . w| together with that
     magnitude; on exactly degenerate constructions the magnitude vanishes to
-    rounding.  Returns None when no eigenvalue collides.
+    rounding.  Returns None when no eigenvalue collides.  A tolerance that
+    is not a finite number >= 0 raises a ValueError.
     """
     m = _matrix(a)
+    collision_tol = _tolerance(collision_tol, "collision_tol")
     minor, x = _minor_split(m, i)
     if minor.shape[0] == 0:
         return None

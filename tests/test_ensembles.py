@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import typing
 from fractions import Fraction
 
@@ -188,6 +189,22 @@ def test_gnp_rejects_bad_density():
         sample_gnp(5, -0.1, SEED)
     with pytest.raises(ValueError):
         sample_gnp(5, 1.1, SEED)
+
+
+def test_samplers_name_a_dimension_that_is_not_an_integer():
+    # 2.5 and 3.0 once failed inside numpy with a TypeError naming no
+    # parameter, and True sampled a 1 x 1 matrix
+    rng = np.random.default_rng(0)
+    samplers = [lambda n: sample_gnp(n, 0.5, rng), lambda n: sample_goe(n, rng),
+                lambda n: sample_wigner(n, Atom.rademacher(), Atom.gaussian(), rng),
+                lambda n: sample_ensemble(EnsembleSpec.goe(), rng, n),
+                lambda n: sample_vector(VectorSpec.all_ones(), n, rng)]
+    for sample in samplers:
+        for n in (2.5, 3.0, True, np.float64(3), "3"):
+            with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+                sample(n)
+        assert sample(np.int64(3)).shape[0] == sample(3).shape[0] == 3
+    assert np.array_equal(sample_gnp(np.int32(6), 0.5, SEED), sample_gnp(6, 0.5, SEED))
 
 
 # ---------------------------------------------------------------------------

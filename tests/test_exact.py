@@ -636,11 +636,32 @@ def test_stack_sends_only_the_failing_matrix_to_bareiss(monkeypatch):
         assert np.array_equal(twin @ b, ab)
 
 
+def record_certificate_calls(monkeypatch) -> list:
+    """Record each mod-_P certificate call as [matrices, -1 blocks passed
+    in, Krylov matrices eliminated, entries per Krylov matrix]."""
+    calls = []
+    real_certified, real_echelon = exact_module._certified_ranks, exact_module._echelon_mod_p
+
+    def certified(mats, cols, k, ranks):
+        calls.append([len(mats), int((ranks < 0).sum())])
+        return real_certified(mats, cols, k, ranks)
+
+    def echelon(stack):
+        calls[-1] += [stack.shape[0], stack.shape[1] * stack.shape[2]]
+        return real_echelon(stack)
+
+    monkeypatch.setattr(exact_module, "_certified_ranks", certified)
+    monkeypatch.setattr(exact_module, "_echelon_mod_p", echelon)
+    return calls
+
+
 @pytest.mark.parametrize("n", [6, 8, 24])
 def test_certificate_runs_on_sub_stacks_of_bounded_krylov_entries(monkeypatch, n):
     # step - 1, step and step + 1 matrices left unsettled by the float tier,
-    # between matrices it proves: each mod-_P call builds at most 2^14
-    # Krylov entries (or holds one matrix), and the ranks are those of
+    # between matrices it proves: each mod-_P call takes a sub-stack of the
+    # unsettled matrices of at most 2^14 Krylov entries (or one matrix),
+    # eliminates only its unsettled columns, so each elimination holds at
+    # most 2^14 entries too (or one matrix's), and the ranks are those of
     # one-matrix calls
     inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
     m = inputs.shape[1]
@@ -650,24 +671,53 @@ def test_certificate_runs_on_sub_stacks_of_bounded_krylov_entries(monkeypatch, n
     proved = [g for g in graphs if float_tier(g[None], inputs).all()]
     deficient = rank_deficient_fixtures(n) + [with_twins(graphs[0])]
     assert proved and not float_tier(np.stack(deficient), inputs).all(axis=1).any()
-    calls = []
-    real = exact_module._certified_ranks
-    monkeypatch.setattr(exact_module, "_certified_ranks",
-                        lambda mats, cols, k: calls.append(mats.shape[0]) or real(mats, cols, k))
+    calls = record_certificate_calls(monkeypatch)
     for unsettled in (step - 1, step, step + 1):
         mats = [proved[0]]
         for i in range(unsettled):
             mats += [deficient[i % len(deficient)], proved[i % len(proved)]]
         mats = np.stack(mats)
         one_by_one = [kalman_ranks_exact(a, inputs) for a in mats]
-        for eigsys, left in ((eig_sym(mats.astype(np.float64)), unsettled), (None, len(mats))):
+        eigsys = eig_sym(mats.astype(np.float64))
+        left = ~float_tier(mats, inputs, eigsys)
+        for tier, count in ((eigsys, unsettled), (None, len(mats))):
             calls.clear()
-            assert kalman_ranks_exact(mats, inputs, eigsys=eigsys) == one_by_one
-            assert calls == [min(step, left - start) for start in range(0, left, step)]
-            assert all(t * m * n * n <= 2**14 or t == 1 for t in calls)
+            assert kalman_ranks_exact(mats, inputs, eigsys=tier) == one_by_one
+            assert [t for t, *_ in calls] == [min(step, count - start)
+                                              for start in range(0, count, step)]
+            for t, blocks, eliminated, entries in calls:
+                assert eliminated == blocks and entries == n * n
+                assert t * m * n * n <= 2**14 or t == 1
+                assert eliminated * entries <= 2**14 or t == 1
+            # every column the float tier proves stays out of elimination
+            assert sum(blocks for _, blocks, *_ in calls) == (left.sum() if tier else left.size)
         calls.clear()
         assert kalman_ranks_exact(mats, inputs[None].repeat(len(mats), axis=0)) == one_by_one
-        assert calls == [min(step, len(mats) - start) for start in range(0, len(mats), step)]
+        assert [t for t, *_ in calls] == [min(step, len(mats) - start)
+                                          for start in range(0, len(mats), step)]
+
+
+def test_proved_columns_never_reach_elimination(monkeypatch):
+    # matrices with float-proved and deficient basis columns both: only the
+    # deficient columns are eliminated mod _P, and the ranks are Bareiss's
+    n = 10
+    root = SeedPath(20261021, ("mixed-columns", n))
+    mats = np.stack([sample_gnp(n, 0.5, root.child(t)) for t in range(12)])
+    inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+    eigsys = eig_sym(mats.astype(np.float64))
+    proved = float_tier(mats, inputs, eigsys)
+    assert (proved.any(axis=1) & ~proved.all(axis=1)).sum() >= 3  # mixed matrices
+    seen = []
+    real_echelon = exact_module._echelon_mod_p
+    monkeypatch.setattr(exact_module, "_echelon_mod_p",
+                        lambda stack: seen.append(stack.copy()) or real_echelon(stack))
+    ranks = kalman_ranks_exact(mats, inputs, eigsys=eigsys)
+    assert ranks == [bareiss_ranks(a, inputs) for a in mats]
+    (stack,) = seen
+    residues = exact_module._residues
+    wanted = sorted(residues(exact_module._krylov_exact(mats[t], inputs[:, [j]])).tobytes()
+                    for t, j in zip(*(~proved).nonzero()))
+    assert sorted(k.tobytes() for k in stack) == wanted
 
 
 def test_empty_dimensions_and_inputs_keep_their_ranks():
@@ -753,7 +803,8 @@ def certified_degree(a) -> int:
     """The mod-_P certificate's Krylov degree of I under A, or -1."""
     a = np.asarray(a)
     n = len(a)
-    return exact_module._certified_ranks(a[None], np.eye(n, dtype=a.dtype)[None], n).item()
+    return exact_module._certified_ranks(a[None], np.eye(n, dtype=a.dtype)[None], n,
+                                         np.full((1, 1), -1)).item()
 
 
 def test_hankel_rank_counts_distinct_eigenvalues():
@@ -821,8 +872,7 @@ def test_bareiss_sees_no_zero_rows(monkeypatch):
     diag = repeated_diagonals(24)[0]  # beyond the lift, so Bareiss decides
     assert has_simple_spectrum_exact(diag) is False
     assert [m.shape for m in seen] == [(24, 24)]
-    monkeypatch.setattr(exact_module, "_certified_ranks",
-                        lambda mats, cols, k: np.full((len(mats), cols.shape[2] // k), -1))
+    monkeypatch.setattr(exact_module, "_certified_ranks", lambda mats, cols, k, ranks: ranks)
     two = np.kron(np.eye(2, dtype=np.int64), np.array(P3))  # two copies of P_3
     seen.clear()
     assert kalman_ranks_exact(two, np.eye(6, dtype=np.int64)) == [3, 2, 3] * 2
@@ -942,8 +992,8 @@ def test_float_tier_covers_full_rank_gnp_columns():
 def test_float_tier_leaves_ranks_unchanged_and_skips_proved_matrices(monkeypatch):
     seen = []
     real = exact_module._certified_ranks
-    monkeypatch.setattr(exact_module, "_certified_ranks",
-                        lambda mats, cols, k: seen.append(len(mats)) or real(mats, cols, k))
+    monkeypatch.setattr(exact_module, "_certified_ranks", lambda mats, cols, k, ranks:
+                        seen.append(len(mats)) or real(mats, cols, k, ranks))
     for mats, inputs, oracle in adversarial_cases()[::3]:
         eigsys = eig_sym(mats.astype(np.float64))
         seen.clear()
@@ -963,8 +1013,7 @@ def test_unsettled_certificates_leave_float_proofs_standing(monkeypatch):
     # with no mod-_P certificate at all, Bareiss runs on exactly the
     # columns the float tier left: a -1 never overwrites a float-proved n
     cases = [case for case in adversarial_cases() if case[0].shape[1] <= 8]
-    monkeypatch.setattr(exact_module, "_certified_ranks",
-                        lambda mats, cols, k: np.full((len(mats), cols.shape[2] // k), -1))
+    monkeypatch.setattr(exact_module, "_certified_ranks", lambda mats, cols, k, ranks: ranks)
     oracle_calls = count_oracle_calls(monkeypatch)
     mixed = 0
     for mats, inputs, oracle in cases:
@@ -989,8 +1038,8 @@ def test_float_tier_skips_entries_beyond_2_53_and_object_arrays(monkeypatch):
         assert not exact_module._float_certified(m[None], cols, eig_sym(a[None])).any()
     seen = []
     real = exact_module._certified_ranks
-    monkeypatch.setattr(exact_module, "_certified_ranks",
-                        lambda mats, cols, k: seen.append(len(mats)) or real(mats, cols, k))
+    monkeypatch.setattr(exact_module, "_certified_ranks", lambda mats, cols, k, ranks:
+                        seen.append(len(mats)) or real(mats, cols, k, ranks))
     for m, cols in skipped:
         ranks = kalman_ranks_exact(m, cols, eigsys=eig_sym(np.asarray(m, dtype=np.float64)))
         assert ranks == kalman_ranks_exact(m, cols)

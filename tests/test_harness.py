@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -372,7 +373,7 @@ def test_chunk_draws_equal_per_path_samples(name, streams):
 
 
 @pytest.mark.parametrize("name, method, cap, verdicts, ranks, eig", [
-    ("conj1", "exact", None, ["exact"], True, None),
+    ("conj1", "exact", None, ["exact"], True, "vectors"),  # the eigenvectors certify ranks
     ("conj1", "float-pbh", None, ["float"], False, "vectors"),
     ("conj1", "both", None, ["exact", "float"], True, "vectors"),
     ("conj1", "both", 6, ["float"], False, "vectors"),  # n = 8 above the exact cap
@@ -380,6 +381,7 @@ def test_chunk_draws_equal_per_path_samples(name, streams):
     ("cor-gnp-rand", "float-pbh", None, ["float:b", "float:u"], False, "vectors"),
     ("minctrl-gnp", "float-pbh", None, [], False, None),
     ("diag-mingap", "float-pbh", None, [], False, "values"),
+    ("minctrl-gnp", "exact", None, [], True, "vectors"),
 ])
 def test_family_work_under_each_method(name, method, cap, verdicts, ranks, eig):
     # what the chunk stage computes for a family, and the verdicts it yields
@@ -453,6 +455,7 @@ def test_certificate_leaves_exact_records_unchanged(monkeypatch):
     # Krylov degree goes through Bareiss
     configs = [
         make_scenario_config("conj1", n_grid=(8, 16, 24), trials=2),
+        make_scenario_config("conj1", n_grid=(8, 16), trials=3, method="exact"),
         make_scenario_config("conj2", n_grid=(8, 24), trials=3),
         make_scenario_config("cor-gnp-rand", n_grid=(8, 16), trials=3),
         make_scenario_config("kn-allones", n_grid=(5,), trials=2),
@@ -467,8 +470,7 @@ def test_certificate_leaves_exact_records_unchanged(monkeypatch):
     bareiss = []
     real_rank = exact.rank_exact
     monkeypatch.setattr(exact, "rank_exact", lambda m: bareiss.append(1) or real_rank(m))
-    monkeypatch.setattr(exact, "_certified_ranks",
-                        lambda mats, cols, k: np.full((len(mats), cols.shape[-1] // k), -1))
+    monkeypatch.setattr(exact, "_certified_ranks", lambda mats, cols, k, ranks: ranks)
     monkeypatch.setattr(exact, "_float_certified",
                         lambda mats, cols, eigsys: np.zeros((len(mats), cols.shape[-1]), bool))
     assert run_all() == certified
@@ -479,17 +481,49 @@ def test_certificate_leaves_exact_records_unchanged(monkeypatch):
     assert len(bareiss) == configs[0].trials * sum(configs[0].n_grid)
 
 
+def test_failed_eigh_leaves_exact_only_records_to_the_certificate(monkeypatch):
+    # an exact-only chunk decomposes its stack only for the float tier of
+    # its Kalman ranks: when eigh fails there, the mod-_P tier decides them
+    # and every record stays as it is; where the float method reads the
+    # eigensystem, the failure still names the trial
+    configs = [make_scenario_config("minctrl-gnp", n_grid=(8, 10), trials=4),
+               make_scenario_config("conj1", n_grid=(8, 16), trials=3, method="exact")]
+
+    def run_all():
+        return ([run_trial(c, n, t) for c in configs for n in c.n_grid for t in range(c.trials)],
+                [report_csv(run_experiment(c)) for c in configs])
+
+    certified = run_all()
+    calls = []
+
+    def failing(a):
+        calls.append(np.shape(a))
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    assert run_all() == certified
+    assert calls  # the eigendecomposition was tried, and failed
+    goe = make_scenario_config("thm-goe", n_grid=(10,), trials=2)
+    label = str(SeedPath(goe.master_seed).child("thm-goe", 10, 0).labels)
+    with pytest.raises(EigenDecompositionError, match=re.escape(label)):
+        run_experiment(goe)
+    with pytest.raises(EigenDecompositionError, match=re.escape(label)):
+        run_trial(goe, 10, 0)
+
+
 def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
     # Ranks are exact whichever tier settles them, so no record shows when
     # a change sends more columns to a slower tier.  These are the exact
-    # experiments of the benchmark at its seed, 1506: calls and matrices
-    # of the mod-_P certificate, and Bareiss calls.  The float tier settles
-    # every column of conj1 and conj2.  minctrl-gnp's basis scans take five
-    # sub-stacks of at most 2^14 Krylov entries (16 + 4 matrices at n = 10,
-    # 9 + 9 + 2 at n = 12).  Its three trials at n = 10 without a
-    # controllable basis input each test their spectrum in a one-matrix
-    # call, and the one with a simple spectrum decides its layer of
-    # 2-supports in one more call.
+    # experiments of the benchmark at its seed, 1506: eliminations mod _P
+    # and the Krylov matrices they hold, and Bareiss calls.  The float tier
+    # settles every column of conj1 and conj2.  It proves every basis column
+    # of minctrl-gnp but the 88 deficient ones (of 440), and only those are
+    # eliminated: 73 from the 10 matrices left at n = 10 and 15 from the 2
+    # left at n = 12, one sub-stack each.  Its three trials at n = 10
+    # without a controllable basis input each test their spectrum in a
+    # one-matrix call, and the one with a simple spectrum decides its layer
+    # of 45 2-supports in one more call.  Without the float tier, the
+    # split is (9, 488, 0).
     configs = {
         "conj1": make_scenario_config("conj1", method="both", n_grid=(16, 24), trials=4,
                                       p=0.5, master_seed=1506),
@@ -499,10 +533,9 @@ def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
                                             p=0.5, master_seed=1506),
     }
     certified, bareiss = [], []
-    real_certified, real_rank = exact._certified_ranks, exact.rank_exact
-    monkeypatch.setattr(exact, "_certified_ranks",
-                        lambda mats, cols, k: certified.append(len(mats))
-                        or real_certified(mats, cols, k))
+    real_echelon, real_rank = exact._echelon_mod_p, exact.rank_exact
+    monkeypatch.setattr(exact, "_echelon_mod_p",
+                        lambda stack: certified.append(len(stack)) or real_echelon(stack))
     monkeypatch.setattr(exact, "rank_exact", lambda m: bareiss.append(1) or real_rank(m))
     counts = {}
     for name, config in configs.items():
@@ -510,7 +543,7 @@ def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
         bareiss.clear()
         run_experiment(config)
         counts[name] = (len(certified), sum(certified), len(bareiss))
-    assert counts == {"conj1": (0, 0, 0), "conj2": (0, 0, 0), "minctrl-gnp": (9, 44, 0)}
+    assert counts == {"conj1": (0, 0, 0), "conj2": (0, 0, 0), "minctrl-gnp": (6, 136, 0)}
 
 
 def test_conj1_trial_falls_back_when_certificate_fails(monkeypatch):

@@ -436,6 +436,22 @@ def test_minor_index_must_be_an_integer():
         shared_eigenvalue_witness(P3, 1.5, 1e-7)
 
 
+def test_tolerances_must_be_finite_and_nonnegative():
+    # a NaN collision tolerance once gave a witness of every eigenvalue
+    # (dist > nan is False), and a NaN separation tolerance a misleading
+    # SharedEigenvalueError
+    diag = np.diag([1.0, 2.0, 3.0])
+    checks = ((shared_eigenvalue_witness, "collision_tol"),
+              (eigvec_coordinate_check, "separation_tol"))
+    for check, name in checks:
+        for tol in (math.nan, -math.inf, math.inf, -1e-9, True, "1e-6", None):
+            with pytest.raises(ValueError, match=rf"{name} must be a finite number >= 0, got"):
+                check(diag, 1, tol)
+    assert shared_eigenvalue_witness(diag, 1, 0).minor_eigenvalue == 1.0  # exact collisions
+    assert shared_eigenvalue_witness(SWAP, 1, np.float32(1e-9)) is None
+    assert eigvec_coordinate_check(P3, 1, np.int64(0)) == eigvec_coordinate_check(P3, 1, 0.0)
+
+
 def test_coordinate_identity_goe_all_minors():
     root = SEED.child("coord")
     for t in range(10):
