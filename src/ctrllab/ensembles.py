@@ -20,8 +20,8 @@ any execution order, and every sampled matrix is exactly symmetric (the upper
 triangle is mirrored, never re-sampled).  A sampler also takes, in place of
 the path, the generator already derived from it (as
 :meth:`~ctrllab.seeding.SeedPath.generators` derives a batch of them), and
-then draws exactly what the path would.  Every matrix sampler is the one
-stacked sampler that builds a chunk of matrices, run on one generator.
+then draws exactly what the path would.  Given a sequence of T seeds, a
+sampler gives the stack of T draws, each bit for bit its own seed's draw.
 """
 
 from __future__ import annotations
@@ -288,6 +288,15 @@ def _rng(seed: SeedPath | np.random.Generator) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else seed.generator()
 
 
+def _seeds(seed) -> tuple[list, bool]:
+    """The seeds of a stack, and whether `seed` was one seed, not a sequence."""
+    single = seed is None or isinstance(seed, (SeedPath, np.random.Generator))
+    seeds = [seed] if single else list(seed)
+    if not seeds:
+        raise ValueError("expected a seed or a non-empty sequence of seeds")
+    return seeds, single
+
+
 def sample_wigner(n: int, offdiag: Atom, diag: Atom,
                   seed: SeedPath | np.random.Generator) -> np.ndarray:
     """Sample an n x n Wigner matrix.
@@ -295,7 +304,7 @@ def sample_wigner(n: int, offdiag: Atom, diag: Atom,
     Upper-triangular entries are iid copies of `offdiag`, diagonal entries
     iid copies of `diag`; the lower triangle mirrors the upper exactly.
     """
-    return _sample_stack(EnsembleSpec.wigner(offdiag, diag), [_rng(seed)], n)[0]
+    return sample_ensemble(EnsembleSpec.wigner(offdiag, diag), seed, n)
 
 
 # The GOE as a Wigner ensemble: Gaussian entries of variance 1 off the
@@ -309,7 +318,7 @@ def sample_goe(n: int, seed: SeedPath | np.random.Generator) -> np.ndarray:
     Entries are independent mean-zero Gaussians, variance 1 off the diagonal
     and 2 on it.
     """
-    return _sample_stack(EnsembleSpec.goe(), [_rng(seed)], n)[0]
+    return sample_ensemble(EnsembleSpec.goe(), seed, n)
 
 
 def sample_gnp(n: int, p: float, seed: SeedPath | np.random.Generator) -> np.ndarray:
@@ -319,35 +328,29 @@ def sample_gnp(n: int, p: float, seed: SeedPath | np.random.Generator) -> np.nda
     is zero.  p = 0 and p = 1 are accepted as deterministic degenerate cases
     (the empty and the complete graph) for test fixtures.
     """
-    return _sample_stack(EnsembleSpec.gnp(p), [_rng(seed)], n)[0]
+    return sample_ensemble(EnsembleSpec.gnp(p), seed, n)
 
 
-def sample_ensemble(spec: EnsembleSpec, seed: SeedPath | np.random.Generator,
-                    n: int | None = None) -> np.ndarray:
-    """Sample a matrix from `spec`; gnp yields int64, everything else float64."""
+def sample_ensemble(spec: EnsembleSpec, seed, n: int | None = None) -> np.ndarray:
+    """Sample a matrix from `spec`; gnp yields int64, everything else float64.
+
+    Given a sequence of T seeds, the (T, n, n) stack of one each, each
+    drawn from its own generator and all mirrored by one transpose-add.
+    """
     dim = n if n is not None else spec.n
     if dim is None:
         raise ValueError("ensemble spec has no dimension; pass n explicitly")
-    return _sample_stack(spec, [_rng(seed)], dim)[0]
-
-
-def _sample_stack(spec: EnsembleSpec, rngs, n: int) -> np.ndarray:
-    """The (T, n, n) stack of matrices of `spec`, one from each of the T
-    generators `rngs`; gnp yields int64, everything else float64.
-
-    Each matrix draws its upper triangle, then (Wigner and GOE) its
-    diagonal, from its own generator; the draws are scattered into the
-    stack at once and mirrored by one transpose-add, which adds exact zeros.
-    """
-    n = _integer(n, "n")
+    n = _integer(dim, "n")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    seeds, single = _seeds(seed)
+    rngs = [_rng(s) for s in seeds]
     iu = _upper_indices(n)
     if spec.kind == "gnp-adjacency":
         m = np.zeros((len(rngs), n, n), dtype=np.int64)
         m[:, iu[0], iu[1]] = [rng.random(iu[0].size) < spec.p for rng in rngs]
         m += m.transpose(0, 2, 1)
-        return m
+        return m[0] if single else m
     if spec.kind == "goe":
         (offdiag, diag), shift = _GOE_ATOMS, None
     else:
@@ -359,7 +362,7 @@ def _sample_stack(spec: EnsembleSpec, rngs, n: int) -> np.ndarray:
     m[:, np.arange(n), np.arange(n)] = [d for _, d in draws]
     if shift is not None:
         m += shift_matrix(shift, n)
-    return m
+    return m[0] if single else m
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +465,14 @@ def _finite_vector(v, what: str) -> np.ndarray:
     return a
 
 
-def sample_vector(spec: VectorSpec, n: int, seed: SeedPath | np.random.Generator) -> np.ndarray:
-    """Sample an input vector of length n from `spec`.
+def sample_vector(spec: VectorSpec, n: int, seed) -> np.ndarray:
+    """Sample an input vector of length n from `spec`, as a fresh array.
 
     ``standard-basis`` and ``all-ones`` are exact; ``uniform-sphere``
     normalizes an iid Gaussian vector (resampling the probability-zero
     all-zeros draw), so the result has unit Euclidean norm to rounding.
-    Kinds that are not :attr:`VectorSpec.seeded` never read `seed`.
+    Kinds that are not :attr:`VectorSpec.seeded` never read `seed` (None
+    will do).  Given a sequence of T seeds, the (T, n) stack of one each.
     """
     n = _integer(n, "n")
     if n < 1:
@@ -476,25 +480,34 @@ def sample_vector(spec: VectorSpec, n: int, seed: SeedPath | np.random.Generator
     misfit = _vector_misfit(spec, n)
     if misfit is not None:
         raise ValueError(f"{misfit} at n={n}")
+    seeds, single = _seeds(seed)
     if spec.kind == "standard-basis":
-        v = np.zeros(n)
-        v[spec.index] = 1.0
-        return v
-    if spec.kind == "all-ones":
-        return np.ones(n)
-    if spec.kind == "bernoulli01":
-        return (_rng(seed).random(n) < spec.p).astype(np.float64)
-    if spec.kind == "iid-atom":
-        return spec.atom.sample(_rng(seed), n)
-    if spec.kind == "uniform-sphere":
-        rng = _rng(seed)
-        g = rng.normal(size=n)
-        while not np.any(g):
-            g = rng.normal(size=n)
-        return g / np.linalg.norm(g)
-    if spec.kind == "shifted":
-        return sample_vector(spec.base, n, seed) + spec.mu
-    return spec.values.copy()
+        v = np.zeros((len(seeds), n))
+        v[:, spec.index] = 1.0
+    elif spec.kind == "all-ones":
+        v = np.ones((len(seeds), n))
+    elif spec.kind == "bernoulli01":
+        v = (np.array([_rng(s).random(n) for s in seeds]) < spec.p).astype(np.float64)
+    elif spec.kind == "iid-atom":
+        v = np.array([spec.atom.sample(_rng(s), n) for s in seeds])
+    elif spec.kind == "uniform-sphere":
+        rngs = [_rng(s) for s in seeds]
+        v = np.array([rng.normal(size=n) for rng in rngs])
+        for t in np.flatnonzero(~v.any(axis=1)):
+            while not v[t].any():
+                v[t] = rngs[t].normal(size=n)
+        v /= _row_norms(v)[:, None]
+    elif spec.kind == "shifted":
+        v = sample_vector(spec.base, n, seeds) + spec.mu
+    else:
+        v = np.tile(spec.values, (len(seeds), 1))
+    return v[0] if single else v
+
+
+def _row_norms(b: np.ndarray) -> np.ndarray:
+    """||b_t|| for each row b_t of `b`, as np.linalg.norm(b_t) rounds it: each
+    row's dot product runs the BLAS dot that the norm of one vector runs."""
+    return np.sqrt(np.matmul(b[:, None, :], b[:, :, None])[:, 0, 0])
 
 
 def _vector_misfit(spec: VectorSpec, n: int) -> str | None:

@@ -11,10 +11,14 @@ mod p never exceeds the rank over the rationals, so full rank mod p is
 full rank.  A rank r < n mod p comes with a monic relation q of degree r
 among the first r + 1 columns; lifted to integers, q(A) B = 0 verified
 exactly bounds the rank over the rationals by r from above, so the rank
-is exactly r.  What the certificate cannot settle falls back to
-fraction-free Bareiss elimination of the same matrix over Python
-integers, which with the Faddeev-LeVerrier characteristic polynomial also
-serves as the oracle in the tests.
+is exactly r.  A block of k > 1 inputs (B = I) is certified through one
+fixed combination B w of its columns: the n x n Krylov matrix of B w has
+rank at most the degree of B, and its relation is checked on the whole
+block, so the spectrum test eliminates n x n, not n^2 x n, matrices.
+What the certificate cannot settle falls back to fraction-free Bareiss
+elimination of the (k n) x n matrix over Python integers, which with the
+Faddeev-LeVerrier characteristic polynomial also serves as the oracle in
+the tests.
 
 Degrees are decided for a whole stack of matrices at once, each with its
 own inputs (:func:`_krylov_degrees`): inputs shared by the stack are
@@ -40,11 +44,13 @@ cap) to override for fixtures.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .spectral import EigenSystem, _checked, _eigenvectors, _matrix, _stack_of_one, _vector
+from .spectral import (EigenSystem, _checked, _eigenvectors, _integer, _matrix, _stack_of_one,
+                       _vector)
 
 __all__ = [
     "DEFAULT_EXACT_CAP",
@@ -252,6 +258,15 @@ def _relations_mod_p(echelon: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return np.where(q > _P // 2, q - _P, q)
 
 
+@functools.lru_cache(maxsize=64)
+def _weights(k: int) -> np.ndarray:
+    """k fixed pseudo-random nonzero residues mod _P, from a fixed seed,
+    computed once per k and read-only."""
+    w = np.random.default_rng(_P).integers(1, _P, k)
+    w.flags.writeable = False
+    return w
+
+
 def _annihilated(mats: np.ndarray, which: np.ndarray, blocks: np.ndarray,
                  polys: np.ndarray) -> np.ndarray:
     """Whether q_s(A) B_s = 0 over the integers for each block B_s of the
@@ -289,22 +304,29 @@ def _certified_ranks(mats: np.ndarray, cols: np.ndarray, k: int, ranks: np.ndarr
     of its matrix A of the stack `mats`, where a certificate proves it; the
     other entries are returned as they are.
 
-    The Krylov powers of all inputs of each matrix are built together
-    (:func:`_krylov`, one stacked product per power), and only the Krylov
-    matrices of the -1 blocks are gathered and eliminated together by
-    :func:`_echelon_mod_p`.  The rank r mod _P never exceeds the rank over
-    the rationals, so r = n is proved.  For r < n, the monic relation
-    q(A) B = 0 mod _P of degree r is lifted to the integers and checked
-    exactly, all short blocks in one check; if it holds, B, AB, ..., A^r B
-    are dependent over the rationals too, and the rank is exactly r.  A
-    zero block has rank 0 and the relation q = 1.
+    A block of k > 1 columns enters mod _P as one column B w, with w the
+    fixed residues :func:`_weights`.  The Krylov powers of all (combined)
+    inputs of each matrix are built together (:func:`_krylov`, one stacked
+    product per power), and only the n x n Krylov matrices of the -1
+    blocks are gathered and eliminated together by :func:`_echelon_mod_p`.
+    Their rank r mod _P never exceeds the rank over the rationals of
+    [B w, A B w, ...], which is at most the Krylov degree of B (each
+    A^j B w is vec(A^j B) times a fixed matrix), so r = n is proved.  For
+    r < n, the monic relation q(A) B w = 0 mod _P of degree r is lifted to
+    the integers and checked exactly on the whole block, all short blocks
+    in one check; if q(A) B = 0 holds, the degree is at most r, so it is
+    exactly r.  An unlucky w can only leave the degree unsettled.  A zero
+    block has rank 0 and the relation q = 1.
     """
     t, n, m = cols.shape
     blocks = m // k
     if n > _MOD_MAX_N:
         return ranks
     which, block = (ranks < 0).nonzero()
-    krylov = _krylov(_residues(mats), _residues(cols), _reduce).reshape(t, blocks, k * n, n)
+    inputs = _residues(cols)
+    if k > 1:  # sums of k <= _MOD_MAX_N products below 2^52: no int64 overflow
+        inputs = _reduce(inputs.reshape(t, n, blocks, k) @ _weights(k))
+    krylov = _krylov(_residues(mats), inputs, _reduce)
     rank, echelon = _echelon_mod_p(krylov[which, block])
     short = (rank < n).nonzero()[0]
     if short.size:
@@ -479,8 +501,9 @@ def has_simple_spectrum_exact(a) -> bool:
 
     Decided exactly as the Krylov degree of I under A, the degree of A's
     minimal polynomial, being n: certified mod ``_P`` in both directions
-    as in :func:`kalman_ranks_exact`, else by Bareiss on the nonzero rows
-    of the n^2 x n matrix of the powers vec(A^j) over Python integers.
+    through one fixed combination of the columns of I, with the relation
+    checked on I itself, else by Bareiss on the nonzero rows of the
+    n^2 x n matrix of the powers vec(A^j) over Python integers.
     """
     mat = _matrix(a, _ints)
     n = len(mat)
@@ -519,9 +542,10 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
     characteristic polynomial, which is monic with integer coefficients,
     so by Gauss's lemma it has integer coefficients too; when p keeps the
     rank and those coefficients lie below p/2, it is the lifted q.
-    Dimensions beyond `cap` raise :class:`DimensionCapError`; an invalid
-    matrix of a stack raises a ValueError naming its index, and inputs of
-    the wrong shape are named by their shape before their entries are read.
+    Dimensions beyond `cap` raise :class:`DimensionCapError`, and a cap
+    that is neither None nor an integer a ValueError; an invalid matrix of
+    a stack raises a ValueError naming its index, and inputs of the wrong
+    shape are named by their shape before their entries are read.
     """
     mats = _checked(a, _ints, system=True)
     single = mats.ndim == 2
@@ -534,7 +558,7 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
     shared = cols.ndim == 2
     if not shared and len(cols) != t:
         raise ValueError(f"{len(cols)} input matrices for a stack of {t} matrices")
-    if cap is not None and n > cap:
+    if cap is not None and n > _integer(cap, "cap"):
         raise DimensionCapError(f"n={n} exceeds exact cap {cap}; use the float PBH path")
     if single and eigsys is not None:
         eigsys = _stack_of_one(eigsys)

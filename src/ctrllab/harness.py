@@ -43,7 +43,8 @@ import numpy as np
 
 from ._version import __version__
 from .codec import Record, _is_int
-from .ensembles import Atom, EnsembleSpec, VectorSpec, _sample_stack, _vector_misfit, sample_vector
+from .ensembles import (Atom, EnsembleSpec, VectorSpec, _integer, _vector_misfit, sample_ensemble,
+                        sample_vector)
 from .exact import DEFAULT_EXACT_CAP, kalman_ranks_exact
 from .minctrl import DEFAULT_SUPPORT_BUDGET, BasisScanResult, BudgetExceededError, sparsest_input
 from .seeding import SeedPath
@@ -54,9 +55,9 @@ from .spectral import (
     EigenDecompositionError,
     EigenSystem,
     Tolerances,
-    _pbh_stack,
     classify,
     eig_sym,
+    pbh_controllable,
     small_ball_estimate,
 )
 
@@ -80,7 +81,10 @@ _Z95 = 1.959963984540054
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+    """Wilson score interval for a binomial proportion (default 95%), z > 0."""
+    successes, trials = _integer(successes, "successes"), _integer(trials, "trials")
+    if not 0 < z < math.inf:
+        raise ValueError(f"z must be finite and > 0, got {z}")
     if not 0 <= successes <= trials:
         raise ValueError(f"need 0 <= successes <= trials: successes={successes}, trials={trials}")
     if trials == 0:
@@ -132,19 +136,20 @@ class ExperimentConfig(Record):
 
     def validate(self) -> None:
         scenario = _scenario(self.scenario)
-        if self.trials < 1:
+        _integer(self.master_seed, "master_seed")
+        if _integer(self.trials, "trials") < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.n_grid:
             raise ValueError("n-grid must hold at least one dimension")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError(f"n-grid must be strictly increasing, got {self.n_grid}")
-        if any(n < 1 for n in self.n_grid):
+        if any(_integer(n, "n-grid entry") < 1 for n in self.n_grid):
             raise ValueError(f"dimensions must be >= 1, got {self.n_grid}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.fmt not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
-        if self.exact_cap < 1:
+        if _integer(self.exact_cap, "exact_cap") < 1:
             raise ValueError(f"exact_cap must be >= 1, got {self.exact_cap}")
         if self.method == "exact":
             if not _exact_applicable(self):
@@ -330,10 +335,9 @@ def _trials_pbh(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
     """(A, b) for the config's input vector; without one, (A, e_i) for every i at once."""
     verdicts, witnesses = [{} for _ in chunk.mats], [{} for _ in chunk.mats]
     if config.method != "exact":
-        decisions, inner = _pbh_stack(chunk.eig, chunk.b, config.tolerances)
-        for v, w, decision, gap, worst, norm in zip(verdicts, witnesses, decisions,
-                                                    chunk.eig.gap.tolist(), inner,
-                                                    chunk.eig.norm.tolist()):
+        pbh = pbh_controllable(None, chunk.b, config.tolerances, chunk.eig)
+        for v, w, decision, gap, worst, norm in zip(verdicts, witnesses, *(c.tolist() for c in (
+                pbh.decision, pbh.min_gap, pbh.min_abs_inner, chunk.eig.norm))):
             v["float"] = decision
             w.update(min_gap=gap, min_abs_inner=worst, norm_a=norm)
     if chunk.ranks is not None:
@@ -343,14 +347,14 @@ def _trials_pbh(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
 
 
 def _trials_two_vectors(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
-    sphere = VectorSpec.uniform_sphere()
-    u = np.array([sample_vector(sphere, n, rng) for rng in chunk.extra["sphere"]])
-    fb, inner_b = _pbh_stack(chunk.eig, chunk.b, config.tolerances)
-    fu, inner_u = _pbh_stack(chunk.eig, u, config.tolerances)
+    u = sample_vector(VectorSpec.uniform_sphere(), n, chunk.extra["sphere"])
+    on_b, on_u = (pbh_controllable(None, b, config.tolerances, chunk.eig) for b in (chunk.b, u))
+    fb, fu = on_b.decision.tolist(), on_u.decision.tolist()
+    inner = np.minimum(on_b.min_abs_inner, on_u.min_abs_inner).tolist()
     outcomes = []
     for t, (gap, norm) in enumerate(zip(chunk.eig.gap.tolist(), chunk.eig.norm.tolist())):
         verdicts = {"float:b": fb[t], "float:u": fu[t]}
-        witnesses = {"min_gap": gap, "min_abs_inner": min(inner_b[t], inner_u[t]), "norm_a": norm}
+        witnesses = {"min_gap": gap, "min_abs_inner": inner[t], "norm_a": norm}
         if chunk.ranks is not None:
             verdicts["exact:b"], witnesses["rank"] = _exact_verdict(chunk.ranks[t], n)
         pair = (verdicts.get("exact:b", fb[t]), fu[t])
@@ -433,9 +437,9 @@ def _draw_chunk(config: ExperimentConfig, n: int, trials) -> _Chunk:
     Each trial is drawn from the streams of its own SeedPath, so a draw
     never depends on the chunk it is in; the generators of all streams of
     the chunk come from one :meth:`SeedPath.generators` batch below the
-    grid point's path, and one stacked sampler builds every matrix.  An
-    input vector that draws nothing is built once and broadcast.  The
-    eigensystems of every matrix come from one :func:`eig_sym` call over
+    grid point's path; one :func:`sample_ensemble` call draws every matrix
+    and one :func:`sample_vector` call every input (on None seeds if it
+    draws nothing).  The eigensystems come from one :func:`eig_sym` call over
     the stack as float64, and their Kalman ranks from one
     :func:`kalman_ranks_exact` call over the same stack, which is handed
     the eigensystems, proves most full ranks from them and certifies the
@@ -449,12 +453,9 @@ def _draw_chunk(config: ExperimentConfig, n: int, trials) -> _Chunk:
     streams = _streams(config, family)
     rngs = grid.generators([(t, stream) for stream in streams for t in trials])
     drawn = {stream: list(islice(rngs, len(trials))) for stream in streams}
-    mats = _sample_stack(config.ensemble, drawn["matrix"], n)
-    b = None
-    if "vector" in drawn:
-        b = np.array([sample_vector(config.vector, n, rng) for rng in drawn["vector"]])
-    elif config.vector is not None:
-        b = np.broadcast_to(sample_vector(config.vector, n, None), (len(trials), n))
+    mats = sample_ensemble(config.ensemble, drawn["matrix"], n)
+    b = None if config.vector is None else \
+        sample_vector(config.vector, n, drawn.get("vector", [None] * len(trials)))
     exact = family.kalman and _exact_runs(config, n)
     ranks = eig = None
     if family.eig is not None or exact:
@@ -642,11 +643,11 @@ def apply_overrides(config: ExperimentConfig, *, n_grid=None, trials=None, p=Non
             raise ValueError(f"scenario {config.scenario!r} does not take a vector override")
         config.vector = vector
     if n_grid is not None:
-        config.n_grid = tuple(int(v) for v in n_grid)
+        config.n_grid = tuple(_integer(v, "n-grid entry") for v in n_grid)
     if trials is not None:
-        config.trials = int(trials)
+        config.trials = _integer(trials, "trials")
     if master_seed is not None:
-        config.master_seed = int(master_seed)
+        config.master_seed = _integer(master_seed, "master_seed")
     if method is not None:
         config.method = method
     tol = {k: v for k, v in (("gap_tol", gap_tol), ("ortho_tol", ortho_tol)) if v is not None}

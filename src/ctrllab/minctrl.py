@@ -188,7 +188,7 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
         raise ValueError("a precomputed scan must be an exact basis scan, in binary01 mode")
 
     if entry_mode == "binary01":
-        if cap is not None and n > cap:
+        if cap is not None and n > _integer(cap, "cap"):
             raise DimensionCapError(f"n={n} exceeds exact cap {cap}")
         if budget < n:
             raise BudgetExceededError(0, 1, budget)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .codec import Record
-from .ensembles import Atom, _finite_vector, _integer, _rng, nonfinite_error
+from .ensembles import Atom, _finite_vector, _integer, _rng, _row_norms, nonfinite_error
 from .seeding import SeedPath
 
 __all__ = [
@@ -346,37 +346,26 @@ def pbh_controllable(a, b, tolerances: Tolerances | None = None,
     indeterminate (see :func:`classify`).  Pass a precomputed `eigsys` to
     amortize one factorization over many input vectors.  A nonzero b whose
     norm overflows or underflows is judged as b / max|b|, and the witnesses
-    then refer to that vector.  The pair is a stack of one to :func:`_pbh_stack`.
+    then refer to that vector; the zero vector is uncontrollable with
+    witness 0.  `b` None judges every basis input e_i at once, on the least
+    witness (see :func:`basis_witnesses`).  Given a (T, n, n) stack or its
+    `eigsys` and a (T, n) `b`, the verdict's fields are arrays of T, each
+    equal to that pair's alone: the stack's inner products and norms come
+    from one matmul each, whose every item runs a single pair's BLAS kernel.
     """
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     if eigsys is None:
-        eigsys = eig_sym(_matrix(a))
-    (decision,), (inner,) = _pbh_stack(_stack_of_one(eigsys), _vector(b, eigsys.n)[None], tol)
-    return ControllabilityVerdict(decision, min_gap=eigsys.gap, min_abs_inner=inner)
-
-
-def _row_norms(b: np.ndarray) -> np.ndarray:
-    """||b_t|| for each row b_t of `b`, as np.linalg.norm(b_t) rounds it: each
-    row's dot product runs the BLAS dot that the norm of one vector runs."""
-    return np.sqrt(np.matmul(b[:, None, :], b[:, :, None])[:, 0, 0])
-
-
-def _pbh_stack(eigsys: EigenSystem, b, tol: Tolerances) -> tuple[list[str], list[float]]:
-    """`decision` and `min_abs_inner` of the PBH test of (A_t, b_t) for each
-    system of the stack `eigsys`, as lists.
-
-    `b` is (T, n), one input per system, or None for every standard basis
-    input at once, judged on the least witness over all e_i (see
-    :func:`basis_witnesses`).  The inner products and norms of the stack
-    come from one matmul each, whose every item runs
-    the same BLAS kernel as a single pair's.  A nonzero b_t whose norm
-    overflows or underflows is judged as b_t / max|b_t|; the zero input is
-    uncontrollable with witness 0; a non-finite input raises a ValueError.
-    """
+        eigsys = eig_sym(a)
+    single = eigsys.eigenvalues.ndim == 1
+    stack = _stack_of_one(eigsys) if single else eigsys
     if b is None:
-        inner, norm_b = np.min(basis_witnesses(eigsys)[2], axis=-1), 1.0
+        inner, norm_b = np.min(basis_witnesses(stack)[2], axis=-1), 1.0
     else:
-        b = np.asarray(b, dtype=np.float64)
+        if np.shape(b) != eigsys.eigenvalues.shape:
+            n = eigsys.n
+            dims = f"{n}x{n}" if single else f"a stack of {len(eigsys)} {n}x{n} matrices"
+            raise ValueError(f"dimension mismatch: A is {dims}, b has shape {np.shape(b)}")
+        b = np.asarray(b, dtype=np.float64).reshape(len(stack), -1)
         with np.errstate(over="ignore"):  # a huge finite b is rescaled below
             norm_b = _row_norms(b)
         off = (norm_b == 0.0) | ~np.isfinite(norm_b)
@@ -386,12 +375,14 @@ def _pbh_stack(eigsys: EigenSystem, b, tol: Tolerances) -> tuple[list[str], list
             peak = np.abs(b).max(axis=1, initial=0.0)
             b = b / np.where(off & (peak > 0.0), peak, 1.0)[:, None]
             norm_b = _row_norms(b)
-        products = np.matmul(_eigenvectors(eigsys).transpose(0, 2, 1), b[:, :, None])
+        products = np.matmul(_eigenvectors(stack).transpose(0, 2, 1), b[:, :, None])
         inner = np.min(np.abs(products), axis=(1, 2), initial=math.inf)
         inner[norm_b == 0.0] = 0.0  # the zero vector, also for n = 0
-    decisions = classify(eigsys.gap, inner, eigsys.scale, norm_b, tol)
+    decisions = classify(stack.gap, inner, stack.scale, norm_b, tol)
     decisions = np.where(norm_b == 0.0, UNCONTROLLABLE, decisions)
-    return decisions.tolist(), inner.tolist()
+    if single:
+        return ControllabilityVerdict(decisions[0].item(), eigsys.gap, inner[0].item())
+    return ControllabilityVerdict(decisions, eigsys.gap, inner)
 
 
 def basis_witnesses(eigsys: EigenSystem) -> tuple:
@@ -547,8 +538,9 @@ def small_ball_estimate(x, atom: Atom, delta: float, m: int,
     xv = _finite_vector(x, "x")
     if _integer(m, "m") < 1000:
         raise ValueError(f"need m >= 1000 samples, got {m}")
-    if not delta > 0:
-        raise ValueError(f"window half-width must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        why = "finite" if delta > 0 else "positive"
+        raise ValueError(f"window half-width must be {why}, got {delta}")
     rng = _rng(seed)
     n = xv.size
     sums = np.empty(m)

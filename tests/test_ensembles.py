@@ -392,13 +392,64 @@ def test_stacked_sampler_equals_per_matrix_sampler(spec):
     root = SEED.child("stacked", str(spec.to_dict()))
     for n in (1, 2, 8):
         for trials in ([2**32 + 3], [0, 3, 2**32 + 3, 5, 2**40 + 1]):
-            stack = ensembles._sample_stack(spec, list(root.generators([(n, t) for t in trials])), n)
+            stack = sample_ensemble(spec, root.generators([(n, t) for t in trials]), n)
             assert stack.shape == (len(trials), n, n)
+            with pytest.raises(ValueError, match=r"^expected a seed or a non-empty sequence"):
+                sample_ensemble(spec, [], n)
             for a, t in zip(stack, trials):
                 want = per_matrix_oracle(spec, root.child(n, t).generator(), n)
                 for got in (a, sample_ensemble(spec, root.child(n, t), n)):
                     assert got.dtype == want.dtype
                     assert got.tobytes() == want.tobytes()
+
+
+def per_vector_oracle(spec: VectorSpec, rng, n: int) -> np.ndarray:
+    """One vector of `spec` written out, drawn from `rng` (None when the
+    kind draws nothing)."""
+    if spec.kind == "standard-basis":
+        return np.eye(n)[spec.index]
+    if spec.kind == "all-ones":
+        return np.ones(n)
+    if spec.kind == "bernoulli01":
+        return (rng.random(n) < spec.p).astype(np.float64)
+    if spec.kind == "iid-atom":
+        return spec.atom.sample(rng, n)
+    if spec.kind == "uniform-sphere":
+        g = rng.normal(size=n)
+        return g / np.linalg.norm(g)
+    if spec.kind == "shifted":
+        return per_vector_oracle(spec.base, rng, n) + spec.mu
+    return spec.values
+
+
+STACKED_VECTORS = [
+    VectorSpec.standard_basis(1), VectorSpec.all_ones(), VectorSpec.bernoulli01(0.4),
+    *(VectorSpec.iid_atom(atom) for atom in ATOMS), VectorSpec.uniform_sphere(),
+    VectorSpec.shifted(VectorSpec.uniform_sphere(), [0.5, -1.0, 2.0]),
+    VectorSpec.shifted(VectorSpec.all_ones(), [0.5, -1.0, 2.0]),
+    VectorSpec.explicit([3.0, 0.0, -1.5]),
+]
+
+
+@pytest.mark.parametrize("spec", STACKED_VECTORS, ids=lambda spec: str(spec.to_dict()))
+def test_stacked_vectors_equal_per_vector_draws(spec):
+    # the chunk's input vectors: each from its own generator, bit for bit,
+    # as a fresh writable (T, n) float64 array; a kind that draws nothing
+    # takes None seeds
+    root = SEED.child("stacked-vectors", str(spec.to_dict()))
+    trials = [0, 3, 2**32 + 3, 5]
+    seeds = list(root.generators([(3, t) for t in trials])) if spec.seeded else [None] * 4
+    stack = sample_vector(spec, 3, seeds)
+    assert stack.shape == (4, 3) and stack.dtype == np.float64 and stack.flags.writeable
+    for row, t in zip(stack, trials):
+        rng = root.child(3, t).generator() if spec.seeded else None
+        want = per_vector_oracle(spec, rng, 3)
+        alone = sample_vector(spec, 3, root.child(3, t) if spec.seeded else None)
+        assert row.tobytes() == alone.tobytes() == want.tobytes()
+    stack[:] = 7.0  # nothing the spec holds is shared
+    assert per_vector_oracle(spec, root.child(3, 0).generator(), 3)[0] != 7.0
+    with pytest.raises(ValueError, match=r"^expected a seed or a non-empty sequence of seeds$"):
+        sample_vector(spec, 3, [])
 
 
 def test_every_ensemble_is_exactly_symmetric():

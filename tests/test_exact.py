@@ -1,5 +1,7 @@
 import functools
 import itertools
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +203,19 @@ def test_exact_cap_enforced_and_overridable():
     with pytest.raises(DimensionCapError):
         is_controllable_exact(a, b)
     assert is_controllable_exact(a, b, cap=None) is False  # zero matrix, rank 1
+
+
+def test_cap_must_be_an_integer():
+    # nan once disabled the cap, True acted as 1 and "3" raised a bare TypeError
+    eye = np.eye(3, dtype=np.int64)
+    for cap in (math.nan, True, "3", 2.5):
+        with pytest.raises(ValueError, match=rf"^cap must be an integer, got {re.escape(repr(cap))}$"):
+            kalman_ranks_exact(P3, eye, cap=cap)
+        with pytest.raises(ValueError, match=r"^cap must be an integer"):
+            sparsest_input(P3, cap=cap)
+    assert kalman_ranks_exact(P3, eye, cap=np.int64(3)) == kalman_ranks_exact(P3, eye)
+    with pytest.raises(DimensionCapError):
+        kalman_ranks_exact(P3, eye, cap=np.int64(2))
 
 
 def test_dimension_mismatch_raises():
@@ -895,6 +910,39 @@ def test_large_spectra_certified_without_bareiss(monkeypatch):
     assert has_simple_spectrum_exact(np.zeros((0, 0), dtype=np.int64)) is True
     assert has_simple_spectrum_exact([[5]]) is True
     assert len(oracle_calls) == 0
+
+
+def test_every_stack_eliminated_mod_p_is_n_by_n(monkeypatch):
+    # a block of inputs (I, for the spectrum) enters mod p as one combination
+    # B w, so its Krylov matrix is n x n like a single input's, not n^2 x n
+    shapes = []
+    real_echelon = exact_module._echelon_mod_p
+    monkeypatch.setattr(exact_module, "_echelon_mod_p",
+                        lambda stack: shapes.append(stack.shape[1:]) or real_echelon(stack))
+    root = SeedPath(20261019, ("combined-block",))
+    for n in (1, 2, 5, 12, 24, 40):
+        mats = [sample_gnp(n, 0.5, root.child(n)), *rank_deficient_fixtures(n),
+                *repeated_diagonals(n)]
+        for a in mats:
+            shapes.clear()
+            has_simple_spectrum_exact(a)
+            kalman_ranks_exact(a, np.eye(n, dtype=np.int64), cap=None)
+            assert shapes and set(shapes) == {(n, n)}, (n, shapes)
+
+
+def test_unlucky_block_weights_leave_the_spectrum_to_bareiss(monkeypatch):
+    # with w = e_0, B w is the input e_0, whose Krylov degree under a diagonal
+    # matrix is 1: the relation q(A) = A fails on the whole block I, so the
+    # degree goes to Bareiss and the verdict stays right either way
+    monkeypatch.setattr(exact_module, "_weights", lambda k: np.eye(1, k, dtype=np.int64)[0])
+    oracle_calls = count_oracle_calls(monkeypatch)
+    assert has_simple_spectrum_exact(np.diag(np.arange(6))) is True
+    assert len(oracle_calls) == 1
+    assert has_simple_spectrum_exact(np.diag([0, 0, 1, 1, 2, 2])) is False
+    assert len(oracle_calls) == 2
+    # a single input (k = 1) is not combined: its Kalman rank needs no Bareiss
+    assert kalman_ranks_exact(np.diag(np.arange(6)), np.ones((6, 1), dtype=np.int64)) == [6]
+    assert len(oracle_calls) == 2
 
 
 # ---------------------------------------------------------------------------

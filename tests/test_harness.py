@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -45,6 +46,18 @@ def test_wilson_interval_rejects_impossible_counts():
             wilson_interval(successes, trials)
 
 
+def test_wilson_interval_rejects_counts_and_z_it_would_misread():
+    # each once returned an interval; a negative z an inverted one
+    for successes, trials, name in [(1.5, 3, "successes"), (2, 3.5, "trials"),
+                                    (True, 3, "successes"), (1, np.float64(3.0), "trials")]:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            wilson_interval(successes, trials)
+    for z in (-1.96, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^z must be finite and > 0, got {z}$"):
+            wilson_interval(2, 3, z)
+    assert wilson_interval(np.int64(2), np.int64(3)) == wilson_interval(2, 3)
+
+
 def test_wilson_interval_narrows_with_trials():
     lo1, hi1 = wilson_interval(90, 100)
     lo2, hi2 = wilson_interval(900, 1000)
@@ -54,6 +67,26 @@ def test_wilson_interval_narrows_with_trials():
 # ---------------------------------------------------------------------------
 # configs and presets
 # ---------------------------------------------------------------------------
+
+def test_counts_seeds_grid_entries_and_caps_must_be_integers():
+    # int() once truncated each: trials=2.7 ran 2 trials at n = 5 with seed 3
+    for overrides, message in [({"trials": 2.7}, "trials must be an integer, got 2.7"),
+                               ({"trials": True}, "trials must be an integer, got True"),
+                               ({"n_grid": (5.9,)}, "n-grid entry must be an integer, got 5.9"),
+                               ({"master_seed": 3.5}, "master_seed must be an integer, got 3.5")]:
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            make_scenario_config("kn-allones", **overrides)
+    config = make_scenario_config("kn-allones", trials=np.int64(2), n_grid=[np.int64(5)],
+                                  master_seed=np.int64(3))
+    assert (config.trials, config.n_grid, config.master_seed) == (2, (5,), 3)
+    assert all(type(v) is int for v in (config.trials, *config.n_grid, config.master_seed))
+    for key, value in [("exact_cap", 2.5), ("trials", 2.5), ("n_grid", (5.5,)),
+                       ("master_seed", 1.5)]:
+        config = make_scenario_config("kn-allones")
+        setattr(config, key, value)
+        with pytest.raises(ValueError, match=r" must be an integer, got "):
+            config.validate()
+
 
 def test_all_presets_are_complete_and_valid():
     presets = {name: make_scenario_config(name) for name in SCENARIOS}
@@ -549,7 +582,7 @@ def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
 def test_conj1_trial_falls_back_when_certificate_fails(monkeypatch):
     # A vanishes mod _P, but both basis inputs are controllable over Q
     a = np.array([[0, _P], [_P, 0]], dtype=np.int64)
-    monkeypatch.setattr(harness, "_sample_stack", lambda spec, rngs, n: np.stack([a] * len(rngs)))
+    monkeypatch.setattr(harness, "sample_ensemble", lambda spec, rngs, n: np.stack([a] * len(rngs)))
     config = make_scenario_config("conj1", n_grid=(2,), trials=1)
     rec = run_trial(config, 2, 0)
     assert rec.success

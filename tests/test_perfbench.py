@@ -8,8 +8,10 @@ import hashlib
 import importlib
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
+from ctrllab import harness
 from ctrllab.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -29,6 +31,25 @@ def test_every_traced_function_exists_in_ctrllab():
     missing = [f"{home}.{attr}" for home, attr in traced
                if not callable(getattr(importlib.import_module(f"ctrllab.{home}"), attr, None))]
     assert missing == []
+
+
+def test_tracer_sees_the_chunk_work():
+    # a chunk is drawn and decided through the public samplers and
+    # pbh_controllable, the functions the tracer binds, so their spans open
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        opened, chunks = {}, {}
+        for name in ("thm-wigner-basis", "cor-gnp-rand"):
+            config = harness.make_scenario_config(name, n_grid=(8,), trials=3)
+            tracer.reset()
+            harness.run_experiment(config)
+            opened[name] = Counter(span[0] for span in tracer.spans)
+            chunks[name] = len(harness._chunks(config, 8))
+    finally:
+        tracer.uninstall()
+    assert all(spans["spectral.pbh"] > 0 for spans in opened.values())
+    assert opened["thm-wigner-basis"]["ensembles.sample"] >= chunks["thm-wigner-basis"] >= 1
 
 
 def test_benchmark_experiments_keep_their_pinned_digests(capsys):

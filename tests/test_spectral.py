@@ -28,7 +28,8 @@ from ctrllab import (
     spectral_norm,
     support_feasibility,
 )
-from ctrllab.spectral import _pbh_stack, _row_norms, basis_witnesses, classify
+from ctrllab.ensembles import _row_norms
+from ctrllab.spectral import basis_witnesses, classify
 
 SEED = SeedPath(20260810, ("test-spectral",))
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -151,7 +152,7 @@ def test_pbh_names_nonfinite_input_entries():
     b = np.ones((3, 3))
     b[1, 2] = math.nan  # in a stack, the first input at fault is named
     with pytest.raises(ValueError, match=r"^input vector has non-finite entries: \[2\] = nan$"):
-        _pbh_stack(eig_sym(np.stack([P3, K3, P3])), b, Tolerances())
+        pbh_controllable(None, b, eigsys=eig_sym(np.stack([P3, K3, P3])))
 
 
 def test_min_gap():
@@ -286,11 +287,16 @@ def test_eigensystems_of_the_wrong_kind_are_refused_by_name():
     stack = np.stack([P3, K3]).astype(np.int64)
     with pytest.raises(ValueError, match=message):
         kalman_ranks_exact(stack, eye, eigsys=eig_sym(stack, vectors=False))
-    with pytest.raises(ValueError, match=message):
-        _pbh_stack(eig_sym(stack, vectors=False), None, Tolerances())
-    one = r"^expected the eigensystem of one matrix, got a stack of 2$"
-    with pytest.raises(ValueError, match=one):
+    for b in (None, np.ones((2, 3))):
+        with pytest.raises(ValueError, match=message):
+            pbh_controllable(None, b, eigsys=eig_sym(stack, vectors=False))
+    # a stack's system needs one input per matrix, and one matrix's system one input
+    with pytest.raises(ValueError, match=r"^dimension mismatch: A is a stack of 2 3x3 matrices, "
+                                         r"b has shape \(3,\)$"):
         pbh_controllable(None, [1.0, 0.0, 0.0], eigsys=eig_sym(stack))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: A is 3x3, b has shape \(2, 3\)$"):
+        pbh_controllable(None, np.eye(3)[:2], eigsys=eig_sym(P3))
+    one = r"^expected the eigensystem of one matrix, got a stack of 2$"
     with pytest.raises(ValueError, match=one):
         support_feasibility(None, [0], eigsys=eig_sym(stack))
     with pytest.raises(ValueError, match=one):
@@ -329,8 +335,10 @@ def test_stacked_pbh_witnesses_equal_per_pair_calls():
         for b in _stacked_inputs(n, t, root):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # not even an overflow warning
-                decisions, inner = _pbh_stack(stack, b, tol)
-            for es, row, decision, witness in zip(stack, b, decisions, inner):
+                verdict = pbh_controllable(None, b, tol, eigsys=stack)
+            assert verdict.min_gap.tolist() == stack.gap.tolist()
+            for es, row, decision, witness in zip(stack, b, verdict.decision.tolist(),
+                                                  verdict.min_abs_inner.tolist()):
                 oracle, worst = pbh_oracle(es, row, tol)
                 assert (decision, witness.hex()) == (oracle, worst.hex())
                 with warnings.catch_warnings():
@@ -338,8 +346,9 @@ def test_stacked_pbh_witnesses_equal_per_pair_calls():
                     alone = pbh_controllable(None, row, tol, eigsys=es)
                 assert (alone.decision, alone.min_abs_inner.hex()) == (oracle, worst.hex())
                 assert alone.min_gap == es.gap
-        decisions, inner = _pbh_stack(stack, None, tol)
-        for es, decision, witness in zip(stack, decisions, inner):
+        verdict = pbh_controllable(mats, None, tol)
+        for es, decision, witness in zip(stack, verdict.decision.tolist(),
+                                         verdict.min_abs_inner.tolist()):
             gap, scale, per_input = basis_witnesses(es)
             worst = float(np.min(per_input))
             assert (decision, witness) == (classify(gap, worst, scale, 1.0, tol), worst)
@@ -601,6 +610,12 @@ def test_small_ball_validates_inputs():
         small_ball_estimate([1.0], Atom.rademacher(), 0.0, 2000, SEED)
     with pytest.raises(ValueError, match="window half-width must be positive, got nan"):
         small_ball_estimate([1.0], Atom.rademacher(), math.nan, 2000, SEED)
+
+
+def test_small_ball_rejects_an_infinite_window():
+    # an infinite window once held every sample: rho_hat = 1.0
+    with pytest.raises(ValueError, match=r"^window half-width must be finite, got inf$"):
+        small_ball_estimate([1.0], Atom.rademacher(), math.inf, 2000, SEED)
 
 
 def test_small_ball_names_a_non_finite_entry_and_a_non_integer_m():
