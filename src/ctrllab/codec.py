@@ -4,6 +4,7 @@ A :class:`Spec` (atom, shift, ensemble, input vector) has a ``kind``, and
 `_kinds` maps each kind to its validating classmethod: the dict is ``kind``
 plus that classmethod's parameters in field order, None left out, and
 reading one calls the classmethod, so JSON input is validated like code.
+A spec holds its kind's fields and nothing else, so its dict shows all it holds.
 A :class:`Record` writes every field, under the JSON key `_keys` names.
 Nested specs and records become dicts, tuples and arrays lists;
 `_decoders` rebuilds a field from its non-null JSON value.  Reading
@@ -63,12 +64,22 @@ def _json_test(hint):
 
 @cache
 def _field_tests(make) -> dict:
-    """Field name -> (JSON value test, annotation text) for every annotated
-    parameter of `make`, a record class or a spec classmethod."""
+    """Field name -> (JSON value test, annotation text, annotation) for every
+    annotated parameter of `make`, a record class or a spec classmethod."""
     hints = get_type_hints(make)
-    return {name: (_json_test(hints[name]), p.annotation.strip("'")
-                   if isinstance(p.annotation, str) else formatannotation(p.annotation))
+    return {name: (_json_test(hints[name]), p.annotation.strip("'") if isinstance(p.annotation, str)
+                   else formatannotation(p.annotation), hints[name])
             for name, p in signature(make).parameters.items() if name in hints}
+
+
+def _check(make, name: str, value, where: str):
+    """`value` (as a float for a float parameter) if, as JSON would hold it,
+    it passes the JSON test of parameter `name` of `make`; else a ValueError
+    naming `where`.  A bool is no number and 1.0 no int; numpy scalars pass."""
+    test, text, hint = _field_tests(make)[name]
+    if not test(_encode(value)):
+        raise ValueError(f"{where} must be {text}, got {value!r}")
+    return float(value) if hint is float else value
 
 
 def _build(where: str, make, d, decoders: dict, keys: dict):
@@ -86,8 +97,8 @@ def _build(where: str, make, d, decoders: dict, keys: dict):
     args = {}
     for key, value in d.items():
         name = names[key]
-        if name in tests and not tests[name][0](value):
-            raise ValueError(f"key {key!r} in {where} must be {tests[name][1]}, got {value!r}")
+        if name in tests:
+            _check(make, name, value, f"key {key!r} in {where}")
         args[name] = value if value is None or name not in decoders else decoders[name](value)
     return make(**args)
 
@@ -105,13 +116,25 @@ class Spec:
     _kinds: dict = {}
     _decoders: dict = {}
 
+    def _check_fields(self) -> None:
+        """Reject an unknown kind, a field the kind does not take and a value
+        a JSON config could not give the field (:func:`_check`, which also
+        gives the value to store).  A field left None is the kind's to judge."""
+        cls, kind = type(self), self.kind
+        if not isinstance(kind, str) or kind not in cls._kinds:
+            raise ValueError(f"unknown {cls.__name__.removesuffix('Spec').lower()} kind {kind!r}")
+        make, where = getattr(cls, cls._kinds[kind]), f"{cls.__name__} {kind!r}"
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if value is not None and f.name not in _kind_fields(cls, kind):
+                raise ValueError(f"{where} takes no field {f.name!r}, got {value!r}")
+            if value is not None and f.name in _field_tests(make):
+                value = _check(make, f.name, value, f"{where} field {f.name!r}")
+                object.__setattr__(self, f.name, value)
+
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for name in _kind_fields(type(self), self.kind):
-            value = getattr(self, name)
-            if value is not None:
-                d[name] = _encode(value)
-        return d
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: _encode(value) for name, value in values.items() if value is not None}
 
     @classmethod
     def from_dict(cls, d):

@@ -74,36 +74,35 @@ class Atom(Spec):
     """
 
     kind: str
-    mean: float = 0.0
-    variance: float = 1.0
-    p: float = 0.5
-    value: float = 0.0
+    mean: float | None = None
+    variance: float | None = None
+    p: float | None = None
+    value: float | None = None
 
     _kinds = {"gaussian": "gaussian", "rademacher": "rademacher",
               "centered-bernoulli": "centered_bernoulli", "bernoulli01": "bernoulli01",
               "degenerate": "degenerate"}
 
     def __post_init__(self) -> None:
+        self._check_fields()
         if self.kind == "gaussian":
-            if not math.isfinite(self.mean):
+            if self.mean is None or not math.isfinite(self.mean):
                 raise ValueError(f"gaussian mean must be finite, got {self.mean}")
-            if not 0 <= self.variance < math.inf:
+            if self.variance is None or not 0 <= self.variance < math.inf:
                 raise ValueError(f"gaussian variance must be finite and >= 0, got {self.variance}")
         elif self.kind == "centered-bernoulli":
-            if not 0.0 < self.p < 1.0:
+            if self.p is None or not 0.0 < self.p < 1.0:
                 raise ValueError(f"centered-bernoulli requires 0 < p < 1, got {self.p}")
         elif self.kind == "bernoulli01":
-            if not 0.0 <= self.p <= 1.0:
+            if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"bernoulli01 requires 0 <= p <= 1, got {self.p}")
         elif self.kind == "degenerate":
-            if not math.isfinite(self.value):
+            if self.value is None or not math.isfinite(self.value):
                 raise ValueError(f"degenerate value must be finite, got {self.value}")
-        elif self.kind != "rademacher":
-            raise ValueError(f"unknown atom kind {self.kind!r}")
 
     @classmethod
     def gaussian(cls, mean: float = 0.0, variance: float = 1.0) -> "Atom":
-        return cls("gaussian", mean=float(mean), variance=float(variance))
+        return cls("gaussian", mean=mean, variance=variance)
 
     @classmethod
     def rademacher(cls) -> "Atom":
@@ -111,15 +110,15 @@ class Atom(Spec):
 
     @classmethod
     def centered_bernoulli(cls, p: float) -> "Atom":
-        return cls("centered-bernoulli", p=float(p))
+        return cls("centered-bernoulli", p=p)
 
     @classmethod
     def bernoulli01(cls, p: float) -> "Atom":
-        return cls("bernoulli01", p=float(p))
+        return cls("bernoulli01", p=p)
 
     @classmethod
     def degenerate(cls, value: float = 0.0) -> "Atom":
-        return cls("degenerate", value=float(value))
+        return cls("degenerate", value=value)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw iid copies; always float64."""
@@ -157,19 +156,18 @@ class Atom(Spec):
 class ShiftSpec(Spec):
     """Deterministic symmetric shift added to a Wigner matrix."""
 
-    kind: str  # none | constant-offdiag | explicit
-    c: float = 0.0
+    kind: str  # constant-offdiag | explicit
+    c: float | None = None
     matrix: np.ndarray | None = None
 
-    _kinds = {"none": "none", "constant-offdiag": "constant_offdiag", "explicit": "explicit"}
+    _kinds = {"constant-offdiag": "constant_offdiag", "explicit": "explicit"}
 
     def __post_init__(self) -> None:
+        self._check_fields()
         if self.kind == "constant-offdiag":
-            c = float(self.c)
-            if not math.isfinite(c):
-                raise ValueError(f"constant-offdiag shift c must be finite, got {c}")
-            object.__setattr__(self, "c", c)
-        elif self.kind == "explicit":
+            if self.c is None or not math.isfinite(self.c):
+                raise ValueError(f"constant-offdiag shift c must be finite, got {self.c}")
+        else:
             m = np.asarray(self.matrix, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"explicit shift must be square, got shape {m.shape}")
@@ -178,12 +176,6 @@ class ShiftSpec(Spec):
             if not np.array_equal(m, m.T):
                 raise ValueError("explicit shift matrix must be symmetric")
             object.__setattr__(self, "matrix", m)
-        elif self.kind != "none":
-            raise ValueError(f"unknown shift kind {self.kind!r}")
-
-    @classmethod
-    def none(cls) -> "ShiftSpec":
-        return cls("none")
 
     @classmethod
     def constant_offdiag(cls, c: float) -> "ShiftSpec":
@@ -196,8 +188,6 @@ class ShiftSpec(Spec):
 
 def shift_matrix(spec: ShiftSpec, n: int) -> np.ndarray:
     """Realize a shift spec as an explicit symmetric n x n float matrix."""
-    if spec.kind == "none":
-        return np.zeros((n, n))
     if spec.kind == "constant-offdiag":
         m = np.full((n, n), spec.c)
         np.fill_diagonal(m, 0.0)
@@ -213,15 +203,12 @@ def shift_matrix(spec: ShiftSpec, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec(Spec):
-    """Declarative description of a random symmetric matrix ensemble.
-
-    `n` may be left as None in templates; harness configs supply the
-    dimension per grid point at sampling time.  A shifted Wigner ensemble
+    """Declarative description of a random symmetric matrix ensemble, of
+    no fixed dimension: the sampler takes n.  A shifted Wigner ensemble
     without a shift samples like the plain one.
     """
 
     kind: str  # wigner | goe | gnp-adjacency | shifted-wigner
-    n: int | None = None
     offdiag: Atom | None = None
     diag: Atom | None = None
     p: float | None = None
@@ -233,33 +220,30 @@ class EnsembleSpec(Spec):
                  "shift": ShiftSpec.from_dict}
 
     def __post_init__(self) -> None:
+        self._check_fields()
         if self.kind in ("wigner", "shifted-wigner"):
             if self.offdiag is None or self.diag is None:
                 raise ValueError(f"{self.kind} ensemble needs offdiag and diag atoms")
         elif self.kind == "gnp-adjacency":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"gnp-adjacency requires p in [0, 1], got {self.p}")
-        elif self.kind != "goe":
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.n is not None and self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
 
     @classmethod
-    def wigner(cls, offdiag: Atom, diag: Atom, n: int | None = None) -> "EnsembleSpec":
-        return cls("wigner", n=n, offdiag=offdiag, diag=diag)
+    def wigner(cls, offdiag: Atom, diag: Atom) -> "EnsembleSpec":
+        return cls("wigner", offdiag=offdiag, diag=diag)
 
     @classmethod
-    def goe(cls, n: int | None = None) -> "EnsembleSpec":
-        return cls("goe", n=n)
+    def goe(cls) -> "EnsembleSpec":
+        return cls("goe")
 
     @classmethod
-    def gnp(cls, p: float, n: int | None = None) -> "EnsembleSpec":
-        return cls("gnp-adjacency", n=n, p=float(p))
+    def gnp(cls, p: float) -> "EnsembleSpec":
+        return cls("gnp-adjacency", p=p)
 
     @classmethod
-    def shifted_wigner(cls, offdiag: Atom, diag: Atom, shift: ShiftSpec | None = None,
-                       n: int | None = None) -> "EnsembleSpec":
-        return cls("shifted-wigner", n=n, offdiag=offdiag, diag=diag, shift=shift)
+    def shifted_wigner(cls, offdiag: Atom, diag: Atom,
+                       shift: ShiftSpec | None = None) -> "EnsembleSpec":
+        return cls("shifted-wigner", offdiag=offdiag, diag=diag, shift=shift)
 
     @property
     def integer_valued(self) -> bool:
@@ -331,16 +315,13 @@ def sample_gnp(n: int, p: float, seed: SeedPath | np.random.Generator) -> np.nda
     return sample_ensemble(EnsembleSpec.gnp(p), seed, n)
 
 
-def sample_ensemble(spec: EnsembleSpec, seed, n: int | None = None) -> np.ndarray:
-    """Sample a matrix from `spec`; gnp yields int64, everything else float64.
+def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
+    """Sample an n x n matrix from `spec`; gnp yields int64, everything else float64.
 
     Given a sequence of T seeds, the (T, n, n) stack of one each, each
     drawn from its own generator and all mirrored by one transpose-add.
     """
-    dim = n if n is not None else spec.n
-    if dim is None:
-        raise ValueError("ensemble spec has no dimension; pass n explicitly")
-    n = _integer(dim, "n")
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     seeds, single = _seeds(seed)
@@ -392,13 +373,13 @@ class VectorSpec(Spec):
     _decoders = {"atom": Atom.from_dict, "base": lambda d: VectorSpec.from_dict(d)}
 
     def __post_init__(self) -> None:
+        self._check_fields()
         if self.kind == "standard-basis":
             if self.index is None or self.index < 0:
                 raise ValueError(f"basis index must be >= 0, got {self.index}")
         elif self.kind == "bernoulli01":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"bernoulli01 requires p in [0, 1], got {self.p}")
-            object.__setattr__(self, "p", float(self.p))
         elif self.kind == "iid-atom":
             if not isinstance(self.atom, Atom):
                 raise ValueError(f"iid-atom vector needs an Atom, got {self.atom!r}")
@@ -408,8 +389,6 @@ class VectorSpec(Spec):
             object.__setattr__(self, "mu", _finite_vector(self.mu, "shifted vector mu"))
         elif self.kind == "explicit":
             object.__setattr__(self, "values", _finite_vector(self.values, "explicit vector values"))
-        elif self.kind not in ("all-ones", "uniform-sphere"):
-            raise ValueError(f"unknown vector kind {self.kind!r}")
 
     @classmethod
     def standard_basis(cls, index: int) -> "VectorSpec":

@@ -42,7 +42,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .codec import Record, _is_int
+from .codec import Record, _check, _is_int
 from .ensembles import (Atom, EnsembleSpec, VectorSpec, _integer, _vector_misfit, sample_ensemble,
                         sample_vector)
 from .exact import DEFAULT_EXACT_CAP, kalman_ranks_exact
@@ -83,7 +83,7 @@ _Z95 = 1.959963984540054
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (default 95%), z > 0."""
     successes, trials = _integer(successes, "successes"), _integer(trials, "trials")
-    if not 0 < z < math.inf:
+    if isinstance(z, bool) or not 0 < z < math.inf:
         raise ValueError(f"z must be finite and > 0, got {z}")
     if not 0 <= successes <= trials:
         raise ValueError(f"need 0 <= successes <= trials: successes={successes}, trials={trials}")
@@ -158,6 +158,8 @@ class ExperimentConfig(Record):
             over = [n for n in self.n_grid if n > self.exact_cap]
             if over:
                 raise ValueError(f"method=exact but n-grid {over} exceeds exact cap {self.exact_cap}")
+        for name in ("p", "out"):  # as a JSON config must give them: no bool p, a str out
+            _check(ExperimentConfig, name, getattr(self, name), name)
         if scenario.density and not 0.0 < (self.p or 0.0) < 1.0:
             raise ValueError(f"scenario {self.scenario!r} requires 0 < p < 1, got {self.p}")
         # the config runs the scenario's own experiment: its row at p, with

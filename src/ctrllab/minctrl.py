@@ -83,7 +83,7 @@ class BasisScanResult:
                    frozenset(), "exact")
 
 
-def basis_scan(a, method: str = "exact", tolerances: Tolerances | None = None,
+def basis_scan(a, method: str = "exact", tolerances: Tolerances = DEFAULT_TOLERANCES,
                cap: int | None = DEFAULT_EXACT_CAP) -> BasisScanResult:
     """Decide (A, e_i) for every standard basis vector.
 
@@ -98,16 +98,15 @@ def basis_scan(a, method: str = "exact", tolerances: Tolerances | None = None,
     return BasisScanResult.from_ranks(kalman_ranks_exact(mat, np.eye(len(mat), dtype=np.int64), cap))
 
 
-def _float_scan(eigsys: EigenSystem, tolerances: Tolerances | None) -> BasisScanResult:
-    tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
+def _float_scan(eigsys: EigenSystem, tolerances: Tolerances) -> BasisScanResult:
     gap, scale, inner = basis_witnesses(eigsys)
-    decisions = classify(gap, inner, scale, 1.0, tol)
+    decisions = classify(gap, inner, scale, 1.0, tolerances)
     return BasisScanResult(frozenset(np.flatnonzero(decisions == CONTROLLABLE).tolist()),
                            frozenset(np.flatnonzero(decisions == INDETERMINATE).tolist()),
                            "float-pbh")
 
 
-def support_feasibility(a, support, tolerances: Tolerances | None = None,
+def support_feasibility(a, support, tolerances: Tolerances = DEFAULT_TOLERANCES,
                         eigsys: EigenSystem | None = None) -> bool:
     """True iff some vector supported on `support` can be controllable.
 
@@ -120,14 +119,13 @@ def support_feasibility(a, support, tolerances: Tolerances | None = None,
     idx = sorted(set(_integer(i, "support index") for i in support))
     if not idx:
         raise ValueError("support must be nonempty")
-    tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     if eigsys is None:
         eigsys = eig_sym(_matrix(a))
     bad = [i for i in idx if not 0 <= i < eigsys.n]
     if bad:
         raise ValueError(f"support index {bad[0]} out of range for n={eigsys.n}")
     inner = float(np.min(np.max(np.abs(_stack_of_one(eigsys).eigenvectors[0, idx]), axis=0)))
-    return classify(eigsys.gap, inner, eigsys.scale, 1.0, tol) == CONTROLLABLE
+    return classify(eigsys.gap, inner, eigsys.scale, 1.0, tolerances) == CONTROLLABLE
 
 
 @dataclass(frozen=True)
@@ -152,7 +150,7 @@ class MinCtrlResult:
 
 
 def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
-                   seed: SeedPath | None = None, tolerances: Tolerances | None = None,
+                   seed: SeedPath | None = None, tolerances: Tolerances = DEFAULT_TOLERANCES,
                    cap: int | None = DEFAULT_EXACT_CAP,
                    budget: int = DEFAULT_SUPPORT_BUDGET,
                    scan: BasisScanResult | None = None) -> MinCtrlResult:
@@ -226,22 +224,21 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
         raise ValueError(f"unknown entry mode {entry_mode!r}")
     if seed is None:
         raise ValueError("generic-random mode needs a SeedPath")
-    tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     eigsys = eig_sym(mat)
-    scan = _float_scan(eigsys, tol)
+    scan = _float_scan(eigsys, tolerances)
     tested = 0
     for k in range(1, kmax + 1):
         for supp in combinations(range(n), k):
             if tested >= budget:
                 raise BudgetExceededError(tested, k, budget)
             tested += 1
-            if not support_feasibility(None, supp, tol, eigsys=eigsys):
+            if not support_feasibility(None, supp, tolerances, eigsys=eigsys):
                 continue
             rng = seed.child("support", *supp).generator()
             for _ in range(_WITNESS_TRIALS):
                 b = np.zeros(n)
                 b[list(supp)] = rng.uniform(1.0, 2.0, size=k)
-                if pbh_controllable(None, b, tol, eigsys=eigsys).controllable:
+                if pbh_controllable(None, b, tolerances, eigsys=eigsys).controllable:
                     return MinCtrlResult(scan.controllable, k, b, "float-pbh",
                                          tested, scan.indeterminate)
     return MinCtrlResult(scan.controllable, None, None, "float-pbh",

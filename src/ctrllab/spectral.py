@@ -19,11 +19,11 @@ sum of iid atoms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .codec import Record
+from .codec import Record, _check
 from .ensembles import Atom, _finite_vector, _integer, _rng, _row_norms, nonfinite_error
 from .seeding import SeedPath
 
@@ -65,23 +65,21 @@ class EigenSystem:
     and `scale`; or of a stack of T: (T, n), (T, n, n) and (T,) arrays, with
     `len(es)` = T and `es[t]` the system of matrix t.  Ties are ordered as
     LAPACK returns them, deterministically for a fixed matrix.  `gap` and
-    `norm` are computed on construction unless given.
+    `norm` are computed from the eigenvalues on construction.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    gap: float | np.ndarray | None = None
-    norm: float | np.ndarray | None = None
+    gap: float | np.ndarray = field(init=False)
+    norm: float | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         w = self.eigenvalues
         n, rows = w.shape[-1], w.shape[:-1]
-        if self.gap is None:
-            gap = np.min(np.diff(w), axis=-1) if n > 1 else np.full(rows, math.inf)
-            object.__setattr__(self, "gap", gap if rows else float(gap))
-        if self.norm is None:
-            norm = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])) if n else np.zeros(rows)
-            object.__setattr__(self, "norm", norm if rows else float(norm))
+        gap = np.min(np.diff(w), axis=-1) if n > 1 else np.full(rows, math.inf)
+        norm = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])) if n else np.zeros(rows)
+        object.__setattr__(self, "gap", gap if rows else float(gap))
+        object.__setattr__(self, "norm", norm if rows else float(norm))
 
     @property
     def n(self) -> int:
@@ -279,7 +277,7 @@ class Tolerances(Record):
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
+            value = _check(Tolerances, f.name, getattr(self, f.name), f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0 <= self.gap_reject <= self.gap_tol:
@@ -336,7 +334,7 @@ def classify(gap, inner, scale, norm_b, tol: Tolerances):
     return _VERDICTS[np.where(reject, 2, np.where(accept, 0, 1))]
 
 
-def pbh_controllable(a, b, tolerances: Tolerances | None = None,
+def pbh_controllable(a, b, tolerances: Tolerances = DEFAULT_TOLERANCES,
                      eigsys: EigenSystem | None = None) -> ControllabilityVerdict:
     """Three-valued PBH controllability verdict for a symmetric pair (A, b).
 
@@ -353,7 +351,6 @@ def pbh_controllable(a, b, tolerances: Tolerances | None = None,
     equal to that pair's alone: the stack's inner products and norms come
     from one matmul each, whose every item runs a single pair's BLAS kernel.
     """
-    tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     if eigsys is None:
         eigsys = eig_sym(a)
     single = eigsys.eigenvalues.ndim == 1
@@ -370,15 +367,16 @@ def pbh_controllable(a, b, tolerances: Tolerances | None = None,
             norm_b = _row_norms(b)
         off = (norm_b == 0.0) | ~np.isfinite(norm_b)
         if off.any():
-            if not np.isfinite(b).all():
-                raise nonfinite_error(b[~np.isfinite(b).all(axis=1)][0], "input vector")
+            t = int(np.argmin(np.isfinite(b).all(axis=1)))
+            if not np.isfinite(b[t]).all():
+                raise nonfinite_error(b[t], f"input vector{'' if single else f' {t} of the stack'}")
             peak = np.abs(b).max(axis=1, initial=0.0)
             b = b / np.where(off & (peak > 0.0), peak, 1.0)[:, None]
             norm_b = _row_norms(b)
         products = np.matmul(_eigenvectors(stack).transpose(0, 2, 1), b[:, :, None])
         inner = np.min(np.abs(products), axis=(1, 2), initial=math.inf)
         inner[norm_b == 0.0] = 0.0  # the zero vector, also for n = 0
-    decisions = classify(stack.gap, inner, stack.scale, norm_b, tol)
+    decisions = classify(stack.gap, inner, stack.scale, norm_b, tolerances)
     decisions = np.where(norm_b == 0.0, UNCONTROLLABLE, decisions)
     if single:
         return ControllabilityVerdict(decisions[0].item(), eigsys.gap, inner[0].item())
@@ -538,8 +536,8 @@ def small_ball_estimate(x, atom: Atom, delta: float, m: int,
     xv = _finite_vector(x, "x")
     if _integer(m, "m") < 1000:
         raise ValueError(f"need m >= 1000 samples, got {m}")
-    if not 0 < delta < math.inf:
-        why = "finite" if delta > 0 else "positive"
+    if isinstance(delta, bool) or not 0 < delta < math.inf:
+        why = "a number" if isinstance(delta, bool) else "finite" if delta > 0 else "positive"
         raise ValueError(f"window half-width must be {why}, got {delta}")
     rng = _rng(seed)
     n = xv.size

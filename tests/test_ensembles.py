@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -466,9 +467,9 @@ def test_every_ensemble_is_exactly_symmetric():
 
 def test_ensemble_spec_dict_round_trip():
     specs = [
-        EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0), n=8),
+        EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0)),
         EnsembleSpec.goe(),
-        EnsembleSpec.gnp(0.25, n=4),
+        EnsembleSpec.gnp(0.25),
         EnsembleSpec.shifted_wigner(Atom.centered_bernoulli(0.3), Atom.degenerate(0.0),
                                     ShiftSpec.constant_offdiag(1.5)),
     ]
@@ -486,7 +487,7 @@ def test_ensemble_spec_dict_round_trip():
     (Atom, {"mean": 0.0}, "'kind'"),
     (Atom, {"kind": ["gaussian"]}, "'kind'"),
     (EnsembleSpec, {"kind": "wigner", "offdiag": {"kind": "rademacher"}}, "missing key 'diag'"),
-    (EnsembleSpec, {"kind": "gnp-adjacency", "p": 0.5, "n": 0}, "dimension must be >= 1"),
+    (EnsembleSpec, {"kind": "gnp-adjacency", "p": 0.5, "n": 0}, "unknown key 'n'"),
     (ShiftSpec, {"kind": "explicit", "matrix": [[0.0, 1.0], [2.0, 0.0]]}, "symmetric"),
     (ShiftSpec, {"kind": "constant-offdiag", "c": math.nan},
      "constant-offdiag shift c must be finite, got nan"),
@@ -506,7 +507,7 @@ def test_ensemble_spec_dict_round_trip():
     (VectorSpec, {"kind": "iid-atom", "atom": {"kind": "laplace"}}, "'laplace'"),
     (VectorSpec, [1.0, 2.0], "needs a .kind. key"),
     (VectorSpec, {"kind": "shifted", "base": 5, "mu": 1.0}, "key 'base' .* must be VectorSpec"),
-    (EnsembleSpec, {"kind": "goe", "n": True}, r"key 'n' .* must be int \| None, got True"),
+    (EnsembleSpec, {"kind": "goe", "n": 8}, "unknown key 'n'"),
 ])
 def test_spec_dicts_are_validated(cls, d, message):
     with pytest.raises(ValueError, match=message):
@@ -535,6 +536,65 @@ def test_json_tests_resolve_annotations():
     for hint in (typing.Any, set, tuple[int, str], bytes):
         with pytest.raises(TypeError, match="no JSON value test"):
             codec._json_test(hint)
+
+
+# one spec of every kind of every spec class
+SPEC_KINDS = [
+    Atom.gaussian(0.5, 2.0), Atom.rademacher(), Atom.centered_bernoulli(0.3),
+    Atom.bernoulli01(0.25), Atom.degenerate(1.5),
+    ShiftSpec.constant_offdiag(0.5), ShiftSpec.explicit([[0.0, 1.0], [1.0, 0.0]]),
+    EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0)), EnsembleSpec.goe(),
+    EnsembleSpec.gnp(0.25),
+    EnsembleSpec.shifted_wigner(Atom.gaussian(), Atom.degenerate(0.0),
+                                ShiftSpec.constant_offdiag(1.0)),
+    VectorSpec.standard_basis(1), VectorSpec.all_ones(), VectorSpec.bernoulli01(0.5),
+    VectorSpec.iid_atom(Atom.rademacher()), VectorSpec.uniform_sphere(),
+    VectorSpec.shifted(VectorSpec.all_ones(), [0.5, 0.5]), VectorSpec.explicit([1.0, 2.0]),
+]
+
+
+def test_every_spec_kind_has_a_row():
+    assert sorted((type(s).__name__, s.kind) for s in SPEC_KINDS) == sorted(
+        (cls.__name__, kind) for cls in codec.Spec.__subclasses__() for kind in cls._kinds)
+
+
+@pytest.mark.parametrize("spec", SPEC_KINDS, ids=lambda s: f"{type(s).__name__}-{s.kind}")
+def test_a_spec_holds_its_kinds_fields_and_nothing_else(spec):
+    # so its dict, and a report's config echo, shows every field it has
+    cls = type(spec)
+    assert cls.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
+    values = {name: getattr(other, name) for other in SPEC_KINDS if type(other) is cls
+              for name in codec._kind_fields(cls, other.kind)}
+    assert set(values) == {f.name for f in dataclasses.fields(cls)[1:]}  # no field of no kind
+    for name, value in values.items():
+        if name not in codec._kind_fields(cls, spec.kind):
+            with pytest.raises(ValueError, match=rf"^{cls.__name__} '{spec.kind}' takes no field "
+                                                 rf"'{name}', got "):
+                dataclasses.replace(spec, **{name: value})
+
+
+@pytest.mark.parametrize("make,value,message", [
+    # each was accepted and misread: True as the index 1 (so every entry was
+    # set), as the density or the number 1; 1.0 as an index failed in numpy
+    (VectorSpec.standard_basis, True, "VectorSpec 'standard-basis' field 'index' must be int"),
+    (VectorSpec.standard_basis, 1.0, "VectorSpec 'standard-basis' field 'index' must be int"),
+    (EnsembleSpec.gnp, True, "EnsembleSpec 'gnp-adjacency' field 'p' must be float"),
+    (lambda p: sample_gnp(4, p, SEED), True, "EnsembleSpec 'gnp-adjacency' field 'p' must be float"),
+    (Atom.bernoulli01, True, "Atom 'bernoulli01' field 'p' must be float"),
+    (lambda mean: Atom.gaussian(mean=mean), True, "Atom 'gaussian' field 'mean' must be float"),
+], ids=["basis-true", "basis-float", "gnp-true", "sample-gnp-true", "bernoulli01-true",
+        "gaussian-mean-true"])
+def test_spec_values_built_in_python_are_read_as_json_reads_them(make, value, message):
+    with pytest.raises(ValueError, match=rf"^{message}, got {value}$"):
+        make(value)
+
+
+def test_spec_fields_take_numpy_scalars_and_hold_floats_as_floats():
+    assert VectorSpec.standard_basis(np.int64(2)).to_dict() == {"kind": "standard-basis", "index": 2}
+    for value in (np.float64(0.25), np.float32(0.25), 0):
+        for spec in (EnsembleSpec.gnp(value), Atom.bernoulli01(value), VectorSpec.bernoulli01(value)):
+            assert type(spec.p) is float and spec.p == value
+    assert type(Atom.gaussian(np.float32(1.5), 2).variance) is float
 
 
 def test_explicit_shift_must_be_symmetric():

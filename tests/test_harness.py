@@ -18,7 +18,7 @@ from ctrllab import (
     wilson_interval,
 )
 from ctrllab import exact, harness
-from ctrllab.ensembles import Atom, EnsembleSpec, VectorSpec
+from ctrllab.ensembles import Atom, EnsembleSpec, ShiftSpec, VectorSpec
 from ctrllab.exact import _P
 from ctrllab.spectral import EigenDecompositionError
 from ctrllab.harness import CSV_COLUMNS, ExperimentReport, report_load_json
@@ -52,10 +52,32 @@ def test_wilson_interval_rejects_counts_and_z_it_would_misread():
                                     (True, 3, "successes"), (1, np.float64(3.0), "trials")]:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
             wilson_interval(successes, trials)
-    for z in (-1.96, 0.0, math.nan, math.inf):
+    for z in (-1.96, 0.0, math.nan, math.inf, True):  # True was read as z = 1
         with pytest.raises(ValueError, match=rf"^z must be finite and > 0, got {z}$"):
             wilson_interval(2, 3, z)
     assert wilson_interval(np.int64(2), np.int64(3)) == wilson_interval(2, 3)
+
+
+@pytest.mark.parametrize("scenario,overrides,message", [
+    # each was accepted: gap_tol 1 made every trial indeterminate, and True
+    # or the file descriptor 5 reached the CSV or open()
+    ("thm-goe", {"gap_tol": True}, "gap_tol must be float, got True"),
+    ("kn-allones", {"p": True}, r"p must be float \| None, got True"),
+    ("conj1", {"out": 5}, r"out must be str \| None, got 5"),
+], ids=["gap-tol-true", "p-true", "out-int"])
+def test_configs_built_in_python_are_read_as_json_reads_them(scenario, overrides, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_scenario_config(scenario, **overrides)
+
+
+def test_a_hidden_shift_never_reaches_a_run():
+    # the wigner kind takes no shift: such an ensemble once ran shifted (18
+    # of 50 successes at n = 8 and seed 12345, not 4) and echoed plain Wigner
+    config = make_scenario_config("thm-wigner-basis", n_grid=(8,), trials=50)
+    with pytest.raises(ValueError, match="^EnsembleSpec 'wigner' takes no field 'shift', got "):
+        config.ensemble = EnsembleSpec("wigner", offdiag=Atom.rademacher(),
+                                       diag=Atom.degenerate(0.0),
+                                       shift=ShiftSpec.constant_offdiag(5.0))
 
 
 def test_wilson_interval_narrows_with_trials():

@@ -70,8 +70,8 @@ SPEC_FORMS = [
     (Atom, Atom.degenerate(0.0), {"kind": "degenerate", "value": 0.0}),
     (EnsembleSpec,
      EnsembleSpec.shifted_wigner(Atom.gaussian(), Atom.degenerate(0.0),
-                                 ShiftSpec.explicit([[0.0, 2.0], [2.0, 1.0]]), n=2),
-     {"kind": "shifted-wigner", "n": 2,
+                                 ShiftSpec.explicit([[0.0, 2.0], [2.0, 1.0]])),
+     {"kind": "shifted-wigner",
       "offdiag": {"kind": "gaussian", "mean": 0.0, "variance": 1.0},
       "diag": {"kind": "degenerate", "value": 0.0},
       "shift": {"kind": "explicit", "matrix": [[0.0, 2.0], [2.0, 1.0]]}}),

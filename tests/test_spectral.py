@@ -150,8 +150,9 @@ def test_pbh_names_nonfinite_input_entries():
     with pytest.raises(ValueError, match=r"input vector has non-finite entries: \[0\] = nan"):
         pbh_controllable(P3, [math.nan, 1.0, 0.0])
     b = np.ones((3, 3))
-    b[1, 2] = math.nan  # in a stack, the first input at fault is named
-    with pytest.raises(ValueError, match=r"^input vector has non-finite entries: \[2\] = nan$"):
+    b[1, 2] = math.nan  # in a stack, the first input at fault is named, with its row
+    with pytest.raises(ValueError, match=r"^input vector 1 of the stack has non-finite entries: "
+                                         r"\[2\] = nan$"):
         pbh_controllable(None, b, eigsys=eig_sym(np.stack([P3, K3, P3])))
 
 
@@ -594,6 +595,12 @@ def test_small_ball_takes_a_generator_or_its_seed_path():
     path = SEED.child("sb-gen")
     by_path = small_ball_estimate(x, Atom.rademacher(), 0.1, 2000, path)
     assert small_ball_estimate(x, Atom.rademacher(), 0.1, 2000, path.generator()) == by_path
+
+
+def test_small_ball_rejects_a_bool_delta():
+    # True was read as the half-width 1
+    with pytest.raises(ValueError, match="^window half-width must be a number, got True$"):
+        small_ball_estimate([1.0], Atom.rademacher(), True, 1000, SEED.child("sb-bool"))
 
 
 def test_small_ball_window_is_closed_and_counts_atoms():
