@@ -42,7 +42,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .codec import Record, _check, _is_int
+from .codec import Record, _check, _encode, _is_int
 from .ensembles import (Atom, EnsembleSpec, VectorSpec, _integer, _vector_misfit, sample_ensemble,
                         sample_vector)
 from .exact import DEFAULT_EXACT_CAP, kalman_ranks_exact
@@ -110,14 +110,13 @@ _FORMATS = ("csv", "json")
 
 @dataclass
 class ExperimentConfig(Record):
-    """Complete description of one experiment.
-
-    `params` carries scenario-specific knobs (bands, small-ball sample
-    counts, search depth); everything else is common bookkeeping.
+    """The knobs of one experiment; its scenario row names the ensemble
+    (:attr:`ensemble`, at `p`) and the input vector, which `vector`, if not
+    None, overrides.  `params` carries scenario-specific knobs (bands,
+    small-ball sample counts, search depth); the rest is bookkeeping.
     """
 
     scenario: str
-    ensemble: EnsembleSpec
     vector: VectorSpec | None
     n_grid: tuple[int, ...]
     trials: int
@@ -131,8 +130,13 @@ class ExperimentConfig(Record):
     fmt: str = "csv"
 
     _keys = {"fmt": "format"}
-    _decoders = {"ensemble": EnsembleSpec.from_dict, "vector": VectorSpec.from_dict,
-                 "n_grid": tuple, "tolerances": Tolerances.from_dict}
+    _decoders = {"vector": VectorSpec.from_dict, "n_grid": tuple,
+                 "tolerances": Tolerances.from_dict}
+
+    @property
+    def ensemble(self) -> EnsembleSpec:
+        """The ensemble the scenario row samples at `p`."""
+        return _sampled(self)[0]
 
     def validate(self) -> None:
         scenario = _scenario(self.scenario)
@@ -151,6 +155,18 @@ class ExperimentConfig(Record):
             raise ValueError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
         if _integer(self.exact_cap, "exact_cap") < 1:
             raise ValueError(f"exact_cap must be >= 1, got {self.exact_cap}")
+        for name in ("p", "out", "vector"):  # as JSON gives them: no bool p, a str out, a spec
+            _check(ExperimentConfig, name, getattr(self, name), name)
+        if scenario.density and not 0.0 < (self.p or 0.0) < 1.0:
+            raise ValueError(f"scenario {self.scenario!r} requires 0 < p < 1, got {self.p}")
+        if not scenario.density and self.p != scenario.p:
+            raise ValueError(f"scenario {self.scenario!r} samples p={scenario.p}, got p={self.p}")
+        if self.vector is not None and not scenario.vector_override:
+            raise ValueError(f"scenario {self.scenario!r} does not take a vector override")
+        for n in self.n_grid if self.vector is not None else ():
+            misfit = _vector_misfit(self.vector, n)
+            if misfit is not None:
+                raise ValueError(f"vector {misfit} at n={n}")
         if self.method == "exact":
             if not _exact_applicable(self):
                 raise ValueError(f"scenario {self.scenario!r} cannot run on the exact path "
@@ -158,28 +174,6 @@ class ExperimentConfig(Record):
             over = [n for n in self.n_grid if n > self.exact_cap]
             if over:
                 raise ValueError(f"method=exact but n-grid {over} exceeds exact cap {self.exact_cap}")
-        for name in ("p", "out"):  # as a JSON config must give them: no bool p, a str out
-            _check(ExperimentConfig, name, getattr(self, name), name)
-        if scenario.density and not 0.0 < (self.p or 0.0) < 1.0:
-            raise ValueError(f"scenario {self.scenario!r} requires 0 < p < 1, got {self.p}")
-        # the config runs the scenario's own experiment: its row at p, with
-        # any input vector where the scenario declares the vector override
-        p = self.p if scenario.density else scenario.p
-        ensemble, vector = scenario.at(p)
-        if scenario.vector_override and self.vector is not None:
-            vector = self.vector
-        if scenario.density and self.ensemble.kind == ensemble.kind:
-            p = self.ensemble.p  # a G(n, p) ensemble samples its own density
-        if self.p != p:
-            raise ValueError(f"scenario {self.scenario!r} samples p={p}, got p={self.p}")
-        for key, sampled in (("ensemble", ensemble), ("vector", vector)):
-            want, got = (_plain(v) for v in (sampled, getattr(self, key)))
-            if got != want:
-                raise ValueError(f"scenario {self.scenario!r} samples {key}={want}, got {key}={got}")
-        for n in self.n_grid if self.vector is not None else ():
-            misfit = _vector_misfit(self.vector, n)
-            if misfit is not None:
-                raise ValueError(f"vector {misfit} at n={n}")
         for key, value in self.params.items():
             if key not in scenario.accepts:
                 raise ValueError(f"unknown params key {key!r} for scenario {self.scenario!r}; "
@@ -247,14 +241,17 @@ class ExperimentReport(Record):
 # trial execution
 # ---------------------------------------------------------------------------
 
-def _plain(value):
-    """A spec as its dict, any other value as it is."""
-    return value.to_dict() if hasattr(value, "to_dict") else value
+def _sampled(config: ExperimentConfig) -> tuple[EnsembleSpec, VectorSpec | None]:
+    """The ensemble and input vector of the config's trials: its scenario
+    row's at p, with the config's vector, if any, in place of the row's."""
+    row = _scenario(config.scenario)
+    ensemble, vector = (x(config.p) if callable(x) else x for x in (row.ensemble, row.vector))
+    return ensemble, vector if config.vector is None else config.vector
 
 
 def _exact_applicable(config: ExperimentConfig) -> bool:
-    vector_ok = config.vector is None or config.vector.integer_valued
-    return config.ensemble.integer_valued and vector_ok
+    ensemble, vector = _sampled(config)
+    return ensemble.integer_valued and (vector is None or vector.integer_valued)
 
 
 def _exact_runs(config: ExperimentConfig, n: int) -> bool:
@@ -276,7 +273,7 @@ class _Family:
     """How one kind of trial runs, declared as data.
 
     A chunk of trials is drawn and prepared in bulk by :func:`_draw_chunk`:
-    each trial draws a matrix A, the config's input vector b (None for
+    each trial draws a matrix A, the scenario's input vector b (None for
     every standard basis input at once) and the generators of the streams
     `extra` names.  When `kalman` is set and the exact method runs at n,
     the Kalman ranks of those inputs come from one call.  The eigensystems
@@ -325,7 +322,8 @@ class _Chunk(NamedTuple):
 
 def _streams(config: ExperimentConfig, family: _Family) -> tuple[str, ...]:
     """The stream labels a trial of `family` draws from, in order."""
-    seeded = config.vector is not None and config.vector.seeded
+    vector = _sampled(config)[1]
+    seeded = vector is not None and vector.seeded
     return (("matrix", "vector") if seeded else ("matrix",)) + family.extra
 
 
@@ -334,7 +332,7 @@ def _outcome(deciding: str, verdicts: dict, witnesses: dict):
 
 
 def _trials_pbh(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
-    """(A, b) for the config's input vector; without one, (A, e_i) for every i at once."""
+    """(A, b) for the scenario's input vector; without one, (A, e_i) for every i at once."""
     verdicts, witnesses = [{} for _ in chunk.mats], [{} for _ in chunk.mats]
     if config.method != "exact":
         pbh = pbh_controllable(None, chunk.b, config.tolerances, chunk.eig)
@@ -382,7 +380,7 @@ def _params(config: ExperimentConfig) -> dict:
 def _trials_smallball(config: ExperimentConfig, n: int, chunk: _Chunk):
     params = _params(config)
     idx = n // 2 if params.get("eig_index") is None else params["eig_index"]
-    atom = config.ensemble.offdiag if config.ensemble.offdiag is not None else Atom.gaussian()
+    atom = config.ensemble.offdiag
     for v, gap, rng in zip(chunk.eig.eigenvectors, chunk.eig.gap.tolist(),
                            chunk.extra["smallball"]):
         est = small_ball_estimate(v[:, idx], atom, n ** (-params["beta"]), params["m"], rng)
@@ -455,9 +453,10 @@ def _draw_chunk(config: ExperimentConfig, n: int, trials) -> _Chunk:
     streams = _streams(config, family)
     rngs = grid.generators([(t, stream) for stream in streams for t in trials])
     drawn = {stream: list(islice(rngs, len(trials))) for stream in streams}
-    mats = sample_ensemble(config.ensemble, drawn["matrix"], n)
-    b = None if config.vector is None else \
-        sample_vector(config.vector, n, drawn.get("vector", [None] * len(trials)))
+    ensemble, vector = _sampled(config)
+    mats = sample_ensemble(ensemble, drawn["matrix"], n)
+    b = None if vector is None else \
+        sample_vector(vector, n, drawn.get("vector", [None] * len(trials)))
     exact = family.kalman and _exact_runs(config, n)
     ranks = eig = None
     if family.eig is not None or exact:
@@ -484,10 +483,14 @@ def run_trial(config: ExperimentConfig, n: int, trial: int, *, outcomes=None) ->
     `outcomes` is the :func:`_decide_chunk` iterator of a chunk that holds
     the trial, advanced up to it; :func:`run_experiment` passes it in, and
     the trial takes its own outcome from it.  Without it, the trial is
-    decided as a chunk of one, with the same result.  A search budget
-    overrun is raised again with the trial's seed labels.
+    decided as a chunk of one, with the same result; n and trial must be
+    integers, trial >= 0.  A search budget overrun is raised again with
+    the trial's seed labels.
     """
     if outcomes is None:
+        n, trial = _integer(n, "n"), _integer(trial, "trial")
+        if trial < 0:
+            raise ValueError(f"trial must be >= 0, got {trial}")
         outcomes = _decide_chunk(config, n, [trial])
     try:
         success, indeterminate, verdicts, witnesses = next(outcomes)
@@ -565,10 +568,6 @@ class _Scenario:
         scenarios, where the statement holds for every choice."""
         return self.trial is _PBH and self.vector is not None
 
-    def at(self, p: float | None) -> tuple[EnsembleSpec, VectorSpec | None]:
-        """Ensemble and input vector at edge density `p`."""
-        return tuple(x(p) if callable(x) else x for x in (self.ensemble, self.vector))
-
 
 _GNP = EnsembleSpec.gnp
 _WIGNER = EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0))
@@ -619,9 +618,8 @@ def make_scenario_config(name: str, **overrides) -> ExperimentConfig:
     """Build a scenario's config from the table, with keyword overrides
     applied on top (see :func:`apply_overrides`)."""
     s = _scenario(name)
-    ensemble, vector = s.at(s.p)
-    config = ExperimentConfig(name, ensemble, vector, s.n_grid, s.trials, method=s.method,
-                              p=s.p, params=dict(s.params))
+    config = ExperimentConfig(name, None, s.n_grid, s.trials, method=s.method, p=s.p,
+                              params=dict(s.params))
     return apply_overrides(config, **overrides)
 
 
@@ -630,37 +628,26 @@ def apply_overrides(config: ExperimentConfig, *, n_grid=None, trials=None, p=Non
                     out=None, fmt=None, params=None, vector=None) -> ExperimentConfig:
     """Apply every override that is not None to `config`, validate it, return it.
 
-    `p` rebuilds a G(n, p) scenario's ensemble and input vector at that
-    density.  `vector` replaces the input-vector spec of a single-vector
-    scenario such as thm-goe, where the statement holds for any choice.
+    `p` is the edge density of a G(n, p) scenario, at which its ensemble
+    and input vector are drawn.  `vector` replaces the input vector of a
+    single-vector scenario such as thm-goe, where the statement holds for
+    any choice.
     """
-    s = _scenario(config.scenario)
-    if p is not None:
-        if not s.density and p != s.p:
-            raise ValueError(f"scenario {config.scenario!r} does not take an edge-density override")
-        config.ensemble, config.vector = s.at(p)
-        config.p = p
-    if vector is not None:
-        if not s.vector_override:
-            raise ValueError(f"scenario {config.scenario!r} does not take a vector override")
-        config.vector = vector
+    for name, value in (("p", p), ("vector", vector), ("method", method), ("out", out),
+                        ("fmt", fmt)):
+        if value is not None:
+            setattr(config, name, value)
     if n_grid is not None:
         config.n_grid = tuple(_integer(v, "n-grid entry") for v in n_grid)
     if trials is not None:
         config.trials = _integer(trials, "trials")
     if master_seed is not None:
         config.master_seed = _integer(master_seed, "master_seed")
-    if method is not None:
-        config.method = method
     tol = {k: v for k, v in (("gap_tol", gap_tol), ("ortho_tol", ortho_tol)) if v is not None}
     if tol:
         config.tolerances = replace(config.tolerances, **tol)
     if params:
         config.params = {**config.params, **params}
-    if out is not None:
-        config.out = out
-    if fmt is not None:
-        config.fmt = fmt
     config.validate()
     return config
 
@@ -711,7 +698,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             method=config.method, seed=config.master_seed,
             gap_tol=config.tolerances.gap_tol, ortho_tol=config.tolerances.ortho_tol,
         ))
-    return ExperimentReport(version=__version__, config=config.to_dict(), rows=rows,
+    ensemble, vector = _sampled(config)
+    echo = _encode({"scenario": config.scenario, "ensemble": ensemble, **config.to_dict(),
+                    "vector": vector})
+    return ExperimentReport(version=__version__, config=echo, rows=rows,
                             agreement=_agreement_meta(records))
 
 

@@ -17,6 +17,7 @@ from ctrllab import (
     run_trial,
 )
 from ctrllab.cli import build_parser, main
+from ctrllab.ensembles import VectorSpec
 
 
 def test_list_scenarios(capsys):
@@ -115,7 +116,8 @@ def test_unwritable_output_fails_nonzero(capsys):
     (lambda d: d["vector"].update(idx=0), "idx"),
 ])
 def test_config_file_rejects_unknown_and_missing_keys(tmp_path, capsys, edit, key):
-    doc = make_scenario_config("thm-goe", n_grid=(6,), trials=2).to_dict()
+    doc = make_scenario_config("thm-goe", n_grid=(6,), trials=2,
+                               vector=VectorSpec.standard_basis(0)).to_dict()
     edit(doc)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -132,7 +134,8 @@ def test_config_file_rejects_unknown_and_missing_keys(tmp_path, capsys, edit, ke
     ("format", None), ("gap_tol", "1e-8"), ("index", 0.5),
 ])
 def test_config_file_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
-    doc = make_scenario_config("thm-goe", n_grid=(6,), trials=2).to_dict()
+    doc = make_scenario_config("thm-goe", n_grid=(6,), trials=2,
+                               vector=VectorSpec.standard_basis(0)).to_dict()
     target = next(d for d in (doc, doc["tolerances"], doc["vector"]) if key in d)
     target[key] = value
     cfg_path = tmp_path / "cfg.json"
@@ -150,7 +153,8 @@ def test_config_file_rejects_values_of_the_wrong_type(tmp_path, capsys, key, val
                           "diag": {"kind": "degenerate", "value": 0.0}}),
 ])
 def test_config_file_must_sample_its_scenario(tmp_path, capsys, scenario, ensemble):
-    # a config names its scenario's experiment; it cannot swap the matrices
+    # a config names its scenario's experiment; it cannot swap the matrices,
+    # and has no key to name them with
     doc = make_scenario_config(scenario, n_grid=(6,), trials=2).to_dict()
     doc["ensemble"] = ensemble
     cfg_path = tmp_path / "cfg.json"
@@ -159,7 +163,7 @@ def test_config_file_must_sample_its_scenario(tmp_path, capsys, scenario, ensemb
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith(f"ctrllab: error: scenario {scenario!r} samples ensemble=")
+    assert line == "ctrllab: error: unknown key 'ensemble' in ExperimentConfig"
 
 
 def test_config_file_p_flag_rebuilds_the_scenario(tmp_path):
@@ -168,9 +172,9 @@ def test_config_file_p_flag_rebuilds_the_scenario(tmp_path):
     cfg_path.write_text(json.dumps(config.to_dict()))
     out = tmp_path / "r.csv"
     assert main(["--config", str(cfg_path), "--p", "0.3", "--out", str(out)]) == 0
-    expected = make_scenario_config("cor-gnp-rand", n_grid=(6,), trials=3, p=0.3)
-    assert expected.vector.p == 0.3
-    assert out.read_text() == report_csv(run_experiment(expected))
+    expected = run_experiment(make_scenario_config("cor-gnp-rand", n_grid=(6,), trials=3, p=0.3))
+    assert expected.config["vector"] == {"kind": "bernoulli01", "p": 0.3}
+    assert out.read_text() == report_csv(expected)
 
 
 @pytest.mark.parametrize("scenario,params,key", [

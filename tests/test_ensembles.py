@@ -663,6 +663,33 @@ def test_shift_and_vector_constructors_validate_like_the_classmethods():
     assert VectorSpec("bernoulli01", p=1).to_dict() == VectorSpec.bernoulli01(1.0).to_dict()
 
 
+SPEC_FIELD_MISFITS = [
+    (lambda: EnsembleSpec.wigner({"kind": "rademacher"}, Atom.degenerate(0.0)),
+     "EnsembleSpec 'wigner' field 'offdiag' must be Atom, got {'kind': 'rademacher'}"),
+    (lambda: EnsembleSpec.shifted_wigner(Atom.rademacher(), Atom.degenerate(0.0),
+                                         {"kind": "constant-offdiag", "c": 1.0}),
+     "EnsembleSpec 'shifted-wigner' field 'shift' must be ShiftSpec | None, "
+     "got {'kind': 'constant-offdiag', 'c': 1.0}"),
+    (lambda: EnsembleSpec.shifted_wigner(Atom.rademacher(), Atom.degenerate(0.0),
+                                         Atom.rademacher()),
+     "EnsembleSpec 'shifted-wigner' field 'shift' must be ShiftSpec | None, got Atom("),
+    (lambda: VectorSpec.iid_atom({"kind": "rademacher"}),
+     "VectorSpec 'iid-atom' field 'atom' must be Atom, got {'kind': 'rademacher'}"),
+    (lambda: VectorSpec.shifted({"kind": "all-ones"}, [0.0]),
+     "VectorSpec 'shifted' field 'base' must be VectorSpec, got {'kind': 'all-ones'}"),
+]
+
+
+@pytest.mark.parametrize("make,message", SPEC_FIELD_MISFITS,
+                         ids=["wigner-dict-atom", "shift-dict", "shift-atom", "iid-dict-atom",
+                              "shifted-dict-base"])
+def test_a_spec_field_holds_an_instance_of_its_spec_class(make, message):
+    # a dict passed the JSON test of a spec field: the spec was accepted and
+    # sampling it failed with "'dict' object has no attribute 'sample'"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        make()
+
+
 def test_seeded_kinds_are_exactly_those_that_read_the_seed():
     unseeded = [VectorSpec.standard_basis(1), VectorSpec.all_ones(),
                 VectorSpec.explicit([1.0, 2.0, 3.0]),

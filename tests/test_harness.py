@@ -149,40 +149,35 @@ def test_config_validation_rejects_bad_values():
         make_scenario_config("conj1", p=1.0)  # fixtures only, not experiments
     with pytest.raises(ValueError):
         make_scenario_config("thm-goe", p=0.4)  # no density parameter
-    # a config's p must be the density its matrices are drawn at
+    # a G(n, p) config's p is the density its matrices are drawn at
     conj2 = make_scenario_config("conj2")
     conj2.p = 0.1
-    with pytest.raises(ValueError, match=r"'conj2' samples p=0.5, got p=0.1"):
-        conj2.validate()
-    conj2.ensemble = EnsembleSpec.goe()  # another family: the ensembles differ, not p
-    with pytest.raises(ValueError, match=r"'conj2' samples ensemble=\{'kind': 'gnp-adjacency', "
-                                         r"'p': 0.1\}, got ensemble=\{'kind': 'goe'\}"):
-        conj2.validate()
+    conj2.validate()
+    assert conj2.ensemble.to_dict() == EnsembleSpec.gnp(0.1).to_dict()
     goe = make_scenario_config("thm-goe")
     goe.p = 0.3
     with pytest.raises(ValueError, match=r"'thm-goe' samples p=None, got p=0.3"):
         goe.validate()
     minctrl = make_scenario_config("minctrl-gnp")
     minctrl.vector = VectorSpec.all_ones()
-    with pytest.raises(ValueError, match="'minctrl-gnp' samples vector=None, got vector="):
+    with pytest.raises(ValueError, match="^scenario 'minctrl-gnp' does not take a vector "
+                                         "override$"):
         minctrl.validate()
-    # nor may a config sample another experiment's matrices or input
-    goe = make_scenario_config("thm-goe")
-    goe.ensemble = EnsembleSpec.gnp(0.5)
-    with pytest.raises(ValueError, match=r"'thm-goe' samples ensemble=\{'kind': 'goe'\}, got"):
-        goe.validate()
+    # nor may a config sample another experiment's matrices: the row names them
     wigner = make_scenario_config("thm-wigner-basis")
-    wigner.ensemble = EnsembleSpec.wigner(Atom.gaussian(), Atom.degenerate(0.0))
-    with pytest.raises(ValueError, match="'thm-wigner-basis' samples ensemble=.*'rademacher'.*, "
-                                         "got ensemble=.*'gaussian'"):
-        wigner.validate()
+    with pytest.raises(AttributeError):
+        wigner.ensemble = EnsembleSpec.wigner(Atom.gaussian(), Atom.degenerate(0.0))
+    assert wigner.ensemble.to_dict() == \
+        EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0)).to_dict()
     goe = make_scenario_config("thm-goe")
-    goe.vector = None  # the vector override replaces the input, never drops it
-    with pytest.raises(ValueError, match="'thm-goe' samples vector=.*'standard-basis'.*, "
-                                         "got vector=None"):
-        goe.validate()
+    goe.vector = None  # no override: the scenario's own input, e_0
+    goe.validate()
+    assert run_experiment(goe).config["vector"] == VectorSpec.standard_basis(0).to_dict()
     goe.vector = VectorSpec.all_ones()
     goe.validate()
+    goe.vector = {"kind": "all-ones"}  # a spec's JSON form is no spec
+    with pytest.raises(ValueError, match=r"^vector must be VectorSpec \| None, got \{"):
+        goe.validate()
 
 
 BAD_VECTORS = [
@@ -277,6 +272,36 @@ def test_config_dict_round_trip():
     config = make_scenario_config("cor-gnp-rand", n_grid=(6,), trials=3)
     rebuilt = ExperimentConfig.from_dict(config.to_dict())
     assert rebuilt.to_dict() == config.to_dict()
+
+
+def test_a_config_holds_knobs_not_the_ensemble():
+    # the scenario row names the ensemble; a config file states no "ensemble"
+    for name in SCENARIOS:
+        assert "ensemble" not in make_scenario_config(name).to_dict(), name
+
+
+def test_setting_p_draws_the_scenario_at_that_density():
+    # p once had to be kept equal to the ensemble's and the input's density
+    # by hand: setting it alone failed validation and the trials drew at 0.5
+    config = make_scenario_config("cor-gnp-rand", n_grid=(6,), trials=4)
+    config.p = 0.3
+    expected = make_scenario_config("cor-gnp-rand", n_grid=(6,), trials=4, p=0.3)
+    assert [run_trial(config, 6, t) for t in range(4)] == \
+        [run_trial(expected, 6, t) for t in range(4)]
+    assert report_json(run_experiment(config)) == report_json(run_experiment(expected))
+
+
+def test_run_trial_names_a_bad_n_or_trial():
+    # 10.0 and True once failed inside the seed labels, and trial -1 ran the
+    # streams of trial 2**64 - 1
+    config = make_scenario_config("thm-goe", n_grid=(10,), trials=2)
+    for n, trial, message in [(10.0, 0, "n must be an integer, got 10.0"),
+                              (10, True, "trial must be an integer, got True"),
+                              (10, 1.0, "trial must be an integer, got 1.0"),
+                              (10, -1, "trial must be >= 0, got -1")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_trial(config, n, trial)
+    assert run_trial(config, np.int64(10), np.int64(1)) == run_trial(config, 10, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +441,14 @@ def test_chunk_draws_equal_per_path_samples(name, streams):
     assert harness._streams(config, harness.SCENARIOS[name].trial) == streams
     trials = [0, 3, 2**32 + 3, 5]  # one- and two-word trial indices in one batch
     chunk = harness._draw_chunk(config, 8, trials)
+    vector = harness._sampled(config)[1]  # the scenario's input: the config has no override
+    assert (vector is None) == (name in ("conj1", "minctrl-gnp", "diag-smallball"))
     for i, t in enumerate(trials):
         path = SeedPath(config.master_seed).child(name, 8, t)
         alone = sample_ensemble(config.ensemble, path.child("matrix"), 8)
         assert np.array_equal(chunk.mats[i], alone) and chunk.mats.dtype == alone.dtype
-        if config.vector is not None:
-            assert np.array_equal(chunk.b[i], sample_vector(config.vector, 8, path.child("vector")))
+        if vector is not None:
+            assert np.array_equal(chunk.b[i], sample_vector(vector, 8, path.child("vector")))
         if streams[-1] in ("sphere", "smallball"):  # the generator decide reads
             extra = path.child(streams[-1]).generator()
             assert chunk.extra[streams[-1]][i].bit_generator.state == extra.bit_generator.state
