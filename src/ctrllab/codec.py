@@ -65,23 +65,24 @@ def _json_test(hint):
 @cache
 def _field_tests(make) -> dict:
     """Field name -> (JSON value test, annotation text, annotation, the spec
-    classes it names) for every annotated parameter of `make`, a record
-    class or a spec classmethod."""
+    and record classes it names) for every annotated parameter of `make`, a
+    record class or a spec classmethod."""
     hints = get_type_hints(make)
     return {name: (_json_test(hints[name]), p.annotation.strip("'") if isinstance(p.annotation, str)
                    else formatannotation(p.annotation), hints[name],
                    tuple(c for c in get_args(hints[name]) or (hints[name],)
-                         if isinstance(c, type) and issubclass(c, Spec)))
+                         if isinstance(c, type) and issubclass(c, (Spec, Record))))
             for name, p in signature(make).parameters.items() if name in hints}
 
 
 def _check(make, name: str, value, where: str):
     """`value` (as a float for a float parameter) if, as JSON would hold it,
     it passes the JSON test of parameter `name` of `make`, and is None or a
-    spec the parameter names; else a ValueError naming `where`.  A bool is
-    no number, 1.0 no int and a dict no spec; numpy scalars pass."""
-    test, text, hint, specs = _field_tests(make)[name]
-    if not test(_encode(value)) or (specs and not isinstance(value, (*specs, type(None)))):
+    spec or record the parameter names; else a ValueError naming `where`.
+    A bool is no number, 1.0 no int and a dict no spec or record; numpy
+    scalars pass."""
+    test, text, hint, classes = _field_tests(make)[name]
+    if not test(_encode(value)) or (classes and not isinstance(value, (*classes, type(None)))):
         raise ValueError(f"{where} must be {text}, got {value!r}")
     return float(value) if hint is float else value
 

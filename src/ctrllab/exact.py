@@ -25,10 +25,13 @@ own inputs (:func:`_krylov_degrees`): inputs shared by the stack are
 repeated once per matrix on entry.  The degrees pass from tier to tier as
 one (T, blocks) array in which -1 marks a degree not yet settled, and each
 tier sees only the -1 entries.  A caller that already holds float
-eigensystems of the stack passes them to :func:`kalman_ranks_exact`: a
-rigorous perturbation bound on the eigensystem proves rank n for most
-controllable pairs (the PBH test: simple spectrum, no eigenvector
-orthogonal to b).  The matrices with a column left go on to the mod-p
+eigensystems of the stack passes them to :func:`kalman_ranks_exact` (or
+to :func:`has_simple_spectrum_exact`): a rigorous perturbation bound on
+the eigensystem proves most spectra simple, and then rank n for most
+controllable pairs (the PBH test: no eigenvector orthogonal to b), while
+integer eigenvectors proved from the float ones, such as e_i - e_j for
+twin vertices of a graph, settle most deficient ranks exactly.  The
+matrices with a column left go on to the mod-p
 certificate in sub-stacks of at most ``_KRYLOV_ENTRIES`` Krylov entries,
 so numpy's per-call overhead is paid once per sub-stack, not once per
 matrix, and memory stays bounded for any batch: the Krylov powers of each
@@ -373,6 +376,12 @@ _U = 2.0**-53  # unit roundoff of float64
 _SLACK = 1.01  # an upper bound computed in float times _SLACK bounds its exact value
 _FLOOR = 2.0**-1000  # above every absolute error that underflow adds to a bound
 _MAX_DEFECT = 0.01  # largest accepted bound on ||X^T X - I||
+# Sums of int64 products whose size, computed in float, stays below this
+# bound cannot overflow: the float value is off by far less than a factor 2.
+_INT_BOUND = 2.0**62
+# Entries of a unit eigenvector at most this size may be rounded zeros; the
+# smallest entry above it scales the vector's integer candidate.
+_SIGNIFICANT = 2.0**-10
 
 
 def _gamma(k: int) -> float:
@@ -398,11 +407,13 @@ def _exact_floats(x: np.ndarray) -> np.ndarray | None:
     return None if x.dtype == object or _peak(x) > 2**53 else x.astype(np.float64)
 
 
-def _eigvec_bounds(a: np.ndarray, w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(simple, dist) for each matrix A of the float64 stack `a`, given the
-    computed eigenvalues `w` (T x n) and eigenvectors `x` (T x n x n, as
-    columns) of the stack: simple[t] proves that A_t has n distinct
-    eigenvalues, and then A_t has a unit eigenvector u_i with
+def _eigvec_bounds(a: np.ndarray, w: np.ndarray,
+                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(simple, dist, delta) for each matrix A of the float64 stack `a`,
+    given the computed eigenvalues `w` (T x n) and eigenvectors `x`
+    (T x n x n, as columns) of the stack: simple[t] proves that A_t has n
+    distinct eigenvalues, and then its i-th eigenvalue lies within
+    delta[t] of w[t, i], and A_t has a unit eigenvector u_i with
     ||u_i - x_i|| <= dist[t, i] for every column x_i.
 
     Write W = diag(w) and ||.|| for the 2-norm, which ||.||_F and
@@ -452,12 +463,13 @@ def _eigvec_bounds(a: np.ndarray, w: np.ndarray, x: np.ndarray) -> tuple[np.ndar
     rho = _upper(_peak_norm(a @ x - x * w[:, None, :]) + gamma * np.sqrt(frob_x) * (frob_a + top))
     defect = x.transpose(0, 2, 1) @ x - np.eye(n)
     eta = _upper(_peak_norm(defect) + gamma * (frob_x + 1))
-    delta = _upper((rho + 2 * eta * top) / np.sqrt(1 - eta))[:, None]
+    delta = _upper((rho + 2 * eta * top) / np.sqrt(1 - eta))
+    radius = delta[:, None]
     gaps = np.diff(w, axis=1) / _SLACK
-    simple = (eta <= _MAX_DEFECT) & (gaps > 2 * delta).all(axis=1)
+    simple = (eta <= _MAX_DEFECT) & (gaps > 2 * radius).all(axis=1)
     edge = np.full((t, 1), np.inf)
     own = np.minimum(np.hstack([edge, gaps]), np.hstack([gaps, edge]))
-    return simple, _upper(eta[:, None] + math.sqrt(2) * delta / (own - delta))
+    return simple, _upper(eta[:, None] + math.sqrt(2) * radius / (own - radius)), delta
 
 
 def _inner_error(n: int) -> float:
@@ -465,50 +477,128 @@ def _inner_error(n: int) -> float:
     return _gamma(n) * math.sqrt(1 + _MAX_DEFECT)
 
 
-def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem) -> np.ndarray:
-    """bool [t, j]: whether eigsys[t], of the stack `eigsys`, proves (A, b)
-    controllable, for each matrix A of the stack `mats` and each column b of its inputs.
+def _integer_eigenvectors(a: np.ndarray, w: np.ndarray, x: np.ndarray, delta: np.ndarray,
+                          which: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, ok) for each pair c: an int64 vector z[c], and whether it is
+    proved to span the i-th eigenspace of A, for i = index[c] and A the
+    matrix which[c] of the float64 stack `a`, whose spectrum
+    :func:`_eigvec_bounds` proved simple with the radius `delta`.
 
-    Where the spectrum is proved simple, ||x_i||^2 <= 1 + eta <= 1.01, so
-    for unit eigenvectors u_i of A and the bound dist_i >= ||u_i - x_i||
-    of :func:`_eigvec_bounds`, |u_i . b| >= |fl(x_i . b)| - (e + dist_i)
-    ||b|| with e = :func:`_inner_error`.  When that is positive for every
-    i, no eigenvector of A is orthogonal to b and (A, b) is controllable
-    (PBH): its Kalman rank is n.  The test applies only where float64 holds
-    A and b exactly (:func:`_exact_floats`).
+    The candidate z is x_i scaled by its smallest entry above
+    _SIGNIFICANT in size, rounded to integers, and lambda is w_i rounded;
+    as ||x_i||^2 <= 1.01 where the spectrum is proved simple, every entry
+    of z is below 2^11 in size.  It is accepted when z != 0, A z = lambda z
+    holds exactly in int64 (no entry of A z or lambda z can reach
+    _INT_BOUND) and |lambda - w_i| < delta.  Then lambda is an eigenvalue of A with eigenvector z, and it is
+    the i-th: every eigenvalue lies within delta of its own w_j, and these
+    intervals are disjoint, as every gap exceeds 2 delta.  The spectrum is
+    simple, so z spans the eigenspace.  Each test is exact or a strict
+    comparison of an upper bound, false on NaN, so a candidate from a
+    wrong eigensystem can only be rejected.
     """
+    n = a.shape[1]
+    mats, v, wi = a[which], x[which, :, index], w[which, index]
+    size = np.abs(v)
+    z = np.rint(v / np.where(size > _SIGNIFICANT, size, np.inf).min(axis=1)[:, None])
+    lam = np.rint(wi)
+    peak = np.abs(z).max(axis=1)
+    ok = (peak > 0) & (n * np.abs(mats).max(axis=(1, 2)) * peak < _INT_BOUND) \
+        & (np.abs(lam) * peak < _INT_BOUND) & (_upper(np.abs(lam - wi)) < delta[which])
+    z = np.where(ok[:, None], z, 0).astype(np.int64)
+    lam = np.where(ok, lam, 0).astype(np.int64)
+    ok &= ((mats.astype(np.int64) @ z[:, :, None])[:, :, 0] == lam[:, None] * z).all(axis=1)
+    return z, ok
+
+
+def _float_system(mats: np.ndarray, eigsys: EigenSystem) -> tuple | None:
+    """(A, w, x): the stack `mats` as float64 with the eigenvalues and
+    eigenvectors of its eigensystem `eigsys`; None for n = 0 or where
+    float64 does not hold A exactly (:func:`_exact_floats`)."""
     t, n, _ = mats.shape
     w, x = eigsys.eigenvalues, _eigenvectors(eigsys)
     if w.shape != (t, n) or x.shape != (t, n, n):
         raise ValueError(f"an eigensystem of shape {x.shape} for a stack of {t} {n}x{n} matrices")
-    a, b = _exact_floats(mats), _exact_floats(cols)
-    if a is None or b is None or n == 0:
-        return np.zeros((t, cols.shape[-1]), dtype=bool)
+    a = _exact_floats(mats)
+    return None if a is None or n == 0 else (a, w, x)
+
+
+def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem) -> np.ndarray:
+    """The Kalman ranks [t, j] that eigsys[t], of the stack `eigsys`, proves
+    for each matrix A of the stack `mats` and each column b of its inputs;
+    -1 where it proves none.
+
+    Where the spectrum is proved simple, the rank of b is the number of
+    unit eigenvectors u_i of A with u_i . b != 0: the eigenvalues of
+    those u_i are the distinct roots of b's minimal polynomial.
+    ||x_i||^2 <= 1 + eta <= 1.01, so for the bound dist_i >= ||u_i - x_i||
+    of :func:`_eigvec_bounds`, |u_i . b| >= |fl(x_i . b)| - (e + dist_i)
+    ||b|| with e = :func:`_inner_error`, and where that is positive, the
+    component is nonzero.  A component that bound leaves is decided
+    exactly where :func:`_integer_eigenvectors` proves an integer z that
+    spans u_i's eigenspace: u_i . b = 0 iff z . b = 0, computed in int64
+    when n max|z| max|b| is below _INT_BOUND.  A column whose every
+    component is decided gets its rank, n when every one is nonzero (PBH).
+    The tier applies only where float64 holds A and b exactly
+    (:func:`_exact_floats`).
+    """
+    ranks = np.full((len(mats), cols.shape[-1]), -1)
+    system, b = _float_system(mats, eigsys), _exact_floats(cols)
+    if system is None or b is None:
+        return ranks
+    a, w, x = system
+    n = a.shape[1]
     with np.errstate(all="ignore"):
-        simple, dist = _eigvec_bounds(a, w, x)
+        simple, dist, delta = _eigvec_bounds(a, w, x)
         norm_b = np.sqrt((b * b).sum(axis=-2))[..., None, :]
         err = _upper((dist[:, :, None] + _inner_error(n)) * norm_b)
-        clear = np.abs(x.transpose(0, 2, 1) @ b) > err
-    return simple[:, None] & clear.all(axis=1)
+        nonzero = np.abs(x.transpose(0, 2, 1) @ b) > err  # [t, i, j]
+        known = nonzero.copy()
+        which, index = (simple[:, None] & ~nonzero.all(axis=2)).nonzero()
+        if which.size:
+            z, ok = _integer_eigenvectors(a, w, x, delta, which, index)
+            inputs = b[which]
+            exact = ok[:, None] & (n * np.abs(z).max(axis=1)[:, None] * np.abs(inputs).max(axis=1)
+                                   < _INT_BOUND)
+            known[which, index] |= exact
+            nonzero[which, index] |= exact & ((z[:, None] @ inputs.astype(np.int64))[:, 0] != 0)
+    settled = simple[:, None] & known.all(axis=1)
+    ranks[settled] = nonzero.sum(axis=1)[settled]
+    return ranks
 
 
 # ---------------------------------------------------------------------------
 # decisions
 # ---------------------------------------------------------------------------
 
-def has_simple_spectrum_exact(a) -> bool:
-    """True iff all eigenvalues of the integer symmetric matrix are distinct.
+def has_simple_spectrum_exact(a, eigsys: EigenSystem | None = None):
+    """Whether all eigenvalues of the integer symmetric matrix are distinct;
+    for a stack of T matrices (T x n x n), a list of T such bools.  A
+    single matrix is a stack of one.
 
-    Decided exactly as the Krylov degree of I under A, the degree of A's
-    minimal polynomial, being n: certified mod ``_P`` in both directions
-    through one fixed combination of the columns of I, with the relation
-    checked on I itself, else by Bareiss on the nonzero rows of the
-    n^2 x n matrix of the powers vec(A^j) over Python integers.
+    With `eigsys`, the float eigensystem of `a`, shaped like `a` (as for
+    :func:`kalman_ranks_exact`), the bound of :func:`_eigvec_bounds`
+    proves most simple spectra, where float64 holds A exactly; a wrong
+    eigensystem can make it prove less, never something false.  The matrices it
+    leaves are decided together, in one :func:`_krylov_degrees` call, by
+    whether the Krylov degree of I under A, the degree of A's minimal
+    polynomial, is n: certified mod ``_P`` in both directions through one
+    fixed combination of the columns of I, with the relation checked on I
+    itself, else by Bareiss on the nonzero rows of the n^2 x n matrix of
+    the powers vec(A^j) over Python integers.
     """
-    mat = _matrix(a, _ints)
-    n = len(mat)
-    eye = np.eye(n, dtype=mat.dtype)[None]
-    return n == 0 or _krylov_degrees(mat[None], eye, n, np.full((1, 1), -1)).item() == n
+    mats = _checked(a, _ints, system=True)
+    single = mats.ndim == 2
+    mats = mats[None] if single else mats
+    t, n, _ = mats.shape
+    degrees = np.full((t, 1), -1 if n else 0)  # the 0 x 0 spectrum is simple
+    system = None if eigsys is None else \
+        _float_system(mats, _stack_of_one(eigsys) if single else eigsys)
+    if system is not None:
+        with np.errstate(all="ignore"):
+            degrees[_eigvec_bounds(*system)[0]] = n
+    eye = np.eye(n, dtype=mats.dtype)[None].repeat(t, axis=0)
+    simple = _krylov_degrees(mats, eye, n, degrees)[:, 0] == n
+    return bool(simple[0]) if single else simple.tolist()
 
 
 def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
@@ -526,11 +616,14 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
 
     1. With `eigsys`, the float eigensystem of `a`, shaped like `a` (a
        stack's as :func:`~ctrllab.spectral.eig_sym` returns it), a
-       rigorous bound on it proves rank n for a column b where A has a
-       simple spectrum and no eigenvector of A is orthogonal to b (see
-       :func:`_eigvec_bounds`).  It applies where A and b are integers of
-       magnitude at most 2^53 held in fixed-width dtypes, and only proves
-       full rank; a wrong eigensystem can make it prove less, never wrong.
+       rigorous bound on it proves where A has a simple spectrum, and there
+       the rank of b is the number of eigenvectors of A not orthogonal to
+       b.  The bound proves most components of b nonzero, and an integer
+       eigenvector of A, proved from the float one, decides a component
+       exactly; a column with every component decided is settled, full
+       rank or not (see :func:`_float_certified`).  It applies where A and
+       b are integers of magnitude at most 2^53 held in fixed-width
+       dtypes; a wrong eigensystem can make it prove less, never wrong.
     2. The entries still -1 are certified mod ``_P`` in bounded sub-stacks,
        which eliminate only those columns, else decided by Bareiss
        (:func:`_krylov_degrees`).
@@ -564,9 +657,8 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
         eigsys = _stack_of_one(eigsys)
     if shared:  # a copy, cheaper than np.broadcast_to's view for small stacks
         cols = cols[None].repeat(t, axis=0)
-    ranks = np.full((t, cols.shape[2]), -1)
-    if eigsys is not None:
-        ranks[_float_certified(mats, cols, eigsys)] = n
+    ranks = np.full((t, cols.shape[2]), -1) if eigsys is None else \
+        _float_certified(mats, cols, eigsys)
     ranks = _krylov_degrees(mats, cols, 1, ranks)
     return (ranks[0] if single else ranks).tolist()
 

@@ -45,7 +45,7 @@ from ._version import __version__
 from .codec import Record, _check, _encode, _is_int
 from .ensembles import (Atom, EnsembleSpec, VectorSpec, _integer, _vector_misfit, sample_ensemble,
                         sample_vector)
-from .exact import DEFAULT_EXACT_CAP, kalman_ranks_exact
+from .exact import DEFAULT_EXACT_CAP, has_simple_spectrum_exact, kalman_ranks_exact
 from .minctrl import DEFAULT_SUPPORT_BUDGET, BasisScanResult, BudgetExceededError, sparsest_input
 from .seeding import SeedPath
 from .spectral import (
@@ -155,7 +155,8 @@ class ExperimentConfig(Record):
             raise ValueError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
         if _integer(self.exact_cap, "exact_cap") < 1:
             raise ValueError(f"exact_cap must be >= 1, got {self.exact_cap}")
-        for name in ("p", "out", "vector"):  # as JSON gives them: no bool p, a str out, a spec
+        # as JSON gives them: no bool p, a str out, a spec, a Tolerances and a dict
+        for name in ("p", "out", "vector", "tolerances", "params"):
             _check(ExperimentConfig, name, getattr(self, name), name)
         if scenario.density and not 0.0 < (self.p or 0.0) < 1.0:
             raise ValueError(f"scenario {self.scenario!r} requires 0 < p < 1, got {self.p}")
@@ -396,12 +397,38 @@ def _trials_norm(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
             for norm, ratio in zip(chunk.eig.norm.tolist(), ratios.tolist())]
 
 
+def _basis_scans(chunk: _Chunk, cap: int) -> tuple[list, EigenSystem | None]:
+    """The exact basis scan of each matrix of the chunk, with its spectrum
+    decided, and the chunk's eigensystem (None if its decomposition failed).
+
+    One stacked :func:`has_simple_spectrum_exact` call decides every
+    spectrum, and one :func:`kalman_ranks_exact` call the basis ranks of
+    the matrices with a simple one: a repeated eigenvalue bounds every
+    Krylov degree below n, so those get an empty scan with no elimination.
+    """
+    eig = None if isinstance(chunk.eigsys, Exception) else chunk.eigsys
+    simple = np.array(has_simple_spectrum_exact(chunk.mats, eig), dtype=bool)
+    n = chunk.mats.shape[1]
+    ranks = iter(kalman_ranks_exact(chunk.mats[simple], np.eye(n, dtype=np.int64), cap,
+                                    None if eig is None else eig[simple]))
+    empty = BasisScanResult(frozenset(), frozenset(), "exact", simple_spectrum=False)
+    return [BasisScanResult.from_ranks(next(ranks), True) if s else empty for s in simple], eig
+
+
 def _trials_minctrl(config: ExperimentConfig, n: int, chunk: _Chunk):
+    """The binary01 sparsest-input search of each trial.  Its chunk work,
+    :func:`_basis_scans`, runs at the first trial's outcome, within that
+    trial's :func:`run_trial`; beyond the exact cap the search raises
+    first.  Only a search that goes past the basis gets its eigensystem."""
     params = _params(config)
+    scans, eig = _basis_scans(chunk, config.exact_cap) if n <= config.exact_cap else \
+        ([None] * len(chunk.mats), None)
     for t, a in enumerate(chunk.mats):
-        scan = None if chunk.ranks is None else BasisScanResult.from_ranks(chunk.ranks[t])
+        scan = scans[t]
+        past = eig is not None and not scan.controllable and scan.simple_spectrum
         result = sparsest_input(a, kmax=params["kmax"], entry_mode="binary01",
-                                cap=config.exact_cap, budget=params["budget"], scan=scan)
+                                cap=config.exact_cap, budget=params["budget"], scan=scan,
+                                eigsys=eig[t] if past else None)
         witnesses = {
             "k_star": -1.0 if result.k_star is None else float(result.k_star),
             "basis_count": float(len(result.basis_controllable)),
@@ -412,7 +439,7 @@ def _trials_minctrl(config: ExperimentConfig, n: int, chunk: _Chunk):
 
 _PBH = _Family(_trials_pbh, kalman=True)
 _TWO_VECTORS = _Family(_trials_two_vectors, ("sphere",), kalman=True)
-_MINCTRL = _Family(_trials_minctrl, kalman=True, eig=None)
+_MINCTRL = _Family(_trials_minctrl)
 _MINGAP = _Family(_trials_mingap, eig="values")
 _SMALLBALL = _Family(_trials_smallball, ("smallball",))
 _NORM = _Family(_trials_norm, eig="values")

@@ -70,17 +70,19 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class BasisScanResult:
-    """Indices i for which (A, e_i) is controllable (0-based)."""
+    """Indices i for which (A, e_i) is controllable (0-based), and whether
+    A's spectrum is simple, None when not decided."""
 
     controllable: frozenset[int]
     indeterminate: frozenset[int]
     method: str
+    simple_spectrum: bool | None = None
 
     @classmethod
-    def from_ranks(cls, ranks) -> BasisScanResult:
+    def from_ranks(cls, ranks, simple_spectrum: bool | None = None) -> BasisScanResult:
         """The exact scan given the Kalman ranks of e_0, ..., e_(n-1)."""
         return cls(frozenset(i for i, r in enumerate(ranks) if r == len(ranks)),
-                   frozenset(), "exact")
+                   frozenset(), "exact", simple_spectrum)
 
 
 def basis_scan(a, method: str = "exact", tolerances: Tolerances = DEFAULT_TOLERANCES,
@@ -153,7 +155,8 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
                    seed: SeedPath | None = None, tolerances: Tolerances = DEFAULT_TOLERANCES,
                    cap: int | None = DEFAULT_EXACT_CAP,
                    budget: int = DEFAULT_SUPPORT_BUDGET,
-                   scan: BasisScanResult | None = None) -> MinCtrlResult:
+                   scan: BasisScanResult | None = None,
+                   eigsys: EigenSystem | None = None) -> MinCtrlResult:
     """Search supports of size 1..kmax for a controllable input vector.
 
     ``binary01`` enumerates indicator vectors under the exact decider (the
@@ -174,7 +177,14 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
     testing one support at a time.
     `scan`, in ``binary01`` mode only, is the exact :func:`basis_scan` of
     `a` when the caller has it already (say, from one batched call over
-    many matrices).
+    many matrices), and its `simple_spectrum`, when not None, is used
+    instead of testing the spectrum again.  `eigsys`, the float
+    eigensystem of `a` (as :func:`~ctrllab.spectral.eig_sym` returns it),
+    is used when given: in ``binary01`` mode it lets
+    :func:`has_simple_spectrum_exact` and each slice's
+    :func:`kalman_ranks_exact` settle most verdicts without elimination,
+    and in ``generic-random`` mode it replaces the search's own
+    decomposition.
     """
     mat = _matrix(a, _ints if entry_mode == "binary01" else None)
     n = len(mat)
@@ -201,7 +211,8 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
         # A controllable e_i proves the spectrum simple, so only now is it
         # tested.  A repeated eigenvalue bounds the Krylov degree below n for
         # every b, so the whole search is infeasible; skip the enumeration.
-        if not has_simple_spectrum_exact(mat):
+        simple = scan.simple_spectrum
+        if not (has_simple_spectrum_exact(mat, eigsys) if simple is None else simple):
             return MinCtrlResult(frozenset(), None, None, "exact", supports_tested=0)
         size = max(1, _KRYLOV_ENTRIES // (n * n))
         for k in range(2, kmax + 1):
@@ -212,7 +223,7 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
                 supports = [first, *islice(layer, min(size, budget - tested) - 1)]
                 cols = np.zeros((n, len(supports)), dtype=np.int64)
                 cols[np.array(supports), np.arange(len(supports))[:, None]] = 1
-                ranks = kalman_ranks_exact(mat, cols, cap)
+                ranks = kalman_ranks_exact(mat, cols, cap, eigsys)
                 if n in ranks:
                     hit = ranks.index(n)
                     return MinCtrlResult(frozenset(), k, cols[:, hit].copy(), "exact",
@@ -224,7 +235,8 @@ def sparsest_input(a, kmax: int | None = None, entry_mode: str = "binary01",
         raise ValueError(f"unknown entry mode {entry_mode!r}")
     if seed is None:
         raise ValueError("generic-random mode needs a SeedPath")
-    eigsys = eig_sym(mat)
+    if eigsys is None:
+        eigsys = eig_sym(mat)
     scan = _float_scan(eigsys, tolerances)
     tested = 0
     for k in range(1, kmax + 1):

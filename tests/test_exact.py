@@ -265,12 +265,13 @@ def test_exact_and_float_deciders_reject_a_matrix_alike(a, message):
     # one check for both deciders: the same input gets the same message from
     # every entry point that takes its shape (a non-integer matrix is fine
     # for the float decider)
-    exact = [lambda: kalman_ranks_exact(a, np.eye(3, dtype=np.int64))]
+    exact = [lambda: kalman_ranks_exact(a, np.eye(3, dtype=np.int64)),
+             lambda: has_simple_spectrum_exact(a)]
     floats = [lambda: eig_sym(np.asarray(a, float))]
     if np.ndim(a) != 3:
         b = np.array([1, 0, 0])
-        exact += [lambda: is_controllable_exact(a, b), lambda: has_simple_spectrum_exact(a),
-                  lambda: basis_scan(a), lambda: sparsest_input(a)]
+        exact += [lambda: is_controllable_exact(a, b), lambda: basis_scan(a),
+                  lambda: sparsest_input(a)]
         floats += [lambda: pbh_controllable(a, b), lambda: basis_scan(a, "float-pbh"),
                    lambda: sparsest_input(a, entry_mode="generic-random", seed=SeedPath(1))]
     for decide in exact if "integer" in message else exact + floats:
@@ -673,7 +674,7 @@ def record_certificate_calls(monkeypatch) -> list:
 @pytest.mark.parametrize("n", [6, 8, 24])
 def test_certificate_runs_on_sub_stacks_of_bounded_krylov_entries(monkeypatch, n):
     # step - 1, step and step + 1 matrices left unsettled by the float tier,
-    # between matrices it proves: each mod-_P call takes a sub-stack of the
+    # between matrices it settles: each mod-_P call takes a sub-stack of the
     # unsettled matrices of at most 2^14 Krylov entries (or one matrix),
     # eliminates only its unsettled columns, so each elimination holds at
     # most 2^14 entries too (or one matrix's), and the ranks are those of
@@ -683,9 +684,14 @@ def test_certificate_runs_on_sub_stacks_of_bounded_krylov_entries(monkeypatch, n
     step = max(1, exact_module._KRYLOV_ENTRIES // (m * n * n))
     root = SeedPath(20261020, ("sub-stacks", n))
     graphs = [sample_gnp(n, 0.5, root.child(t)) for t in range(8)]
-    proved = [g for g in graphs if float_tier(g[None], inputs).all()]
-    deficient = rank_deficient_fixtures(n) + [with_twins(graphs[0])]
-    assert proved and not float_tier(np.stack(deficient), inputs).all(axis=1).any()
+    proved = [g for g in graphs if (float_tier(g[None], inputs) == n).all()]
+    # K_n has a repeated spectrum, and P_n's eigenvectors orthogonal to the
+    # all-ones input are not integer; the deficient columns of a twin-vertex
+    # graph with a simple spectrum are settled by the integer eigenvector
+    deficient = [rank_deficient_fixtures(n)[i] for i in (0, 2)]
+    assert proved and (float_tier(np.stack(deficient), inputs) < 0).any(axis=1).all()
+    twins = float_tier(np.stack([with_twins(g) for g in graphs]), inputs)
+    assert ((twins >= 0).all(axis=1) & (twins < n).any(axis=1)).any()
     calls = record_certificate_calls(monkeypatch)
     for unsettled in (step - 1, step, step + 1):
         mats = [proved[0]]
@@ -694,7 +700,7 @@ def test_certificate_runs_on_sub_stacks_of_bounded_krylov_entries(monkeypatch, n
         mats = np.stack(mats)
         one_by_one = [kalman_ranks_exact(a, inputs) for a in mats]
         eigsys = eig_sym(mats.astype(np.float64))
-        left = ~float_tier(mats, inputs, eigsys)
+        left = float_tier(mats, inputs, eigsys) < 0
         for tier, count in ((eigsys, unsettled), (None, len(mats))):
             calls.clear()
             assert kalman_ranks_exact(mats, inputs, eigsys=tier) == one_by_one
@@ -704,7 +710,7 @@ def test_certificate_runs_on_sub_stacks_of_bounded_krylov_entries(monkeypatch, n
                 assert eliminated == blocks and entries == n * n
                 assert t * m * n * n <= 2**14 or t == 1
                 assert eliminated * entries <= 2**14 or t == 1
-            # every column the float tier proves stays out of elimination
+            # every column the float tier settles stays out of elimination
             assert sum(blocks for _, blocks, *_ in calls) == (left.sum() if tier else left.size)
         calls.clear()
         assert kalman_ranks_exact(mats, inputs[None].repeat(len(mats), axis=0)) == one_by_one
@@ -712,15 +718,27 @@ def test_certificate_runs_on_sub_stacks_of_bounded_krylov_entries(monkeypatch, n
                                           for start in range(0, len(mats), step)]
 
 
+def mirrored_graphs(n: int, count: int, seed: int) -> np.ndarray:
+    """Graphs [[H, C], [C, H]] on n = 2 h vertices, H and C from G(h, 1/2),
+    every other C with its diagonal set: swapping the halves is an
+    automorphism, so every input equal on both halves, such as all-ones, is
+    orthogonal to the antisymmetric eigenvectors, which are rarely integer."""
+    root, h = SeedPath(seed, ("mirrored", n)), n // 2
+    return np.stack([np.block([[a, c], [c, a]]) for a, c in (
+        (sample_gnp(h, 0.5, root.child(t, "h")),
+         sample_gnp(h, 0.5, root.child(t, "c")) + (t % 2) * np.eye(h, dtype=np.int64))
+        for t in range(count))])
+
+
 def test_proved_columns_never_reach_elimination(monkeypatch):
-    # matrices with float-proved and deficient basis columns both: only the
-    # deficient columns are eliminated mod _P, and the ranks are Bareiss's
+    # matrices with columns the float tier settles and columns it leaves
+    # both: only the columns left are eliminated mod _P, and the ranks are
+    # Bareiss's
     n = 10
-    root = SeedPath(20261021, ("mixed-columns", n))
-    mats = np.stack([sample_gnp(n, 0.5, root.child(t)) for t in range(12)])
+    mats = mirrored_graphs(n, 12, 20261021)
     inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
     eigsys = eig_sym(mats.astype(np.float64))
-    proved = float_tier(mats, inputs, eigsys)
+    proved = float_tier(mats, inputs, eigsys) >= 0
     assert (proved.any(axis=1) & ~proved.all(axis=1)).sum() >= 3  # mixed matrices
     seen = []
     real_echelon = exact_module._echelon_mod_p
@@ -950,12 +968,15 @@ def test_unlucky_block_weights_leave_the_spectrum_to_bareiss(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def float_tier(mats, cols, eigsys=None) -> np.ndarray:
-    """The float tier's verdicts [t, j] on a stack, from its own eigensystems
-    unless others are given."""
-    mats = np.asarray(mats)
+    """The float tier's ranks [t, j] on a stack, -1 where it settles none,
+    from its own eigensystems unless others are given; shared columns are
+    repeated for every matrix."""
+    mats, cols = np.asarray(mats), np.asarray(cols)
     if eigsys is None:
         eigsys = eig_sym(mats.astype(np.float64))
-    return exact_module._float_certified(mats, np.asarray(cols), eigsys)
+    if cols.ndim == 2:
+        cols = cols[None].repeat(len(mats), axis=0)
+    return exact_module._float_certified(mats, cols, eigsys)
 
 
 def wilkinson_plus(m: int) -> np.ndarray:
@@ -1004,17 +1025,23 @@ def adversarial_stacks():
 
 
 def test_float_tier_never_certifies_a_deficient_column():
-    deficient = certified = full = 0
+    # every rank the float tier settles is the oracle's: full ranks from
+    # the eigenvector bound, deficient ones where integer eigenvectors
+    # decide every component the bound leaves
+    deficient = settled = certified = full = 0
     for mats, inputs, oracle in adversarial_cases():
         n = mats.shape[1]
-        proved = float_tier(mats, inputs)
-        assert not (proved & (oracle < n)).any(), mats[np.nonzero(proved & (oracle < n))[0]]
+        ranks = float_tier(mats, inputs)
+        wrong = (ranks >= 0) & (ranks != oracle)
+        assert not wrong.any(), mats[np.nonzero(wrong)[0]]
         deficient += int((oracle < n).sum())
+        settled += int(((ranks >= 0) & (oracle < n)).sum())
         full += int((oracle == n).sum())
-        certified += int(proved.sum())
+        certified += int((ranks == n).sum())
     assert deficient > 5000
     assert certified > 0.8 * full
     assert (certified, full) == (4423, 4753)
+    assert (settled, deficient) == (2052, 6156)
 
 
 def test_float_tier_certified_columns_have_full_bareiss_rank():
@@ -1022,10 +1049,11 @@ def test_float_tier_certified_columns_have_full_bareiss_rank():
     for n in (3, 5, 7):
         w = wilkinson_plus(n // 2)
         twin = with_twins(sample_gnp(n, 0.5, SeedPath(3, ("twin", n))))
-        for a in (w, twin, np.diag(np.arange(n) // 2)):
+        for a in (w, twin, np.diag(np.arange(n) // 2), np.diag(np.arange(n))):
             inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
-            proved = float_tier(a[None], inputs)[0]
-            assert all(rank == n for rank, ok in zip(bareiss_ranks(a, inputs), proved) if ok)
+            settled = float_tier(a[None], inputs)[0]
+            assert all(rank == oracle for rank, oracle in zip(settled, bareiss_ranks(a, inputs))
+                       if rank >= 0)
 
 
 def test_float_tier_covers_full_rank_gnp_columns():
@@ -1034,7 +1062,7 @@ def test_float_tier_covers_full_rank_gnp_columns():
         mats = np.stack([sample_gnp(n, 0.5, root.child(n, t)) for t in range(20)])
         eye = np.eye(n, dtype=np.int64)
         full = np.array(kalman_ranks_exact(mats, eye)) == n
-        assert (float_tier(mats, eye) == full).all()
+        assert ((float_tier(mats, eye) == n) == full).all()
 
 
 def test_float_tier_leaves_ranks_unchanged_and_skips_proved_matrices(monkeypatch):
@@ -1046,7 +1074,7 @@ def test_float_tier_leaves_ranks_unchanged_and_skips_proved_matrices(monkeypatch
         eigsys = eig_sym(mats.astype(np.float64))
         seen.clear()
         assert kalman_ranks_exact(mats, inputs, cap=None, eigsys=eigsys) == oracle.tolist()
-        unproved = int((~float_tier(mats, inputs, eigsys).all(axis=1)).sum())
+        unproved = int((float_tier(mats, inputs, eigsys) < 0).any(axis=1).sum())
         # in sub-stacks of at most 2^14 Krylov entries, or of one matrix
         n, m = inputs.shape
         step = max(1, exact_module._KRYLOV_ENTRIES // (m * n * n))
@@ -1059,14 +1087,18 @@ def test_float_tier_leaves_ranks_unchanged_and_skips_proved_matrices(monkeypatch
 
 def test_unsettled_certificates_leave_float_proofs_standing(monkeypatch):
     # with no mod-_P certificate at all, Bareiss runs on exactly the
-    # columns the float tier left: a -1 never overwrites a float-proved n
+    # columns the float tier left: a -1 never overwrites a float-settled rank
     cases = [case for case in adversarial_cases() if case[0].shape[1] <= 8]
+    for n in (8, 10):  # with settled basis columns and unsettled all-ones ones
+        mats = mirrored_graphs(n, 12, 20261022)
+        inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+        cases.append((mats, inputs, np.array(kalman_ranks_exact(mats, inputs))))
     monkeypatch.setattr(exact_module, "_certified_ranks", lambda mats, cols, k, ranks: ranks)
     oracle_calls = count_oracle_calls(monkeypatch)
     mixed = 0
     for mats, inputs, oracle in cases:
         eigsys = eig_sym(mats.astype(np.float64))
-        proved = float_tier(mats, inputs, eigsys)
+        proved = float_tier(mats, inputs, eigsys) >= 0
         mixed += int((proved.any(axis=1) & ~proved.all(axis=1)).sum())
         oracle_calls.clear()
         assert kalman_ranks_exact(mats, inputs, cap=None, eigsys=eigsys) == oracle.tolist()
@@ -1077,13 +1109,13 @@ def test_unsettled_certificates_leave_float_proofs_standing(monkeypatch):
 def test_float_tier_skips_entries_beyond_2_53_and_object_arrays(monkeypatch):
     a = sample_gnp(8, 0.5, SeedPath(11, ("big",)))
     eye = np.eye(8, dtype=np.int64)
-    assert float_tier(a[None], eye).all()
+    assert (float_tier(a[None], eye) == 8).all()
     big = a * (2**53 + 1)  # float64 rounds every nonzero entry to 2^53
     skipped = [(big, eye), (a, eye * (2**53 + 1)), (a.astype(object), eye),
                (a, eye.astype(object)), (a.astype(np.uint64) * np.uint64(2**53 + 1), eye)]
     for m, cols in skipped:
         # even with the eigensystem of A's float64 copy, which is exact for big
-        assert not exact_module._float_certified(m[None], cols, eig_sym(a[None])).any()
+        assert (exact_module._float_certified(m[None], cols[None], eig_sym(a[None])) == -1).all()
     seen = []
     real = exact_module._certified_ranks
     monkeypatch.setattr(exact_module, "_certified_ranks", lambda mats, cols, k, ranks:
@@ -1102,18 +1134,19 @@ def test_float_tier_with_a_wrong_eigensystem_certifies_nothing_wrong():
     inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
     oracle = np.array(kalman_ranks_exact(np.stack(bad), inputs))
     assert (oracle < n).any()
+    assert (float_tier(bad, inputs) >= 0).any()  # their own eigensystems settle some
     for other in good:
         stale = eig_sym(np.stack([other] * len(bad)))
-        assert not (float_tier(bad, inputs, stale) & (oracle < n)).any()
+        assert (float_tier(bad, inputs, stale) == -1).all()
         assert kalman_ranks_exact(np.stack(bad), inputs, eigsys=stale) == oracle.tolist()
     # the matrix's own eigenvectors, scaled far from orthonormal, prove nothing
     es = eig_sym(good[1])
     scaled = EigenSystem(es.eigenvalues[None], 2 * es.eigenvectors[None])
-    assert float_tier(good[1][None], inputs)[0].any()
-    assert not float_tier(good[1][None], inputs, scaled).any()
+    assert (float_tier(good[1][None], inputs)[0] == n).any()
+    assert (float_tier(good[1][None], inputs, scaled) == -1).all()
     # nor do eigenvalues out of order
     swapped = EigenSystem(es.eigenvalues[None, ::-1].copy(), es.eigenvectors[None, :, ::-1].copy())
-    assert not float_tier(good[1][None], inputs, swapped).any()
+    assert (float_tier(good[1][None], inputs, swapped) == -1).all()
 
 
 def hadamard_system(q):
@@ -1146,7 +1179,7 @@ def test_eigenvector_distance_bound_dominates_exact_distance(kind):
     elif kind == "rotated":  # orthonormal; only the gap term covers the tilt
         c, s = np.cos(1e-4), np.sin(1e-4)
         x[:, 3], x[:, 4] = c * u[:, 3] + s * u[:, 4], c * u[:, 4] - s * u[:, 3]
-    simple, dist = exact_module._eigvec_bounds(a[None].astype(np.float64), w[None], x[None])
+    simple, dist, _ = exact_module._eigvec_bounds(a[None].astype(np.float64), w[None], x[None])
     assert simple[0]
     for i in range(16):
         assert Fraction(float(dist[0, i])) ** 2 >= exact_distance_sq(x[:, i], u[:, i]), i
@@ -1178,8 +1211,7 @@ def test_inner_product_error_bound_dominates_rounding():
 def test_float_tier_proves_nothing_false_from_scaled_eigensystems():
     # eigenvectors scaled by 2^-600 (their squares underflow) or 2^600
     # (their squares overflow) prove nothing at all; A scaled by 2^40, with
-    # the same Kalman ranks, proves only full-rank columns, with its own
-    # eigensystem or a scaled one
+    # the same Kalman ranks, settles only the oracle's ranks
     n = 12
     root = SeedPath(2040, ("scaled",))
     good = [sample_gnp(n, 0.5, root.child(t)) for t in range(3)]
@@ -1191,15 +1223,111 @@ def test_float_tier_proves_nothing_false_from_scaled_eigensystems():
     assert (oracle < n).any() and (oracle == n).any()
     for a in (mats, 2**40 * mats):
         es = eig_sym(a.astype(np.float64))
-        proved = float_tier(a, inputs, es)
-        assert proved.any() and not (proved & (oracle < n)).any()
+        ranks = float_tier(a, inputs, es)
+        assert (ranks == n).any() and ((ranks == -1) | (ranks == oracle)).all()
         for scale in (2.0**-600, 2.0**600):
             scaled = EigenSystem(es.eigenvalues, es.eigenvectors * scale)
-            assert not float_tier(a, inputs, scaled).any()
+            assert (float_tier(a, inputs, scaled) == -1).all()
     # on P_2 the Weyl and Davis-Kahan bounds alone hold up to a defect near
     # 0.4, but no proof is accepted beyond a defect bound of 0.01
     p2, eye = np.array([[0, 1], [1, 0]]), np.eye(2, dtype=np.int64)
     es = eig_sym(p2[None].astype(np.float64))
     for scale, proved in ((1 + 2.0**-9, True), (1 + 2.0**-5, False)):  # defect 0.008, 0.13
         scaled = EigenSystem(es.eigenvalues, es.eigenvectors * scale)
-        assert (float_tier(p2[None], eye, scaled) == proved).all()
+        assert (float_tier(p2[None], eye, scaled) == (2 if proved else -1)).all()
+
+
+def labelled_graphs(n: int) -> np.ndarray:
+    """Every labelled graph on n vertices, one per subset of the n (n - 1) / 2 edges."""
+    rows, cols = np.triu_indices(n, 1)
+    edges = (np.arange(2 ** len(rows))[:, None] >> np.arange(len(rows))) & 1
+    mats = np.zeros((len(edges), n, n), dtype=np.int64)
+    mats[:, rows, cols] = edges
+    return mats + mats.transpose(0, 2, 1)
+
+
+def test_float_tier_on_every_labelled_graph_up_to_six_vertices():
+    # every graph with n <= 6 vertices, with every basis input and the
+    # all-ones input: each rank the float tier settles is the mod-_P and
+    # Bareiss tiers' rank, and each spectrum its bound proves simple is
+    # simple by the block test
+    totals = np.zeros(5, dtype=np.int64)
+    for n in range(1, 7):
+        mats = labelled_graphs(n)
+        inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+        eigsys = eig_sym(mats.astype(np.float64))
+        oracle = np.array(kalman_ranks_exact(mats, inputs))
+        ranks = float_tier(mats, inputs, eigsys)
+        settled = ranks >= 0
+        assert (ranks[settled] == oracle[settled]).all(), n
+        assert kalman_ranks_exact(mats, inputs, eigsys=eigsys) == oracle.tolist()
+        simple = np.array(has_simple_spectrum_exact(mats))
+        proved = exact_module._eigvec_bounds(mats.astype(np.float64), eigsys.eigenvalues,
+                                             eigsys.eigenvectors)[0]
+        assert not (proved & ~simple).any(), n
+        assert has_simple_spectrum_exact(mats, eigsys) == simple.tolist()
+        totals += [(oracle < n).sum(), (settled & (oracle < n)).sum(), (oracle == n).sum(),
+                   (ranks == n).sum(), proved.sum()]
+    # (deficient, settled of them, full, proved full, simple spectra proved)
+    assert totals.tolist() == [165358, 62725, 70522, 70522, 21128]
+
+
+def test_integer_eigenvectors_leave_what_they_cannot_prove():
+    # A = [[4, 6], [6, 9]] has eigenvalues 0 and 13, with eigenvectors
+    # (3, -2) and (2, 3): scaled by its smaller entry neither is integer, so
+    # no rounded candidate satisfies A z = lambda z, and the eigenvector
+    # input (3, -2), of rank 1, is left to mod _P; e_0 is proved by the bound
+    a = np.array([[4, 6], [6, 9]], dtype=np.int64)
+    inputs = np.array([[3, 1], [-2, 0]], dtype=np.int64)
+    assert float_tier(a[None], inputs).tolist() == [[-1, 2]]
+    assert kalman_ranks_exact(a, inputs, eigsys=eig_sym(a)) == bareiss_ranks(a, inputs) == [1, 2]
+    # v v^T for v = (1, 2^9): (2^9, -1) spans its kernel and is proved, but
+    # z . b for b = 2^43 v may reach 2 * 2^9 * 2^52 = 2^62 in int64, so
+    # that column is left too; the eigenvector input (2^9, -1) is settled
+    v = np.array([1, 2**9], dtype=np.int64)
+    a = np.outer(v, v)
+    inputs = np.column_stack([[1, 0], [2**9, -1], 2**43 * v])
+    assert float_tier(a[None], inputs).tolist() == [[2, 1, -1]]
+    assert kalman_ranks_exact(a, inputs, eigsys=eig_sym(a)) == bareiss_ranks(a, inputs) == \
+        [2, 1, 1]
+    # the twin graph's own eigenvectors, e_0 - e_1 among them, settle
+    # every column; with another graph's eigenvalues they prove nothing
+    graph = sample_gnp(8, 0.5, SeedPath(1506, ("twin-candidates", 2)))
+    twin = with_twins(graph)
+    own, other = eig_sym(twin), eig_sym(graph)
+    inputs = np.column_stack([np.eye(8, dtype=np.int64), np.ones(8, dtype=np.int64)])
+    mixed = EigenSystem(other.eigenvalues[None], own.eigenvectors[None])
+    assert (float_tier(twin[None], inputs, mixed) == -1).all()
+    oracle = bareiss_ranks(twin, inputs)
+    assert min(oracle) < 8 and float_tier(twin[None], inputs)[0].tolist() == oracle
+
+
+def test_simple_spectrum_of_a_stack_equals_one_matrix_at_a_time(monkeypatch):
+    # a stack is decided as its matrices are one at a time; with its
+    # eigensystems, only the matrices the float bound leaves reach the
+    # block test, all in one call, and a wrong eigensystem proves nothing
+    root = SeedPath(1506, ("stacked-spectra",))
+    mats = np.stack([sample_gnp(10, 0.5, root.child(t)) for t in range(24)]
+                    + rank_deficient_fixtures(10) + repeated_diagonals(10))
+    alone = [has_simple_spectrum_exact(a) for a in mats]
+    assert 0 < sum(alone) < len(alone)
+    calls = []
+    real = exact_module._krylov_degrees
+    monkeypatch.setattr(exact_module, "_krylov_degrees", lambda mats, cols, k, ranks:
+                        calls.append(int((ranks < 0).sum())) or real(mats, cols, k, ranks))
+    assert has_simple_spectrum_exact(mats) == alone
+    assert calls == [len(mats)]
+    calls.clear()
+    eigsys = eig_sym(mats.astype(np.float64))
+    assert has_simple_spectrum_exact(mats, eigsys) == alone
+    assert calls == [len(mats) - sum(alone)]  # the bound proves every simple spectrum here
+    calls.clear()
+    stale = eig_sym(np.roll(mats, 1, axis=0).astype(np.float64))
+    assert has_simple_spectrum_exact(mats, stale) == alone
+    assert calls == [len(mats)]
+    for a, simple in zip(mats[:3], alone):
+        assert has_simple_spectrum_exact(a, eig_sym(a)) is simple
+    assert has_simple_spectrum_exact(mats[:0]) == []
+    assert has_simple_spectrum_exact(np.zeros((2, 0, 0), dtype=np.int64)) == [True, True]
+    with pytest.raises(ValueError, match="an eigensystem of shape"):
+        has_simple_spectrum_exact(mats, eigsys[:3])

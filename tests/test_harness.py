@@ -180,6 +180,21 @@ def test_config_validation_rejects_bad_values():
         goe.validate()
 
 
+def test_config_validation_names_tolerances_and_params_of_the_wrong_type():
+    # a record's JSON form is no record, and params are a dict: each is
+    # named by validate, before a trial reads it
+    goe = make_scenario_config("thm-goe", n_grid=(6,), trials=2)
+    goe.tolerances = {"gap_tol": 1e-8}
+    with pytest.raises(ValueError, match=r"^tolerances must be Tolerances, got \{'gap_tol'"):
+        goe.validate()
+    norm = make_scenario_config("diag-norm", n_grid=(6,), trials=2)
+    norm.params = [("band", (1, 2))]
+    with pytest.raises(ValueError, match=r"^params must be dict, got \[\('band'"):
+        norm.validate()
+    norm.params = {"band": (1, 2)}
+    norm.validate()
+
+
 BAD_VECTORS = [
     (VectorSpec.explicit([1, 2, 3]), "vector explicit values must have length n, "
                                      "got length 3 at n=5"),
@@ -461,9 +476,10 @@ def test_chunk_draws_equal_per_path_samples(name, streams):
     ("conj1", "both", 6, ["float"], False, "vectors"),  # n = 8 above the exact cap
     ("cor-gnp-rand", "exact", None, ["exact:b", "float:b", "float:u"], True, "vectors"),
     ("cor-gnp-rand", "float-pbh", None, ["float:b", "float:u"], False, "vectors"),
-    ("minctrl-gnp", "float-pbh", None, [], False, None),
+    # minctrl decides its basis ranks in its trial family, from the eigenvectors
+    ("minctrl-gnp", "float-pbh", None, [], False, "vectors"),
     ("diag-mingap", "float-pbh", None, [], False, "values"),
-    ("minctrl-gnp", "exact", None, [], True, "vectors"),
+    ("minctrl-gnp", "exact", None, [], False, "vectors"),
 ])
 def test_family_work_under_each_method(name, method, cap, verdicts, ranks, eig):
     # what the chunk stage computes for a family, and the verdicts it yields
@@ -532,9 +548,10 @@ def test_eigh_failure_names_the_failing_trial(monkeypatch):
 
 
 def test_certificate_leaves_exact_records_unchanged(monkeypatch):
-    # the same cells with the float tier and the mod-_P certificates
-    # switched off, so every Kalman rank, full or not, and every spectrum's
-    # Krylov degree goes through Bareiss
+    # the same cells with the float tier (its ranks and its spectrum
+    # proofs) and the mod-_P certificates switched off, so every Kalman
+    # rank, full or not, and every spectrum's Krylov degree goes through
+    # Bareiss
     configs = [
         make_scenario_config("conj1", n_grid=(8, 16, 24), trials=2),
         make_scenario_config("conj1", n_grid=(8, 16), trials=3, method="exact"),
@@ -553,8 +570,7 @@ def test_certificate_leaves_exact_records_unchanged(monkeypatch):
     real_rank = exact.rank_exact
     monkeypatch.setattr(exact, "rank_exact", lambda m: bareiss.append(1) or real_rank(m))
     monkeypatch.setattr(exact, "_certified_ranks", lambda mats, cols, k, ranks: ranks)
-    monkeypatch.setattr(exact, "_float_certified",
-                        lambda mats, cols, eigsys: np.zeros((len(mats), cols.shape[-1]), bool))
+    monkeypatch.setattr(exact, "_float_system", lambda mats, eigsys: None)
     assert run_all() == certified
     # the switch reaches the batched chunks: conj1 sends every basis input
     # of every trial to Bareiss
@@ -598,14 +614,14 @@ def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
     # a change sends more columns to a slower tier.  These are the exact
     # experiments of the benchmark at its seed, 1506: eliminations mod _P
     # and the Krylov matrices they hold, and Bareiss calls.  The float tier
-    # settles every column of conj1 and conj2.  It proves every basis column
-    # of minctrl-gnp but the 88 deficient ones (of 440), and only those are
-    # eliminated: 73 from the 10 matrices left at n = 10 and 15 from the 2
-    # left at n = 12, one sub-stack each.  Its three trials at n = 10
-    # without a controllable basis input each test their spectrum in a
-    # one-matrix call, and the one with a simple spectrum decides its layer
-    # of 45 2-supports in one more call.  Without the float tier, the
-    # split is (9, 488, 0).
+    # settles every column of conj1 and conj2.  minctrl-gnp decides the
+    # spectra of each chunk first, in one call: the float bound proves the
+    # simple ones, and one elimination holds the combined Krylov matrices
+    # of the two matrices left, at n = 10, which have repeated spectra.  The
+    # basis ranks of the simple ones are all settled by the float tier,
+    # their deficient columns by integer eigenvectors, and so are the
+    # layers of the searches that go past the basis.  Without the float
+    # tier, the split is (11, 505, 0).
     configs = {
         "conj1": make_scenario_config("conj1", method="both", n_grid=(16, 24), trials=4,
                                       p=0.5, master_seed=1506),
@@ -625,7 +641,7 @@ def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
         bareiss.clear()
         run_experiment(config)
         counts[name] = (len(certified), sum(certified), len(bareiss))
-    assert counts == {"conj1": (0, 0, 0), "conj2": (0, 0, 0), "minctrl-gnp": (6, 136, 0)}
+    assert counts == {"conj1": (0, 0, 0), "conj2": (0, 0, 0), "minctrl-gnp": (1, 2, 0)}
 
 
 def test_conj1_trial_falls_back_when_certificate_fails(monkeypatch):

@@ -309,8 +309,8 @@ def test_layer_search_equals_the_sequential_search(monkeypatch):
     fixtures = [a for a in graphs if not basis_scan(a).controllable] + diagonals + [K4, c4]
     widths = []
     real = minctrl.kalman_ranks_exact
-    monkeypatch.setattr(minctrl, "kalman_ranks_exact",
-                        lambda a, cols, cap: widths.append(cols.shape[1]) or real(a, cols, cap))
+    monkeypatch.setattr(minctrl, "kalman_ranks_exact", lambda a, cols, cap, eigsys=None:
+                        widths.append(cols.shape[1]) or real(a, cols, cap, eigsys))
     k_stars = set()
     for a in fixtures:
         n = a.shape[0]
@@ -347,7 +347,7 @@ def test_sparsest_scans_basis_before_testing_the_spectrum(monkeypatch):
     spectrum_calls = []
     real_test = minctrl.has_simple_spectrum_exact
     monkeypatch.setattr(minctrl, "has_simple_spectrum_exact",
-                        lambda a: spectrum_calls.append(1) or real_test(a))
+                        lambda a, eigsys: spectrum_calls.append(1) or real_test(a, eigsys))
     outcomes = set()
     for a in fixtures + graphs:
         basis, k_star, witness, tested = sparsest_spectrum_first(a)
@@ -432,6 +432,42 @@ def test_sparsest_accepts_a_precomputed_exact_scan():
         sparsest_input(P3, scan=basis_scan(P3, "float-pbh"))
     with pytest.raises(ValueError, match="exact basis scan"):
         sparsest_input(P3, entry_mode="generic-random", seed=SEED, scan=basis_scan(P3))
+
+
+def test_sparsest_uses_a_known_spectrum_and_the_eigensystem(monkeypatch):
+    # a scan that knows the spectrum spares the spectrum test, and the
+    # eigensystem lets the float tier settle the layers' Kalman ranks; the
+    # result is the search's without either
+    from ctrllab import exact, minctrl
+    root = SEED.child("known-spectrum")
+    graphs = [sample_gnp(8, 0.5, root.child(t)) for t in range(30)]
+    fixtures = [a for a in graphs if not basis_scan(a).controllable]
+    fixtures += [np.diag([1, 2, 3, 4]), K4]
+    assert {has_simple_spectrum_exact(a) for a in fixtures} == {True, False}
+    real_echelon = exact._echelon_mod_p
+    eliminated = []
+    monkeypatch.setattr(exact, "_echelon_mod_p",
+                        lambda stack: eliminated.append(len(stack)) or real_echelon(stack))
+    alone, given = [], []
+    for a in fixtures:
+        r = sparsest_input(a)
+        alone.append((r.basis_controllable, r.k_star, r.supports_tested,
+                      None if r.witness is None else r.witness.tolist()))
+    without = sum(eliminated)  # Krylov matrices eliminated mod _P
+    eliminated.clear()
+    monkeypatch.setattr(minctrl, "has_simple_spectrum_exact",
+                        lambda a, eigsys: pytest.fail("the spectrum was tested again"))
+    for a in fixtures:
+        known = BasisScanResult.from_ranks(kalman_ranks(a), has_simple_spectrum_exact(a))
+        r = sparsest_input(a, scan=known, eigsys=eig_sym(a))
+        given.append((r.basis_controllable, r.k_star, r.supports_tested,
+                      None if r.witness is None else r.witness.tolist()))
+    assert given == alone
+    assert sum(eliminated) < without / 2  # the float tier settles most slice columns
+
+
+def kalman_ranks(a) -> list[int]:
+    return [rank_exact(kalman_matrix(a, col)) for col in np.eye(len(a), dtype=np.int64)]
 
 
 def test_sparsest_validates_arguments():

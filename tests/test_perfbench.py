@@ -67,3 +67,26 @@ def test_benchmark_experiments_keep_their_pinned_digests(capsys):
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pinned, (name, argv)
             checked += 1
     assert checked == 6
+
+
+def test_tracer_keys_minctrl_work_by_trial():
+    # the tracer keys each minctrl span by the run_trial span around it, so
+    # chunk work of minctrl-gnp must run inside a trial: pass_counts and
+    # kalman_tests_by_n raise KeyError(None) on a minctrl span outside one
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        config = harness.make_scenario_config("minctrl-gnp", n_grid=(10, 12), trials=20,
+                                              master_seed=1506)
+        tracer.reset()
+        harness.run_experiment(config)
+        counts = module.pass_counts(tracer.spans, tracer.results)
+        by_n = module.kalman_tests_by_n(tracer.spans, tracer.results)
+    finally:
+        tracer.uninstall()
+    trials = [span for span in tracer.spans if span[0] == "harness.trial"]
+    assert len(trials) == 40
+    assert all(span[4] is not None for span in tracer.spans if span[0].startswith("minctrl."))
+    assert counts["minctrl.supports_tested"] > 0
+    assert set(by_n) == {"10", "12"}
