@@ -30,8 +30,15 @@ to :func:`has_simple_spectrum_exact`): a rigorous perturbation bound on
 the eigensystem proves most spectra simple, and then rank n for most
 controllable pairs (the PBH test: no eigenvector orthogonal to b), while
 integer eigenvectors proved from the float ones, such as e_i - e_j for
-twin vertices of a graph, settle most deficient ranks exactly.  The
-matrices with a column left go on to the mod-p
+twin vertices of a graph, settle most deficient ranks exactly.  Then a
+relation tier settles more, deficient ranks and repeated spectra alike:
+the float coefficients of a product of x - w, over the eigenvalues of
+the components proved nonzero or over one value per eigenvalue cluster,
+are rounded to a monic integer q, and q(A) B = 0 checked exactly bounds
+the degree by deg q (Gauss's lemma: the minimal polynomial has integer
+coefficients, so rounding finds it while they stay below 2^53).  The
+eigenvector bounds are computed once per eigensystem and kept on it.
+The matrices with a column left go on to the mod-p
 certificate in sub-stacks of at most ``_KRYLOV_ENTRIES`` Krylov entries,
 so numpy's per-call overhead is paid once per sub-stack, not once per
 matrix, and memory stays bounded for any batch: the Krylov powers of each
@@ -511,15 +518,66 @@ def _integer_eigenvectors(a: np.ndarray, w: np.ndarray, x: np.ndarray, delta: np
 
 
 def _float_system(mats: np.ndarray, eigsys: EigenSystem) -> tuple | None:
-    """(A, w, x): the stack `mats` as float64 with the eigenvalues and
-    eigenvectors of its eigensystem `eigsys`; None for n = 0 or where
-    float64 does not hold A exactly (:func:`_exact_floats`)."""
+    """(A, w, x, simple, dist, delta): the stack `mats` as float64 with the
+    eigenvalues and eigenvectors of its eigensystem `eigsys` and the bounds
+    :func:`_eigvec_bounds` proves from them; None for n = 0 or where
+    float64 does not hold A exactly (:func:`_exact_floats`).
+
+    The bounds are computed once per eigensystem and stack: they are kept,
+    read-only, on `eigsys` with the float64 stack they hold for, and reused
+    whenever that stack comes with it again, also through a slice of the
+    eigensystem or one of its single systems, which carry them along."""
     t, n, _ = mats.shape
     w, x = eigsys.eigenvalues, _eigenvectors(eigsys)
     if w.shape != (t, n) or x.shape != (t, n, n):
         raise ValueError(f"an eigensystem of shape {x.shape} for a stack of {t} {n}x{n} matrices")
     a = _exact_floats(mats)
-    return None if a is None or n == 0 else (a, w, x)
+    if a is None or n == 0:
+        return None
+    kept = eigsys._proofs[0]
+    if kept is None or not np.array_equal(kept[0], a):
+        with np.errstate(all="ignore"):
+            kept = (a, *_eigvec_bounds(a, w, x))
+        for array in kept:
+            array.flags.writeable = False
+        eigsys._proofs[0] = kept
+    return (a, w, x, *kept[1:])
+
+
+def _relation_holds(mats: np.ndarray, which: np.ndarray, roots: np.ndarray, active: np.ndarray,
+                    blocks: np.ndarray) -> np.ndarray:
+    """Whether q_s(A) B_s = 0 is proved for each s, with A = mats[which[s]],
+    B_s the (n x k) block ``blocks[s]`` and q_s the product of x - r over
+    the r = roots[s, i] with active[s, i], its float coefficients rounded
+    to integers.
+
+    The product is expanded in float64, its roots taken by increasing size,
+    so a spectrum symmetric about 0 keeps its partial products as small as
+    the whole.  A q whose computed coefficients all lie below 2^53 in size
+    is rounded, and any other q is made zero; only a monic q, one with
+    leading coefficient 1 at the degree d = active[s].sum(), is checked
+    exactly by :func:`_annihilated`.  Then the minimal polynomial of B_s
+    under A divides q_s, so the Krylov degree of B_s is at most d.  The
+    float product only proposes q: a wrong root, or a coefficient rounded
+    the wrong way, makes the exact check fail, and nothing is proved.
+    """
+    s, n = roots.shape
+    order = np.lexsort((np.abs(roots), ~active))  # active roots first
+    roots, active = np.take_along_axis(roots, order, 1), np.take_along_axis(active, order, 1)
+    degree = active.sum(axis=1)
+    top = int(degree.max(initial=0))
+    coeffs = np.zeros((s, top + 1))
+    coeffs[:, 0] = 1.0
+    with np.errstate(all="ignore"):
+        for k in range(top):
+            shifted = np.hstack([np.zeros((s, 1)), coeffs[:, :-1]])
+            coeffs = np.where(active[:, k, None], shifted - roots[:, k, None] * coeffs, coeffs)
+        fits = (np.abs(coeffs) < 2.0**53).all(axis=1)
+    polys = np.where(fits[:, None], np.rint(coeffs), 0).astype(np.int64)
+    holds = polys[np.arange(s), degree] == 1  # monic; a q that does not fit is zero
+    if holds.any():
+        holds[holds] = _annihilated(mats, which[holds], blocks[holds], polys[holds])
+    return holds
 
 
 def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem) -> np.ndarray:
@@ -538,17 +596,22 @@ def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem) ->
     spans u_i's eigenspace: u_i . b = 0 iff z . b = 0, computed in int64
     when n max|z| max|b| is below _INT_BOUND.  A column whose every
     component is decided gets its rank, n when every one is nonzero (PBH).
-    The tier applies only where float64 holds A and b exactly
-    (:func:`_exact_floats`).
+    A column with components still undecided gets the number d of those
+    proved nonzero, a lower bound on its rank, where the relation q(A) b = 0
+    for q the product of x - w_i over them, rounded to integers, holds
+    exactly (:func:`_relation_holds`): it bounds the rank by d from above.
+    By Gauss's lemma b's minimal polynomial has integer coefficients, so
+    when every undecided component is zero, q is found unless its
+    coefficients are too large to round.  The tier applies only where
+    float64 holds A and b exactly (:func:`_exact_floats`).
     """
     ranks = np.full((len(mats), cols.shape[-1]), -1)
     system, b = _float_system(mats, eigsys), _exact_floats(cols)
     if system is None or b is None:
         return ranks
-    a, w, x = system
+    a, w, x, simple, dist, delta = system
     n = a.shape[1]
     with np.errstate(all="ignore"):
-        simple, dist, delta = _eigvec_bounds(a, w, x)
         norm_b = np.sqrt((b * b).sum(axis=-2))[..., None, :]
         err = _upper((dist[:, :, None] + _inner_error(n)) * norm_b)
         nonzero = np.abs(x.transpose(0, 2, 1) @ b) > err  # [t, i, j]
@@ -562,8 +625,48 @@ def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem) ->
             known[which, index] |= exact
             nonzero[which, index] |= exact & ((z[:, None] @ inputs.astype(np.int64))[:, 0] != 0)
     settled = simple[:, None] & known.all(axis=1)
+    which, col = (simple[:, None] & ~settled).nonzero()
+    if which.size:
+        proved = nonzero[which, :, col]
+        settled[which, col] = _relation_holds(mats, which, w[which], proved,
+                                              cols[which, :, col, None])
     ranks[settled] = nonzero.sum(axis=1)[settled]
     return ranks
+
+
+def _float_spectra(mats: np.ndarray, eigsys: EigenSystem) -> tuple | None:
+    """(simple, repeated) for each matrix A of the stack `mats`, from its
+    eigensystem of the stack `eigsys`: the bound of :func:`_eigvec_bounds`
+    proves a simple spectrum, and a relation q(A) = 0 of degree below n a
+    repeated one; None where :func:`_float_system` gives no system.
+
+    The eigenvalues w_i are split into clusters wherever w_(i+1) - w_i
+    exceeds 2 delta, for the Weyl radius delta: eigenvalues computed for
+    one eigenvalue of A lie within 2 delta of each other, so an honest
+    bound never splits them.  q is the product of x - c over one value c
+    per cluster, their mean, rounded; where a matrix has fewer than n
+    clusters and q(A) = 0 holds exactly (:func:`_relation_holds` on the
+    block I), A's minimal polynomial has degree below n.
+    """
+    system = _float_system(mats, eigsys)
+    if system is None:
+        return None
+    _, w, _, simple, _, delta = system
+    t, n = w.shape
+    with np.errstate(all="ignore"):  # a comparison with NaN is false: no split
+        split = np.diff(w, axis=1) > 2 * delta[:, None]
+    cluster = np.hstack([np.zeros((t, 1), dtype=np.intp), np.cumsum(split, axis=1)])
+    count = cluster[:, -1] + 1
+    which = (~simple & (count < n)).nonzero()[0]
+    repeated = np.zeros(t, dtype=bool)
+    if which.size:
+        flat = (cluster[which] + n * np.arange(which.size)[:, None]).ravel()
+        size = np.bincount(flat, None, which.size * n)
+        roots = np.bincount(flat, w[which].ravel(), size.size) / np.maximum(size, 1)
+        active = np.arange(n) < count[which, None]
+        eye = np.eye(n, dtype=np.int64)[None].repeat(which.size, axis=0)
+        repeated[which] = _relation_holds(mats, which, roots.reshape(-1, n), active, eye)
+    return simple, repeated
 
 
 # ---------------------------------------------------------------------------
@@ -577,27 +680,30 @@ def has_simple_spectrum_exact(a, eigsys: EigenSystem | None = None):
 
     With `eigsys`, the float eigensystem of `a`, shaped like `a` (as for
     :func:`kalman_ranks_exact`), the bound of :func:`_eigvec_bounds`
-    proves most simple spectra, where float64 holds A exactly; a wrong
-    eigensystem can make it prove less, never something false.  The matrices it
-    leaves are decided together, in one :func:`_krylov_degrees` call, by
-    whether the Krylov degree of I under A, the degree of A's minimal
-    polynomial, is n: certified mod ``_P`` in both directions through one
-    fixed combination of the columns of I, with the relation checked on I
-    itself, else by Bareiss on the nonzero rows of the n^2 x n matrix of
-    the powers vec(A^j) over Python integers.
+    proves most simple spectra, and a relation q(A) = 0 of degree below n,
+    rounded from the eigenvalue clusters and checked exactly, most
+    repeated ones (:func:`_float_spectra`), where float64 holds A exactly;
+    a wrong eigensystem can make them prove less, never something false.
+    The matrices they leave are decided together, in one
+    :func:`_krylov_degrees` call, by whether the Krylov degree of I under
+    A, the degree of A's minimal polynomial, is n: certified mod ``_P`` in
+    both directions through one fixed combination of the columns of I,
+    with the relation checked on I itself, else by Bareiss on the nonzero
+    rows of the n^2 x n matrix of the powers vec(A^j) over Python integers.
     """
     mats = _checked(a, _ints, system=True)
     single = mats.ndim == 2
     mats = mats[None] if single else mats
     t, n, _ = mats.shape
-    degrees = np.full((t, 1), -1 if n else 0)  # the 0 x 0 spectrum is simple
-    system = None if eigsys is None else \
-        _float_system(mats, _stack_of_one(eigsys) if single else eigsys)
-    if system is not None:
-        with np.errstate(all="ignore"):
-            degrees[_eigvec_bounds(*system)[0]] = n
-    eye = np.eye(n, dtype=mats.dtype)[None].repeat(t, axis=0)
-    simple = _krylov_degrees(mats, eye, n, degrees)[:, 0] == n
+    simple, left = np.zeros(t, dtype=bool), np.ones(t, dtype=bool)
+    spectra = None if eigsys is None else \
+        _float_spectra(mats, _stack_of_one(eigsys) if single else eigsys)
+    if spectra is not None:
+        simple, repeated = spectra[0].copy(), spectra[1]
+        left = ~(simple | repeated)
+    eye = np.eye(n, dtype=mats.dtype)[None].repeat(left.sum(), axis=0)
+    degrees = np.full((len(eye), 1), -1 if n else 0)  # the 0 x 0 spectrum is simple
+    simple[left] = _krylov_degrees(mats[left], eye, n, degrees)[:, 0] == n
     return bool(simple[0]) if single else simple.tolist()
 
 
@@ -621,9 +727,12 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
        b.  The bound proves most components of b nonzero, and an integer
        eigenvector of A, proved from the float one, decides a component
        exactly; a column with every component decided is settled, full
-       rank or not (see :func:`_float_certified`).  It applies where A and
-       b are integers of magnitude at most 2^53 held in fixed-width
-       dtypes; a wrong eigensystem can make it prove less, never wrong.
+       rank or not, and one with components left is settled where the
+       rounded product of x - w_i over the components proved nonzero
+       annihilates it exactly (see :func:`_float_certified`).  It applies
+       where A and b are integers of magnitude at most 2^53 held in
+       fixed-width dtypes; a wrong eigensystem can make it prove less,
+       never wrong.
     2. The entries still -1 are certified mod ``_P`` in bounded sub-stacks,
        which eliminate only those columns, else decided by Bareiss
        (:func:`_krylov_degrees`).

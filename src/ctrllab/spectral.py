@@ -65,13 +65,20 @@ class EigenSystem:
     and `scale`; or of a stack of T: (T, n), (T, n, n) and (T,) arrays, with
     `len(es)` = T and `es[t]` the system of matrix t.  Ties are ordered as
     LAPACK returns them, deterministically for a fixed matrix.  `gap` and
-    `norm` are computed from the eigenvalues on construction.
+    `norm` are computed from the eigenvalues on construction.  The arrays
+    are read, never written, by the deciders.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     gap: float | np.ndarray = field(init=False)
     norm: float | np.ndarray = field(init=False)
+    # What a decider proves from this system for given matrices, kept once
+    # computed: a one-item list holding None or a tuple of read-only arrays
+    # of the stack's form (one matrix is a stack of one), each indexed by
+    # matrix first.  Indexing slices it along, and _stack_of_one shares the
+    # list.
+    _proofs: list = field(init=False, repr=False, default_factory=lambda: [None])
 
     def __post_init__(self) -> None:
         w = self.eigenvalues
@@ -97,7 +104,13 @@ class EigenSystem:
     def __getitem__(self, t) -> EigenSystem:
         """The system of matrix t of a stack (a stack again for a slice)."""
         vectors = self._stacked().eigenvectors
-        return EigenSystem(self.eigenvalues[t], None if vectors is None else vectors[t])
+        sub = EigenSystem(self.eigenvalues[t], None if vectors is None else vectors[t])
+        if self._proofs[0] is not None:
+            rows = np.atleast_1d(np.arange(len(self))[t])
+            sub._proofs[0] = tuple(x[rows] for x in self._proofs[0])
+            for x in sub._proofs[0]:
+                x.flags.writeable = False
+        return sub
 
     def _stacked(self) -> EigenSystem:
         if self.eigenvalues.ndim != 2:
@@ -126,7 +139,9 @@ def _stack_of_one(eigsys: EigenSystem) -> EigenSystem:
     """The system of one matrix, with eigenvectors, as a stack of one."""
     if eigsys.eigenvalues.ndim != 1:
         raise ValueError(f"expected the eigensystem of one matrix, got a stack of {len(eigsys)}")
-    return EigenSystem(eigsys.eigenvalues[None], _eigenvectors(eigsys)[None])
+    stack = EigenSystem(eigsys.eigenvalues[None], _eigenvectors(eigsys)[None])
+    object.__setattr__(stack, "_proofs", eigsys._proofs)
+    return stack
 
 
 def _checked(x, ints=None, system: bool = False, name: str | None = None) -> np.ndarray:

@@ -685,10 +685,11 @@ def test_certificate_runs_on_sub_stacks_of_bounded_krylov_entries(monkeypatch, n
     root = SeedPath(20261020, ("sub-stacks", n))
     graphs = [sample_gnp(n, 0.5, root.child(t)) for t in range(8)]
     proved = [g for g in graphs if (float_tier(g[None], inputs) == n).all()]
-    # K_n has a repeated spectrum, and P_n's eigenvectors orthogonal to the
-    # all-ones input are not integer; the deficient columns of a twin-vertex
-    # graph with a simple spectrum are settled by the integer eigenvector
-    deficient = [rank_deficient_fixtures(n)[i] for i in (0, 2)]
+    # K_n and diag(0, 0, 1, 1, ...) have repeated spectra, where the float
+    # tier settles no deficient column; the deficient columns of a
+    # twin-vertex graph with a simple spectrum are settled by the integer
+    # eigenvector
+    deficient = [rank_deficient_fixtures(n)[0], np.diag(np.arange(n) // 2)]
     assert proved and (float_tier(np.stack(deficient), inputs) < 0).any(axis=1).all()
     twins = float_tier(np.stack([with_twins(g) for g in graphs]), inputs)
     assert ((twins >= 0).all(axis=1) & (twins < n).any(axis=1)).any()
@@ -722,7 +723,10 @@ def mirrored_graphs(n: int, count: int, seed: int) -> np.ndarray:
     """Graphs [[H, C], [C, H]] on n = 2 h vertices, H and C from G(h, 1/2),
     every other C with its diagonal set: swapping the halves is an
     automorphism, so every input equal on both halves, such as all-ones, is
-    orthogonal to the antisymmetric eigenvectors, which are rarely integer."""
+    orthogonal to the antisymmetric eigenvectors, which are rarely integer.
+    Scaled by 2^20, the relation over the other eigenvalues has
+    coefficients too large to round, so the float tier leaves such inputs
+    to mod _P."""
     root, h = SeedPath(seed, ("mirrored", n)), n // 2
     return np.stack([np.block([[a, c], [c, a]]) for a, c in (
         (sample_gnp(h, 0.5, root.child(t, "h")),
@@ -735,7 +739,7 @@ def test_proved_columns_never_reach_elimination(monkeypatch):
     # both: only the columns left are eliminated mod _P, and the ranks are
     # Bareiss's
     n = 10
-    mats = mirrored_graphs(n, 12, 20261021)
+    mats = 2**20 * mirrored_graphs(n, 12, 20261021)
     inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
     eigsys = eig_sym(mats.astype(np.float64))
     proved = float_tier(mats, inputs, eigsys) >= 0
@@ -894,6 +898,19 @@ def test_simple_spectrum_certificate_against_rational_oracle(monkeypatch):
     assert len(oracle_calls) == len(fallbacks)
 
 
+def test_spectrum_relation_spares_bareiss_beyond_the_lift(monkeypatch):
+    # diag(-11, ..., 11, 0): its minimal polynomial x (x^2 - 1) ... (x^2 -
+    # 121) has coefficients up to 11!^2, beyond _P / 2, so the mod-_P lift
+    # fails and Bareiss decides; but below 2^53, so with the eigensystem
+    # the rounded product over its clusters is that polynomial, verified
+    diag = repeated_diagonals(24)[0]
+    oracle_calls = count_oracle_calls(monkeypatch)
+    assert has_simple_spectrum_exact(diag, eig_sym(diag)) is False
+    assert len(oracle_calls) == 0
+    assert has_simple_spectrum_exact(diag) is False
+    assert len(oracle_calls) == 1
+
+
 def test_bareiss_sees_no_zero_rows(monkeypatch):
     # the diagonal's Krylov matrix of I has n^2 - n rows that are zero for
     # every power, and a disconnected graph's Kalman matrix of e_0 is zero
@@ -1041,7 +1058,7 @@ def test_float_tier_never_certifies_a_deficient_column():
     assert deficient > 5000
     assert certified > 0.8 * full
     assert (certified, full) == (4423, 4753)
-    assert (settled, deficient) == (2052, 6156)
+    assert (settled, deficient) == (2199, 6156)
 
 
 def test_float_tier_certified_columns_have_full_bareiss_rank():
@@ -1089,8 +1106,8 @@ def test_unsettled_certificates_leave_float_proofs_standing(monkeypatch):
     # with no mod-_P certificate at all, Bareiss runs on exactly the
     # columns the float tier left: a -1 never overwrites a float-settled rank
     cases = [case for case in adversarial_cases() if case[0].shape[1] <= 8]
-    for n in (8, 10):  # with settled basis columns and unsettled all-ones ones
-        mats = mirrored_graphs(n, 12, 20261022)
+    for n in (10, 12):  # with settled basis columns and unsettled all-ones ones
+        mats = 2**20 * mirrored_graphs(n, 24, 20261022)
         inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
         cases.append((mats, inputs, np.array(kalman_ranks_exact(mats, inputs))))
     monkeypatch.setattr(exact_module, "_certified_ranks", lambda mats, cols, k, ranks: ranks)
@@ -1249,9 +1266,10 @@ def labelled_graphs(n: int) -> np.ndarray:
 def test_float_tier_on_every_labelled_graph_up_to_six_vertices():
     # every graph with n <= 6 vertices, with every basis input and the
     # all-ones input: each rank the float tier settles is the mod-_P and
-    # Bareiss tiers' rank, and each spectrum its bound proves simple is
-    # simple by the block test
-    totals = np.zeros(5, dtype=np.int64)
+    # Bareiss tiers' rank, each spectrum its bound proves simple is simple
+    # by the block test, and each its relation proves repeated is repeated
+    totals = np.zeros(6, dtype=np.int64)
+    basis, ones = [], []
     for n in range(1, 7):
         mats = labelled_graphs(n)
         inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
@@ -1260,36 +1278,58 @@ def test_float_tier_on_every_labelled_graph_up_to_six_vertices():
         ranks = float_tier(mats, inputs, eigsys)
         settled = ranks >= 0
         assert (ranks[settled] == oracle[settled]).all(), n
-        assert kalman_ranks_exact(mats, inputs, eigsys=eigsys) == oracle.tolist()
+        with_eigsys = np.array(kalman_ranks_exact(mats, inputs, eigsys=eigsys))
+        assert (with_eigsys == oracle).all()
         simple = np.array(has_simple_spectrum_exact(mats))
-        proved = exact_module._eigvec_bounds(mats.astype(np.float64), eigsys.eigenvalues,
-                                             eigsys.eigenvectors)[0]
-        assert not (proved & ~simple).any(), n
+        proved, repeated = exact_module._float_spectra(mats, eigsys)
+        assert not (proved & ~simple).any() and not (repeated & simple).any(), n
         assert has_simple_spectrum_exact(mats, eigsys) == simple.tolist()
         totals += [(oracle < n).sum(), (settled & (oracle < n)).sum(), (oracle == n).sum(),
-                   (ranks == n).sum(), proved.sum()]
-    # (deficient, settled of them, full, proved full, simple spectra proved)
-    assert totals.tolist() == [165358, 62725, 70522, 70522, 21128]
+                   (ranks == n).sum(), proved.sum(), repeated.sum()]
+        for found in (oracle, with_eigsys):  # graphs controlled by every e_i / by all-ones
+            basis.append(int((found[:, :n] == n).all(axis=1).sum()))
+            ones.append(int((found[:, n] == n).sum()))
+    # (deficient, settled of them, full, proved full, simple spectra
+    # proved, repeated spectra proved): every spectrum is settled
+    assert totals.tolist() == [165358, 76537, 70522, 70522, 21128, 33867 - 21128]
+    # the fractions 1, 1/2, 0, 3/16, 0, 405/2048 and 1, 0, 0, 0, 0, 45/256
+    # of the 2^(n (n - 1) / 2) graphs, each count twice, with eigensystems
+    # and without; all-ones is controllable only on graphs without a
+    # nontrivial automorphism, so its count at n = 6 is 6! per isomorphism class
+    assert basis == [c for c in (1, 1, 0, 12, 0, 6480) for _ in range(2)]
+    assert ones == [c for c in (1, 0, 0, 0, 0, 5760) for _ in range(2)]
+    assert ones[-1] % math.factorial(6) == 0
 
 
-def test_integer_eigenvectors_leave_what_they_cannot_prove():
+def without_relations(monkeypatch):
+    """Switch the relation tier off: no relation is ever proved."""
+    monkeypatch.setattr(exact_module, "_relation_holds", lambda mats, which, roots, active,
+                        blocks: np.zeros(len(which), dtype=bool))
+
+
+def test_integer_eigenvectors_leave_what_they_cannot_prove(monkeypatch):
     # A = [[4, 6], [6, 9]] has eigenvalues 0 and 13, with eigenvectors
     # (3, -2) and (2, 3): scaled by its smaller entry neither is integer, so
     # no rounded candidate satisfies A z = lambda z, and the eigenvector
-    # input (3, -2), of rank 1, is left to mod _P; e_0 is proved by the bound
+    # input (3, -2), of rank 1, is left to the relation tier, which proves
+    # q(A) b = 0 for q = x, over its one component proved nonzero, of
+    # eigenvalue 0; e_0 is proved by the bound
     a = np.array([[4, 6], [6, 9]], dtype=np.int64)
     inputs = np.array([[3, 1], [-2, 0]], dtype=np.int64)
-    assert float_tier(a[None], inputs).tolist() == [[-1, 2]]
+    assert float_tier(a[None], inputs).tolist() == [[1, 2]]
     assert kalman_ranks_exact(a, inputs, eigsys=eig_sym(a)) == bareiss_ranks(a, inputs) == [1, 2]
     # v v^T for v = (1, 2^9): (2^9, -1) spans its kernel and is proved, but
     # z . b for b = 2^43 v may reach 2 * 2^9 * 2^52 = 2^62 in int64, so
-    # that column is left too; the eigenvector input (2^9, -1) is settled
+    # that column is left too, and its relation x - (2^18 + 1) holds; the
+    # eigenvector input (2^9, -1) is settled by z
     v = np.array([1, 2**9], dtype=np.int64)
-    a = np.outer(v, v)
-    inputs = np.column_stack([[1, 0], [2**9, -1], 2**43 * v])
-    assert float_tier(a[None], inputs).tolist() == [[2, 1, -1]]
-    assert kalman_ranks_exact(a, inputs, eigsys=eig_sym(a)) == bareiss_ranks(a, inputs) == \
-        [2, 1, 1]
+    b = np.outer(v, v)
+    vv = np.column_stack([[1, 0], [2**9, -1], 2**43 * v])
+    assert float_tier(b[None], vv).tolist() == [[2, 1, 1]]
+    assert kalman_ranks_exact(b, vv, eigsys=eig_sym(b)) == bareiss_ranks(b, vv) == [2, 1, 1]
+    without_relations(monkeypatch)
+    assert float_tier(a[None], inputs).tolist() == [[-1, 2]]
+    assert float_tier(b[None], vv).tolist() == [[2, 1, -1]]
     # the twin graph's own eigenvectors, e_0 - e_1 among them, settle
     # every column; with another graph's eigenvalues they prove nothing
     graph = sample_gnp(8, 0.5, SeedPath(1506, ("twin-candidates", 2)))
@@ -1302,13 +1342,88 @@ def test_integer_eigenvectors_leave_what_they_cannot_prove():
     assert min(oracle) < 8 and float_tier(twin[None], inputs)[0].tolist() == oracle
 
 
+def record_relations(monkeypatch) -> list:
+    """Record the polynomials of every relation checked exactly."""
+    polys = []
+    real = exact_module._annihilated
+
+    def annihilated(mats, which, blocks, q):
+        polys.extend(q.tolist())
+        return real(mats, which, blocks, q)
+
+    monkeypatch.setattr(exact_module, "_annihilated", annihilated)
+    return polys
+
+
+def test_relation_tier_settles_or_leaves_each_case(monkeypatch):
+    # each repeated spectrum is proved by its minimal polynomial, rounded
+    # from the product over its eigenvalue clusters and checked exactly,
+    # without the block test; their Kalman columns are left at -1
+    p4 = np.diag(np.ones(3, dtype=np.int64), 1)
+    minimal = [  # (A, the relation checked)
+        (rank_deficient_fixtures(12)[0], [-11, -10, 1]),  # K_12: -1 eleven times, and 11
+        (np.zeros((12, 12), dtype=np.int64), [0, 1]),  # q = x
+        (np.diag([3, 3]), [-3, 1]),
+        (repeated_diagonals(7)[0], [0, 12, 4, -15, -5, 3, 1]),  # (x + 3) ... (x - 2)
+        (repeated_diagonals(12)[1], [0, -2, -1, 2, 1]),  # diag(k // 3 - 2): -2, -1, 0, 1
+        (np.kron(np.eye(2, dtype=np.int64), p4 + p4.T), [1, 0, -3, 0, 1]),  # +-phi, +-1/phi
+    ]
+    block_tests = []
+    real = exact_module._krylov_degrees
+    monkeypatch.setattr(exact_module, "_krylov_degrees", lambda mats, cols, k, ranks:
+                        block_tests.append(int((ranks < 0).sum())) or real(mats, cols, k, ranks))
+    polys = record_relations(monkeypatch)
+    for a, q in minimal:
+        n = len(a)
+        polys.clear()
+        assert has_simple_spectrum_exact(a, eig_sym(a)) is False
+        assert polys == [q + [0] * (len(polys[0]) - len(q))], a
+        inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+        assert (float_tier(a[None], inputs) == -1).all()
+    assert block_tests == [0] * len(minimal)
+    # [[4, 6], [6, 9]]: b = (3, -2) has one component proved nonzero, of
+    # eigenvalue 0, and the other undecided; q = x proves rank 1
+    a = np.array([[4, 6], [6, 9]], dtype=np.int64)
+    polys.clear()
+    assert float_tier(a[None], [[3], [-2]]).tolist() == [[1]]
+    assert polys == [[0, 1]]
+    assert float_tier(a[None], [[3], [-1]]).tolist() == [[2]]  # both proved nonzero
+
+
+def test_relation_tier_from_a_wrong_eigensystem_proves_nothing_false():
+    # rolled eigensystems, and eigenvalues that are not finite or whose
+    # product overflows: every verdict settled is the oracle's
+    n = 12
+    graph = sample_gnp(n, 0.5, SeedPath(1506, ("relation", n)))
+    mats = np.stack([*rank_deficient_fixtures(n), *repeated_diagonals(n), graph,
+                     with_twins(graph), np.zeros((n, n), dtype=np.int64)])
+    simple = np.array(has_simple_spectrum_exact(mats))
+    inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+    oracle = np.array(kalman_ranks_exact(mats, inputs))
+    es = eig_sym(mats.astype(np.float64))
+    proved, repeated = exact_module._float_spectra(mats, es)
+    assert proved.tolist() == simple.tolist() and repeated.tolist() == (~simple).tolist()
+    wrong = [eig_sym(np.roll(mats, shift, axis=0).astype(np.float64)) for shift in (1, 3)]
+    for shift in (np.nan, np.inf, 2.0**600):  # 2^600 absorbs every eigenvalue
+        with np.errstate(invalid="ignore"):  # the gaps of inf eigenvalues
+            wrong.append(EigenSystem(es.eigenvalues + shift, es.eigenvectors))
+    for eigsys in wrong:
+        proved, repeated = exact_module._float_spectra(mats, eigsys)
+        assert not (proved & ~simple).any() and not (repeated & simple).any()
+        assert has_simple_spectrum_exact(mats, eigsys) == simple.tolist()
+        ranks = float_tier(mats, inputs, eigsys)
+        assert ((ranks == -1) | (ranks == oracle)).all()
+        assert kalman_ranks_exact(mats, inputs, eigsys=eigsys) == oracle.tolist()
+
+
 def test_simple_spectrum_of_a_stack_equals_one_matrix_at_a_time(monkeypatch):
     # a stack is decided as its matrices are one at a time; with its
     # eigensystems, only the matrices the float bound leaves reach the
     # block test, all in one call, and a wrong eigensystem proves nothing
     root = SeedPath(1506, ("stacked-spectra",))
     mats = np.stack([sample_gnp(10, 0.5, root.child(t)) for t in range(24)]
-                    + rank_deficient_fixtures(10) + repeated_diagonals(10))
+                    + rank_deficient_fixtures(10) + repeated_diagonals(10)
+                    + [np.diag(np.r_[0, 2**20 * np.arange(9)])])
     alone = [has_simple_spectrum_exact(a) for a in mats]
     assert 0 < sum(alone) < len(alone)
     calls = []
@@ -1320,10 +1435,14 @@ def test_simple_spectrum_of_a_stack_equals_one_matrix_at_a_time(monkeypatch):
     calls.clear()
     eigsys = eig_sym(mats.astype(np.float64))
     assert has_simple_spectrum_exact(mats, eigsys) == alone
-    assert calls == [len(mats) - sum(alone)]  # the bound proves every simple spectrum here
+    # the bound proves every simple spectrum here, and a relation every
+    # repeated one but the last, whose coefficients exceed 2^53
+    assert calls == [1]
     calls.clear()
     stale = eig_sym(np.roll(mats, 1, axis=0).astype(np.float64))
     assert has_simple_spectrum_exact(mats, stale) == alone
+    # a wrong eigensystem proves nothing: its residual on A makes the Weyl
+    # radius so large that every spectrum is one cluster, whose relation fails
     assert calls == [len(mats)]
     for a, simple in zip(mats[:3], alone):
         assert has_simple_spectrum_exact(a, eig_sym(a)) is simple

@@ -17,7 +17,7 @@ from ctrllab import (
     run_trial,
     wilson_interval,
 )
-from ctrllab import exact, harness
+from ctrllab import exact, harness, minctrl
 from ctrllab.ensembles import Atom, EnsembleSpec, ShiftSpec, VectorSpec
 from ctrllab.exact import _P
 from ctrllab.spectral import EigenDecompositionError
@@ -616,12 +616,11 @@ def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
     # and the Krylov matrices they hold, and Bareiss calls.  The float tier
     # settles every column of conj1 and conj2.  minctrl-gnp decides the
     # spectra of each chunk first, in one call: the float bound proves the
-    # simple ones, and one elimination holds the combined Krylov matrices
-    # of the two matrices left, at n = 10, which have repeated spectra.  The
-    # basis ranks of the simple ones are all settled by the float tier,
-    # their deficient columns by integer eigenvectors, and so are the
-    # layers of the searches that go past the basis.  Without the float
-    # tier, the split is (11, 505, 0).
+    # simple ones, and a verified relation q(A) = 0 of degree below n the
+    # two repeated ones, at n = 10.  The basis ranks of the simple ones are
+    # all settled by the float tier, their deficient columns by integer
+    # eigenvectors or relations, and so are the layers of the searches that
+    # go past the basis.  Without the float tier, the split is (11, 505, 0).
     configs = {
         "conj1": make_scenario_config("conj1", method="both", n_grid=(16, 24), trials=4,
                                       p=0.5, master_seed=1506),
@@ -641,7 +640,24 @@ def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
         bareiss.clear()
         run_experiment(config)
         counts[name] = (len(certified), sum(certified), len(bareiss))
-    assert counts == {"conj1": (0, 0, 0), "conj2": (0, 0, 0), "minctrl-gnp": (1, 2, 0)}
+    assert counts == {"conj1": (0, 0, 0), "conj2": (0, 0, 0), "minctrl-gnp": (0, 0, 0)}
+
+
+def test_minctrl_chunk_bounds_its_eigensystem_once(monkeypatch):
+    # the chunk's spectrum test, its basis ranks and the layer slices of
+    # its searches all read one certificate, kept on the chunk's
+    # eigensystem: the eigenvector bounds run once per chunk, on all of it
+    bounds, layers = [], []
+    real_bounds, real_ranks = exact._eigvec_bounds, minctrl.kalman_ranks_exact
+    monkeypatch.setattr(exact, "_eigvec_bounds",
+                        lambda a, w, x: bounds.append(len(a)) or real_bounds(a, w, x))
+    monkeypatch.setattr(minctrl, "kalman_ranks_exact", lambda a, cols, cap, eigsys=None:
+                        layers.append(eigsys) or real_ranks(a, cols, cap, eigsys))
+    config = make_scenario_config("minctrl-gnp", n_grid=(10, 12), trials=20, p=0.5,
+                                  master_seed=1506)
+    run_experiment(config)
+    assert bounds == [20, 20]  # one chunk per grid point
+    assert len(layers) == 1 and layers[0] is not None  # a search went past the basis
 
 
 def test_conj1_trial_falls_back_when_certificate_fails(monkeypatch):

@@ -23,6 +23,7 @@ from ctrllab import (
 )
 from ctrllab.exact import _P
 from ctrllab.minctrl import DEFAULT_SUPPORT_BUDGET
+from test_exact import labelled_graphs
 
 SEED = SeedPath(20260810, ("test-minctrl",))
 P3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int64)
@@ -487,3 +488,39 @@ def test_sparsest_generic_respects_tolerances():
     r = sparsest_input(a, entry_mode="generic-random", seed=SEED.child("tol-s"),
                        tolerances=Tolerances(gap_tol=1e6))
     assert r.infeasible
+
+
+def brute_force_sparsest(a) -> tuple:
+    """(k*, witness) of the first 0/1 support, by size and then
+    lexicographically, whose indicator vector has Kalman rank n by plain
+    Bareiss; (None, None) when none has."""
+    n = len(a)
+    for k in range(1, n + 1):
+        for support in itertools.combinations(range(n), k):
+            b = np.zeros(n, dtype=np.int64)
+            b[list(support)] = 1
+            if rank_exact(kalman_matrix(a, b)) == n:
+                return k, b
+    return None, None
+
+
+def test_sparsest_on_every_labelled_graph_up_to_five_vertices():
+    # the search, with the graph's eigensystem and without, finds the k*
+    # and the witness of a brute force over every 0/1 support
+    counts = {}
+    for n in range(2, 6):
+        mats = labelled_graphs(n)
+        eigsys = eig_sym(mats.astype(np.float64))
+        found = []
+        for t, a in enumerate(mats):
+            k_star, witness = brute_force_sparsest(a)
+            for es in (None, eigsys[t]):
+                result = sparsest_input(a, eigsys=es)
+                assert result.k_star == k_star, (a, es is not None)
+                assert (witness is None and result.witness is None
+                        or np.array_equal(result.witness, witness)), a
+            found.append(k_star)
+        counts[n] = tuple(found.count(k) for k in (1, 2, None))
+        assert sum(counts[n]) == len(mats)  # no graph up to n = 5 needs k* > 2
+    # k* = 1 / 2 / None
+    assert counts == {2: (1, 0, 1), 3: (3, 3, 2), 4: (24, 6, 34), 5: (540, 210, 274)}
