@@ -27,11 +27,12 @@ print(f"  infeasible: {r.infeasible} (supports tested: {r.supports_tested})")
 checks["K4"] = r.infeasible and r.supports_tested == 0
 
 print("\ndiag(1, 2, 3): every eigenvector is a coordinate axis, so an input")
-print("needs all three coordinates; generic entries on the full support work.")
-r = sparsest_input(np.diag([1, 2, 3]), entry_mode="generic-random",
-                   seed=SeedPath(3, ("demo-minctrl",)))
-print(f"  k* = {r.k_star}, witness {np.round(r.witness, 3).tolist()}")
-checks["diag(1, 2, 3)"] = r.k_star == 3
+print("needs all three coordinates; the all-ones vector on the full support works.")
+r = sparsest_input(np.diag([1, 2, 3]))
+print(f"  k* = {r.k_star}, witness {r.witness.tolist()} "
+      f"(supports tested: {r.supports_tested})")
+checks["diag(1, 2, 3)"] = r.k_star == 3 and r.witness.tolist() == [1, 1, 1] and \
+    r.supports_tested == 7
 
 print("\n100 random graphs G(10, 1/2), exact decisions:")
 root = SeedPath(31, ("demo-gnp",))
@@ -45,7 +46,7 @@ for t in range(100):
     k_hist[key] = k_hist.get(key, 0) + 1
 for key in sorted(k_hist):
     print(f"  {key:<12} {k_hist[key]:3d} graphs")
-scan = basis_scan(sample_gnp(10, 0.5, root.child(0)), "exact")
+scan = basis_scan(sample_gnp(10, 0.5, root.child(0)))
 print(f"\nFor the first of those graphs, {len(scan.controllable)} of 10 single "
       f"vertices already control the whole system.")
 

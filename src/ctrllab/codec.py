@@ -1,6 +1,6 @@
 """One JSON dict codec for the spec and record dataclasses.
 
-A :class:`Spec` (atom, shift, ensemble, input vector) has a ``kind``, and
+A :class:`Spec` (atom, ensemble, input vector) has a ``kind``, and
 `_kinds` maps each kind to its validating classmethod: the dict is ``kind``
 plus that classmethod's parameters in field order, None left out, and
 reading one calls the classmethod, so JSON input is validated like code.

@@ -11,7 +11,6 @@ goe             Gaussian orthogonal ensemble: independent Gaussians with
                 mean zero, off-diagonal variance 1, diagonal variance 2
 gnp-adjacency   0/1 adjacency matrix of an Erdos-Renyi graph G(n, p),
                 zero diagonal, sampled as exact integers
-shifted-wigner  wigner plus a deterministic symmetric shift matrix
 ==============  ============================================================
 
 All samplers are pure functions of ``(spec, seed)``: equal
@@ -37,10 +36,8 @@ from .seeding import SeedPath
 
 __all__ = [
     "Atom",
-    "ShiftSpec",
     "EnsembleSpec",
     "VectorSpec",
-    "shift_matrix",
     "sample_wigner",
     "sample_goe",
     "sample_gnp",
@@ -134,68 +131,6 @@ class Atom(Spec):
             return (rng.random(size) < self.p).astype(np.float64)
         return np.full(size, self.value, dtype=np.float64)
 
-    def support(self) -> list[tuple[float, float]]:
-        """(value, probability) pairs for discrete atoms; gaussian has none."""
-        if self.kind == "rademacher":
-            return [(-1.0, 0.5), (1.0, 0.5)]
-        if self.kind == "centered-bernoulli":
-            sigma = math.sqrt(self.p * (1.0 - self.p))
-            return [(-self.p / sigma, 1.0 - self.p), ((1.0 - self.p) / sigma, self.p)]
-        if self.kind == "bernoulli01":
-            return [(0.0, 1.0 - self.p), (1.0, self.p)]
-        if self.kind == "degenerate":
-            return [(self.value, 1.0)]
-        raise ValueError(f"atom kind {self.kind!r} has no finite support")
-
-
-# ---------------------------------------------------------------------------
-# deterministic shifts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ShiftSpec(Spec):
-    """Deterministic symmetric shift added to a Wigner matrix."""
-
-    kind: str  # constant-offdiag | explicit
-    c: float | None = None
-    matrix: np.ndarray | None = None
-
-    _kinds = {"constant-offdiag": "constant_offdiag", "explicit": "explicit"}
-
-    def __post_init__(self) -> None:
-        self._check_fields()
-        if self.kind == "constant-offdiag":
-            if self.c is None or not math.isfinite(self.c):
-                raise ValueError(f"constant-offdiag shift c must be finite, got {self.c}")
-        else:
-            m = np.asarray(self.matrix, dtype=np.float64)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"explicit shift must be square, got shape {m.shape}")
-            if not np.isfinite(m).all():
-                raise nonfinite_error(m, "explicit shift matrix")
-            if not np.array_equal(m, m.T):
-                raise ValueError("explicit shift matrix must be symmetric")
-            object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def constant_offdiag(cls, c: float) -> "ShiftSpec":
-        return cls("constant-offdiag", c=c)
-
-    @classmethod
-    def explicit(cls, matrix) -> "ShiftSpec":
-        return cls("explicit", matrix=matrix)
-
-
-def shift_matrix(spec: ShiftSpec, n: int) -> np.ndarray:
-    """Realize a shift spec as an explicit symmetric n x n float matrix."""
-    if spec.kind == "constant-offdiag":
-        m = np.full((n, n), spec.c)
-        np.fill_diagonal(m, 0.0)
-        return m
-    if spec.matrix.shape[0] != n:
-        raise ValueError(f"explicit shift is {spec.matrix.shape[0]}x{spec.matrix.shape[0]}, need {n}x{n}")
-    return spec.matrix.copy()
-
 
 # ---------------------------------------------------------------------------
 # matrix ensembles
@@ -204,24 +139,20 @@ def shift_matrix(spec: ShiftSpec, n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec(Spec):
     """Declarative description of a random symmetric matrix ensemble, of
-    no fixed dimension: the sampler takes n.  A shifted Wigner ensemble
-    without a shift samples like the plain one.
+    no fixed dimension: the sampler takes n.
     """
 
-    kind: str  # wigner | goe | gnp-adjacency | shifted-wigner
+    kind: str  # wigner | goe | gnp-adjacency
     offdiag: Atom | None = None
     diag: Atom | None = None
     p: float | None = None
-    shift: ShiftSpec | None = None
 
-    _kinds = {"wigner": "wigner", "goe": "goe", "gnp-adjacency": "gnp",
-              "shifted-wigner": "shifted_wigner"}
-    _decoders = {"offdiag": Atom.from_dict, "diag": Atom.from_dict,
-                 "shift": ShiftSpec.from_dict}
+    _kinds = {"wigner": "wigner", "goe": "goe", "gnp-adjacency": "gnp"}
+    _decoders = {"offdiag": Atom.from_dict, "diag": Atom.from_dict}
 
     def __post_init__(self) -> None:
         self._check_fields()
-        if self.kind in ("wigner", "shifted-wigner"):
+        if self.kind == "wigner":
             if self.offdiag is None or self.diag is None:
                 raise ValueError(f"{self.kind} ensemble needs offdiag and diag atoms")
         elif self.kind == "gnp-adjacency":
@@ -239,11 +170,6 @@ class EnsembleSpec(Spec):
     @classmethod
     def gnp(cls, p: float) -> "EnsembleSpec":
         return cls("gnp-adjacency", p=p)
-
-    @classmethod
-    def shifted_wigner(cls, offdiag: Atom, diag: Atom,
-                       shift: ShiftSpec | None = None) -> "EnsembleSpec":
-        return cls("shifted-wigner", offdiag=offdiag, diag=diag, shift=shift)
 
     @property
     def integer_valued(self) -> bool:
@@ -332,17 +258,12 @@ def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
         m[:, iu[0], iu[1]] = [rng.random(iu[0].size) < spec.p for rng in rngs]
         m += m.transpose(0, 2, 1)
         return m[0] if single else m
-    if spec.kind == "goe":
-        (offdiag, diag), shift = _GOE_ATOMS, None
-    else:
-        offdiag, diag, shift = spec.offdiag, spec.diag, spec.shift
+    offdiag, diag = _GOE_ATOMS if spec.kind == "goe" else (spec.offdiag, spec.diag)
     draws = [(offdiag.sample(rng, iu[0].size), diag.sample(rng, n)) for rng in rngs]
     m = np.zeros((len(rngs), n, n))
     m[:, iu[0], iu[1]] = [upper for upper, _ in draws]
     m += m.transpose(0, 2, 1)
     m[:, np.arange(n), np.arange(n)] = [d for _, d in draws]
-    if shift is not None:
-        m += shift_matrix(shift, n)
     return m[0] if single else m
 
 

@@ -411,7 +411,7 @@ def _basis_scans(chunk: _Chunk, cap: int) -> tuple[list, EigenSystem | None]:
     n = chunk.mats.shape[1]
     ranks = iter(kalman_ranks_exact(chunk.mats[simple], np.eye(n, dtype=np.int64), cap,
                                     None if eig is None else eig[simple]))
-    empty = BasisScanResult(frozenset(), frozenset(), "exact", simple_spectrum=False)
+    empty = BasisScanResult(frozenset(), simple_spectrum=False)
     return [BasisScanResult.from_ranks(next(ranks), True) if s else empty for s in simple], eig
 
 
@@ -426,8 +426,8 @@ def _trials_minctrl(config: ExperimentConfig, n: int, chunk: _Chunk):
     for t, a in enumerate(chunk.mats):
         scan = scans[t]
         past = eig is not None and not scan.controllable and scan.simple_spectrum
-        result = sparsest_input(a, kmax=params["kmax"], entry_mode="binary01",
-                                cap=config.exact_cap, budget=params["budget"], scan=scan,
+        result = sparsest_input(a, kmax=params["kmax"], cap=config.exact_cap,
+                                budget=params["budget"], scan=scan,
                                 eigsys=eig[t] if past else None)
         witnesses = {
             "k_star": -1.0 if result.k_star is None else float(result.k_star),

@@ -83,7 +83,10 @@ class EigenSystem:
     def __post_init__(self) -> None:
         w = self.eigenvalues
         n, rows = w.shape[-1], w.shape[:-1]
-        gap = np.min(np.diff(w), axis=-1) if n > 1 else np.full(rows, math.inf)
+        # two infinite eigenvalues (an overflowed system) give a NaN gap,
+        # which no threshold accepts
+        with np.errstate(invalid="ignore"):
+            gap = np.min(np.diff(w), axis=-1) if n > 1 else np.full(rows, math.inf)
         norm = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])) if n else np.zeros(rows)
         object.__setattr__(self, "gap", gap if rows else float(gap))
         object.__setattr__(self, "norm", norm if rows else float(norm))

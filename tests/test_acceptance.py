@@ -161,12 +161,12 @@ def test_c8_minimal_controllability_on_gnp():
     simple_count = basis_hits = 0
     for t in range(100):
         a = sample_gnp(10, 0.5, root.child(t))
-        result = sparsest_input(a, entry_mode="binary01")
+        result = sparsest_input(a)
         if not has_simple_spectrum_exact(a):
             assert result.infeasible
             continue
         simple_count += 1
-        scan = basis_scan(a, "exact")
+        scan = basis_scan(a)
         if scan.controllable:
             basis_hits += 1
             assert result.k_star == 1

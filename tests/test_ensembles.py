@@ -12,14 +12,12 @@ from ctrllab import (
     Atom,
     EnsembleSpec,
     SeedPath,
-    ShiftSpec,
     VectorSpec,
     sample_ensemble,
     sample_gnp,
     sample_goe,
     sample_vector,
     sample_wigner,
-    shift_matrix,
 )
 from ctrllab import codec, ensembles
 
@@ -30,10 +28,23 @@ SEED = SeedPath(20260810, ("test-ensembles",))
 # atoms
 # ---------------------------------------------------------------------------
 
+def two_point_law(atom: Atom) -> list[tuple[float, float]]:
+    """(value, probability) pairs of a discrete atom, from its definition."""
+    if atom.kind == "rademacher":
+        return [(-1.0, 0.5), (1.0, 0.5)]
+    if atom.kind == "centered-bernoulli":
+        sigma = math.sqrt(atom.p * (1.0 - atom.p))
+        return [(-atom.p / sigma, 1.0 - atom.p), ((1.0 - atom.p) / sigma, atom.p)]
+    if atom.kind == "bernoulli01":
+        return [(0.0, 1.0 - atom.p), (1.0, atom.p)]
+    assert atom.kind == "degenerate"
+    return [(atom.value, 1.0)]
+
+
 def _fourth_moment(atom: Atom) -> float:
     if atom.kind == "gaussian":
         return 3.0 * atom.variance**2
-    return sum(p * v**4 for v, p in atom.support())
+    return sum(p * v**4 for v, p in two_point_law(atom))
 
 
 @pytest.mark.parametrize("atom", [
@@ -53,10 +64,12 @@ def test_unit_variance_atoms_have_right_moments(atom):
 
 def test_centered_bernoulli_support_matches_definition():
     p = 0.3
-    sigma = math.sqrt(p * (1 - p))
-    support = dict(Atom.centered_bernoulli(p).support())
-    assert support[(1 - p) / sigma] == pytest.approx(p)
-    assert support[-p / sigma] == pytest.approx(1 - p)
+    atom = Atom.centered_bernoulli(p)
+    support = dict(two_point_law(atom))
+    # the sampler draws exactly the two values of the law
+    draws = atom.sample(SEED.child("centered-support").generator(), 1000)
+    assert set(draws.tolist()) == set(support)
+    assert support[(1 - p) / math.sqrt(p * (1 - p))] == p
     # mean is exactly zero by construction: p*(1-p)/s - (1-p)*p/s
     mean = sum(v * q for v, q in support.items())
     assert abs(mean) < 1e-15
@@ -212,23 +225,26 @@ def test_samplers_name_a_dimension_that_is_not_an_integer():
 # gnp -> shifted wigner reduction
 # ---------------------------------------------------------------------------
 
-def gnp_as_shifted_wigner(p: float) -> tuple[EnsembleSpec, float]:
+def gnp_as_shifted_wigner(p: float) -> tuple[EnsembleSpec, float, float]:
     """G(n, p) / sigma with sigma = sqrt(p(1-p)), as a mean-zero unit-variance
-    Wigner ensemble plus a constant off-diagonal shift; and sigma."""
+    Wigner ensemble plus the constant c = p / sigma off the diagonal: the
+    ensemble, c and sigma."""
     sigma = math.sqrt(p * (1 - p))
-    return EnsembleSpec.shifted_wigner(Atom.centered_bernoulli(p), Atom.degenerate(0.0),
-                                       ShiftSpec.constant_offdiag(p / sigma)), sigma
+    return EnsembleSpec.wigner(Atom.centered_bernoulli(p), Atom.degenerate(0.0)), p / sigma, sigma
 
 
 def test_reduction_at_half_is_rademacher_plus_ones():
-    spec, sigma = gnp_as_shifted_wigner(0.5)
+    spec, c, sigma = gnp_as_shifted_wigner(0.5)
     assert sigma == pytest.approx(0.5)
-    off = shift_matrix(ShiftSpec.constant_offdiag(1.0), 4)
-    assert np.array_equal(shift_matrix(spec.shift, 4), off)
-    support = sorted(spec.offdiag.support())
+    assert c == pytest.approx(1.0)
+    support = sorted(two_point_law(spec.offdiag))
     assert support[0] == (pytest.approx(-1.0), pytest.approx(0.5))
     assert support[1] == (pytest.approx(1.0), pytest.approx(0.5))
-    assert spec.diag.support() == [(0.0, 1.0)]
+    assert two_point_law(spec.diag) == [(0.0, 1.0)]
+    # so the sampled matrix is a Rademacher Wigner matrix with a zero diagonal
+    w = sample_ensemble(spec, SEED.child("half"), 6)
+    assert set(np.abs(w[~np.eye(6, dtype=bool)]).tolist()) == {1.0}
+    assert np.array_equal(np.diag(w), np.zeros(6))
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5])
@@ -236,9 +252,8 @@ def test_reduction_two_point_distributions_match(p):
     # Exhaustive n=2 check: the law of (1/sigma) * (gnp entry) equals the law
     # of (wigner atom + shift entry).  Probabilities are compared exactly
     # (both sides are the literal floats p and 1-p); values to one ulp.
-    spec, sigma = gnp_as_shifted_wigner(p)
-    f = shift_matrix(spec.shift, 2)[0, 1]
-    atom_plus_shift = sorted((v + f, q) for v, q in spec.offdiag.support())
+    spec, c, sigma = gnp_as_shifted_wigner(p)
+    atom_plus_shift = sorted((v + c, q) for v, q in two_point_law(spec.offdiag))
     scaled_gnp = sorted([(0.0 / sigma, 1.0 - p), (1.0 / sigma, p)])
     assert len(atom_plus_shift) == len(scaled_gnp) == 2
     for (va, qa), (ve, qe) in zip(atom_plus_shift, scaled_gnp):
@@ -250,10 +265,10 @@ def test_reduction_two_point_distributions_match(p):
 def test_reduction_matches_gnp_draw_for_draw(p):
     # both ensembles read one uniform per upper entry and compare it with p,
     # so on one seed the shifted Wigner matrix is the G(n, p) matrix / sigma
-    spec, sigma = gnp_as_shifted_wigner(p)
+    spec, c, sigma = gnp_as_shifted_wigner(p)
     for n in (1, 2, 9):
         path = SEED.child("reduction", str(p), n)
-        w = sample_ensemble(spec, path, n)
+        w = sample_ensemble(spec, path, n) + c * (np.ones((n, n)) - np.eye(n))
         assert np.array_equal(np.diag(w), np.zeros(n))
         assert np.allclose(w, sample_gnp(n, p, path) / sigma, rtol=0.0, atol=1e-12)
 
@@ -293,7 +308,7 @@ def test_shifted_vector_reproduces_scaled_bernoulli_law():
     sigma = math.sqrt(p * (1 - p))
     base = VectorSpec.iid_atom(Atom.centered_bernoulli(p))
     spec = VectorSpec.shifted(base, np.full(6, p / sigma))
-    shifted_support = sorted(v + p / sigma for v, _ in Atom.centered_bernoulli(p).support())
+    shifted_support = sorted(v + p / sigma for v, _ in two_point_law(Atom.centered_bernoulli(p)))
     target_support = sorted([0.0, 1.0 / sigma])
     assert shifted_support == pytest.approx(target_support, abs=1e-12)
     # and sampling realizes only those two values
@@ -345,14 +360,6 @@ def test_sample_ensemble_matches_direct_samplers():
                           sample_gnp(5, 0.5, path))
 
 
-def test_shifted_wigner_adds_shift():
-    path = SEED.child("shifted-wig")
-    shift = ShiftSpec.constant_offdiag(2.0)
-    spec = EnsembleSpec.shifted_wigner(Atom.rademacher(), Atom.degenerate(0.0), shift)
-    w = sample_wigner(4, Atom.rademacher(), Atom.degenerate(0.0), path)
-    assert np.array_equal(sample_ensemble(spec, path, 4), w + shift_matrix(shift, 4))
-
-
 ATOMS = [Atom.gaussian(0.5, 2.0), Atom.rademacher(), Atom.centered_bernoulli(0.3),
          Atom.bernoulli01(0.4), Atom.degenerate(1.5)]
 STACKED_SPECS = [
@@ -360,15 +367,12 @@ STACKED_SPECS = [
     *(EnsembleSpec.wigner(atom, atom) for atom in ATOMS),
     EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0)),
     EnsembleSpec.goe(),
-    EnsembleSpec.shifted_wigner(Atom.gaussian(), Atom.rademacher(),
-                                ShiftSpec.constant_offdiag(0.7)),
-    EnsembleSpec.shifted_wigner(Atom.rademacher(), Atom.gaussian()),
 ]
 
 
 def per_matrix_oracle(spec: EnsembleSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """One matrix of `spec` written out: its upper triangle in row-major
-    order, then its diagonal, drawn from `rng`; mirrored; then shifted."""
+    order, then its diagonal, drawn from `rng`; mirrored."""
     iu = np.triu_indices(n, k=1)
     if spec.kind == "gnp-adjacency":
         m = np.zeros((n, n), dtype=np.int64)
@@ -382,7 +386,7 @@ def per_matrix_oracle(spec: EnsembleSpec, rng: np.random.Generator, n: int) -> n
     m[iu] = offdiag.sample(rng, iu[0].size)
     m = m + m.T
     m[np.diag_indices(n)] = diag.sample(rng, n)
-    return m if spec.shift is None else m + shift_matrix(spec.shift, n)
+    return m
 
 
 @pytest.mark.parametrize("spec", STACKED_SPECS, ids=lambda spec: str(spec.to_dict()))
@@ -458,8 +462,6 @@ def test_every_ensemble_is_exactly_symmetric():
         EnsembleSpec.wigner(Atom.gaussian(), Atom.gaussian()),
         EnsembleSpec.goe(),
         EnsembleSpec.gnp(0.3),
-        EnsembleSpec.shifted_wigner(Atom.gaussian(), Atom.degenerate(0.0),
-                                    ShiftSpec.constant_offdiag(0.5)),
     ]):
         a = sample_ensemble(spec, SEED.child("sym", i), 7)
         assert np.array_equal(a, a.T)
@@ -470,8 +472,6 @@ def test_ensemble_spec_dict_round_trip():
         EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0)),
         EnsembleSpec.goe(),
         EnsembleSpec.gnp(0.25),
-        EnsembleSpec.shifted_wigner(Atom.centered_bernoulli(0.3), Atom.degenerate(0.0),
-                                    ShiftSpec.constant_offdiag(1.5)),
     ]
     for spec in specs:
         assert EnsembleSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
@@ -488,13 +488,12 @@ def test_ensemble_spec_dict_round_trip():
     (Atom, {"kind": ["gaussian"]}, "'kind'"),
     (EnsembleSpec, {"kind": "wigner", "offdiag": {"kind": "rademacher"}}, "missing key 'diag'"),
     (EnsembleSpec, {"kind": "gnp-adjacency", "p": 0.5, "n": 0}, "unknown key 'n'"),
-    (ShiftSpec, {"kind": "explicit", "matrix": [[0.0, 1.0], [2.0, 0.0]]}, "symmetric"),
-    (ShiftSpec, {"kind": "constant-offdiag", "c": math.nan},
-     "constant-offdiag shift c must be finite, got nan"),
-    (ShiftSpec, {"kind": "explicit", "matrix": [[0.0, math.nan], [math.nan, 0.0]]},
-     r"^explicit shift matrix has non-finite entries: \[0, 1\] = nan, \[1, 0\] = nan$"),
-    (ShiftSpec, {"kind": "explicit", "matrix": [[0.0, 1.0], [1.0, math.inf]]},
-     r"^explicit shift matrix has non-finite entries: \[1, 1\] = inf$"),
+    # the shifted Wigner kind is gone; its JSON form is refused with the kinds there are
+    (EnsembleSpec, {"kind": "shifted-wigner", "offdiag": {"kind": "gaussian"},
+                    "diag": {"kind": "degenerate", "value": 0.0},
+                    "shift": {"kind": "constant-offdiag", "c": 1.0}},
+     r"^EnsembleSpec needs a 'kind' key with a value in \['gnp-adjacency', 'goe', 'wigner'\], "
+     r"got \{'kind': 'shifted-wigner'"),
     (VectorSpec, {"kind": "explicit", "values": [math.nan, 1.0]},
      r"^explicit vector values has non-finite entries: \[0\] = nan$"),
     (VectorSpec, {"kind": "explicit", "values": [[1.0, 2.0]]},
@@ -519,7 +518,7 @@ def test_every_codec_annotation_has_a_json_test():
     # pass JSON values through unchecked
     makes = [getattr(cls, method) for cls in codec.Spec.__subclasses__()
              for method in cls._kinds.values()] + codec.Record.__subclasses__()
-    assert len(makes) >= 20
+    assert len(makes) >= 17
     for make in makes:
         annotated = {name for name, p in inspect.signature(make).parameters.items()
                      if p.annotation is not inspect.Parameter.empty}
@@ -542,11 +541,8 @@ def test_json_tests_resolve_annotations():
 SPEC_KINDS = [
     Atom.gaussian(0.5, 2.0), Atom.rademacher(), Atom.centered_bernoulli(0.3),
     Atom.bernoulli01(0.25), Atom.degenerate(1.5),
-    ShiftSpec.constant_offdiag(0.5), ShiftSpec.explicit([[0.0, 1.0], [1.0, 0.0]]),
     EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0)), EnsembleSpec.goe(),
     EnsembleSpec.gnp(0.25),
-    EnsembleSpec.shifted_wigner(Atom.gaussian(), Atom.degenerate(0.0),
-                                ShiftSpec.constant_offdiag(1.0)),
     VectorSpec.standard_basis(1), VectorSpec.all_ones(), VectorSpec.bernoulli01(0.5),
     VectorSpec.iid_atom(Atom.rademacher()), VectorSpec.uniform_sphere(),
     VectorSpec.shifted(VectorSpec.all_ones(), [0.5, 0.5]), VectorSpec.explicit([1.0, 2.0]),
@@ -597,19 +593,9 @@ def test_spec_fields_take_numpy_scalars_and_hold_floats_as_floats():
     assert type(Atom.gaussian(np.float32(1.5), 2).variance) is float
 
 
-def test_explicit_shift_must_be_symmetric():
-    with pytest.raises(ValueError):
-        ShiftSpec.explicit([[0.0, 1.0], [2.0, 0.0]])
-
-
 def test_shift_and_vector_specs_reject_nonfinite_and_misshapen_values():
     # at construction, naming the parameter, not later at sampling time
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=f"^constant-offdiag shift c must be finite, got {bad}$"):
-            ShiftSpec.constant_offdiag(bad)
-        with pytest.raises(ValueError, match=rf"^explicit shift matrix has non-finite entries: "
-                                             rf"\[0, 1\] = {bad}, \[1, 0\] = {bad}$"):
-            ShiftSpec.explicit([[0.0, bad], [bad, 0.0]])
         with pytest.raises(ValueError, match=rf"^explicit vector values has non-finite "
                                              rf"entries: \[1\] = {bad}$"):
             VectorSpec.explicit([1.0, bad])
@@ -628,23 +614,12 @@ def test_shift_and_vector_constructors_validate_like_the_classmethods():
     # the dataclass constructor checks what the classmethods and JSON check,
     # with the same messages, like Atom's
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"^constant-offdiag shift c must be finite, got {bad}$"):
-            ShiftSpec("constant-offdiag", c=bad)
         with pytest.raises(ValueError, match=rf"^explicit vector values has non-finite "
                                              rf"entries: \[0\] = {bad}$"):
             VectorSpec("explicit", values=np.array([bad, 1.0]))
         with pytest.raises(ValueError, match=rf"^shifted vector mu has non-finite entries: "
                                              rf"\[1\] = {bad}$"):
             VectorSpec("shifted", base=VectorSpec.all_ones(), mu=[0.0, bad])
-    with pytest.raises(ValueError, match=r"^explicit shift matrix has non-finite entries: "
-                                         r"\[0, 0\] = nan$"):
-        ShiftSpec("explicit", matrix=np.array([[math.nan]]))
-    with pytest.raises(ValueError, match="^explicit shift matrix must be symmetric$"):
-        ShiftSpec("explicit", matrix=[[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ValueError, match=r"^explicit shift must be square, got shape \(2,\)$"):
-        ShiftSpec("explicit", matrix=[0.0, 1.0])
-    with pytest.raises(ValueError, match="^unknown shift kind 'bogus'$"):
-        ShiftSpec("bogus")
     with pytest.raises(ValueError, match="^unknown vector kind 'bogus'$"):
         VectorSpec("bogus")
     with pytest.raises(ValueError, match="^basis index must be >= 0, got -1$"):
@@ -656,9 +631,6 @@ def test_shift_and_vector_constructors_validate_like_the_classmethods():
     with pytest.raises(ValueError, match="^shifted vector needs a base VectorSpec, got None$"):
         VectorSpec("shifted", mu=[1.0])
     # valid values are stored as the classmethods store them
-    assert np.array_equal(shift_matrix(ShiftSpec("explicit", matrix=[[0, 2], [2, 1]]), 2),
-                          shift_matrix(ShiftSpec.explicit([[0.0, 2.0], [2.0, 1.0]]), 2))
-    assert ShiftSpec("constant-offdiag", c=1).to_dict() == ShiftSpec.constant_offdiag(1.0).to_dict()
     assert VectorSpec("explicit", values=[1, 2]).values.dtype == np.float64
     assert VectorSpec("bernoulli01", p=1).to_dict() == VectorSpec.bernoulli01(1.0).to_dict()
 
@@ -666,13 +638,6 @@ def test_shift_and_vector_constructors_validate_like_the_classmethods():
 SPEC_FIELD_MISFITS = [
     (lambda: EnsembleSpec.wigner({"kind": "rademacher"}, Atom.degenerate(0.0)),
      "EnsembleSpec 'wigner' field 'offdiag' must be Atom, got {'kind': 'rademacher'}"),
-    (lambda: EnsembleSpec.shifted_wigner(Atom.rademacher(), Atom.degenerate(0.0),
-                                         {"kind": "constant-offdiag", "c": 1.0}),
-     "EnsembleSpec 'shifted-wigner' field 'shift' must be ShiftSpec | None, "
-     "got {'kind': 'constant-offdiag', 'c': 1.0}"),
-    (lambda: EnsembleSpec.shifted_wigner(Atom.rademacher(), Atom.degenerate(0.0),
-                                         Atom.rademacher()),
-     "EnsembleSpec 'shifted-wigner' field 'shift' must be ShiftSpec | None, got Atom("),
     (lambda: VectorSpec.iid_atom({"kind": "rademacher"}),
      "VectorSpec 'iid-atom' field 'atom' must be Atom, got {'kind': 'rademacher'}"),
     (lambda: VectorSpec.shifted({"kind": "all-ones"}, [0.0]),
@@ -681,8 +646,7 @@ SPEC_FIELD_MISFITS = [
 
 
 @pytest.mark.parametrize("make,message", SPEC_FIELD_MISFITS,
-                         ids=["wigner-dict-atom", "shift-dict", "shift-atom", "iid-dict-atom",
-                              "shifted-dict-base"])
+                         ids=["wigner-dict-atom", "iid-dict-atom", "shifted-dict-base"])
 def test_a_spec_field_holds_an_instance_of_its_spec_class(make, message):
     # a dict passed the JSON test of a spec field: the spec was accepted and
     # sampling it failed with "'dict' object has no attribute 'sample'"

@@ -272,8 +272,7 @@ def test_exact_and_float_deciders_reject_a_matrix_alike(a, message):
         b = np.array([1, 0, 0])
         exact += [lambda: is_controllable_exact(a, b), lambda: basis_scan(a),
                   lambda: sparsest_input(a)]
-        floats += [lambda: pbh_controllable(a, b), lambda: basis_scan(a, "float-pbh"),
-                   lambda: sparsest_input(a, entry_mode="generic-random", seed=SeedPath(1))]
+        floats += [lambda: pbh_controllable(a, b)]
     for decide in exact if "integer" in message else exact + floats:
         with pytest.raises(ValueError, match=message):
             decide()
@@ -1405,8 +1404,7 @@ def test_relation_tier_from_a_wrong_eigensystem_proves_nothing_false():
     assert proved.tolist() == simple.tolist() and repeated.tolist() == (~simple).tolist()
     wrong = [eig_sym(np.roll(mats, shift, axis=0).astype(np.float64)) for shift in (1, 3)]
     for shift in (np.nan, np.inf, 2.0**600):  # 2^600 absorbs every eigenvalue
-        with np.errstate(invalid="ignore"):  # the gaps of inf eigenvalues
-            wrong.append(EigenSystem(es.eigenvalues + shift, es.eigenvectors))
+        wrong.append(EigenSystem(es.eigenvalues + shift, es.eigenvectors))
     for eigsys in wrong:
         proved, repeated = exact_module._float_spectra(mats, eigsys)
         assert not (proved & ~simple).any() and not (repeated & simple).any()

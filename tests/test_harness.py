@@ -18,7 +18,7 @@ from ctrllab import (
     wilson_interval,
 )
 from ctrllab import exact, harness, minctrl
-from ctrllab.ensembles import Atom, EnsembleSpec, ShiftSpec, VectorSpec
+from ctrllab.ensembles import Atom, EnsembleSpec, VectorSpec
 from ctrllab.exact import _P
 from ctrllab.spectral import EigenDecompositionError
 from ctrllab.harness import CSV_COLUMNS, ExperimentReport, report_load_json
@@ -73,11 +73,10 @@ def test_configs_built_in_python_are_read_as_json_reads_them(scenario, overrides
 def test_a_hidden_shift_never_reaches_a_run():
     # the wigner kind takes no shift: such an ensemble once ran shifted (18
     # of 50 successes at n = 8 and seed 12345, not 4) and echoed plain Wigner
-    config = make_scenario_config("thm-wigner-basis", n_grid=(8,), trials=50)
-    with pytest.raises(ValueError, match="^EnsembleSpec 'wigner' takes no field 'shift', got "):
-        config.ensemble = EnsembleSpec("wigner", offdiag=Atom.rademacher(),
-                                       diag=Atom.degenerate(0.0),
-                                       shift=ShiftSpec.constant_offdiag(5.0))
+    with pytest.raises(ValueError, match="^unknown key 'shift' in EnsembleSpec 'wigner'$"):
+        EnsembleSpec.from_dict({"kind": "wigner", "offdiag": {"kind": "rademacher"},
+                                "diag": {"kind": "degenerate", "value": 0.0},
+                                "shift": {"kind": "constant-offdiag", "c": 5.0}})
 
 
 def test_wilson_interval_narrows_with_trials():

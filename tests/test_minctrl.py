@@ -8,21 +8,19 @@ from ctrllab import (
     BasisScanResult,
     BudgetExceededError,
     SeedPath,
-    Tolerances,
     basis_scan,
     eig_sym,
     has_simple_spectrum_exact,
     is_controllable_exact,
     kalman_matrix,
-    pbh_controllable,
     rank_exact,
     sample_gnp,
-    sample_goe,
     sparsest_input,
-    support_feasibility,
 )
 from ctrllab.exact import _P
 from ctrllab.minctrl import DEFAULT_SUPPORT_BUDGET
+from ctrllab.spectral import (CONTROLLABLE, DEFAULT_TOLERANCES, INDETERMINATE, basis_witnesses,
+                              classify)
 from test_exact import labelled_graphs
 
 SEED = SeedPath(20260810, ("test-minctrl",))
@@ -31,32 +29,39 @@ K3 = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=np.int64)
 K4 = np.ones((4, 4), dtype=np.int64) - np.eye(4, dtype=np.int64)
 
 
+def float_basis_scan(a, tol=DEFAULT_TOLERANCES) -> tuple[set, set]:
+    """The float PBH verdict of (A, e_i) for each i, as the harness's
+    all-basis path judges it: (controllable indices, indeterminate ones)."""
+    gap, scale, inner = basis_witnesses(eig_sym(a))
+    verdicts = [classify(gap, x, scale, 1.0, tol) for x in inner.tolist()]
+    return ({i for i, v in enumerate(verdicts) if v == CONTROLLABLE},
+            {i for i, v in enumerate(verdicts) if v == INDETERMINATE})
+
+
 # ---------------------------------------------------------------------------
 # basis scans
 # ---------------------------------------------------------------------------
 
 def test_basis_scan_path_graph_endpoints():
     assert set(basis_scan(P3).controllable) == {0, 2}
-    assert set(basis_scan(P3, "float-pbh").controllable) == {0, 2}
+    assert float_basis_scan(P3) == ({0, 2}, set())
 
 
 def test_basis_scan_complete_graph_empty():
     assert basis_scan(K3).controllable == frozenset()
-    assert basis_scan(K3, "float-pbh").controllable == frozenset()
+    assert float_basis_scan(K3)[0] == set()
     # n = 0: no basis input, on both paths; a stack of matrices is no matrix
-    for method in ("exact", "float-pbh"):
-        empty = basis_scan(np.zeros((0, 0), dtype=np.int64), method)
-        assert empty == BasisScanResult(frozenset(), frozenset(), method)
-        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(3, 3, 3\)$"):
-            basis_scan(np.stack([K3] * 3), method)
+    assert basis_scan(np.zeros((0, 0), dtype=np.int64)) == BasisScanResult(frozenset())
+    assert float_basis_scan(np.zeros((0, 0))) == (set(), set())
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(3, 3, 3\)$"):
+        basis_scan(np.stack([K3] * 3))
 
 
 def test_basis_scan_diagonal_matrix_empty():
     # Kalman columns for e_i stay multiples of e_i, rank 1; every e_i is
     # orthogonal to all eigenvectors but one
     assert basis_scan(np.diag([1, 2, 3])).controllable == frozenset()
-    scan = basis_scan(np.diag([1, 2, 3]), "float-pbh")
-    assert scan.controllable == scan.indeterminate == frozenset()
+    assert float_basis_scan(np.diag([1, 2, 3])) == (set(), set())
 
 
 def test_basis_scan_float_reports_indeterminate_separately():
@@ -66,9 +71,7 @@ def test_basis_scan_float_reports_indeterminate_separately():
     q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     a = q @ np.diag([1.0, 1.0 + 1e-10]) @ q.T
     a = (a + a.T) / 2.0
-    scan = basis_scan(a, "float-pbh")
-    assert scan.controllable == frozenset()
-    assert scan.indeterminate == frozenset({0, 1})
+    assert float_basis_scan(a) == (set(), {0, 1})
 
 
 @pytest.mark.parametrize("n", [6, 12, 24])
@@ -86,97 +89,37 @@ def test_basis_scan_falls_back_when_certificate_fails():
     # zero mod _P, yet both basis inputs are controllable over Q
     a = np.array([[0, _P], [_P, 0]], dtype=np.int64)
     assert basis_scan(a).controllable == frozenset({0, 1})
-    assert basis_scan(a, "float-pbh").controllable == frozenset({0, 1})
+    assert float_basis_scan(a)[0] == {0, 1}
 
 
 def test_basis_scan_methods_agree_on_random_graphs():
     root = SEED.child("scan-agree")
     for t in range(25):
         a = sample_gnp(7, 0.5, root.child(t))
-        exact = basis_scan(a, "exact")
-        float_scan = basis_scan(a, "float-pbh")
-        undecided = float_scan.indeterminate
-        assert float_scan.controllable <= exact.controllable | undecided
-        assert exact.controllable - undecided == float_scan.controllable - undecided
-
-
-# ---------------------------------------------------------------------------
-# support feasibility
-# ---------------------------------------------------------------------------
-
-def test_support_feasibility_path_graph():
-    assert support_feasibility(P3.astype(float), [1]) is False  # (1,0,-1)/sqrt2 vanishes there
-    assert support_feasibility(P3.astype(float), [0]) is True
-
-
-def test_support_feasibility_fails_on_repeated_spectrum():
-    for support in ([0], [1, 2], [0, 1, 2]):
-        assert support_feasibility(K3.astype(float), support) is False
-
-
-def test_support_feasibility_rejects_empty_support():
-    with pytest.raises(ValueError):
-        support_feasibility(P3.astype(float), [])
-
-
-def test_support_feasibility_rejects_indices_out_of_range():
-    # -1 must not wrap around to row 2, where P3's support [2] is feasible
-    with pytest.raises(ValueError, match=r"support index -1 out of range for n=3"):
-        support_feasibility(P3.astype(float), [-1])
-    with pytest.raises(ValueError, match=r"support index 3 out of range for n=3"):
-        support_feasibility(P3.astype(float), [0, 3])
-    with pytest.raises(ValueError, match=r"support index 3 out of range for n=3"):
-        support_feasibility(None, [3], eigsys=eig_sym(P3.astype(float)))
-
-
-def test_support_feasibility_rejects_non_integer_indices():
-    # 0.7 must not be read as index 0
-    with pytest.raises(ValueError, match=r"support index must be an integer, got 0\.7"):
-        support_feasibility(P3.astype(float), [0.7])
-    with pytest.raises(ValueError, match=r"support index must be an integer, got 2\.0"):
-        support_feasibility(P3.astype(float), [0, 2.0])
+        exact = basis_scan(a).controllable
+        controllable, undecided = float_basis_scan(a)
+        assert controllable <= exact | undecided
+        assert exact - undecided == controllable - undecided
 
 
 def test_sparsest_input_names_a_non_integer_kmax():
     with pytest.raises(ValueError, match=r"kmax must be an integer, got 2\.5"):
         sparsest_input(P3, kmax=2.5)
-    with pytest.raises(ValueError, match=r"kmax must be an integer, got 2\.5"):
-        sparsest_input(P3.astype(float), kmax=2.5, entry_mode="generic-random", seed=SEED)
 
 
 def test_sparsest_input_names_a_non_integer_budget():
     with pytest.raises(ValueError, match=r"budget must be an integer, got 20\.5"):
         sparsest_input(np.diag([1, 2, 3, 4, 5]), budget=20.5)
-    with pytest.raises(ValueError, match=r"budget must be an integer, got 20\.5"):
-        sparsest_input(np.diag([1.0, 2.0, 3.0]), entry_mode="generic-random", seed=SEED,
-                       budget=20.5)
 
 
 def test_bools_are_not_indices_or_counts_but_numpy_integers_are():
-    with pytest.raises(ValueError, match=r"support index must be an integer, got True"):
-        support_feasibility(P3.astype(float), [True])
     with pytest.raises(ValueError, match=r"kmax must be an integer, got True"):
         sparsest_input(P3, kmax=True)
     with pytest.raises(ValueError, match=r"budget must be an integer, got True"):
         sparsest_input(P3, budget=True)
-    assert support_feasibility(P3.astype(float), [np.int64(0)]) is True
-    assert support_feasibility(P3.astype(float), np.array([1])) is False
     five = np.diag([1, 2, 3, 4, 5])
     assert sparsest_input(five, kmax=np.int32(2), budget=np.int64(20)) == \
         sparsest_input(five, kmax=2, budget=20)
-
-
-def test_support_monotonicity():
-    root = SEED.child("mono")
-    for t in range(20):
-        a = sample_goe(6, root.child(t))
-        es = eig_sym(a)
-        feasible = [s for r in (1, 2) for s in itertools.combinations(range(6), r)
-                    if support_feasibility(None, s, eigsys=es)]
-        for s in feasible:
-            for extra in range(6):
-                superset = sorted(set(s) | {extra})
-                assert support_feasibility(None, superset, eigsys=es)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +131,6 @@ def test_sparsest_path_graph_first_basis_witness():
     assert r.k_star == 1
     assert r.witness.tolist() == [1, 0, 0]
     assert set(r.basis_controllable) == {0, 2}
-    assert r.method == "exact"
 
 
 def test_sparsest_complete_graph_infeasible_any_kmax():
@@ -198,22 +140,14 @@ def test_sparsest_complete_graph_infeasible_any_kmax():
         assert r.basis_controllable == frozenset()
 
 
-def test_sparsest_diagonal_generic_needs_full_support():
-    r = sparsest_input(np.diag([1, 2, 3]), entry_mode="generic-random",
-                       seed=SEED.child("diag"))
-    assert r.k_star == 3
-    assert np.all(r.witness >= 1.0) and np.all(r.witness <= 2.0)
-
-
 def test_sparsest_binary_diagonal_is_infeasible():
-    # 0/1 entries cannot separate distinct diagonal modes: any binary b on a
-    # support works iff... it never does, since b with k ones has Krylov rank
-    # k only when all picked eigenvalues differ AND entries generic; binary
-    # on the full support IS generic here (all-ones against distinct
-    # diagonal is a Vandermonde system), so k_star = n.
+    # every eigenvector is a coordinate axis, so b must touch all three;
+    # the all-ones vector against distinct diagonal entries is a Vandermonde
+    # system, so k_star = n after the 3 + 3 smaller supports
     r = sparsest_input(np.diag([1, 2, 3]))
     assert r.k_star == 3
     assert r.witness.tolist() == [1, 1, 1]
+    assert r.supports_tested == 7
 
 
 def test_sparsest_consistency_kstar_one_iff_basis_nonempty():
@@ -386,15 +320,6 @@ def test_sparsest_infeasibility_certificate_small_n():
                 assert not is_controllable_exact(a, np.array(bits, dtype=np.int64))
 
 
-def test_sparsest_generic_witness_passes_float_decider():
-    root = SEED.child("witness-valid")
-    for t in range(10):
-        a = sample_goe(6, root.child(t))
-        r = sparsest_input(a, entry_mode="generic-random", seed=root.child(t, "s"))
-        assert r.k_star == 1  # GOE: almost surely controllable from any axis
-        assert pbh_controllable(a, r.witness).controllable
-
-
 def test_sparsest_budget_error_carries_progress():
     a = np.diag([1, 2, 3, 4, 5])  # simple spectrum, no singleton/binary-k2 shortcut
     with pytest.raises(BudgetExceededError) as info:
@@ -414,11 +339,6 @@ def test_sparsest_budget_below_n_raises_before_the_basis_scan():
             (0, 1, budget)
     r = sparsest_input(P3, budget=3)
     assert (r.k_star, r.supports_tested) == (1, 3)
-    # generic-random mode counts supports one at a time
-    with pytest.raises(BudgetExceededError) as info:
-        sparsest_input(np.diag([1.0, 2.0, 3.0, 4.0]), entry_mode="generic-random",
-                       seed=SEED.child("budget"), budget=2)
-    assert (info.value.supports_tested, info.value.k_reached) == (2, 1)
 
 
 def test_sparsest_accepts_a_precomputed_exact_scan():
@@ -429,10 +349,6 @@ def test_sparsest_accepts_a_precomputed_exact_scan():
             (own.basis_controllable, own.k_star, own.supports_tested)
         assert (given.witness is None and own.witness is None) or \
             given.witness.tolist() == own.witness.tolist()
-    with pytest.raises(ValueError, match="exact basis scan"):
-        sparsest_input(P3, scan=basis_scan(P3, "float-pbh"))
-    with pytest.raises(ValueError, match="exact basis scan"):
-        sparsest_input(P3, entry_mode="generic-random", seed=SEED, scan=basis_scan(P3))
 
 
 def test_sparsest_uses_a_known_spectrum_and_the_eigensystem(monkeypatch):
@@ -476,18 +392,6 @@ def test_sparsest_validates_arguments():
         sparsest_input(P3, kmax=0)
     with pytest.raises(ValueError):
         sparsest_input(P3, kmax=4)
-    with pytest.raises(ValueError):
-        sparsest_input(P3, entry_mode="nope")
-    with pytest.raises(ValueError):
-        sparsest_input(P3, entry_mode="generic-random")  # seed required
-
-
-def test_sparsest_generic_respects_tolerances():
-    # an absurd accept threshold turns every support infeasible
-    a = sample_goe(5, SEED.child("tol"))
-    r = sparsest_input(a, entry_mode="generic-random", seed=SEED.child("tol-s"),
-                       tolerances=Tolerances(gap_tol=1e6))
-    assert r.infeasible
 
 
 def brute_force_sparsest(a) -> tuple:

@@ -13,8 +13,6 @@ import pytest
 from ctrllab import (
     SCENARIOS,
     Atom,
-    EnsembleSpec,
-    ShiftSpec,
     VectorSpec,
     make_scenario_config,
     report_csv,
@@ -68,13 +66,6 @@ def test_preset_reports_are_pinned():
 SPEC_FORMS = [
     (Atom, Atom.gaussian(1.5, 4.0), {"kind": "gaussian", "mean": 1.5, "variance": 4.0}),
     (Atom, Atom.degenerate(0.0), {"kind": "degenerate", "value": 0.0}),
-    (EnsembleSpec,
-     EnsembleSpec.shifted_wigner(Atom.gaussian(), Atom.degenerate(0.0),
-                                 ShiftSpec.explicit([[0.0, 2.0], [2.0, 1.0]])),
-     {"kind": "shifted-wigner",
-      "offdiag": {"kind": "gaussian", "mean": 0.0, "variance": 1.0},
-      "diag": {"kind": "degenerate", "value": 0.0},
-      "shift": {"kind": "explicit", "matrix": [[0.0, 2.0], [2.0, 1.0]]}}),
     (VectorSpec, VectorSpec.shifted(VectorSpec.bernoulli01(0.25), [0.5, -1.0]),
      {"kind": "shifted", "base": {"kind": "bernoulli01", "p": 0.25}, "mu": [0.5, -1.0]}),
     (VectorSpec, VectorSpec.explicit([1.0, -2.5, 3.0]),
