@@ -366,6 +366,9 @@ STACKED_SPECS = [
     *(EnsembleSpec.gnp(p) for p in (0.0, 0.5, 1.0)),
     *(EnsembleSpec.wigner(atom, atom) for atom in ATOMS),
     EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0)),
+    # a continuous and a discrete atom in one matrix, either way round
+    EnsembleSpec.wigner(Atom.gaussian(), Atom.rademacher()),
+    EnsembleSpec.wigner(Atom.rademacher(), Atom.gaussian()),
     EnsembleSpec.goe(),
 ]
 
@@ -507,6 +510,12 @@ def test_ensemble_spec_dict_round_trip():
     (VectorSpec, [1.0, 2.0], "needs a .kind. key"),
     (VectorSpec, {"kind": "shifted", "base": 5, "mu": 1.0}, "key 'base' .* must be VectorSpec"),
     (EnsembleSpec, {"kind": "goe", "n": 8}, "unknown key 'n'"),
+    # no kind holds a deterministic shift any more
+    (EnsembleSpec, {"kind": "goe", "shift": {"kind": "constant-offdiag", "c": 1.0}},
+     "unknown key 'shift' in EnsembleSpec 'goe'"),
+    (EnsembleSpec, {"kind": "gnp-adjacency", "p": 0.5,
+                    "shift": {"kind": "constant-offdiag", "c": 1.0}},
+     "unknown key 'shift' in EnsembleSpec 'gnp-adjacency'"),
 ])
 def test_spec_dicts_are_validated(cls, d, message):
     with pytest.raises(ValueError, match=message):
@@ -642,11 +651,16 @@ SPEC_FIELD_MISFITS = [
      "VectorSpec 'iid-atom' field 'atom' must be Atom, got {'kind': 'rademacher'}"),
     (lambda: VectorSpec.shifted({"kind": "all-ones"}, [0.0]),
      "VectorSpec 'shifted' field 'base' must be VectorSpec, got {'kind': 'all-ones'}"),
+    (lambda: EnsembleSpec.wigner(Atom.rademacher(), {"kind": "degenerate", "value": 0.0}),
+     "EnsembleSpec 'wigner' field 'diag' must be Atom, got {'kind': 'degenerate', 'value': 0.0}"),
+    (lambda: EnsembleSpec.wigner(VectorSpec.all_ones(), Atom.degenerate(0.0)),
+     "EnsembleSpec 'wigner' field 'offdiag' must be Atom, got VectorSpec("),
 ]
 
 
 @pytest.mark.parametrize("make,message", SPEC_FIELD_MISFITS,
-                         ids=["wigner-dict-atom", "iid-dict-atom", "shifted-dict-base"])
+                         ids=["wigner-dict-atom", "iid-dict-atom", "shifted-dict-base",
+                              "wigner-dict-diag", "wigner-vector-atom"])
 def test_a_spec_field_holds_an_instance_of_its_spec_class(make, message):
     # a dict passed the JSON test of a spec field: the spec was accepted and
     # sampling it failed with "'dict' object has no attribute 'sample'"

@@ -13,6 +13,7 @@ from ctrllab import (
     has_simple_spectrum_exact,
     is_controllable_exact,
     kalman_matrix,
+    pbh_controllable,
     rank_exact,
     sample_gnp,
     sparsest_input,
@@ -148,6 +149,83 @@ def test_sparsest_binary_diagonal_is_infeasible():
     assert r.k_star == 3
     assert r.witness.tolist() == [1, 1, 1]
     assert r.supports_tested == 7
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 6])
+def test_sparsest_diagonal_needs_every_coordinate(n):
+    # diag(1, ..., n) has the coordinate axes as eigenvectors, so b controls
+    # it iff every entry of b is nonzero: only the full 0/1 support works,
+    # found after every smaller support, 2^n - 1 in all
+    r = sparsest_input(np.diag(np.arange(1, n + 1)))
+    assert r.k_star == n
+    assert r.witness.tolist() == [1] * n
+    assert r.supports_tested == 2**n - 1
+
+
+def test_sparsest_kmax_below_kstar_is_infeasible():
+    # the search answers for supports up to kmax only
+    a = np.diag([1, 2, 3, 4])
+    below = sparsest_input(a, kmax=3)
+    assert below.infeasible and below.witness is None
+    assert below.supports_tested == 4 + 6 + 4
+    assert sparsest_input(a, kmax=4).k_star == 4
+
+
+def path_graph(n: int) -> np.ndarray:
+    return np.diag(np.ones(n - 1, dtype=np.int64), 1) + np.diag(np.ones(n - 1, dtype=np.int64), -1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_basis_scan_of_a_path_is_the_vertices_prime_to_n_plus_one(n):
+    # P_n has eigenvectors sin(j k pi / (n + 1)), j, k = 1..n; vertex j
+    # (1-based) meets no zero of them iff gcd(j, n + 1) = 1
+    expected = {j - 1 for j in range(1, n + 1) if math.gcd(j, n + 1) == 1}
+    a = path_graph(n)
+    assert set(basis_scan(a).controllable) == expected
+    assert float_basis_scan(a) == (expected, set())
+    r = sparsest_input(a)
+    assert (r.k_star, r.witness.tolist()) == (1, [1] + [0] * (n - 1))
+
+
+def star_graph(leaves: int) -> np.ndarray:
+    a = np.zeros((leaves + 1, leaves + 1), dtype=np.int64)
+    a[0, 1:] = a[1:, 0] = 1
+    return a
+
+
+def cycle_graph(n: int) -> np.ndarray:
+    return np.roll(np.eye(n, dtype=np.int64), 1, axis=1) + np.roll(np.eye(n, dtype=np.int64), -1, axis=1)
+
+
+@pytest.mark.parametrize("a", [star_graph(3), star_graph(4), cycle_graph(4), cycle_graph(5),
+                               cycle_graph(6)],
+                         ids=["star3", "star4", "cycle4", "cycle5", "cycle6"])
+def test_sparsest_on_a_repeated_spectrum_is_infeasible_without_enumeration(a):
+    # a star with m >= 3 leaves has eigenvalue 0 m - 1 times, and a cycle
+    # repeats 2 cos(2 pi k / n) for k and n - k; no b of any support
+    # controls such a matrix, and the spectrum test says so before any
+    # support beyond the singletons is enumerated
+    assert not has_simple_spectrum_exact(a)
+    for kmax in range(1, len(a) + 1):
+        r = sparsest_input(a, kmax=kmax)
+        assert r.infeasible and r.witness is None
+        assert (r.basis_controllable, r.supports_tested) == (frozenset(), 0)
+
+
+def test_sparsest_witness_passes_the_float_decider():
+    # the exact search's witness is controllable on the float PBH path too,
+    # or at worst undecided there; never proved uncontrollable
+    root = SEED.child("witness-float")
+    found = 0
+    for t in range(20):
+        a = sample_gnp(7, 0.5, root.child(t))
+        r = sparsest_input(a)
+        if r.infeasible:
+            continue
+        found += 1
+        assert is_controllable_exact(a, r.witness)
+        assert pbh_controllable(a.astype(np.float64), r.witness).decision != "uncontrollable"
+    assert found >= 5
 
 
 def test_sparsest_consistency_kstar_one_iff_basis_nonempty():
@@ -388,10 +466,10 @@ def kalman_ranks(a) -> list[int]:
 
 
 def test_sparsest_validates_arguments():
-    with pytest.raises(ValueError):
-        sparsest_input(P3, kmax=0)
-    with pytest.raises(ValueError):
-        sparsest_input(P3, kmax=4)
+    # -1 must not wrap around to "all supports"
+    for kmax in (-1, 0, 4):
+        with pytest.raises(ValueError, match=rf"^kmax must lie in \[1, 3\], got {kmax}$"):
+            sparsest_input(P3, kmax=kmax)
 
 
 def brute_force_sparsest(a) -> tuple:

@@ -13,6 +13,7 @@ import pytest
 from ctrllab import (
     SCENARIOS,
     Atom,
+    EnsembleSpec,
     VectorSpec,
     make_scenario_config,
     report_csv,
@@ -70,6 +71,12 @@ SPEC_FORMS = [
      {"kind": "shifted", "base": {"kind": "bernoulli01", "p": 0.25}, "mu": [0.5, -1.0]}),
     (VectorSpec, VectorSpec.explicit([1.0, -2.5, 3.0]),
      {"kind": "explicit", "values": [1.0, -2.5, 3.0]}),
+    (EnsembleSpec, EnsembleSpec.wigner(Atom.gaussian(), Atom.degenerate(0.0)),
+     {"kind": "wigner", "offdiag": {"kind": "gaussian", "mean": 0.0, "variance": 1.0},
+      "diag": {"kind": "degenerate", "value": 0.0}}),
+    (EnsembleSpec, EnsembleSpec.wigner(Atom.centered_bernoulli(0.3), Atom.bernoulli01(0.25)),
+     {"kind": "wigner", "offdiag": {"kind": "centered-bernoulli", "p": 0.3},
+      "diag": {"kind": "bernoulli01", "p": 0.25}}),
 ]
 
 
