@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from ctrllab import SeedPath, basis_scan, sample_gnp, sparsest_input
+from ctrllab import SeedPath, basis_scan, eig_sym, sample_gnp, sparsest_input
 
 checks = {}  # label -> whether it held; any False makes the exit status nonzero
 
@@ -34,20 +34,23 @@ print(f"  k* = {r.k_star}, witness {r.witness.tolist()} "
 checks["diag(1, 2, 3)"] = r.k_star == 3 and r.witness.tolist() == [1, 1, 1] and \
     r.supports_tested == 7
 
-print("\n100 random graphs G(10, 1/2), exact decisions:")
+print("\n100 random graphs G(10, 1/2), exact decisions; one basis scan decides")
+print("the spectra and the single-vertex inputs of all of them at once:")
 root = SeedPath(31, ("demo-gnp",))
+graphs = np.stack([sample_gnp(10, 0.5, root.child(t)) for t in range(100)])
+scans = basis_scan(graphs, eigsys=eig_sym(graphs))
 k_hist = {}
-for t in range(100):
-    a = sample_gnp(10, 0.5, root.child(t))
-    r = sparsest_input(a)
+for t, (a, scan) in enumerate(zip(graphs, scans)):
+    r = sparsest_input(a, scan=scan)
     checks[f"graph {t}: k* = 1 iff a basis input controls"] = \
         (r.k_star == 1) == bool(r.basis_controllable)
+    checks[f"graph {t}: infeasible iff the spectrum is repeated"] = \
+        r.infeasible != scan.simple_spectrum
     key = "infeasible" if r.infeasible else f"k*={r.k_star}"
     k_hist[key] = k_hist.get(key, 0) + 1
 for key in sorted(k_hist):
     print(f"  {key:<12} {k_hist[key]:3d} graphs")
-scan = basis_scan(sample_gnp(10, 0.5, root.child(0)))
-print(f"\nFor the first of those graphs, {len(scan.controllable)} of 10 single "
+print(f"\nFor the first of those graphs, {len(scans[0].controllable)} of 10 single "
       f"vertices already control the whole system.")
 
 failed = [label for label, ok in checks.items() if not ok]

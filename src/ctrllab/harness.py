@@ -45,8 +45,8 @@ from ._version import __version__
 from .codec import Record, _check, _encode, _is_int
 from .ensembles import (Atom, EnsembleSpec, VectorSpec, _integer, _vector_misfit, sample_ensemble,
                         sample_vector)
-from .exact import DEFAULT_EXACT_CAP, has_simple_spectrum_exact, kalman_ranks_exact
-from .minctrl import DEFAULT_SUPPORT_BUDGET, BasisScanResult, BudgetExceededError, sparsest_input
+from .exact import DEFAULT_EXACT_CAP, kalman_ranks_exact
+from .minctrl import DEFAULT_SUPPORT_BUDGET, BudgetExceededError, basis_scan, sparsest_input
 from .seeding import SeedPath
 from .spectral import (
     CONTROLLABLE,
@@ -77,14 +77,14 @@ __all__ = [
     "wilson_interval",
 ]
 
+# the two-sided 95% normal quantile
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%), z > 0."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
     successes, trials = _integer(successes, "successes"), _integer(trials, "trials")
-    if isinstance(z, bool) or not 0 < z < math.inf:
-        raise ValueError(f"z must be finite and > 0, got {z}")
+    z = _Z95
     if not 0 <= successes <= trials:
         raise ValueError(f"need 0 <= successes <= trials: successes={successes}, trials={trials}")
     if trials == 0:
@@ -278,12 +278,11 @@ class _Family:
     every standard basis input at once) and the generators of the streams
     `extra` names.  When `kalman` is set and the exact method runs at n,
     the Kalman ranks of those inputs come from one call.  The eigensystems
-    of the matrices come from one stacked :func:`eig_sym` whenever `eig` is
-    "vectors" or "values" (with or without eigenvectors), and with
-    eigenvectors whenever the Kalman ranks are computed, which they help
-    certify.  Then `decide(config, n, chunk)` gives the outcome of each
-    trial of the :class:`_Chunk` in order: (success, indeterminate,
-    verdicts, witnesses).
+    of the matrices come from one stacked :func:`eig_sym`, with
+    eigenvectors unless `vectors` is false (no such family computes Kalman
+    ranks, which the eigenvectors help certify).  Then
+    `decide(config, n, chunk)` gives the outcome of each trial of the
+    :class:`_Chunk` in order: (success, indeterminate, verdicts, witnesses).
     A family whose work is per trial yields them one at a time, so that a
     trial's own work runs inside its :func:`run_trial` call.
     """
@@ -291,7 +290,7 @@ class _Family:
     decide: Callable
     extra: tuple[str, ...] = ()
     kalman: bool = False
-    eig: str | None = "vectors"
+    vectors: bool = True
 
 
 class _Chunk(NamedTuple):
@@ -300,19 +299,18 @@ class _Chunk(NamedTuple):
     `mats` is the (T, n, n) stack of matrices; `b` the (T, n) inputs, or
     None for every standard basis input at once; `extra` maps each extra
     stream to its T generators; `ranks` holds each trial's Kalman ranks,
-    None when not computed, and `eigsys` the stack's :class:`EigenSystem`,
-    None when not computed, or the :class:`EigenDecompositionError` its
-    decomposition raised.
+    None when not computed, and `eigsys` the stack's :class:`EigenSystem`
+    or the :class:`EigenDecompositionError` its decomposition raised.
     """
 
     mats: np.ndarray
     b: np.ndarray | None
     extra: dict[str, list]
     ranks: list[list[int]] | None
-    eigsys: EigenSystem | EigenDecompositionError | None
+    eigsys: EigenSystem | EigenDecompositionError
 
     @property
-    def eig(self) -> EigenSystem | None:
+    def eig(self) -> EigenSystem:
         """The stack's eigensystem; a failed decomposition is raised here,
         where a trial family reads it, and not where it only served the
         certificate of the Kalman ranks."""
@@ -397,35 +395,17 @@ def _trials_norm(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
             for norm, ratio in zip(chunk.eig.norm.tolist(), ratios.tolist())]
 
 
-def _basis_scans(chunk: _Chunk, cap: int) -> tuple[list, EigenSystem | None]:
-    """The exact basis scan of each matrix of the chunk, with its spectrum
-    decided, and the chunk's eigensystem (None if its decomposition failed).
-
-    One stacked :func:`has_simple_spectrum_exact` call decides every
-    spectrum, and one :func:`kalman_ranks_exact` call the basis ranks of
-    the matrices with a simple one: a repeated eigenvalue bounds every
-    Krylov degree below n, so those get an empty scan with no elimination.
-    """
-    eig = None if isinstance(chunk.eigsys, Exception) else chunk.eigsys
-    simple = np.array(has_simple_spectrum_exact(chunk.mats, eig), dtype=bool)
-    n = chunk.mats.shape[1]
-    ranks = iter(kalman_ranks_exact(chunk.mats[simple], np.eye(n, dtype=np.int64), cap,
-                                    None if eig is None else eig[simple]))
-    empty = BasisScanResult(frozenset(), simple_spectrum=False)
-    return [BasisScanResult.from_ranks(next(ranks), True) if s else empty for s in simple], eig
-
-
 def _trials_minctrl(config: ExperimentConfig, n: int, chunk: _Chunk):
     """The binary01 sparsest-input search of each trial.  Its chunk work,
-    :func:`_basis_scans`, runs at the first trial's outcome, within that
-    trial's :func:`run_trial`; beyond the exact cap the search raises
-    first.  Only a search that goes past the basis gets its eigensystem."""
+    one :func:`basis_scan` of the stack with its eigensystem, runs at the
+    first trial's outcome, within that trial's :func:`run_trial`, and
+    beyond the exact cap raises there.  Only a search that goes past the
+    basis gets its matrix's eigensystem."""
     params = _params(config)
-    scans, eig = _basis_scans(chunk, config.exact_cap) if n <= config.exact_cap else \
-        ([None] * len(chunk.mats), None)
-    for t, a in enumerate(chunk.mats):
-        scan = scans[t]
-        past = eig is not None and not scan.controllable and scan.simple_spectrum
+    eig = None if isinstance(chunk.eigsys, Exception) else chunk.eigsys
+    scans = basis_scan(chunk.mats, config.exact_cap, eig)
+    for t, (a, scan) in enumerate(zip(chunk.mats, scans)):
+        past = eig is not None and scan.simple_spectrum and not scan.controllable
         result = sparsest_input(a, kmax=params["kmax"], cap=config.exact_cap,
                                 budget=params["budget"], scan=scan,
                                 eigsys=eig[t] if past else None)
@@ -440,9 +420,9 @@ def _trials_minctrl(config: ExperimentConfig, n: int, chunk: _Chunk):
 _PBH = _Family(_trials_pbh, kalman=True)
 _TWO_VECTORS = _Family(_trials_two_vectors, ("sphere",), kalman=True)
 _MINCTRL = _Family(_trials_minctrl)
-_MINGAP = _Family(_trials_mingap, eig="values")
+_MINGAP = _Family(_trials_mingap, vectors=False)
 _SMALLBALL = _Family(_trials_smallball, ("smallball",))
-_NORM = _Family(_trials_norm, eig="values")
+_NORM = _Family(_trials_norm, vectors=False)
 
 # Bound on the float64 entries of one chunk's eigendecomposition stack,
 # T * n^2 for T trials at dimension n (128 KiB).  The chunk's exact Kalman
@@ -484,15 +464,12 @@ def _draw_chunk(config: ExperimentConfig, n: int, trials) -> _Chunk:
     mats = sample_ensemble(ensemble, drawn["matrix"], n)
     b = None if vector is None else \
         sample_vector(vector, n, drawn.get("vector", [None] * len(trials)))
-    exact = family.kalman and _exact_runs(config, n)
-    ranks = eig = None
-    if family.eig is not None or exact:
-        try:
-            eig = eig_sym(mats, label=[grid.child(t).labels for t in trials],
-                          vectors=family.eig != "values")
-        except EigenDecompositionError as exc:
-            eig = exc
-    if exact:
+    try:
+        eig = eig_sym(mats, label=[grid.child(t).labels for t in trials], vectors=family.vectors)
+    except EigenDecompositionError as exc:
+        eig = exc
+    ranks = None
+    if family.kalman and _exact_runs(config, n):
         inputs = np.eye(n, dtype=np.int64) if b is None else b[:, :, None]
         ranks = kalman_ranks_exact(mats, inputs, config.exact_cap,
                                    eigsys=None if isinstance(eig, Exception) else eig)

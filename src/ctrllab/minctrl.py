@@ -1,9 +1,15 @@
 """Minimal controllability: basis scans and sparsest-input search.
 
-The sparsest-input problem is NP-hard in general, so everything here is
-exhaustive desk-scale search: supports are enumerated lexicographically by
-increasing size, and the first support whose 0/1 indicator vector is
-controllable wins, decided on the exact integer path.
+Every decision here is exact, on the integer path, and starts from the
+spectrum: for symmetric A and a single input, a repeated eigenvalue
+bounds the Krylov degree of every b below n, so no input controls A.
+:func:`basis_scan` decides the spectra of one matrix or a whole stack in
+one call, and then, for the matrices with a simple spectrum only, which
+standard basis inputs e_i control.  :func:`sparsest_input` goes on from
+that scan.  The sparsest-input problem is NP-hard in general, so the
+search is exhaustive and desk-scale: supports are enumerated
+lexicographically by increasing size, and the first support whose 0/1
+indicator vector is controllable wins.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .exact import (
     has_simple_spectrum_exact,
     kalman_ranks_exact,
 )
-from .spectral import EigenSystem, _integer, _matrix
+from .spectral import EigenSystem, _checked, _integer, _matrix, _stack_of_one
 
 __all__ = [
     "BudgetExceededError",
@@ -52,21 +58,38 @@ class BudgetExceededError(RuntimeError):
 @dataclass(frozen=True)
 class BasisScanResult:
     """Indices i for which (A, e_i) is controllable (0-based), and whether
-    A's spectrum is simple, None when not decided."""
+    A's spectrum is simple; a repeated eigenvalue leaves the scan empty."""
 
     controllable: frozenset[int]
-    simple_spectrum: bool | None = None
-
-    @classmethod
-    def from_ranks(cls, ranks, simple_spectrum: bool | None = None) -> BasisScanResult:
-        """The scan given the Kalman ranks of e_0, ..., e_(n-1)."""
-        return cls(frozenset(i for i, r in enumerate(ranks) if r == len(ranks)), simple_spectrum)
+    simple_spectrum: bool
 
 
-def basis_scan(a, cap: int | None = DEFAULT_EXACT_CAP) -> BasisScanResult:
-    """Decide (A, e_i) exactly for every standard basis vector."""
-    mat = _matrix(a, _ints)
-    return BasisScanResult.from_ranks(kalman_ranks_exact(mat, np.eye(len(mat), dtype=np.int64), cap))
+def basis_scan(a, cap: int | None = DEFAULT_EXACT_CAP, eigsys: EigenSystem | None = None):
+    """Decide (A, e_i) exactly for every standard basis vector, spectrum first.
+
+    `a` is one integer symmetric matrix, or a (T, n, n) stack of them and
+    the result a list of T scans; `eigsys`, when given, is its float
+    eigensystem, shaped like `a` (as for :func:`kalman_ranks_exact`).  One
+    :func:`has_simple_spectrum_exact` call decides every spectrum, and one
+    :func:`kalman_ranks_exact` call the basis ranks of the matrices with a
+    simple one: a repeated eigenvalue bounds every Krylov degree below n,
+    so such a matrix gets an empty scan and no Kalman test.  Dimensions
+    beyond `cap` raise :class:`DimensionCapError` before any test.
+    """
+    mats = _checked(a, _ints, system=True)
+    single = mats.ndim == 2
+    mats = mats[None] if single else mats
+    n = mats.shape[1]
+    if cap is not None and n > _integer(cap, "cap"):
+        raise DimensionCapError(f"n={n} exceeds exact cap {cap}")
+    if single and eigsys is not None:
+        eigsys = _stack_of_one(eigsys)
+    simple = np.array(has_simple_spectrum_exact(mats, eigsys), dtype=bool)
+    ranks = iter(kalman_ranks_exact(mats[simple], np.eye(n, dtype=np.int64), cap,
+                                    None if eigsys is None else eigsys[simple]))
+    scans = [BasisScanResult(frozenset(i for i, r in enumerate(next(ranks)) if r == n), True)
+             if s else BasisScanResult(frozenset(), False) for s in simple]
+    return scans[0] if single else scans
 
 
 @dataclass(frozen=True)
@@ -74,8 +97,8 @@ class MinCtrlResult:
     """Outcome of the sparsest-input search.
 
     `k_star` is the minimal support size admitting a controllable input, or
-    None when no support up to `kmax` works (for a symmetric matrix with a
-    single input this happens exactly when the spectrum is not simple).
+    None when no support up to `kmax` works, as for every support when the
+    spectrum is repeated.
     """
 
     basis_controllable: frozenset[int]
@@ -94,24 +117,22 @@ def sparsest_input(a, kmax: int | None = None, cap: int | None = DEFAULT_EXACT_C
                    eigsys: EigenSystem | None = None) -> MinCtrlResult:
     """Search supports of size 1..kmax for a controllable 0/1 input vector.
 
-    The matrix must be integer and within the exact cap.  Supports are
-    enumerated lexicographically and the first success is returned;
-    enumeration beyond `budget` supports raises
-    :class:`BudgetExceededError` with progress attached.  The n singletons
-    are decided together by one exact basis scan, so a budget below n
-    raises before any support is tested, and each larger layer in
-    lexicographic slices of at most max(1, 2^14 // n^2) indicator vectors,
-    one :func:`kalman_ranks_exact` call per slice (so its Krylov stack stays
-    within 2^14 entries); a slice never reaches past the budget, and its
-    first column of rank n is the witness, so the result and the count of
-    supports tested are those of testing one support at a time.
-    `scan` is the :func:`basis_scan` of `a` when the caller has it already
-    (say, from one batched call over many matrices), and its
-    `simple_spectrum`, when not None, is used instead of testing the
-    spectrum again.  `eigsys`, the float eigensystem of `a` (as
-    :func:`~ctrllab.spectral.eig_sym` returns it), lets
-    :func:`has_simple_spectrum_exact` and each slice's
-    :func:`kalman_ranks_exact` settle most verdicts without elimination.
+    The matrix must be integer and within the exact cap.  The search
+    starts from the :func:`basis_scan` of `a`, which decides the spectrum
+    first: a repeated eigenvalue ends it with no support tested, and a
+    controllable e_i gives k* = 1 with the n singletons tested.  `scan` is
+    that scan when the caller has it already (say, from one call over a
+    whole stack).  Each larger support size is enumerated lexicographically,
+    in slices of at most max(1, 2^14 // n^2) indicator vectors, one
+    :func:`kalman_ranks_exact` call per slice (so its Krylov stack stays
+    within 2^14 entries); the first column of rank n is the witness, so the
+    result and the count of supports tested are those of testing one
+    support at a time.  Enumeration beyond `budget` supports raises
+    :class:`BudgetExceededError` with progress attached; a slice never
+    reaches past the budget, and as the singletons are decided together, a
+    budget below n raises before any test.  `eigsys`, the float
+    eigensystem of `a` (as :func:`~ctrllab.spectral.eig_sym` returns it),
+    lets the scan and each slice settle most verdicts without elimination.
     """
     mat = _matrix(a, _ints)
     n = len(mat)
@@ -124,18 +145,14 @@ def sparsest_input(a, kmax: int | None = None, cap: int | None = DEFAULT_EXACT_C
     if budget < n:
         raise BudgetExceededError(0, 1, budget)
     if scan is None:
-        scan = basis_scan(mat, cap)
+        scan = basis_scan(mat, cap, eigsys)
+    if not scan.simple_spectrum:
+        return MinCtrlResult(frozenset(), None, None, supports_tested=0)
     tested = n
     if scan.controllable:
         b = np.zeros(n, dtype=np.int64)
         b[min(scan.controllable)] = 1
         return MinCtrlResult(scan.controllable, 1, b, tested)
-    # A controllable e_i proves the spectrum simple, so only now is it
-    # tested.  A repeated eigenvalue bounds the Krylov degree below n for
-    # every b, so the whole search is infeasible; skip the enumeration.
-    simple = scan.simple_spectrum
-    if not (has_simple_spectrum_exact(mat, eigsys) if simple is None else simple):
-        return MinCtrlResult(frozenset(), None, None, supports_tested=0)
     size = max(1, _KRYLOV_ENTRIES // (n * n))
     for k in range(2, kmax + 1):
         layer = combinations(range(n), k)

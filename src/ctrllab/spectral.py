@@ -37,8 +37,6 @@ __all__ = [
     "ControllabilityVerdict",
     "SmallBallEstimate",
     "eig_sym",
-    "min_gap",
-    "spectral_norm",
     "classify",
     "pbh_controllable",
     "basis_witnesses",
@@ -235,12 +233,14 @@ def eig_sym(a, label=None, vectors: bool = True) -> EigenSystem:
     stacked LAPACK call; each `es[t]` is bit-identical to the decomposition
     of matrix t alone, and ``eig_sym(a)`` is ``eig_sym(a[None])[0]``.  The
     first non-finite or asymmetric matrix of a stack is named by its index.
-    `label` then holds one label per matrix; if the stack fails to
-    converge, each matrix is retried alone, so the error carries the label
-    of the first one that fails.
+    `label` then holds one label per matrix, in a sequence that is not a
+    string; if the stack fails to converge, each matrix is retried alone,
+    so the error carries the label of the first one that fails.
     """
     m = _checked(a, system=True)
     single = m.ndim == 2
+    if not single and isinstance(label, (str, bytes)):
+        raise ValueError(f"label must hold one label per matrix of the stack, got {label!r}")
     m, labels = (m[None], [label]) if single else (m, [None] * len(m) if label is None else list(label))
     if len(labels) != len(m):
         raise ValueError(f"{len(labels)} labels for a stack of {len(m)} matrices")
@@ -259,20 +259,6 @@ def eig_sym(a, label=None, vectors: bool = True) -> EigenSystem:
 
 def _eigh_or_values(m: np.ndarray, vectors: bool):
     return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
-
-
-def min_gap(eigenvalues) -> float:
-    """Minimal spacing of an ascending eigenvalue list; +inf for n = 1."""
-    return EigenSystem(np.asarray(eigenvalues, dtype=np.float64), None).gap
-
-
-def spectral_norm(a) -> float:
-    """max_i |lambda_i| of a symmetric matrix; 0.0 for n = 0.
-
-    It reads values-only eigenvalues (``eigvalsh``), which may differ in
-    the last bits from the ``eigh`` eigenvalues behind ``eig_sym(a).norm``.
-    """
-    return eig_sym(a, vectors=False).norm
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +291,14 @@ class Tolerances(Record):
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+def _check_tolerances(value, name: str) -> None:
+    """A ValueError naming `name` unless `value` is a :class:`Tolerances`,
+    worded as a config's `tolerances` key is refused."""
+    if not isinstance(value, Tolerances):
+        raise ValueError(f"{name} must be Tolerances, got {value!r}")
+
 
 CONTROLLABLE = "controllable"
 UNCONTROLLABLE = "uncontrollable"
@@ -343,8 +337,9 @@ def classify(gap, inner, scale, norm_b, tol: Tolerances):
     Either witness below its reject level means uncontrollable, both above
     their accept levels controllable, anything else indeterminate.  Given
     arrays, the test runs elementwise (the arguments broadcast together)
-    and gives an array of verdicts.
+    and gives an array of verdicts.  `tol` must be a :class:`Tolerances`.
     """
+    _check_tolerances(tol, "tol")
     reject = (inner < tol.ortho_reject * norm_b) | (gap < tol.gap_reject * scale)
     accept = (gap > tol.gap_tol * scale) & (inner > tol.ortho_tol * norm_b)
     if not isinstance(reject, np.ndarray):
@@ -368,7 +363,9 @@ def pbh_controllable(a, b, tolerances: Tolerances = DEFAULT_TOLERANCES,
     `eigsys` and a (T, n) `b`, the verdict's fields are arrays of T, each
     equal to that pair's alone: the stack's inner products and norms come
     from one matmul each, whose every item runs a single pair's BLAS kernel.
+    `tolerances` must be a :class:`Tolerances`.
     """
+    _check_tolerances(tolerances, "tolerances")
     if eigsys is None:
         eigsys = eig_sym(a)
     single = eigsys.eigenvalues.ndim == 1
@@ -554,8 +551,9 @@ def small_ball_estimate(x, atom: Atom, delta: float, m: int,
     xv = _finite_vector(x, "x")
     if _integer(m, "m") < 1000:
         raise ValueError(f"need m >= 1000 samples, got {m}")
-    if isinstance(delta, bool) or not 0 < delta < math.inf:
-        why = "a number" if isinstance(delta, bool) else "finite" if delta > 0 else "positive"
+    flag = isinstance(delta, (bool, np.bool_))  # numpy's bool is no number either
+    if flag or not 0 < delta < math.inf:
+        why = "a number" if flag else "finite" if delta > 0 else "positive"
         raise ValueError(f"window half-width must be {why}, got {delta}")
     rng = _rng(seed)
     n = xv.size

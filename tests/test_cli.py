@@ -336,6 +336,17 @@ def test_search_budget_failure_is_one_error_line(tmp_path, capsys):
     assert str(error) == line.removeprefix("ctrllab: error: ")
 
 
+@pytest.mark.parametrize("method,n", [("float-pbh", 40), ("both", 26)])
+def test_search_above_the_exact_cap_is_one_error_line(capsys, method, n):
+    # minctrl-gnp searches exactly under every method; its basis scan
+    # refuses the dimension before any exact work
+    argv = ["--scenario", "minctrl-gnp", "--method", method, "--n", str(n), "--trials", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"ctrllab: error: n={n} exceeds exact cap 24"]
+
+
 @pytest.mark.parametrize("vector,message", [
     ({"kind": "explicit", "values": [1, 2, 3]},
      "vector explicit values must have length n, got length 3 at n=5"),

@@ -1253,10 +1253,12 @@ def test_float_tier_proves_nothing_false_from_scaled_eigensystems():
         assert (float_tier(p2[None], eye, scaled) == (2 if proved else -1)).all()
 
 
-def labelled_graphs(n: int) -> np.ndarray:
-    """Every labelled graph on n vertices, one per subset of the n (n - 1) / 2 edges."""
+def labelled_graphs(n: int, codes: np.ndarray | None = None) -> np.ndarray:
+    """Every labelled graph on n vertices, one per subset of the n (n - 1) / 2
+    edges, or the graphs whose edge subsets `codes` numbers (bit e, edge e)."""
     rows, cols = np.triu_indices(n, 1)
-    edges = (np.arange(2 ** len(rows))[:, None] >> np.arange(len(rows))) & 1
+    codes = np.arange(2 ** len(rows)) if codes is None else codes
+    edges = (codes[:, None] >> np.arange(len(rows))) & 1
     mats = np.zeros((len(edges), n, n), dtype=np.int64)
     mats[:, rows, cols] = edges
     return mats + mats.transpose(0, 2, 1)
@@ -1298,6 +1300,25 @@ def test_float_tier_on_every_labelled_graph_up_to_six_vertices():
     assert basis == [c for c in (1, 1, 0, 12, 0, 6480) for _ in range(2)]
     assert ones == [c for c in (1, 0, 0, 0, 0, 5760) for _ in range(2)]
     assert ones[-1] % math.factorial(6) == 0
+
+
+@pytest.mark.enumeration
+def test_every_labelled_graph_on_seven_vertices():
+    # all 2^21 graphs with n = 7, ranked with their eigensystems in chunks
+    # of 2^14: 277200 of them, the fraction 17325/131072, are controlled by
+    # every basis input, and 463680 = 92 * 7! by the all-ones input (one
+    # count per labelling of each asymmetric class, as at n = 6)
+    n, chunk = 7, 2**14
+    inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+    basis = ones = 0
+    for start in range(0, 2**21, chunk):
+        mats = labelled_graphs(n, np.arange(start, start + chunk))
+        eigsys = eig_sym(mats.astype(np.float64))
+        ranks = np.array(kalman_ranks_exact(mats, inputs, eigsys=eigsys))
+        basis += int((ranks[:, :n] == n).all(axis=1).sum())
+        ones += int((ranks[:, n] == n).sum())
+    assert (basis, ones) == (277200, 92 * math.factorial(7))
+    assert Fraction(basis, 2**21) == Fraction(17325, 131072)
 
 
 def without_relations(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from ctrllab import (
     BasisScanResult,
     BudgetExceededError,
+    DimensionCapError,
     SeedPath,
     basis_scan,
     eig_sym,
@@ -49,13 +50,52 @@ def test_basis_scan_path_graph_endpoints():
 
 
 def test_basis_scan_complete_graph_empty():
-    assert basis_scan(K3).controllable == frozenset()
+    assert basis_scan(K3) == BasisScanResult(frozenset(), simple_spectrum=False)
     assert float_basis_scan(K3)[0] == set()
-    # n = 0: no basis input, on both paths; a stack of matrices is no matrix
-    assert basis_scan(np.zeros((0, 0), dtype=np.int64)) == BasisScanResult(frozenset())
+    # n = 0: no basis input, on both paths, and the empty spectrum is simple
+    assert basis_scan(np.zeros((0, 0), dtype=np.int64)) == BasisScanResult(frozenset(), True)
     assert float_basis_scan(np.zeros((0, 0))) == (set(), set())
-    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(3, 3, 3\)$"):
-        basis_scan(np.stack([K3] * 3))
+    # a stack of matrices gives one scan per matrix
+    assert basis_scan(np.stack([K3, P3, K3])) == [basis_scan(K3), basis_scan(P3), basis_scan(K3)]
+
+
+def test_basis_scan_of_a_stack_decides_spectra_first(monkeypatch):
+    # one spectrum test for the whole stack, with its eigensystem, then one
+    # Kalman call for the basis of the matrices with a simple spectrum
+    # only; each scan is the matrix's own, with or without the eigensystem
+    from ctrllab import minctrl
+    root = SEED.child("stacked-scan")
+    blown_up = np.kron(K4, np.ones((2, 2), dtype=np.int64))  # eigenvalue 0 five times
+    mats = np.stack([sample_gnp(8, 0.5, root.child(t)) for t in range(40)] + [blown_up])
+    eigsys = eig_sym(mats.astype(np.float64))
+    alone = [basis_scan(a) for a in mats]
+    assert {scan.simple_spectrum for scan in alone} == {True, False}
+    assert {bool(scan.controllable) for scan in alone if scan.simple_spectrum} == {True, False}
+    calls = []
+    real_test, real_ranks = minctrl.has_simple_spectrum_exact, minctrl.kalman_ranks_exact
+    monkeypatch.setattr(minctrl, "has_simple_spectrum_exact", lambda a, eigsys:
+                        calls.append(("spectrum", len(a), eigsys is not None))
+                        or real_test(a, eigsys))
+    monkeypatch.setattr(minctrl, "kalman_ranks_exact", lambda a, cols, cap, eigsys=None:
+                        calls.append(("ranks", len(a), eigsys is not None))
+                        or real_ranks(a, cols, cap, eigsys))
+    simple = sum(scan.simple_spectrum for scan in alone)
+    for es in (None, eigsys):
+        calls.clear()
+        assert basis_scan(mats, eigsys=es) == alone
+        assert calls == [("spectrum", len(mats), es is not None), ("ranks", simple, es is not None)]
+    for t in (0, len(mats) - 1):
+        assert basis_scan(mats[t], eigsys=eigsys[t]) == alone[t]
+    assert basis_scan(mats[:0]) == []
+
+
+def test_basis_scan_refuses_a_dimension_above_the_cap_before_any_test(monkeypatch):
+    from ctrllab import minctrl
+    monkeypatch.setattr(minctrl, "has_simple_spectrum_exact",
+                        lambda a, eigsys: pytest.fail("the spectrum was tested"))
+    for a in (np.zeros((5, 5), dtype=np.int64), np.zeros((2, 5, 5), dtype=np.int64)):
+        with pytest.raises(DimensionCapError, match=r"^n=5 exceeds exact cap 4$"):
+            basis_scan(a, cap=4)
 
 
 def test_basis_scan_diagonal_matrix_empty():
@@ -352,26 +392,31 @@ def test_layer_search_equals_the_sequential_search(monkeypatch):
                             sequential_search(diagonal, budget=budget))
 
 
-def test_sparsest_scans_basis_before_testing_the_spectrum(monkeypatch):
+def test_sparsest_tests_the_spectrum_before_scanning_the_basis(monkeypatch):
     from ctrllab import minctrl
     root = SEED.child("order")
     graphs = [sample_gnp(6 + t % 5, 0.5, root.child(t)) for t in range(30)]
     fixtures = [K4, P3, np.diag([1, 2, 3])]
-    spectrum_calls = []
-    real_test = minctrl.has_simple_spectrum_exact
+    calls = []
+    real_test, real_ranks = minctrl.has_simple_spectrum_exact, minctrl.kalman_ranks_exact
     monkeypatch.setattr(minctrl, "has_simple_spectrum_exact",
-                        lambda a, eigsys: spectrum_calls.append(1) or real_test(a, eigsys))
+                        lambda a, eigsys: calls.append("spectrum") or real_test(a, eigsys))
+    monkeypatch.setattr(minctrl, "kalman_ranks_exact", lambda a, cols, cap, eigsys=None:
+                        calls.append(len(a) if a.ndim == 3 else "layer")
+                        or real_ranks(a, cols, cap, eigsys))
     outcomes = set()
     for a in fixtures + graphs:
         basis, k_star, witness, tested = sparsest_spectrum_first(a)
-        spectrum_calls.clear()
+        calls.clear()
         r = sparsest_input(a)
         assert (r.basis_controllable, r.k_star, r.supports_tested) == (basis, k_star, tested)
         assert (r.witness is None) == (witness is None)
         if witness is not None:
             assert r.witness.tolist() == witness.tolist()
-        # a controllable basis input proves the spectrum simple
-        assert len(spectrum_calls) == (0 if basis else 1)
+        # one spectrum test, first; then the basis ranks of a stack of one
+        # matrix, or of none if its spectrum is repeated, which ends the search
+        assert calls[:2] == ["spectrum", 0 if k_star is None else 1]
+        assert ("layer" in calls) == (k_star is not None and k_star > 1)
         outcomes.add("k=1" if k_star == 1 else "none" if k_star is None else "k>1")
     assert sparsest_input(K4).supports_tested == 0
     assert sparsest_input(K4).basis_controllable == frozenset()
@@ -453,7 +498,8 @@ def test_sparsest_uses_a_known_spectrum_and_the_eigensystem(monkeypatch):
     monkeypatch.setattr(minctrl, "has_simple_spectrum_exact",
                         lambda a, eigsys: pytest.fail("the spectrum was tested again"))
     for a in fixtures:
-        known = BasisScanResult.from_ranks(kalman_ranks(a), has_simple_spectrum_exact(a))
+        controllable = frozenset(i for i, r in enumerate(kalman_ranks(a)) if r == len(a))
+        known = BasisScanResult(controllable, has_simple_spectrum_exact(a))
         r = sparsest_input(a, scan=known, eigsys=eig_sym(a))
         given.append((r.basis_controllable, r.k_star, r.supports_tested,
                       None if r.witness is None else r.witness.tolist()))
@@ -473,36 +519,44 @@ def test_sparsest_validates_arguments():
 
 
 def brute_force_sparsest(a) -> tuple:
-    """(k*, witness) of the first 0/1 support, by size and then
-    lexicographically, whose indicator vector has Kalman rank n by plain
-    Bareiss; (None, None) when none has."""
+    """(k*, witness, supports tested) of the first of the 2^n - 1 0/1
+    supports, by size and then lexicographically, whose indicator vector
+    has Kalman rank n by plain Bareiss.  The count is the search's: the n
+    singletons are tested together, and where no support works, none is
+    tested if the spectrum is repeated (the Bareiss rank of the powers
+    vec(A^j), j < n, the degree of A's minimal polynomial, is below n)."""
     n = len(a)
-    for k in range(1, n + 1):
-        for support in itertools.combinations(range(n), k):
-            b = np.zeros(n, dtype=np.int64)
-            b[list(support)] = 1
-            if rank_exact(kalman_matrix(a, b)) == n:
-                return k, b
-    return None, None
+    supports = (s for k in range(1, n + 1) for s in itertools.combinations(range(n), k))
+    for index, support in enumerate(supports, 1):
+        b = np.zeros(n, dtype=np.int64)
+        b[list(support)] = 1
+        if rank_exact(kalman_matrix(a, b)) == n:
+            return len(support), b, max(n, index)
+    powers = np.column_stack([np.linalg.matrix_power(a, j).ravel() for j in range(n)])
+    return None, None, 0 if rank_exact(powers) < n else 2**n - 1
 
 
 def test_sparsest_on_every_labelled_graph_up_to_five_vertices():
-    # the search, with the graph's eigensystem and without, finds the k*
-    # and the witness of a brute force over every 0/1 support
+    # the search finds the k*, the witness and the supports tested of a
+    # brute force over every 0/1 support: alone, with the graph's
+    # eigensystem, and from one basis scan of the stack of all graphs on
+    # n vertices with its eigensystem
     counts = {}
-    for n in range(2, 6):
+    for n in range(1, 6):
         mats = labelled_graphs(n)
         eigsys = eig_sym(mats.astype(np.float64))
+        scans = basis_scan(mats, eigsys=eigsys)
         found = []
         for t, a in enumerate(mats):
-            k_star, witness = brute_force_sparsest(a)
-            for es in (None, eigsys[t]):
-                result = sparsest_input(a, eigsys=es)
-                assert result.k_star == k_star, (a, es is not None)
+            k_star, witness, tested = brute_force_sparsest(a)
+            for result in (sparsest_input(a), sparsest_input(a, eigsys=eigsys[t]),
+                           sparsest_input(a, scan=scans[t])):
+                assert (result.k_star, result.supports_tested) == (k_star, tested), a
                 assert (witness is None and result.witness is None
                         or np.array_equal(result.witness, witness)), a
             found.append(k_star)
         counts[n] = tuple(found.count(k) for k in (1, 2, None))
         assert sum(counts[n]) == len(mats)  # no graph up to n = 5 needs k* > 2
     # k* = 1 / 2 / None
-    assert counts == {2: (1, 0, 1), 3: (3, 3, 2), 4: (24, 6, 34), 5: (540, 210, 274)}
+    assert counts == {1: (1, 0, 0), 2: (1, 0, 1), 3: (3, 3, 2), 4: (24, 6, 34),
+                      5: (540, 210, 274)}

@@ -89,4 +89,5 @@ def test_tracer_keys_minctrl_work_by_trial():
     assert len(trials) == 40
     assert all(span[4] is not None for span in tracer.spans if span[0].startswith("minctrl."))
     assert counts["minctrl.supports_tested"] > 0
+    assert counts["minctrl.scan_calls"] == 2  # one basis scan per chunk, one chunk per n
     assert set(by_n) == {"10", "12"}

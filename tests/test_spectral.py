@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +18,6 @@ from ctrllab import (
     interlacing_check,
     is_controllable_exact,
     kalman_ranks_exact,
-    min_gap,
     pbh_controllable,
     sample_gnp,
     sample_goe,
@@ -25,7 +25,6 @@ from ctrllab import (
     sample_wigner,
     shared_eigenvalue_witness,
     small_ball_estimate,
-    spectral_norm,
 )
 from ctrllab.ensembles import _row_norms
 from ctrllab.spectral import basis_witnesses, classify
@@ -85,7 +84,7 @@ def test_nonfinite_matrix_entries_are_named(value, shown):
     with pytest.raises(ValueError, match=rf"matrix has non-finite entries: \[2, 2\] = {shown}$"):
         pbh_controllable(diag, [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="non-finite"):
-        spectral_norm(diag)
+        eig_sym(diag, vectors=False)
     many = np.full((3, 3), value)
     with pytest.raises(ValueError, match=r"and 6 more$"):
         eig_sym(many)
@@ -107,7 +106,7 @@ def test_eig_sym_on_a_stack_equals_per_matrix_calls():
             assert np.array_equal(es.eigenvectors, alone.eigenvectors)
             plain = EigenSystem(alone.eigenvalues, alone.eigenvectors)
             assert (es.gap, es.norm) == (alone.gap, alone.norm) == (plain.gap, plain.norm)
-            assert es.gap == min_gap(alone.eigenvalues)
+            assert es.gap == min(np.diff(alone.eigenvalues).tolist(), default=math.inf)
             assert es.norm == float(np.max(np.abs(alone.eigenvalues)))
             assert es.scale == max(1.0, es.norm)
             assert (stacked.gap[t], stacked.norm[t]) == (es.gap, es.norm)
@@ -141,6 +140,14 @@ def test_eig_sym_stack_names_the_matrix_at_fault():
         eig_sym(np.zeros((2, 3, 4)))
     with pytest.raises(ValueError, match="3 labels for a stack of 4 matrices"):
         eig_sym(mats, label=["a", "b", "c"])
+    # "abcd" once labelled the four matrices 'a' to 'd', and "ab" was
+    # counted as 2 labels; one matrix takes any label, a string too
+    for label in ("abcd", "ab", b"abcd"):
+        with pytest.raises(ValueError, match=rf"^label must hold one label per matrix of the "
+                                             rf"stack, got {re.escape(repr(label))}$"):
+            eig_sym(mats, label=label)
+    assert np.array_equal(eig_sym(P3, label="p3").eigenvalues, eig_sym(P3).eigenvalues)
+    assert len(eig_sym(mats, label=("a", "b", "c", "d"))) == 4
 
 
 def test_pbh_names_nonfinite_input_entries():
@@ -155,17 +162,17 @@ def test_pbh_names_nonfinite_input_entries():
         pbh_controllable(None, b, eigsys=eig_sym(np.stack([P3, K3, P3])))
 
 
-def test_min_gap():
-    assert min_gap([1.0, 2.0, 4.0]) == 1.0
-    assert min_gap([0.0, 0.0, 5.0]) == 0.0
-    assert min_gap([3.0]) == math.inf
+def test_eigensystem_gap():
+    # the least spacing of the ascending eigenvalues, +inf for n = 1
+    for values, gap in (([1.0, 2.0, 4.0], 1.0), ([0.0, 0.0, 5.0], 0.0), ([3.0], math.inf)):
+        assert EigenSystem(np.array(values), None).gap == gap
+    assert eig_sym(np.diag([3.0, 1.0, 2.0]), vectors=False).gap == 1.0
 
 
 def test_goe_min_gap_always_positive():
     root = SEED.child("mingap")
     for t in range(200):
-        w = np.linalg.eigvalsh(sample_goe(100, root.child(t)))
-        assert min_gap(w) > 0.0
+        assert eig_sym(sample_goe(100, root.child(t)), vectors=False).gap > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +251,19 @@ def test_pbh_respects_custom_tolerances():
     assert v.decision == "indeterminate"
 
 
+@pytest.mark.parametrize("bad", [{"gap_tol": 1e-8}, None, (1e-8, 1e-12, 1e-9, 1e-13)],
+                         ids=["dict", "none", "tuple"])
+def test_deciders_refuse_tolerances_that_are_not_a_tolerances(bad):
+    # each once ended in AttributeError: 'dict' object has no attribute 'ortho_reject'
+    text = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=rf"^tolerances must be Tolerances, got {text}$"):
+        pbh_controllable(P3, [1.0, 0.0, 0.0], tolerances=bad)
+    with pytest.raises(ValueError, match=rf"^tolerances must be Tolerances, got {text}$"):
+        pbh_controllable(None, None, bad, eig_sym(np.stack([P3, K3])))
+    with pytest.raises(ValueError, match=rf"^tol must be Tolerances, got {text}$"):
+        classify(1.0, 1.0, 1.0, 1.0, tol=bad)
+
+
 @pytest.mark.parametrize("field", ["gap_tol", "gap_reject", "ortho_tol", "ortho_reject"])
 def test_tolerances_must_be_finite(field):
     for bad in (math.inf, math.nan):
@@ -310,7 +330,8 @@ def test_eigensystems_of_the_wrong_kind_are_refused_by_name():
     with pytest.raises(ValueError, match=one):
         kalman_ranks_exact(P3.astype(np.int64), eye, eigsys=eig_sym(stack))
     # the empty matrix has norm 0, however it is asked for
-    assert spectral_norm(np.zeros((0, 0))) == eig_sym(np.zeros((0, 0))).norm == 0.0
+    empty = np.zeros((0, 0))
+    assert eig_sym(empty, vectors=False).norm == eig_sym(empty).norm == 0.0
 
 
 def pbh_oracle(es: EigenSystem, b, tol: Tolerances) -> tuple[str, float]:
@@ -528,13 +549,13 @@ def test_witness_randomized_degenerate_embedding():
 # ---------------------------------------------------------------------------
 
 def test_spectral_norm_diagonal():
-    assert spectral_norm(np.diag([-3.0, 2.0])) == 3.0
+    assert eig_sym(np.diag([-3.0, 2.0]), vectors=False).norm == 3.0
 
 
 def test_spectral_norm_complete_graph():
     for n in (3, 6, 10):
         a = np.ones((n, n)) - np.eye(n)
-        assert spectral_norm(a) == pytest.approx(n - 1.0)
+        assert eig_sym(a, vectors=False).norm == pytest.approx(n - 1.0)
 
 
 def test_spectral_norm_wigner_ratio_band():
@@ -543,7 +564,7 @@ def test_spectral_norm_wigner_ratio_band():
     trials = 50
     for t in range(trials):
         a = sample_wigner(100, Atom.rademacher(), Atom.degenerate(0.0), root.child(t))
-        ratio = spectral_norm(a) / 10.0
+        ratio = eig_sym(a, vectors=False).norm / 10.0
         hits += 1.8 <= ratio <= 2.3
     assert hits >= 0.95 * trials
 
@@ -605,9 +626,10 @@ def test_small_ball_takes_a_generator_or_its_seed_path():
 
 
 def test_small_ball_rejects_a_bool_delta():
-    # True was read as the half-width 1
-    with pytest.raises(ValueError, match="^window half-width must be a number, got True$"):
-        small_ball_estimate([1.0], Atom.rademacher(), True, 1000, SEED.child("sb-bool"))
+    # True was read as the half-width 1, and np.True_ gave an estimate with delta=np.True_
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="^window half-width must be a number, got True$"):
+            small_ball_estimate([1.0], Atom.rademacher(), flag, 1000, SEED.child("sb-bool"))
 
 
 def test_small_ball_window_is_closed_and_counts_atoms():
