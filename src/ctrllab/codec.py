@@ -24,7 +24,12 @@ from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 
+_PLAIN = (int, float, str, bool, type(None))
+
+
 def _encode(value):
+    if type(value) in _PLAIN:  # exactly these types: numpy scalars go to tolist below
+        return value
     if isinstance(value, (Spec, Record)):
         return value.to_dict()
     if isinstance(value, (list, tuple)):
@@ -152,6 +157,12 @@ class Spec:
                       cls._decoders, {})
 
 
+@cache
+def _record_keys(cls) -> tuple[tuple[str, str], ...]:
+    """(JSON key, field name) of every field of record class `cls`, in order."""
+    return tuple((cls._keys.get(f.name, f.name), f.name) for f in fields(cls))
+
+
 class Record:
     """Codec mixin for dataclasses written field by field."""
 
@@ -159,8 +170,7 @@ class Record:
     _decoders: dict = {}
 
     def to_dict(self) -> dict:
-        return {self._keys.get(f.name, f.name): _encode(getattr(self, f.name))
-                for f in fields(self)}
+        return {key: _encode(getattr(self, name)) for key, name in _record_keys(type(self))}
 
     @classmethod
     def from_dict(cls, d):

@@ -118,18 +118,49 @@ class Atom(Spec):
         return cls("degenerate", value=value)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Draw iid copies; always float64."""
+        """Draw iid copies; always float64: the raw numbers :meth:`_draw`
+        takes from `rng`, put through the law :meth:`_law`."""
+        return self._law(self._draw(rng, self._raw(size)))
+
+    def _rows(self, rngs: list, k: int) -> np.ndarray:
+        """The (T, k) array whose row t is ``sample(rngs[t], k)``, bit for
+        bit: each generator draws into its own row, and the law runs once."""
+        raw = self._raw((len(rngs), k))
+        for rng, row in zip(rngs, raw):
+            self._draw(rng, row)
+        return self._law(raw)
+
+    def _raw(self, shape) -> np.ndarray:
+        """An empty array for the raw numbers of `shape` copies."""
+        return np.empty(shape, np.int64 if self.kind == "rademacher" else np.float64)
+
+    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """`out`, a contiguous array from :meth:`_raw`, filled with raw
+        numbers from `rng`: standard normals, fair bits or uniforms on
+        [0, 1), as many as the copies need and nothing for a degenerate atom."""
         if self.kind == "gaussian":
-            return rng.normal(self.mean, math.sqrt(self.variance), size)
+            rng.standard_normal(out=out)
+        elif self.kind == "rademacher":
+            out[...] = rng.integers(0, 2, out.shape)
+        elif self.kind != "degenerate":
+            rng.random(out=out)
+        return out
+
+    def _law(self, raw: np.ndarray) -> np.ndarray:
+        """The float64 copies made from the raw numbers of :meth:`_draw`,
+        elementwise; a Gaussian copy is mean + sd z, rounded as
+        ``Generator.normal`` rounds it."""
+        if self.kind == "gaussian":
+            return raw * math.sqrt(self.variance) + self.mean
         if self.kind == "rademacher":
-            return rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0
+            return raw.astype(np.float64) * 2.0 - 1.0
         if self.kind == "centered-bernoulli":
             sigma = math.sqrt(self.p * (1.0 - self.p))
             hi, lo = (1.0 - self.p) / sigma, -self.p / sigma
-            return np.where(rng.random(size) < self.p, hi, lo)
+            return np.where(raw < self.p, hi, lo)
         if self.kind == "bernoulli01":
-            return (rng.random(size) < self.p).astype(np.float64)
-        return np.full(size, self.value, dtype=np.float64)
+            return (raw < self.p).astype(np.float64)
+        return np.full(raw.shape, self.value, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +229,15 @@ def _rng(seed: SeedPath | np.random.Generator) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else seed.generator()
 
 
+def _uniforms(rngs: list, k: int) -> np.ndarray:
+    """The (T, k) array whose row t is ``rngs[t].random(k)``, each generator
+    drawing into its own row."""
+    raw = np.empty((len(rngs), k))
+    for rng, row in zip(rngs, raw):
+        rng.random(out=row)
+    return raw
+
+
 def _seeds(seed) -> tuple[list, bool]:
     """The seeds of a stack, and whether `seed` was one seed, not a sequence."""
     single = seed is None or isinstance(seed, (SeedPath, np.random.Generator))
@@ -219,7 +259,8 @@ def sample_wigner(n: int, offdiag: Atom, diag: Atom,
 
 # The GOE as a Wigner ensemble: Gaussian entries of variance 1 off the
 # diagonal and 2 on it.
-_GOE_ATOMS = (Atom.gaussian(0.0, 1.0), Atom.gaussian(0.0, 2.0))
+_STANDARD = Atom.gaussian(0.0, 1.0)
+_GOE_ATOMS = (_STANDARD, Atom.gaussian(0.0, 2.0))
 
 
 def sample_goe(n: int, seed: SeedPath | np.random.Generator) -> np.ndarray:
@@ -244,8 +285,10 @@ def sample_gnp(n: int, p: float, seed: SeedPath | np.random.Generator) -> np.nda
 def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
     """Sample an n x n matrix from `spec`; gnp yields int64, everything else float64.
 
-    Given a sequence of T seeds, the (T, n, n) stack of one each, each
-    drawn from its own generator and all mirrored by one transpose-add.
+    Given a sequence of T seeds, the (T, n, n) stack of one each: each
+    generator draws its matrix's raw numbers into its own rows, the upper
+    triangle's and then the diagonal's, each atom's law runs once on the
+    stack's, and one transpose-add mirrors every matrix.
     """
     n = _integer(n, "n")
     if n < 1:
@@ -255,15 +298,18 @@ def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
     iu = _upper_indices(n)
     if spec.kind == "gnp-adjacency":
         m = np.zeros((len(rngs), n, n), dtype=np.int64)
-        m[:, iu[0], iu[1]] = [rng.random(iu[0].size) < spec.p for rng in rngs]
+        m[:, iu[0], iu[1]] = _uniforms(rngs, iu[0].size) < spec.p
         m += m.transpose(0, 2, 1)
         return m[0] if single else m
     offdiag, diag = _GOE_ATOMS if spec.kind == "goe" else (spec.offdiag, spec.diag)
-    draws = [(offdiag.sample(rng, iu[0].size), diag.sample(rng, n)) for rng in rngs]
+    upper, diagonal = offdiag._raw((len(rngs), iu[0].size)), diag._raw((len(rngs), n))
+    for rng, u, d in zip(rngs, upper, diagonal):
+        offdiag._draw(rng, u)
+        diag._draw(rng, d)
     m = np.zeros((len(rngs), n, n))
-    m[:, iu[0], iu[1]] = [upper for upper, _ in draws]
+    m[:, iu[0], iu[1]] = offdiag._law(upper)
     m += m.transpose(0, 2, 1)
-    m[:, np.arange(n), np.arange(n)] = [d for _, d in draws]
+    m[:, np.arange(n), np.arange(n)] = diag._law(diagonal)
     return m[0] if single else m
 
 
@@ -387,15 +433,15 @@ def sample_vector(spec: VectorSpec, n: int, seed) -> np.ndarray:
     elif spec.kind == "all-ones":
         v = np.ones((len(seeds), n))
     elif spec.kind == "bernoulli01":
-        v = (np.array([_rng(s).random(n) for s in seeds]) < spec.p).astype(np.float64)
+        v = (_uniforms([_rng(s) for s in seeds], n) < spec.p).astype(np.float64)
     elif spec.kind == "iid-atom":
-        v = np.array([spec.atom.sample(_rng(s), n) for s in seeds])
+        v = spec.atom._rows([_rng(s) for s in seeds], n)
     elif spec.kind == "uniform-sphere":
         rngs = [_rng(s) for s in seeds]
-        v = np.array([rng.normal(size=n) for rng in rngs])
+        v = _STANDARD._rows(rngs, n)  # rng.normal(size=n) each, bit for bit
         for t in np.flatnonzero(~v.any(axis=1)):
             while not v[t].any():
-                v[t] = rngs[t].normal(size=n)
+                v[t] = _STANDARD.sample(rngs[t], n)
         v /= _row_norms(v)[:, None]
     elif spec.kind == "shifted":
         v = sample_vector(spec.base, n, seeds) + spec.mu

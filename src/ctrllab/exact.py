@@ -591,7 +591,9 @@ def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem) ->
     ||x_i||^2 <= 1 + eta <= 1.01, so for the bound dist_i >= ||u_i - x_i||
     of :func:`_eigvec_bounds`, |u_i . b| >= |fl(x_i . b)| - (e + dist_i)
     ||b|| with e = :func:`_inner_error`, and where that is positive, the
-    component is nonzero.  A component that bound leaves is decided
+    component is nonzero; when it proves every component of every column
+    nonzero, every rank is n and nothing more is computed.  A component
+    that bound leaves is decided
     exactly where :func:`_integer_eigenvectors` proves an integer z that
     spans u_i's eigenspace: u_i . b = 0 iff z . b = 0, computed in int64
     when n max|z| max|b| is below _INT_BOUND.  A column whose every
@@ -615,6 +617,8 @@ def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem) ->
         norm_b = np.sqrt((b * b).sum(axis=-2))[..., None, :]
         err = _upper((dist[:, :, None] + _inner_error(n)) * norm_b)
         nonzero = np.abs(x.transpose(0, 2, 1) @ b) > err  # [t, i, j]
+        if simple.all() and nonzero.all():  # every column of full rank (PBH)
+            return np.full_like(ranks, n)
         known = nonzero.copy()
         which, index = (simple[:, None] & ~nonzero.all(axis=2)).nonzero()
         if which.size:
@@ -684,7 +688,7 @@ def has_simple_spectrum_exact(a, eigsys: EigenSystem | None = None):
     rounded from the eigenvalue clusters and checked exactly, most
     repeated ones (:func:`_float_spectra`), where float64 holds A exactly;
     a wrong eigensystem can make them prove less, never something false.
-    The matrices they leave are decided together, in one
+    The matrices they leave, if any, are decided together, in one
     :func:`_krylov_degrees` call, by whether the Krylov degree of I under
     A, the degree of A's minimal polynomial, is n: certified mod ``_P`` in
     both directions through one fixed combination of the columns of I,
@@ -701,9 +705,10 @@ def has_simple_spectrum_exact(a, eigsys: EigenSystem | None = None):
     if spectra is not None:
         simple, repeated = spectra[0].copy(), spectra[1]
         left = ~(simple | repeated)
-    eye = np.eye(n, dtype=mats.dtype)[None].repeat(left.sum(), axis=0)
-    degrees = np.full((len(eye), 1), -1 if n else 0)  # the 0 x 0 spectrum is simple
-    simple[left] = _krylov_degrees(mats[left], eye, n, degrees)[:, 0] == n
+    if left.any():
+        eye = np.eye(n, dtype=mats.dtype)[None].repeat(left.sum(), axis=0)
+        degrees = np.full((len(eye), 1), -1 if n else 0)  # the 0 x 0 spectrum is simple
+        simple[left] = _krylov_degrees(mats[left], eye, n, degrees)[:, 0] == n
     return bool(simple[0]) if single else simple.tolist()
 
 
@@ -733,9 +738,9 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
        where A and b are integers of magnitude at most 2^53 held in
        fixed-width dtypes; a wrong eigensystem can make it prove less,
        never wrong.
-    2. The entries still -1 are certified mod ``_P`` in bounded sub-stacks,
-       which eliminate only those columns, else decided by Bareiss
-       (:func:`_krylov_degrees`).
+    2. The entries still -1, if any, are certified mod ``_P`` in bounded
+       sub-stacks, which eliminate only those columns, else decided by
+       Bareiss (:func:`_krylov_degrees`).
 
     The zero vector has rank 0.  At rank r < n mod p the certificate lifts
     the monic relation q(A) b = 0 mod p of degree r to (-p/2, p/2] and
@@ -768,7 +773,8 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
         cols = cols[None].repeat(t, axis=0)
     ranks = np.full((t, cols.shape[2]), -1) if eigsys is None else \
         _float_certified(mats, cols, eigsys)
-    ranks = _krylov_degrees(mats, cols, 1, ranks)
+    if (ranks < 0).any():
+        ranks = _krylov_degrees(mats, cols, 1, ranks)
     return (ranks[0] if single else ranks).tolist()
 
 

@@ -33,6 +33,7 @@ minctrl-gnp        exact sparsest-input search on G(n,p)
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from itertools import islice
@@ -143,11 +144,12 @@ class ExperimentConfig(Record):
         _integer(self.master_seed, "master_seed")
         if _integer(self.trials, "trials") < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not self.n_grid:
+        grid = _grid(self.n_grid)
+        if not grid:
             raise ValueError("n-grid must hold at least one dimension")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+        if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"n-grid must be strictly increasing, got {self.n_grid}")
-        if any(_integer(n, "n-grid entry") < 1 for n in self.n_grid):
+        if any(n < 1 for n in grid):
             raise ValueError(f"dimensions must be >= 1, got {self.n_grid}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
@@ -246,8 +248,16 @@ def _sampled(config: ExperimentConfig) -> tuple[EnsembleSpec, VectorSpec | None]
     """The ensemble and input vector of the config's trials: its scenario
     row's at p, with the config's vector, if any, in place of the row's."""
     row = _scenario(config.scenario)
-    ensemble, vector = (x(config.p) if callable(x) else x for x in (row.ensemble, row.vector))
+    ensemble, vector = _row_specs(row.ensemble, row.vector, config.p)
     return ensemble, vector if config.vector is None else config.vector
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _row_specs(ensemble, vector, p) -> tuple[EnsembleSpec, VectorSpec | None]:
+    """A scenario row's `ensemble` and `vector`, each a spec or a constructor
+    taking the edge density, at p; built once per row and p, as specs are
+    frozen and their constructors pure."""
+    return tuple(x(p) if callable(x) else x for x in (ensemble, vector))
 
 
 def _exact_applicable(config: ExperimentConfig) -> bool:
@@ -345,8 +355,11 @@ def _trials_pbh(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
     return [_outcome(v.get("exact", v.get("float")), v, w) for v, w in zip(verdicts, witnesses)]
 
 
+_SPHERE = VectorSpec.uniform_sphere()
+
+
 def _trials_two_vectors(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
-    u = sample_vector(VectorSpec.uniform_sphere(), n, chunk.extra["sphere"])
+    u = sample_vector(_SPHERE, n, chunk.extra["sphere"])
     on_b, on_u = (pbh_controllable(None, b, config.tolerances, chunk.eig) for b in (chunk.b, u))
     fb, fu = on_b.decision.tolist(), on_u.decision.tolist()
     inner = np.minimum(on_b.min_abs_inner, on_u.min_abs_inner).tolist()
@@ -465,7 +478,7 @@ def _draw_chunk(config: ExperimentConfig, n: int, trials) -> _Chunk:
     b = None if vector is None else \
         sample_vector(vector, n, drawn.get("vector", [None] * len(trials)))
     try:
-        eig = eig_sym(mats, label=[grid.child(t).labels for t in trials], vectors=family.vectors)
+        eig = eig_sym(mats, label=[grid.labels + (t,) for t in trials], vectors=family.vectors)
     except EigenDecompositionError as exc:
         eig = exc
     ranks = None
@@ -612,6 +625,16 @@ SCENARIOS: dict[str, _Scenario] = {
 }
 
 
+def _grid(value) -> tuple[int, ...]:
+    """The n-grid `value`, a sequence of integers, as a tuple of ints; else
+    a ValueError naming the grid or its first entry that is no integer."""
+    try:
+        entries = tuple(value)
+    except TypeError:
+        raise ValueError(f"n-grid must be a sequence of integers, got {value!r}") from None
+    return tuple(_integer(n, "n-grid entry") for n in entries)
+
+
 def _scenario(name: str) -> _Scenario:
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
@@ -642,7 +665,7 @@ def apply_overrides(config: ExperimentConfig, *, n_grid=None, trials=None, p=Non
         if value is not None:
             setattr(config, name, value)
     if n_grid is not None:
-        config.n_grid = tuple(_integer(v, "n-grid entry") for v in n_grid)
+        config.n_grid = _grid(n_grid)
     if trials is not None:
         config.trials = _integer(trials, "trials")
     if master_seed is not None:
@@ -650,8 +673,8 @@ def apply_overrides(config: ExperimentConfig, *, n_grid=None, trials=None, p=Non
     tol = {k: v for k, v in (("gap_tol", gap_tol), ("ortho_tol", ortho_tol)) if v is not None}
     if tol:
         config.tolerances = replace(config.tolerances, **tol)
-    if params:
-        config.params = {**config.params, **params}
+    if params is not None:
+        config.params = {**config.params, **_check(ExperimentConfig, "params", params, "params")}
     config.validate()
     return config
 

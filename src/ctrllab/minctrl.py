@@ -72,9 +72,11 @@ def basis_scan(a, cap: int | None = DEFAULT_EXACT_CAP, eigsys: EigenSystem | Non
     eigensystem, shaped like `a` (as for :func:`kalman_ranks_exact`).  One
     :func:`has_simple_spectrum_exact` call decides every spectrum, and one
     :func:`kalman_ranks_exact` call the basis ranks of the matrices with a
-    simple one: a repeated eigenvalue bounds every Krylov degree below n,
-    so such a matrix gets an empty scan and no Kalman test.  Dimensions
-    beyond `cap` raise :class:`DimensionCapError` before any test.
+    simple one (the stack and eigensystem as given when every spectrum is
+    simple, and no call when none is): a repeated eigenvalue bounds every
+    Krylov degree below n, so such a matrix gets an empty scan and no
+    Kalman test.  Dimensions beyond `cap` raise :class:`DimensionCapError`
+    before any test.
     """
     mats = _checked(a, _ints, system=True)
     single = mats.ndim == 2
@@ -85,8 +87,10 @@ def basis_scan(a, cap: int | None = DEFAULT_EXACT_CAP, eigsys: EigenSystem | Non
     if single and eigsys is not None:
         eigsys = _stack_of_one(eigsys)
     simple = np.array(has_simple_spectrum_exact(mats, eigsys), dtype=bool)
-    ranks = iter(kalman_ranks_exact(mats[simple], np.eye(n, dtype=np.int64), cap,
-                                    None if eigsys is None else eigsys[simple]))
+    if not simple.all():  # rank only the matrices with a simple spectrum, if any
+        mats, eigsys = mats[simple], None if eigsys is None else eigsys[simple]
+    ranks = iter(kalman_ranks_exact(mats, np.eye(n, dtype=np.int64), cap, eigsys)
+                 if simple.any() else ())
     scans = [BasisScanResult(frozenset(i for i, r in enumerate(next(ranks)) if r == n), True)
              if s else BasisScanResult(frozenset(), False) for s in simple]
     return scans[0] if single else scans

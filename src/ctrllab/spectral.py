@@ -329,7 +329,7 @@ class ControllabilityVerdict:
 _VERDICTS = np.array([CONTROLLABLE, INDETERMINATE, UNCONTROLLABLE])
 
 
-def classify(gap, inner, scale, norm_b, tol: Tolerances):
+def classify(gap, inner, scale, norm_b, tolerances: Tolerances):
     """The PBH threshold test on a pair's two witnesses.
 
     `gap` is the minimal eigenvalue gap, judged relative to `scale`
@@ -337,11 +337,11 @@ def classify(gap, inner, scale, norm_b, tol: Tolerances):
     Either witness below its reject level means uncontrollable, both above
     their accept levels controllable, anything else indeterminate.  Given
     arrays, the test runs elementwise (the arguments broadcast together)
-    and gives an array of verdicts.  `tol` must be a :class:`Tolerances`.
+    and gives an array of verdicts.  `tolerances` must be a :class:`Tolerances`.
     """
-    _check_tolerances(tol, "tol")
-    reject = (inner < tol.ortho_reject * norm_b) | (gap < tol.gap_reject * scale)
-    accept = (gap > tol.gap_tol * scale) & (inner > tol.ortho_tol * norm_b)
+    _check_tolerances(tolerances, "tolerances")
+    reject = (inner < tolerances.ortho_reject * norm_b) | (gap < tolerances.gap_reject * scale)
+    accept = (gap > tolerances.gap_tol * scale) & (inner > tolerances.ortho_tol * norm_b)
     if not isinstance(reject, np.ndarray):
         return UNCONTROLLABLE if reject else CONTROLLABLE if accept else INDETERMINATE
     return _VERDICTS[np.where(reject, 2, np.where(accept, 0, 1))]

@@ -80,6 +80,33 @@ def test_degenerate_atom_is_constant():
     assert np.all(vals == 2.5)
 
 
+def written_out_draw(atom: Atom, rng, size) -> np.ndarray:
+    """Copies of `atom` drawn by the generator method of its law."""
+    if atom.kind == "gaussian":
+        return rng.normal(atom.mean, math.sqrt(atom.variance), size)
+    if atom.kind == "rademacher":
+        return rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0
+    if atom.kind == "centered-bernoulli":
+        (lo, _), (hi, _) = two_point_law(atom)
+        return np.where(rng.random(size) < atom.p, hi, lo)
+    if atom.kind == "bernoulli01":
+        return (rng.random(size) < atom.p).astype(np.float64)
+    return np.full(size, atom.value)
+
+
+@pytest.mark.parametrize("atom", [Atom.gaussian(-3.25, 0.7), Atom.gaussian(1e-300, 5.0),
+                                  Atom.gaussian(2.0, 0.0), Atom.rademacher(),
+                                  Atom.centered_bernoulli(0.3), Atom.bernoulli01(0.4),
+                                  Atom.degenerate(-1.5)], ids=lambda atom: atom.kind)
+def test_atom_copies_are_the_generator_methods_draws(atom):
+    # a law is a raw draw (standard normals, fair bits or uniforms) and a
+    # transform; the copies are bit for bit those of the generator method
+    for size in (7, (3, 5), 0):
+        got = atom.sample(SEED.child("written-out").generator(), size)
+        want = written_out_draw(atom, SEED.child("written-out").generator(), size)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 def test_atom_parameter_validation():
     with pytest.raises(ValueError):
         Atom.centered_bernoulli(0.0)

@@ -1378,7 +1378,8 @@ def record_relations(monkeypatch) -> list:
 def test_relation_tier_settles_or_leaves_each_case(monkeypatch):
     # each repeated spectrum is proved by its minimal polynomial, rounded
     # from the product over its eigenvalue clusters and checked exactly,
-    # without the block test; their Kalman columns are left at -1
+    # without the block test, which is then not even called; their Kalman
+    # columns are left at -1
     p4 = np.diag(np.ones(3, dtype=np.int64), 1)
     minimal = [  # (A, the relation checked)
         (rank_deficient_fixtures(12)[0], [-11, -10, 1]),  # K_12: -1 eleven times, and 11
@@ -1400,7 +1401,7 @@ def test_relation_tier_settles_or_leaves_each_case(monkeypatch):
         assert polys == [q + [0] * (len(polys[0]) - len(q))], a
         inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
         assert (float_tier(a[None], inputs) == -1).all()
-    assert block_tests == [0] * len(minimal)
+    assert block_tests == []
     # [[4, 6], [6, 9]]: b = (3, -2) has one component proved nonzero, of
     # eigenvalue 0, and the other undecided; q = x proves rank 1
     a = np.array([[4, 6], [6, 9]], dtype=np.int64)
@@ -1433,6 +1434,28 @@ def test_relation_tier_from_a_wrong_eigensystem_proves_nothing_false():
         ranks = float_tier(mats, inputs, eigsys)
         assert ((ranks == -1) | (ranks == oracle)).all()
         assert kalman_ranks_exact(mats, inputs, eigsys=eigsys) == oracle.tolist()
+
+
+def test_a_tier_that_decides_everything_ends_the_decision(monkeypatch):
+    # when the float tier decides every spectrum, or every Kalman rank, the
+    # block test is not called, not even on an empty stack
+    p4 = np.diag(np.ones(3, dtype=np.int64), 1)
+    p4 += p4.T
+    k4 = np.ones((4, 4), dtype=np.int64) - np.eye(4, dtype=np.int64)
+    mats = np.stack([p4, k4, np.diag(np.arange(1, 5)), np.zeros((4, 4), dtype=np.int64)])
+    eye = np.eye(4, dtype=np.int64)
+    calls = []
+    real = exact_module._krylov_degrees
+    monkeypatch.setattr(exact_module, "_krylov_degrees", lambda mats, cols, k, ranks:
+                        calls.append(int((ranks < 0).sum())) or real(mats, cols, k, ranks))
+    assert has_simple_spectrum_exact(mats, eig_sym(mats.astype(np.float64))) == \
+        [True, False, True, False]
+    assert kalman_ranks_exact(p4, eye, eigsys=eig_sym(p4.astype(np.float64))) == [4] * 4
+    assert calls == []
+    # without an eigensystem, the block test decides each
+    assert has_simple_spectrum_exact(mats) == [True, False, True, False]
+    assert kalman_ranks_exact(p4, eye) == [4] * 4
+    assert calls == [4, 4]
 
 
 def test_simple_spectrum_of_a_stack_equals_one_matrix_at_a_time(monkeypatch):

@@ -103,6 +103,18 @@ def test_counts_seeds_grid_entries_and_caps_must_be_integers():
         setattr(config, key, value)
         with pytest.raises(ValueError, match=r" must be an integer, got "):
             config.validate()
+    # each grid entry is judged before entries are compared, and a grid
+    # that is no sequence is named: these once ended in bare TypeErrors
+    # or in "not strictly increasing"
+    for grid, message in [((1, "a"), "n-grid entry must be an integer, got 'a'"),
+                          ((2, 1.5), "n-grid entry must be an integer, got 1.5"),
+                          (5, "n-grid must be a sequence of integers, got 5")]:
+        config = make_scenario_config("kn-allones")
+        config.n_grid = grid
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config.validate()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_scenario_config("minctrl-gnp", n_grid=grid)
 
 
 def test_all_presets_are_complete_and_valid():
@@ -190,6 +202,22 @@ def test_config_validation_names_tolerances_and_params_of_the_wrong_type():
     norm.validate()
 
 
+def test_a_run_builds_its_scenario_specs_once(monkeypatch):
+    # a scenario row's specs at p are built once, not again for every
+    # check, chunk and echo that reads them, nor by a later run at that p
+    built = []
+    for cls in (EnsembleSpec, VectorSpec):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, real=cls.__post_init__:
+                            built.append(type(self).__name__) or real(self))
+    for want in (["EnsembleSpec", "VectorSpec"], []):
+        built.clear()
+        config = make_scenario_config("cor-gnp-rand", p=0.37, n_grid=(5, 6), trials=3)
+        report = run_experiment(config)
+        assert sorted(built) == want
+        assert report.config["ensemble"] == {"kind": "gnp-adjacency", "p": 0.37}
+        assert report.config["vector"] == {"kind": "bernoulli01", "p": 0.37}
+
+
 BAD_VECTORS = [
     (VectorSpec.explicit([1, 2, 3]), "vector explicit values must have length n, "
                                      "got length 3 at n=5"),
@@ -233,6 +261,9 @@ BAD_PARAMS = [
     ("diag-smallball", {"eig_index": -1}, (16,), "'eig_index' must be null or an int in [0, n), "
                                                  "got -1"),
     ("diag-smallball", {"eig_index": 2.0}, (16,), "'eig_index' must be null or an int"),
+    # params that are no dict once ended in "'list' object is not a mapping"
+    ("minctrl-gnp", [("kmax", 2)], None, "params must be dict, got [('kmax', 2)]"),
+    ("minctrl-gnp", "abc", None, "params must be dict, got 'abc'"),
 ]
 
 

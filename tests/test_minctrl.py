@@ -89,6 +89,25 @@ def test_basis_scan_of_a_stack_decides_spectra_first(monkeypatch):
     assert basis_scan(mats[:0]) == []
 
 
+def test_basis_scan_ranks_only_when_a_spectrum_is_simple(monkeypatch):
+    # no spectrum simple: no Kalman call at all, not one on an empty stack;
+    # every spectrum simple: the stack and eigensystem given are ranked as they are
+    from ctrllab import minctrl
+    calls = []
+    real_ranks = minctrl.kalman_ranks_exact
+    monkeypatch.setattr(minctrl, "kalman_ranks_exact", lambda a, cols, cap, eigsys=None:
+                        calls.append((a, eigsys)) or real_ranks(a, cols, cap, eigsys))
+    empty = BasisScanResult(frozenset(), simple_spectrum=False)
+    for a in (K4, np.stack([K4, K4])):
+        for eigsys in (None, eig_sym(a.astype(np.float64))):
+            assert basis_scan(a, eigsys=eigsys) == (empty if a.ndim == 2 else [empty, empty])
+            assert calls == []
+    paths = np.stack([P3, P3])
+    eigsys = eig_sym(paths.astype(np.float64))
+    assert basis_scan(paths, eigsys=eigsys) == [basis_scan(P3)] * 2
+    assert len(calls) == 2 and calls[0][0] is paths and calls[0][1] is eigsys
+
+
 def test_basis_scan_refuses_a_dimension_above_the_cap_before_any_test(monkeypatch):
     from ctrllab import minctrl
     monkeypatch.setattr(minctrl, "has_simple_spectrum_exact",
@@ -414,8 +433,9 @@ def test_sparsest_tests_the_spectrum_before_scanning_the_basis(monkeypatch):
         if witness is not None:
             assert r.witness.tolist() == witness.tolist()
         # one spectrum test, first; then the basis ranks of a stack of one
-        # matrix, or of none if its spectrum is repeated, which ends the search
-        assert calls[:2] == ["spectrum", 0 if k_star is None else 1]
+        # matrix, or no rank call at all if its spectrum is repeated, which
+        # ends the search
+        assert calls[:2] == (["spectrum"] if k_star is None else ["spectrum", 1])
         assert ("layer" in calls) == (k_star is not None and k_star > 1)
         outcomes.add("k=1" if k_star == 1 else "none" if k_star is None else "k>1")
     assert sparsest_input(K4).supports_tested == 0

@@ -260,8 +260,8 @@ def test_deciders_refuse_tolerances_that_are_not_a_tolerances(bad):
         pbh_controllable(P3, [1.0, 0.0, 0.0], tolerances=bad)
     with pytest.raises(ValueError, match=rf"^tolerances must be Tolerances, got {text}$"):
         pbh_controllable(None, None, bad, eig_sym(np.stack([P3, K3])))
-    with pytest.raises(ValueError, match=rf"^tol must be Tolerances, got {text}$"):
-        classify(1.0, 1.0, 1.0, 1.0, tol=bad)
+    with pytest.raises(ValueError, match=rf"^tolerances must be Tolerances, got {text}$"):
+        classify(1.0, 1.0, 1.0, 1.0, tolerances=bad)
 
 
 @pytest.mark.parametrize("field", ["gap_tol", "gap_reject", "ortho_tol", "ortho_reject"])
