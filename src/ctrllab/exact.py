@@ -38,6 +38,12 @@ are rounded to a monic integer q, and q(A) B = 0 checked exactly bounds
 the degree by deg q (Gauss's lemma: the minimal polynomial has integer
 coefficients, so rounding finds it while they stay below 2^53).  The
 eigenvector bounds are computed once per eigensystem and kept on it.
+:func:`has_simple_spectrum_exact` and :func:`kalman_ranks_exact` check
+their input and run one stage each, the spectrum stage and the rank stage
+(:func:`_kalman_ranks`); a basis scan (``ctrllab.minctrl.basis_scan``)
+is one pass of both over a checked stack: the spectrum test reads and
+keeps the bounds, and the rank stage ranks the basis of the simple
+spectra on the kept bounds, leaving the other rows out by their ranks.
 The matrices with a column left go on to the mod-p
 certificate in sub-stacks of at most ``_KRYLOV_ENTRIES`` Krylov entries,
 so numpy's per-call overhead is paid once per sub-stack, not once per
@@ -474,8 +480,9 @@ def _eigvec_bounds(a: np.ndarray, w: np.ndarray,
     radius = delta[:, None]
     gaps = np.diff(w, axis=1) / _SLACK
     simple = (eta <= _MAX_DEFECT) & (gaps > 2 * radius).all(axis=1)
-    edge = np.full((t, 1), np.inf)
-    own = np.minimum(np.hstack([edge, gaps]), np.hstack([gaps, edge]))
+    own = np.full((t, n), np.inf)  # the nearer of the gaps beside w_i, inf beyond the ends
+    own[:, :-1] = gaps
+    np.minimum(own[:, 1:], gaps, out=own[:, 1:])
     return simple, _upper(eta[:, None] + math.sqrt(2) * radius / (own - radius)), delta
 
 
@@ -544,6 +551,18 @@ def _float_system(mats: np.ndarray, eigsys: EigenSystem) -> tuple | None:
     return (a, w, x, *kept[1:])
 
 
+def _kept_system(mats: np.ndarray, eigsys: EigenSystem) -> tuple | None:
+    """The float system of :func:`_float_system` for the stack `mats`, read
+    from the bounds kept on `eigsys` without comparing the stack with them
+    again, so only right after a :func:`_float_system` read of that stack
+    with `eigsys` (as :func:`has_simple_spectrum_exact` makes); None where
+    that read gives none, so bounds kept for another stack are never read."""
+    kept = eigsys._proofs[0]
+    if kept is None or _exact_floats(mats) is None:
+        return None
+    return (kept[0], eigsys.eigenvalues, eigsys.eigenvectors, *kept[1:])
+
+
 def _relation_holds(mats: np.ndarray, which: np.ndarray, roots: np.ndarray, active: np.ndarray,
                     blocks: np.ndarray) -> np.ndarray:
     """Whether q_s(A) B_s = 0 is proved for each s, with A = mats[which[s]],
@@ -562,16 +581,17 @@ def _relation_holds(mats: np.ndarray, which: np.ndarray, roots: np.ndarray, acti
     the wrong way, makes the exact check fail, and nothing is proved.
     """
     s, n = roots.shape
+    rows = np.arange(s)[:, None]
     order = np.lexsort((np.abs(roots), ~active))  # active roots first
-    roots, active = np.take_along_axis(roots, order, 1), np.take_along_axis(active, order, 1)
+    roots, active = roots[rows, order], active[rows, order]
     degree = active.sum(axis=1)
     top = int(degree.max(initial=0))
-    coeffs = np.zeros((s, top + 1))
+    padded = np.zeros((s, top + 2))  # column 0 stays 0: padded[:, :-1] is coeffs times x
+    coeffs = padded[:, 1:]
     coeffs[:, 0] = 1.0
     with np.errstate(all="ignore"):
         for k in range(top):
-            shifted = np.hstack([np.zeros((s, 1)), coeffs[:, :-1]])
-            coeffs = np.where(active[:, k, None], shifted - roots[:, k, None] * coeffs, coeffs)
+            np.copyto(coeffs, padded[:, :-1] - roots[:, k, None] * coeffs, where=active[:, k, None])
         fits = (np.abs(coeffs) < 2.0**53).all(axis=1)
     polys = np.where(fits[:, None], np.rint(coeffs), 0).astype(np.int64)
     holds = polys[np.arange(s), degree] == 1  # monic; a q that does not fit is zero
@@ -580,10 +600,11 @@ def _relation_holds(mats: np.ndarray, which: np.ndarray, roots: np.ndarray, acti
     return holds
 
 
-def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem) -> np.ndarray:
-    """The Kalman ranks [t, j] that eigsys[t], of the stack `eigsys`, proves
-    for each matrix A of the stack `mats` and each column b of its inputs;
-    -1 where it proves none.
+def _float_certified(mats: np.ndarray, cols: np.ndarray, system: tuple) -> np.ndarray:
+    """The Kalman ranks [t, j] that the float system `system` of the stack
+    `mats` (:func:`_float_system`; None proves nothing) proves for each
+    matrix A of the stack and each column b of its inputs; -1 where it
+    proves none.
 
     Where the spectrum is proved simple, the rank of b is the number of
     unit eigenvectors u_i of A with u_i . b != 0: the eigenvalues of
@@ -605,18 +626,22 @@ def _float_certified(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem) ->
     By Gauss's lemma b's minimal polynomial has integer coefficients, so
     when every undecided component is zero, q is found unless its
     coefficients are too large to round.  The tier applies only where
-    float64 holds A and b exactly (:func:`_exact_floats`).
+    float64 holds A and b exactly (:func:`_exact_floats`).  Identity
+    inputs, the standard basis of a basis scan, are read as x^T with unit
+    norms, the exact values of x^T I and ||e_j||.
     """
     ranks = np.full((len(mats), cols.shape[-1]), -1)
-    system, b = _float_system(mats, eigsys), _exact_floats(cols)
+    b = _exact_floats(cols)
     if system is None or b is None:
         return ranks
     a, w, x, simple, dist, delta = system
     n = a.shape[1]
+    basis = cols.shape[1:] == (n, n) and (b == np.eye(n)).all()  # x^T I = x^T, ||e_j|| = 1
     with np.errstate(all="ignore"):
-        norm_b = np.sqrt((b * b).sum(axis=-2))[..., None, :]
+        norm_b = 1.0 if basis else np.sqrt((b * b).sum(axis=-2))[..., None, :]
         err = _upper((dist[:, :, None] + _inner_error(n)) * norm_b)
-        nonzero = np.abs(x.transpose(0, 2, 1) @ b) > err  # [t, i, j]
+        products = x.transpose(0, 2, 1) if basis else x.transpose(0, 2, 1) @ b
+        nonzero = np.abs(products) > err  # [t, i, j]
         if simple.all() and nonzero.all():  # every column of full rank (PBH)
             return np.full_like(ranks, n)
         known = nonzero.copy()
@@ -676,6 +701,22 @@ def _float_spectra(mats: np.ndarray, eigsys: EigenSystem) -> tuple | None:
 # ---------------------------------------------------------------------------
 # decisions
 # ---------------------------------------------------------------------------
+
+def _kalman_ranks(mats: np.ndarray, cols: np.ndarray, system: tuple | None,
+                  ranks: np.ndarray) -> np.ndarray:
+    """The rank stage of :func:`kalman_ranks_exact`, on checked arrays:
+    `ranks` (T x m) with each -1 entry replaced by the Kalman rank of its
+    column of the inputs `cols` (T x n x m) under its matrix of the stack
+    `mats`; the other entries are returned as they are, so a caller leaves
+    out a row by giving it any rank.  The float tier settles what the float
+    system `system` of the stack (:func:`_float_system`, or None) proves
+    (:func:`_float_certified`), and :func:`_krylov_degrees` the entries
+    left."""
+    ranks = np.where(ranks < 0, _float_certified(mats, cols, system), ranks)
+    if (ranks < 0).any():
+        ranks = _krylov_degrees(mats, cols, 1, ranks)
+    return ranks
+
 
 def has_simple_spectrum_exact(a, eigsys: EigenSystem | None = None):
     """Whether all eigenvalues of the integer symmetric matrix are distinct;
@@ -767,14 +808,11 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
         raise ValueError(f"{len(cols)} input matrices for a stack of {t} matrices")
     if cap is not None and n > _integer(cap, "cap"):
         raise DimensionCapError(f"n={n} exceeds exact cap {cap}; use the float PBH path")
-    if single and eigsys is not None:
-        eigsys = _stack_of_one(eigsys)
+    system = None if eigsys is None else \
+        _float_system(mats, _stack_of_one(eigsys) if single else eigsys)
     if shared:  # a copy, cheaper than np.broadcast_to's view for small stacks
         cols = cols[None].repeat(t, axis=0)
-    ranks = np.full((t, cols.shape[2]), -1) if eigsys is None else \
-        _float_certified(mats, cols, eigsys)
-    if (ranks < 0).any():
-        ranks = _krylov_degrees(mats, cols, 1, ranks)
+    ranks = _kalman_ranks(mats, cols, system, np.full((t, cols.shape[2]), -1))
     return (ranks[0] if single else ranks).tolist()
 
 

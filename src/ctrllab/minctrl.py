@@ -15,7 +15,7 @@ indicator vector is controllable wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 
 import numpy as np
 
@@ -23,9 +23,11 @@ from .exact import (
     _KRYLOV_ENTRIES,
     DEFAULT_EXACT_CAP,
     DimensionCapError,
+    _float_system,
     _ints,
+    _kalman_ranks,
+    _kept_system,
     has_simple_spectrum_exact,
-    kalman_ranks_exact,
 )
 from .spectral import EigenSystem, _checked, _integer, _matrix, _stack_of_one
 
@@ -69,30 +71,34 @@ def basis_scan(a, cap: int | None = DEFAULT_EXACT_CAP, eigsys: EigenSystem | Non
 
     `a` is one integer symmetric matrix, or a (T, n, n) stack of them and
     the result a list of T scans; `eigsys`, when given, is its float
-    eigensystem, shaped like `a` (as for :func:`kalman_ranks_exact`).  One
-    :func:`has_simple_spectrum_exact` call decides every spectrum, and one
-    :func:`kalman_ranks_exact` call the basis ranks of the matrices with a
-    simple one (the stack and eigensystem as given when every spectrum is
-    simple, and no call when none is): a repeated eigenvalue bounds every
-    Krylov degree below n, so such a matrix gets an empty scan and no
-    Kalman test.  Dimensions beyond `cap` raise :class:`DimensionCapError`
-    before any test.
+    eigensystem, shaped like `a` (as for :func:`kalman_ranks_exact`).  The
+    stack is decided in one pass: one :func:`has_simple_spectrum_exact`
+    call decides every spectrum, reading the eigensystem's bounds and
+    keeping them on it, and then the rank stage of
+    :func:`kalman_ranks_exact` ranks the basis of the matrices with a
+    simple spectrum only, on those kept bounds, with no further check or
+    read of the stack (and no rank stage at all when no spectrum is
+    simple): a repeated eigenvalue bounds every Krylov degree below n, so
+    such a matrix gets an empty scan and no Kalman test.  Dimensions beyond
+    `cap` raise :class:`DimensionCapError` before any test.
     """
     mats = _checked(a, _ints, system=True)
     single = mats.ndim == 2
     mats = mats[None] if single else mats
-    n = mats.shape[1]
+    t, n, _ = mats.shape
     if cap is not None and n > _integer(cap, "cap"):
         raise DimensionCapError(f"n={n} exceeds exact cap {cap}")
     if single and eigsys is not None:
         eigsys = _stack_of_one(eigsys)
     simple = np.array(has_simple_spectrum_exact(mats, eigsys), dtype=bool)
-    if not simple.all():  # rank only the matrices with a simple spectrum, if any
-        mats, eigsys = mats[simple], None if eigsys is None else eigsys[simple]
-    ranks = iter(kalman_ranks_exact(mats, np.eye(n, dtype=np.int64), cap, eigsys)
-                 if simple.any() else ())
-    scans = [BasisScanResult(frozenset(i for i, r in enumerate(next(ranks)) if r == n), True)
-             if s else BasisScanResult(frozenset(), False) for s in simple]
+    ranks = np.full((t, n), -1)
+    ranks[~simple] = 0  # rank only the simple spectra
+    if simple.any():
+        system = None if eigsys is None else _kept_system(mats, eigsys)
+        ranks = _kalman_ranks(mats, np.eye(n, dtype=np.int64)[None].repeat(t, axis=0), system,
+                              ranks)
+    scans = [BasisScanResult(frozenset(compress(range(n), full)), s)
+             for full, s in zip((ranks == n).tolist(), simple.tolist())]
     return scans[0] if single else scans
 
 
@@ -127,16 +133,18 @@ def sparsest_input(a, kmax: int | None = None, cap: int | None = DEFAULT_EXACT_C
     controllable e_i gives k* = 1 with the n singletons tested.  `scan` is
     that scan when the caller has it already (say, from one call over a
     whole stack).  Each larger support size is enumerated lexicographically,
-    in slices of at most max(1, 2^14 // n^2) indicator vectors, one
-    :func:`kalman_ranks_exact` call per slice (so its Krylov stack stays
-    within 2^14 entries); the first column of rank n is the witness, so the
-    result and the count of supports tested are those of testing one
-    support at a time.  Enumeration beyond `budget` supports raises
-    :class:`BudgetExceededError` with progress attached; a slice never
-    reaches past the budget, and as the singletons are decided together, a
-    budget below n raises before any test.  `eigsys`, the float
+    in slices of at most max(1, 2^14 // n^2) indicator vectors, each
+    ranked by the rank stage of :func:`kalman_ranks_exact` on the matrix as
+    checked here (so its Krylov stack stays within 2^14 entries); the first
+    column of rank n is the witness, so the result and the count of
+    supports tested are those of testing one support at a time.
+    Enumeration beyond `budget` supports raises :class:`BudgetExceededError`
+    with progress attached; a slice never reaches past the budget, and as
+    the singletons are decided together, a budget below n raises before any
+    test.  `eigsys`, the float
     eigensystem of `a` (as :func:`~ctrllab.spectral.eig_sym` returns it),
-    lets the scan and each slice settle most verdicts without elimination.
+    lets the scan and each slice settle most verdicts without elimination;
+    the slices read its bounds once per search.
     """
     mat = _matrix(a, _ints)
     n = len(mat)
@@ -158,17 +166,19 @@ def sparsest_input(a, kmax: int | None = None, cap: int | None = DEFAULT_EXACT_C
         b[min(scan.controllable)] = 1
         return MinCtrlResult(scan.controllable, 1, b, tested)
     size = max(1, _KRYLOV_ENTRIES // (n * n))
+    stack = mat[None]
+    system = None if eigsys is None else _float_system(stack, _stack_of_one(eigsys))
     for k in range(2, kmax + 1):
         layer = combinations(range(n), k)
         for first in layer:
             if tested >= budget:
                 raise BudgetExceededError(tested, k, budget)
             supports = [first, *islice(layer, min(size, budget - tested) - 1)]
-            cols = np.zeros((n, len(supports)), dtype=np.int64)
-            cols[np.array(supports), np.arange(len(supports))[:, None]] = 1
-            ranks = kalman_ranks_exact(mat, cols, cap, eigsys)
+            cols = np.zeros((1, n, len(supports)), dtype=np.int64)
+            cols[0, np.array(supports), np.arange(len(supports))[:, None]] = 1
+            ranks = _kalman_ranks(stack, cols, system, np.full((1, len(supports)), -1))[0].tolist()
             if n in ranks:
                 hit = ranks.index(n)
-                return MinCtrlResult(frozenset(), k, cols[:, hit].copy(), tested + hit + 1)
+                return MinCtrlResult(frozenset(), k, cols[0, :, hit].copy(), tested + hit + 1)
             tested += len(supports)
     return MinCtrlResult(frozenset(), None, None, tested)

@@ -992,7 +992,7 @@ def float_tier(mats, cols, eigsys=None) -> np.ndarray:
         eigsys = eig_sym(mats.astype(np.float64))
     if cols.ndim == 2:
         cols = cols[None].repeat(len(mats), axis=0)
-    return exact_module._float_certified(mats, cols, eigsys)
+    return exact_module._float_certified(mats, cols, exact_module._float_system(mats, eigsys))
 
 
 def wilkinson_plus(m: int) -> np.ndarray:
@@ -1081,6 +1081,20 @@ def test_float_tier_covers_full_rank_gnp_columns():
         assert ((float_tier(mats, eye) == n) == full).all()
 
 
+def test_float_tier_reads_only_the_identity_as_the_eigenvectors():
+    # identity inputs are read as x^T with unit norms; every other square
+    # block of inputs (reversed, permuted, a 0/1 block) goes through the
+    # product x^T B, so each settled rank is still the Bareiss one
+    root = SeedPath(1506, ("identity-read",))
+    mats = np.stack([with_twins(sample_gnp(8, 0.5, root.child(t))) for t in range(6)])
+    eye = np.eye(8, dtype=np.int64)
+    rng = np.random.default_rng(1506)
+    for inputs in (eye, eye[::-1], eye[:, rng.permutation(8)], rng.integers(0, 2, (8, 8))):
+        oracle = np.array([bareiss_ranks(a, inputs) for a in mats])
+        ranks = float_tier(mats, inputs)
+        assert (ranks >= 0).any() and ((ranks == -1) | (ranks == oracle)).all()
+
+
 def test_float_tier_leaves_ranks_unchanged_and_skips_proved_matrices(monkeypatch):
     seen = []
     real = exact_module._certified_ranks
@@ -1131,7 +1145,7 @@ def test_float_tier_skips_entries_beyond_2_53_and_object_arrays(monkeypatch):
                (a, eye.astype(object)), (a.astype(np.uint64) * np.uint64(2**53 + 1), eye)]
     for m, cols in skipped:
         # even with the eigensystem of A's float64 copy, which is exact for big
-        assert (exact_module._float_certified(m[None], cols[None], eig_sym(a[None])) == -1).all()
+        assert (float_tier(m[None], cols[None], eig_sym(a[None])) == -1).all()
     seen = []
     real = exact_module._certified_ranks
     monkeypatch.setattr(exact_module, "_certified_ranks", lambda mats, cols, k, ranks:
@@ -1409,6 +1423,30 @@ def test_relation_tier_settles_or_leaves_each_case(monkeypatch):
     assert float_tier(a[None], [[3], [-2]]).tolist() == [[1]]
     assert polys == [[0, 1]]
     assert float_tier(a[None], [[3], [-1]]).tolist() == [[2]]  # both proved nonzero
+
+
+def test_rounded_relations_handed_to_the_exact_check(monkeypatch):
+    # the float product of x - w, rounded, proposes each relation that
+    # _annihilated checks; pinned here, so that neither a rewrite of the
+    # product nor a numpy kernel fault can move a proposal unseen
+    polys = record_relations(monkeypatch)
+    k5 = np.ones((5, 5), dtype=np.int64) - np.eye(5, dtype=np.int64)
+    assert has_simple_spectrum_exact(k5, eig_sym(k5)) is False
+    assert polys == [[-4, -3, 1]]  # (x + 1)(x - 4), one value per cluster
+    polys.clear()
+    assert has_simple_spectrum_exact(np.diag([0, 0, 1, 2]), eig_sym(np.diag([0, 0, 1, 2]))) is False
+    assert polys == [[0, 2, -3, 1]]  # x (x - 1)(x - 2)
+    # vertices 0 and 1 are twins, so e_0 - e_1 spans the eigenspace of 0;
+    # e_0 and e_1 have rank 4 and the all-ones input rank 3, each proved by
+    # the product over its components proved nonzero, the zero eigenvalue
+    # among them only for e_0 and e_1
+    twin = np.array([[0, 0, 1, 1, 1, 1], [0, 0, 1, 1, 1, 1], [1, 1, 0, 1, 0, 0],
+                     [1, 1, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1], [1, 1, 0, 1, 1, 0]])
+    inputs = np.column_stack([np.eye(6, dtype=np.int64), np.ones(6, dtype=np.int64)])
+    polys.clear()
+    assert float_tier(twin[None], inputs).tolist() == [bareiss_ranks(twin, inputs)] == \
+        [[4, 4, 5, 5, 5, 5, 3]]
+    assert polys == [[0, -4, -9, -1, 1], [0, -4, -9, -1, 1], [-4, -9, -1, 1, 0]]
 
 
 def test_relation_tier_from_a_wrong_eigensystem_proves_nothing_false():

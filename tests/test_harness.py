@@ -672,14 +672,20 @@ def test_tier_split_of_the_benchmark_exact_experiments(monkeypatch):
 def test_minctrl_chunk_bounds_its_eigensystem_once(monkeypatch):
     # the chunk's spectrum test, its basis ranks and the layer slices of
     # its searches all read one certificate, kept on the chunk's
-    # eigensystem: the eigenvector bounds run once per chunk, on all of it
-    bounds, ranked = [], []
-    real_bounds, real_ranks = exact._eigvec_bounds, minctrl.kalman_ranks_exact
+    # eigensystem: the eigenvector bounds run once per chunk, on all of it,
+    # and each basis scan reads the stack's float system once
+    bounds, ranked, read = [], [], []
+    real_bounds, real_ranks = exact._eigvec_bounds, minctrl._kalman_ranks
+    real_read = exact._float_system
     monkeypatch.setattr(exact, "_eigvec_bounds",
                         lambda a, w, x: bounds.append(len(a)) or real_bounds(a, w, x))
-    monkeypatch.setattr(minctrl, "kalman_ranks_exact", lambda a, cols, cap, eigsys=None:
-                        ranked.append((len(a), cols.shape, eigsys is not None))
-                        or real_ranks(a, cols, cap, eigsys))
+    monkeypatch.setattr(minctrl, "_kalman_ranks", lambda a, cols, system, ranks:
+                        ranked.append((int((ranks < 0).any(axis=1).sum()), cols.shape[1:],
+                                       system is not None))
+                        or real_ranks(a, cols, system, ranks))
+    for module in (exact, minctrl):
+        monkeypatch.setattr(module, "_float_system",
+                            lambda mats, eigsys: read.append(len(mats)) or real_read(mats, eigsys))
     config = make_scenario_config("minctrl-gnp", n_grid=(10, 12), trials=20, p=0.5,
                                   master_seed=1506)
     run_experiment(config)
@@ -687,7 +693,9 @@ def test_minctrl_chunk_bounds_its_eigensystem_once(monkeypatch):
     # each chunk's basis scan ranks the basis of its simple spectra in one
     # call (18 of 20 at n = 10), and one search goes past the basis, with
     # its matrix's eigensystem, to the 45 supports of size 2
-    assert ranked == [(18, (10, 10), True), (10, (10, 45), True), (20, (12, 12), True)]
+    assert ranked == [(18, (10, 10), True), (1, (10, 45), True), (20, (12, 12), True)]
+    # one read per basis scan, of the whole stack, and one for the search
+    assert read == [20, 1, 20]
 
 
 def test_conj1_trial_falls_back_when_certificate_fails(monkeypatch):

@@ -61,8 +61,9 @@ def test_basis_scan_complete_graph_empty():
 
 def test_basis_scan_of_a_stack_decides_spectra_first(monkeypatch):
     # one spectrum test for the whole stack, with its eigensystem, then one
-    # Kalman call for the basis of the matrices with a simple spectrum
-    # only; each scan is the matrix's own, with or without the eigensystem
+    # call of the rank stage, which ranks the basis of the matrices with a
+    # simple spectrum only; each scan is the matrix's own, with or without
+    # the eigensystem
     from ctrllab import minctrl
     root = SEED.child("stacked-scan")
     blown_up = np.kron(K4, np.ones((2, 2), dtype=np.int64))  # eigenvalue 0 five times
@@ -72,14 +73,15 @@ def test_basis_scan_of_a_stack_decides_spectra_first(monkeypatch):
     assert {scan.simple_spectrum for scan in alone} == {True, False}
     assert {bool(scan.controllable) for scan in alone if scan.simple_spectrum} == {True, False}
     calls = []
-    real_test, real_ranks = minctrl.has_simple_spectrum_exact, minctrl.kalman_ranks_exact
+    real_test, real_ranks = minctrl.has_simple_spectrum_exact, minctrl._kalman_ranks
     monkeypatch.setattr(minctrl, "has_simple_spectrum_exact", lambda a, eigsys:
                         calls.append(("spectrum", len(a), eigsys is not None))
                         or real_test(a, eigsys))
-    monkeypatch.setattr(minctrl, "kalman_ranks_exact", lambda a, cols, cap, eigsys=None:
-                        calls.append(("ranks", len(a), eigsys is not None))
-                        or real_ranks(a, cols, cap, eigsys))
-    simple = sum(scan.simple_spectrum for scan in alone)
+    monkeypatch.setattr(minctrl, "_kalman_ranks", lambda a, cols, system, ranks:
+                        calls.append(("ranks", (ranks < 0).any(axis=1).tolist(),
+                                      system is not None))
+                        or real_ranks(a, cols, system, ranks))
+    simple = [scan.simple_spectrum for scan in alone]
     for es in (None, eigsys):
         calls.clear()
         assert basis_scan(mats, eigsys=es) == alone
@@ -90,13 +92,15 @@ def test_basis_scan_of_a_stack_decides_spectra_first(monkeypatch):
 
 
 def test_basis_scan_ranks_only_when_a_spectrum_is_simple(monkeypatch):
-    # no spectrum simple: no Kalman call at all, not one on an empty stack;
-    # every spectrum simple: the stack and eigensystem given are ranked as they are
+    # no spectrum simple: no rank stage at all, not one on an empty stack;
+    # every spectrum simple: the stack given is ranked as it is, on the
+    # bounds that the spectrum test kept on the eigensystem given
     from ctrllab import minctrl
     calls = []
-    real_ranks = minctrl.kalman_ranks_exact
-    monkeypatch.setattr(minctrl, "kalman_ranks_exact", lambda a, cols, cap, eigsys=None:
-                        calls.append((a, eigsys)) or real_ranks(a, cols, cap, eigsys))
+    real_ranks = minctrl._kalman_ranks
+    monkeypatch.setattr(minctrl, "_kalman_ranks", lambda a, cols, system, ranks:
+                        calls.append((a, system, ranks.copy()))
+                        or real_ranks(a, cols, system, ranks))
     empty = BasisScanResult(frozenset(), simple_spectrum=False)
     for a in (K4, np.stack([K4, K4])):
         for eigsys in (None, eig_sym(a.astype(np.float64))):
@@ -105,7 +109,21 @@ def test_basis_scan_ranks_only_when_a_spectrum_is_simple(monkeypatch):
     paths = np.stack([P3, P3])
     eigsys = eig_sym(paths.astype(np.float64))
     assert basis_scan(paths, eigsys=eigsys) == [basis_scan(P3)] * 2
-    assert len(calls) == 2 and calls[0][0] is paths and calls[0][1] is eigsys
+    (a, system, ranks), (_, none, _) = calls
+    assert a is paths and (ranks == -1).all() and none is None
+    assert system[1] is eigsys.eigenvalues and system[3] is eigsys._proofs[0][1]
+
+
+def test_basis_scan_reads_no_bounds_kept_for_another_stack():
+    # the rank stage reads the bounds that the spectrum test has just kept
+    # on the eigensystem; where float64 cannot hold the stack, that test
+    # keeps none, and the bounds P3's scan left there (which would call
+    # e_0 and e_2 controllable) must not be read for the diagonal stack
+    eigsys = eig_sym(P3[None].astype(np.float64))
+    assert basis_scan(P3[None], eigsys=eigsys)[0].controllable == {0, 2}
+    assert eigsys._proofs[0] is not None
+    big = (np.diag([1, 2, 3]) * (2**53 + 1))[None]
+    assert basis_scan(big, eigsys=eigsys) == [BasisScanResult(frozenset(), True)]
 
 
 def test_basis_scan_refuses_a_dimension_above_the_cap_before_any_test(monkeypatch):
@@ -370,7 +388,7 @@ def same_outcome(got, want) -> bool:
 
 def test_layer_search_equals_the_sequential_search(monkeypatch):
     # each layer k >= 2 is decided in lexicographic slices of at most
-    # 2^14 // n^2 supports, one kalman_ranks_exact call per slice; k*, the
+    # 2^14 // n^2 supports, one call of the rank stage per slice; k*, the
     # witness, the supports tested and every budget error are those of
     # deciding one support at a time
     from ctrllab import minctrl
@@ -380,9 +398,9 @@ def test_layer_search_equals_the_sequential_search(monkeypatch):
     diagonals = [np.diag(np.arange(1, n + 1)) for n in (3, 5)]  # k* = n
     fixtures = [a for a in graphs if not basis_scan(a).controllable] + diagonals + [K4, c4]
     widths = []
-    real = minctrl.kalman_ranks_exact
-    monkeypatch.setattr(minctrl, "kalman_ranks_exact", lambda a, cols, cap, eigsys=None:
-                        widths.append(cols.shape[1]) or real(a, cols, cap, eigsys))
+    real = minctrl._kalman_ranks
+    monkeypatch.setattr(minctrl, "_kalman_ranks", lambda a, cols, system, ranks:
+                        widths.append(cols.shape[2]) or real(a, cols, system, ranks))
     k_stars = set()
     for a in fixtures:
         n = a.shape[0]
@@ -417,12 +435,12 @@ def test_sparsest_tests_the_spectrum_before_scanning_the_basis(monkeypatch):
     graphs = [sample_gnp(6 + t % 5, 0.5, root.child(t)) for t in range(30)]
     fixtures = [K4, P3, np.diag([1, 2, 3])]
     calls = []
-    real_test, real_ranks = minctrl.has_simple_spectrum_exact, minctrl.kalman_ranks_exact
+    real_test, real_ranks = minctrl.has_simple_spectrum_exact, minctrl._kalman_ranks
     monkeypatch.setattr(minctrl, "has_simple_spectrum_exact",
                         lambda a, eigsys: calls.append("spectrum") or real_test(a, eigsys))
-    monkeypatch.setattr(minctrl, "kalman_ranks_exact", lambda a, cols, cap, eigsys=None:
-                        calls.append(len(a) if a.ndim == 3 else "layer")
-                        or real_ranks(a, cols, cap, eigsys))
+    monkeypatch.setattr(minctrl, "_kalman_ranks", lambda a, cols, system, ranks:
+                        calls.append(("basis" if (cols.sum(axis=1) == 1).all() else "layer",
+                                      len(a))) or real_ranks(a, cols, system, ranks))
     outcomes = set()
     for a in fixtures + graphs:
         basis, k_star, witness, tested = sparsest_spectrum_first(a)
@@ -434,9 +452,10 @@ def test_sparsest_tests_the_spectrum_before_scanning_the_basis(monkeypatch):
             assert r.witness.tolist() == witness.tolist()
         # one spectrum test, first; then the basis ranks of a stack of one
         # matrix, or no rank call at all if its spectrum is repeated, which
-        # ends the search
-        assert calls[:2] == (["spectrum"] if k_star is None else ["spectrum", 1])
-        assert ("layer" in calls) == (k_star is not None and k_star > 1)
+        # ends the search; each layer slice ranks the matrix as a stack of one
+        assert calls[:2] == (["spectrum"] if k_star is None else ["spectrum", ("basis", 1)])
+        assert (("layer", 1) in calls) == (k_star is not None and k_star > 1)
+        assert set(calls[2:]) <= {("layer", 1)}
         outcomes.add("k=1" if k_star == 1 else "none" if k_star is None else "k>1")
     assert sparsest_input(K4).supports_tested == 0
     assert sparsest_input(K4).basis_controllable == frozenset()

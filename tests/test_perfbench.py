@@ -90,4 +90,7 @@ def test_tracer_keys_minctrl_work_by_trial():
     assert all(span[4] is not None for span in tracer.spans if span[0].startswith("minctrl."))
     assert counts["minctrl.supports_tested"] > 0
     assert counts["minctrl.scan_calls"] == 2  # one basis scan per chunk, one chunk per n
+    # each scan decides its spectra through the public spectrum test, which
+    # the tracer binds, so that per-layer metric is fed
+    assert counts["exact.simple_spectrum_calls"] == 2
     assert set(by_n) == {"10", "12"}
