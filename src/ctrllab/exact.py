@@ -41,9 +41,9 @@ eigenvector bounds are computed once per eigensystem and kept on it.
 :func:`has_simple_spectrum_exact` and :func:`kalman_ranks_exact` check
 their input and run one stage each, the spectrum stage and the rank stage
 (:func:`_kalman_ranks`); a basis scan (``ctrllab.minctrl.basis_scan``)
-is one pass of both over a checked stack: the spectrum test reads and
+is one pass of both over a checked stack: the spectrum test computes and
 keeps the bounds, and the rank stage ranks the basis of the simple
-spectra on the kept bounds, leaving the other rows out by their ranks.
+spectra on them, leaving the other rows out by their ranks.
 The matrices with a column left go on to the mod-p
 certificate in sub-stacks of at most ``_KRYLOV_ENTRIES`` Krylov entries,
 so numpy's per-call overhead is paid once per sub-stack, not once per
@@ -549,18 +549,6 @@ def _float_system(mats: np.ndarray, eigsys: EigenSystem) -> tuple | None:
             array.flags.writeable = False
         eigsys._proofs[0] = kept
     return (a, w, x, *kept[1:])
-
-
-def _kept_system(mats: np.ndarray, eigsys: EigenSystem) -> tuple | None:
-    """The float system of :func:`_float_system` for the stack `mats`, read
-    from the bounds kept on `eigsys` without comparing the stack with them
-    again, so only right after a :func:`_float_system` read of that stack
-    with `eigsys` (as :func:`has_simple_spectrum_exact` makes); None where
-    that read gives none, so bounds kept for another stack are never read."""
-    kept = eigsys._proofs[0]
-    if kept is None or _exact_floats(mats) is None:
-        return None
-    return (kept[0], eigsys.eigenvalues, eigsys.eigenvectors, *kept[1:])
 
 
 def _relation_holds(mats: np.ndarray, which: np.ndarray, roots: np.ndarray, active: np.ndarray,

@@ -26,7 +26,6 @@ from .exact import (
     _float_system,
     _ints,
     _kalman_ranks,
-    _kept_system,
     has_simple_spectrum_exact,
 )
 from .spectral import EigenSystem, _checked, _integer, _matrix, _stack_of_one
@@ -72,15 +71,15 @@ def basis_scan(a, cap: int | None = DEFAULT_EXACT_CAP, eigsys: EigenSystem | Non
     `a` is one integer symmetric matrix, or a (T, n, n) stack of them and
     the result a list of T scans; `eigsys`, when given, is its float
     eigensystem, shaped like `a` (as for :func:`kalman_ranks_exact`).  The
-    stack is decided in one pass: one :func:`has_simple_spectrum_exact`
-    call decides every spectrum, reading the eigensystem's bounds and
-    keeping them on it, and then the rank stage of
-    :func:`kalman_ranks_exact` ranks the basis of the matrices with a
-    simple spectrum only, on those kept bounds, with no further check or
-    read of the stack (and no rank stage at all when no spectrum is
-    simple): a repeated eigenvalue bounds every Krylov degree below n, so
-    such a matrix gets an empty scan and no Kalman test.  Dimensions beyond
-    `cap` raise :class:`DimensionCapError` before any test.
+    stack is checked once and decided in one pass: one
+    :func:`has_simple_spectrum_exact` call decides every spectrum,
+    computing the eigensystem's bounds and keeping them on it, and then
+    the rank stage of :func:`kalman_ranks_exact` ranks the basis of the
+    matrices with a simple spectrum only, on those bounds (and no rank
+    stage runs when no spectrum is simple): a repeated eigenvalue bounds
+    every Krylov degree below n, so such a matrix gets an empty scan and
+    no Kalman test.  Dimensions beyond `cap` raise
+    :class:`DimensionCapError` before any test.
     """
     mats = _checked(a, _ints, system=True)
     single = mats.ndim == 2
@@ -94,7 +93,7 @@ def basis_scan(a, cap: int | None = DEFAULT_EXACT_CAP, eigsys: EigenSystem | Non
     ranks = np.full((t, n), -1)
     ranks[~simple] = 0  # rank only the simple spectra
     if simple.any():
-        system = None if eigsys is None else _kept_system(mats, eigsys)
+        system = None if eigsys is None else _float_system(mats, eigsys)
         ranks = _kalman_ranks(mats, np.eye(n, dtype=np.int64)[None].repeat(t, axis=0), system,
                               ranks)
     scans = [BasisScanResult(frozenset(compress(range(n), full)), s)
@@ -144,7 +143,7 @@ def sparsest_input(a, kmax: int | None = None, cap: int | None = DEFAULT_EXACT_C
     test.  `eigsys`, the float
     eigensystem of `a` (as :func:`~ctrllab.spectral.eig_sym` returns it),
     lets the scan and each slice settle most verdicts without elimination;
-    the slices read its bounds once per search.
+    the slices read its bounds once per search, when the first is ranked.
     """
     mat = _matrix(a, _ints)
     n = len(mat)
@@ -166,8 +165,7 @@ def sparsest_input(a, kmax: int | None = None, cap: int | None = DEFAULT_EXACT_C
         b[min(scan.controllable)] = 1
         return MinCtrlResult(scan.controllable, 1, b, tested)
     size = max(1, _KRYLOV_ENTRIES // (n * n))
-    stack = mat[None]
-    system = None if eigsys is None else _float_system(stack, _stack_of_one(eigsys))
+    stack, system = mat[None], None
     for k in range(2, kmax + 1):
         layer = combinations(range(n), k)
         for first in layer:
@@ -176,6 +174,8 @@ def sparsest_input(a, kmax: int | None = None, cap: int | None = DEFAULT_EXACT_C
             supports = [first, *islice(layer, min(size, budget - tested) - 1)]
             cols = np.zeros((1, n, len(supports)), dtype=np.int64)
             cols[0, np.array(supports), np.arange(len(supports))[:, None]] = 1
+            if system is None and eigsys is not None:
+                system = _float_system(stack, _stack_of_one(eigsys))
             ranks = _kalman_ranks(stack, cols, system, np.full((1, len(supports)), -1))[0].tolist()
             if n in ranks:
                 hit = ranks.index(n)

@@ -63,10 +63,8 @@ class EigenSystem:
     and `scale`; or of a stack of T: (T, n), (T, n, n) and (T,) arrays, with
     `len(es)` = T and `es[t]` the system of matrix t.  Ties are ordered as
     LAPACK returns them, deterministically for a fixed matrix.  `gap` and
-    `norm` are computed from the eigenvalues on construction; a system
-    taken from a stack's (``es[t]``, a slice, or a stack of one) takes its
-    rows of them instead, the same values.  The arrays are read, never
-    written, by the deciders.
+    `norm` are computed from the eigenvalues on construction.  The arrays
+    are read, never written, by the deciders.
     """
 
     eigenvalues: np.ndarray
@@ -107,8 +105,7 @@ class EigenSystem:
     def __getitem__(self, t) -> EigenSystem:
         """The system of matrix t of a stack (a stack again for a slice)."""
         vectors = self._stacked().eigenvectors
-        sub = _taken(self.eigenvalues[t], None if vectors is None else vectors[t], self.gap[t],
-                     self.norm[t], [None])
+        sub = EigenSystem(self.eigenvalues[t], None if vectors is None else vectors[t])
         if self._proofs[0] is not None:
             rows = np.atleast_1d(np.arange(len(self))[t])
             sub._proofs[0] = tuple(x[rows] for x in self._proofs[0])
@@ -140,24 +137,12 @@ def _eigenvectors(eigsys: EigenSystem) -> np.ndarray:
 
 
 def _stack_of_one(eigsys: EigenSystem) -> EigenSystem:
-    """The system of one matrix, with eigenvectors, as a stack of one; it
-    shares the proofs kept on `eigsys`."""
+    """The system of one matrix, with eigenvectors, as a stack of one."""
     if eigsys.eigenvalues.ndim != 1:
         raise ValueError(f"expected the eigensystem of one matrix, got a stack of {len(eigsys)}")
-    return _taken(eigsys.eigenvalues[None], _eigenvectors(eigsys)[None], np.array([eigsys.gap]),
-                  np.array([eigsys.norm]), eigsys._proofs)
-
-
-def _taken(eigenvalues, eigenvectors, gap, norm, proofs: list) -> EigenSystem:
-    """The :class:`EigenSystem` of the given arrays, whose `gap` and `norm`
-    are given too, taken from the system they come from rather than
-    computed again (a float for one matrix)."""
-    es = object.__new__(EigenSystem)
-    for name, value in (("eigenvalues", eigenvalues), ("eigenvectors", eigenvectors),
-                        ("gap", gap if np.ndim(gap) else float(gap)),
-                        ("norm", norm if np.ndim(norm) else float(norm)), ("_proofs", proofs)):
-        object.__setattr__(es, name, value)
-    return es
+    stack = EigenSystem(eigsys.eigenvalues[None], _eigenvectors(eigsys)[None])
+    object.__setattr__(stack, "_proofs", eigsys._proofs)
+    return stack
 
 
 def _checked(x, ints=None, system: bool = False, name: str | None = None) -> np.ndarray:

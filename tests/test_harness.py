@@ -673,7 +673,8 @@ def test_minctrl_chunk_bounds_its_eigensystem_once(monkeypatch):
     # the chunk's spectrum test, its basis ranks and the layer slices of
     # its searches all read one certificate, kept on the chunk's
     # eigensystem: the eigenvector bounds run once per chunk, on all of it,
-    # and each basis scan reads the stack's float system once
+    # and each basis scan reads the stack's float system twice, computing
+    # the bounds in the spectrum test and finding them kept in the rank stage
     bounds, ranked, read = [], [], []
     real_bounds, real_ranks = exact._eigvec_bounds, minctrl._kalman_ranks
     real_read = exact._float_system
@@ -694,8 +695,8 @@ def test_minctrl_chunk_bounds_its_eigensystem_once(monkeypatch):
     # call (18 of 20 at n = 10), and one search goes past the basis, with
     # its matrix's eigensystem, to the 45 supports of size 2
     assert ranked == [(18, (10, 10), True), (1, (10, 45), True), (20, (12, 12), True)]
-    # one read per basis scan, of the whole stack, and one for the search
-    assert read == [20, 1, 20]
+    # two reads per basis scan, of the whole stack, and one for the search
+    assert read == [20, 20, 1, 20, 20]
 
 
 def test_conj1_trial_falls_back_when_certificate_fails(monkeypatch):

@@ -114,18 +114,6 @@ def test_basis_scan_ranks_only_when_a_spectrum_is_simple(monkeypatch):
     assert system[1] is eigsys.eigenvalues and system[3] is eigsys._proofs[0][1]
 
 
-def test_basis_scan_reads_no_bounds_kept_for_another_stack():
-    # the rank stage reads the bounds that the spectrum test has just kept
-    # on the eigensystem; where float64 cannot hold the stack, that test
-    # keeps none, and the bounds P3's scan left there (which would call
-    # e_0 and e_2 controllable) must not be read for the diagonal stack
-    eigsys = eig_sym(P3[None].astype(np.float64))
-    assert basis_scan(P3[None], eigsys=eigsys)[0].controllable == {0, 2}
-    assert eigsys._proofs[0] is not None
-    big = (np.diag([1, 2, 3]) * (2**53 + 1))[None]
-    assert basis_scan(big, eigsys=eigsys) == [BasisScanResult(frozenset(), True)]
-
-
 def test_basis_scan_refuses_a_dimension_above_the_cap_before_any_test(monkeypatch):
     from ctrllab import minctrl
     monkeypatch.setattr(minctrl, "has_simple_spectrum_exact",
@@ -501,6 +489,32 @@ def test_sparsest_budget_below_n_raises_before_the_basis_scan():
             (0, 1, budget)
     r = sparsest_input(P3, budget=3)
     assert (r.k_star, r.supports_tested) == (1, 3)
+
+
+def test_sparsest_reads_the_eigensystem_only_to_rank_a_slice(monkeypatch):
+    # the layer slices read the eigensystem's bounds when the first slice
+    # is ranked, once per search: a budget of n raises its budget error
+    # and kmax = 1 ends the search with no read, even of an eigensystem
+    # without eigenvectors, which no slice could use
+    from ctrllab import minctrl
+    a = np.diag([1, 2, 3])  # simple spectrum, no controllable e_i
+    scan, full = basis_scan(a), eig_sym(a.astype(np.float64))
+    bare = eig_sym(a.astype(np.float64), vectors=False)
+    reads = []
+    real = minctrl._float_system
+    monkeypatch.setattr(minctrl, "_float_system",
+                        lambda mats, eigsys: reads.append(len(mats)) or real(mats, eigsys))
+    with pytest.raises(BudgetExceededError) as info:
+        sparsest_input(a, budget=3, scan=scan, eigsys=bare)
+    assert (info.value.supports_tested, info.value.k_reached, info.value.budget) == (3, 2, 3)
+    for eigsys in (bare, full):
+        r = sparsest_input(a, kmax=1, scan=scan, eigsys=eigsys)
+        assert (r.k_star, r.supports_tested) == (None, 3)
+    assert reads == []
+    with pytest.raises(ValueError, match="no eigenvectors"):
+        sparsest_input(a, budget=4, scan=scan, eigsys=bare)
+    r = sparsest_input(a, scan=scan, eigsys=full)  # two slices, k = 2 and k = 3
+    assert (r.k_star, r.supports_tested, reads) == (3, 7, [1])
 
 
 def test_sparsest_accepts_a_precomputed_exact_scan():
