@@ -21,6 +21,19 @@ the path, the generator already derived from it (as
 :meth:`~ctrllab.seeding.SeedPath.generators` derives a batch of them), and
 then draws exactly what the path would.  Given a sequence of T seeds, a
 sampler gives the stack of T draws, each bit for bit its own seed's draw.
+
+An atom's copies are a law applied to raw numbers its generator draws:
+standard normals for a Gaussian, uniforms on [0, 1) for the Bernoulli
+atoms, nothing for a degenerate atom, and fair bits for a Rademacher atom.
+Fair bits are read from whole PCG64 outputs (``random_raw``) as their
+little-endian 32-bit halves, low half first, and a bit is the top bit of
+its half; this is the stream of ``Generator.integers(0, 2)`` on a generator
+with no pending 32-bit half, except that an odd count drops its last high
+half instead of leaving it pending.  A stack's generators each draw into
+their own row of one buffer and the law runs once on the buffer.  When the
+off-diagonal and diagonal atoms draw the same kind of raw number, each
+matrix draws them in one call, the upper triangle first, so a diagonal of
+fair bits follows an odd upper triangle as ``integers`` would give it.
 """
 
 from __future__ import annotations
@@ -125,35 +138,47 @@ class Atom(Spec):
     def _rows(self, rngs: list, k: int) -> np.ndarray:
         """The (T, k) array whose row t is ``sample(rngs[t], k)``, bit for
         bit: each generator draws into its own row, and the law runs once."""
+        return self._law(self._draws(rngs, k))
+
+    def _draws(self, rngs: list, k: int) -> np.ndarray:
+        """The (T, k) raw numbers of ``sample(rngs[t], k)`` in row t."""
         raw = self._raw((len(rngs), k))
         for rng, row in zip(rngs, raw):
             self._draw(rng, row)
-        return self._law(raw)
+        return raw
+
+    # the raw numbers each kind draws; atoms of one source draw alike
+    _sources = {"gaussian": "normal", "rademacher": "bits", "centered-bernoulli": "uniform",
+                "bernoulli01": "uniform", "degenerate": None}
 
     def _raw(self, shape) -> np.ndarray:
-        """An empty array for the raw numbers of `shape` copies."""
-        return np.empty(shape, np.int64 if self.kind == "rademacher" else np.float64)
+        """An empty array for the raw numbers of `shape` copies: uint32
+        halves for fair bits, float64 otherwise."""
+        return np.empty(shape, np.uint32 if self.kind == "rademacher" else np.float64)
 
     def _draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """`out`, a contiguous array from :meth:`_raw`, filled with raw
-        numbers from `rng`: standard normals, fair bits or uniforms on
-        [0, 1), as many as the copies need and nothing for a degenerate atom."""
+        """`out`, a contiguous array from :meth:`_raw`, filled in one call with
+        raw numbers from `rng`: standard normals, uniforms on [0, 1), the
+        32-bit halves of whole outputs for fair bits (as the module
+        docstring reads them), and nothing for a degenerate atom."""
         if self.kind == "gaussian":
             rng.standard_normal(out=out)
         elif self.kind == "rademacher":
-            out[...] = rng.integers(0, 2, out.shape)
+            words = rng.bit_generator.random_raw(-(-out.size // 2))
+            out[...] = np.asarray(words, "<u8").view("<u4")[:out.size].reshape(out.shape)
         elif self.kind != "degenerate":
             rng.random(out=out)
         return out
 
     def _law(self, raw: np.ndarray) -> np.ndarray:
         """The float64 copies made from the raw numbers of :meth:`_draw`,
-        elementwise; a Gaussian copy is mean + sd z, rounded as
-        ``Generator.normal`` rounds it."""
+        elementwise; a Rademacher copy is 2 x - 1 for the top bit x of its
+        half, as ``integers(0, 2)`` reads the bit (Lemire's method); a
+        Gaussian copy is mean + sd z, rounded as ``Generator.normal`` rounds it."""
         if self.kind == "gaussian":
             return raw * math.sqrt(self.variance) + self.mean
         if self.kind == "rademacher":
-            return raw.astype(np.float64) * 2.0 - 1.0
+            return (raw >> 31) * 2.0 - 1.0
         if self.kind == "centered-bernoulli":
             sigma = math.sqrt(self.p * (1.0 - self.p))
             hi, lo = (1.0 - self.p) / sigma, -self.p / sigma
@@ -229,15 +254,6 @@ def _rng(seed: SeedPath | np.random.Generator) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else seed.generator()
 
 
-def _uniforms(rngs: list, k: int) -> np.ndarray:
-    """The (T, k) array whose row t is ``rngs[t].random(k)``, each generator
-    drawing into its own row."""
-    raw = np.empty((len(rngs), k))
-    for rng, row in zip(rngs, raw):
-        rng.random(out=row)
-    return raw
-
-
 def _seeds(seed) -> tuple[list, bool]:
     """The seeds of a stack, and whether `seed` was one seed, not a sequence."""
     single = seed is None or isinstance(seed, (SeedPath, np.random.Generator))
@@ -261,6 +277,8 @@ def sample_wigner(n: int, offdiag: Atom, diag: Atom,
 # diagonal and 2 on it.
 _STANDARD = Atom.gaussian(0.0, 1.0)
 _GOE_ATOMS = (_STANDARD, Atom.gaussian(0.0, 2.0))
+# An atom that draws uniforms; G(n, p) and bernoulli01 vectors compare them with p.
+_UNIFORM = Atom.bernoulli01(0.5)
 
 
 def sample_goe(n: int, seed: SeedPath | np.random.Generator) -> np.ndarray:
@@ -287,7 +305,8 @@ def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
 
     Given a sequence of T seeds, the (T, n, n) stack of one each: each
     generator draws its matrix's raw numbers into its own rows, the upper
-    triangle's and then the diagonal's, each atom's law runs once on the
+    triangle's and then the diagonal's (in one call when both atoms draw
+    the same kind of raw number), each atom's law runs once on the
     stack's, and one transpose-add mirrors every matrix.
     """
     n = _integer(n, "n")
@@ -298,14 +317,19 @@ def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
     iu = _upper_indices(n)
     if spec.kind == "gnp-adjacency":
         m = np.zeros((len(rngs), n, n), dtype=np.int64)
-        m[:, iu[0], iu[1]] = _uniforms(rngs, iu[0].size) < spec.p
+        m[:, iu[0], iu[1]] = _UNIFORM._draws(rngs, iu[0].size) < spec.p
         m += m.transpose(0, 2, 1)
         return m[0] if single else m
     offdiag, diag = _GOE_ATOMS if spec.kind == "goe" else (spec.offdiag, spec.diag)
-    upper, diagonal = offdiag._raw((len(rngs), iu[0].size)), diag._raw((len(rngs), n))
-    for rng, u, d in zip(rngs, upper, diagonal):
-        offdiag._draw(rng, u)
-        diag._draw(rng, d)
+    k = iu[0].size
+    if Atom._sources[offdiag.kind] == Atom._sources[diag.kind]:  # one draw per matrix
+        raw = offdiag._draws(rngs, k + n)
+        upper, diagonal = raw[:, :k], raw[:, k:]
+    else:
+        upper, diagonal = offdiag._raw((len(rngs), k)), diag._raw((len(rngs), n))
+        for rng, u, d in zip(rngs, upper, diagonal):
+            offdiag._draw(rng, u)
+            diag._draw(rng, d)
     m = np.zeros((len(rngs), n, n))
     m[:, iu[0], iu[1]] = offdiag._law(upper)
     m += m.transpose(0, 2, 1)
@@ -433,7 +457,7 @@ def sample_vector(spec: VectorSpec, n: int, seed) -> np.ndarray:
     elif spec.kind == "all-ones":
         v = np.ones((len(seeds), n))
     elif spec.kind == "bernoulli01":
-        v = (_uniforms([_rng(s) for s in seeds], n) < spec.p).astype(np.float64)
+        v = (_UNIFORM._draws([_rng(s) for s in seeds], n) < spec.p).astype(np.float64)
     elif spec.kind == "iid-atom":
         v = spec.atom._rows([_rng(s) for s in seeds], n)
     elif spec.kind == "uniform-sphere":

@@ -524,6 +524,10 @@ def shared_eigenvalue_witness(a, i: int, collision_tol: float) -> SharedEigenval
 # small-ball probability
 # ---------------------------------------------------------------------------
 
+# Bound on the copies one block of small-ball samples draws (16 MB of float64).
+_BALL_ENTRIES = 2_000_000
+
+
 @dataclass(frozen=True)
 class SmallBallEstimate:
     """Monte Carlo estimate of the small-ball probability of sum xi_k x_k.
@@ -546,7 +550,10 @@ def small_ball_estimate(x, atom: Atom, delta: float, m: int,
     The supremum over window centers is taken exactly on the empirical
     measure by sliding a closed window of width 2*delta over the sorted
     samples, so the estimate is a plug-in upper realization of the sup.
-    The samples are drawn from `seed`, a generator or the seed path of one.
+    The samples are drawn from `seed`, a generator or the seed path of one,
+    in blocks of an even number of rows: a block of fair bits then uses
+    whole generator outputs, so each row's copies do not depend on how
+    the rows are split into blocks.
     """
     xv = _finite_vector(x, "x")
     if _integer(m, "m") < 1000:
@@ -558,7 +565,7 @@ def small_ball_estimate(x, atom: Atom, delta: float, m: int,
     rng = _rng(seed)
     n = xv.size
     sums = np.empty(m)
-    block = max(1, 2_000_000 // max(1, n))
+    block = max(2, _BALL_ENTRIES // max(1, n) // 2 * 2)
     start = 0
     while start < m:
         stop = min(m, start + block)

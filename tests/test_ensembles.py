@@ -100,10 +100,11 @@ def written_out_draw(atom: Atom, rng, size) -> np.ndarray:
                                   Atom.degenerate(-1.5)], ids=lambda atom: atom.kind)
 def test_atom_copies_are_the_generator_methods_draws(atom):
     # a law is a raw draw (standard normals, fair bits or uniforms) and a
-    # transform; the copies are bit for bit those of the generator method
-    for size in (7, (3, 5), 0):
-        got = atom.sample(SEED.child("written-out").generator(), size)
-        want = written_out_draw(atom, SEED.child("written-out").generator(), size)
+    # transform; the copies are bit for bit those of the generator method,
+    # at odd sizes too (fair bits are the 32-bit halves of whole outputs)
+    for size in [*range(71), (3, 5)]:
+        got = atom.sample(SEED.child("written-out", str(size)).generator(), size)
+        want = written_out_draw(atom, SEED.child("written-out", str(size)).generator(), size)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
@@ -402,7 +403,8 @@ STACKED_SPECS = [
 
 def per_matrix_oracle(spec: EnsembleSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """One matrix of `spec` written out: its upper triangle in row-major
-    order, then its diagonal, drawn from `rng`; mirrored."""
+    order, then its diagonal, drawn from `rng` by the generator methods of
+    their laws; mirrored."""
     iu = np.triu_indices(n, k=1)
     if spec.kind == "gnp-adjacency":
         m = np.zeros((n, n), dtype=np.int64)
@@ -413,9 +415,9 @@ def per_matrix_oracle(spec: EnsembleSpec, rng: np.random.Generator, n: int) -> n
     else:
         offdiag, diag = spec.offdiag, spec.diag
     m = np.zeros((n, n))
-    m[iu] = offdiag.sample(rng, iu[0].size)
+    m[iu] = written_out_draw(offdiag, rng, iu[0].size)
     m = m + m.T
-    m[np.diag_indices(n)] = diag.sample(rng, n)
+    m[np.diag_indices(n)] = written_out_draw(diag, rng, n)
     return m
 
 
@@ -438,6 +440,26 @@ def test_stacked_sampler_equals_per_matrix_sampler(spec):
                     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 6, 7])
+def test_rademacher_wigner_is_one_integers_draw(n):
+    # an odd upper triangle: the diagonal's first bit is the high half that
+    # integers(0, 2) would leave pending after it
+    spec = EnsembleSpec.wigner(Atom.rademacher(), Atom.rademacher())
+    root = SEED.child("fair-wigner")
+    iu = np.triu_indices(n, k=1)
+    k = iu[0].size
+    assert k % 2 == 1
+    trials = [0, 1, 2**32 + 3]
+    stack = sample_ensemble(spec, root.generators([(n, t) for t in trials]), n)
+    for a, t in zip(stack, trials):
+        bits = (root.child(n, t).generator().integers(0, 2, k + n) * 2 - 1).astype(np.float64)
+        want = np.zeros((n, n))
+        want[iu] = bits[:k]
+        want = want + want.T
+        want[np.diag_indices(n)] = bits[k:]
+        assert a.tobytes() == want.tobytes()
+
+
 def per_vector_oracle(spec: VectorSpec, rng, n: int) -> np.ndarray:
     """One vector of `spec` written out, drawn from `rng` (None when the
     kind draws nothing)."""
@@ -448,7 +470,7 @@ def per_vector_oracle(spec: VectorSpec, rng, n: int) -> np.ndarray:
     if spec.kind == "bernoulli01":
         return (rng.random(n) < spec.p).astype(np.float64)
     if spec.kind == "iid-atom":
-        return spec.atom.sample(rng, n)
+        return written_out_draw(spec.atom, rng, n)
     if spec.kind == "uniform-sphere":
         g = rng.normal(size=n)
         return g / np.linalg.norm(g)

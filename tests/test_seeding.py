@@ -155,6 +155,21 @@ def test_paths_shorter_than_the_pool_match_numpy():
         assert_same_stream(gen, SeedPath(5).child(*tail))
 
 
+def test_tail_word_cache_keeps_label_types_apart():
+    # the words of a tail are cached per label and type: after (1, "m") the
+    # equal tuples (True, "m") and (1.0, "m") still raise
+    base = SeedPath(1)
+    list(base.generators([(1, "m")]))
+    with pytest.raises(TypeError, match="bool"):
+        base.generators([(True, "m")])
+    with pytest.raises(TypeError, match="float"):
+        base.generators([(1.0, "m")])
+    tails = [(2**32, "m"), (2**64 + 7, 2**40), (1, "m"), (2**32 + 1,), (2**70 + 3, "v")]
+    for _ in range(2):  # the words mixed, then read from the cache
+        for tail, gen in zip(tails, base.generators(tails)):
+            assert_same_stream(gen, base.child(*tail))
+
+
 def test_one_batch_mixes_one_and_two_word_trial_indices():
     base = SeedPath(1506).child("thm-goe", 10)
     trials = [0, 1, 2**32 - 1, 2**32, 2**32 + 3, 5, 2**63]

@@ -618,6 +618,25 @@ def test_small_ball_doubling_m_stays_consistent():
             assert abs(est.rho_hat - rho) <= 3.0 * est.std_err
 
 
+@pytest.mark.parametrize("n", [3, 7])
+def test_small_ball_blocks_draw_the_written_out_fair_bits(monkeypatch, n):
+    # blocks of an even number of rows at odd n: their copies are one
+    # integers(0, 2, (m, n)) draw, and the estimate is that of one block
+    from ctrllab import spectral
+
+    x = 2.0 ** -np.arange(n)  # exact sums, one for each sign pattern
+    path, m = SEED.child("sb-blocks", n), 1001
+    whole = small_ball_estimate(x, Atom.rademacher(), 0.01, m, path)
+    blocks, sample = [], Atom.sample
+    monkeypatch.setattr(spectral, "_BALL_ENTRIES", 40)
+    monkeypatch.setattr(Atom, "sample",
+                        lambda atom, rng, size: blocks.append(sample(atom, rng, size)) or blocks[-1])
+    assert small_ball_estimate(x, Atom.rademacher(), 0.01, m, path) == whole
+    assert len(blocks) > 2 and all(len(b) % 2 == 0 for b in blocks[:-1])
+    want = path.generator().integers(0, 2, (m, n)) * 2 - 1
+    assert np.concatenate(blocks).tobytes() == want.astype(np.float64).tobytes()
+
+
 def test_small_ball_takes_a_generator_or_its_seed_path():
     x = np.array([0.6, 0.8])
     path = SEED.child("sb-gen")
