@@ -29,7 +29,8 @@ Fair bits are read from whole PCG64 outputs (``random_raw``) as their
 little-endian 32-bit halves, low half first, and a bit is the top bit of
 its half; this is the stream of ``Generator.integers(0, 2)`` on a generator
 with no pending 32-bit half, except that an odd count drops its last high
-half instead of leaving it pending.  A stack's generators each draw into
+half instead of leaving it pending.  Another bit generator draws its fair
+bits with ``integers(0, 2)`` itself.  A stack's generators each draw into
 their own row of one buffer and the law runs once on the buffer.  When the
 off-diagonal and diagonal atoms draw the same kind of raw number, each
 matrix draws them in one call, the upper triangle first, so a diagonal of
@@ -132,7 +133,13 @@ class Atom(Spec):
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw iid copies; always float64: the raw numbers :meth:`_draw`
-        takes from `rng`, put through the law :meth:`_law`."""
+        takes from `rng`, put through the law :meth:`_law`.
+
+        Rademacher copies from a PCG64 generator are those of
+        ``integers(0, 2, size) * 2 - 1`` when the generator holds no pending
+        32-bit half, as a fresh one does; an odd count drops its last half
+        instead of leaving it pending for the next draw.
+        """
         return self._law(self._draw(rng, self._raw(size)))
 
     def _rows(self, rngs: list, k: int) -> np.ndarray:
@@ -160,9 +167,13 @@ class Atom(Spec):
         """`out`, a contiguous array from :meth:`_raw`, filled in one call with
         raw numbers from `rng`: standard normals, uniforms on [0, 1), the
         32-bit halves of whole outputs for fair bits (as the module
-        docstring reads them), and nothing for a degenerate atom."""
+        docstring reads them; a bit generator other than PCG64 gives the
+        bits of ``integers(0, 2)`` at the top of each half), and nothing for
+        a degenerate atom."""
         if self.kind == "gaussian":
             rng.standard_normal(out=out)
+        elif self.kind == "rademacher" and type(rng.bit_generator) is not np.random.PCG64:
+            out[...] = rng.integers(0, 2, out.shape) << 31  # halves of another width
         elif self.kind == "rademacher":
             words = rng.bit_generator.random_raw(-(-out.size // 2))
             out[...] = np.asarray(words, "<u8").view("<u4")[:out.size].reshape(out.shape)
@@ -254,6 +265,15 @@ def _rng(seed: SeedPath | np.random.Generator) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else seed.generator()
 
 
+def _uniforms(rngs: list, k: int) -> np.ndarray:
+    """The (T, k) array whose row t is ``rngs[t].random(k)``, each generator
+    drawing into its own row."""
+    raw = np.empty((len(rngs), k))
+    for rng, row in zip(rngs, raw):
+        rng.random(out=row)
+    return raw
+
+
 def _seeds(seed) -> tuple[list, bool]:
     """The seeds of a stack, and whether `seed` was one seed, not a sequence."""
     single = seed is None or isinstance(seed, (SeedPath, np.random.Generator))
@@ -277,8 +297,6 @@ def sample_wigner(n: int, offdiag: Atom, diag: Atom,
 # diagonal and 2 on it.
 _STANDARD = Atom.gaussian(0.0, 1.0)
 _GOE_ATOMS = (_STANDARD, Atom.gaussian(0.0, 2.0))
-# An atom that draws uniforms; G(n, p) and bernoulli01 vectors compare them with p.
-_UNIFORM = Atom.bernoulli01(0.5)
 
 
 def sample_goe(n: int, seed: SeedPath | np.random.Generator) -> np.ndarray:
@@ -317,7 +335,7 @@ def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
     iu = _upper_indices(n)
     if spec.kind == "gnp-adjacency":
         m = np.zeros((len(rngs), n, n), dtype=np.int64)
-        m[:, iu[0], iu[1]] = _UNIFORM._draws(rngs, iu[0].size) < spec.p
+        m[:, iu[0], iu[1]] = _uniforms(rngs, iu[0].size) < spec.p
         m += m.transpose(0, 2, 1)
         return m[0] if single else m
     offdiag, diag = _GOE_ATOMS if spec.kind == "goe" else (spec.offdiag, spec.diag)
@@ -457,7 +475,7 @@ def sample_vector(spec: VectorSpec, n: int, seed) -> np.ndarray:
     elif spec.kind == "all-ones":
         v = np.ones((len(seeds), n))
     elif spec.kind == "bernoulli01":
-        v = (_UNIFORM._draws([_rng(s) for s in seeds], n) < spec.p).astype(np.float64)
+        v = (_uniforms([_rng(s) for s in seeds], n) < spec.p).astype(np.float64)
     elif spec.kind == "iid-atom":
         v = spec.atom._rows([_rng(s) for s in seeds], n)
     elif spec.kind == "uniform-sphere":

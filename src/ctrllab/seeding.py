@@ -24,8 +24,7 @@ bit, but the SeedSequence mix is computed here, for many paths at once:
   ``generate_state``.  Each generator is seeded from its four state words.
 * :meth:`SeedPath.generator` is a batch of one, whose pool is memoised at
   the path's first four words.
-* The words of a label tuple, such as a chunk's tail ``(trial, stream)``,
-  are one cached lookup, keyed by each label's value and type, and a
+* The words of each label are cached, keyed by its value and type, and a
   batch's tails reach the fold as one ``np.fromiter`` array.
 
 numpy's SeedSequence itself is not used here; the tests use it as the
@@ -81,14 +80,7 @@ def _label_uint32(label: Label) -> tuple[int, ...]:
     return _uint32(tag) + _uint32(value)
 
 
-# Typed per label (a cache keyed on the tuple alone would serve (True, "m")
-# from the entry of (1, "m")).  A chunk's tails repeat on every grid point,
-# in the same order, so a grid point with more tails than entries would miss
-# on every one; 2^14 entries of about 320 bytes hold 5461 trials of three
-# streams.
-@functools.lru_cache(maxsize=2**14, typed=True)
-def _labels_uint32(*labels: Label) -> tuple[int, ...]:
-    """The entropy words of `labels` as SeedSequence reads them."""
+def _labels_uint32(labels: Iterable[Label]) -> tuple[int, ...]:
     words: tuple[int, ...] = ()
     for label in labels:
         words += _label_uint32(label)
@@ -278,11 +270,11 @@ class SeedPath:
     def generator(self) -> np.random.Generator:
         """PCG64 generator keyed by (master, labels); pure function of the path,
         equal to ``np.random.default_rng(np.random.SeedSequence(self.entropy()))``."""
-        return next(_generators(_uint32(self.master & _MASK64), [_labels_uint32(*self.labels)]))
+        return next(_generators(_uint32(self.master & _MASK64), [_labels_uint32(self.labels)]))
 
     def generators(self, tails: Iterable[tuple[Label, ...]]) -> Iterator[np.random.Generator]:
         """``self.child(*tail).generator()`` for each tail in order, mixed in one
         batch below this path's memoised pool; each generator is built when the
         iterator reaches it."""
-        prefix = _uint32(self.master & _MASK64) + _labels_uint32(*self.labels)
-        return _generators(prefix, [_labels_uint32(*tail) for tail in tails])
+        prefix = _uint32(self.master & _MASK64) + _labels_uint32(self.labels)
+        return _generators(prefix, [_labels_uint32(tail) for tail in tails])

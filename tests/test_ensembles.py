@@ -108,6 +108,28 @@ def test_atom_copies_are_the_generator_methods_draws(atom):
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox])
+def test_fair_bits_of_other_bit_generators_are_integers_draws(bit_generator):
+    # fair bits read as PCG64 halves would be biased on a 32-bit generator
+    # (MT19937's raw outputs have a zero high half); any other bit generator
+    # draws them with integers(0, 2), pending halves and all
+    atom = Atom.rademacher()
+    for seed, size in enumerate([*range(8), 33, (3, 5)]):
+        got = atom.sample(np.random.Generator(bit_generator(seed)), size)
+        want = written_out_draw(atom, np.random.Generator(bit_generator(seed)), size)
+        assert got.tobytes() == want.tobytes()
+    rng, ref = (np.random.Generator(bit_generator(5)) for _ in range(2))
+    ref.integers(0, 2, 3)
+    rng.integers(0, 2, 3)  # a pending half, spent by the next draw
+    assert atom.sample(rng, 5).tobytes() == written_out_draw(atom, ref, 5).tobytes()
+    spec = EnsembleSpec.wigner(atom, atom)
+    for n in (2, 3, 8):
+        stack = sample_ensemble(spec, [np.random.Generator(bit_generator(t)) for t in range(3)], n)
+        for t, a in enumerate(stack):
+            want = per_matrix_oracle(spec, np.random.Generator(bit_generator(t)), n)
+            assert a.tobytes() == want.tobytes()
+
+
 def test_atom_parameter_validation():
     with pytest.raises(ValueError):
         Atom.centered_bernoulli(0.0)
