@@ -10,12 +10,13 @@ import sys
 import numpy as np
 
 from ctrllab import (
+    EnsembleSpec,
     SeedPath,
     is_controllable_exact,
     kalman_matrix,
     pbh_controllable,
     rank_exact,
-    sample_gnp,
+    sample_ensemble,
 )
 
 checks = {}  # label -> whether it held; any False makes the exit status nonzero
@@ -56,7 +57,7 @@ root = SeedPath(7, ("demo-xval",))
 for n in (6, 10, 14):
     agree = total = 0
     for t in range(200):
-        a = sample_gnp(n, 0.5, root.child(n, t))
+        a = sample_ensemble(EnsembleSpec.gnp(0.5), root.child(n, t), n)
         e = np.zeros(n)
         e[0] = 1.0
         verdict = pbh_controllable(a.astype(float), e)

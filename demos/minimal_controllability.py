@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from ctrllab import SeedPath, basis_scan, eig_sym, sample_gnp, sparsest_input
+from ctrllab import EnsembleSpec, SeedPath, basis_scan, eig_sym, sample_ensemble, sparsest_input
 
 checks = {}  # label -> whether it held; any False makes the exit status nonzero
 
@@ -37,7 +37,7 @@ checks["diag(1, 2, 3)"] = r.k_star == 3 and r.witness.tolist() == [1, 1, 1] and 
 print("\n100 random graphs G(10, 1/2), exact decisions; one basis scan decides")
 print("the spectra and the single-vertex inputs of all of them at once:")
 root = SeedPath(31, ("demo-gnp",))
-graphs = np.stack([sample_gnp(10, 0.5, root.child(t)) for t in range(100)])
+graphs = np.stack([sample_ensemble(EnsembleSpec.gnp(0.5), root.child(t), 10) for t in range(100)])
 scans = basis_scan(graphs, eigsys=eig_sym(graphs))
 k_hist = {}
 for t, (a, scan) in enumerate(zip(graphs, scans)):

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from ctrllab import Atom, SeedPath, eig_sym, sample_wigner, small_ball_estimate
+from ctrllab import Atom, EnsembleSpec, SeedPath, eig_sym, sample_ensemble, small_ball_estimate
 
 checks = {}  # label -> whether it held; any False makes the exit status nonzero
 
@@ -35,8 +35,9 @@ for idx, (label, x, atom, truth) in enumerate(cases):
 
 print("\nEigenvectors of Rademacher Wigner matrices, window n^(-1/4):")
 rho = []
+wigner = EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0))
 for n in (16, 64, 256):
-    a = sample_wigner(n, Atom.rademacher(), Atom.degenerate(0.0), root.child("w", n))
+    a = sample_ensemble(wigner, root.child("w", n), n)
     v = eig_sym(a).eigenvectors[:, n // 2]  # a bulk eigenvector
     est = small_ball_estimate(v, Atom.rademacher(), n ** -0.25, 20_000,
                               root.child("est", n))

@@ -13,11 +13,13 @@ import sys
 import numpy as np
 
 from ctrllab import (
+    Atom,
+    EnsembleSpec,
     SeedPath,
     eig_sym,
     eigvec_coordinate_check,
     interlacing_check,
-    sample_goe,
+    sample_ensemble,
     shared_eigenvalue_witness,
 )
 
@@ -28,7 +30,7 @@ root = SeedPath(11, ("demo-lemmas",))
 print("Interlacing margins over 50 GOE draws at n=25 (all minor indices):")
 worst = np.inf
 for t in range(50):
-    a = sample_goe(25, root.child("interlace", t))
+    a = sample_ensemble(EnsembleSpec.goe(), root.child("interlace", t), 25)
     worst = min(worst, min(interlacing_check(a, i) for i in range(25)))
 print(f"  worst margin {worst:.3e}  (theory: >= 0 up to rounding)")
 checks["interlacing"] = worst >= -1e-10
@@ -36,7 +38,7 @@ checks["interlacing"] = worst >= -1e-10
 print("\nSquared-coordinate identity residuals on the same ensemble:")
 worst = 0.0
 for t in range(50):
-    a = sample_goe(25, root.child("coord", t))
+    a = sample_ensemble(EnsembleSpec.goe(), root.child("coord", t), 25)
     worst = max(worst, max(eigvec_coordinate_check(a, i) for i in range(25)))
 print(f"  worst residual {worst:.3e}  (target: <= 1e-8)")
 checks["squared-coordinate identity"] = worst <= 1e-8
@@ -46,7 +48,7 @@ print("\nShared-eigenvalue witness on a constructed degenerate instance:")
 # off-column, so the full matrix shares that eigenvalue exactly
 n = 12
 rng = root.child("embed").generator()
-minor = sample_goe(n - 1, root.child("embed", "minor"))
+minor = sample_ensemble(EnsembleSpec.goe(), root.child("embed", "minor"), n - 1)
 es = eig_sym(minor)
 w0 = es.eigenvectors[:, 4]
 x = rng.normal(size=n - 1)
@@ -64,10 +66,9 @@ checks["shared-eigenvalue witness"] = (
     abs(witness.minor_eigenvalue - es.eigenvalues[4]) <= 1e-7 and witness.inner_abs <= 1e-7)
 
 print("\nSpectral norm growth of Rademacher Wigner matrices (one draw per n):")
-from ctrllab import Atom, sample_wigner
-
+wigner = EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0))
 for n in (50, 200, 800):
-    a = sample_wigner(n, Atom.rademacher(), Atom.degenerate(0.0), root.child("norm", n))
+    a = sample_ensemble(wigner, root.child("norm", n), n)
     ratio = eig_sym(a, vectors=False).norm / np.sqrt(n)
     print(f"  n={n:4d}  ||W||/sqrt(n) = {ratio:.4f}  (converges to 2)")
     checks[f"norm band at n={n}"] = 1.8 <= ratio <= 2.3  # the diag-norm scenario's band

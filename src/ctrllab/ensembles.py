@@ -3,14 +3,13 @@
 The matrix ensembles implemented here:
 
 ==============  ============================================================
-kind            description
+kind            (off-diagonal, diagonal) atoms
 ==============  ============================================================
-wigner          real symmetric, iid upper-triangular entries from an
-                off-diagonal atom, iid diagonal entries from a diagonal atom
-goe             Gaussian orthogonal ensemble: independent Gaussians with
-                mean zero, off-diagonal variance 1, diagonal variance 2
-gnp-adjacency   0/1 adjacency matrix of an Erdos-Renyi graph G(n, p),
-                zero diagonal, sampled as exact integers
+wigner          its own: iid upper-triangular entries from the first,
+                iid diagonal entries from the second
+goe             Gaussian orthogonal ensemble: gaussian(0, 1), gaussian(0, 2)
+gnp-adjacency   0/1 adjacency matrix of an Erdos-Renyi graph G(n, p):
+                bernoulli01(p), degenerate(0); sampled as exact integers
 ==============  ============================================================
 
 All samplers are pure functions of ``(spec, seed)``: equal
@@ -52,9 +51,6 @@ __all__ = [
     "Atom",
     "EnsembleSpec",
     "VectorSpec",
-    "sample_wigner",
-    "sample_goe",
-    "sample_gnp",
     "sample_vector",
     "sample_ensemble",
 ]
@@ -72,6 +68,17 @@ def nonfinite_error(a: np.ndarray, what: str) -> ValueError:
 # ---------------------------------------------------------------------------
 # atom distributions
 # ---------------------------------------------------------------------------
+
+def _fair_halves(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the uint32 array `out` with the 32-bit halves of whole outputs
+    of `rng`, as the module docstring reads them; a bit generator other
+    than PCG64 gives the bits of ``integers(0, 2)`` at the top of each half."""
+    if type(rng.bit_generator) is np.random.PCG64:
+        words = rng.bit_generator.random_raw(-(-out.size // 2))
+        out[...] = np.asarray(words, "<u8").view("<u4")[:out.size].reshape(out.shape)
+    else:
+        out[...] = rng.integers(0, 2, out.shape) << 31  # halves of another width
+
 
 @dataclass(frozen=True)
 class Atom(Spec):
@@ -131,6 +138,13 @@ class Atom(Spec):
     def degenerate(cls, value: float = 0.0) -> "Atom":
         return cls("degenerate", value=value)
 
+    @property
+    def integer_valued(self) -> bool:
+        """True when every copy is an integer: a Rademacher or 0/1 Bernoulli
+        atom, or one degenerate at an integer."""
+        return self.kind in ("rademacher", "bernoulli01") or \
+            self.kind == "degenerate" and float(self.value).is_integer()
+
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw iid copies; always float64: the raw numbers :meth:`_draw`
         takes from `rng`, put through the law :meth:`_law`.
@@ -148,15 +162,19 @@ class Atom(Spec):
         return self._law(self._draws(rngs, k))
 
     def _draws(self, rngs: list, k: int) -> np.ndarray:
-        """The (T, k) raw numbers of ``sample(rngs[t], k)`` in row t."""
-        raw = self._raw((len(rngs), k))
-        for rng, row in zip(rngs, raw):
-            self._draw(rng, row)
+        """The (T, k) raw numbers of ``sample(rngs[t], k)`` in row t; an
+        atom that draws nothing calls no generator."""
+        raw, fill = self._raw((len(rngs), k)), self._sources[self.kind]
+        if fill is not None:
+            for rng, row in zip(rngs, raw):
+                fill(rng, out=row)
         return raw
 
-    # the raw numbers each kind draws; atoms of one source draw alike
-    _sources = {"gaussian": "normal", "rademacher": "bits", "centered-bernoulli": "uniform",
-                "bernoulli01": "uniform", "degenerate": None}
+    # what fills each kind's raw numbers: standard normals, fair bits,
+    # uniforms on [0, 1) or nothing; atoms of one source draw alike
+    _sources = {"gaussian": np.random.Generator.standard_normal, "rademacher": _fair_halves,
+                "centered-bernoulli": np.random.Generator.random,
+                "bernoulli01": np.random.Generator.random, "degenerate": None}
 
     def _raw(self, shape) -> np.ndarray:
         """An empty array for the raw numbers of `shape` copies: uint32
@@ -165,20 +183,10 @@ class Atom(Spec):
 
     def _draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """`out`, a contiguous array from :meth:`_raw`, filled in one call with
-        raw numbers from `rng`: standard normals, uniforms on [0, 1), the
-        32-bit halves of whole outputs for fair bits (as the module
-        docstring reads them; a bit generator other than PCG64 gives the
-        bits of ``integers(0, 2)`` at the top of each half), and nothing for
-        a degenerate atom."""
-        if self.kind == "gaussian":
-            rng.standard_normal(out=out)
-        elif self.kind == "rademacher" and type(rng.bit_generator) is not np.random.PCG64:
-            out[...] = rng.integers(0, 2, out.shape) << 31  # halves of another width
-        elif self.kind == "rademacher":
-            words = rng.bit_generator.random_raw(-(-out.size // 2))
-            out[...] = np.asarray(words, "<u8").view("<u4")[:out.size].reshape(out.shape)
-        elif self.kind != "degenerate":
-            rng.random(out=out)
+        raw numbers from `rng` (see `_sources`)."""
+        fill = self._sources[self.kind]
+        if fill is not None:
+            fill(rng, out=out)
         return out
 
     def _law(self, raw: np.ndarray) -> np.ndarray:
@@ -238,10 +246,19 @@ class EnsembleSpec(Spec):
     def gnp(cls, p: float) -> "EnsembleSpec":
         return cls("gnp-adjacency", p=p)
 
+    @functools.cached_property
+    def atoms(self) -> tuple[Atom, Atom]:
+        """The (off-diagonal, diagonal) atoms every matrix of the kind draws."""
+        if self.kind == "goe":
+            return Atom.gaussian(0.0, 1.0), Atom.gaussian(0.0, 2.0)
+        if self.kind == "gnp-adjacency":
+            return Atom.bernoulli01(self.p), Atom.degenerate(0.0)
+        return self.offdiag, self.diag
+
     @property
     def integer_valued(self) -> bool:
-        """True when samples are exact integer matrices (the gnp adjacency)."""
-        return self.kind == "gnp-adjacency"
+        """True when samples are exact integer matrices: both atoms are."""
+        return all(atom.integer_valued for atom in self.atoms)
 
 
 @functools.lru_cache(maxsize=64)
@@ -265,15 +282,6 @@ def _rng(seed: SeedPath | np.random.Generator) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else seed.generator()
 
 
-def _uniforms(rngs: list, k: int) -> np.ndarray:
-    """The (T, k) array whose row t is ``rngs[t].random(k)``, each generator
-    drawing into its own row."""
-    raw = np.empty((len(rngs), k))
-    for rng, row in zip(rngs, raw):
-        rng.random(out=row)
-    return raw
-
-
 def _seeds(seed) -> tuple[list, bool]:
     """The seeds of a stack, and whether `seed` was one seed, not a sequence."""
     single = seed is None or isinstance(seed, (SeedPath, np.random.Generator))
@@ -283,43 +291,11 @@ def _seeds(seed) -> tuple[list, bool]:
     return seeds, single
 
 
-def sample_wigner(n: int, offdiag: Atom, diag: Atom,
-                  seed: SeedPath | np.random.Generator) -> np.ndarray:
-    """Sample an n x n Wigner matrix.
-
-    Upper-triangular entries are iid copies of `offdiag`, diagonal entries
-    iid copies of `diag`; the lower triangle mirrors the upper exactly.
-    """
-    return sample_ensemble(EnsembleSpec.wigner(offdiag, diag), seed, n)
-
-
-# The GOE as a Wigner ensemble: Gaussian entries of variance 1 off the
-# diagonal and 2 on it.
-_STANDARD = Atom.gaussian(0.0, 1.0)
-_GOE_ATOMS = (_STANDARD, Atom.gaussian(0.0, 2.0))
-
-
-def sample_goe(n: int, seed: SeedPath | np.random.Generator) -> np.ndarray:
-    """Sample from the Gaussian orthogonal ensemble.
-
-    Entries are independent mean-zero Gaussians, variance 1 off the diagonal
-    and 2 on it.
-    """
-    return sample_ensemble(EnsembleSpec.goe(), seed, n)
-
-
-def sample_gnp(n: int, p: float, seed: SeedPath | np.random.Generator) -> np.ndarray:
-    """Sample the 0/1 adjacency matrix of G(n, p) as an exact int64 matrix.
-
-    Each upper off-diagonal entry is Bernoulli(p) independently; the diagonal
-    is zero.  p = 0 and p = 1 are accepted as deterministic degenerate cases
-    (the empty and the complete graph) for test fixtures.
-    """
-    return sample_ensemble(EnsembleSpec.gnp(p), seed, n)
-
-
 def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
-    """Sample an n x n matrix from `spec`; gnp yields int64, everything else float64.
+    """Sample an n x n matrix from `spec`: upper-triangular entries are iid
+    copies of its off-diagonal atom, diagonal entries of its diagonal atom
+    (:attr:`EnsembleSpec.atoms`), and the lower triangle mirrors the upper
+    exactly.  gnp yields int64, everything else float64.
 
     Given a sequence of T seeds, the (T, n, n) stack of one each: each
     generator draws its matrix's raw numbers into its own rows, the upper
@@ -332,23 +308,21 @@ def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
         raise ValueError(f"dimension must be >= 1, got {n}")
     seeds, single = _seeds(seed)
     rngs = [_rng(s) for s in seeds]
+    offdiag, diag = spec.atoms
     iu = _upper_indices(n)
-    if spec.kind == "gnp-adjacency":
-        m = np.zeros((len(rngs), n, n), dtype=np.int64)
-        m[:, iu[0], iu[1]] = _uniforms(rngs, iu[0].size) < spec.p
-        m += m.transpose(0, 2, 1)
-        return m[0] if single else m
-    offdiag, diag = _GOE_ATOMS if spec.kind == "goe" else (spec.offdiag, spec.diag)
     k = iu[0].size
-    if Atom._sources[offdiag.kind] == Atom._sources[diag.kind]:  # one draw per matrix
+    sources = Atom._sources[offdiag.kind], Atom._sources[diag.kind]
+    if sources[0] == sources[1]:  # one draw per matrix
         raw = offdiag._draws(rngs, k + n)
         upper, diagonal = raw[:, :k], raw[:, k:]
+    elif None in sources:  # only one atom draws
+        upper, diagonal = offdiag._draws(rngs, k), diag._draws(rngs, n)
     else:
         upper, diagonal = offdiag._raw((len(rngs), k)), diag._raw((len(rngs), n))
         for rng, u, d in zip(rngs, upper, diagonal):
             offdiag._draw(rng, u)
             diag._draw(rng, d)
-    m = np.zeros((len(rngs), n, n))
+    m = np.zeros((len(rngs), n, n), np.int64 if spec.kind == "gnp-adjacency" else np.float64)
     m[:, iu[0], iu[1]] = offdiag._law(upper)
     m += m.transpose(0, 2, 1)
     m[:, np.arange(n), np.arange(n)] = diag._law(diagonal)
@@ -427,21 +401,31 @@ class VectorSpec(Spec):
     def explicit(cls, values) -> "VectorSpec":
         return cls("explicit", values=values)
 
+    @functools.cached_property
+    def entry_atom(self) -> Atom | None:
+        """The atom whose iid copies a drawn vector holds (before a sphere
+        vector's normalisation), or None for a kind that draws nothing."""
+        if self.kind == "bernoulli01":
+            return Atom.bernoulli01(self.p)
+        if self.kind == "uniform-sphere":
+            return Atom.gaussian(0.0, 1.0)
+        return self.atom
+
     @property
     def integer_valued(self) -> bool:
         """True when samples are exact integer vectors (usable on the exact path)."""
-        if self.kind in ("standard-basis", "all-ones", "bernoulli01"):
+        if self.kind in ("standard-basis", "all-ones"):
             return True
         if self.kind == "explicit":
             return bool(np.all(self.values == np.round(self.values)))
-        return False
+        return self.entry_atom is not None and self.entry_atom.integer_valued
 
     @property
     def seeded(self) -> bool:
         """True when sampling draws from the seed's stream; the other kinds never read it."""
         if self.kind == "shifted":
             return self.base.seeded
-        return self.kind in ("bernoulli01", "iid-atom", "uniform-sphere")
+        return self.entry_atom is not None
 
 
 def _finite_vector(v, what: str) -> np.ndarray:
@@ -456,8 +440,9 @@ def _finite_vector(v, what: str) -> np.ndarray:
 def sample_vector(spec: VectorSpec, n: int, seed) -> np.ndarray:
     """Sample an input vector of length n from `spec`, as a fresh array.
 
-    ``standard-basis`` and ``all-ones`` are exact; ``uniform-sphere``
-    normalizes an iid Gaussian vector (resampling the probability-zero
+    ``standard-basis`` and ``all-ones`` are exact; a seeded kind draws iid
+    copies of its :attr:`VectorSpec.entry_atom`, and ``uniform-sphere``
+    normalizes that iid Gaussian vector (resampling the probability-zero
     all-zeros draw), so the result has unit Euclidean norm to rounding.
     Kinds that are not :attr:`VectorSpec.seeded` never read `seed` (None
     will do).  Given a sequence of T seeds, the (T, n) stack of one each.
@@ -474,21 +459,18 @@ def sample_vector(spec: VectorSpec, n: int, seed) -> np.ndarray:
         v[:, spec.index] = 1.0
     elif spec.kind == "all-ones":
         v = np.ones((len(seeds), n))
-    elif spec.kind == "bernoulli01":
-        v = (_uniforms([_rng(s) for s in seeds], n) < spec.p).astype(np.float64)
-    elif spec.kind == "iid-atom":
-        v = spec.atom._rows([_rng(s) for s in seeds], n)
-    elif spec.kind == "uniform-sphere":
-        rngs = [_rng(s) for s in seeds]
-        v = _STANDARD._rows(rngs, n)  # rng.normal(size=n) each, bit for bit
-        for t in np.flatnonzero(~v.any(axis=1)):
-            while not v[t].any():
-                v[t] = _STANDARD.sample(rngs[t], n)
-        v /= _row_norms(v)[:, None]
     elif spec.kind == "shifted":
         v = sample_vector(spec.base, n, seeds) + spec.mu
-    else:
+    elif spec.kind == "explicit":
         v = np.tile(spec.values, (len(seeds), 1))
+    else:
+        rngs = [_rng(s) for s in seeds]
+        v = spec.entry_atom._rows(rngs, n)
+        if spec.kind == "uniform-sphere":
+            for t in np.flatnonzero(~v.any(axis=1)):
+                while not v[t].any():
+                    v[t] = spec.entry_atom.sample(rngs[t], n)
+            v /= _row_norms(v)[:, None]
     return v[0] if single else v
 
 

@@ -795,7 +795,7 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
     if not shared and len(cols) != t:
         raise ValueError(f"{len(cols)} input matrices for a stack of {t} matrices")
     if cap is not None and n > _integer(cap, "cap"):
-        raise DimensionCapError(f"n={n} exceeds exact cap {cap}; use the float PBH path")
+        raise DimensionCapError(f"n={n} exceeds exact cap {cap}")
     system = None if eigsys is None else \
         _float_system(mats, _stack_of_one(eigsys) if single else eigsys)
     if shared:  # a copy, cheaper than np.broadcast_to's view for small stacks

@@ -764,8 +764,3 @@ def report_emit(report: ExperimentReport, path: str, fmt: str = "csv") -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return path
-
-
-def report_load_json(path: str) -> ExperimentReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentReport.from_dict(json.load(fh))

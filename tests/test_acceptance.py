@@ -14,6 +14,7 @@ import numpy as np
 from ctrllab import (
     DEFAULT_TOLERANCES,
     Atom,
+    EnsembleSpec,
     SeedPath,
     VectorSpec,
     basis_scan,
@@ -26,14 +27,15 @@ from ctrllab import (
     report_csv,
     run_experiment,
     run_trial,
-    sample_gnp,
-    sample_goe,
+    sample_ensemble,
     small_ball_estimate,
     sparsest_input,
 )
 from ctrllab.spectral import SharedEigenvalueError
 
 MASTER = 20260810
+GNP = EnsembleSpec.gnp(0.5)
+GOE = EnsembleSpec.goe()
 
 
 def _ok(num: int, name: str) -> None:
@@ -68,7 +70,7 @@ def test_c2_exact_float_cross_validation():
         e = np.zeros(n, dtype=np.int64)
         e[0] = 1
         for t in range(500):
-            a = sample_gnp(n, 0.5, root.child(n, t))
+            a = sample_ensemble(GNP, root.child(n, t), n)
             verdict = pbh_controllable(a.astype(float), e.astype(float))
             exact = is_controllable_exact(a, e)
             if verdict.indeterminate:
@@ -93,7 +95,7 @@ def test_c3_lemma_verifiers_on_goe():
     root = SeedPath(MASTER, ("accept-lemmas",))
     interlace_checks = coord_checks = 0
     for t in range(200):
-        a = sample_goe(20, root.child(t))
+        a = sample_ensemble(GOE, root.child(t), 20)
         for i in range(20):
             assert interlacing_check(a, i) >= -1e-10
             interlace_checks += 1
@@ -160,7 +162,7 @@ def test_c8_minimal_controllability_on_gnp():
     root = SeedPath(MASTER, ("accept-minctrl",))
     simple_count = basis_hits = 0
     for t in range(100):
-        a = sample_gnp(10, 0.5, root.child(t))
+        a = sample_ensemble(GNP, root.child(t), 10)
         result = sparsest_input(a)
         if not has_simple_spectrum_exact(a):
             assert result.infeasible

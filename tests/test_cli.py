@@ -389,3 +389,12 @@ def test_pyproject_reads_the_package_version():
         project = pyproject.read_configuration(path)["project"]
     assert project["dynamic"] == ["version"]
     assert project["version"] == __version__
+
+
+def test_readme_quick_start_runs():
+    # the README's first Python block, run as written against the package
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(quick_start, "README.md", "exec"), namespace)
+    assert namespace["a"].dtype == np.int64 and namespace["a"].shape == (12, 12)

@@ -14,14 +14,13 @@ from ctrllab import (
     SeedPath,
     VectorSpec,
     sample_ensemble,
-    sample_gnp,
-    sample_goe,
     sample_vector,
-    sample_wigner,
 )
 from ctrllab import codec, ensembles
 
 SEED = SeedPath(20260810, ("test-ensembles",))
+GOE = EnsembleSpec.goe()
+WIGNER = EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +160,15 @@ def test_atom_dict_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_wigner_degenerate_diagonal_n1_is_zero():
-    m = sample_wigner(1, Atom.rademacher(), Atom.degenerate(0.0), SEED.child("w1"))
+    m = sample_ensemble(WIGNER, SEED.child("w1"), 1)
     assert m.shape == (1, 1) and m[0, 0] == 0.0
 
 
 def test_wigner_deterministic_and_symmetric():
     path = SEED.child("w3")
-    a = sample_wigner(3, Atom.gaussian(), Atom.gaussian(), path)
-    b = sample_wigner(3, Atom.gaussian(), Atom.gaussian(), path)
+    spec = EnsembleSpec.wigner(Atom.gaussian(), Atom.gaussian())
+    a = sample_ensemble(spec, path, 3)
+    b = sample_ensemble(spec, path, 3)
     assert np.array_equal(a, b)
     assert a[1, 2] == a[2, 1]
     assert np.array_equal(a, a.T)
@@ -176,7 +176,7 @@ def test_wigner_deterministic_and_symmetric():
 
 def test_wigner_offdiag_mean_concentrates():
     n = 2000
-    a = sample_wigner(n, Atom.rademacher(), Atom.degenerate(0.0), SEED.child("wbig"))
+    a = sample_ensemble(WIGNER, SEED.child("wbig"), n)
     iu = np.triu_indices(n, k=1)
     pairs = iu[0].size  # n(n-1)/2
     assert abs(a[iu].mean()) <= 3.0 / math.sqrt(pairs)
@@ -184,7 +184,7 @@ def test_wigner_offdiag_mean_concentrates():
 
 def test_goe_scalar_variance_is_two():
     root = SEED.child("goe1")
-    vals = np.array([sample_goe(1, root.child(i))[0, 0] for i in range(100_000)])
+    vals = np.array([sample_ensemble(GOE, root.child(i), 1)[0, 0] for i in range(100_000)])
     assert abs(vals.var() - 2.0) <= 0.05 * 2.0
 
 
@@ -198,13 +198,13 @@ def test_cached_upper_indices_are_read_only():
             if idx.size:
                 with pytest.raises(ValueError, match="read-only"):
                     idx[0] = 1
-    a = sample_gnp(7, 0.5, SEED.child("cache"))
-    assert np.array_equal(sample_gnp(7, 0.5, SEED.child("cache")), a)
+    a = sample_ensemble(EnsembleSpec.gnp(0.5), SEED.child("cache"), 7)
+    assert np.array_equal(sample_ensemble(EnsembleSpec.gnp(0.5), SEED.child("cache"), 7), a)
 
 
 def test_goe_reproducible():
     path = SEED.child("goe-rep")
-    assert np.array_equal(sample_goe(6, path), sample_goe(6, path))
+    assert np.array_equal(sample_ensemble(GOE, path, 6), sample_ensemble(GOE, path, 6))
 
 
 def test_goe_diag_to_offdiag_variance_ratio():
@@ -212,7 +212,7 @@ def test_goe_diag_to_offdiag_variance_ratio():
     root = SEED.child("goe-var")
     diag, off = [], []
     for r in range(reps):
-        m = sample_goe(n, root.child(r))
+        m = sample_ensemble(GOE, root.child(r), n)
         diag.append(np.diag(m))
         off.append(m[np.triu_indices(n, k=1)])
     diag = np.concatenate(diag)
@@ -228,18 +228,18 @@ def test_goe_diag_to_offdiag_variance_ratio():
 # ---------------------------------------------------------------------------
 
 def test_gnp_complete_graph_at_p1():
-    a = sample_gnp(3, 1.0, SEED.child("k3"))
+    a = sample_ensemble(EnsembleSpec.gnp(1.0), SEED.child("k3"), 3)
     assert a.dtype == np.int64
     assert np.array_equal(a, np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
 
 
 def test_gnp_empty_graph_at_p0():
-    assert not np.any(sample_gnp(3, 0.0, SEED.child("e3")))
+    assert not np.any(sample_ensemble(EnsembleSpec.gnp(0.0), SEED.child("e3"), 3))
 
 
 def test_gnp_edge_count_concentrates():
     n, p = 50, 0.5
-    a = sample_gnp(n, p, SEED.child("g50"))
+    a = sample_ensemble(EnsembleSpec.gnp(p), SEED.child("g50"), n)
     pairs = n * (n - 1) // 2
     edges = int(a.sum()) // 2
     assert abs(edges - pairs * p) <= 3.0 * math.sqrt(pairs * p * (1 - p))
@@ -250,25 +250,25 @@ def test_gnp_edge_count_concentrates():
 
 def test_gnp_rejects_bad_density():
     with pytest.raises(ValueError):
-        sample_gnp(5, -0.1, SEED)
+        EnsembleSpec.gnp(-0.1)
     with pytest.raises(ValueError):
-        sample_gnp(5, 1.1, SEED)
+        EnsembleSpec.gnp(1.1)
 
 
 def test_samplers_name_a_dimension_that_is_not_an_integer():
     # 2.5 and 3.0 once failed inside numpy with a TypeError naming no
     # parameter, and True sampled a 1 x 1 matrix
     rng = np.random.default_rng(0)
-    samplers = [lambda n: sample_gnp(n, 0.5, rng), lambda n: sample_goe(n, rng),
-                lambda n: sample_wigner(n, Atom.rademacher(), Atom.gaussian(), rng),
-                lambda n: sample_ensemble(EnsembleSpec.goe(), rng, n),
+    specs = [EnsembleSpec.gnp(0.5), GOE, EnsembleSpec.wigner(Atom.rademacher(), Atom.gaussian())]
+    samplers = [*(lambda n, spec=spec: sample_ensemble(spec, rng, n) for spec in specs),
                 lambda n: sample_vector(VectorSpec.all_ones(), n, rng)]
     for sample in samplers:
         for n in (2.5, 3.0, True, np.float64(3), "3"):
             with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
                 sample(n)
         assert sample(np.int64(3)).shape[0] == sample(3).shape[0] == 3
-    assert np.array_equal(sample_gnp(np.int32(6), 0.5, SEED), sample_gnp(6, 0.5, SEED))
+    gnp = EnsembleSpec.gnp(0.5)
+    assert np.array_equal(sample_ensemble(gnp, SEED, np.int32(6)), sample_ensemble(gnp, SEED, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +320,8 @@ def test_reduction_matches_gnp_draw_for_draw(p):
         path = SEED.child("reduction", str(p), n)
         w = sample_ensemble(spec, path, n) + c * (np.ones((n, n)) - np.eye(n))
         assert np.array_equal(np.diag(w), np.zeros(n))
-        assert np.allclose(w, sample_gnp(n, p, path) / sigma, rtol=0.0, atol=1e-12)
+        gnp = sample_ensemble(EnsembleSpec.gnp(p), path, n)
+        assert np.allclose(w, gnp / sigma, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +400,6 @@ def test_vector_spec_dict_round_trip():
 # ---------------------------------------------------------------------------
 # ensemble specs
 # ---------------------------------------------------------------------------
-
-def test_sample_ensemble_matches_direct_samplers():
-    path = SEED.child("spec-match")
-    spec = EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0))
-    assert np.array_equal(sample_ensemble(spec, path, 5),
-                          sample_wigner(5, Atom.rademacher(), Atom.degenerate(0.0), path))
-    assert np.array_equal(sample_ensemble(EnsembleSpec.goe(), path, 5), sample_goe(5, path))
-    assert np.array_equal(sample_ensemble(EnsembleSpec.gnp(0.5), path, 5),
-                          sample_gnp(5, 0.5, path))
-
 
 ATOMS = [Atom.gaussian(0.5, 2.0), Atom.rademacher(), Atom.centered_bernoulli(0.3),
          Atom.bernoulli01(0.4), Atom.degenerate(1.5)]
@@ -541,6 +532,43 @@ def test_every_ensemble_is_exactly_symmetric():
         assert np.array_equal(a, a.T)
 
 
+@pytest.mark.parametrize("spec,atoms", [
+    (WIGNER, (Atom.rademacher(), Atom.degenerate(0.0))),
+    (GOE, (Atom.gaussian(0.0, 1.0), Atom.gaussian(0.0, 2.0))),
+    (EnsembleSpec.gnp(0.3), (Atom.bernoulli01(0.3), Atom.degenerate(0.0))),
+], ids=lambda x: getattr(x, "kind", ""))
+def test_every_ensemble_kind_samples_its_atom_pair(spec, atoms):
+    # G(n, p) is the Wigner matrix of 0/1 Bernoulli(p) entries off a zero
+    # diagonal, held as exact integers; the pair is built once per spec
+    assert spec.atoms == atoms and spec.atoms is spec.atoms
+    wigner = EnsembleSpec.wigner(*atoms)
+    for n in (1, 2, 9):
+        got, want = (sample_ensemble(s, SEED.child("pair", spec.kind), n) for s in (spec, wigner))
+        assert np.array_equal(got, want)
+        assert got.dtype == (np.int64 if spec.kind == "gnp-adjacency" else np.float64)
+
+
+INTEGER_ATOMS = [Atom.rademacher(), Atom.bernoulli01(0.3), Atom.degenerate(-2.0)]
+OTHER_ATOMS = [Atom.gaussian(), Atom.gaussian(2.0, 0.0), Atom.centered_bernoulli(0.5),
+               Atom.degenerate(0.5)]
+
+
+def test_integer_valued_is_read_off_the_atoms():
+    assert all(atom.integer_valued for atom in INTEGER_ATOMS)
+    assert not any(atom.integer_valued for atom in OTHER_ATOMS)
+    for off in INTEGER_ATOMS + OTHER_ATOMS:
+        assert VectorSpec.iid_atom(off).integer_valued == off.integer_valued
+        for diag in INTEGER_ATOMS + OTHER_ATOMS:
+            spec = EnsembleSpec.wigner(off, diag)
+            assert spec.integer_valued == (off.integer_valued and diag.integer_valued)
+            if spec.integer_valued:
+                a = sample_ensemble(spec, SEED.child("integer", str(spec.to_dict())), 6)
+                assert np.array_equal(a, np.round(a))
+    assert EnsembleSpec.gnp(0.5).integer_valued and not GOE.integer_valued
+    assert VectorSpec.bernoulli01(0.5).integer_valued
+    assert not VectorSpec.uniform_sphere().integer_valued
+
+
 def test_ensemble_spec_dict_round_trip():
     specs = [
         EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0)),
@@ -655,10 +683,9 @@ def test_a_spec_holds_its_kinds_fields_and_nothing_else(spec):
     (VectorSpec.standard_basis, True, "VectorSpec 'standard-basis' field 'index' must be int"),
     (VectorSpec.standard_basis, 1.0, "VectorSpec 'standard-basis' field 'index' must be int"),
     (EnsembleSpec.gnp, True, "EnsembleSpec 'gnp-adjacency' field 'p' must be float"),
-    (lambda p: sample_gnp(4, p, SEED), True, "EnsembleSpec 'gnp-adjacency' field 'p' must be float"),
     (Atom.bernoulli01, True, "Atom 'bernoulli01' field 'p' must be float"),
     (lambda mean: Atom.gaussian(mean=mean), True, "Atom 'gaussian' field 'mean' must be float"),
-], ids=["basis-true", "basis-float", "gnp-true", "sample-gnp-true", "bernoulli01-true",
+], ids=["basis-true", "basis-float", "gnp-true", "bernoulli01-true",
         "gaussian-mean-true"])
 def test_spec_values_built_in_python_are_read_as_json_reads_them(make, value, message):
     with pytest.raises(ValueError, match=rf"^{message}, got {value}$"):

@@ -11,6 +11,7 @@ from ctrllab import (
     DEFAULT_EXACT_CAP,
     DimensionCapError,
     EigenSystem,
+    EnsembleSpec,
     SeedPath,
     basis_scan,
     charpoly_exact,
@@ -21,7 +22,7 @@ from ctrllab import (
     kalman_ranks_exact,
     pbh_controllable,
     rank_exact,
-    sample_gnp,
+    sample_ensemble,
     sparsest_input,
 )
 from ctrllab import exact as exact_module
@@ -29,6 +30,7 @@ from ctrllab.exact import _P
 
 P3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 K3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+GNP = EnsembleSpec.gnp(0.5)
 
 
 def rank_oracle(m) -> int:
@@ -203,6 +205,18 @@ def test_exact_cap_enforced_and_overridable():
     with pytest.raises(DimensionCapError):
         is_controllable_exact(a, b)
     assert is_controllable_exact(a, b, cap=None) is False  # zero matrix, rank 1
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda a, cap: kalman_ranks_exact(a, np.eye(len(a), dtype=np.int64), cap),
+    lambda a, cap: is_controllable_exact(a, np.ones(len(a), dtype=np.int64), cap),
+    lambda a, cap: basis_scan(a, cap),
+    lambda a, cap: sparsest_input(a, cap=cap),
+], ids=["kalman_ranks_exact", "is_controllable_exact", "basis_scan", "sparsest_input"])
+def test_every_exact_entry_point_refuses_a_dimension_above_the_cap_alike(refuse):
+    n = DEFAULT_EXACT_CAP + 6
+    with pytest.raises(DimensionCapError, match=rf"^n={n} exceeds exact cap {DEFAULT_EXACT_CAP}$"):
+        refuse(np.zeros((n, n), dtype=np.int64), DEFAULT_EXACT_CAP)
 
 
 def test_cap_must_be_an_integer():
@@ -384,7 +398,7 @@ def test_simple_spectrum_random_cross_check_against_floats():
     # clearly separated or exactly repeated cases as the cross-check.
     root = SeedPath(424242, ("simple-x",))
     for t in range(200):
-        a = sample_gnp(6, 0.5, root.child(t))
+        a = sample_ensemble(GNP, root.child(t), 6)
         gaps = np.diff(np.linalg.eigvalsh(a.astype(float)))
         exact = has_simple_spectrum_exact(a)
         if np.min(gaps) > 1e-6:
@@ -412,7 +426,7 @@ def rank_deficient_fixtures(n: int) -> list[np.ndarray]:
 def test_kalman_ranks_match_bareiss_oracle(n):
     root = SeedPath(20261017, ("certified-ranks", n))
     rng = np.random.default_rng(n)
-    graphs = [sample_gnp(n, 0.5, root.child(t)) for t in range(6 if n <= 12 else 1)]
+    graphs = [sample_ensemble(GNP, root.child(t), n) for t in range(6 if n <= 12 else 1)]
     inputs = np.column_stack([
         np.eye(n, dtype=np.int64),
         np.ones(n, dtype=np.int64),
@@ -492,7 +506,7 @@ def minimal_polynomial_oracle(a, b, r: int) -> list[Fraction]:
 def test_rank_deficient_inputs_certified_without_bareiss(monkeypatch, n):
     root = SeedPath(20261018, ("negative-certificate", n))
     rng = np.random.default_rng(1000 + n)
-    graph = sample_gnp(n, 0.5, root)
+    graph = sample_ensemble(GNP, root, n)
     inputs = np.column_stack([
         np.eye(n, dtype=np.int64),
         np.ones(n, dtype=np.int64),
@@ -576,7 +590,7 @@ def test_negative_certificate_checks_in_python_ints_beyond_int64(monkeypatch):
 def stack_fixtures(n: int, count: int, seed: int) -> np.ndarray:
     """G(n, 1/2) graphs, one with a twin vertex, and K_n, diag(0..n-1), P_n."""
     root = SeedPath(seed, ("stack", n))
-    graphs = [sample_gnp(n, 0.5, root.child(t)) for t in range(count)]
+    graphs = [sample_ensemble(GNP, root.child(t), n) for t in range(count)]
     return np.stack(graphs[:1] + [with_twins(graphs[1])] + graphs[2:] + rank_deficient_fixtures(n))
 
 
@@ -627,7 +641,7 @@ def test_stack_sends_only_the_failing_matrix_to_bareiss(monkeypatch):
     assert len(oracle_calls) == 2  # the two basis inputs of the middle matrix
     # the twin-vertex G(24, 1/2) of the negative-certificate test: its
     # deficient inputs have minimal polynomials beyond the lift
-    graph = sample_gnp(24, 0.5, SeedPath(20261018, ("negative-certificate", 24)))
+    graph = sample_ensemble(GNP, SeedPath(20261018, ("negative-certificate", 24)), 24)
     twin = with_twins(graph)
     inputs = np.column_stack([np.eye(24, dtype=np.int64), np.ones(24, dtype=np.int64)])
     oracle_calls.clear()
@@ -635,7 +649,7 @@ def test_stack_sends_only_the_failing_matrix_to_bareiss(monkeypatch):
     fallbacks = len(oracle_calls)
     assert fallbacks > 0
     root = SeedPath(20261019, ("stack-fallback",))
-    others = [sample_gnp(24, 0.5, root.child(t)) for t in range(4)]
+    others = [sample_ensemble(GNP, root.child(t), 24) for t in range(4)]
     mats = np.stack(others[:2] + [twin] + others[2:])
     one_by_one = [kalman_ranks_exact(a, inputs) for a in mats]
     assert len(oracle_calls) == 2 * fallbacks  # the other graphs are certified
@@ -682,7 +696,7 @@ def test_certificate_runs_on_sub_stacks_of_bounded_krylov_entries(monkeypatch, n
     m = inputs.shape[1]
     step = max(1, exact_module._KRYLOV_ENTRIES // (m * n * n))
     root = SeedPath(20261020, ("sub-stacks", n))
-    graphs = [sample_gnp(n, 0.5, root.child(t)) for t in range(8)]
+    graphs = [sample_ensemble(GNP, root.child(t), n) for t in range(8)]
     proved = [g for g in graphs if (float_tier(g[None], inputs) == n).all()]
     # K_n and diag(0, 0, 1, 1, ...) have repeated spectra, where the float
     # tier settles no deficient column; the deficient columns of a
@@ -728,8 +742,8 @@ def mirrored_graphs(n: int, count: int, seed: int) -> np.ndarray:
     to mod _P."""
     root, h = SeedPath(seed, ("mirrored", n)), n // 2
     return np.stack([np.block([[a, c], [c, a]]) for a, c in (
-        (sample_gnp(h, 0.5, root.child(t, "h")),
-         sample_gnp(h, 0.5, root.child(t, "c")) + (t % 2) * np.eye(h, dtype=np.int64))
+        (sample_ensemble(GNP, root.child(t, "h"), h),
+         sample_ensemble(GNP, root.child(t, "c"), h) + (t % 2) * np.eye(h, dtype=np.int64))
         for t in range(count))])
 
 
@@ -872,7 +886,7 @@ def repeated_diagonals(n: int) -> list[np.ndarray]:
 
 def test_simple_spectrum_certificate_against_rational_oracle(monkeypatch):
     root = SeedPath(15060, ("simple-certificate",))
-    mats = [sample_gnp(n, 0.5, root.child(n, t)) for n in range(1, 25)
+    mats = [sample_ensemble(GNP, root.child(n, t), n) for n in range(1, 25)
             for t in range(6 if n <= 8 else 1)]
     mats += [m for n in (2, 3, 6, 9, 16, 24) for m in rank_deficient_fixtures(n)]
     mats += [m for n in (2, 5, 12) for m in repeated_diagonals(n)]
@@ -955,7 +969,7 @@ def test_every_stack_eliminated_mod_p_is_n_by_n(monkeypatch):
                         lambda stack: shapes.append(stack.shape[1:]) or real_echelon(stack))
     root = SeedPath(20261019, ("combined-block",))
     for n in (1, 2, 5, 12, 24, 40):
-        mats = [sample_gnp(n, 0.5, root.child(n)), *rank_deficient_fixtures(n),
+        mats = [sample_ensemble(GNP, root.child(n), n), *rank_deficient_fixtures(n),
                 *repeated_diagonals(n)]
         for a in mats:
             shapes.clear()
@@ -1020,7 +1034,8 @@ def adversarial_stacks():
     rng = np.random.default_rng(20261018)
     root = SeedPath(20261018, ("float-tier",))
     for n in range(2, 33):
-        graphs = [sample_gnp(n, p / 10, root.child(n, p, t)) for p in (2, 5, 8) for t in range(2)]
+        graphs = [sample_ensemble(EnsembleSpec.gnp(p / 10), root.child(n, p, t), n)
+                  for p in (2, 5, 8) for t in range(2)]
         twins = [with_twins(g) for g in graphs[::2 if n <= 24 else 6]]  # slow to decide beyond
         cycle = np.roll(np.eye(n, dtype=np.int64), 1, axis=1)
         mats = graphs + twins + rank_deficient_fixtures(n) + [cycle + cycle.T]
@@ -1064,7 +1079,7 @@ def test_float_tier_certified_columns_have_full_bareiss_rank():
     # the certified columns on a few small fixtures, against Bareiss itself
     for n in (3, 5, 7):
         w = wilkinson_plus(n // 2)
-        twin = with_twins(sample_gnp(n, 0.5, SeedPath(3, ("twin", n))))
+        twin = with_twins(sample_ensemble(GNP, SeedPath(3, ("twin", n)), n))
         for a in (w, twin, np.diag(np.arange(n) // 2), np.diag(np.arange(n))):
             inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
             settled = float_tier(a[None], inputs)[0]
@@ -1075,7 +1090,7 @@ def test_float_tier_certified_columns_have_full_bareiss_rank():
 def test_float_tier_covers_full_rank_gnp_columns():
     root = SeedPath(1506, ("float-tier-coverage",))
     for n in (16, 24):
-        mats = np.stack([sample_gnp(n, 0.5, root.child(n, t)) for t in range(20)])
+        mats = np.stack([sample_ensemble(GNP, root.child(n, t), n) for t in range(20)])
         eye = np.eye(n, dtype=np.int64)
         full = np.array(kalman_ranks_exact(mats, eye)) == n
         assert ((float_tier(mats, eye) == n) == full).all()
@@ -1086,7 +1101,7 @@ def test_float_tier_reads_only_the_identity_as_the_eigenvectors():
     # block of inputs (reversed, permuted, a 0/1 block) goes through the
     # product x^T B, so each settled rank is still the Bareiss one
     root = SeedPath(1506, ("identity-read",))
-    mats = np.stack([with_twins(sample_gnp(8, 0.5, root.child(t))) for t in range(6)])
+    mats = np.stack([with_twins(sample_ensemble(GNP, root.child(t), 8)) for t in range(6)])
     eye = np.eye(8, dtype=np.int64)
     rng = np.random.default_rng(1506)
     for inputs in (eye, eye[::-1], eye[:, rng.permutation(8)], rng.integers(0, 2, (8, 8))):
@@ -1110,7 +1125,7 @@ def test_float_tier_leaves_ranks_unchanged_and_skips_proved_matrices(monkeypatch
         step = max(1, exact_module._KRYLOV_ENTRIES // (m * n * n))
         assert seen == [min(step, unproved - start) for start in range(0, unproved, step)]
     seen.clear()
-    a = sample_gnp(24, 0.5, SeedPath(1506, ("one",)))
+    a = sample_ensemble(GNP, SeedPath(1506, ("one",)), 24)
     assert kalman_ranks_exact(a, np.eye(24, dtype=np.int64), eigsys=eig_sym(a)) == [24] * 24
     assert seen == []
 
@@ -1137,7 +1152,7 @@ def test_unsettled_certificates_leave_float_proofs_standing(monkeypatch):
 
 
 def test_float_tier_skips_entries_beyond_2_53_and_object_arrays(monkeypatch):
-    a = sample_gnp(8, 0.5, SeedPath(11, ("big",)))
+    a = sample_ensemble(GNP, SeedPath(11, ("big",)), 8)
     eye = np.eye(8, dtype=np.int64)
     assert (float_tier(a[None], eye) == 8).all()
     big = a * (2**53 + 1)  # float64 rounds every nonzero entry to 2^53
@@ -1159,7 +1174,7 @@ def test_float_tier_skips_entries_beyond_2_53_and_object_arrays(monkeypatch):
 def test_float_tier_with_a_wrong_eigensystem_certifies_nothing_wrong():
     root = SeedPath(7, ("stale",))
     n = 12
-    good = [sample_gnp(n, 0.5, root.child(t)) for t in range(4)]
+    good = [sample_ensemble(GNP, root.child(t), n) for t in range(4)]
     bad = [with_twins(good[0]), np.diag(np.arange(n) // 2), rank_deficient_fixtures(n)[0]]
     inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
     oracle = np.array(kalman_ranks_exact(np.stack(bad), inputs))
@@ -1222,7 +1237,7 @@ def test_inner_product_error_bound_dominates_rounding():
     # the float tier charges the rounding of x_i . b as _inner_error(n) ||b||
     rng = np.random.default_rng(5)
     n = 24
-    x = eig_sym(sample_gnp(n, 0.5, SeedPath(5, ("inner",)))).eigenvectors
+    x = eig_sym(sample_ensemble(GNP, SeedPath(5, ("inner",)), n)).eigenvectors
     cols = np.column_stack([rng.integers(-2**52, 2**52, (n, 6)), rng.integers(-3, 4, (n, 2))])
     cols[:, 0] = np.round(x[:, 0] * 2**52)  # nearly parallel to x_0, so x_1 . b cancels
     b = cols.astype(np.float64)
@@ -1244,7 +1259,7 @@ def test_float_tier_proves_nothing_false_from_scaled_eigensystems():
     # the same Kalman ranks, settles only the oracle's ranks
     n = 12
     root = SeedPath(2040, ("scaled",))
-    good = [sample_gnp(n, 0.5, root.child(t)) for t in range(3)]
+    good = [sample_ensemble(GNP, root.child(t), n) for t in range(3)]
     mats = np.stack(good + [with_twins(good[0]), np.diag(np.arange(n) // 2),
                             rank_deficient_fixtures(n)[0]])
     inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64),
@@ -1366,7 +1381,7 @@ def test_integer_eigenvectors_leave_what_they_cannot_prove(monkeypatch):
     assert float_tier(b[None], vv).tolist() == [[2, 1, -1]]
     # the twin graph's own eigenvectors, e_0 - e_1 among them, settle
     # every column; with another graph's eigenvalues they prove nothing
-    graph = sample_gnp(8, 0.5, SeedPath(1506, ("twin-candidates", 2)))
+    graph = sample_ensemble(GNP, SeedPath(1506, ("twin-candidates", 2)), 8)
     twin = with_twins(graph)
     own, other = eig_sym(twin), eig_sym(graph)
     inputs = np.column_stack([np.eye(8, dtype=np.int64), np.ones(8, dtype=np.int64)])
@@ -1453,7 +1468,7 @@ def test_relation_tier_from_a_wrong_eigensystem_proves_nothing_false():
     # rolled eigensystems, and eigenvalues that are not finite or whose
     # product overflows: every verdict settled is the oracle's
     n = 12
-    graph = sample_gnp(n, 0.5, SeedPath(1506, ("relation", n)))
+    graph = sample_ensemble(GNP, SeedPath(1506, ("relation", n)), n)
     mats = np.stack([*rank_deficient_fixtures(n), *repeated_diagonals(n), graph,
                      with_twins(graph), np.zeros((n, n), dtype=np.int64)])
     simple = np.array(has_simple_spectrum_exact(mats))
@@ -1501,7 +1516,7 @@ def test_simple_spectrum_of_a_stack_equals_one_matrix_at_a_time(monkeypatch):
     # eigensystems, only the matrices the float bound leaves reach the
     # block test, all in one call, and a wrong eigensystem proves nothing
     root = SeedPath(1506, ("stacked-spectra",))
-    mats = np.stack([sample_gnp(10, 0.5, root.child(t)) for t in range(24)]
+    mats = np.stack([sample_ensemble(GNP, root.child(t), 10) for t in range(24)]
                     + rank_deficient_fixtures(10) + repeated_diagonals(10)
                     + [np.diag(np.r_[0, 2**20 * np.arange(9)])])
     alone = [has_simple_spectrum_exact(a) for a in mats]

@@ -20,7 +20,7 @@ from ctrllab import exact, harness, minctrl
 from ctrllab.ensembles import Atom, EnsembleSpec, VectorSpec
 from ctrllab.exact import _P
 from ctrllab.spectral import EigenDecompositionError
-from ctrllab.harness import CSV_COLUMNS, ExperimentReport, report_load_json
+from ctrllab.harness import CSV_COLUMNS, ExperimentReport
 
 
 def overlap(row_a, row_b) -> bool:
@@ -423,6 +423,24 @@ def test_both_method_records_agreement():
     assert report.agreement["agreed"] == report.agreement["compared"]
 
 
+@pytest.mark.parametrize("name", ["thm-goe", "thm-wigner-sphere"])
+def test_rows_of_non_integer_samples_refuse_the_exact_path(name):
+    with pytest.raises(ValueError, match=rf"^scenario '{name}' cannot run on the exact path "
+                                         r"\(non-integer matrix or input\)$"):
+        make_scenario_config(name, n_grid=(8,), method="exact")
+
+
+@pytest.mark.parametrize("name", ["thm-wigner-basis", "thm-wigner-rand"])
+def test_rademacher_wigner_rows_run_on_the_exact_path(name):
+    # their matrices and inputs are 0/+-1, so integer-valued by their atoms
+    exact = make_scenario_config(name, n_grid=(8, 16), trials=30, method="exact")
+    assert run_trial(exact, 8, 0).verdicts.keys() == {"exact"}
+    report = run_experiment(make_scenario_config(name, n_grid=(8, 16), trials=30, method="both"))
+    assert report.agreement == {"compared": 60, "agreed": 60}
+    assert [row.successes for row in run_experiment(exact).rows] == \
+        [row.successes for row in report.rows]
+
+
 def chunk_size(config, n: int) -> int:
     """Trials per chunk at grid point n."""
     return len(harness._chunks(make_scenario_config(config.scenario, trials=10**4), n)[0])
@@ -764,8 +782,8 @@ def test_report_emit_csv_and_json_files(tmp_path):
     csv_path = report_emit(report, str(tmp_path / "out.csv"), "csv")
     assert (tmp_path / "out.csv").read_text() == report_csv(report)
     json_path = report_emit(report, str(tmp_path / "out.json"), "json")
-    loaded = report_load_json(json_path)
-    assert loaded == report
+    loaded = ExperimentReport.from_dict(json.loads((tmp_path / "out.json").read_text()))
+    assert loaded == report and json_path.endswith("out.json")
     assert csv_path.endswith("out.csv")
 
 

@@ -11,16 +11,18 @@ the same 90 pairs.
 import numpy as np
 
 from ctrllab import (
+    EnsembleSpec,
     SeedPath,
     VectorSpec,
     is_controllable_exact,
     pbh_controllable,
-    sample_gnp,
+    sample_ensemble,
     sample_vector,
 )
 
 SEED = SeedPath(1506, ("test-metamorphic",))
 GRAPHS = 30
+GNP = EnsembleSpec.gnp(0.5)
 
 
 def _pairs():
@@ -28,7 +30,7 @@ def _pairs():
     for k in range(GRAPHS):
         n = 6 + k % 7
         path = SEED.child(k)
-        a = sample_gnp(n, 0.5, path.child("matrix"))
+        a = sample_ensemble(GNP, path.child("matrix"), n)
         perm = path.child("perm").generator().permutation(n)
         bern = sample_vector(VectorSpec.bernoulli01(0.5), n, path.child("vector"))
         e0 = np.zeros(n, dtype=np.int64)

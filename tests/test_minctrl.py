@@ -8,6 +8,7 @@ from ctrllab import (
     BasisScanResult,
     BudgetExceededError,
     DimensionCapError,
+    EnsembleSpec,
     SeedPath,
     basis_scan,
     eig_sym,
@@ -16,7 +17,7 @@ from ctrllab import (
     kalman_matrix,
     pbh_controllable,
     rank_exact,
-    sample_gnp,
+    sample_ensemble,
     sparsest_input,
 )
 from ctrllab.exact import _P
@@ -26,6 +27,7 @@ from ctrllab.spectral import (CONTROLLABLE, DEFAULT_TOLERANCES, INDETERMINATE, b
 from test_exact import labelled_graphs
 
 SEED = SeedPath(20260810, ("test-minctrl",))
+GNP = EnsembleSpec.gnp(0.5)
 P3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int64)
 K3 = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=np.int64)
 K4 = np.ones((4, 4), dtype=np.int64) - np.eye(4, dtype=np.int64)
@@ -67,7 +69,7 @@ def test_basis_scan_of_a_stack_decides_spectra_first(monkeypatch):
     from ctrllab import minctrl
     root = SEED.child("stacked-scan")
     blown_up = np.kron(K4, np.ones((2, 2), dtype=np.int64))  # eigenvalue 0 five times
-    mats = np.stack([sample_gnp(8, 0.5, root.child(t)) for t in range(40)] + [blown_up])
+    mats = np.stack([sample_ensemble(GNP, root.child(t), 8) for t in range(40)] + [blown_up])
     eigsys = eig_sym(mats.astype(np.float64))
     alone = [basis_scan(a) for a in mats]
     assert {scan.simple_spectrum for scan in alone} == {True, False}
@@ -143,7 +145,7 @@ def test_basis_scan_float_reports_indeterminate_separately():
 @pytest.mark.parametrize("n", [6, 12, 24])
 def test_basis_scan_matches_bareiss_oracle(n):
     path = np.diag(np.ones(n - 1, dtype=np.int64), 1)
-    mats = [sample_gnp(n, 0.5, SEED.child("scan-oracle", n, t)) for t in range(2)]
+    mats = [sample_ensemble(GNP, SEED.child("scan-oracle", n, t), n) for t in range(2)]
     mats += [path + path.T, np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)]
     for a in mats:
         oracle = {i for i in range(n)
@@ -161,7 +163,7 @@ def test_basis_scan_falls_back_when_certificate_fails():
 def test_basis_scan_methods_agree_on_random_graphs():
     root = SEED.child("scan-agree")
     for t in range(25):
-        a = sample_gnp(7, 0.5, root.child(t))
+        a = sample_ensemble(GNP, root.child(t), 7)
         exact = basis_scan(a).controllable
         controllable, undecided = float_basis_scan(a)
         assert controllable <= exact | undecided
@@ -283,7 +285,7 @@ def test_sparsest_witness_passes_the_float_decider():
     root = SEED.child("witness-float")
     found = 0
     for t in range(20):
-        a = sample_gnp(7, 0.5, root.child(t))
+        a = sample_ensemble(GNP, root.child(t), 7)
         r = sparsest_input(a)
         if r.infeasible:
             continue
@@ -299,7 +301,7 @@ def test_sparsest_consistency_kstar_one_iff_basis_nonempty():
     # it instead of scanning again
     root = SEED.child("consistency")
     fixtures = [P3, K3, K4, np.diag([1, 2, 3])]
-    for a in [sample_gnp(8, 0.5, root.child(t)) for t in range(30)] + fixtures:
+    for a in [sample_ensemble(GNP, root.child(t), 8) for t in range(30)] + fixtures:
         r = sparsest_input(a)
         assert (r.k_star == 1) == bool(r.basis_controllable)
         assert r.basis_controllable == basis_scan(a).controllable
@@ -381,7 +383,7 @@ def test_layer_search_equals_the_sequential_search(monkeypatch):
     # deciding one support at a time
     from ctrllab import minctrl
     root = SEED.child("layers")
-    graphs = [sample_gnp(n, 0.5, root.child(n, t)) for n in (6, 7, 8) for t in range(12)]
+    graphs = [sample_ensemble(GNP, root.child(n, t), n) for n in (6, 7, 8) for t in range(12)]
     c4 = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=np.int64)
     diagonals = [np.diag(np.arange(1, n + 1)) for n in (3, 5)]  # k* = n
     fixtures = [a for a in graphs if not basis_scan(a).controllable] + diagonals + [K4, c4]
@@ -420,7 +422,7 @@ def test_layer_search_equals_the_sequential_search(monkeypatch):
 def test_sparsest_tests_the_spectrum_before_scanning_the_basis(monkeypatch):
     from ctrllab import minctrl
     root = SEED.child("order")
-    graphs = [sample_gnp(6 + t % 5, 0.5, root.child(t)) for t in range(30)]
+    graphs = [sample_ensemble(GNP, root.child(t), 6 + t % 5) for t in range(30)]
     fixtures = [K4, P3, np.diag([1, 2, 3])]
     calls = []
     real_test, real_ranks = minctrl.has_simple_spectrum_exact, minctrl._kalman_ranks
@@ -519,7 +521,7 @@ def test_sparsest_reads_the_eigensystem_only_to_rank_a_slice(monkeypatch):
 
 def test_sparsest_accepts_a_precomputed_exact_scan():
     root = SEED.child("precomputed")
-    for a in [sample_gnp(8, 0.5, root.child(t)) for t in range(12)] + [P3, K4]:
+    for a in [sample_ensemble(GNP, root.child(t), 8) for t in range(12)] + [P3, K4]:
         given, own = sparsest_input(a, scan=basis_scan(a)), sparsest_input(a)
         assert (given.basis_controllable, given.k_star, given.supports_tested) == \
             (own.basis_controllable, own.k_star, own.supports_tested)
@@ -533,7 +535,7 @@ def test_sparsest_uses_a_known_spectrum_and_the_eigensystem(monkeypatch):
     # result is the search's without either
     from ctrllab import exact, minctrl
     root = SEED.child("known-spectrum")
-    graphs = [sample_gnp(8, 0.5, root.child(t)) for t in range(30)]
+    graphs = [sample_ensemble(GNP, root.child(t), 8) for t in range(30)]
     fixtures = [a for a in graphs if not basis_scan(a).controllable]
     fixtures += [np.diag([1, 2, 3, 4]), K4]
     assert {has_simple_spectrum_exact(a) for a in fixtures} == {True, False}

@@ -9,6 +9,7 @@ from ctrllab import (
     Atom,
     ControllabilityVerdict,
     EigenSystem,
+    EnsembleSpec,
     SeedPath,
     SharedEigenvalueError,
     Tolerances,
@@ -19,10 +20,8 @@ from ctrllab import (
     is_controllable_exact,
     kalman_ranks_exact,
     pbh_controllable,
-    sample_gnp,
-    sample_goe,
+    sample_ensemble,
     sample_vector,
-    sample_wigner,
     shared_eigenvalue_witness,
     small_ball_estimate,
 )
@@ -30,6 +29,9 @@ from ctrllab.ensembles import _row_norms
 from ctrllab.spectral import basis_witnesses, classify
 
 SEED = SeedPath(20260810, ("test-spectral",))
+GNP = EnsembleSpec.gnp(0.5)
+GOE = EnsembleSpec.goe()
+WIGNER = EnsembleSpec.wigner(Atom.rademacher(), Atom.degenerate(0.0))
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 P3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 K3 = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
@@ -57,12 +59,12 @@ def test_eig_sym_swap_matrix():
 
 
 def test_eig_sym_invariants_on_goe():
-    a = sample_goe(50, SEED.child("goe50"))
+    a = sample_ensemble(GOE, SEED.child("goe50"), 50)
     es = eig_sym(a)
     norm = max(1.0, float(np.max(np.abs(es.eigenvalues))))
     assert es.residual(a) <= 1e-10 * norm
     assert es.orthonormality_defect() <= 1e-10
-    pair = np.stack([a, sample_goe(50, SEED.child("goe50", 2))])
+    pair = np.stack([a, sample_ensemble(GOE, SEED.child("goe50", 2), 50)])
     stacked = eig_sym(pair)
     assert stacked.residual(pair) == max(stacked[t].residual(pair[t]) for t in range(2))
     assert stacked.orthonormality_defect() == max(e.orthonormality_defect() for e in stacked)
@@ -93,8 +95,8 @@ def test_nonfinite_matrix_entries_are_named(value, shown):
 def test_eig_sym_on_a_stack_equals_per_matrix_calls():
     root = SEED.child("stack")
     for n in (1, 2, 8, 10, 16, 30, 32):
-        mats = np.stack([sample_goe(n, root.child(n, t)) for t in range(5)])
-        mats[1] = sample_gnp(n, 0.5, root.child(n, "gnp"))  # repeated eigenvalues
+        mats = np.stack([sample_ensemble(GOE, root.child(n, t), n) for t in range(5)])
+        mats[1] = sample_ensemble(GNP, root.child(n, "gnp"), n)  # repeated eigenvalues
         stacked = eig_sym(mats)
         values = eig_sym(mats, vectors=False)
         assert len(stacked) == len(values) == 5
@@ -172,7 +174,7 @@ def test_eigensystem_gap():
 def test_goe_min_gap_always_positive():
     root = SEED.child("mingap")
     for t in range(200):
-        assert eig_sym(sample_goe(100, root.child(t)), vectors=False).gap > 0.0
+        assert eig_sym(sample_ensemble(GOE, root.child(t), 100), vectors=False).gap > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +236,7 @@ def test_pbh_indeterminate_band():
 
 
 def test_pbh_sign_invariance():
-    a = sample_goe(12, SEED.child("sign"))
+    a = sample_ensemble(GOE, SEED.child("sign"), 12)
     b = sample_vector(VectorSpec.uniform_sphere(), 12, SEED.child("sign-b"))
     es = eig_sym(a)
     flipped = EigenSystem(es.eigenvalues, es.eigenvectors * -1.0)
@@ -276,7 +278,7 @@ def test_pbh_agrees_with_exact_on_small_graphs():
     compared = agreed = 0
     for n in (4, 8):
         for t in range(100):
-            a = sample_gnp(n, 0.5, root.child(n, t))
+            a = sample_ensemble(GNP, root.child(n, t), n)
             e = np.zeros(n)
             e[0] = 1.0
             verdict = pbh_controllable(a.astype(float), e)
@@ -357,8 +359,8 @@ def test_stacked_pbh_witnesses_equal_per_pair_calls():
     tol = Tolerances()
     for n in (1, 2, 5, 8, 13, 32):
         t = 6
-        mats = np.stack([sample_goe(n, root.child(n, k)) for k in range(t)])
-        mats[1] = sample_gnp(n, 0.5, root.child(n, "gnp"))  # repeated eigenvalues
+        mats = np.stack([sample_ensemble(GOE, root.child(n, k), n) for k in range(t)])
+        mats[1] = sample_ensemble(GNP, root.child(n, "gnp"), n)  # repeated eigenvalues
         mats[2] = np.diag(np.arange(n, dtype=float))  # eigenvectors e_i
         stack = eig_sym(mats)
         for b in _stacked_inputs(n, t, root):
@@ -436,7 +438,7 @@ def test_interlacing_swap_margin_one():
 def test_interlacing_holds_for_wigner_samples():
     root = SEED.child("interlace")
     for t in range(500):
-        a = sample_wigner(30, Atom.rademacher(), Atom.degenerate(0.0), root.child(t))
+        a = sample_ensemble(WIGNER, root.child(t), 30)
         for i in range(30):
             assert interlacing_check(a, i) >= -1e-10
 
@@ -493,7 +495,7 @@ def test_tolerances_must_be_finite_and_nonnegative():
 def test_coordinate_identity_goe_all_minors():
     root = SEED.child("coord")
     for t in range(10):
-        a = sample_goe(20, root.child(t))
+        a = sample_ensemble(GOE, root.child(t), 20)
         for i in range(20):
             assert eigvec_coordinate_check(a, i) <= 1e-8
 
@@ -529,7 +531,7 @@ def test_witness_randomized_degenerate_embedding():
     for t in range(25):
         rng = root.child(t).generator()
         n = 8
-        minor = sample_goe(n - 1, root.child(t, "minor"))
+        minor = sample_ensemble(GOE, root.child(t, "minor"), n - 1)
         es = eig_sym(minor)
         w0 = es.eigenvectors[:, int(rng.integers(n - 1))]
         r = rng.normal(size=n - 1)
@@ -563,7 +565,7 @@ def test_spectral_norm_wigner_ratio_band():
     hits = 0
     trials = 50
     for t in range(trials):
-        a = sample_wigner(100, Atom.rademacher(), Atom.degenerate(0.0), root.child(t))
+        a = sample_ensemble(WIGNER, root.child(t), 100)
         ratio = eig_sym(a, vectors=False).norm / 10.0
         hits += 1.8 <= ratio <= 2.3
     assert hits >= 0.95 * trials
