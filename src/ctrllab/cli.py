@@ -14,16 +14,8 @@ import sys
 from functools import cache
 
 from ._version import __version__
-from .harness import (
-    SCENARIOS,
-    ExperimentConfig,
-    apply_overrides,
-    make_scenario_config,
-    report_csv,
-    report_emit,
-    report_json,
-    run_experiment,
-)
+from .harness import (_FORMATS, _METHODS, SCENARIOS, ExperimentConfig, apply_overrides,
+                      make_scenario_config, report_csv, report_emit, report_json, run_experiment)
 from .minctrl import BudgetExceededError
 from .spectral import EigenDecompositionError
 
@@ -47,9 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated dimension grid")
     parser.add_argument("--trials", type=int, help="trials per dimension")
     parser.add_argument("--p", type=float, help="edge density for G(n,p) scenarios")
-    parser.add_argument("--method", choices=("exact", "float-pbh", "both"))
+    parser.add_argument("--method", choices=_METHODS)
     parser.add_argument("--out", help="output file path (defaults to stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
+    parser.add_argument("--format", choices=_FORMATS, dest="fmt")
     parser.add_argument("--gap-tol", type=float, dest="gap_tol",
                         help="relative eigenvalue-gap acceptance threshold")
     parser.add_argument("--ortho-tol", type=float, dest="ortho_tol",

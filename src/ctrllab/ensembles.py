@@ -418,6 +418,8 @@ class VectorSpec(Spec):
             return True
         if self.kind == "explicit":
             return bool(np.all(self.values == np.round(self.values)))
+        if self.kind == "shifted":  # an integer shift of an integer base
+            return self.base.integer_valued and bool(np.all(self.mu == np.round(self.mu)))
         return self.entry_atom is not None and self.entry_atom.integer_valued
 
     @property

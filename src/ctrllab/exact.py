@@ -39,8 +39,9 @@ the degree by deg q (Gauss's lemma: the minimal polynomial has integer
 coefficients, so rounding finds it while they stay below 2^53).  The
 eigenvector bounds are computed once per eigensystem and kept on it.
 :func:`has_simple_spectrum_exact` and :func:`kalman_ranks_exact` check
-their input and run one stage each, the spectrum stage and the rank stage
-(:func:`_kalman_ranks`); a basis scan (``ctrllab.minctrl.basis_scan``)
+their input (``spectral._stack``, :func:`_capped`) and run one stage
+each, the spectrum stage and the rank stage (:func:`_kalman_ranks`, on
+the bounds kept on the eigensystem); a basis scan (``ctrllab.minctrl.basis_scan``)
 is one pass of both over a checked stack: the spectrum test computes and
 keeps the bounds, and the rank stage ranks the basis of the simple
 spectra on them, leaving the other rows out by their ranks.
@@ -65,8 +66,7 @@ import math
 
 import numpy as np
 
-from .spectral import (EigenSystem, _checked, _eigenvectors, _integer, _matrix, _stack_of_one,
-                       _vector)
+from .spectral import EigenSystem, _checked, _eigenvectors, _integer, _matrix, _stack, _vector
 
 __all__ = [
     "DEFAULT_EXACT_CAP",
@@ -99,7 +99,14 @@ _KRYLOV_ENTRIES = 2**14
 
 
 class DimensionCapError(ValueError):
-    """Exact-path dimension cap exceeded; use the float PBH path instead."""
+    """n above the exact cap, refused at the entry of every capped exact decider."""
+
+
+def _capped(n: int, cap) -> None:
+    """The one cap check: n above `cap` (None or an integer, else a
+    ValueError) raises :class:`DimensionCapError`."""
+    if cap is not None and n > _integer(cap, "cap"):
+        raise DimensionCapError(f"n={n} exceeds exact cap {cap}")
 
 
 def _ints(a: np.ndarray) -> np.ndarray:
@@ -690,16 +697,17 @@ def _float_spectra(mats: np.ndarray, eigsys: EigenSystem) -> tuple | None:
 # decisions
 # ---------------------------------------------------------------------------
 
-def _kalman_ranks(mats: np.ndarray, cols: np.ndarray, system: tuple | None,
+def _kalman_ranks(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem | None,
                   ranks: np.ndarray) -> np.ndarray:
     """The rank stage of :func:`kalman_ranks_exact`, on checked arrays:
     `ranks` (T x m) with each -1 entry replaced by the Kalman rank of its
     column of the inputs `cols` (T x n x m) under its matrix of the stack
     `mats`; the other entries are returned as they are, so a caller leaves
-    out a row by giving it any rank.  The float tier settles what the float
-    system `system` of the stack (:func:`_float_system`, or None) proves
-    (:func:`_float_certified`), and :func:`_krylov_degrees` the entries
-    left."""
+    out a row by giving it any rank.  The float tier settles what the
+    stack's eigensystem `eigsys` (or None) proves, on the bounds kept on it
+    (:func:`_float_system`, :func:`_float_certified`), and
+    :func:`_krylov_degrees` the entries left."""
+    system = None if eigsys is None else _float_system(mats, eigsys)
     ranks = np.where(ranks < 0, _float_certified(mats, cols, system), ranks)
     if (ranks < 0).any():
         ranks = _krylov_degrees(mats, cols, 1, ranks)
@@ -724,13 +732,10 @@ def has_simple_spectrum_exact(a, eigsys: EigenSystem | None = None):
     with the relation checked on I itself, else by Bareiss on the nonzero
     rows of the n^2 x n matrix of the powers vec(A^j) over Python integers.
     """
-    mats = _checked(a, _ints, system=True)
-    single = mats.ndim == 2
-    mats = mats[None] if single else mats
+    mats, eigsys, single = _stack(a, _ints, eigsys)
     t, n, _ = mats.shape
     simple, left = np.zeros(t, dtype=bool), np.ones(t, dtype=bool)
-    spectra = None if eigsys is None else \
-        _float_spectra(mats, _stack_of_one(eigsys) if single else eigsys)
+    spectra = None if eigsys is None else _float_spectra(mats, eigsys)
     if spectra is not None:
         simple, repeated = spectra[0].copy(), spectra[1]
         left = ~(simple | repeated)
@@ -783,9 +788,7 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
     a stack raises a ValueError naming its index, and inputs of the wrong
     shape are named by their shape before their entries are read.
     """
-    mats = _checked(a, _ints, system=True)
-    single = mats.ndim == 2
-    mats = mats[None] if single else mats
+    mats, eigsys, single = _stack(a, _ints, eigsys)
     t, n, _ = mats.shape
     shape = np.shape(inputs)
     if len(shape) == 1 or len(shape) in (2, 3) and shape[-2] != n:
@@ -794,13 +797,10 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
     shared = cols.ndim == 2
     if not shared and len(cols) != t:
         raise ValueError(f"{len(cols)} input matrices for a stack of {t} matrices")
-    if cap is not None and n > _integer(cap, "cap"):
-        raise DimensionCapError(f"n={n} exceeds exact cap {cap}")
-    system = None if eigsys is None else \
-        _float_system(mats, _stack_of_one(eigsys) if single else eigsys)
+    _capped(n, cap)
     if shared:  # a copy, cheaper than np.broadcast_to's view for small stacks
         cols = cols[None].repeat(t, axis=0)
-    ranks = _kalman_ranks(mats, cols, system, np.full((t, cols.shape[2]), -1))
+    ranks = _kalman_ranks(mats, cols, eigsys, np.full((t, cols.shape[2]), -1))
     return (ranks[0] if single else ranks).tolist()
 
 
@@ -810,7 +810,8 @@ def is_controllable_exact(a, b, cap: int | None = DEFAULT_EXACT_CAP) -> bool:
     The zero vector is never controllable.  Dimensions beyond `cap` raise
     :class:`DimensionCapError`.  See :func:`kalman_ranks_exact`.
     """
-    mat = _matrix(a, _ints)
-    vec = _vector(b, len(mat), _ints)
-    (rank,) = kalman_ranks_exact(mat, vec[:, None], cap)
-    return rank > 0 and rank == len(vec)
+    mats, _, _ = _stack(a, _ints, one=True)
+    vec = _vector(b, mats.shape[1], _ints)
+    _capped(len(vec), cap)
+    rank = _kalman_ranks(mats, vec[None, :, None], None, np.full((1, 1), -1))[0, 0]
+    return bool(0 < rank == len(vec))

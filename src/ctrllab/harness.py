@@ -37,7 +37,7 @@ import functools
 import json
 import math
 from itertools import islice
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -732,8 +732,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                             agreement=_agreement_meta(records))
 
 
-CSV_COLUMNS = ("scenario", "n", "p", "trials", "successes", "indeterminates",
-               "frequency", "ci_lo", "ci_hi", "method", "seed", "gap_tol", "ortho_tol")
+CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def _csv_cell(value) -> str:

@@ -19,16 +19,9 @@ from itertools import combinations, compress, islice
 
 import numpy as np
 
-from .exact import (
-    _KRYLOV_ENTRIES,
-    DEFAULT_EXACT_CAP,
-    DimensionCapError,
-    _float_system,
-    _ints,
-    _kalman_ranks,
-    has_simple_spectrum_exact,
-)
-from .spectral import EigenSystem, _checked, _integer, _matrix, _stack_of_one
+from .exact import (_KRYLOV_ENTRIES, DEFAULT_EXACT_CAP, _capped, _ints, _kalman_ranks,
+                    has_simple_spectrum_exact)
+from .spectral import EigenSystem, _integer, _stack
 
 __all__ = [
     "BudgetExceededError",
@@ -81,20 +74,14 @@ def basis_scan(a, cap: int | None = DEFAULT_EXACT_CAP, eigsys: EigenSystem | Non
     no Kalman test.  Dimensions beyond `cap` raise
     :class:`DimensionCapError` before any test.
     """
-    mats = _checked(a, _ints, system=True)
-    single = mats.ndim == 2
-    mats = mats[None] if single else mats
+    mats, eigsys, single = _stack(a, _ints, eigsys)
     t, n, _ = mats.shape
-    if cap is not None and n > _integer(cap, "cap"):
-        raise DimensionCapError(f"n={n} exceeds exact cap {cap}")
-    if single and eigsys is not None:
-        eigsys = _stack_of_one(eigsys)
+    _capped(n, cap)
     simple = np.array(has_simple_spectrum_exact(mats, eigsys), dtype=bool)
     ranks = np.full((t, n), -1)
     ranks[~simple] = 0  # rank only the simple spectra
     if simple.any():
-        system = None if eigsys is None else _float_system(mats, eigsys)
-        ranks = _kalman_ranks(mats, np.eye(n, dtype=np.int64)[None].repeat(t, axis=0), system,
+        ranks = _kalman_ranks(mats, np.eye(n, dtype=np.int64)[None].repeat(t, axis=0), eigsys,
                               ranks)
     scans = [BasisScanResult(frozenset(compress(range(n), full)), s)
              for full, s in zip((ranks == n).tolist(), simple.tolist())]
@@ -143,20 +130,20 @@ def sparsest_input(a, kmax: int | None = None, cap: int | None = DEFAULT_EXACT_C
     test.  `eigsys`, the float
     eigensystem of `a` (as :func:`~ctrllab.spectral.eig_sym` returns it),
     lets the scan and each slice settle most verdicts without elimination;
-    the slices read its bounds once per search, when the first is ranked.
+    each slice reads the bounds kept on it, computed once per search (if
+    the scan has not computed them) when the first slice is ranked.
     """
-    mat = _matrix(a, _ints)
-    n = len(mat)
+    stack, eigsys, _ = _stack(a, _ints, eigsys, one=True)
+    n = stack.shape[1]
     kmax = n if kmax is None else _integer(kmax, "kmax")
     budget = _integer(budget, "budget")
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must lie in [1, {n}], got {kmax}")
-    if cap is not None and n > _integer(cap, "cap"):
-        raise DimensionCapError(f"n={n} exceeds exact cap {cap}")
+    _capped(n, cap)
     if budget < n:
         raise BudgetExceededError(0, 1, budget)
     if scan is None:
-        scan = basis_scan(mat, cap, eigsys)
+        (scan,) = basis_scan(stack, cap, eigsys)
     if not scan.simple_spectrum:
         return MinCtrlResult(frozenset(), None, None, supports_tested=0)
     tested = n
@@ -165,7 +152,6 @@ def sparsest_input(a, kmax: int | None = None, cap: int | None = DEFAULT_EXACT_C
         b[min(scan.controllable)] = 1
         return MinCtrlResult(scan.controllable, 1, b, tested)
     size = max(1, _KRYLOV_ENTRIES // (n * n))
-    stack, system = mat[None], None
     for k in range(2, kmax + 1):
         layer = combinations(range(n), k)
         for first in layer:
@@ -174,9 +160,7 @@ def sparsest_input(a, kmax: int | None = None, cap: int | None = DEFAULT_EXACT_C
             supports = [first, *islice(layer, min(size, budget - tested) - 1)]
             cols = np.zeros((1, n, len(supports)), dtype=np.int64)
             cols[0, np.array(supports), np.arange(len(supports))[:, None]] = 1
-            if system is None and eigsys is not None:
-                system = _float_system(stack, _stack_of_one(eigsys))
-            ranks = _kalman_ranks(stack, cols, system, np.full((1, len(supports)), -1))[0].tolist()
+            ranks = _kalman_ranks(stack, cols, eigsys, np.full((1, len(supports)), -1))[0].tolist()
             if n in ranks:
                 hit = ranks.index(n)
                 return MinCtrlResult(frozenset(), k, cols[0, :, hit].copy(), tested + hit + 1)

@@ -137,10 +137,11 @@ def _eigenvectors(eigsys: EigenSystem) -> np.ndarray:
 
 
 def _stack_of_one(eigsys: EigenSystem) -> EigenSystem:
-    """The system of one matrix, with eigenvectors, as a stack of one."""
+    """The system of one matrix as a stack of one (values-only stays values-only)."""
     if eigsys.eigenvalues.ndim != 1:
         raise ValueError(f"expected the eigensystem of one matrix, got a stack of {len(eigsys)}")
-    stack = EigenSystem(eigsys.eigenvalues[None], _eigenvectors(eigsys)[None])
+    vectors = eigsys.eigenvectors
+    stack = EigenSystem(eigsys.eigenvalues[None], None if vectors is None else vectors[None])
     object.__setattr__(stack, "_proofs", eigsys._proofs)
     return stack
 
@@ -192,6 +193,18 @@ def _checked(x, ints=None, system: bool = False, name: str | None = None) -> np.
     return ints(a) if ints else a
 
 
+def _stack(a, ints=None, eigsys: EigenSystem | None = None,
+           one: bool = False) -> tuple[np.ndarray, EigenSystem | None, bool]:
+    """The entry of every decider of system matrices: `a` (a matrix or a
+    (T, n, n) stack; with `one`, a matrix) checked with `ints` as a stack,
+    a matrix as a stack of one, its eigensystem `eigsys` (or None) as that
+    stack's, and whether `a` was a single matrix."""
+    mats = _matrix(a, ints) if one else _checked(a, ints, system=True)
+    if mats.ndim == 3:
+        return mats, eigsys, False
+    return mats[None], None if eigsys is None else _stack_of_one(eigsys), True
+
+
 def _matrix(a, ints=None, system: bool = True) -> np.ndarray:
     """One square matrix, checked by :func:`_checked` and named "matrix": a
     system matrix unless `system` is false."""
@@ -237,11 +250,10 @@ def eig_sym(a, label=None, vectors: bool = True) -> EigenSystem:
     string; if the stack fails to converge, each matrix is retried alone,
     so the error carries the label of the first one that fails.
     """
-    m = _checked(a, system=True)
-    single = m.ndim == 2
+    m, _, single = _stack(a)
     if not single and isinstance(label, (str, bytes)):
         raise ValueError(f"label must hold one label per matrix of the stack, got {label!r}")
-    m, labels = (m[None], [label]) if single else (m, [None] * len(m) if label is None else list(label))
+    labels = [label] if single else [None] * len(m) if label is None else list(label)
     if len(labels) != len(m):
         raise ValueError(f"{len(labels)} labels for a stack of {len(m)} matrices")
     try:

@@ -441,6 +441,41 @@ def test_rademacher_wigner_rows_run_on_the_exact_path(name):
         [row.successes for row in report.rows]
 
 
+def test_an_integer_shift_of_an_integer_input_runs_on_the_exact_path():
+    # b = 1 + 1 = 2 * 1 only scales conj2's all-ones input, so no Kalman
+    # rank moves; a half-integer shift still refuses the exact path
+    shifted = VectorSpec.shifted(VectorSpec.all_ones(), np.ones(8))
+    exact = make_scenario_config("conj2", vector=shifted, method="exact", n_grid=(8,), trials=30)
+    assert run_trial(exact, 8, 0).verdicts.keys() == {"exact"}
+    both = run_experiment(make_scenario_config("conj2", vector=shifted, method="both",
+                                               n_grid=(8,), trials=30))
+    plain = run_experiment(make_scenario_config("conj2", method="both", n_grid=(8,), trials=30))
+    assert both.agreement == {"compared": 30, "agreed": 30}
+    assert [row.successes for row in run_experiment(exact).rows] == \
+        [row.successes for row in both.rows] == [row.successes for row in plain.rows]
+    half = VectorSpec.shifted(VectorSpec.all_ones(), np.full(8, 0.5))
+    with pytest.raises(ValueError, match=r"^scenario 'conj2' cannot run on the exact path "):
+        make_scenario_config("conj2", vector=half, method="exact", n_grid=(8,))
+    assert not VectorSpec.shifted(VectorSpec.uniform_sphere(), np.ones(8)).integer_valued
+
+
+@pytest.mark.parametrize("seed", [1506, 3125])  # the benchmark's default and held-out seeds
+def test_conj_frequencies_lie_near_the_enumerated_probabilities(seed):
+    # P[every e_i controls] (conj1) and P[all-ones controls] (conj2) on
+    # G(n, 1/2), from every labelled graph with n = 6 and 7: each sampled
+    # frequency lies within 4 standard errors, and exact and float agree
+    exact = {("conj1", 6): 405 / 2048, ("conj1", 7): 17325 / 131072,
+             ("conj2", 6): 45 / 256, ("conj2", 7): 7245 / 32768}
+    trials = 2000
+    for scenario in ("conj1", "conj2"):
+        report = run_experiment(make_scenario_config(scenario, n_grid=(6, 7), trials=trials,
+                                                     method="both", master_seed=seed))
+        assert report.agreement == {"compared": 2 * trials, "agreed": 2 * trials}
+        for row in report.rows:
+            p = exact[scenario, row.n]
+            assert abs(row.frequency - p) < 4 * (p * (1 - p) / trials) ** 0.5, (scenario, row.n)
+
+
 def chunk_size(config, n: int) -> int:
     """Trials per chunk at grid point n."""
     return len(harness._chunks(make_scenario_config(config.scenario, trials=10**4), n)[0])
@@ -702,9 +737,8 @@ def test_minctrl_chunk_bounds_its_eigensystem_once(monkeypatch):
                         ranked.append((int((ranks < 0).any(axis=1).sum()), cols.shape[1:],
                                        system is not None))
                         or real_ranks(a, cols, system, ranks))
-    for module in (exact, minctrl):
-        monkeypatch.setattr(module, "_float_system",
-                            lambda mats, eigsys: read.append(len(mats)) or real_read(mats, eigsys))
+    monkeypatch.setattr(exact, "_float_system",
+                        lambda mats, eigsys: read.append(len(mats)) or real_read(mats, eigsys))
     config = make_scenario_config("minctrl-gnp", n_grid=(10, 12), trials=20, p=0.5,
                                   master_seed=1506)
     run_experiment(config)

@@ -113,7 +113,7 @@ def test_basis_scan_ranks_only_when_a_spectrum_is_simple(monkeypatch):
     assert basis_scan(paths, eigsys=eigsys) == [basis_scan(P3)] * 2
     (a, system, ranks), (_, none, _) = calls
     assert a is paths and (ranks == -1).all() and none is None
-    assert system[1] is eigsys.eigenvalues and system[3] is eigsys._proofs[0][1]
+    assert system is eigsys and eigsys._proofs[0] is not None
 
 
 def test_basis_scan_refuses_a_dimension_above_the_cap_before_any_test(monkeypatch):
@@ -494,18 +494,20 @@ def test_sparsest_budget_below_n_raises_before_the_basis_scan():
 
 
 def test_sparsest_reads_the_eigensystem_only_to_rank_a_slice(monkeypatch):
-    # the layer slices read the eigensystem's bounds when the first slice
-    # is ranked, once per search: a budget of n raises its budget error
-    # and kmax = 1 ends the search with no read, even of an eigensystem
-    # without eigenvectors, which no slice could use
-    from ctrllab import minctrl
+    # each layer slice reads the bounds kept on the eigensystem, computed
+    # when the first slice is ranked, once per search: a budget of n
+    # raises its budget error and kmax = 1 ends the search with no read,
+    # even of an eigensystem without eigenvectors, which no slice could use
+    from ctrllab import exact
     a = np.diag([1, 2, 3])  # simple spectrum, no controllable e_i
     scan, full = basis_scan(a), eig_sym(a.astype(np.float64))
     bare = eig_sym(a.astype(np.float64), vectors=False)
-    reads = []
-    real = minctrl._float_system
-    monkeypatch.setattr(minctrl, "_float_system",
+    reads, bounds = [], []
+    real, real_bounds = exact._float_system, exact._eigvec_bounds
+    monkeypatch.setattr(exact, "_float_system",
                         lambda mats, eigsys: reads.append(len(mats)) or real(mats, eigsys))
+    monkeypatch.setattr(exact, "_eigvec_bounds",
+                        lambda a, w, x: bounds.append(len(a)) or real_bounds(a, w, x))
     with pytest.raises(BudgetExceededError) as info:
         sparsest_input(a, budget=3, scan=scan, eigsys=bare)
     assert (info.value.supports_tested, info.value.k_reached, info.value.budget) == (3, 2, 3)
@@ -515,8 +517,10 @@ def test_sparsest_reads_the_eigensystem_only_to_rank_a_slice(monkeypatch):
     assert reads == []
     with pytest.raises(ValueError, match="no eigenvectors"):
         sparsest_input(a, budget=4, scan=scan, eigsys=bare)
+    assert (reads, bounds) == ([1], [])  # the first slice's read finds no eigenvectors
+    reads.clear()
     r = sparsest_input(a, scan=scan, eigsys=full)  # two slices, k = 2 and k = 3
-    assert (r.k_star, r.supports_tested, reads) == (3, 7, [1])
+    assert (r.k_star, r.supports_tested, reads, bounds) == (3, 7, [1, 1], [1])
 
 
 def test_sparsest_accepts_a_precomputed_exact_scan():
