@@ -9,10 +9,13 @@ Per-trial seeds are derived from (master seed, scenario, n, trial index), so
 grids can be extended and trials re-run in isolation, in any order, without
 perturbing any other draw.  An experiment runs the trials of a grid point in
 chunks: the random streams of all trials of a chunk are derived in one
-batch, every trial is drawn from its own streams, one stacked exact call
-decides all their Kalman ranks, one stacked eigendecomposition gives all
-their float eigensystems, and the trial family decides the whole chunk at
-once, so a record never depends on the chunk it was decided in.
+batch, every trial is drawn from its own streams and one stacked
+eigendecomposition gives all their eigensystems.  Then the trial family
+decides the whole chunk at once, each exact or float decider over the
+whole stack, so a record never depends on the chunk it was decided in.
+Only the PBH family, behind every controllability row, reads the method:
+it decides each input exactly where the exact method runs and in float
+otherwise, and wherever both run, the JSON report counts how often they agree.
 
 Scenario ids
 ------------
@@ -164,6 +167,10 @@ class ExperimentConfig(Record):
             raise ValueError(f"scenario {self.scenario!r} requires 0 < p < 1, got {self.p}")
         if not scenario.density and self.p != scenario.p:
             raise ValueError(f"scenario {self.scenario!r} samples p={scenario.p}, got p={self.p}")
+        # only the PBH family reads the method; every other row fixes it
+        if scenario.trial.decide is not _trials_pbh and self.method != scenario.method:
+            raise ValueError(f"scenario {self.scenario!r} runs method={scenario.method}, "
+                             f"got method={self.method}")
         if self.vector is not None and not scenario.vector_override:
             raise ValueError(f"scenario {self.scenario!r} does not take a vector override")
         for n in self.n_grid if self.vector is not None else ():
@@ -266,67 +273,66 @@ def _exact_applicable(config: ExperimentConfig) -> bool:
 
 
 def _exact_runs(config: ExperimentConfig, n: int) -> bool:
-    """Whether the exact method decides grid point n; the float method runs
-    exactly when `config.method` is not "exact"."""
+    """Whether the exact method decides grid point n of a PBH row: always
+    under "exact", and under "both" where its samples are integers and n is
+    within the exact cap."""
     if config.method == "both":
         return _exact_applicable(config) and n <= config.exact_cap
     return config.method == "exact"
-
-
-def _exact_verdict(ranks: list[int], n: int) -> tuple[str, float]:
-    """Exact decision for every input at once, plus the least Kalman rank."""
-    rank = min(ranks)
-    return (CONTROLLABLE if rank == n else UNCONTROLLABLE), float(rank)
 
 
 @dataclass(frozen=True)
 class _Family:
     """How one kind of trial runs, declared as data.
 
-    A chunk of trials is drawn and prepared in bulk by :func:`_draw_chunk`:
+    A chunk of trials is drawn and decomposed in bulk by :func:`_draw_chunk`:
     each trial draws a matrix A, the scenario's input vector b (None for
     every standard basis input at once) and the generators of the streams
-    `extra` names.  When `kalman` is set and the exact method runs at n,
-    the Kalman ranks of those inputs come from one call.  The eigensystems
-    of the matrices come from one stacked :func:`eig_sym`, with
-    eigenvectors unless `vectors` is false (no such family computes Kalman
-    ranks, which the eigenvectors help certify).  Then
-    `decide(config, n, chunk)` gives the outcome of each trial of the
+    `extra` names, and the eigensystems of the matrices come from one
+    stacked :func:`eig_sym`, with eigenvectors unless `vectors` is false
+    (no such family runs an exact decider, which the eigenvectors help
+    certify).  Then `decide(config, n, chunk)` does the family's own work,
+    exact or float, and gives the outcome of each trial of the
     :class:`_Chunk` in order: (success, indeterminate, verdicts, witnesses).
-    A family whose work is per trial yields them one at a time, so that a
-    trial's own work runs inside its :func:`run_trial` call.
+    Only the PBH family reads `config.method`.  A family whose work is per
+    trial yields them one at a time, so that a trial's own work runs inside
+    its :func:`run_trial` call.
     """
 
     decide: Callable
     extra: tuple[str, ...] = ()
-    kalman: bool = False
     vectors: bool = True
 
 
 class _Chunk(NamedTuple):
-    """The draws of a chunk of T trials and the stacked work on them.
+    """The draws of a chunk of T trials and their stacked eigensystem.
 
     `mats` is the (T, n, n) stack of matrices; `b` the (T, n) inputs, or
     None for every standard basis input at once; `extra` maps each extra
-    stream to its T generators; `ranks` holds each trial's Kalman ranks,
-    None when not computed, and `eigsys` the stack's :class:`EigenSystem`
-    or the :class:`EigenDecompositionError` its decomposition raised.
+    stream to its T generators, and `eigsys` is the stack's
+    :class:`EigenSystem` or the :class:`EigenDecompositionError` its
+    decomposition raised.
     """
 
     mats: np.ndarray
     b: np.ndarray | None
     extra: dict[str, list]
-    ranks: list[list[int]] | None
     eigsys: EigenSystem | EigenDecompositionError
 
     @property
     def eig(self) -> EigenSystem:
-        """The stack's eigensystem; a failed decomposition is raised here,
-        where a trial family reads it, and not where it only served the
-        certificate of the Kalman ranks."""
+        """The stack's eigensystem, for a float verdict; a failed
+        decomposition is raised here."""
         if isinstance(self.eigsys, EigenDecompositionError):
             raise self.eigsys
         return self.eigsys
+
+    @property
+    def certificate(self) -> EigenSystem | None:
+        """The stack's eigensystem, or None if the decomposition failed: an
+        exact decider certifies with it where it can, and without it
+        otherwise, so a failure raises nothing there."""
+        return None if isinstance(self.eigsys, EigenDecompositionError) else self.eigsys
 
 
 def _streams(config: ExperimentConfig, family: _Family) -> tuple[str, ...]:
@@ -336,44 +342,53 @@ def _streams(config: ExperimentConfig, family: _Family) -> tuple[str, ...]:
     return (("matrix", "vector") if seeded else ("matrix",)) + family.extra
 
 
-def _outcome(deciding: str, verdicts: dict, witnesses: dict):
-    return deciding == CONTROLLABLE, deciding == INDETERMINATE, verdicts, witnesses
-
-
-def _trials_pbh(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
-    """(A, b) for the scenario's input vector; without one, (A, e_i) for every i at once."""
-    verdicts, witnesses = [{} for _ in chunk.mats], [{} for _ in chunk.mats]
-    if config.method != "exact":
-        pbh = pbh_controllable(None, chunk.b, config.tolerances, chunk.eig)
-        for v, w, decision, gap, worst, norm in zip(verdicts, witnesses, *(c.tolist() for c in (
-                pbh.decision, pbh.min_gap, pbh.min_abs_inner, chunk.eig.norm))):
-            v["float"] = decision
-            w.update(min_gap=gap, min_abs_inner=worst, norm_a=norm)
-    if chunk.ranks is not None:
-        for v, w, ranks in zip(verdicts, witnesses, chunk.ranks):
-            v["exact"], w["rank"] = _exact_verdict(ranks, n)
-    return [_outcome(v.get("exact", v.get("float")), v, w) for v, w in zip(verdicts, witnesses)]
-
-
 _SPHERE = VectorSpec.uniform_sphere()
 
 
-def _trials_two_vectors(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
-    u = sample_vector(_SPHERE, n, chunk.extra["sphere"])
-    on_b, on_u = (pbh_controllable(None, b, config.tolerances, chunk.eig) for b in (chunk.b, u))
-    fb, fu = on_b.decision.tolist(), on_u.decision.tolist()
-    inner = np.minimum(on_b.min_abs_inner, on_u.min_abs_inner).tolist()
-    outcomes = []
-    for t, (gap, norm) in enumerate(zip(chunk.eig.gap.tolist(), chunk.eig.norm.tolist())):
-        verdicts = {"float:b": fb[t], "float:u": fu[t]}
-        witnesses = {"min_gap": gap, "min_abs_inner": inner[t], "norm_a": norm}
-        if chunk.ranks is not None:
-            verdicts["exact:b"], witnesses["rank"] = _exact_verdict(chunk.ranks[t], n)
-        pair = (verdicts.get("exact:b", fb[t]), fu[t])
-        outcomes.append(_outcome(UNCONTROLLABLE if UNCONTROLLABLE in pair else
-                                 INDETERMINATE if INDETERMINATE in pair else CONTROLLABLE,
-                                 verdicts, witnesses))
-    return outcomes
+def _both(a: list, b: list) -> list:
+    """Trial by trial, the verdict of two inputs that must both pass: it
+    fails where either fails, and is otherwise indeterminate where either is."""
+    return [x if x == UNCONTROLLABLE or y == CONTROLLABLE else y for x, y in zip(a, b)]
+
+
+def _trials_pbh(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
+    """Every input of a PBH trial decided, exact or float: the scenario's
+    input vector b, or, without one, every e_i at once; with a "sphere"
+    stream (cor-gnp-rand), also a uniform sphere input u, keyed ":b" and
+    ":u".  Where the exact method runs at n, one :func:`kalman_ranks_exact`
+    call over the stack, handed the chunk's eigensystem, decides b; every
+    input is decided in float unless the exact verdicts cover them all.  An
+    input counts by its exact verdict where it has one, and a trial passes
+    when every input passes.
+    """
+    inputs = {"": chunk.b}
+    if "sphere" in chunk.extra:
+        inputs = {":b": chunk.b, ":u": sample_vector(_SPHERE, n, chunk.extra["sphere"])}
+    verdicts = [{} for _ in chunk.mats]
+    deciding = {}  # each input's verdict, trial by trial
+    if config.method != "exact" or len(inputs) > 1:
+        pbhs = [pbh_controllable(None, b, config.tolerances, chunk.eig) for b in inputs.values()]
+        for suffix, pbh in zip(inputs, pbhs):
+            key, deciding[suffix] = "float" + suffix, pbh.decision.tolist()
+            for v, decision in zip(verdicts, deciding[suffix]):
+                v[key] = decision
+        inner = functools.reduce(np.minimum, (pbh.min_abs_inner for pbh in pbhs))
+        witnesses = [{"min_gap": gap, "min_abs_inner": worst, "norm_a": norm}
+                     for gap, worst, norm in zip(chunk.eig.gap.tolist(), inner.tolist(),
+                                                 chunk.eig.norm.tolist())]
+    else:
+        witnesses = [{} for _ in chunk.mats]
+    if _exact_runs(config, n):
+        suffix = next(iter(inputs))
+        cols = np.eye(n, dtype=np.int64) if chunk.b is None else chunk.b[:, :, None]
+        ranks = [min(r) for r in kalman_ranks_exact(chunk.mats, cols, config.exact_cap,
+                                                    eigsys=chunk.certificate)]
+        key, deciding[suffix] = "exact" + suffix, [
+            CONTROLLABLE if rank == n else UNCONTROLLABLE for rank in ranks]
+        for v, w, decision, rank in zip(verdicts, witnesses, deciding[suffix], ranks):
+            v[key], w["rank"] = decision, float(rank)
+    return [(d == CONTROLLABLE, d == INDETERMINATE, v, w) for d, v, w in zip(
+        functools.reduce(_both, deciding.values()), verdicts, witnesses)]
 
 
 def _trials_mingap(config: ExperimentConfig, n: int, chunk: _Chunk) -> list:
@@ -415,7 +430,7 @@ def _trials_minctrl(config: ExperimentConfig, n: int, chunk: _Chunk):
     beyond the exact cap raises there.  Only a search that goes past the
     basis gets its matrix's eigensystem."""
     params = _params(config)
-    eig = None if isinstance(chunk.eigsys, Exception) else chunk.eigsys
+    eig = chunk.certificate
     scans = basis_scan(chunk.mats, config.exact_cap, eig)
     for t, (a, scan) in enumerate(zip(chunk.mats, scans)):
         past = eig is not None and scan.simple_spectrum and not scan.controllable
@@ -430,16 +445,16 @@ def _trials_minctrl(config: ExperimentConfig, n: int, chunk: _Chunk):
         yield result.k_star == 1, False, {}, witnesses
 
 
-_PBH = _Family(_trials_pbh, kalman=True)
-_TWO_VECTORS = _Family(_trials_two_vectors, ("sphere",), kalman=True)
+_PBH = _Family(_trials_pbh)
+_PBH_SPHERE = _Family(_trials_pbh, ("sphere",))
 _MINCTRL = _Family(_trials_minctrl)
 _MINGAP = _Family(_trials_mingap, vectors=False)
 _SMALLBALL = _Family(_trials_smallball, ("smallball",))
 _NORM = _Family(_trials_norm, vectors=False)
 
 # Bound on the float64 entries of one chunk's eigendecomposition stack,
-# T * n^2 for T trials at dimension n (128 KiB).  The chunk's exact Kalman
-# ranks need no bound here: kalman_ranks_exact bounds its own Krylov stacks.
+# T * n^2 for T trials at dimension n (128 KiB).  A family's exact work
+# needs no bound here: kalman_ranks_exact bounds its own Krylov stacks.
 _STACK_ENTRIES = 2**14
 
 
@@ -452,21 +467,19 @@ def _chunks(config: ExperimentConfig, n: int) -> list[range]:
 
 
 def _draw_chunk(config: ExperimentConfig, n: int, trials) -> _Chunk:
-    """The :class:`_Chunk` of the trial indices `trials` at grid point n.
+    """The :class:`_Chunk` of the trial indices `trials` at grid point n:
+    only draws and the decomposition, for the trial family to decide.
 
     Each trial is drawn from the streams of its own SeedPath, so a draw
     never depends on the chunk it is in; the generators of all streams of
     the chunk come from one :meth:`SeedPath.generators` batch below the
     grid point's path; one :func:`sample_ensemble` call draws every matrix
     and one :func:`sample_vector` call every input (on None seeds if it
-    draws nothing).  The eigensystems come from one :func:`eig_sym` call over
-    the stack as float64, and their Kalman ranks from one
-    :func:`kalman_ranks_exact` call over the same stack, which is handed
-    the eigensystems, proves most full ranks from them and certifies the
-    rest in sub-stacks it bounds itself; each equals what the trial alone
-    would compute.  When the decomposition fails, the Kalman ranks are
-    certified without it, and the failure, which names the first failing
-    trial, is raised only if the trial family reads the eigensystem.
+    draws nothing).  The eigensystems come from one :func:`eig_sym` call
+    over the stack as float64; each equals what the trial alone would
+    compute.  A failed decomposition, which names the first failing trial,
+    is kept in the chunk and raised only where a family reads
+    :attr:`_Chunk.eig`.
     """
     family = SCENARIOS[config.scenario].trial
     grid = SeedPath(config.master_seed).child(config.scenario, n)
@@ -481,12 +494,7 @@ def _draw_chunk(config: ExperimentConfig, n: int, trials) -> _Chunk:
         eig = eig_sym(mats, label=[grid.labels + (t,) for t in trials], vectors=family.vectors)
     except EigenDecompositionError as exc:
         eig = exc
-    ranks = None
-    if family.kalman and _exact_runs(config, n):
-        inputs = np.eye(n, dtype=np.int64) if b is None else b[:, :, None]
-        ranks = kalman_ranks_exact(mats, inputs, config.exact_cap,
-                                   eigsys=None if isinstance(eig, Exception) else eig)
-    return _Chunk(mats, b, {stream: drawn[stream] for stream in family.extra}, ranks, eig)
+    return _Chunk(mats, b, {stream: drawn[stream] for stream in family.extra}, eig)
 
 
 def _decide_chunk(config: ExperimentConfig, n: int, trials):
@@ -601,7 +609,7 @@ SCENARIOS: dict[str, _Scenario] = {
                                  vector=VectorSpec.iid_atom(Atom.rademacher())),
     "thm-wigner-sphere": _Scenario(_PBH, "Wigner with a uniform sphere input",
                                    _WIGNER, (8, 16, 32), 200, vector=VectorSpec.uniform_sphere()),
-    "cor-gnp-rand": _Scenario(_TWO_VECTORS, "G(n,p) with Bernoulli and sphere inputs",
+    "cor-gnp-rand": _Scenario(_PBH_SPHERE, "G(n,p) with Bernoulli and sphere inputs",
                               _GNP, (8, 16, 24), 200, "both", VectorSpec.bernoulli01, p=0.5),
     "thm-goe": _Scenario(_PBH, "GOE with a fixed basis input",
                          EnsembleSpec.goe(), (10, 30), 500, vector=VectorSpec.standard_basis(0)),
@@ -684,14 +692,16 @@ def apply_overrides(config: ExperimentConfig, *, n_grid=None, trials=None, p=Non
 # ---------------------------------------------------------------------------
 
 def _agreement_meta(records: list[TrialRecord]) -> dict | None:
+    """How many `exact<suffix>` verdicts were compared with a decided
+    (not indeterminate) `float<suffix>` twin, and how many agreed."""
     compared = agreed = 0
     for rec in records:
-        for exact_key, float_key in (("exact", "float"), ("exact:b", "float:b")):
-            if exact_key in rec.verdicts and float_key in rec.verdicts:
-                if rec.verdicts[float_key] == INDETERMINATE:
-                    continue
-                compared += 1
-                agreed += rec.verdicts[float_key] == rec.verdicts[exact_key]
+        for key, verdict in rec.verdicts.items():
+            if key.startswith("exact"):
+                twin = rec.verdicts.get("float" + key[5:], INDETERMINATE)
+                if twin != INDETERMINATE:
+                    compared += 1
+                    agreed += twin == verdict
     if compared == 0:
         return None
     return {"compared": compared, "agreed": agreed}
@@ -701,11 +711,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all (n, trial) cells in order and aggregate; deterministic for a fixed config.
 
     The trials of each grid point run in chunks (see :func:`_draw_chunk`):
-    each chunk is drawn, its exact Kalman ranks decided and its matrices
-    decomposed in one batch, its family decides every trial of it, and
-    then every record is built by one :func:`run_trial` call that takes its
-    trial's outcome from the chunk's.  The records equal standalone
-    run_trial ones.
+    each chunk is drawn and its matrices decomposed in one batch, its
+    family decides every trial of it, and then every record is built by
+    one :func:`run_trial` call that takes its trial's outcome from the
+    chunk's.  The records equal standalone run_trial ones.
     """
     config.validate()
     records, rows = [], []

@@ -336,15 +336,19 @@ def test_search_budget_failure_is_one_error_line(tmp_path, capsys):
     assert str(error) == line.removeprefix("ctrllab: error: ")
 
 
-@pytest.mark.parametrize("method,n", [("float-pbh", 40), ("both", 26)])
-def test_search_above_the_exact_cap_is_one_error_line(capsys, method, n):
-    # minctrl-gnp searches exactly under every method; its basis scan
-    # refuses the dimension before any exact work
+@pytest.mark.parametrize("method,n,message", [
+    ("exact", 40, "method=exact but n-grid [40] exceeds exact cap 24"),
+    # the search decides exactly, so the row fixes its method
+    ("float-pbh", 40, "scenario 'minctrl-gnp' runs method=exact, got method=float-pbh"),
+    ("both", 26, "scenario 'minctrl-gnp' runs method=exact, got method=both"),
+], ids=["exact-40", "float-pbh-40", "both-26"])
+def test_search_above_the_exact_cap_is_one_error_line(capsys, method, n, message):
+    # minctrl-gnp is refused above the exact cap before any exact work
     argv = ["--scenario", "minctrl-gnp", "--method", method, "--n", str(n), "--trials", "2"]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"ctrllab: error: n={n} exceeds exact cap 24"]
+    assert captured.err.splitlines() == [f"ctrllab: error: {message}"]
 
 
 @pytest.mark.parametrize("vector,message", [

@@ -430,6 +430,21 @@ def test_rows_of_non_integer_samples_refuse_the_exact_path(name):
         make_scenario_config(name, n_grid=(8,), method="exact")
 
 
+@pytest.mark.parametrize("name, method", [
+    ("diag-mingap", "exact"), ("diag-smallball", "both"), ("diag-norm", "exact"),
+    ("minctrl-gnp", "float-pbh"), ("minctrl-gnp", "both"),
+])
+def test_rows_whose_family_reads_no_method_refuse_another(monkeypatch, name, method):
+    # only the PBH family reads the method; elsewhere another one would
+    # name, in the CSV method column, a decider that did not run
+    monkeypatch.setattr(harness, "_draw_chunk", lambda *args: pytest.fail("a trial ran"))
+    row = SCENARIOS[name].method
+    with pytest.raises(ValueError, match=rf"^scenario '{name}' runs method={row}, "
+                                         rf"got method={method}$"):
+        make_scenario_config(name, method=method)
+    make_scenario_config(name, method=row)
+
+
 @pytest.mark.parametrize("name", ["thm-wigner-basis", "thm-wigner-rand"])
 def test_rademacher_wigner_rows_run_on_the_exact_path(name):
     # their matrices and inputs are 0/+-1, so integer-valued by their atoms
@@ -555,28 +570,28 @@ def test_chunk_draws_equal_per_path_samples(name, streams):
     ("conj1", "both", 6, ["float"], False, "vectors"),  # n = 8 above the exact cap
     ("cor-gnp-rand", "exact", None, ["exact:b", "float:b", "float:u"], True, "vectors"),
     ("cor-gnp-rand", "float-pbh", None, ["float:b", "float:u"], False, "vectors"),
-    # minctrl decides its basis ranks in its trial family, from the eigenvectors
-    ("minctrl-gnp", "float-pbh", None, [], False, "vectors"),
     ("diag-mingap", "float-pbh", None, [], False, "values"),
+    # minctrl decides its basis ranks in its own scan, from the eigenvectors
     ("minctrl-gnp", "exact", None, [], False, "vectors"),
 ])
-def test_family_work_under_each_method(name, method, cap, verdicts, ranks, eig):
-    # what the chunk stage computes for a family, and the verdicts it yields
+def test_family_work_under_each_method(monkeypatch, name, method, cap, verdicts, ranks, eig):
+    # what the chunk stage computes for a family, whether the family ranks
+    # its inputs exactly, and the verdicts it yields
     config = make_scenario_config(name, n_grid=(8,), trials=3, method=method)
     if cap is not None:
         config.exact_cap = cap
         config.validate()
     chunk = harness._draw_chunk(config, 8, range(3))
-    assert (chunk.ranks is not None) == ranks
     computed = chunk.eig and ("values" if chunk.eig.eigenvectors is None else "vectors")
     assert computed == eig
+    calls, real = [], harness.kalman_ranks_exact
+    monkeypatch.setattr(harness, "kalman_ranks_exact", lambda *args, **kwargs:
+                        calls.append(kwargs["eigsys"]) or real(*args, **kwargs))
     outcomes = harness._decide_chunk(config, 8, range(3))
+    assert len(calls) == int(ranks) and all(eigsys is not None for eigsys in calls)
     for t in range(3):
         record = run_trial(config, 8, t, outcomes=outcomes)
         assert sorted(record.verdicts) == verdicts
-        if name == "minctrl-gnp":  # the search decides exactly under any method
-            exact_config = make_scenario_config(name, n_grid=(8,), trials=3, method="exact")
-            assert record == run_trial(exact_config, 8, t)
 
 
 def test_wide_trial_index_is_reproducible_alone():

@@ -5,6 +5,7 @@ CSV report and of the JSON report are pinned, so any change to a verdict, a
 witness-driven count, a float format or the config echo shows here.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -15,6 +16,7 @@ from ctrllab import (
     Atom,
     EnsembleSpec,
     VectorSpec,
+    harness,
     make_scenario_config,
     report_csv,
     report_json,
@@ -85,3 +87,48 @@ def test_spec_dict_forms_are_pinned(cls, spec, expected):
     # forms no preset covers; json.dumps pins key order as well as content
     assert json.dumps(spec.to_dict()) == json.dumps(expected)
     assert json.dumps(cls.from_dict(expected).to_dict()) == json.dumps(expected)
+
+
+# the PBH rows under every method each accepts; the n = 24 point of
+# RECORD_GRID spans two chunks of 28 and 2 trials
+RECORD_METHODS = {
+    "conj1": ("exact", "float-pbh", "both"),
+    "conj2": ("exact", "float-pbh", "both"),
+    "cor-gnp-rand": ("exact", "float-pbh", "both"),
+    "thm-goe": ("float-pbh", "both"),
+    "thm-wigner-basis": ("exact", "float-pbh", "both"),
+    "thm-wigner-rand": ("exact", "float-pbh", "both"),
+    "thm-wigner-sphere": ("float-pbh", "both"),
+    "kn-allones": ("exact", "float-pbh", "both"),
+}
+RECORD_GRID, RECORD_TRIALS = (8, 24), 30
+RECORD_PIN = "baa198ae26e0b1698cd66deeb0d51ea2e97041c75c38e4e39d3097759cf94c26"
+
+
+def _rounded(record: dict) -> dict:
+    # the eigen witnesses to 6 significant digits: LAPACK builds may differ
+    # in their last bits, which no refactor of the harness should show
+    record["witnesses"] = {k: float(f"{v:.6g}") for k, v in record["witnesses"].items()}
+    return record
+
+
+def test_pbh_trial_records_are_pinned(monkeypatch):
+    # every TrialRecord, verdict and witness dicts in insertion order, and
+    # the agreement count: a refactor that moves a verdict key or a witness
+    # changes no aggregate, but it changes this digest
+    records = []
+    monkeypatch.setattr(harness, "run_trial", lambda *args, real=harness.run_trial, **kwargs:
+                        records.append(real(*args, **kwargs)) or records[-1])
+    runs = []
+    for name, methods in RECORD_METHODS.items():
+        for method in methods:
+            for seed in (1506, 3125):
+                config = make_scenario_config(name, n_grid=RECORD_GRID, trials=RECORD_TRIALS,
+                                              method=method, master_seed=seed)
+                assert len(harness._chunks(config, RECORD_GRID[-1])) == 2
+                records.clear()
+                report = run_experiment(config)
+                runs.append([name, method, seed, report.agreement,
+                             [_rounded(dataclasses.asdict(rec)) for rec in records]])
+                assert len(records) == len(RECORD_GRID) * RECORD_TRIALS
+    assert _sha(json.dumps(runs)) == RECORD_PIN
