@@ -29,11 +29,18 @@ little-endian 32-bit halves, low half first, and a bit is the top bit of
 its half; this is the stream of ``Generator.integers(0, 2)`` on a generator
 with no pending 32-bit half, except that an odd count drops its last high
 half instead of leaving it pending.  Another bit generator draws its fair
-bits with ``integers(0, 2)`` itself.  A stack's generators each draw into
-their own row of one buffer and the law runs once on the buffer.  When the
+bits with ``integers(0, 2)`` itself.
+
+Every draw goes through one helper, ``Atom._draws``: each generator of a
+stack fills its own block of one buffer in one call, and the law runs once
+on the whole buffer; :meth:`Atom.sample` is that draw on a stack of one
+generator.  A matrix ensemble draws in one of two ways.  When the
 off-diagonal and diagonal atoms draw the same kind of raw number, each
-matrix draws them in one call, the upper triangle first, so a diagonal of
-fair bits follows an odd upper triangle as ``integers`` would give it.
+generator draws its matrix's upper triangle and diagonal in one call, the
+upper triangle first, so a diagonal of fair bits follows an odd upper
+triangle as ``integers`` would give it.  Otherwise the stack draws every
+upper triangle and then every diagonal, so each generator still draws its
+upper triangle first, and a diagonal that draws nothing calls no generator.
 """
 
 from __future__ import annotations
@@ -146,7 +153,7 @@ class Atom(Spec):
             self.kind == "degenerate" and float(self.value).is_integer()
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Draw iid copies; always float64: the raw numbers :meth:`_draw`
+        """Draw iid copies; always float64: the raw numbers :meth:`_draws`
         takes from `rng`, put through the law :meth:`_law`.
 
         Rademacher copies from a PCG64 generator are those of
@@ -154,21 +161,7 @@ class Atom(Spec):
         32-bit half, as a fresh one does; an odd count drops its last half
         instead of leaving it pending for the next draw.
         """
-        return self._law(self._draw(rng, self._raw(size)))
-
-    def _rows(self, rngs: list, k: int) -> np.ndarray:
-        """The (T, k) array whose row t is ``sample(rngs[t], k)``, bit for
-        bit: each generator draws into its own row, and the law runs once."""
-        return self._law(self._draws(rngs, k))
-
-    def _draws(self, rngs: list, k: int) -> np.ndarray:
-        """The (T, k) raw numbers of ``sample(rngs[t], k)`` in row t; an
-        atom that draws nothing calls no generator."""
-        raw, fill = self._raw((len(rngs), k)), self._sources[self.kind]
-        if fill is not None:
-            for rng, row in zip(rngs, raw):
-                fill(rng, out=row)
-        return raw
+        return self._law(self._draws([rng], size)[0])
 
     # what fills each kind's raw numbers: standard normals, fair bits,
     # uniforms on [0, 1) or nothing; atoms of one source draw alike
@@ -176,21 +169,21 @@ class Atom(Spec):
                 "centered-bernoulli": np.random.Generator.random,
                 "bernoulli01": np.random.Generator.random, "degenerate": None}
 
-    def _raw(self, shape) -> np.ndarray:
-        """An empty array for the raw numbers of `shape` copies: uint32
-        halves for fair bits, float64 otherwise."""
-        return np.empty(shape, np.uint32 if self.kind == "rademacher" else np.float64)
-
-    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """`out`, a contiguous array from :meth:`_raw`, filled in one call with
-        raw numbers from `rng` (see `_sources`)."""
+    def _draws(self, rngs: list, size) -> np.ndarray:
+        """The raw numbers of `size` copies from each generator of `rngs`,
+        generator t's in block t of one (T, *size) array: uint32 halves for
+        fair bits, float64 otherwise.  Each generator fills its block in one
+        call (see `_sources`); an atom that draws nothing calls none."""
+        raw = np.empty((len(rngs), *np.atleast_1d(size)),
+                       np.uint32 if self.kind == "rademacher" else np.float64)
         fill = self._sources[self.kind]
         if fill is not None:
-            fill(rng, out=out)
-        return out
+            for t, rng in enumerate(rngs):
+                fill(rng, out=raw[t, ...])  # a view even for a scalar size ()
+        return raw
 
     def _law(self, raw: np.ndarray) -> np.ndarray:
-        """The float64 copies made from the raw numbers of :meth:`_draw`,
+        """The float64 copies made from the raw numbers of :meth:`_draws`,
         elementwise; a Rademacher copy is 2 x - 1 for the top bit x of its
         half, as ``integers(0, 2)`` reads the bit (Lemire's method); a
         Gaussian copy is mean + sd z, rounded as ``Generator.normal`` rounds it."""
@@ -298,7 +291,7 @@ def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
     exactly.  gnp yields int64, everything else float64.
 
     Given a sequence of T seeds, the (T, n, n) stack of one each: each
-    generator draws its matrix's raw numbers into its own rows, the upper
+    generator draws its matrix's raw numbers into its own blocks, the upper
     triangle's and then the diagonal's (in one call when both atoms draw
     the same kind of raw number), each atom's law runs once on the
     stack's, and one transpose-add mirrors every matrix.
@@ -311,17 +304,11 @@ def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
     offdiag, diag = spec.atoms
     iu = _upper_indices(n)
     k = iu[0].size
-    sources = Atom._sources[offdiag.kind], Atom._sources[diag.kind]
-    if sources[0] == sources[1]:  # one draw per matrix
+    if Atom._sources[offdiag.kind] == Atom._sources[diag.kind]:  # one draw per matrix
         raw = offdiag._draws(rngs, k + n)
         upper, diagonal = raw[:, :k], raw[:, k:]
-    elif None in sources:  # only one atom draws
+    else:  # each generator draws its upper triangle, then its diagonal
         upper, diagonal = offdiag._draws(rngs, k), diag._draws(rngs, n)
-    else:
-        upper, diagonal = offdiag._raw((len(rngs), k)), diag._raw((len(rngs), n))
-        for rng, u, d in zip(rngs, upper, diagonal):
-            offdiag._draw(rng, u)
-            diag._draw(rng, d)
     m = np.zeros((len(rngs), n, n), np.int64 if spec.kind == "gnp-adjacency" else np.float64)
     m[:, iu[0], iu[1]] = offdiag._law(upper)
     m += m.transpose(0, 2, 1)
@@ -467,7 +454,7 @@ def sample_vector(spec: VectorSpec, n: int, seed) -> np.ndarray:
         v = np.tile(spec.values, (len(seeds), 1))
     else:
         rngs = [_rng(s) for s in seeds]
-        v = spec.entry_atom._rows(rngs, n)
+        v = spec.entry_atom._law(spec.entry_atom._draws(rngs, n))
         if spec.kind == "uniform-sphere":
             for t in np.flatnonzero(~v.any(axis=1)):
                 while not v[t].any():

@@ -471,9 +471,12 @@ def _eigvec_bounds(a: np.ndarray, w: np.ndarray,
     underflows: an absolute error in eta, and a relative one below
     n 2^-1074 in rho, which counts only where eta <= 0.01, so
     ||X||_F^2 >= 0.99 n.  A is integer, so ||A||_F^2 does not underflow.
-    Gaps are lower bounds after division by 1.01.  A non-finite value
-    anywhere proves nothing: every test is a strict comparison, false on
-    NaN.  The residual is computed from A itself, so an eigensystem of
+    R and X^T X - I are measured by the peak norm n max|m_ij|, not by a
+    Frobenius sum of squares, because the square of an entry below 2^-537
+    underflows: a computed ||R||_F could fall short by up to n 2^-537, far
+    above the 2^-1000 that :func:`_upper` adds.  Gaps are lower bounds
+    after division by 1.01.  A non-finite value anywhere proves nothing:
+    every test is a strict comparison, false on NaN.  The residual is computed from A itself, so an eigensystem of
     another matrix can only fail to prove anything.
     """
     t, n, _ = a.shape

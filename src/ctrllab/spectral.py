@@ -296,10 +296,12 @@ class Tolerances(Record):
             value = _check(Tolerances, f.name, getattr(self, f.name), f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if not 0 <= self.gap_reject <= self.gap_tol:
-            raise ValueError("need 0 <= gap_reject <= gap_tol")
-        if not 0 <= self.ortho_reject <= self.ortho_tol:
-            raise ValueError("need 0 <= ortho_reject <= ortho_tol")
+            if value < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {value}")
+        for tol, reject in (("gap_tol", "gap_reject"), ("ortho_tol", "ortho_reject")):
+            if getattr(self, tol) < getattr(self, reject):
+                raise ValueError(f"{tol} must be >= {reject} ({getattr(self, reject)}), "
+                                 f"got {getattr(self, tol)}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -212,6 +212,9 @@ def test_config_file_params_round_trip(tmp_path):
     (["--gap-tol", "inf"], "gap_tol must be finite, got inf"),
     (["--ortho-tol", "inf"], "ortho_tol must be finite, got inf"),
     (["--gap-tol", "nan"], "gap_tol must be finite, got nan"),
+    # a tolerance out of bounds names the bound and the values
+    (["--gap-tol", "1e-15"], "gap_tol must be >= gap_reject (1e-12), got 1e-15"),
+    (["--ortho-tol", "-1"], "ortho_tol must be >= 0, got -1.0"),
 ])
 def test_flags_reject_empty_grid_and_nonfinite_tolerances(capsys, flags, message):
     assert main(["--scenario", "thm-goe", "--trials", "2", *flags]) == 1

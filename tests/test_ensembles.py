@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import math
 import re
@@ -105,6 +106,13 @@ def test_atom_copies_are_the_generator_methods_draws(atom):
         got = atom.sample(SEED.child("written-out", str(size)).generator(), size)
         want = written_out_draw(atom, SEED.child("written-out", str(size)).generator(), size)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def test_a_scalar_size_draws_one_copy():
+    for atom in ATOMS:
+        got = atom.sample(SEED.child("scalar").generator(), ())
+        want = written_out_draw(atom, SEED.child("scalar").generator(), ())
+        assert np.shape(got) == () and got == want
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox])
@@ -520,6 +528,34 @@ def test_stacked_vectors_equal_per_vector_draws(spec):
     assert per_vector_oracle(spec, root.child(3, 0).generator(), 3)[0] != 7.0
     with pytest.raises(ValueError, match=r"^expected a seed or a non-empty sequence of seeds$"):
         sample_vector(spec, 3, [])
+
+
+def test_every_draw_leaves_each_stream_where_it_did():
+    # the tests above compare the values drawn; this pins how many raw
+    # outputs each generator spends: its next two outputs after the draw.
+    # n = 3, 4 and 6 give odd and even upper-triangle and diagonal counts
+    root = SEED.child("stream-position")
+
+    def after(draw, rngs) -> bytes:
+        draw(rngs)
+        return b"".join(rng.bit_generator.random_raw(2).tobytes() for rng in rngs)
+
+    def digest(parts) -> str:
+        return hashlib.sha256(b"".join(parts)).hexdigest()
+
+    matrices = digest(after(lambda rngs: sample_ensemble(spec, rngs, n),
+                            list(root.generators([(n, t) for t in range(3)])))
+                      for spec in STACKED_SPECS for n in (3, 4, 6))
+    # a shifted vector has length 3 and spends its base's stream
+    vectors = digest(after(lambda rngs: sample_vector(spec, n, rngs),
+                           list(root.generators([(n, t) for t in range(3)])))
+                     for spec in STACKED_VECTORS if spec.seeded for n in (3, 4, 6)
+                     if spec.kind != "shifted" or n == 3)
+    atoms = digest(after(lambda rngs: atom.sample(rngs[0], size), [root.child(str(size)).generator()])
+                   for atom in ATOMS for size in (1, 3, 5, 33, (3, 5)))
+    assert matrices == "886e2179a641e76e4d169811b5b5ebec5ea19c9d691dfad6f165386e16046f82"
+    assert vectors == "7a26b9e77aa295599fe455eeca8ef414f76b8b1f6ab36b1be4d250483893f892"
+    assert atoms == "ab81d1f7b13916ca1b016f2ad620fd042f57128b10127b9f511f9e40c70f025e"
 
 
 def test_every_ensemble_is_exactly_symmetric():

@@ -273,6 +273,19 @@ def test_tolerances_must_be_finite(field):
             Tolerances(**{field: bad})
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"gap_tol": 1e-15}, "gap_tol must be >= gap_reject (1e-12), got 1e-15"),
+    ({"ortho_reject": 1e-8}, "ortho_tol must be >= ortho_reject (1e-08), got 1e-09"),
+    ({"ortho_tol": -1.0}, "ortho_tol must be >= 0, got -1.0"),
+    ({"gap_reject": -1e-12}, "gap_reject must be >= 0, got -1e-12"),
+])
+def test_tolerance_refusals_name_the_bound_and_the_values(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Tolerances(**fields)
+    # the bounds themselves hold
+    Tolerances(gap_tol=1e-12, gap_reject=1e-12, ortho_tol=0.0, ortho_reject=0.0)
+
+
 def test_pbh_agrees_with_exact_on_small_graphs():
     root = SEED.child("agree")
     compared = agreed = 0
