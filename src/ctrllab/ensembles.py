@@ -19,7 +19,8 @@ triangle is mirrored, never re-sampled).  A sampler also takes, in place of
 the path, the generator already derived from it (as
 :meth:`~ctrllab.seeding.SeedPath.generators` derives a batch of them), and
 then draws exactly what the path would.  Given a sequence of T seeds, a
-sampler gives the stack of T draws, each bit for bit its own seed's draw.
+sampler gives the stack of T draws, each bit for bit its own seed's draw;
+a stack whose entries share a generator is refused, naming both entries.
 
 An atom's copies are a law applied to raw numbers its generator draws:
 standard normals for a Gaussian, uniforms on [0, 1) for the Bernoulli
@@ -271,8 +272,17 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _rng(seed: SeedPath | np.random.Generator) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else seed.generator()
+def _rngs(seeds: list) -> list:
+    """The generator of each seed of a stack: a generator as it is, a
+    :class:`SeedPath`'s derived.  Two entries that are one generator, or
+    share one bit generator, raise a ValueError naming both: each would
+    draw from the other's stream, so neither draw would be its own seed's."""
+    rngs = [s if isinstance(s, np.random.Generator) else s.generator() for s in seeds]
+    ids = [id(rng.bit_generator) for rng in rngs]
+    if len(set(ids)) < len(ids):
+        t = next(t for t, i in enumerate(ids) if i in ids[:t])
+        raise ValueError(f"seeds {ids.index(ids[t])} and {t} of the stack share one generator")
+    return rngs
 
 
 def _seeds(seed) -> tuple[list, bool]:
@@ -300,7 +310,7 @@ def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     seeds, single = _seeds(seed)
-    rngs = [_rng(s) for s in seeds]
+    rngs = _rngs(seeds)
     offdiag, diag = spec.atoms
     iu = _upper_indices(n)
     k = iu[0].size
@@ -453,7 +463,7 @@ def sample_vector(spec: VectorSpec, n: int, seed) -> np.ndarray:
     elif spec.kind == "explicit":
         v = np.tile(spec.values, (len(seeds), 1))
     else:
-        rngs = [_rng(s) for s in seeds]
+        rngs = _rngs(seeds)
         v = spec.entry_atom._law(spec.entry_atom._draws(rngs, n))
         if spec.kind == "uniform-sphere":
             for t in np.flatnonzero(~v.any(axis=1)):

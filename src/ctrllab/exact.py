@@ -21,12 +21,12 @@ Faddeev-LeVerrier characteristic polynomial also serves as the oracle in
 the tests.
 
 Degrees are decided for a whole stack of matrices at once, each with its
-own inputs (:func:`_krylov_degrees`): inputs shared by the stack are
-repeated once per matrix on entry.  The degrees pass from tier to tier as
-one (T, blocks) array in which -1 marks a degree not yet settled, and each
-tier sees only the -1 entries.  A caller that already holds float
-eigensystems of the stack passes them to :func:`kalman_ranks_exact` (or
-to :func:`has_simple_spectrum_exact`): a rigorous perturbation bound on
+own inputs: inputs shared by the stack are repeated once per matrix on
+entry.  The Kalman ranks pass from tier to tier as one (T, m) array in
+which -1 marks a rank not yet settled, and each tier sees only the -1
+entries.  A caller that already holds float eigensystems of the stack
+passes them to :func:`kalman_ranks_exact` (or to
+:func:`has_simple_spectrum_exact`): a rigorous perturbation bound on
 the eigensystem proves most spectra simple, and then rank n for most
 controllable pairs (the PBH test: no eigenvector orthogonal to b), while
 integer eigenvectors proved from the float ones, such as e_i - e_j for
@@ -45,14 +45,16 @@ the bounds kept on the eigensystem); a basis scan (``ctrllab.minctrl.basis_scan`
 is one pass of both over a checked stack: the spectrum test computes and
 keeps the bounds, and the rank stage ranks the basis of the simple
 spectra on them, leaving the other rows out by their ranks.
-The matrices with a column left go on to the mod-p
-certificate in sub-stacks of at most ``_KRYLOV_ENTRIES`` Krylov entries,
-so numpy's per-call overhead is paid once per sub-stack, not once per
-matrix, and memory stays bounded for any batch: the Krylov powers of each
-sub-stack are built with one stacked matrix product per power, and the
-Krylov matrices of its unsettled columns alone are eliminated, in one
-batched call.  Only the columns that the certificate leaves unsettled go
-on to Bareiss.  A single matrix is a stack of one.
+What is left goes on as (matrix, block) pairs to one pair stage
+(:func:`_degrees`): a Kalman column is the pair (A, b), a spectrum the
+pair (A, I).  Only the Krylov matrices of those pairs are built, and they
+are certified mod p in runs of at most ``_KRYLOV_ENTRIES`` Krylov
+entries, so numpy's per-call overhead is paid once per run, not once per
+pair, and memory stays bounded for any batch, however many matrices or
+columns: each run's Krylov matrices are built with one stacked matrix
+product per power and eliminated in one batched call.  Only the pairs
+that the certificate leaves unsettled go on to Bareiss.  A single matrix
+is a stack of one.
 
 Krylov entries grow like ``norm(A)**n``, so the Kalman path is capped at
 ``DEFAULT_EXACT_CAP`` dimensions by default; pass ``cap=None`` (or a larger
@@ -87,14 +89,13 @@ DEFAULT_EXACT_CAP = 24
 _P = 67108859
 _MOD_MAX_N = (2**63 - 1) // (_P - 1) ** 2
 
-# Bound on the int64 entries of one Krylov stack, T * m * n^2 for T matrices
-# with m inputs each: :func:`_krylov_degrees` certifies its matrices mod _P
-# in sub-stacks within it (or of one matrix), whatever batch a caller hands
-# in.  Measured when this bound sized the harness's chunks, on the
-# exact-kalman and minctrl-search benchmark workloads against one trial
-# per chunk: peak RSS grows 0.3-1.3% at 2**13, 0.7-1.8% at 2**14, 2.3-3.5%
-# at 2**15 and up to 6.5% unbounded, while trials/s stops growing beyond
-# 2**14.
+# Bound on the int64 entries of one Krylov stack, S * n^2 for S (matrix,
+# block) pairs: :func:`_degrees` certifies its pairs mod _P in runs within
+# it (or of one pair), whatever batch a caller hands in.  Measured when
+# this bound sized the harness's chunks, on the exact-kalman and
+# minctrl-search benchmark workloads against one trial per chunk: peak RSS
+# grows 0.3-1.3% at 2**13, 0.7-1.8% at 2**14, 2.3-3.5% at 2**15 and up to
+# 6.5% unbounded, while trials/s stops growing beyond 2**14.
 _KRYLOV_ENTRIES = 2**14
 
 
@@ -321,71 +322,52 @@ def _peak(x: np.ndarray) -> int:
     return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
-def _certified_ranks(mats: np.ndarray, cols: np.ndarray, k: int, ranks: np.ndarray) -> np.ndarray:
-    """`ranks` (T x m / k) with each -1 entry replaced by the Krylov degree
-    of its block of k consecutive columns B of the inputs `cols` (T x n x m)
-    of its matrix A of the stack `mats`, where a certificate proves it; the
-    other entries are returned as they are.
+def _degrees(mats: np.ndarray, which: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The Krylov degree of each block B = blocks[s] (n x k) under its
+    matrix A = mats[which[s]] of the stack `mats`, for each pair s.
 
-    A block of k > 1 columns enters mod _P as one column B w, with w the
-    fixed residues :func:`_weights`.  The Krylov powers of all (combined)
-    inputs of each matrix are built together (:func:`_krylov`, one stacked
-    product per power), and only the n x n Krylov matrices of the -1
-    blocks are gathered and eliminated together by :func:`_echelon_mod_p`.
-    Their rank r mod _P never exceeds the rank over the rationals of
-    [B w, A B w, ...], which is at most the Krylov degree of B (each
-    A^j B w is vec(A^j B) times a fixed matrix), so r = n is proved.  For
-    r < n, the monic relation q(A) B w = 0 mod _P of degree r is lifted to
-    the integers and checked exactly on the whole block, all short blocks
-    in one check; if q(A) B = 0 holds, the degree is at most r, so it is
-    exactly r.  An unlucky w can only leave the degree unsettled.  A zero
-    block has rank 0 and the relation q = 1.
-    """
-    t, n, m = cols.shape
-    blocks = m // k
-    if n > _MOD_MAX_N:
-        return ranks
-    which, block = (ranks < 0).nonzero()
-    inputs = _residues(cols)
-    if k > 1:  # sums of k <= _MOD_MAX_N products below 2^52: no int64 overflow
-        inputs = _reduce(inputs.reshape(t, n, blocks, k) @ _weights(k))
-    krylov = _krylov(_residues(mats), inputs, _reduce)
-    rank, echelon = _echelon_mod_p(krylov[which, block])
-    short = (rank < n).nonzero()[0]
-    if short.size:
-        low = rank[short]
-        polys = _relations_mod_p(echelon[short], low)
-        inputs = cols.reshape(t, n, blocks, k)[which[short], :, block[short]]
-        rank[short] = np.where(_annihilated(mats, which[short], inputs, polys), low, -1)
-    ranks = ranks.copy()
-    ranks[which, block] = rank
-    return ranks
-
-
-def _krylov_degrees(mats: np.ndarray, cols: np.ndarray, k: int, ranks: np.ndarray) -> np.ndarray:
-    """`ranks` (T x m / k) with every -1 entry filled with the Krylov degree
-    of its block of k columns of `cols` (T x n x m) under its matrix of
-    `mats`.
-
-    The matrices with a -1 left are certified mod ``_P``
-    (:func:`_certified_ranks`) in sub-stacks of at most max(1, 2^14 //
-    (m n^2)) matrices, so one Krylov stack, and so one elimination, holds
-    at most ``_KRYLOV_ENTRIES`` int64 entries (or one matrix's) however
-    many matrices or inputs a call has; only the -1 blocks of a sub-stack
-    are eliminated.  The blocks still -1 go through Bareiss
+    The pairs are certified mod _P in runs of at most max(1, 2^14 // n^2),
+    so the Krylov matrices of a run, and its elimination, hold at most
+    ``_KRYLOV_ENTRIES`` int64 entries (or one pair's) however many pairs,
+    matrices or columns a call has; the stack is reduced mod _P once per
+    call.  A block of k > 1 columns enters as one column B w, with w the
+    fixed residues :func:`_weights`.  The n x n Krylov matrices of a run
+    are built with one stacked product per power (:func:`_krylov`) and
+    eliminated together by :func:`_echelon_mod_p`.  Their rank r mod _P
+    never exceeds the rank over the rationals of [B w, A B w, ...], which
+    is at most the Krylov degree of B (each A^j B w is vec(A^j B) times a
+    fixed matrix), so r = n is proved.  For r < n, the monic relation
+    q(A) B w = 0 mod _P of degree r is lifted to the integers and checked
+    exactly on the whole block, all short pairs of a run in one check; if
+    q(A) B = 0 holds, the degree is at most r, so it is exactly r.  An
+    unlucky w can only leave the degree unsettled.  A zero block, and a
+    block with no columns, has degree 0 and the relation q = 1.  The pairs
+    left, all of them for n > _MOD_MAX_N, go through Bareiss
     :func:`rank_exact` on the nonzero rows of their Krylov matrix over
     Python ints, so the degrees equal the Bareiss ranks for every input.
     """
-    _, n, m = cols.shape
-    rest = (ranks < 0).any(axis=1).nonzero()[0]
-    step = max(1, _KRYLOV_ENTRIES // max(1, m * n * n))
-    for start in range(0, rest.size, step):
-        sub = rest[start:start + step]
-        ranks[sub] = _certified_ranks(mats[sub], cols[sub], k, ranks[sub])
-    for i, j in zip(*(ranks < 0).nonzero()):
-        krylov = _krylov_exact(mats[i], cols[i, :, j * k:(j + 1) * k])
-        ranks[i, j] = rank_exact(krylov[(krylov != 0).any(axis=1)])
-    return ranks
+    _, n, k = blocks.shape
+    degrees = np.full(len(which), -1)
+    if n <= _MOD_MAX_N:
+        residues = _residues(mats)
+        step = max(1, _KRYLOV_ENTRIES // max(1, n * n))
+        for start in range(0, len(which), step):
+            run = slice(start, start + step)
+            mat, block = which[run], blocks[run]
+            inputs = _residues(block)
+            if k != 1:  # sums of k <= _MOD_MAX_N products below 2^52: no int64 overflow
+                inputs = _reduce(inputs @ _weights(k))[:, :, None]
+            rank, echelon = _echelon_mod_p(_krylov(residues[mat], inputs, _reduce)[:, 0])
+            short = (rank < n).nonzero()[0]
+            if short.size:
+                low = rank[short]
+                polys = _relations_mod_p(echelon[short], low)
+                rank[short] = np.where(_annihilated(mats, mat[short], block[short], polys), low, -1)
+            degrees[run] = rank
+    for s in (degrees < 0).nonzero()[0]:
+        krylov = _krylov_exact(mats[which[s]], blocks[s])
+        degrees[s] = rank_exact(krylov[(krylov != 0).any(axis=1)])
+    return degrees
 
 
 # ---------------------------------------------------------------------------
@@ -708,12 +690,13 @@ def _kalman_ranks(mats: np.ndarray, cols: np.ndarray, eigsys: EigenSystem | None
     `mats`; the other entries are returned as they are, so a caller leaves
     out a row by giving it any rank.  The float tier settles what the
     stack's eigensystem `eigsys` (or None) proves, on the bounds kept on it
-    (:func:`_float_system`, :func:`_float_certified`), and
-    :func:`_krylov_degrees` the entries left."""
+    (:func:`_float_system`, :func:`_float_certified`), and the pair stage
+    :func:`_degrees` the entries left, each (matrix, column) one pair."""
     system = None if eigsys is None else _float_system(mats, eigsys)
     ranks = np.where(ranks < 0, _float_certified(mats, cols, system), ranks)
-    if (ranks < 0).any():
-        ranks = _krylov_degrees(mats, cols, 1, ranks)
+    which, col = (ranks < 0).nonzero()
+    if which.size:
+        ranks[which, col] = _degrees(mats, which, cols[which, :, col, None])
     return ranks
 
 
@@ -729,11 +712,13 @@ def has_simple_spectrum_exact(a, eigsys: EigenSystem | None = None):
     repeated ones (:func:`_float_spectra`), where float64 holds A exactly;
     a wrong eigensystem can make them prove less, never something false.
     The matrices they leave, if any, are decided together, in one
-    :func:`_krylov_degrees` call, by whether the Krylov degree of I under
-    A, the degree of A's minimal polynomial, is n: certified mod ``_P`` in
-    both directions through one fixed combination of the columns of I,
-    with the relation checked on I itself, else by Bareiss on the nonzero
-    rows of the n^2 x n matrix of the powers vec(A^j) over Python integers.
+    :func:`_degrees` call with one pair (A, I) each, by whether the Krylov
+    degree of I under A, the degree of A's minimal polynomial, is n:
+    certified mod ``_P`` in both directions through one fixed combination
+    of the columns of I, with the relation checked on I itself, else by
+    Bareiss on the nonzero rows of the n^2 x n matrix of the powers
+    vec(A^j) over Python integers.  The 0 x 0 spectrum is simple: the
+    0 x 0 block has degree 0.
     """
     mats, eigsys, single = _stack(a, _ints, eigsys)
     t, n, _ = mats.shape
@@ -743,9 +728,9 @@ def has_simple_spectrum_exact(a, eigsys: EigenSystem | None = None):
         simple, repeated = spectra[0].copy(), spectra[1]
         left = ~(simple | repeated)
     if left.any():
-        eye = np.eye(n, dtype=mats.dtype)[None].repeat(left.sum(), axis=0)
-        degrees = np.full((len(eye), 1), -1 if n else 0)  # the 0 x 0 spectrum is simple
-        simple[left] = _krylov_degrees(mats[left], eye, n, degrees)[:, 0] == n
+        which = left.nonzero()[0]
+        eye = np.broadcast_to(np.eye(n, dtype=mats.dtype), (which.size, n, n))
+        simple[left] = _degrees(mats, which, eye) == n
     return bool(simple[0]) if single else simple.tolist()
 
 
@@ -775,9 +760,10 @@ def kalman_ranks_exact(a, inputs, cap: int | None = DEFAULT_EXACT_CAP,
        where A and b are integers of magnitude at most 2^53 held in
        fixed-width dtypes; a wrong eigensystem can make it prove less,
        never wrong.
-    2. The entries still -1, if any, are certified mod ``_P`` in bounded
-       sub-stacks, which eliminate only those columns, else decided by
-       Bareiss (:func:`_krylov_degrees`).
+    2. The entries still -1, if any, go on as (matrix, column) pairs, and
+       only they: their Krylov matrices are built and certified mod ``_P``
+       in runs of bounded size, and the pairs left are decided by Bareiss
+       (:func:`_degrees`).
 
     The zero vector has rank 0.  At rank r < n mod p the certificate lifts
     the monic relation q(A) b = 0 mod p of degree r to (-p/2, p/2] and

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .codec import Record, _check
-from .ensembles import Atom, _finite_vector, _integer, _rng, _row_norms, nonfinite_error
+from .ensembles import Atom, _finite_vector, _integer, _rngs, _row_norms, nonfinite_error
 from .seeding import SeedPath
 
 __all__ = [
@@ -576,7 +576,7 @@ def small_ball_estimate(x, atom: Atom, delta: float, m: int,
     if flag or not 0 < delta < math.inf:
         why = "a number" if flag else "finite" if delta > 0 else "positive"
         raise ValueError(f"window half-width must be {why}, got {delta}")
-    rng = _rng(seed)
+    (rng,) = _rngs([seed])
     n = xv.size
     sums = np.empty(m)
     block = max(2, _BALL_ENTRIES // max(1, n) // 2 * 2)

@@ -86,6 +86,15 @@ def test_requires_scenario_or_config(capsys):
     assert info.value.code == 2
 
 
+def test_bad_dimension_grid_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--scenario", "thm-goe", "--n", "8,x"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ctrllab: error: argument --n: bad dimension grid '8,x'" in captured.err
+
+
 def test_unknown_scenario_fails_nonzero(capsys):
     assert main(["--scenario", "not-a-scenario"]) == 1
     assert "error" in capsys.readouterr().err
@@ -215,6 +224,7 @@ def test_config_file_params_round_trip(tmp_path):
     # a tolerance out of bounds names the bound and the values
     (["--gap-tol", "1e-15"], "gap_tol must be >= gap_reject (1e-12), got 1e-15"),
     (["--ortho-tol", "-1"], "ortho_tol must be >= 0, got -1.0"),
+    (["--n", "0"], "dimensions must be >= 1, got (0,)"),
 ])
 def test_flags_reject_empty_grid_and_nonfinite_tolerances(capsys, flags, message):
     assert main(["--scenario", "thm-goe", "--trials", "2", *flags]) == 1
@@ -232,6 +242,7 @@ def test_flags_reject_empty_grid_and_nonfinite_tolerances(capsys, flags, message
     # a cap below 1 would send every `both` grid point past the exact decider
     (lambda d: d.update(exact_cap=-1), "exact_cap must be >= 1, got -1"),
     (lambda d: d.update(exact_cap=0), "exact_cap must be >= 1, got 0"),
+    (lambda d: d.update(format="xml"), "format must be one of ('csv', 'json'), got 'xml'"),
 ])
 def test_config_file_rejects_empty_grid_and_nonfinite_tolerances(tmp_path, capsys, edit, message):
     doc = make_scenario_config("thm-goe", n_grid=(6,), trials=2).to_dict()

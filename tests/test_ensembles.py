@@ -277,6 +277,10 @@ def test_samplers_name_a_dimension_that_is_not_an_integer():
         assert sample(np.int64(3)).shape[0] == sample(3).shape[0] == 3
     gnp = EnsembleSpec.gnp(0.5)
     assert np.array_equal(sample_ensemble(gnp, SEED, np.int32(6)), sample_ensemble(gnp, SEED, 6))
+    # an integer below 1 is refused by name too
+    for sample in samplers:
+        with pytest.raises(ValueError, match=r"^dimension must be >= 1, got 0$"):
+            sample(0)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +534,24 @@ def test_stacked_vectors_equal_per_vector_draws(spec):
         sample_vector(spec, 3, [])
 
 
+def test_a_stack_whose_seeds_share_a_generator_is_refused():
+    # two entries that are one generator, or wrap one bit generator, would
+    # each draw from the other's stream: matrix 0 of [rng, rng] was not
+    # seed 0's own draw (its diagonal differed), and no error said so; the
+    # refusal comes before any draw
+    rng = np.random.default_rng(7)
+    wigner = EnsembleSpec.wigner(Atom.rademacher(), Atom.gaussian())
+    with pytest.raises(ValueError, match=r"^seeds 0 and 1 of the stack share one generator$"):
+        sample_ensemble(wigner, [rng, rng], 3)
+    shared = [np.random.default_rng(1), rng, np.random.Generator(rng.bit_generator)]
+    with pytest.raises(ValueError, match=r"^seeds 1 and 2 of the stack share one generator$"):
+        sample_vector(VectorSpec.iid_atom(Atom.gaussian()), 3, shared)
+    assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
+    # equal paths derive distinct generators, so each draws its own matrix
+    stack = sample_ensemble(wigner, [SEED, SEED], 3)
+    assert stack[0].tobytes() == stack[1].tobytes() == sample_ensemble(wigner, SEED, 3).tobytes()
+
+
 def test_every_draw_leaves_each_stream_where_it_did():
     # the tests above compare the values drawn; this pins how many raw
     # outputs each generator spends: its next two outputs after the draw.
@@ -773,6 +795,9 @@ def test_shift_and_vector_constructors_validate_like_the_classmethods():
         VectorSpec("iid-atom")
     with pytest.raises(ValueError, match="^shifted vector needs a base VectorSpec, got None$"):
         VectorSpec("shifted", mu=[1.0])
+    for atoms in ({}, {"offdiag": Atom.rademacher()}):
+        with pytest.raises(ValueError, match="^wigner ensemble needs offdiag and diag atoms$"):
+            EnsembleSpec("wigner", **atoms)
     # valid values are stored as the classmethods store them
     assert VectorSpec("explicit", values=[1, 2]).values.dtype == np.float64
     assert VectorSpec("bernoulli01", p=1).to_dict() == VectorSpec.bernoulli01(1.0).to_dict()

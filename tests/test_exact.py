@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -340,6 +341,10 @@ def test_object_entries_are_checked_like_floats():
         rank_exact(np.array([[float("inf")]], dtype=object))
     with pytest.raises(ValueError, match=r"vector has non-finite entries: \[1\] = nan"):
         is_controllable_exact(P3, np.array([1, float("nan"), 0], dtype=object))
+    with pytest.raises(ValueError, match=r"^exact path requires integer entries \(matrix\)$"):
+        rank_exact(np.array([["a", "b"], ["c", "d"]], dtype=object))
+    with pytest.raises(ValueError, match=r"^expected a matrix, got shape \(3,\)$"):
+        rank_exact([1, 2, 3])
     # integral objects of any type still work, beside Python ints beyond int64
     assert rank_exact(np.array([[2.0, 1], [1, np.int8(3)]], dtype=object)) == 2
     assert rank_exact(np.array([[2**70, 1], [1, 0]], dtype=object)) == 2
@@ -665,36 +670,53 @@ def test_stack_sends_only_the_failing_matrix_to_bareiss(monkeypatch):
         assert np.array_equal(twin @ b, ab)
 
 
-def record_certificate_calls(monkeypatch) -> list:
-    """Record each mod-_P certificate call as [matrices, -1 blocks passed
-    in, Krylov matrices eliminated, entries per Krylov matrix]."""
-    calls = []
-    real_certified, real_echelon = exact_module._certified_ranks, exact_module._echelon_mod_p
+def record_certificate_runs(monkeypatch) -> list:
+    """Record each run of the pair stage certified mod _P as [Krylov
+    columns built, Krylov matrices eliminated, entries per Krylov matrix]."""
+    runs = []
+    real_krylov, real_echelon = exact_module._krylov, exact_module._echelon_mod_p
 
-    def certified(mats, cols, k, ranks):
-        calls.append([len(mats), int((ranks < 0).sum())])
-        return real_certified(mats, cols, k, ranks)
+    def krylov(a, v, reduce):
+        if reduce is exact_module._reduce:  # not the Python-int powers of Bareiss
+            runs.append([v.shape[0] * v.shape[2]])
+        return real_krylov(a, v, reduce)
 
     def echelon(stack):
-        calls[-1] += [stack.shape[0], stack.shape[1] * stack.shape[2]]
+        runs[-1] += [stack.shape[0], stack.shape[1] * stack.shape[2]]
         return real_echelon(stack)
 
-    monkeypatch.setattr(exact_module, "_certified_ranks", certified)
+    monkeypatch.setattr(exact_module, "_krylov", krylov)
     monkeypatch.setattr(exact_module, "_echelon_mod_p", echelon)
+    return runs
+
+
+def record_pair_stage_calls(monkeypatch) -> list:
+    """Record the number of (matrix, block) pairs of each pair-stage call."""
+    calls = []
+    real = exact_module._degrees
+    monkeypatch.setattr(exact_module, "_degrees", lambda mats, which, blocks:
+                        calls.append(len(which)) or real(mats, which, blocks))
     return calls
 
 
-@pytest.mark.parametrize("n", [6, 8, 24])
-def test_certificate_runs_on_sub_stacks_of_bounded_krylov_entries(monkeypatch, n):
-    # step - 1, step and step + 1 matrices left unsettled by the float tier,
-    # between matrices it settles: each mod-_P call takes a sub-stack of the
-    # unsettled matrices of at most 2^14 Krylov entries (or one matrix),
-    # eliminates only its unsettled columns, so each elimination holds at
-    # most 2^14 entries too (or one matrix's), and the ranks are those of
-    # one-matrix calls
+def bounded_runs(count: int, n: int) -> list:
+    """The runs of :func:`record_certificate_runs` for `count` pairs of
+    dimension n: at most 2^14 // n^2 pairs each (2^14 Krylov entries), or
+    one pair."""
+    step = max(1, 2**14 // (n * n))
+    return [[size, size, n * n] for size in (min(step, count - start)
+                                             for start in range(0, count, step))]
+
+
+@pytest.mark.parametrize("n", [8, 10, 24])
+def test_certificate_runs_on_bounded_runs_of_unsettled_pairs(monkeypatch, n):
+    # matrices left unsettled by the float tier, between matrices it
+    # settles, and a matrix with settled and unsettled columns both: the
+    # Krylov powers of the unsettled (matrix, column) pairs alone are
+    # built, in runs of at most 2^14 Krylov entries (or one pair), each
+    # eliminated whole, and the ranks are those of one-matrix calls
     inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
     m = inputs.shape[1]
-    step = max(1, exact_module._KRYLOV_ENTRIES // (m * n * n))
     root = SeedPath(20261020, ("sub-stacks", n))
     graphs = [sample_ensemble(GNP, root.child(t), n) for t in range(8)]
     proved = [g for g in graphs if (float_tier(g[None], inputs) == n).all()]
@@ -706,30 +728,51 @@ def test_certificate_runs_on_sub_stacks_of_bounded_krylov_entries(monkeypatch, n
     assert proved and (float_tier(np.stack(deficient), inputs) < 0).any(axis=1).all()
     twins = float_tier(np.stack([with_twins(g) for g in graphs]), inputs)
     assert ((twins >= 0).all(axis=1) & (twins < n).any(axis=1)).any()
-    calls = record_certificate_calls(monkeypatch)
-    for unsettled in (step - 1, step, step + 1):
-        mats = [proved[0]]
+    mirrored = 2**20 * mirrored_graphs(n, 8, 20261020)
+    left = float_tier(mirrored, inputs) < 0
+    mixed = mirrored[(left.any(axis=1) & ~left.all(axis=1)).argmax()]
+    runs = record_certificate_runs(monkeypatch)
+    # the larger stack fills more than one run without an eigensystem
+    for unsettled in sorted({1, 2**14 // (2 * m * n * n) + 1}):
+        mats = [proved[0], mixed]
         for i in range(unsettled):
             mats += [deficient[i % len(deficient)], proved[i % len(proved)]]
         mats = np.stack(mats)
         one_by_one = [kalman_ranks_exact(a, inputs) for a in mats]
         eigsys = eig_sym(mats.astype(np.float64))
         left = float_tier(mats, inputs, eigsys) < 0
-        for tier, count in ((eigsys, unsettled), (None, len(mats))):
-            calls.clear()
+        assert (left.any(axis=1) & ~left.all(axis=1))[1]
+        # every column the float tier settles stays out of the Krylov powers
+        for tier, count in ((eigsys, int(left.sum())), (None, left.size)):
+            runs.clear()
             assert kalman_ranks_exact(mats, inputs, eigsys=tier) == one_by_one
-            assert [t for t, *_ in calls] == [min(step, count - start)
-                                              for start in range(0, count, step)]
-            for t, blocks, eliminated, entries in calls:
-                assert eliminated == blocks and entries == n * n
-                assert t * m * n * n <= 2**14 or t == 1
-                assert eliminated * entries <= 2**14 or t == 1
-            # every column the float tier settles stays out of elimination
-            assert sum(blocks for _, blocks, *_ in calls) == (left.sum() if tier else left.size)
-        calls.clear()
+            assert runs == bounded_runs(count, n)
+        runs.clear()
         assert kalman_ranks_exact(mats, inputs[None].repeat(len(mats), axis=0)) == one_by_one
-        assert [t for t, *_ in calls] == [min(step, len(mats) - start)
-                                          for start in range(0, len(mats), step)]
+        assert runs == bounded_runs(left.size, n)
+
+
+def test_one_matrix_with_many_unsettled_columns_is_split_into_bounded_runs(monkeypatch):
+    # without an eigensystem every column of one twin-vertex G(24, 1/2) is
+    # unsettled: 2^14 // 24^2 = 28 pairs per run, so its 60 columns go in
+    # runs of 28, 28 and 4, and so do the spectra of 60 matrices, one pair
+    # (A, I) each, checked against the float tier's proofs
+    n = 24
+    root = SeedPath(1506, ("one-matrix-runs",))
+    graphs = [sample_ensemble(GNP, root.child(t), n) for t in range(58)]
+    mats = np.stack([with_twins(graphs[0]), *graphs[1:], rank_deficient_fixtures(n)[0],
+                     repeated_diagonals(n)[1]])
+    inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64),
+                              np.random.default_rng(1506).integers(-2, 3, (n, 35))])
+    oracle = bareiss_ranks(mats[0], inputs)
+    simple, repeated = exact_module._float_spectra(mats, eig_sym(mats.astype(np.float64)))
+    assert min(oracle) < n and (simple ^ repeated).all() and repeated.any()
+    runs = record_certificate_runs(monkeypatch)
+    assert kalman_ranks_exact(mats[0], inputs) == oracle
+    assert runs == bounded_runs(60, n) == [[28, 28, n * n]] * 2 + [[4, 4, n * n]]
+    runs.clear()
+    assert has_simple_spectrum_exact(mats) == simple.tolist()
+    assert runs == bounded_runs(60, n)
 
 
 def mirrored_graphs(n: int, count: int, seed: int) -> np.ndarray:
@@ -850,11 +893,12 @@ def exact_powers(a) -> np.ndarray:
 
 
 def certified_degree(a) -> int:
-    """The mod-_P certificate's Krylov degree of I under A, or -1."""
+    """The mod-_P certificate's Krylov degree of I under A, or -1: the pair
+    stage on the one pair (A, I), with Bareiss made to settle nothing."""
     a = np.asarray(a)
-    n = len(a)
-    return exact_module._certified_ranks(a[None], np.eye(n, dtype=a.dtype)[None], n,
-                                         np.full((1, 1), -1)).item()
+    with mock.patch.object(exact_module, "rank_exact", lambda m: -1):
+        return exact_module._degrees(a[None], np.zeros(1, dtype=np.intp),
+                                     np.eye(len(a), dtype=a.dtype)[None]).item()
 
 
 def test_hankel_rank_counts_distinct_eigenvalues():
@@ -935,12 +979,28 @@ def test_bareiss_sees_no_zero_rows(monkeypatch):
     diag = repeated_diagonals(24)[0]  # beyond the lift, so Bareiss decides
     assert has_simple_spectrum_exact(diag) is False
     assert [m.shape for m in seen] == [(24, 24)]
-    monkeypatch.setattr(exact_module, "_certified_ranks", lambda mats, cols, k, ranks: ranks)
+    monkeypatch.setattr(exact_module, "_MOD_MAX_N", -1)  # no certificate: every pair to Bareiss
     two = np.kron(np.eye(2, dtype=np.int64), np.array(P3))  # two copies of P_3
     seen.clear()
     assert kalman_ranks_exact(two, np.eye(6, dtype=np.int64)) == [3, 2, 3] * 2
     assert [m.shape for m in seen] == [(3, 6)] * 6
     assert all((m != 0).any(axis=1).all() for m in seen)
+
+
+def test_dimensions_beyond_the_modular_bound_go_to_bareiss(monkeypatch):
+    # above _MOD_MAX_N an int64 product of residues is no longer exact, so
+    # the certificate is skipped: with the bound made 4, n = 6 goes to
+    # Bareiss whole and n = 4 is still certified, and the ranks and spectra
+    # are Bareiss's either way
+    monkeypatch.setattr(exact_module, "_MOD_MAX_N", 4)
+    for n, fallbacks in ((4, 0), (6, 6 + 1 + 1)):  # n + 1 columns and the spectrum
+        a = with_twins(sample_ensemble(GNP, SeedPath(1506, ("mod-max", n)), n))
+        inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+        oracle, simple = bareiss_ranks(a, inputs), simple_spectrum_oracle(a)
+        oracle_calls = count_oracle_calls(monkeypatch)
+        assert kalman_ranks_exact(a, inputs) == oracle
+        assert has_simple_spectrum_exact(a) is simple
+        assert len(oracle_calls) == fallbacks
 
 
 def test_large_spectra_certified_without_bareiss(monkeypatch):
@@ -1111,19 +1171,14 @@ def test_float_tier_reads_only_the_identity_as_the_eigenvectors():
 
 
 def test_float_tier_leaves_ranks_unchanged_and_skips_proved_matrices(monkeypatch):
-    seen = []
-    real = exact_module._certified_ranks
-    monkeypatch.setattr(exact_module, "_certified_ranks", lambda mats, cols, k, ranks:
-                        seen.append(len(mats)) or real(mats, cols, k, ranks))
+    seen = record_pair_stage_calls(monkeypatch)
     for mats, inputs, oracle in adversarial_cases()[::3]:
         eigsys = eig_sym(mats.astype(np.float64))
         seen.clear()
         assert kalman_ranks_exact(mats, inputs, cap=None, eigsys=eigsys) == oracle.tolist()
-        unproved = int((float_tier(mats, inputs, eigsys) < 0).any(axis=1).sum())
-        # in sub-stacks of at most 2^14 Krylov entries, or of one matrix
-        n, m = inputs.shape
-        step = max(1, exact_module._KRYLOV_ENTRIES // (m * n * n))
-        assert seen == [min(step, unproved - start) for start in range(0, unproved, step)]
+        # the pairs the float tier leaves, in one call, or no call at all
+        unproved = int((float_tier(mats, inputs, eigsys) < 0).sum())
+        assert seen == ([unproved] if unproved else [])
     seen.clear()
     a = sample_ensemble(GNP, SeedPath(1506, ("one",)), 24)
     assert kalman_ranks_exact(a, np.eye(24, dtype=np.int64), eigsys=eig_sym(a)) == [24] * 24
@@ -1138,7 +1193,7 @@ def test_unsettled_certificates_leave_float_proofs_standing(monkeypatch):
         mats = 2**20 * mirrored_graphs(n, 24, 20261022)
         inputs = np.column_stack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
         cases.append((mats, inputs, np.array(kalman_ranks_exact(mats, inputs))))
-    monkeypatch.setattr(exact_module, "_certified_ranks", lambda mats, cols, k, ranks: ranks)
+    monkeypatch.setattr(exact_module, "_MOD_MAX_N", -1)  # no certificate: every pair to Bareiss
     oracle_calls = count_oracle_calls(monkeypatch)
     mixed = 0
     for mats, inputs, oracle in cases:
@@ -1161,14 +1216,11 @@ def test_float_tier_skips_entries_beyond_2_53_and_object_arrays(monkeypatch):
     for m, cols in skipped:
         # even with the eigensystem of A's float64 copy, which is exact for big
         assert (float_tier(m[None], cols[None], eig_sym(a[None])) == -1).all()
-    seen = []
-    real = exact_module._certified_ranks
-    monkeypatch.setattr(exact_module, "_certified_ranks", lambda mats, cols, k, ranks:
-                        seen.append(len(mats)) or real(mats, cols, k, ranks))
+    seen = record_pair_stage_calls(monkeypatch)
     for m, cols in skipped:
         ranks = kalman_ranks_exact(m, cols, eigsys=eig_sym(np.asarray(m, dtype=np.float64)))
         assert ranks == kalman_ranks_exact(m, cols)
-    assert seen == [1, 1] * len(skipped)
+    assert seen == [8, 8] * len(skipped)  # every column, with the eigensystem or without
 
 
 def test_float_tier_with_a_wrong_eigensystem_certifies_nothing_wrong():
@@ -1418,10 +1470,7 @@ def test_relation_tier_settles_or_leaves_each_case(monkeypatch):
         (repeated_diagonals(12)[1], [0, -2, -1, 2, 1]),  # diag(k // 3 - 2): -2, -1, 0, 1
         (np.kron(np.eye(2, dtype=np.int64), p4 + p4.T), [1, 0, -3, 0, 1]),  # +-phi, +-1/phi
     ]
-    block_tests = []
-    real = exact_module._krylov_degrees
-    monkeypatch.setattr(exact_module, "_krylov_degrees", lambda mats, cols, k, ranks:
-                        block_tests.append(int((ranks < 0).sum())) or real(mats, cols, k, ranks))
+    block_tests = record_pair_stage_calls(monkeypatch)
     polys = record_relations(monkeypatch)
     for a, q in minimal:
         n = len(a)
@@ -1497,10 +1546,7 @@ def test_a_tier_that_decides_everything_ends_the_decision(monkeypatch):
     k4 = np.ones((4, 4), dtype=np.int64) - np.eye(4, dtype=np.int64)
     mats = np.stack([p4, k4, np.diag(np.arange(1, 5)), np.zeros((4, 4), dtype=np.int64)])
     eye = np.eye(4, dtype=np.int64)
-    calls = []
-    real = exact_module._krylov_degrees
-    monkeypatch.setattr(exact_module, "_krylov_degrees", lambda mats, cols, k, ranks:
-                        calls.append(int((ranks < 0).sum())) or real(mats, cols, k, ranks))
+    calls = record_pair_stage_calls(monkeypatch)
     assert has_simple_spectrum_exact(mats, eig_sym(mats.astype(np.float64))) == \
         [True, False, True, False]
     assert kalman_ranks_exact(p4, eye, eigsys=eig_sym(p4.astype(np.float64))) == [4] * 4
@@ -1521,10 +1567,7 @@ def test_simple_spectrum_of_a_stack_equals_one_matrix_at_a_time(monkeypatch):
                     + [np.diag(np.r_[0, 2**20 * np.arange(9)])])
     alone = [has_simple_spectrum_exact(a) for a in mats]
     assert 0 < sum(alone) < len(alone)
-    calls = []
-    real = exact_module._krylov_degrees
-    monkeypatch.setattr(exact_module, "_krylov_degrees", lambda mats, cols, k, ranks:
-                        calls.append(int((ranks < 0).sum())) or real(mats, cols, k, ranks))
+    calls = record_pair_stage_calls(monkeypatch)
     assert has_simple_spectrum_exact(mats) == alone
     assert calls == [len(mats)]
     calls.clear()

@@ -313,6 +313,8 @@ def test_config_dict_round_trip():
     config = make_scenario_config("cor-gnp-rand", n_grid=(6,), trials=3)
     rebuilt = ExperimentConfig.from_dict(config.to_dict())
     assert rebuilt.to_dict() == config.to_dict()
+    with pytest.raises(ValueError, match=r"^ExperimentConfig must be a JSON object, got \[\]$"):
+        ExperimentConfig.from_dict([])
 
 
 def test_a_config_holds_knobs_not_the_ensemble():
@@ -421,6 +423,19 @@ def test_both_method_records_agreement():
     assert report.agreement is not None
     assert report.agreement["compared"] > 0
     assert report.agreement["agreed"] == report.agreement["compared"]
+
+
+def test_an_integer_explicit_vector_runs_on_the_exact_path():
+    # explicit values that are integers run conj2 under `exact`, and 1e300
+    # times all-ones, beyond int64 and so held as Python ints, has the ranks
+    # of all-ones
+    ones = make_scenario_config("conj2", n_grid=(8,), trials=20, method="exact")
+    scaled = make_scenario_config("conj2", n_grid=(8,), trials=20, method="exact",
+                                  vector=VectorSpec.explicit(np.full(8, 1e300)))
+    rows = [run_experiment(config).rows for config in (ones, scaled)]
+    assert [(row.successes, row.indeterminates) for row in rows[1]] == \
+        [(row.successes, row.indeterminates) for row in rows[0]]
+    assert 0 < rows[0][0].successes < 20
 
 
 @pytest.mark.parametrize("name", ["thm-goe", "thm-wigner-sphere"])
@@ -663,7 +678,7 @@ def test_certificate_leaves_exact_records_unchanged(monkeypatch):
     bareiss = []
     real_rank = exact.rank_exact
     monkeypatch.setattr(exact, "rank_exact", lambda m: bareiss.append(1) or real_rank(m))
-    monkeypatch.setattr(exact, "_certified_ranks", lambda mats, cols, k, ranks: ranks)
+    monkeypatch.setattr(exact, "_MOD_MAX_N", -1)  # no certificate: every pair to Bareiss
     monkeypatch.setattr(exact, "_float_system", lambda mats, eigsys: None)
     assert run_all() == certified
     # the switch reaches the batched chunks: conj1 sends every basis input

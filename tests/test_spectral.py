@@ -487,6 +487,19 @@ def test_minor_index_must_be_an_integer():
         assert check(P3, np.int64(1)) == check(P3, 1)
     with pytest.raises(ValueError, match=r"minor index must be an integer, got 1\.5"):
         shared_eigenvalue_witness(P3, 1.5, 1e-7)
+    for i in (-1, 3):
+        for check in (interlacing_check, eigvec_coordinate_check,
+                      lambda a, i: shared_eigenvalue_witness(a, i, 1e-7)):
+            with pytest.raises(ValueError, match=rf"^minor index {i} out of range for n=3$"):
+                check(P3, i)
+
+
+def test_lemma_verifiers_of_a_one_by_one_matrix():
+    # the minor is empty: no margin to violate, a coordinate of 1 that the
+    # identity gives exactly, and no minor eigenvalue to collide
+    assert interlacing_check([[2.0]], 0) == math.inf
+    assert eigvec_coordinate_check([[2.0]], 0) == 0.0
+    assert shared_eigenvalue_witness([[2.0]], 0, 1e-6) is None
 
 
 def test_tolerances_must_be_finite_and_nonnegative():
