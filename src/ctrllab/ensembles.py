@@ -256,12 +256,19 @@ class EnsembleSpec(Spec):
 
 
 @functools.lru_cache(maxsize=64)
-def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, k=1)``, computed once per n and read-only."""
+def _mirror(n: int) -> np.ndarray:
+    """The read-only (n * n,) index that gathers a flattened n x n symmetric
+    matrix from its k = n(n - 1)/2 upper-triangle entries, in
+    ``np.triu_indices(n, k=1)`` order, followed by its n diagonal entries;
+    computed once per n."""
+    k = n * (n - 1) // 2
+    index = np.empty((n, n), np.intp)
     iu = np.triu_indices(n, k=1)
-    for idx in iu:
-        idx.flags.writeable = False
-    return iu
+    index[iu] = index.T[iu] = np.arange(k)
+    index.flat[::n + 1] = np.arange(k, k + n)
+    index = index.ravel()
+    index.flags.writeable = False
+    return index
 
 
 def _integer(value, name: str) -> int:
@@ -304,7 +311,8 @@ def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
     generator draws its matrix's raw numbers into its own blocks, the upper
     triangle's and then the diagonal's (in one call when both atoms draw
     the same kind of raw number), each atom's law runs once on the
-    stack's, and one transpose-add mirrors every matrix.
+    stack's, and one gather through a cached mirror index builds every
+    matrix from its upper triangle and diagonal.
     """
     n = _integer(n, "n")
     if n < 1:
@@ -312,17 +320,17 @@ def sample_ensemble(spec: EnsembleSpec, seed, n: int) -> np.ndarray:
     seeds, single = _seeds(seed)
     rngs = _rngs(seeds)
     offdiag, diag = spec.atoms
-    iu = _upper_indices(n)
-    k = iu[0].size
+    k = n * (n - 1) // 2
     if Atom._sources[offdiag.kind] == Atom._sources[diag.kind]:  # one draw per matrix
         raw = offdiag._draws(rngs, k + n)
         upper, diagonal = raw[:, :k], raw[:, k:]
     else:  # each generator draws its upper triangle, then its diagonal
         upper, diagonal = offdiag._draws(rngs, k), diag._draws(rngs, n)
-    m = np.zeros((len(rngs), n, n), np.int64 if spec.kind == "gnp-adjacency" else np.float64)
-    m[:, iu[0], iu[1]] = offdiag._law(upper)
-    m += m.transpose(0, 2, 1)
-    m[:, np.arange(n), np.arange(n)] = diag._law(diagonal)
+    laws = np.empty((len(rngs), k + n), np.int64 if spec.kind == "gnp-adjacency" else np.float64)
+    laws[:, :k] = offdiag._law(upper)
+    laws[:, :k] += 0  # a -0.0 off the diagonal becomes +0.0 in both triangles
+    laws[:, k:] = diag._law(diagonal)
+    m = laws.take(_mirror(n), axis=1).reshape(len(rngs), n, n)
     return m[0] if single else m
 
 

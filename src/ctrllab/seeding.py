@@ -181,25 +181,20 @@ def _state(pool: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(s.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-class _State:
-    """A mixed SeedSequence, reduced to the four uint64 words PCG64 asks it for
-    (an ``ISeedSequence`` once :func:`_register` has run)."""
+class _State(np.random.bit_generator.ISeedSequence):
+    """A mixed SeedSequence, reduced to the four uint64 words PCG64 asks it for.
+
+    A subclass, not a registered ``ISeedSequence``: the instance check in
+    every ``PCG64(...)`` then finds it without ``ABCMeta.__subclasscheck__``."""
 
     def __init__(self, words: np.ndarray) -> None:
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes np.uint64 itself, which the identity test lets past np.dtype
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError("this seed holds only PCG64's state: 4 words of uint64")
         return self.words
-
-
-@functools.cache
-def _register() -> None:
-    # numpy 2 imports np.random on first use; subclassing ISeedSequence would
-    # import it with ctrllab, which costs the float-sweep benchmark about
-    # 0.5 MiB of peak RSS
-    np.random.bit_generator.ISeedSequence.register(_State)
 
 
 def _states(prefix: tuple[int, ...], tails: list[tuple[int, ...]]) -> list[np.ndarray]:
@@ -223,7 +218,6 @@ def _generators(prefix: tuple[int, ...],
         states = _states(prefix, tails)
     else:  # the pool is not lane-separable yet: key each path by its own first four words
         states = [_states(w[:_POOL], [w[_POOL:]])[0] for w in (prefix + tail for tail in tails)]
-    _register()
     # built one at a time, so that a batch's generators need not all be alive at once
     return (np.random.Generator(np.random.PCG64(_State(state))) for state in states)
 

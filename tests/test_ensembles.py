@@ -196,18 +196,35 @@ def test_goe_scalar_variance_is_two():
     assert abs(vals.var() - 2.0) <= 0.05 * 2.0
 
 
-def test_cached_upper_indices_are_read_only():
+def test_cached_mirror_index_is_read_only():
     for n in (1, 2, 7):
-        iu = ensembles._upper_indices(n)
-        assert ensembles._upper_indices(n) is iu
-        assert all(np.array_equal(x, y) for x, y in zip(iu, np.triu_indices(n, k=1)))
-        for idx in iu:
-            assert not idx.flags.writeable
-            if idx.size:
-                with pytest.raises(ValueError, match="read-only"):
-                    idx[0] = 1
+        index = ensembles._mirror(n)
+        assert ensembles._mirror(n) is index
+        # upper-triangle entries 0..k-1 in triu order, then the diagonal k..k+n-1
+        k = n * (n - 1) // 2
+        expected = np.empty((n, n), np.intp)
+        for e, (i, j) in enumerate(zip(*np.triu_indices(n, k=1))):
+            expected[i, j] = expected[j, i] = e
+        for i in range(n):
+            expected[i, i] = k + i
+        assert np.array_equal(index, expected.ravel())
+        assert not index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 1
     a = sample_ensemble(EnsembleSpec.gnp(0.5), SEED.child("cache"), 7)
     assert np.array_equal(sample_ensemble(EnsembleSpec.gnp(0.5), SEED.child("cache"), 7), a)
+
+
+def test_negative_zero_is_positive_off_the_diagonal_and_kept_on_it():
+    # a -0.0 off-diagonal copy reads +0.0 in both triangles, a -0.0
+    # diagonal copy keeps its sign
+    spec = EnsembleSpec.wigner(Atom.degenerate(-0.0), Atom.degenerate(-0.0))
+    for seed in (SEED.child("signed-zero"), [SEED.child("signed-zero", t) for t in range(3)]):
+        m = sample_ensemble(spec, seed, 4)
+        off = ~np.eye(4, dtype=bool)
+        assert not m.any()
+        assert not np.signbit(m[..., off]).any()
+        assert np.signbit(np.diagonal(m, axis1=-2, axis2=-1)).all()
 
 
 def test_goe_reproducible():
@@ -361,6 +378,33 @@ def test_uniform_sphere_unit_norm_and_symmetry():
     assert max(abs(x - 1.0) for x in norms) <= 1e-12
     # coordinates have mean 0, variance 1/n
     assert abs(np.mean(firsts)) <= 3.0 / math.sqrt(10 * 10_000)
+
+
+def test_uniform_sphere_redraws_an_all_zero_row(monkeypatch):
+    # the probability-zero all-zeros draw: row 1's first two draws are
+    # zeroed, so it is redrawn twice from its own generator, and it is the
+    # third block of n normals of its stream, normalised
+    n, draws = 5, []
+    real = Atom._draws
+
+    def zeroed(self, rngs, size):
+        raw = real(self, rngs, size)
+        draws.append(len(rngs))
+        if len(draws) == 1:
+            raw[1] = 0.0
+        elif len(draws) == 2:
+            raw[0] = 0.0
+        return raw
+
+    monkeypatch.setattr(Atom, "_draws", zeroed)
+    paths = [SEED.child("sphere-redraw", t) for t in range(3)]
+    v = sample_vector(VectorSpec.uniform_sphere(), n, paths)
+    assert draws == [3, 1, 1]
+    x = paths[1].generator().standard_normal(3 * n)[2 * n:]
+    assert np.array_equal(v[1], x / np.linalg.norm(x))
+    monkeypatch.undo()
+    alone = sample_vector(VectorSpec.uniform_sphere(), n, [paths[0], paths[2]])
+    assert np.array_equal(v[[0, 2]], alone)
 
 
 def test_shifted_vector_reproduces_scaled_bernoulli_law():

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from ctrllab import SeedPath
+from ctrllab import SeedPath, seeding
 
 
 def test_identical_paths_give_identical_streams():
@@ -200,6 +200,26 @@ def test_library_never_builds_a_seedsequence(monkeypatch):
     assert np.array_equal(SeedPath(9, ("a", 1)).generator().random(3), expected[0])
     for name in ("thm-goe", "cor-gnp-rand", "conj1"):
         run_experiment(make_scenario_config(name, n_grid=(6,), trials=3))
+
+
+def test_the_seed_of_each_pcg64_is_an_iseedsequence_subclass():
+    # a real subclass, not a registered one, so numpy's instance check in
+    # PCG64(...) finds it without ABCMeta.__subclasscheck__
+    assert np.random.bit_generator.ISeedSequence in seeding._State.__mro__
+    gen = SeedPath(9, ("a", 1)).generator()
+    assert type(gen.bit_generator.seed_seq) is seeding._State
+
+
+def test_the_seed_holds_only_pcg64s_four_uint64_words():
+    words = np.arange(4, dtype=np.uint64)
+    state = seeding._State(words)
+    for dtype in (np.uint64, np.dtype(np.uint64), "uint64"):
+        assert state.generate_state(4, dtype) is words
+    for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64), (4, "int64")):
+        with pytest.raises(ValueError, match="only PCG64's state: 4 words of uint64"):
+            state.generate_state(n_words, dtype)
+    with pytest.raises(ValueError, match="only PCG64's state"):
+        state.generate_state(4)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from ctrllab import (
     Atom,
     ControllabilityVerdict,
+    EigenDecompositionError,
     EigenSystem,
     EnsembleSpec,
     SeedPath,
@@ -25,6 +26,7 @@ from ctrllab import (
     shared_eigenvalue_witness,
     small_ball_estimate,
 )
+from ctrllab import spectral
 from ctrllab.ensembles import _row_norms
 from ctrllab.spectral import basis_witnesses, classify
 
@@ -121,6 +123,24 @@ def test_eig_sym_on_a_stack_equals_per_matrix_calls():
         eig_sym(P3)[0]
     with pytest.raises(TypeError, match="not a stack"):
         len(eig_sym(P3))
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_eig_sym_stack_failure_with_no_failing_matrix_raises_unlabelled(monkeypatch, vectors):
+    # the stacked call fails but every matrix converges alone: no label
+    # names a matrix, so the error carries the stacked call's message
+    real = spectral._eigh_or_values
+
+    def stacked_fails(m, vectors):
+        if m.ndim == 3:
+            raise np.linalg.LinAlgError("stacked call failed")
+        return real(m, vectors)
+
+    monkeypatch.setattr(spectral, "_eigh_or_values", stacked_fails)
+    with pytest.raises(EigenDecompositionError,
+                       match=r"^eigh failed to converge: stacked call failed$") as info:
+        eig_sym(np.stack([P3, K3]), label=["a", "b"], vectors=vectors)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_eig_sym_stack_names_the_matrix_at_fault():
